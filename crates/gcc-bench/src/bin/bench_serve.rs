@@ -60,14 +60,17 @@
 //! a `"wire"` object that `perf_gate` refuses unless both held.
 //!
 //! With `--lod` the harness exercises the deadline-aware quality ladder
-//! (`gcc-lod` + `ServeConfig::lod`): it calibrates a per-frame deadline
-//! that full-quality rendering cannot meet but the ladder's cheap rungs
-//! can, replays the same deadline-carrying orbit with the ladder on
-//! (expecting **zero** misses) and off (expecting misses), and measures
-//! every rung's PSNR/SSIM against full renders of the same views. The
-//! record gains a `"lod"` object that `perf_gate` refuses unless the
-//! miss contract held, every frame resolved, and every rung met its
-//! documented quality floor.
+//! (`gcc-lod` + `ServeConfig::lod`): it prices every rung *through the
+//! service* (deadline frames render on the cores the service lends
+//! them), calibrates a per-frame deadline that full-quality rendering
+//! cannot meet but the better degraded rungs can, replays the same
+//! deadline-carrying orbit with the ladder on (expecting **zero**
+//! misses) and off (expecting misses), and measures every rung's
+//! PSNR/SSIM against full renders of the same views. The record gains a
+//! `"lod"` object that `perf_gate` refuses unless the miss contract
+//! held, every frame resolved, every rung met its documented quality
+//! floor, and the ladder did not sit on its floor rung while a better
+//! rung's recorded cost fit the deadline.
 //!
 //! ```text
 //! cargo run --release -p gcc-bench --bin bench_serve            # full
@@ -96,8 +99,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gcc_bench::TablePrinter;
-use gcc_lod::{attach_hierarchy, QualityRung};
+use gcc_lod::cost::NEAR_RETRY_INTERVAL;
+use gcc_lod::{attach_hierarchy, QualityLadder, QualityRung};
 use gcc_math::Vec3;
+use gcc_parallel::available_threads;
 use gcc_render::pipeline::FrameScratch;
 use gcc_render::quality::{psnr, ssim};
 use gcc_render::upscale::upscale_bilinear;
@@ -106,8 +111,8 @@ use gcc_scene::io::RetryPolicy;
 use gcc_scene::rng::StdRng;
 use gcc_scene::{io, Scene, SceneConfig, ScenePreset, ViewSpec};
 use gcc_serve::{
-    ChaosRenderer, FaultPlan, LodPolicy, Priority, RenderRequest, RenderService, SceneSource,
-    ScheduleRenderers, ServeConfig, ServeError, ServeStats, StreamConfig, StreamSpec,
+    ChaosRenderer, FaultPlan, LodPolicy, Priority, RenderService, SceneSource, ScheduleRenderers,
+    ServeConfig, ServeError, ServeStats, StreamConfig, StreamSpec,
 };
 use gcc_wire::{WireClient, WireError, WireRejection};
 
@@ -1075,6 +1080,9 @@ fn run_wire(
 /// of the same views, plus the floors the ladder documents for it.
 struct RungQuality {
     name: &'static str,
+    /// Best served cost of a frame at this rung, on the cores the service
+    /// lent it.
+    cost_ms: f64,
     psnr_db: f64,
     ssim: f64,
     min_psnr_db: f64,
@@ -1087,7 +1095,10 @@ struct RungQuality {
 struct LodOutcome {
     scene: String,
     frames: u64,
+    host_threads: usize,
     deadline_ms: f64,
+    /// The dispatch margin of the ladder run's policy.
+    margin: f64,
     full_ms: f64,
     floor_ms: f64,
     misses_ladder_on: u64,
@@ -1128,30 +1139,19 @@ fn render_rung(
     frame
 }
 
-/// Serves `frames` deadline-carrying orbit frames of `id` sequentially
-/// (cache pre-warmed by one deadline-free frame, which also prices rung 0
-/// for the ladder run) and returns the final stats.
-fn lod_serve_run(
-    registry: &[(String, SceneSource)],
-    id: &str,
-    lod: Option<LodPolicy>,
-    frames: usize,
-    deadline: Duration,
-) -> ServeStats {
-    let service = RenderService::new(
-        ServeConfig {
-            workers: 2,
-            lod,
-            ..ServeConfig::default()
-        },
-        registry.to_vec(),
-    );
-    service
-        .render_blocking(RenderRequest::trajectory(id, 0.05))
-        .expect("lod warm frame");
-    let session = service
-        .session(id, RenderOptions::default())
-        .expect("lod session");
+/// Frame size of the `--lod` replay. Twice the scene's native size: the
+/// per-frame preprocessing does not shrink with resolution, and on lent
+/// cores it is a large enough share of a native frame that `half_res`
+/// costs over half of `full` — too close for a deadline between them to
+/// survive a noisy host. At this size the rungs sit well apart again.
+const LOD_RESOLUTION: (u32, u32) = (512, 512);
+
+/// Streams `frames` deadline-carrying orbit frames of `id` through
+/// `service`, one at a time (window 1, so each dispatch sees the cost
+/// observations of its predecessors).
+fn lod_stream(service: &RenderService, id: &str, frames: usize, deadline: Duration) {
+    let options = RenderOptions::default().at_resolution(LOD_RESOLUTION.0, LOD_RESOLUTION.1);
+    let session = service.session(id, options).expect("lod session");
     let stream = session
         .stream_with(
             StreamSpec::OrbitLoop {
@@ -1167,16 +1167,17 @@ fn lod_serve_run(
     for item in stream {
         item.expect("lod frame failed");
     }
-    service.shutdown()
 }
 
-/// The `--lod` phase: calibrates a deadline that full-quality rendering
-/// cannot meet but the ladder's cheap rungs can, replays the same
-/// deadline-carrying orbit ladder-on and ladder-off, and measures each
-/// rung's PSNR/SSIM against full renders of the same views. The gate
-/// (`perf_gate`) refuses the record unless the ladder run missed zero
-/// deadlines, the exact run missed at least one, every frame resolved,
-/// and every rung met its documented quality floor.
+/// The `--lod` phase: prices every rung through the service, calibrates
+/// a deadline that full-quality rendering cannot meet but the better
+/// degraded rungs can, replays the same deadline-carrying orbit
+/// ladder-on and ladder-off, and measures each rung's PSNR/SSIM against
+/// full renders of the same views. The gate (`perf_gate`) refuses the
+/// record unless the ladder run missed zero deadlines, the exact run
+/// missed at least one, every frame resolved, every rung met its
+/// documented quality floor, and the ladder run did not spend most of
+/// its frames on the floor rung while a better rung fit the deadline.
 fn run_lod(dir: &Path, smoke: bool) -> LodOutcome {
     // The shared bench scenes are deliberately small (the cache-pressure
     // workloads want many cheap scenes), which leaves the rungs
@@ -1188,50 +1189,64 @@ fn run_lod(dir: &Path, smoke: bool) -> LodOutcome {
     let path = dir.join("lodscene.bin");
     io::write_binary_file(&built, &path).expect("write lod scene");
     let registry = vec![(id.to_string(), SceneSource::File(path))];
-    // A wider dispatch margin than the serving default: the committed
-    // record is a gate, so the ladder should only climb to rungs with
-    // comfortable (2x) predicted headroom under the deadline.
-    let policy = LodPolicy {
-        margin: 2.0,
-        ..LodPolicy::default()
-    };
+    let policy = LodPolicy::default();
     let ladder = policy.ladder.clone();
     let floor = ladder.floor();
-
-    let mut qscene = built;
-    attach_hierarchy(&mut qscene, &policy.hierarchy);
-    let mut scratch = FrameScratch::new();
-
-    // Calibration: best-of-3 direct render cost at the exact rung and at
-    // the floor. The deadline goes between them — geometrically, with an
-    // absolute floor against timer noise — so full quality *must* miss
-    // while the cheap rungs have comfortable headroom.
-    let calib_view = ViewSpec::trajectory(0.3);
-    let mut time_rung = |idx: usize| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            render_rung(&qscene, &ladder.rungs()[idx], &calib_view, &mut scratch);
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        best
+    let serve = |lod: Option<LodPolicy>| {
+        RenderService::new(
+            ServeConfig {
+                workers: 2,
+                lod,
+                ..ServeConfig::default()
+            },
+            registry.clone(),
+        )
     };
-    let full_ms = time_rung(0);
-    let floor_ms = time_rung(floor);
-    assert!(
-        floor_ms < full_ms / 2.0,
-        "floor rung ({floor_ms:.2} ms) is not meaningfully cheaper than full ({full_ms:.2} ms)"
-    );
-    let deadline_ms = (full_ms * floor_ms)
-        .sqrt()
-        .max(4.0 * floor_ms)
-        .max(2.0)
-        .min(0.7 * full_ms);
+    // Calibration, through the service: a deadline-carrying frame renders
+    // on every core no other worker is using, so a direct sequential
+    // render would not say what the rungs cost here. Each rung is priced
+    // on a two-rung ladder of `full` above it: a deadline nothing can meet
+    // pins every frame to that ladder's floor. Best of three.
+    let hopeless = Duration::from_nanos(1);
+    let cost_ms: Vec<f64> = (0..ladder.len())
+        .map(|rung| {
+            let mut pinned = vec![ladder.rungs()[0].clone()];
+            pinned.extend((rung > 0).then(|| ladder.rungs()[rung].clone()));
+            let service = serve(Some(LodPolicy {
+                ladder: QualityLadder::new(pinned),
+                ..policy.clone()
+            }));
+            lod_stream(&service, id, 3, hopeless);
+            let decisions = service.shutdown().lod.recent;
+            assert_eq!(decisions.len(), 3, "three pinned frames were traced");
+            decisions
+                .iter()
+                .map(|d| d.actual_us as f64 / 1e3)
+                .fold(f64::INFINITY, f64::min)
+        })
+        .collect();
+    // The deadline goes between what the best degraded rung that can be
+    // told apart from `full` needs to fit with the policy's margin, and
+    // what `full` costs — geometrically, with an absolute floor against
+    // timer noise — so full quality *must* miss while that rung has its
+    // headroom.
+    let (full_ms, floor_ms) = (cost_ms[0], cost_ms[floor]);
+    let anchor_ms = cost_ms[1..]
+        .iter()
+        .map(|cost| cost * policy.margin)
+        .find(|&needs| needs < 0.9 * full_ms)
+        .unwrap_or_else(|| {
+            panic!("no degraded rung is meaningfully cheaper than full: {cost_ms:?} ms")
+        });
+    let deadline_ms = (anchor_ms * full_ms).sqrt().max(2.0);
     let deadline = Duration::from_secs_f64(deadline_ms / 1e3);
 
     // Per-rung quality versus the full render, worst case over a spread
     // of views. The full rung is exact by construction (PSNR capped for
     // the record).
+    let mut qscene = built;
+    attach_hierarchy(&mut qscene, &policy.hierarchy);
+    let mut scratch = FrameScratch::new();
     let views = [
         ViewSpec::trajectory(0.15),
         ViewSpec::trajectory(0.5),
@@ -1243,7 +1258,7 @@ fn run_lod(dir: &Path, smoke: bool) -> LodOutcome {
         .collect();
     let mut rungs = Vec::new();
     let mut quality_ok = true;
-    for rung in ladder.rungs() {
+    for (rung, &cost_ms) in ladder.rungs().iter().zip(&cost_ms) {
         let (mut worst_psnr, mut worst_ssim) = (f64::INFINITY, f64::INFINITY);
         for (v, want) in views.iter().zip(&full_frames) {
             let got = render_rung(&qscene, rung, v, &mut scratch);
@@ -1253,6 +1268,7 @@ fn run_lod(dir: &Path, smoke: bool) -> LodOutcome {
         quality_ok &= worst_psnr >= rung.min_psnr_db && worst_ssim >= rung.min_ssim;
         rungs.push(RungQuality {
             name: rung.name,
+            cost_ms,
             psnr_db: worst_psnr,
             ssim: worst_ssim,
             min_psnr_db: rung.min_psnr_db,
@@ -1260,22 +1276,41 @@ fn run_lod(dir: &Path, smoke: bool) -> LodOutcome {
         });
     }
 
-    // The same deadline-carrying orbit, ladder-on then ladder-off.
+    // The same deadline-carrying orbit, ladder-on then ladder-off, each
+    // on a fresh service. Only steady state counts: a cold ladder prices
+    // each rung from one frame rendered on cold buffers, and may spend a
+    // near-retry interval or two correcting that, so the orbit first runs
+    // uncounted for that long and the stats are deltas over the warm-up.
     let frames = if smoke { 12 } else { 40 };
-    let on = lod_serve_run(&registry, id, Some(policy), frames, deadline);
-    let off = lod_serve_run(&registry, id, None, frames, deadline);
-    let expected = frames as u64 + 1; // + the deadline-free warm frame
+    let warm_frames = ladder.len() + 2 * NEAR_RETRY_INTERVAL as usize;
+    let run = |lod: Option<LodPolicy>| {
+        let service = serve(lod);
+        lod_stream(&service, id, warm_frames, deadline);
+        let warm = service.stats();
+        lod_stream(&service, id, frames, deadline);
+        (warm, service.shutdown())
+    };
+    let (on_warm, on) = run(Some(policy.clone()));
+    let (off_warm, off) = run(None);
+    let served = |warm: &ServeStats, done: &ServeStats| done.frames - warm.frames;
+    let by_rung =
+        |stats: &ServeStats, rung: usize| stats.lod.frames_by_rung.get(rung).copied().unwrap_or(0);
     LodOutcome {
         scene: id.to_string(),
         frames: frames as u64,
+        host_threads: available_threads(),
         deadline_ms,
+        margin: policy.margin,
         full_ms,
         floor_ms,
-        misses_ladder_on: on.deadline_misses(),
-        misses_ladder_off: off.deadline_misses(),
-        degraded_frames: on.lod.degraded_frames,
-        frames_by_rung: on.lod.frames_by_rung.clone(),
-        all_resolved: on.frames == expected && off.frames == expected,
+        misses_ladder_on: on.deadline_misses() - on_warm.deadline_misses(),
+        misses_ladder_off: off.deadline_misses() - off_warm.deadline_misses(),
+        degraded_frames: on.lod.degraded_frames - on_warm.lod.degraded_frames,
+        frames_by_rung: (0..ladder.len())
+            .map(|rung| by_rung(&on, rung) - by_rung(&on_warm, rung))
+            .collect(),
+        all_resolved: served(&on_warm, &on) == frames as u64
+            && served(&off_warm, &off) == frames as u64,
         rungs,
         quality_ok,
     }
@@ -1448,11 +1483,13 @@ fn main() {
     }
     if let Some(l) = &lod_outcome {
         println!(
-            "lod: {} frames of {} under a {:.2} ms deadline (full {:.2} ms, floor {:.2} ms): \
-             ladder-on missed {}, ladder-off missed {}; {} degraded frames, rungs {:?} — {}",
+            "lod: {} frames of {} under a {:.2} ms deadline (served on {} host threads: full \
+             {:.2} ms, floor {:.2} ms): ladder-on missed {}, ladder-off missed {}; {} degraded \
+             frames, rungs {:?} — {}",
             l.frames,
             l.scene,
             l.deadline_ms,
+            l.host_threads,
             l.full_ms,
             l.floor_ms,
             l.misses_ladder_on,
@@ -1618,13 +1655,16 @@ fn main() {
     }
     if let Some(l) = &lod_outcome {
         json.push_str(&format!(
-            "  \"lod\": {{\"scene\": \"{}\", \"frames\": {}, \"deadline_ms\": {:.3}, \
+            "  \"lod\": {{\"scene\": \"{}\", \"frames\": {}, \"host_threads\": {}, \
+             \"deadline_ms\": {:.3}, \"margin\": {:.3}, \
              \"full_ms\": {:.3}, \"floor_ms\": {:.3}, \"misses_ladder_on\": {}, \
              \"misses_ladder_off\": {}, \"degraded_frames\": {}, \"frames_by_rung\": [{}], \
              \"all_resolved\": {}, \"quality_ok\": {},\n",
             json_escape_free(&l.scene),
             l.frames,
+            l.host_threads,
             l.deadline_ms,
+            l.margin,
             l.full_ms,
             l.floor_ms,
             l.misses_ladder_on,
@@ -1641,10 +1681,11 @@ fn main() {
         json.push_str("   \"rungs\": [");
         for (j, r) in l.rungs.iter().enumerate() {
             json.push_str(&format!(
-                "{}{{\"name\": \"{}\", \"psnr_db\": {:.3}, \"ssim\": {:.4}, \
-                 \"min_psnr_db\": {:.3}, \"min_ssim\": {:.4}}}",
+                "{}{{\"name\": \"{}\", \"cost_ms\": {:.3}, \"psnr_db\": {:.3}, \
+                 \"ssim\": {:.4}, \"min_psnr_db\": {:.3}, \"min_ssim\": {:.4}}}",
                 if j == 0 { "" } else { ", " },
                 json_escape_free(r.name),
+                r.cost_ms,
                 r.psnr_db,
                 r.ssim,
                 r.min_psnr_db,

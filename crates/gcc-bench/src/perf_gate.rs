@@ -279,7 +279,10 @@ impl WireGate {
 /// contract to hold: the ladder run missed zero deadlines while the
 /// exact run missed at least one (the deadline was genuinely
 /// unmeetable at full quality), every frame of both runs was delivered,
-/// and every rung's measured PSNR/SSIM met its documented floor.
+/// every rung's measured PSNR/SSIM met its documented floor — and the
+/// ladder delivered quality, not just deadlines: it did not spend most
+/// of its frames on the floor rung while a better rung's recorded cost
+/// fit the deadline ([`Self::floor_justified`]).
 #[derive(Debug, Clone)]
 pub struct LodGate {
     /// Deadline misses of the ladder-on run (must be zero).
@@ -292,16 +295,42 @@ pub struct LodGate {
     pub all_resolved: bool,
     /// Every rung's measured quality met its documented floor.
     pub quality_ok: bool,
+    /// The per-frame deadline of both runs, ms.
+    pub deadline_ms: f64,
+    /// The ladder run's dispatch margin: a rung fits when its cost times
+    /// this is within the deadline.
+    pub margin: f64,
+    /// Frames the ladder run dispatched per rung, best rung first.
+    pub frames_by_rung: Vec<u64>,
+    /// Recorded served cost of each rung, ms, best rung first.
+    pub rung_cost_ms: Vec<f64>,
 }
 
 impl LodGate {
+    /// `true` unless the floor rung holds more than half of the ladder
+    /// run's frames although a better rung's recorded cost × margin fits
+    /// the deadline. Zero misses are cheap to get by never leaving the
+    /// floor; only a deadline nothing better fits excuses it.
+    pub fn floor_justified(&self) -> bool {
+        let Some((&floor_frames, better)) = self.frames_by_rung.split_last() else {
+            return true;
+        };
+        let frames = floor_frames + better.iter().sum::<u64>();
+        let better_fits = self.rung_cost_ms[..better.len()]
+            .iter()
+            .any(|cost| cost * self.margin <= self.deadline_ms);
+        floor_frames * 2 <= frames || !better_fits
+    }
+
     /// `true` when the ladder beat the deadline the exact run could not,
-    /// without dropping frames or violating a quality floor.
+    /// without dropping frames, violating a quality floor or hiding on
+    /// the floor rung.
     pub fn passed(&self) -> bool {
         self.misses_ladder_on == 0
             && self.misses_ladder_off >= 1
             && self.all_resolved
             && self.quality_ok
+            && self.floor_justified()
     }
 }
 
@@ -401,10 +430,17 @@ impl ServeGateReport {
         }
         if let Some(l) = &self.lod {
             out.push_str(&format!(
-                "lod ladder: {} misses vs {} ladder-off ({} degraded frames), {}, quality {}{}\n",
+                "lod ladder: {} misses vs {} ladder-off ({} degraded frames, rungs {:?}{}), {}, \
+                 quality {}{}\n",
                 l.misses_ladder_on,
                 l.misses_ladder_off,
                 l.degraded_frames,
+                l.frames_by_rung,
+                if l.floor_justified() {
+                    ""
+                } else {
+                    " STUCK ON THE FLOOR"
+                },
                 if l.all_resolved {
                     "all frames delivered"
                 } else {
@@ -530,19 +566,43 @@ pub fn check_serve_record(text: &str, floor: f64) -> Result<ServeGateReport, Str
                     _ => Err(format!("lod: missing bool '{k}'")),
                 }
             };
-            let count = |k: &str| -> Result<u64, String> {
-                l.get(k)
-                    .and_then(Value::as_f32)
+            let number = |v: Option<&Value>, what: &str| -> Result<f64, String> {
+                v.and_then(Value::as_f32)
                     .filter(|v| v.is_finite() && *v >= 0.0)
-                    .map(|v| v as u64)
-                    .ok_or(format!("lod: missing count '{k}'"))
+                    .map(f64::from)
+                    .ok_or(format!("lod: missing number '{what}'"))
             };
+            let count = |k: &str| number(l.get(k), k).map(|n| n as u64);
+            let list = |k: &str| {
+                l.get(k)
+                    .and_then(Value::as_arr)
+                    .ok_or(format!("lod: missing array '{k}'"))
+            };
+            let frames_by_rung = list("frames_by_rung")?
+                .iter()
+                .map(|v| number(Some(v), "frames_by_rung").map(|n| n as u64))
+                .collect::<Result<Vec<_>, _>>()?;
+            let rung_cost_ms = list("rungs")?
+                .iter()
+                .map(|r| number(r.get("cost_ms"), "rungs[].cost_ms"))
+                .collect::<Result<Vec<_>, _>>()?;
+            if frames_by_rung.len() != rung_cost_ms.len() {
+                return Err(format!(
+                    "lod: {} rungs dispatched but {} priced",
+                    frames_by_rung.len(),
+                    rung_cost_ms.len()
+                ));
+            }
             Some(LodGate {
                 misses_ladder_on: count("misses_ladder_on")?,
                 misses_ladder_off: count("misses_ladder_off")?,
                 degraded_frames: count("degraded_frames")?,
                 all_resolved: flag("all_resolved")?,
                 quality_ok: flag("quality_ok")?,
+                deadline_ms: number(l.get("deadline_ms"), "deadline_ms")?,
+                margin: number(l.get("margin"), "margin")?,
+                frames_by_rung,
+                rung_cost_ms,
             })
         }
     };
@@ -895,18 +955,51 @@ mod tests {
             .is_none());
     }
 
-    fn lod_record(misses_on: u64, misses_off: u64, all_resolved: bool, quality_ok: bool) -> String {
+    /// A lod record: the ladder run's frames per rung, and the rungs'
+    /// recorded costs against a 31 ms deadline at margin 1.3.
+    fn lod_record_with(
+        misses: (u64, u64),
+        all_resolved: bool,
+        quality_ok: bool,
+        frames_by_rung: [u64; 4],
+        cost_ms: [f64; 4],
+    ) -> String {
         let base = serve_record(3.0, true);
+        let rungs: Vec<String> = ["full", "half_res", "coarse", "floor"]
+            .iter()
+            .zip(cost_ms)
+            .map(|(name, cost)| {
+                format!(
+                    "{{\"name\": \"{name}\", \"cost_ms\": {cost}, \"psnr_db\": 99.0, \
+                     \"ssim\": 1.0, \"min_psnr_db\": 12.5, \"min_ssim\": 0.12}}"
+                )
+            })
+            .collect();
         let lod = format!(
-            "\"lod\": {{\"scene\": \"lodscene\", \"frames\": 12, \"deadline_ms\": 31.0, \
-             \"full_ms\": 45.3, \"floor_ms\": 7.8, \"misses_ladder_on\": {misses_on}, \
-             \"misses_ladder_off\": {misses_off}, \"degraded_frames\": 12, \
-             \"frames_by_rung\": [0, 0, 1, 11], \"all_resolved\": {all_resolved}, \
-             \"quality_ok\": {quality_ok}, \"rungs\": [{{\"name\": \"full\", \
-             \"psnr_db\": 99.0, \"ssim\": 1.0, \"min_psnr_db\": 99.0, \
-             \"min_ssim\": 0.999}}]}}, \"speedup_vs_naive\""
+            "\"lod\": {{\"scene\": \"lodscene\", \"frames\": 40, \"host_threads\": 2, \
+             \"deadline_ms\": 31.0, \"margin\": 1.3, \"full_ms\": 45.3, \"floor_ms\": 7.8, \
+             \"misses_ladder_on\": {}, \"misses_ladder_off\": {}, \"degraded_frames\": 40, \
+             \"frames_by_rung\": {frames_by_rung:?}, \"all_resolved\": {all_resolved}, \
+             \"quality_ok\": {quality_ok}, \"rungs\": [{}]}}, \"speedup_vs_naive\"",
+            misses.0,
+            misses.1,
+            rungs.join(", ")
         );
         base.replace("\"speedup_vs_naive\"", &lod)
+    }
+
+    /// Costs of the Lego ladder: `half_res` fits the 31 ms deadline at
+    /// margin 1.3 (18 × 1.3), `full` and `coarse` do not.
+    const LEGO_COST_MS: [f64; 4] = [45.3, 18.0, 26.0, 7.8];
+
+    fn lod_record(misses_on: u64, misses_off: u64, all_resolved: bool, quality_ok: bool) -> String {
+        lod_record_with(
+            (misses_on, misses_off),
+            all_resolved,
+            quality_ok,
+            [0, 38, 1, 1],
+            LEGO_COST_MS,
+        )
     }
 
     #[test]
@@ -916,7 +1009,9 @@ mod tests {
         let l = report.lod.as_ref().expect("lod summary parsed");
         assert_eq!(l.misses_ladder_on, 0);
         assert_eq!(l.misses_ladder_off, 12);
-        assert_eq!(l.degraded_frames, 12);
+        assert_eq!(l.degraded_frames, 40);
+        assert_eq!(l.frames_by_rung, [0, 38, 1, 1]);
+        assert_eq!(l.rung_cost_ms.len(), 4);
         assert!(report
             .render()
             .contains("lod ladder: 0 misses vs 12 ladder-off"));
@@ -940,14 +1035,43 @@ mod tests {
     }
 
     #[test]
+    fn serve_gate_refuses_a_ladder_that_hides_on_the_floor() {
+        let gate = |frames_by_rung, cost_ms| {
+            let record = lod_record_with((0, 40), true, true, frames_by_rung, cost_ms);
+            check_serve_record(&record, 2.0).unwrap()
+        };
+        // The record PR 10 committed: zero misses, bought with 39 of 40
+        // frames at the floor while `half_res` fit the deadline.
+        let report = gate([0, 0, 1, 39], LEGO_COST_MS);
+        assert!(!report.passed());
+        assert!(report.render().contains("STUCK ON THE FLOOR"));
+        // The same frames are fine when nothing better fits: 24 × 1.3
+        // is past the 31 ms deadline.
+        assert!(gate([0, 0, 1, 39], [45.3, 24.0, 26.0, 7.8]).passed());
+        // And the floor may hold up to half of the frames regardless.
+        assert!(gate([0, 20, 0, 20], LEGO_COST_MS).passed());
+        assert!(!gate([0, 19, 0, 21], LEGO_COST_MS).passed());
+    }
+
+    #[test]
     fn serve_gate_rejects_malformed_lod_summaries() {
         // Present-but-incomplete lod objects are parse errors, not
         // silent passes.
-        let bad_quality =
-            lod_record(0, 12, true, true).replace("\"quality_ok\": true", "\"quality_ok\": 1");
-        assert!(check_serve_record(&bad_quality, 2.0).is_err());
-        let missing_misses = lod_record(0, 12, true, true).replace("\"misses_ladder_on\": 0, ", "");
-        assert!(check_serve_record(&missing_misses, 2.0).is_err());
+        let good = lod_record(0, 12, true, true);
+        for (what, bad) in [
+            (
+                "flag",
+                good.replace("\"quality_ok\": true", "\"quality_ok\": 1"),
+            ),
+            ("misses", good.replace("\"misses_ladder_on\": 0, ", "")),
+            ("margin", good.replace("\"margin\": 1.3, ", "")),
+            ("rung cost", good.replace("\"cost_ms\": 18, ", "")),
+            ("rung count", good.replace("[0, 38, 1, 1]", "[0, 38, 2]")),
+            ("rung frames", good.replace("[0, 38, 1, 1]", "7")),
+        ] {
+            assert_ne!(bad, good, "{what}: the fixture did not change");
+            assert!(check_serve_record(&bad, 2.0).is_err(), "{what}");
+        }
         // Records without a lod object stay valid.
         assert!(check_serve_record(&serve_record(3.0, true), 2.0)
             .unwrap()

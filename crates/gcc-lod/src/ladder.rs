@@ -28,8 +28,14 @@ pub struct QualityRung {
     /// `alpha_min` floor merged into the request (`max` with any
     /// caller-provided threshold).
     pub alpha_min: f32,
-    /// Relative cost versus the full rung (1.0), used by the cost model
-    /// to extrapolate unmeasured rungs from measured ones.
+    /// A guess at the rung's cost relative to the full rung (1.0).
+    /// Nothing in the workspace prices a frame with it — the cost model is
+    /// measured-only, and the guesses are wrong in shape (EXPERIMENTS.md
+    /// "Quality ladder": `coarse` costs more than `half_res`). The field
+    /// survives only because `benchmark/src/layers.rs` seeds its
+    /// `select_rung` timing fixture from it and a change that claims a
+    /// gain may not edit the benchmark; delete it together with that
+    /// line.
     pub nominal_cost: f64,
     /// Documented lower bound on PSNR (dB) versus the full-quality
     /// render of the same view.
@@ -99,9 +105,9 @@ impl QualityLadder {
         Self { rungs }
     }
 
-    /// The standard four-rung ladder. Nominal costs and quality floors
-    /// are documented in EXPERIMENTS.md ("Quality ladder" table) from
-    /// measurements on the Table 2 scenes.
+    /// The standard four-rung ladder. Quality floors and measured
+    /// per-rung costs are documented in EXPERIMENTS.md ("Quality ladder"
+    /// table) from measurements on the Table 2 scenes.
     pub fn standard() -> Self {
         Self::new(vec![
             QualityRung {
@@ -189,10 +195,9 @@ mod tests {
         for r in &ladder.rungs()[1..] {
             assert!(r.degrades(), "{}", r.name);
         }
-        // Costs decrease monotonically down the ladder; quality floors
-        // loosen monotonically.
+        // Quality floors loosen monotonically down the ladder (costs do
+        // not: they are measured per scene, never assumed).
         for pair in ladder.rungs().windows(2) {
-            assert!(pair[1].nominal_cost < pair[0].nominal_cost);
             assert!(pair[1].min_psnr_db <= pair[0].min_psnr_db);
             assert!(pair[1].min_ssim <= pair[0].min_ssim);
         }

@@ -20,10 +20,11 @@
 //!   PSNR/SSIM floor it is allowed to cost.
 //! * [`cost`] — a **rolling per-scene cost model**: an EWMA of measured
 //!   ms/frame keyed by scene × rung × resolution. The dispatcher asks
-//!   it for the highest rung whose predicted cost fits the frame's
-//!   remaining deadline budget; unmeasured rungs extrapolate through
-//!   the ladder's nominal cost ratios, and a cold-start scene renders
-//!   at the floor rung once rather than risk a miss.
+//!   it for the highest rung whose *measured* cost fits the frame's
+//!   remaining deadline budget; an unmeasured rung has no price and is
+//!   discovered by probing one step up while the chosen rung fits, and
+//!   a cold-start scene renders at the floor rung once rather than
+//!   risk a miss.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

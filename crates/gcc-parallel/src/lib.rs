@@ -26,8 +26,8 @@ mod pool;
 pub use pool::{PoolHealth, RestartPolicy, WorkerPool, WorkerStep};
 
 use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// How many worker threads a parallel stage should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,9 +67,31 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Least estimated work, in nanoseconds, a thread must receive before a
+/// chunked map hands it a share. Below it the map runs on fewer threads,
+/// down to inline on the caller: a helper costs a spawn, a cold start on
+/// another core and a join, which the benchmark's 2-thread radix sort
+/// (0.3 ms of histogram work split in two, `radix_speedup_t2` 0.94) shows
+/// is more than a few hundred microseconds of shared work buys back. The
+/// per-item costs callers quote come from the same trace
+/// (`gcc-render.*_ms` over the survivors of a frame).
+pub const MIN_NS_PER_THREAD: u64 = 400_000;
+
+/// How many of `threads` a map over `items` items of roughly `item_ns`
+/// nanoseconds each keeps busy for at least [`MIN_NS_PER_THREAD`] (at
+/// least 1: the caller).
+fn worthwhile_threads(threads: usize, items: usize, item_ns: u32) -> usize {
+    let affordable = (items as u64).saturating_mul(u64::from(item_ns)) / MIN_NS_PER_THREAD;
+    threads
+        .min(usize::try_from(affordable).unwrap_or(usize::MAX))
+        .max(1)
+}
+
 /// Maps `f` over `0..count` with `threads` workers and returns the results
 /// in index order. Items are handed out through an atomic cursor, so
-/// uneven item costs still balance across workers.
+/// uneven item costs still balance across workers. Items are taken to be
+/// coarse (a tile, a frame, a cluster): any two of them are worth a second
+/// thread.
 ///
 /// With `threads <= 1` (or fewer than two items) the map runs inline on
 /// the calling thread — that path *is* the sequential reference schedule,
@@ -116,33 +138,29 @@ where
         let mut state = init();
         return (0..count).map(|i| f(&mut state, i)).collect();
     }
-    let workers = threads.min(count);
     let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(count));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    local.push((i, f(&mut state, i)));
-                }
-                if !local.is_empty() {
-                    collected
-                        .lock()
-                        .expect("worker result mutex poisoned")
-                        .append(&mut local);
-                }
-            });
+    let drain = || {
+        let mut state = init();
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break local;
+            }
+            local.push((i, f(&mut state, i)));
         }
+    };
+    // The caller is worker 0: it drains the cursor beside `workers - 1`
+    // helpers instead of sleeping on their join.
+    let helpers = threads.min(count) - 1;
+    let mut pairs = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(drain)).collect();
+        let mut pairs = drain();
+        for handle in handles {
+            pairs.append(&mut handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        pairs
     });
-    let mut pairs = collected
-        .into_inner()
-        .expect("worker result mutex poisoned");
     pairs.sort_unstable_by_key(|(i, _)| *i);
     debug_assert_eq!(pairs.len(), count);
     pairs.into_iter().map(|(_, r)| r).collect()
@@ -150,27 +168,41 @@ where
 
 /// Chunked order-preserving map: one output element per input element,
 /// with contiguous chunks dispatched to workers (amortizing the per-task
-/// handout for fine-grained items). The result is element-for-element
+/// handout for fine-grained items). `item_ns` is the caller's rough cost of
+/// one item; the map uses only as many of `threads` as that work keeps
+/// busy (see [`par_filter_map_chunked`]). The result is element-for-element
 /// identical to `items.iter().enumerate().map(per_item).collect()`.
-pub fn par_map_chunked<T, R, F>(items: &[T], threads: usize, per_item: F) -> Vec<R>
+pub fn par_map_chunked<T, R, F>(items: &[T], threads: usize, item_ns: u32, per_item: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_filter_map_chunked(items, threads, |i, t| Some(per_item(i, t)))
+    par_filter_map_chunked(items, threads, item_ns, |i, t| Some(per_item(i, t)))
 }
 
 /// Chunked order-preserving flat map: splits `items` into contiguous
 /// chunks, maps each chunk on a worker with `per_item`, and concatenates
 /// the per-chunk outputs in input order. The result is element-for-element
 /// identical to `items.iter().filter_map(per_item).collect()`.
-pub fn par_filter_map_chunked<T, R, F>(items: &[T], threads: usize, per_item: F) -> Vec<R>
+///
+/// Fine-grained items make a thread's share cheap, so the chunked maps
+/// carry a work floor: with `item_ns` the caller's rough cost of one item,
+/// a thread joins in only when its share is worth at least a fixed
+/// [`MIN_NS_PER_THREAD`] of work, and a map below that floor runs inline
+/// whatever `threads` says.
+pub fn par_filter_map_chunked<T, R, F>(
+    items: &[T],
+    threads: usize,
+    item_ns: u32,
+    per_item: F,
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> Option<R> + Sync,
 {
+    let threads = worthwhile_threads(threads, items.len(), item_ns);
     if threads <= 1 || items.len() < 2 {
         return items
             .iter()
@@ -198,17 +230,18 @@ where
     out
 }
 
-/// Runs `f` over disjoint mutable chunks of `items` on `threads` workers.
-/// Each call receives the chunk's element offset into `items` plus the
-/// chunk itself, so position-dependent kernels (e.g. slicing a parallel
-/// read-only buffer by the same offset) stay expressible. Chunk boundaries
-/// depend only on `items.len()` and `threads`, and every element belongs
-/// to exactly one chunk — so any `f` whose writes depend only on (offset,
-/// input values) produces bit-identical buffers for every thread count.
+/// Runs `f` over disjoint mutable chunks of `items` on up to `threads`
+/// workers (as many as `item_ns`, the caller's rough cost of one item,
+/// keeps busy — the work floor of [`par_filter_map_chunked`]). Each call
+/// receives the chunk's element offset into `items` plus the chunk itself,
+/// so position-dependent kernels (e.g. slicing a parallel read-only buffer
+/// by the same offset) stay expressible. Every element belongs to exactly
+/// one chunk — so any `f` whose writes depend only on (offset, input
+/// values) produces bit-identical buffers for every thread count.
 ///
-/// With `threads <= 1` (or fewer than two items) `f` runs once, inline,
-/// over the whole slice — the sequential reference schedule.
-pub fn par_chunks_mut<T, F>(items: &mut [T], threads: usize, f: F)
+/// On one thread (or fewer than two items) `f` runs once, inline, over the
+/// whole slice — the sequential reference schedule.
+pub fn par_chunks_mut<T, F>(items: &mut [T], threads: usize, item_ns: u32, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -217,6 +250,7 @@ where
     if n == 0 {
         return;
     }
+    let threads = worthwhile_threads(threads, n, item_ns);
     if threads <= 1 || n < 2 {
         f(0, items);
         return;
@@ -238,15 +272,19 @@ where
     for (k, part) in parts.into_iter().enumerate() {
         per_worker[k % workers].push(part);
     }
+    let run = |worker_parts: Vec<(usize, &mut [T])>| {
+        for (off, part) in worker_parts {
+            f(off, part);
+        }
+    };
+    // The caller is the last worker: it runs its share beside the helpers
+    // (the scope joins them and propagates their panics).
+    let mine = per_worker.pop().expect("at least two workers");
     std::thread::scope(|scope| {
         for worker_parts in per_worker {
-            let f = &f;
-            scope.spawn(move || {
-                for (off, part) in worker_parts {
-                    f(off, part);
-                }
-            });
+            scope.spawn(move || run(worker_parts));
         }
+        run(mine);
     });
 }
 
@@ -255,6 +293,10 @@ const RADIX_BUCKETS: usize = 256;
 
 /// Number of byte passes over a `u32` key.
 const RADIX_PASSES: usize = 4;
+
+/// Rough cost of histogramming one key (four table increments), for the
+/// chunked maps' work floor.
+const RADIX_HISTOGRAM_NS: u32 = 1;
 
 /// In-place exclusive prefix sum over `counts`; returns the total. This is
 /// the histogram → bucket-offset step of counting/radix sort and of CSR
@@ -272,9 +314,11 @@ pub fn exclusive_prefix_sum(counts: &mut [u32]) -> u32 {
 /// All four per-byte histograms of `keys`, computed chunk-parallel: each
 /// worker histograms a contiguous chunk into a local `[[u32; 256]; 4]` and
 /// the partials are summed in chunk order (addition is commutative, so the
-/// result is independent of scheduling).
+/// result is independent of scheduling). Under the chunked maps' work floor
+/// (a frame's worth of keys always is) the one chunk is counted inline.
 pub fn par_radix_histograms(keys: &[u32], threads: usize) -> [[u32; RADIX_BUCKETS]; RADIX_PASSES] {
-    let chunk = keys.len().div_ceil(threads.max(1)).max(1);
+    let threads = worthwhile_threads(threads, keys.len(), RADIX_HISTOGRAM_NS);
+    let chunk = keys.len().div_ceil(threads).max(1);
     let chunks: Vec<&[u32]> = keys.chunks(chunk).collect();
     let partials = par_map(&chunks, threads, |c| {
         let mut h = [[0u32; RADIX_BUCKETS]; RADIX_PASSES];
@@ -360,6 +404,69 @@ pub fn radix_sort_indices(keys: &[u32], threads: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::{Barrier, Mutex};
+    use std::thread::ThreadId;
+
+    /// An item cost that puts any two items above the chunked maps' work
+    /// floor, so small test inputs still exercise the threaded paths.
+    const HEAVY_NS: u32 = MIN_NS_PER_THREAD as u32;
+
+    fn note_thread(seen: &Mutex<HashSet<ThreadId>>) {
+        seen.lock().unwrap().insert(std::thread::current().id());
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        let me = std::thread::current().id();
+        // Two workers, and the first two items meet at a barrier: both
+        // workers take part, and one of them must be the caller.
+        let seen = Mutex::new(HashSet::new());
+        let barrier = Barrier::new(2);
+        let out = par_map_indexed(64, 2, |i| {
+            note_thread(&seen);
+            if i < 2 {
+                barrier.wait();
+            }
+            i
+        });
+        assert_eq!(out, (0..64).collect::<Vec<_>>());
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 2, "one helper beside the caller");
+        assert!(seen.contains(&me), "the caller ran no item");
+
+        let seen = Mutex::new(HashSet::new());
+        let mut buf = vec![0u8; 64];
+        par_chunks_mut(&mut buf, 2, HEAVY_NS, |_, _| note_thread(&seen));
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 2, "one helper beside the caller");
+        assert!(seen.contains(&me), "the caller ran no chunk");
+    }
+
+    #[test]
+    fn chunked_maps_under_the_work_floor_run_inline() {
+        let me = HashSet::from([std::thread::current().id()]);
+        let items: Vec<u32> = (0..4096).collect();
+        // 4096 items of 1 ns are far below one thread's floor...
+        let seen = Mutex::new(HashSet::new());
+        let out = par_map_chunked(&items, 8, 1, |_, &x| {
+            note_thread(&seen);
+            x
+        });
+        assert_eq!(out, items);
+        assert_eq!(seen.into_inner().unwrap(), me);
+        let seen = Mutex::new(HashSet::new());
+        par_chunks_mut(&mut items.clone(), 8, 1, |_, _| note_thread(&seen));
+        assert_eq!(seen.into_inner().unwrap(), me);
+        // ...and the same items quoted as heavy are shared out.
+        let seen = Mutex::new(HashSet::new());
+        par_chunks_mut(&mut items.clone(), 2, HEAVY_NS, |_, _| note_thread(&seen));
+        assert_eq!(seen.into_inner().unwrap().len(), 2);
+        // The floor scales the thread count, it is not all-or-nothing.
+        assert_eq!(worthwhile_threads(8, 3, HEAVY_NS), 3);
+        assert_eq!(worthwhile_threads(2, 3, HEAVY_NS), 2);
+        assert_eq!(worthwhile_threads(8, 0, HEAVY_NS), 1);
+    }
 
     #[test]
     fn par_map_preserves_order() {
@@ -387,7 +494,7 @@ mod tests {
             .filter_map(|(i, x)| (x % 3 == 0).then_some(x * 2 + i as i64))
             .collect();
         for threads in [1, 2, 7] {
-            let par = par_filter_map_chunked(&items, threads, |i, x| {
+            let par = par_filter_map_chunked(&items, threads, HEAVY_NS, |i, x| {
                 (x % 3 == 0).then_some(x * 2 + i as i64)
             });
             assert_eq!(par, seq, "threads={threads}");
@@ -399,7 +506,7 @@ mod tests {
         let items: Vec<u32> = (0..513).collect();
         let seq: Vec<u64> = items.iter().map(|&x| u64::from(x) + 7).collect();
         for threads in [1, 3, 8] {
-            let par = par_map_chunked(&items, threads, |_, &x| u64::from(x) + 7);
+            let par = par_map_chunked(&items, threads, HEAVY_NS, |_, &x| u64::from(x) + 7);
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -432,14 +539,14 @@ mod tests {
         // if the chunk offset handed to the callback is correct.
         for n in [0usize, 1, 2, 3, 63, 64, 65, 1009] {
             let mut seq: Vec<u64> = vec![0; n];
-            par_chunks_mut(&mut seq, 1, |off, chunk| {
+            par_chunks_mut(&mut seq, 1, HEAVY_NS, |off, chunk| {
                 for (j, slot) in chunk.iter_mut().enumerate() {
                     *slot = (off + j) as u64 * 3 + 1;
                 }
             });
             for threads in [2, 3, 8] {
                 let mut par: Vec<u64> = vec![0; n];
-                par_chunks_mut(&mut par, threads, |off, chunk| {
+                par_chunks_mut(&mut par, threads, HEAVY_NS, |off, chunk| {
                     for (j, slot) in chunk.iter_mut().enumerate() {
                         *slot = (off + j) as u64 * 3 + 1;
                     }
@@ -460,8 +567,10 @@ mod tests {
 
     #[test]
     fn radix_histograms_count_every_byte_lane() {
-        let keys: Vec<u32> = (0..2000)
-            .map(|i| (i as u32).wrapping_mul(2654435761))
+        // Enough keys that three threads clear the work floor and the
+        // partial histograms really are summed.
+        let keys: Vec<u32> = (0..3 * MIN_NS_PER_THREAD as u32 + 7)
+            .map(|i| i.wrapping_mul(2654435761))
             .collect();
         for threads in [1, 3, 8] {
             let h = par_radix_histograms(&keys, threads);

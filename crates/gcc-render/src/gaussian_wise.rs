@@ -490,7 +490,10 @@ pub fn render_gaussian_wise_job(
         });
     }
     let focal = cam.fx.max(cam.fy);
-    let bounds: Vec<Option<ScreenBound>> = par_map_chunked(gaussians, threads, |i, g| {
+    // One point projection and a radius: the rough per-item cost quoted to
+    // `gcc-parallel`'s work floor.
+    const BOUND_NS: u32 = 10;
+    let bounds: Vec<Option<ScreenBound>> = par_map_chunked(gaussians, threads, BOUND_NS, |i, g| {
         let z = depths[i];
         if z < gcc_core::NEAR_DEPTH {
             return None;

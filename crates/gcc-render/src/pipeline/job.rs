@@ -85,8 +85,9 @@ impl Schedule {
     }
 
     /// Builds the sequential renderer for this schedule — the serving
-    /// layer's configuration (one frame per worker; parallelism comes from
-    /// serving many requests at once).
+    /// layer's configuration: one frame per worker unless a job names its
+    /// own parallelism ([`RenderJob::parallelism`], which the service sets
+    /// on deadline-carrying frames).
     pub fn renderer(self) -> Box<dyn Renderer + Send + Sync> {
         self.renderer_with(Parallelism::Sequential)
     }
@@ -362,16 +363,22 @@ pub struct RenderJob<'a> {
     pub camera: &'a Camera,
     /// Per-request options.
     pub options: RenderOptions,
+    /// Intra-frame parallelism for this one job; `None` leaves the
+    /// renderer's own policy in force. A scheduling decision, not part of
+    /// the request: it is the dispatcher that knows how many cores are
+    /// free right now (the serving layer lends idle cores to
+    /// deadline-carrying frames). Images and [`FrameStats`] are
+    /// bit-identical for every value; the in-tree renderers honor it, a
+    /// custom [`Renderer`] may ignore it.
+    ///
+    /// [`FrameStats`]: super::FrameStats
+    pub parallelism: Option<Parallelism>,
 }
 
 impl<'a> RenderJob<'a> {
     /// A default-options job: full frame, schedule defaults.
     pub fn new(gaussians: &'a [Gaussian3D], camera: &'a Camera) -> Self {
-        Self {
-            gaussians,
-            camera,
-            options: RenderOptions::default(),
-        }
+        Self::with_options(gaussians, camera, RenderOptions::default())
     }
 
     /// A job with explicit options.
@@ -384,7 +391,15 @@ impl<'a> RenderJob<'a> {
             gaussians,
             camera,
             options,
+            parallelism: None,
         }
+    }
+
+    /// Renders this job with `parallelism` whatever the renderer's own
+    /// policy is.
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
+        self.parallelism = Some(parallelism);
+        self
     }
 
     /// Validates the options against this job's camera: knob ranges, ROI

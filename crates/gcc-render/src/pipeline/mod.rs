@@ -93,8 +93,8 @@ pub trait Renderer: Sync {
     ///
     /// The default implementation renders the full frame and crops the
     /// ROI; it ignores schedule-cooperative options (background override,
-    /// quality knobs), which the in-tree schedules honor through their own
-    /// overrides. `options.schedule` never changes which renderer runs —
+    /// quality knobs) and the job's parallelism, which the in-tree
+    /// schedules honor through their own overrides. `options.schedule` never changes which renderer runs —
     /// dispatch on it with [`Schedule::renderer`] or the serving layer.
     ///
     /// # Panics
@@ -119,7 +119,8 @@ pub trait Renderer: Sync {
 pub struct StandardRenderer {
     /// Schedule configuration.
     pub cfg: StandardConfig,
-    /// Intra-frame parallelism (over image tiles).
+    /// Intra-frame parallelism (over image tiles), unless the job names
+    /// its own ([`RenderJob::parallelism`]).
     pub parallelism: Parallelism,
 }
 
@@ -185,7 +186,7 @@ impl Renderer for StandardRenderer {
             job.camera,
             &cfg,
             job.options.roi,
-            self.parallelism,
+            job.parallelism.unwrap_or(self.parallelism),
             scratch,
         );
         Frame {
@@ -203,7 +204,8 @@ pub struct GaussianWiseRenderer {
     /// Schedule configuration.
     pub cfg: GaussianWiseConfig,
     /// Intra-frame parallelism (over Compatibility-Mode sub-views; a
-    /// full-frame render has a single window and stays sequential).
+    /// full-frame render has a single window and stays sequential), unless
+    /// the job names its own ([`RenderJob::parallelism`]).
     pub parallelism: Parallelism,
 }
 
@@ -264,7 +266,7 @@ impl Renderer for GaussianWiseRenderer {
             job.camera,
             &cfg,
             job.options.roi,
-            self.parallelism,
+            job.parallelism.unwrap_or(self.parallelism),
             scratch,
         );
         Frame {

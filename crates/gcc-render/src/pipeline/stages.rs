@@ -31,11 +31,23 @@ use gcc_core::sort::depth_key;
 use gcc_core::{Camera, Gaussian3D, ProjectedGaussian};
 use gcc_math::Vec3;
 use gcc_parallel::{
-    exclusive_prefix_sum, par_chunks_mut, par_filter_map_chunked, par_map_chunked,
-    radix_sort_indices_into,
+    exclusive_prefix_sum, par_chunks_mut, par_filter_map_chunked, radix_sort_indices_into,
 };
 
 use crate::Image;
+
+// Rough per-item costs, in nanoseconds, that the chunk-parallel stages
+// quote to `gcc-parallel`'s work floor — from the benchmark's traced Lego
+// frame (`gcc-render.project_ms` 0.97, `shade_ms` 0.28, `footprint_ms`
+// 0.19 over 8.5 k survivors; `gcc-core.depth_keys_ns_per_elem` 0.13). A
+// stage whose share per thread is too small to pay for a helper thread
+// runs inline, so at a frame's sizes only projection is shared out.
+const PROJECT_NS: u32 = 110;
+const SHADE_NS: u32 = 33;
+/// One footprint: an AABB from a circle, or an OBB from a covariance.
+pub(crate) const FOOTPRINT_NS: u32 = 22;
+const VIEW_DEPTH_NS: u32 = 3;
+const DEPTH_KEY_NS: u32 = 1;
 
 /// Cull + project stage for one Gaussian: `None` when the Gaussian fails
 /// the near-plane or frustum test under `law`.
@@ -82,7 +94,7 @@ pub fn project_and_shade_all_deg(
     degree: u8,
     threads: usize,
 ) -> Vec<ProjectedGaussian> {
-    par_filter_map_chunked(gaussians, threads, |i, g| {
+    par_filter_map_chunked(gaussians, threads, PROJECT_NS + SHADE_NS, |i, g| {
         project_one(g, i as u32, cam, law).map(|mut p| {
             shade_one_deg(&mut p, g, cam, degree);
             p
@@ -99,7 +111,7 @@ pub fn project_all(
     law: BoundingLaw,
     threads: usize,
 ) -> Vec<ProjectedGaussian> {
-    par_filter_map_chunked(gaussians, threads, |i, g| {
+    par_filter_map_chunked(gaussians, threads, PROJECT_NS, |i, g| {
         project_one(g, i as u32, cam, law)
     })
 }
@@ -130,7 +142,7 @@ pub fn shade_all_soa(
     threads: usize,
     kernels: &KernelSet,
 ) {
-    par_chunks_mut(projected, threads, |off, chunk| {
+    par_chunks_mut(projected, threads, SHADE_NS, |off, chunk| {
         let n = chunk.len();
         (kernels.sh_colors)(
             gaussians,
@@ -146,24 +158,25 @@ pub fn shade_all_soa(
 /// Stage I of the Gaussian-wise schedule: view-space depths for all
 /// Gaussians, in scene order (parallelized over chunks).
 pub fn view_depths(gaussians: &[Gaussian3D], cam: &Camera, threads: usize) -> Vec<f32> {
-    par_map_chunked(gaussians, threads, |_, g| cam.view_depth(g.mean))
+    let mut out = Vec::new();
+    view_depths_into(gaussians, cam, threads, &mut out);
+    out
 }
 
-/// [`view_depths`] into a reusable buffer: the sequential path fills
-/// `out` in place (no allocation once warm); the chunk-parallel path
-/// replaces it.
+/// [`view_depths`] into a reusable buffer (no allocation once warm).
 pub fn view_depths_into(
     gaussians: &[Gaussian3D],
     cam: &Camera,
     threads: usize,
     out: &mut Vec<f32>,
 ) {
-    if threads <= 1 {
-        out.clear();
-        out.extend(gaussians.iter().map(|g| cam.view_depth(g.mean)));
-    } else {
-        *out = view_depths(gaussians, cam, threads);
-    }
+    out.clear();
+    out.resize(gaussians.len(), 0.0);
+    par_chunks_mut(out, threads, VIEW_DEPTH_NS, |off, chunk| {
+        for (depth, g) in chunk.iter_mut().zip(&gaussians[off..]) {
+            *depth = cam.view_depth(g.mean);
+        }
+    });
 }
 
 /// Depth-sort stage over projected survivors (front to back).
@@ -197,12 +210,13 @@ pub fn global_depth_order_into(
     order: &mut Vec<u32>,
     radix: &mut Vec<u32>,
 ) {
-    if threads <= 1 {
-        keys.clear();
-        keys.extend(projected.iter().map(|p| depth_key(p.depth)));
-    } else {
-        *keys = par_map_chunked(projected, threads, |_, p| depth_key(p.depth));
-    }
+    keys.clear();
+    keys.resize(projected.len(), 0);
+    par_chunks_mut(keys, threads, DEPTH_KEY_NS, |off, chunk| {
+        for (key, p) in chunk.iter_mut().zip(&projected[off..]) {
+            *key = depth_key(p.depth);
+        }
+    });
     radix_sort_indices_into(keys, threads, order, radix);
 }
 
@@ -220,7 +234,7 @@ pub fn global_depth_order_soa(
 ) {
     keys.clear();
     keys.resize(depths.len(), 0);
-    par_chunks_mut(keys, threads, |off, chunk| {
+    par_chunks_mut(keys, threads, DEPTH_KEY_NS, |off, chunk| {
         (kernels.depth_keys)(&depths[off..off + chunk.len()], chunk);
     });
     radix_sort_indices_into(keys, threads, order, radix);
@@ -236,18 +250,13 @@ pub fn footprint_rects_into(
     threads: usize,
     rects: &mut Vec<PixelRect>,
 ) {
-    if threads <= 1 {
-        rects.clear();
-        rects.extend(
-            projected
-                .iter()
-                .map(|p| PixelRect::from_circle(p.mean2d, p.radius, width, height)),
-        );
-    } else {
-        *rects = par_map_chunked(projected, threads, |_, p| {
-            PixelRect::from_circle(p.mean2d, p.radius, width, height)
-        });
-    }
+    rects.clear();
+    rects.resize(projected.len(), PixelRect::EMPTY);
+    par_chunks_mut(rects, threads, FOOTPRINT_NS, |off, chunk| {
+        for (rect, p) in chunk.iter_mut().zip(&projected[off..]) {
+            *rect = PixelRect::from_circle(p.mean2d, p.radius, width, height);
+        }
+    });
 }
 
 /// [`footprint_rects_into`] over flat SoA center/radius arrays — the same
@@ -262,20 +271,15 @@ pub fn footprint_rects_soa_into(
     threads: usize,
     rects: &mut Vec<PixelRect>,
 ) {
-    let rect = |i: usize| {
-        PixelRect::from_circle(
-            gcc_math::Vec2::new(mean_x[i], mean_y[i]),
-            radius[i],
-            width,
-            height,
-        )
-    };
-    if threads <= 1 {
-        rects.clear();
-        rects.extend((0..mean_x.len()).map(rect));
-    } else {
-        *rects = par_map_chunked(mean_x, threads, |i, _| rect(i));
-    }
+    rects.clear();
+    rects.resize(mean_x.len(), PixelRect::EMPTY);
+    par_chunks_mut(rects, threads, FOOTPRINT_NS, |off, chunk| {
+        for (j, rect) in chunk.iter_mut().enumerate() {
+            let i = off + j;
+            let center = gcc_math::Vec2::new(mean_x[i], mean_y[i]);
+            *rect = PixelRect::from_circle(center, radius[i], width, height);
+        }
+    });
 }
 
 /// Flat CSR tile bins: every Gaussian→tile key-value pair lives in one

@@ -408,9 +408,10 @@ pub fn render_standard_job(
 
     // Precompute OBBs once per projected Gaussian (used for footprint
     // and/or the Table 1 OBB column).
-    let obbs: Vec<Option<Obb>> = par_map_chunked(&projected, threads, |_, p| {
-        Obb::from_cov(p.mean2d, p.cov2d, cfg.law, p.opacity)
-    });
+    let obbs: Vec<Option<Obb>> =
+        par_map_chunked(&projected, threads, stages::FOOTPRINT_NS, |_, p| {
+            Obb::from_cov(p.mean2d, p.cov2d, cfg.law, p.opacity)
+        });
 
     // ---- Global depth ordering: one radix sort over monotone keys,
     // generated from the flat SoA depth array by the dispatched kernel. ----

@@ -37,14 +37,17 @@
 //! * [`LodPolicy`] — deadline-aware adaptive quality: with
 //!   `ServeConfig::lod` set, deadline-carrying frames dispatch through
 //!   the `gcc_lod` quality ladder. A rolling per-scene cost model
-//!   (EWMA keyed scene × rung × resolution) predicts each rung's cost
-//!   and the worker picks the highest rung fitting the frame's
-//!   remaining budget — degrading resolution (with a filtered upscale
-//!   back to full size), SH degree, alpha threshold and hierarchy
-//!   level instead of missing the deadline, then climbing back when
-//!   headroom returns. Rung 0 is exact, so ladder-on serving stays
-//!   bit-identical whenever the deadline affords it; scene hierarchies
-//!   build at load time and are charged to the cache budget.
+//!   (EWMA of measured frame costs, keyed scene × rung × resolution ×
+//!   thread count) prices each rung and the worker picks the highest
+//!   rung fitting the frame's remaining budget — degrading resolution
+//!   (with a filtered upscale back to full size), SH degree, alpha
+//!   threshold and hierarchy level instead of missing the deadline,
+//!   then probing back up one rung per frame when headroom returns.
+//!   Rung 0 is exact, so ladder-on serving stays bit-identical
+//!   whenever the deadline affords it; scene hierarchies build at load
+//!   time and are charged to the cache budget. With or without a
+//!   ladder, a frame that carries a deadline is lent the cores no
+//!   other worker is rendering on (DESIGN.md §14 "Lending").
 //! * [`ServeStats`] — the introspection surface: per-scene hit / miss /
 //!   eviction / batch counters, per-schedule and per-priority
 //!   request/frame breakdowns (separate Interactive vs Bulk latency

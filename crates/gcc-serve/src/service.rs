@@ -51,6 +51,18 @@
 //! immediately and every request degenerates to load-render-evict: the
 //! naive configuration `bench_serve` compares against.
 //!
+//! # Lending
+//!
+//! One frame per worker is what batch throughput wants, and it leaves a
+//! deadline frame's latency on the table whenever a core is idle. So a
+//! frame that carries a deadline renders on `max(1, host threads −
+//! workers rendering other batches)` threads — its worker's core plus
+//! every core nobody is rendering on — through the `gcc-parallel` frame
+//! engine, and a deadline-free frame renders on one. The deadline *is*
+//! the request for latency; there is no knob. Images and `FrameStats`
+//! are bit-identical for every thread count, so the parity contract
+//! below does not notice.
+//!
 //! # Scratch lifetime
 //!
 //! Each pool worker owns one [`FrameScratch`] for its entire lifetime —
@@ -60,11 +72,14 @@
 //! scratch-reuse contract of [`Renderer::render_job`]).
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use gcc_lod::{attach_hierarchy, CostModel, HierarchyConfig, QualityLadder};
-use gcc_parallel::{available_threads, PoolHealth, RestartPolicy, WorkerPool, WorkerStep};
+use gcc_parallel::{
+    available_threads, Parallelism, PoolHealth, RestartPolicy, WorkerPool, WorkerStep,
+};
 use gcc_render::pipeline::{
     Frame, FrameScratch, FrameStats, RenderJob, RenderOptions, Renderer, Schedule,
 };
@@ -139,17 +154,18 @@ impl ShedPolicy {
 /// Deadline-aware adaptive quality policy (DESIGN.md §14): when set on
 /// [`ServeConfig::lod`], deadline-carrying frames dispatch through the
 /// [`QualityLadder`] instead of always rendering at full quality. A
-/// rolling per-scene cost model picks the highest rung whose predicted
+/// rolling per-scene cost model picks the highest rung whose measured
 /// cost (scaled by [`LodPolicy::margin`]) fits the frame's remaining
 /// deadline budget, degrading resolution / SH degree / alpha culling /
-/// hierarchy level under pressure and climbing back with headroom.
+/// hierarchy level under pressure and probing its way back up, one
+/// rung per frame, with headroom.
 /// Deadline-free frames always render exactly; with `lod: None` the
 /// service behaves bit-identically to pre-LOD builds.
 #[derive(Debug, Clone)]
 pub struct LodPolicy {
     /// The quality ladder, best rung first (rung 0 must be exact).
     pub ladder: QualityLadder,
-    /// Safety factor applied to predicted cost before comparing against
+    /// Safety factor applied to a rung's measured cost before comparing against
     /// the deadline budget (> 1 leaves headroom for scheduling noise).
     pub margin: f64,
     /// Build a [`gcc_scene::SceneLod`] hierarchy at load time for scenes
@@ -254,8 +270,11 @@ impl RenderRequest {
 }
 
 /// The renderer table the service dispatches [`Schedule`]s through: one
-/// long-lived renderer per schedule, each sequential by default (the
-/// service parallelizes across requests, not inside frames).
+/// long-lived renderer per schedule, each sequential by default — the
+/// service parallelizes across requests, and inside a frame only when
+/// the frame carries a deadline and cores are idle, by naming a thread
+/// count on the job ([`RenderJob::parallelism`]; a custom renderer may
+/// ignore it).
 pub struct ScheduleRenderers {
     /// Indexed in [`Schedule::ALL`] order.
     renderers: Vec<Box<dyn Renderer + Send + Sync>>,
@@ -457,8 +476,10 @@ impl StatsInner {
 /// set; stays empty otherwise).
 #[derive(Debug, Default)]
 struct LodInner {
-    /// Rolling per-scene ms/frame estimates.
-    cost: CostModel,
+    /// Rolling per-scene ms/frame estimates, one model per thread count a
+    /// frame rendered on: a cost measured on two threads must not price a
+    /// one-thread frame.
+    cost: HashMap<usize, CostModel>,
     /// Frames dispatched per ladder rung.
     frames_by_rung: Vec<u64>,
     degraded_frames: u64,
@@ -715,8 +736,32 @@ pub(crate) struct Shared {
     quarantine_for: Duration,
     shed: ShedPolicy,
     lod: Option<LodPolicy>,
+    /// Hardware threads of the host, read once at construction.
+    host_threads: usize,
+    /// Workers inside [`Shared::render_batch`] right now — what the
+    /// lending rule subtracts from [`Self::host_threads`]. An atomic
+    /// beside the state mutex so a panicking batch always gives its core
+    /// back (the panic path may not be able to take the lock).
+    rendering: AtomicUsize,
     state: Mutex<State>,
     work: Condvar,
+}
+
+/// Counts its worker into [`Shared::rendering`] for as long as it lives.
+struct Rendering<'a>(&'a AtomicUsize);
+
+impl<'a> Rendering<'a> {
+    fn enter(count: &'a AtomicUsize) -> Self {
+        // Relaxed: the count publishes no other data, it only sizes a loan.
+        count.fetch_add(1, Ordering::Relaxed);
+        Self(count)
+    }
+}
+
+impl Drop for Rendering<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// The submit/open-time options check, shared by [`RenderService::session`]
@@ -954,6 +999,7 @@ impl Shared {
         }
 
         let renderer = self.renderers.get(key.schedule);
+        let _rendering = Rendering::enter(&self.rendering);
         let mut guard = PanicGuard {
             shared: self,
             remaining: batch
@@ -974,32 +1020,42 @@ impl Shared {
         // consumed frame is always visible in the next `stats()`
         // snapshot.
         for p in batch {
-            // Residual validation that needed the scene: ROI bounds
-            // against the native resolution. Fails the one frame with a
-            // typed error instead of poisoning the worker; the stream
-            // continues (later frames fail the same way, each in order).
+            // Lending: a frame that carries a deadline bought latency, so
+            // it renders on this worker's core plus every core no other
+            // worker is rendering on; a deadline-free frame keeps the
+            // one-frame-per-worker schedule that batch throughput wants.
+            let threads = match p.deadline {
+                Some(_) => {
+                    let others = self.rendering.load(Ordering::Relaxed).saturating_sub(1);
+                    self.host_threads.saturating_sub(others).max(1)
+                }
+                None => 1,
+            };
             // Adaptive quality: a deadline-carrying frame under a
-            // configured ladder asks the cost model for the highest rung
-            // whose predicted cost (with the policy margin) fits its
-            // remaining budget. Deadline-free frames — and every frame
-            // when no ladder is configured — render exactly as before.
+            // configured ladder asks the cost model of its thread count
+            // for the best rung whose measured cost (with the policy
+            // margin) fits its remaining budget, or a probe one step above
+            // it. Deadline-free frames — and every frame when no ladder is
+            // configured — render exactly as before.
             let target = p.options.resolution.unwrap_or(scene.resolution);
             let lod_pick = match (&self.lod, p.deadline) {
                 (Some(policy), Some(deadline)) => {
                     let budget = deadline.saturating_duration_since(Instant::now());
                     let budget_ms = budget.as_secs_f64() * 1e3;
                     let st = self.state.lock().expect("service state poisoned");
-                    let rung = st.lod.cost.select_rung(
-                        &policy.ladder,
-                        &key.scene,
-                        target,
-                        budget_ms,
-                        policy.margin,
-                    );
-                    let predicted = st
-                        .lod
-                        .cost
-                        .predict(&policy.ladder, &key.scene, rung, target);
+                    let (rung, predicted) = match st.lod.cost.get(&threads) {
+                        Some(cost) => {
+                            let rung = cost.select_rung(
+                                &policy.ladder,
+                                &key.scene,
+                                target,
+                                budget_ms,
+                                policy.margin,
+                            );
+                            (rung, cost.predict(&key.scene, rung, target))
+                        }
+                        None => (policy.ladder.floor(), None),
+                    };
                     Some((rung, predicted, budget))
                 }
                 _ => None,
@@ -1012,6 +1068,10 @@ impl Shared {
                 Some(rung) if rung.degrades() => Arc::new(rung.apply(&p.options, target)),
                 _ => Arc::clone(&p.options),
             };
+            // Residual validation that needed the scene: ROI bounds
+            // against the native resolution. Fails the one frame with a
+            // typed error instead of poisoning the worker; the stream
+            // continues (later frames fail the same way, each in order).
             let cam = match scene.resolve_view(&p.view, &options) {
                 Ok(cam) => cam,
                 Err(e) => {
@@ -1036,7 +1096,10 @@ impl Shared {
                 _ => &scene.gaussians[..],
             };
             let render_start = Instant::now();
-            let job = RenderJob::with_options(gaussians, &cam, (*options).clone());
+            let mut job = RenderJob::with_options(gaussians, &cam, (*options).clone());
+            if threads > 1 {
+                job = job.with_parallelism(Parallelism::fixed(threads));
+            }
             let mut frame = renderer.render_job(&job, scratch);
             // Reduced-resolution frames are upscaled back to the request
             // size with the filtered upscale pass, so a client always
@@ -1052,17 +1115,20 @@ impl Shared {
                 // ROI frames skip cost observation — a cropped render's
                 // cost would mislabel the rung's full-frame cell. Frames
                 // whose caller already reduced quality (SH clamp, alpha
-                // floor) skip it too: they render cheaper than the rung's
-                // nominal cost, and observing them would skew the cell
+                // floor) skip it too: they render cheaper than the rung
+                // does, and observing them would skew the cell
                 // optimistic — rung 0 especially, where every deadline-free
                 // frame lands regardless of its options.
                 let caller_reduced = p.options.sh_degree.is_some_and(|d| d < 3)
                     || p.options.alpha_min.is_some_and(|a| a > 0.0);
                 if p.options.roi.is_none() && !caller_reduced {
                     let rung = lod_pick.map_or(0, |(r, _, _)| r);
-                    st.lod
-                        .cost
-                        .observe(&key.scene, rung, target, render_us as f64 / 1e3);
+                    st.lod.cost.entry(threads).or_default().observe(
+                        &key.scene,
+                        rung,
+                        target,
+                        render_us as f64 / 1e3,
+                    );
                 }
                 if let Some((rung, predicted, budget)) = lod_pick {
                     st.lod.record(
@@ -1327,6 +1393,8 @@ impl RenderService {
             quarantine_for: cfg.quarantine_for,
             shed: cfg.shed,
             lod: cfg.lod,
+            host_threads: available_threads(),
+            rendering: AtomicUsize::new(0),
             state: Mutex::new(State {
                 cache: LruSceneCache::new(cfg.cache_budget_bytes),
                 queues: HashMap::new(),

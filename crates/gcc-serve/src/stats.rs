@@ -104,7 +104,8 @@ pub struct StreamCounters {
 pub struct LodDecision {
     /// Ladder rung index the dispatcher picked (0 = full quality).
     pub rung: u32,
-    /// Cost-model prediction at decision time, µs (0 = cold, no data).
+    /// The rung's measured price at decision time, µs (0 = none yet: a
+    /// cold scene's floor frame, or a probe of an unmeasured rung).
     pub predicted_us: u64,
     /// Measured render (+ upscale) cost, µs.
     pub actual_us: u64,

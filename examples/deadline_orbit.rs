@@ -1,30 +1,39 @@
-//! Deadline-aware adaptive quality: the `gcc-lod` ladder stepping down
+//! Deadline-aware adaptive quality: the `gcc-lod` ladder climbing from a
+//! cold start, stepping down under a deadline full quality cannot meet,
 //! and climbing back in one orbit session.
 //!
 //! The service runs with `ServeConfig::lod` enabled, so every
-//! deadline-carrying frame is dispatched through the quality ladder: the
-//! rolling per-scene cost model predicts each rung's cost and the
-//! scheduler picks the highest rung whose prediction fits the frame's
-//! remaining budget. Under a deadline that full quality cannot meet the
-//! orbit visibly steps down to the cheap rungs (reduced resolution +
-//! filtered upscale, coarser hierarchy level, clamped SH) and meets
-//! every deadline; once the deadline relaxes the ladder climbs straight
-//! back to exact full-quality rendering.
+//! deadline-carrying frame is dispatched through the quality ladder — and,
+//! because it carries a deadline, renders on every core no other worker
+//! is using. The rolling per-scene cost model prices a rung only from
+//! frames it has *measured* at that thread count: a cold scene starts at
+//! the miss-proof floor and probes one rung up per frame while the chosen
+//! rung fits, so a relaxed deadline is back at exact rendering on the
+//! fourth frame. Under a deadline that full quality cannot meet the orbit
+//! steps down just far enough (reduced resolution + filtered upscale) and
+//! stays there; once the deadline relaxes the ladder climbs straight back
+//! to exact full-quality rendering, which it has already priced.
 //!
 //! Run with: `cargo run --release --example deadline_orbit`
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gcc_repro::lod::QualityLadder;
+use gcc_repro::parallel::available_threads;
 use gcc_repro::scene::ScenePreset;
 use gcc_repro::serve::{
-    LodDecision, LodPolicy, RenderRequest, RenderService, SceneSource, ServeConfig, StreamConfig,
-    StreamSpec,
+    LodDecision, LodPolicy, RenderService, SceneSource, ServeConfig, StreamConfig, StreamSpec,
 };
 
-/// Streams one orbit with the given per-frame deadline and prints every
-/// ladder decision: chosen rung, predicted vs actual cost, budget.
-fn orbit(service: &RenderService, ladder: &QualityLadder, frames: usize, deadline: Duration) {
+/// Streams one orbit with the given per-frame deadline, prints every
+/// ladder decision — chosen rung, threads, measured price vs actual cost,
+/// budget — and returns the decisions.
+fn orbit(
+    service: &RenderService,
+    ladder: &QualityLadder,
+    frames: usize,
+    deadline: Duration,
+) -> Vec<LodDecision> {
     let session = service
         .session("lego", Default::default())
         .expect("lego is registered");
@@ -40,38 +49,30 @@ fn orbit(service: &RenderService, ladder: &QualityLadder, frames: usize, deadlin
     for item in stream {
         item.expect("orbit frame");
     }
-    for (i, d) in service.stats().lod.recent.iter().skip(seen).enumerate() {
-        let LodDecision {
-            rung,
-            predicted_us,
-            actual_us,
-            budget_us,
-            missed,
-        } = *d;
-        let predicted = if predicted_us == 0 {
-            "   cold".to_string()
+    // This stream is the service's only traffic: no other worker is
+    // rendering, so each of its frames is lent the whole host.
+    let threads = available_threads();
+    let decisions: Vec<LodDecision> = service.stats().lod.recent[seen..].to_vec();
+    for (i, d) in decisions.iter().enumerate() {
+        let predicted = if d.predicted_us == 0 {
+            "  probe".to_string()
         } else {
-            format!("{:>5.1} ms", predicted_us as f64 / 1e3)
+            format!("{:>5.1} ms", d.predicted_us as f64 / 1e3)
         };
         println!(
-            "  frame {i}: rung {:<8} predicted {predicted}  actual {:>5.1} ms  \
-             budget {:>6.1} ms{}",
-            ladder.rungs()[rung as usize].name,
-            actual_us as f64 / 1e3,
-            budget_us as f64 / 1e3,
-            if missed { "  MISSED" } else { "" },
+            "  frame {i}: rung {:<8} on {threads} threads  predicted {predicted}  \
+             actual {:>5.1} ms  budget {:>6.1} ms{}",
+            ladder.rungs()[d.rung as usize].name,
+            d.actual_us as f64 / 1e3,
+            d.budget_us as f64 / 1e3,
+            if d.missed { "  MISSED" } else { "" },
         );
     }
+    decisions
 }
 
 fn main() {
-    // A 2x dispatch margin: only climb to a rung whose predicted cost
-    // fits the budget with comfortable headroom, so one mispredicted
-    // frame doesn't turn into a miss while the cost model converges.
-    let policy = LodPolicy {
-        margin: 2.0,
-        ..LodPolicy::default()
-    };
+    let policy = LodPolicy::default();
     let ladder = policy.ladder.clone();
     let service = RenderService::new(
         ServeConfig {
@@ -88,30 +89,34 @@ fn main() {
         )],
     );
 
-    // One deadline-free frame: loads the scene, builds its Gaussian
-    // hierarchy, and prices the exact rung for the cost model. Its wall
-    // time calibrates the deadlines below to this machine.
-    let t0 = Instant::now();
-    service
-        .render_blocking(RenderRequest::trajectory("lego", 0.0))
-        .expect("warm frame");
-    let full = t0.elapsed();
+    // A deadline nothing can miss, on a cold scene: the first decision is
+    // always the floor (nothing is priced yet), then one unmeasured rung
+    // up per frame until the exact rung is reached and fits.
+    println!("relaxed orbit, cold (deadline 10 s):");
+    let relaxed = Duration::from_secs(10);
+    let climb = orbit(&service, &ladder, 6, relaxed);
+    let full = climb
+        .iter()
+        .filter(|d| d.rung == 0)
+        .map(|d| Duration::from_micros(d.actual_us))
+        .min()
+        .expect("the relaxed orbit reached the exact rung");
+
+    // A deadline full quality cannot meet: the ladder steps down to the
+    // best rung whose measured cost fits with the policy's margin, and
+    // every frame still arrives full-size, upscaled.
+    let tight = full.mul_f64(0.85);
     println!(
-        "full-quality frame: {:.1} ms — tight orbit deadline {:.1} ms, relaxed {:.1} ms",
+        "\ntight orbit (deadline {:.1} ms = 0.85x the {:.1} ms a full frame takes):",
+        tight.as_secs_f64() * 1e3,
         full.as_secs_f64() * 1e3,
-        full.as_secs_f64() * 1e3 / 3.0,
-        full.as_secs_f64() * 1e3 * 20.0,
     );
+    orbit(&service, &ladder, 8, tight);
 
-    // A deadline full quality cannot meet: the ladder steps down (the
-    // first decision is always the miss-proof floor — the cost model is
-    // cold) and every frame still arrives full-size, upscaled.
-    println!("\ntight orbit (deadline full/3):");
-    orbit(&service, &ladder, 8, full / 3);
-
-    // Headroom returns: the ladder climbs back to exact rendering.
-    println!("\nrelaxed orbit (deadline 20x full):");
-    orbit(&service, &ladder, 4, full * 20);
+    // Headroom returns: the exact rung is already priced, so the ladder
+    // is back on it at once.
+    println!("\nrelaxed orbit (deadline 10 s):");
+    orbit(&service, &ladder, 4, relaxed);
 
     let stats = service.shutdown();
     println!(

@@ -2,19 +2,26 @@
 //! (`ServeConfig::lod`): cold scenes start at the floor rung and climb
 //! back under generous deadlines, hopeless deadlines pin the floor,
 //! deadline-free frames bypass the ladder entirely (and stay
-//! bit-identical to ladder-off serving), and load-time hierarchy builds
-//! are charged to the cache budget.
+//! bit-identical to ladder-off serving), load-time hierarchy builds are
+//! charged to the cache budget, and deadline-carrying frames are lent
+//! the cores no other worker is rendering on.
 //!
 //! The end-to-end miss-avoidance demonstration (ladder-on zero misses vs
 //! ladder-off misses under the same deadline) lives in
 //! `bench_serve --lod`, whose committed record `perf_gate` enforces.
 
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use gcc_core::{Camera, Gaussian3D};
+use gcc_parallel::available_threads;
+use gcc_render::pipeline::{Frame, FrameScratch, RenderJob};
+use gcc_render::{RenderOptions, Renderer, Schedule};
 use gcc_scene::{Scene, SceneConfig, ScenePreset};
 use gcc_serve::{
-    LodPolicy, RenderRequest, RenderService, SceneSource, ServeConfig, StreamConfig, StreamSpec,
+    LodPolicy, RenderRequest, RenderService, SceneSource, ScheduleRenderers, ServeConfig,
+    StreamConfig, StreamSpec,
 };
 
 fn lego(scale: f32) -> Arc<Scene> {
@@ -82,8 +89,8 @@ fn cold_scenes_floor_then_climb_back_under_generous_deadlines() {
     assert!(stats.lod.enabled);
     assert_eq!(stats.lod.ladder_frames(), 6);
     // The very first dispatch has no cost data: it must take the
-    // miss-proof floor rung, and that one observation prices the whole
-    // ladder, so the generous deadline climbs straight back to full.
+    // miss-proof floor rung. From there the generous deadline probes one
+    // rung up per frame, so the fourth frame is back at full quality.
     let first = stats.lod.recent.first().expect("decisions were traced");
     assert_eq!(first.rung as usize, floor);
     assert!(stats.lod.frames_by_rung[floor] >= 1);
@@ -164,4 +171,117 @@ fn hierarchies_are_built_on_load_and_charged_to_the_cache() {
     );
     // The source's own scene is untouched (the build copies on write).
     assert!(scene.lod.is_none());
+}
+
+/// Renders through the reference schedule after noting how many threads
+/// the job was handed (1 when the job names none) and, when set up to,
+/// after reporting in on `entered` and waiting for a go on `release`.
+struct Recording {
+    inner: Box<dyn Renderer + Send + Sync>,
+    threads: Arc<Mutex<Vec<usize>>>,
+    gate: Option<Mutex<(Sender<()>, Receiver<()>)>>,
+}
+
+impl Recording {
+    fn boxed(
+        threads: &Arc<Mutex<Vec<usize>>>,
+        gate: Option<(Sender<()>, Receiver<()>)>,
+    ) -> Box<Self> {
+        Box::new(Self {
+            inner: Schedule::Reference.renderer(),
+            threads: Arc::clone(threads),
+            gate: gate.map(Mutex::new),
+        })
+    }
+}
+
+impl Renderer for Recording {
+    fn name(&self) -> &str {
+        "recording"
+    }
+
+    fn render_frame(&self, gaussians: &[Gaussian3D], cam: &Camera) -> Frame {
+        self.inner.render_frame(gaussians, cam)
+    }
+
+    fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
+        let threads = job.parallelism.map_or(1, |p| p.threads());
+        self.threads.lock().unwrap().push(threads);
+        if let Some(gate) = &self.gate {
+            let (entered, release) = &*gate.lock().unwrap();
+            entered.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        self.inner.render_job(job, scratch)
+    }
+}
+
+fn stream_frames(svc: &RenderService, options: RenderOptions, config: StreamConfig) {
+    let session = svc.session("lego", options).unwrap();
+    for frame in session.stream_with(StreamSpec::orbit(3), config).unwrap() {
+        frame.unwrap();
+    }
+}
+
+#[test]
+fn deadline_frames_borrow_the_idle_cores_and_deadline_free_frames_do_not() {
+    let scene = lego(0.02);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let svc = RenderService::with_renderers(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        [("lego".to_string(), SceneSource::Memory(Arc::clone(&scene)))],
+        ScheduleRenderers::default().with(Schedule::Reference, Recording::boxed(&seen, None)),
+    );
+    // One worker: nobody else is rendering, so a deadline buys the host.
+    let with_deadline = StreamConfig::default().with_deadline(Duration::from_secs(60));
+    stream_frames(&svc, RenderOptions::default(), with_deadline);
+    assert_eq!(*seen.lock().unwrap(), [available_threads(); 3]);
+    // No deadline: the one-frame-per-worker schedule, whatever the host.
+    seen.lock().unwrap().clear();
+    stream_frames(&svc, RenderOptions::default(), StreamConfig::default());
+    assert_eq!(*seen.lock().unwrap(), [1; 3]);
+    svc.shutdown();
+}
+
+#[test]
+fn a_core_another_worker_is_rendering_on_is_not_lent() {
+    let scene = lego(0.02);
+    let (seen, blocked) = (
+        Arc::new(Mutex::new(Vec::new())),
+        Arc::new(Mutex::new(Vec::new())),
+    );
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    let blocking = Recording::boxed(&blocked, Some((entered_tx, release_rx)));
+    let svc = RenderService::with_renderers(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        [("lego".to_string(), SceneSource::Memory(Arc::clone(&scene)))],
+        ScheduleRenderers::default()
+            .with(Schedule::Reference, Recording::boxed(&seen, None))
+            .with(Schedule::Standard, blocking),
+    );
+    // Park one worker inside a deadline-free render...
+    let parked = svc
+        .submit(
+            RenderRequest::trajectory("lego", 0.1)
+                .with_options(RenderOptions::default().with_schedule(Schedule::Standard)),
+        )
+        .unwrap();
+    entered.recv().unwrap();
+    // ...and the deadline frame the other worker picks up gets every core
+    // but that one.
+    let with_deadline = StreamConfig::default().with_deadline(Duration::from_secs(60));
+    stream_frames(&svc, RenderOptions::default(), with_deadline);
+    let lent = available_threads().saturating_sub(1).max(1);
+    assert_eq!(*seen.lock().unwrap(), [lent; 3]);
+    release.send(()).unwrap();
+    parked.wait().unwrap();
+    assert_eq!(*blocked.lock().unwrap(), [1]);
+    svc.shutdown();
 }

@@ -285,6 +285,48 @@ fn streamed_frames_are_bit_identical_to_single_frame_submits() {
 }
 
 #[test]
+fn deadline_streams_on_lent_cores_are_bit_identical_to_sequential_renders() {
+    // A deadline-carrying frame renders on every core no other worker is
+    // using — on a one-worker service, all of them. However many threads
+    // that is on this host, image and `FrameStats` must equal the direct
+    // sequential render, for every schedule.
+    let dir = std::env::temp_dir().join(format!("gcc_serve_lent_{}", std::process::id()));
+    let (registry, direct) = file_registry(&dir);
+    let scene = &direct.iter().find(|(id, _)| id == "lego").unwrap().1;
+    let service = RenderService::new(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        registry,
+    );
+    for schedule in Schedule::ALL {
+        let options = RenderOptions::default().with_schedule(schedule);
+        let spec = StreamSpec::orbit(4);
+        let session = service.session("lego", options.clone()).unwrap();
+        let stream = session
+            .stream_with(
+                spec.clone(),
+                StreamConfig::default()
+                    .with_window(2)
+                    .with_deadline(std::time::Duration::from_secs(60)),
+            )
+            .unwrap();
+        for (i, (frame, view)) in stream.zip(spec.views()).enumerate() {
+            let frame = frame.expect("stream frame");
+            let req = RenderRequest::new("lego", view).with_options(options.clone());
+            let want = direct_render(scene, &req);
+            assert_eq!(frame.image, want.image, "{schedule} frame {i} diverged");
+            assert_eq!(frame.stats, want.stats, "{schedule} frame {i} stats");
+        }
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.frames, 20);
+    assert_eq!(stats.deadline_misses(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn eviction_churn_preserves_determinism() {
     // A budget that fits only one scene forces constant eviction between
     // interleaved requests; frames must still be bit-identical to direct
