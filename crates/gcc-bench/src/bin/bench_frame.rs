@@ -2,9 +2,11 @@
 //! `BENCH_frame.json`.
 //!
 //! Renders preset scenes at several scales through both dataflows
-//! (standard tile-wise and GCC Gaussian-wise), each under sequential and
-//! auto-threaded intra-frame parallelism, and records wall-clock frame
-//! times. The output is the start of the repository's perf trajectory:
+//! (standard tile-wise and GCC Gaussian-wise), each under sequential,
+//! two-thread and auto-threaded intra-frame parallelism, and records
+//! wall-clock frame times together with what ran them: the SIMD backend
+//! the dispatcher selected and the host's thread count. The output is the
+//! start of the repository's perf trajectory:
 //! every PR that touches the hot path regenerates the file and compares
 //! against the previous run.
 //!
@@ -137,6 +139,11 @@ fn main() {
                 preset: ScenePreset::Lego,
                 scale: 0.25,
             },
+            // The repo benchmark's `deadline_lod` scene.
+            Case {
+                preset: ScenePreset::Lego,
+                scale: 0.5,
+            },
             Case {
                 preset: ScenePreset::Lego,
                 scale: 1.0,
@@ -162,6 +169,8 @@ fn main() {
         for engine in ENGINES {
             for (par_name, par, threads) in [
                 ("sequential", Parallelism::Sequential, 1),
+                // What `gcc-serve` lends a deadline frame on a 2-core host.
+                ("fixed2", Parallelism::fixed(2), 2),
                 ("auto", Parallelism::Auto, auto_threads),
             ] {
                 let renderer = build_engine(engine, par);
@@ -196,6 +205,10 @@ fn main() {
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!("  \"reps\": {reps},\n"));
     json.push_str(&format!("  \"host_threads\": {auto_threads},\n"));
+    json.push_str(&format!(
+        "  \"backend\": \"{}\",\n",
+        gcc_core::dispatch::active_backend()
+    ));
     json.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
         push_json_row(&mut json, row, i + 1 == rows.len());

@@ -32,6 +32,9 @@ fn main() {
     for preset in scenes {
         let scene = bench_scene(preset);
         let cam = scene.default_camera();
+        // The OBB column needs a render that walks OBBs: only the GSCore
+        // footprint fills `pixels_tested_obb` (the AABB column is the
+        // clipped-rectangle area under either footprint).
         let out = render_standard(&scene.gaussians, &cam, &StandardConfig::gscore());
         let s = &out.stats;
         t.row([

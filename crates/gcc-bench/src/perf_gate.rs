@@ -795,6 +795,52 @@ mod tests {
     }
 
     #[test]
+    fn unknown_keys_are_ignored_but_baseline_coverage_is_not() {
+        // A newer `bench_frame` adds keys (the SIMD backend, per-row
+        // extras) and cells (`fixed2`); an older baseline still gates it,
+        // and a baseline cell the run no longer covers still fails.
+        let newer = |cells: &[(&str, &str, f64)]| {
+            let rows: Vec<String> = cells
+                .iter()
+                .map(|(scene, par, ms)| {
+                    format!(
+                        "{{\"scene\": \"{scene}\", \"scale\": 0.05, \"engine\": \
+                         \"standard_frame_engine\", \"parallelism\": \"{par}\", \
+                         \"ms_per_frame\": {ms}, \"tile_ms\": [1, 2], \"note\": null}}"
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"schema\": \"bench_frame/v1\", \"backend\": \"avx2\", \
+                 \"host_threads\": 2, \"results\": [{}]}}",
+                rows.join(",")
+            )
+        };
+        let baseline = record(&[
+            ("Lego", 0.05, "standard_frame_engine", "sequential", 10.0),
+            ("Lego", 0.05, "standard_frame_engine", "auto", 4.0),
+        ]);
+        let current = newer(&[
+            ("Lego", "sequential", 9.0),
+            ("Lego", "fixed2", 5.0),
+            ("Lego", "auto", 4.5),
+        ]);
+        let report = compare(&baseline, &current, 0.25).unwrap();
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(
+            report.new_in_current,
+            vec!["Lego@0.05/standard_frame_engine/fixed2".to_string()]
+        );
+        let shrunk = newer(&[("Lego", "sequential", 9.0), ("Lego", "fixed2", 5.0)]);
+        let report = compare(&baseline, &shrunk, 0.25).unwrap();
+        assert!(!report.passed());
+        assert_eq!(
+            report.missing_in_current,
+            vec!["Lego@0.05/standard_frame_engine/auto".to_string()]
+        );
+    }
+
+    #[test]
     fn malformed_records_are_errors() {
         assert!(compare("not json", &baseline(), 0.25).is_err());
         assert!(compare(&baseline(), "{\"schema\": \"bench_frame/v1\"}", 0.25).is_err());

@@ -40,19 +40,34 @@ impl ExpMode {
             Self::Lut(lut) => lut.eval(x),
         }
     }
+
+    /// Alpha of a raw exponent `power = lnω − ½·dᵀΣ′⁻¹d` (Eq. 9 with the
+    /// unit's clamps): `min(e^power, 0.99)`, and `0.0` below the `1/255`
+    /// cutoff. For [`Self::Exact`] this is per element what
+    /// [`crate::dispatch::KernelSet::alpha_powers`] computes over a buffer.
+    #[inline]
+    pub fn alpha(&self, power: f32) -> f32 {
+        let a = self.exp(power).min(ALPHA_MAX);
+        if a < ALPHA_MIN {
+            0.0
+        } else {
+            a
+        }
+    }
 }
+
+/// The exponent written into row-buffer lanes that lie outside a span:
+/// below [`EXP_INPUT_MIN`](gcc_math::exp::EXP_INPUT_MIN), so both
+/// exponential datapaths turn it into `α = 0` and the blend kernel masks
+/// the lane off, yet small enough in magnitude that the branchless SIMD
+/// `det_exp` evaluates it on normal floats like any in-span lane.
+pub const PAD_POWER: f32 = -16.0;
 
 /// Computes the alpha contribution of a projected Gaussian at a pixel
 /// (Eq. 9), returning `0.0` for contributions below `1/255`.
 pub fn gaussian_alpha(p: &ProjectedGaussian, x: i32, y: i32, exp: &ExpMode) -> f32 {
     let d = Vec2::new(x as f32 + 0.5, y as f32 + 0.5) - p.mean2d;
-    let power = p.ln_opacity - 0.5 * p.conic.quad_form(d);
-    let a = exp.exp(power).min(ALPHA_MAX);
-    if a < ALPHA_MIN {
-        0.0
-    } else {
-        a
-    }
+    exp.alpha(p.ln_opacity - 0.5 * p.conic.quad_form(d))
 }
 
 /// Row-incremental alpha evaluation: walks one pixel row of a projected
@@ -76,12 +91,12 @@ pub fn gaussian_alpha(p: &ProjectedGaussian, x: i32, y: i32, exp: &ExpMode) -> f
 /// [`SymMat2::quad_form`]: gcc_math::SymMat2::quad_form
 #[derive(Debug, Clone, Copy)]
 pub struct RowAlpha {
-    /// Current exponent value (read by the dispatch alpha-span kernels).
-    pub(crate) power: f32,
+    /// Current exponent value.
+    power: f32,
     /// First-order forward difference.
-    pub(crate) step: f32,
+    step: f32,
     /// Second-order forward difference (constant along a row).
-    pub(crate) curve: f32,
+    curve: f32,
 }
 
 impl RowAlpha {
@@ -100,16 +115,18 @@ impl RowAlpha {
         }
     }
 
+    /// Exponent at the current pixel — what the blend path's row buffer
+    /// records before one [`ExpMode::alpha`] pass over the whole buffer.
+    #[inline]
+    pub fn power(&self) -> f32 {
+        self.power
+    }
+
     /// Alpha at the current pixel (Eq. 9 with the unit's clamps), `0.0`
     /// below the `1/255` cutoff — same contract as [`gaussian_alpha`].
     #[inline]
     pub fn alpha(&self, exp: &ExpMode) -> f32 {
-        let a = exp.exp(self.power).min(ALPHA_MAX);
-        if a < ALPHA_MIN {
-            0.0
-        } else {
-            a
-        }
+        exp.alpha(self.power)
     }
 
     /// Advances one pixel to the right: two adds.

@@ -258,8 +258,6 @@ impl Obb {
         let a = self.axis_major * self.half_major;
         let b = Vec2::new(-self.axis_major.y, self.axis_major.x) * self.half_minor;
         let ext = Vec2::new(a.x.abs() + b.x.abs(), a.y.abs() + b.y.abs());
-        let r = ext.max_component().max(ext.x.max(ext.y));
-        let _ = r;
         let x0 = (self.center.x - ext.x).floor().max(0.0) as i32;
         let y0 = (self.center.y - ext.y).floor().max(0.0) as i32;
         let x1 = ((self.center.x + ext.x).ceil() as i32 + 1).min(width as i32);

@@ -1,12 +1,13 @@
 //! Runtime-dispatched SIMD kernels for the frame hot path.
 //!
 //! The renderers in `gcc-render` spend almost their entire frame budget in
-//! three flat loops: depth-key generation before the radix sort, the
-//! exponential/clamp chain of the alpha span walkers, and SH color
-//! evaluation. This module provides explicitly vectorized `core::arch`
-//! implementations of those loops (SSE2/AVX2 on x86-64, NEON on aarch64)
-//! behind a one-time runtime dispatch table, with the scalar path kept as
-//! the bit-exactness reference.
+//! four flat loops: depth-key generation before the radix sort, the
+//! exponential/clamp tail of alpha evaluation, the masked front-to-back
+//! blend of those alphas into the pixel planes, and SH color evaluation.
+//! This module provides explicitly vectorized `core::arch` implementations
+//! of those loops (SSE2/AVX2 on x86-64, NEON on aarch64) behind a one-time
+//! runtime dispatch table, with the scalar path kept as the bit-exactness
+//! reference.
 //!
 //! # Bit-exactness contract
 //!
@@ -19,9 +20,11 @@
 //!   and the SIMD kernels perform the same per-lane operation sequence;
 //! * sequentially-dependent arithmetic (the [`RowAlpha`] forward-difference
 //!   chain) stays scalar in both paths; only the independent per-element
-//!   tail (exp + clamps) is vectorized;
-//! * kernels never use horizontal reductions, re-association, or FMA
-//!   contraction, so lane results equal scalar results bit for bit.
+//!   tails (exp + clamps, then the blend) are vectorized;
+//! * kernels never use horizontal float reductions, re-association, or
+//!   FMA contraction, so lane results equal scalar results bit for bit
+//!   (the counts [`BlendSpanFn`] returns are integer popcounts of lane
+//!   masks).
 //!
 //! Any future kernel that cannot preserve operation order must stay behind
 //! an off-by-default fast-math-style opt-in rather than joining the default
@@ -51,7 +54,6 @@ mod x86;
 #[allow(unsafe_code)]
 mod neon;
 
-use crate::alpha::RowAlpha;
 use crate::{Gaussian3D, ProjectedGaussian};
 use std::sync::OnceLock;
 
@@ -67,7 +69,8 @@ pub enum Backend {
     Scalar,
     /// x86-64 SSE2 (baseline on every x86-64 CPU): 4-lane f32.
     Sse2,
-    /// x86-64 AVX2: 8-lane f32 with gathers (requires CPU support).
+    /// x86-64 AVX2 (+ POPCNT): 8-lane f32 with gathers (requires CPU
+    /// support).
     Avx2,
     /// aarch64 NEON (baseline on every aarch64 CPU): 4-lane f32.
     Neon,
@@ -100,9 +103,80 @@ pub type DepthKeysFn = fn(depths: &[f32], keys: &mut [u32]);
 /// `x ≥ 0 → 1`, else `det_exp(x)`, then `min(ALPHA_MAX)` and the
 /// `< ALPHA_MIN → 0` cutoff. The power fill itself (the
 /// sequentially-dependent forward-difference chain) always runs scalar in
-/// the caller — see [`AlphaBatch`] — so kernels only see the independent
-/// per-element exp/clamp tail, which is what vectorizes.
+/// the caller, so kernels only see the independent per-element exp/clamp
+/// tail, which is what vectorizes.
 pub type AlphaPowersFn = fn(powers: &mut [f32]);
+
+/// Lane-group width of [`BlendSpanFn`]: every slice it takes is a whole
+/// number of 8-lane groups (one AVX2 vector, two SSE2/NEON vectors).
+pub const BLEND_LANES: usize = 8;
+
+/// A run of pixels in struct-of-arrays form: accumulated color planes and
+/// the transmittance plane (paper Eq. 4's `C` and `T`), all the same
+/// length.
+#[derive(Debug)]
+pub struct PixelLanes<'a> {
+    /// Accumulated red.
+    pub r: &'a mut [f32],
+    /// Accumulated green.
+    pub g: &'a mut [f32],
+    /// Accumulated blue.
+    pub b: &'a mut [f32],
+    /// Remaining transmittance.
+    pub t: &'a mut [f32],
+}
+
+/// What one [`BlendSpanFn`] call did, as lane counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlendCounts {
+    /// Lanes blended: live (`T ≥ ε`) with `α > alpha_min`.
+    pub blended: u32,
+    /// Blended lanes whose transmittance fell below
+    /// [`TRANSMITTANCE_EPS`](crate::TRANSMITTANCE_EPS) — pixels that
+    /// terminated in this call.
+    pub terminated: u32,
+}
+
+/// Front-to-back blend of one Gaussian's alphas into a run of pixels — the
+/// one blend loop of the workspace. Per lane, exactly the reference
+///
+/// ```text
+/// if !pixel.terminated() && α > alpha_min { pixel.blend(α, color) }
+/// ```
+///
+/// i.e. `w = α·T; C += color·w` (multiply, then add, per channel),
+/// `T *= 1 − α`, with termination (`T < TRANSMITTANCE_EPS`) read before
+/// and after. The SIMD twins evaluate every lane and blend `α = 0` where
+/// the condition fails, which adds `+0.0` and multiplies by `1.0` — the
+/// pixel's bits do not change. That is also what makes padding sound: a
+/// lane whose alpha came from [`PAD_POWER`](crate::alpha::PAD_POWER) holds
+/// `α = 0` and is never blended, since `alpha_min ≥ 0`.
+///
+/// `alphas` and the four planes of `px` must share one length, a multiple
+/// of [`BLEND_LANES`]; `alphas` are values in `[0, 1]` as
+/// [`AlphaPowersFn`] produces them and `alpha_min` is non-negative.
+///
+/// # Panics
+///
+/// Panics when the lengths differ or are not a multiple of
+/// [`BLEND_LANES`].
+pub type BlendSpanFn =
+    fn(alphas: &[f32], color: [f32; 3], alpha_min: f32, px: PixelLanes<'_>) -> BlendCounts;
+
+/// The length check every [`BlendSpanFn`] twin runs before touching lanes;
+/// returns the shared length.
+fn blend_lanes_len(alphas: &[f32], px: &PixelLanes<'_>) -> usize {
+    let n = alphas.len();
+    assert!(
+        n.is_multiple_of(BLEND_LANES)
+            && px.r.len() == n
+            && px.g.len() == n
+            && px.b.len() == n
+            && px.t.len() == n,
+        "blend_span takes equal-length runs of whole {BLEND_LANES}-lane groups"
+    );
+    n
+}
 
 /// Evaluates SH colors for a batch of survivors and writes
 /// `out[i].color`. Coefficients are read in place from
@@ -135,6 +209,8 @@ pub struct KernelSet {
     pub depth_keys: DepthKeysFn,
     /// Power → clamped-alpha kernel (`ExpMode::Exact` datapath).
     pub alpha_powers: AlphaPowersFn,
+    /// Masked front-to-back blend kernel (both exponential datapaths).
+    pub blend_span: BlendSpanFn,
     /// SH color evaluation kernel.
     pub sh_colors: ShColorsFn,
 }
@@ -144,6 +220,7 @@ static SCALAR: KernelSet = KernelSet {
     backend: Backend::Scalar,
     depth_keys: scalar::depth_keys,
     alpha_powers: scalar::alpha_powers,
+    blend_span: scalar::blend_span,
     sh_colors: scalar::sh_colors,
 };
 
@@ -151,7 +228,7 @@ static SCALAR: KernelSet = KernelSet {
 pub fn detected() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if x86::avx2_available() {
             Backend::Avx2
         } else {
             Backend::Sse2
@@ -206,7 +283,7 @@ pub fn kernel_set(b: Backend) -> Option<&'static KernelSet> {
         Backend::Sse2 => Some(&x86::SSE2),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if x86::avx2_available() {
                 Some(&x86::AVX2)
             } else {
                 None
@@ -236,144 +313,11 @@ pub fn active_backend() -> Backend {
     active().backend
 }
 
-/// One row span collected by [`AlphaBatch::collect_row`]: row `y`, first
-/// pixel x `x`, and the slice `[start, start + len)` of the shared power
-/// buffer.
-#[derive(Debug, Clone, Copy)]
-struct Segment {
-    y: i32,
-    x: i32,
-    start: u32,
-    len: u32,
-}
-
-/// Batched alpha evaluation across a Gaussian's whole tile/block
-/// footprint — the bridge between the blend loops' early-out structure
-/// and the vectorized exp/clamp kernel.
-///
-/// A single blend row is short (≤16 px tile spans, 8 px block rows), far
-/// too few lanes to amortize a kernel call, but one Gaussian touches many
-/// rows of its tile or block. The batch therefore runs in three phases
-/// per (Gaussian, tile/block):
-///
-/// 1. [`collect_row`](Self::collect_row) per row — run the scalar
-///    forward-difference chain across the whole span and append every
-///    pixel's power to one flat buffer. The fill is liveness-*blind*: no
-///    per-pixel branch, no pixel-state read, just two adds and a store
-///    per lane, which is what lets the compiler keep the chain in
-///    registers;
-/// 2. [`eval`](Self::eval) — one `kernels.alpha_powers` pass over the
-///    whole buffer (tens to hundreds of lanes), scalar or SIMD,
-///    bit-identical either way;
-/// 3. [`segments`](Self::segments) — the caller sweeps each span back
-///    into its pixels, *skipping terminated pixels* and otherwise
-///    blending and updating stats exactly as the per-pixel loop would
-///    have.
-///
-/// Correctness of the phase split: a Gaussian touches each pixel at most
-/// once, so a pixel's termination state cannot change between the start
-/// of the batch and the sweep's visit to that pixel — the sweep's
-/// `terminated()` reads see exactly what the per-pixel reference loop
-/// would have seen, and the alphas it blends are the same chain values.
-/// Alphas computed for terminated pixels are discarded unread (the
-/// reference loop never computes them; computing-and-discarding is
-/// unobservable).
-#[derive(Debug, Default)]
-pub struct AlphaBatch {
-    powers: Vec<f32>,
-    segs: Vec<Segment>,
-}
-
-impl AlphaBatch {
-    /// An empty batch (buffers grow on first use and are then reused).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops all collected rows, keeping capacity. Call once per
-    /// (Gaussian, tile/block) before the collect phase.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.powers.clear();
-        self.segs.clear();
-    }
-
-    /// True when no row has been collected since [`clear`](Self::clear).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
-    /// Number of row spans collected so far. Callers that collect several
-    /// disjoint regions (e.g. the Gaussian-wise blocks) snapshot this
-    /// around each region so the sweep can be grouped per region via
-    /// [`segments_in`](Self::segments_in).
-    #[inline]
-    pub fn seg_count(&self) -> usize {
-        self.segs.len()
-    }
-
-    /// Phase 1: runs the scalar power chain across `len` pixels of row
-    /// `y` starting at pixel x `x0`, recording every pixel's power —
-    /// branchless, two adds and a store per lane.
-    #[inline]
-    pub fn collect_row(&mut self, row: &mut RowAlpha, y: i32, x0: i32, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let start = self.powers.len() as u32;
-        // `(0..len).map(..)` is an exact-size iterator, so `extend`
-        // reserves once and writes without per-push growth checks.
-        self.powers.extend((0..len).map(|_| {
-            let v = row.power;
-            row.advance();
-            v
-        }));
-        self.segs.push(Segment {
-            y,
-            x: x0,
-            start,
-            len: len as u32,
-        });
-    }
-
-    /// Phase 2: one kernel pass turning every collected power into its
-    /// clamped `ExpMode::Exact` alpha, in place.
-    #[inline]
-    pub fn eval(&mut self, kernels: &KernelSet) {
-        (kernels.alpha_powers)(&mut self.powers);
-    }
-
-    /// Phase 3: the collected row spans as `(y, x_start, alphas)`, in
-    /// collection order — i.e. exactly the order the per-pixel reference
-    /// loop visits pixels.
-    #[inline]
-    pub fn segments(&self) -> impl Iterator<Item = (i32, i32, &[f32])> {
-        self.segments_in(0..self.segs.len())
-    }
-
-    /// Phase 3 over the row spans collected between two [`seg_count`]
-    /// (Self::seg_count) snapshots (one disjoint region's worth).
-    #[inline]
-    pub fn segments_in(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = (i32, i32, &[f32])> {
-        self.segs[range].iter().map(|s| {
-            (
-                s.y,
-                s.x,
-                &self.powers[s.start as usize..(s.start + s.len) as usize],
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alpha::{ExpMode, PixelState, RowAlpha};
-    use crate::ALPHA_MIN;
+    use crate::alpha::{ExpMode, PixelState, RowAlpha, PAD_POWER};
+    use crate::{ALPHA_MIN, TRANSMITTANCE_EPS};
     use gcc_math::{SymMat2, Vec2, Vec3};
 
     fn proj(mean: Vec2, cov: SymMat2, opacity: f32) -> ProjectedGaussian {
@@ -432,7 +376,7 @@ mod tests {
     /// the fill phase every alpha test shares.
     fn fill_powers(row: &mut RowAlpha, out: &mut [f32]) {
         for slot in out.iter_mut() {
-            *slot = row.power;
+            *slot = row.power();
             row.advance();
         }
     }
@@ -601,80 +545,186 @@ mod tests {
         }
     }
 
-    #[test]
-    fn alpha_batch_matches_the_per_pixel_reference_loop() {
-        // Seeded terminated patterns carve multi-row spans into liveness
-        // shapes of every kind; the batch sweep must blend exactly the
-        // live pixels with bit-identical alphas, in the per-pixel loop's
-        // order, on every available backend.
-        let p = proj(Vec2::new(40.0, 5.0), SymMat2::new(300.0, 25.0, 200.0), 0.95);
-        let exact = ExpMode::Exact;
-        for (pat, width) in [
-            (0x0u64, 16),
-            (0x5a5a_92c4_ffff_0001u64, 16),
-            (0xffff_ffff_ffff_ffffu64, 16),
-            (0x8000_0000_0001u64, 8),
-            (0x0123_4567_89ab_cdefu64, 8),
-        ] {
-            let rows = 4usize;
-            let make_grid = || -> Vec<Vec<PixelState>> {
-                (0..rows)
-                    .map(|r| {
-                        (0..width)
-                            .map(|i| {
-                                let mut st = PixelState::new();
-                                if pat >> ((r * width + i) % 64) & 1 == 1 {
-                                    st.transmittance = 0.0; // pre-terminated
-                                }
-                                st
-                            })
-                            .collect()
-                    })
-                    .collect()
+    /// SplitMix64 — the kernel tests' seeded source of lane patterns.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Runs `kernel` over SoA copies of `pixels` and returns the pixels it
+    /// leaves behind together with its counts.
+    fn run_blend(
+        kernel: BlendSpanFn,
+        alphas: &[f32],
+        color: Vec3,
+        alpha_min: f32,
+        pixels: &[PixelState],
+    ) -> (Vec<PixelState>, BlendCounts) {
+        let mut r: Vec<f32> = pixels.iter().map(|p| p.color.x).collect();
+        let mut g: Vec<f32> = pixels.iter().map(|p| p.color.y).collect();
+        let mut b: Vec<f32> = pixels.iter().map(|p| p.color.z).collect();
+        let mut t: Vec<f32> = pixels.iter().map(|p| p.transmittance).collect();
+        let counts = kernel(
+            alphas,
+            [color.x, color.y, color.z],
+            alpha_min,
+            PixelLanes {
+                r: &mut r,
+                g: &mut g,
+                b: &mut b,
+                t: &mut t,
+            },
+        );
+        let out = (0..pixels.len())
+            .map(|i| PixelState {
+                color: Vec3::new(r[i], g[i], b[i]),
+                transmittance: t[i],
+            })
+            .collect();
+        (out, counts)
+    }
+
+    fn assert_pixels_bitwise_equal(got: &[PixelState], want: &[PixelState], what: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let bits = |p: &PixelState| {
+                [
+                    p.color.x.to_bits(),
+                    p.color.y.to_bits(),
+                    p.color.z.to_bits(),
+                    p.transmittance.to_bits(),
+                ]
             };
-            // Reference: the pre-dispatch per-pixel loop over all rows.
-            let mut want_grid = make_grid();
-            let mut want_visits: Vec<(i32, i32, u32)> = Vec::new();
-            for (r, span) in want_grid.iter_mut().enumerate() {
-                let mut row = RowAlpha::new(&p, 3, r as i32);
-                for (i, st) in span.iter_mut().enumerate() {
-                    if !st.terminated() {
-                        let a = row.alpha(&exact);
-                        want_visits.push((r as i32, 3 + i as i32, a.to_bits()));
-                        st.blend(a, Vec3::new(0.3, 0.2, 0.1));
+            assert_eq!(bits(g), bits(w), "{what}: lane {i} {g:?} vs {w:?}");
+        }
+    }
+
+    #[test]
+    fn blend_span_kernels_match_the_reference_loop_bitwise() {
+        // Seeded spans of 0–16 live lanes inside whole 8-lane groups: the
+        // lanes past the span hold the alpha of a padded power. Alphas hit
+        // the mask's edges (0, below 1/255, exactly `alpha_min`, the 0.99
+        // ceiling), pixels arrive fresh, mid-blend, pre-terminated and with
+        // T placed so that this blend carries it across ε or just not.
+        let color = Vec3::new(0.9, 0.35, 0.05);
+        let mut pad = [PAD_POWER];
+        (SCALAR.alpha_powers)(&mut pad);
+        let mut seed = 0x5EED_B1E4D;
+        for alpha_min in [0.0f32, 0.05] {
+            let edge_alphas = [0.0, 0.003, alpha_min, 0.99, 0.5, ALPHA_MIN];
+            let edge_ts = [
+                1.0,
+                0.37,
+                0.0,
+                TRANSMITTANCE_EPS,
+                TRANSMITTANCE_EPS * 0.99,
+                TRANSMITTANCE_EPS * 1.5,
+                // × (1 − 0.99) lands just above / just below ε.
+                TRANSMITTANCE_EPS * 101.0,
+                TRANSMITTANCE_EPS * 99.0,
+            ];
+            for len in 0..=16usize {
+                for _ in 0..8 {
+                    let lanes = len.div_ceil(BLEND_LANES) * BLEND_LANES;
+                    let mut alphas = vec![pad[0]; lanes];
+                    let mut pixels = vec![PixelState::new(); lanes];
+                    for i in 0..lanes {
+                        let pick = splitmix(&mut seed);
+                        if i < len {
+                            alphas[i] = match pick % 3 {
+                                0 => edge_alphas[(pick >> 8) as usize % edge_alphas.len()],
+                                _ => ((pick >> 8) % 1000) as f32 / 1010.0,
+                            };
+                        }
+                        pixels[i].transmittance = match (pick >> 32) % 3 {
+                            0 => edge_ts[(pick >> 40) as usize % edge_ts.len()],
+                            _ => ((pick >> 40) % 1000) as f32 / 999.0,
+                        };
+                        pixels[i].color =
+                            Vec3::new(0.2, 0.4, 0.6) * (1.0 - pixels[i].transmittance);
                     }
-                    row.advance();
+                    // The loop both renderers carried before the kernel.
+                    let mut want = pixels.clone();
+                    let mut want_counts = BlendCounts::default();
+                    for (st, &a) in want.iter_mut().zip(&alphas) {
+                        if !st.terminated() && a > alpha_min {
+                            st.blend(a, color);
+                            want_counts.blended += 1;
+                            want_counts.terminated += u32::from(st.terminated());
+                        }
+                    }
+                    for b in available() {
+                        let ks = kernel_set(b).unwrap();
+                        let (got, counts) =
+                            run_blend(ks.blend_span, &alphas, color, alpha_min, &pixels);
+                        let what = format!("blend_span {b} len {len} alpha_min {alpha_min}");
+                        assert_pixels_bitwise_equal(&got, &want, &what);
+                        assert_eq!(counts, want_counts, "{what}");
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn padded_lanes_never_change_a_pixel() {
+        // Both exponential datapaths turn the pad power into α = 0, and a
+        // lane holding α = 0 is masked off whatever its pixel holds.
+        let mut exact = [PAD_POWER; BLEND_LANES];
+        (SCALAR.alpha_powers)(&mut exact);
+        assert_eq!(exact, [0.0; BLEND_LANES]);
+        assert_eq!(ExpMode::lut().alpha(PAD_POWER), 0.0);
+        let pixels: Vec<PixelState> = (0..BLEND_LANES)
+            .map(|i| PixelState {
+                color: Vec3::new(0.1 * i as f32, 0.0, 1.0),
+                transmittance: [1.0, 0.5, 2e-4, 1e-4, 5e-5, 0.0, 0.9, 0.01][i],
+            })
+            .collect();
+        for alpha_min in [0.0f32, 0.05] {
             for b in available() {
                 let ks = kernel_set(b).unwrap();
-                let mut got_grid = make_grid();
-                let mut batch = AlphaBatch::new();
-                for r in 0..rows {
-                    let mut row = RowAlpha::new(&p, 3, r as i32);
-                    batch.collect_row(&mut row, r as i32, 3, width);
+                for n in [0, BLEND_LANES] {
+                    let (got, counts) = run_blend(
+                        ks.blend_span,
+                        &exact[..n],
+                        Vec3::new(5.0, 5.0, 5.0),
+                        alpha_min,
+                        &pixels[..n],
+                    );
+                    assert_pixels_bitwise_equal(&got, &pixels[..n], &format!("padded {b}"));
+                    assert_eq!(counts, BlendCounts::default(), "padded {b}");
                 }
-                batch.eval(ks);
-                let mut got_visits: Vec<(i32, i32, u32)> = Vec::new();
-                for (y, x, alphas) in batch.segments() {
-                    let span = &mut got_grid[y as usize];
-                    for (i, &a) in alphas.iter().enumerate() {
-                        let px = (x - 3) as usize + i;
-                        if span[px].terminated() {
-                            continue;
-                        }
-                        got_visits.push((y, x + i as i32, a.to_bits()));
-                        span[px].blend(a, Vec3::new(0.3, 0.2, 0.1));
-                    }
-                }
-                assert_eq!(got_visits, want_visits, "{b} visits diverge, pat {pat:#x}");
-                assert!(!batch.is_empty());
-                for (gr, wr) in got_grid.iter().zip(&want_grid) {
-                    for (g, w) in gr.iter().zip(wr) {
-                        assert_eq!(g.color.x.to_bits(), w.color.x.to_bits());
-                        assert_eq!(g.transmittance.to_bits(), w.transmittance.to_bits());
-                    }
-                }
+            }
+        }
+    }
+
+    #[test]
+    fn blend_span_rejects_ragged_runs() {
+        // Not a whole number of groups, and planes of different lengths.
+        for b in available() {
+            let kernel = kernel_set(b).unwrap().blend_span;
+            for (alphas, lanes) in [(5usize, 5usize), (8, 16)] {
+                let ragged = std::panic::catch_unwind(|| {
+                    let mut plane = vec![0.0f32; lanes];
+                    let (mut g, mut bl, mut t) = (plane.clone(), plane.clone(), plane.clone());
+                    kernel(
+                        &vec![0.5; alphas],
+                        [1.0; 3],
+                        0.0,
+                        PixelLanes {
+                            r: &mut plane,
+                            g: &mut g,
+                            b: &mut bl,
+                            t: &mut t,
+                        },
+                    )
+                });
+                assert!(
+                    ragged.is_err(),
+                    "{b} accepted {alphas} alphas on {lanes} lanes"
+                );
             }
         }
     }

@@ -9,17 +9,18 @@
 
 use core::arch::aarch64::*;
 
-use crate::{ALPHA_MAX, ALPHA_MIN};
+use crate::{ALPHA_MAX, ALPHA_MIN, TRANSMITTANCE_EPS};
 use gcc_math::exp::{DET_EXP_LN2_HI, DET_EXP_LN2_LO, DET_EXP_LOG2E, DET_EXP_POLY, EXP_INPUT_MIN};
 
 use super::scalar;
-use super::KernelSet;
+use super::{blend_lanes_len, BlendCounts, KernelSet, PixelLanes};
 
 /// The NEON dispatch table.
 pub(super) static NEON: KernelSet = KernelSet {
     backend: super::Backend::Neon,
     depth_keys: depth_keys_neon,
     alpha_powers: alpha_powers_neon,
+    blend_span: blend_span_neon,
     sh_colors: scalar::sh_colors,
 };
 
@@ -123,4 +124,69 @@ unsafe fn alpha4_neon(x: float32x4_t) -> float32x4_t {
         // a < ALPHA_MIN → 0.
         vbslq_f32(vcltq_f32(a, alpha_min), zero, a)
     }
+}
+
+fn blend_span_neon(
+    alphas: &[f32],
+    color: [f32; 3],
+    alpha_min: f32,
+    px: PixelLanes<'_>,
+) -> BlendCounts {
+    let n = blend_lanes_len(alphas, &px);
+    // SAFETY: NEON is part of the aarch64 baseline; all five slices hold
+    // `n` lanes (checked above).
+    unsafe { blend_span_neon_impl(n, alphas, color, alpha_min, px) }
+}
+
+/// 4 lanes at a time, the scalar twin's operation sequence per lane: the
+/// blend condition becomes a lane mask, masked-off lanes blend `α = 0`
+/// (adds `+0.0`, multiplies by `1.0`), a group with no lane on is left
+/// untouched. Multiplies and adds are separate instructions (no `vfmaq`).
+/// The caller guarantees `n` lanes in every slice.
+#[target_feature(enable = "neon")]
+unsafe fn blend_span_neon_impl(
+    n: usize,
+    alphas: &[f32],
+    color: [f32; 3],
+    alpha_min: f32,
+    px: PixelLanes<'_>,
+) -> BlendCounts {
+    let PixelLanes { r, g, b, t } = px;
+    let mut counts = BlendCounts::default();
+    unsafe {
+        let eps = vdupq_n_f32(TRANSMITTANCE_EPS);
+        let a_min = vdupq_n_f32(alpha_min);
+        let one = vdupq_n_f32(1.0);
+        let (cr, cg, cb) = (
+            vdupq_n_f32(color[0]),
+            vdupq_n_f32(color[1]),
+            vdupq_n_f32(color[2]),
+        );
+        let mut i = 0;
+        while i < n {
+            let a = vld1q_f32(alphas.as_ptr().add(i));
+            let t0 = vld1q_f32(t.as_ptr().add(i));
+            // !(T < ε) ∧ α > alpha_min, as in the scalar twin.
+            let on = vandq_u32(vmvnq_u32(vcltq_f32(t0, eps)), vcgtq_f32(a, a_min));
+            // Lane masks are all-ones: the top bit of each lane, summed.
+            let blended = vaddvq_u32(vshrq_n_u32::<31>(on));
+            if blended != 0 {
+                let a = vreinterpretq_f32_u32(vandq_u32(vreinterpretq_u32_f32(a), on));
+                let w = vmulq_f32(a, t0);
+                let rp = r.as_mut_ptr().add(i);
+                let gp = g.as_mut_ptr().add(i);
+                let bp = b.as_mut_ptr().add(i);
+                vst1q_f32(rp, vaddq_f32(vld1q_f32(rp), vmulq_f32(cr, w)));
+                vst1q_f32(gp, vaddq_f32(vld1q_f32(gp), vmulq_f32(cg, w)));
+                vst1q_f32(bp, vaddq_f32(vld1q_f32(bp), vmulq_f32(cb, w)));
+                let t1 = vmulq_f32(t0, vsubq_f32(one, a));
+                vst1q_f32(t.as_mut_ptr().add(i), t1);
+                let done = vandq_u32(on, vcltq_f32(t1, eps));
+                counts.blended += blended;
+                counts.terminated += vaddvq_u32(vshrq_n_u32::<31>(done));
+            }
+            i += 4;
+        }
+    }
+    counts
 }

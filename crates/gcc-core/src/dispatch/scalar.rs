@@ -3,9 +3,12 @@
 //! exact arithmetic the renderers used before dispatch existed, expressed
 //! over the flat SoA slices the kernel ABI takes.
 
+use crate::alpha::ExpMode;
 use crate::sort::depth_key;
-use crate::{Gaussian3D, ProjectedGaussian};
+use crate::{Gaussian3D, ProjectedGaussian, TRANSMITTANCE_EPS};
 use gcc_math::Vec3;
+
+use super::{blend_lanes_len, BlendCounts, PixelLanes};
 
 /// Scalar [`crate::dispatch::DepthKeysFn`].
 pub fn depth_keys(depths: &[f32], keys: &mut [u32]) {
@@ -15,33 +18,42 @@ pub fn depth_keys(depths: &[f32], keys: &mut [u32]) {
     }
 }
 
-/// Scalar [`crate::dispatch::AlphaPowersFn`]: [`alpha_from_power`] applied
-/// in place to every slot.
+/// Scalar [`crate::dispatch::AlphaPowersFn`]: [`ExpMode::alpha`] of the
+/// exact datapath applied in place to every slot — the per-pixel
+/// `RowAlpha::alpha(&ExpMode::Exact)` the renderers used before dispatch.
 pub fn alpha_powers(buf: &mut [f32]) {
     for slot in buf {
-        *slot = alpha_from_power(*slot);
+        *slot = ExpMode::Exact.alpha(*slot);
     }
 }
 
-/// Alpha-from-raw-power: `RowAlpha::alpha(&ExpMode::Exact)` applied to a
-/// power value directly — the per-element body of [`alpha_powers`] and the
-/// scalar tail the SIMD alpha kernels use for the last `len % lanes`
-/// elements.
-#[inline]
-pub(super) fn alpha_from_power(power: f32) -> f32 {
-    let e = if power < gcc_math::exp::EXP_INPUT_MIN {
-        0.0
-    } else if power >= 0.0 {
-        1.0
-    } else {
-        gcc_math::exp::det_exp(power)
-    };
-    let a = e.min(crate::ALPHA_MAX);
-    if a < crate::ALPHA_MIN {
-        0.0
-    } else {
-        a
+/// Scalar [`crate::dispatch::BlendSpanFn`]: the per-pixel blend loop both
+/// renderers used to carry, over SoA lanes. The arithmetic is
+/// [`crate::alpha::PixelState::blend`]'s, spelled out so that the twins
+/// agree on every input, not only on alphas in `(0, 1]`.
+pub fn blend_span(
+    alphas: &[f32],
+    color: [f32; 3],
+    alpha_min: f32,
+    px: PixelLanes<'_>,
+) -> BlendCounts {
+    let n = blend_lanes_len(alphas, &px);
+    let PixelLanes { r, g, b, t } = px;
+    let mut counts = BlendCounts::default();
+    for i in 0..n {
+        let a = alphas[i];
+        let terminated = t[i] < TRANSMITTANCE_EPS;
+        if !terminated && a > alpha_min {
+            let w = a * t[i];
+            r[i] += color[0] * w;
+            g[i] += color[1] * w;
+            b[i] += color[2] * w;
+            t[i] *= 1.0 - a;
+            counts.blended += 1;
+            counts.terminated += u32::from(t[i] < TRANSMITTANCE_EPS);
+        }
     }
+    counts
 }
 
 /// Scalar [`crate::dispatch::ShColorsFn`]: per-survivor

@@ -5,17 +5,24 @@
 //! FMA, no re-association — so results are bit-identical to the scalar
 //! reference (see the module docs of [`crate::dispatch`] for the
 //! contract). SSE2 is unconditionally available on x86-64; the AVX2 table
-//! must only be handed out after `is_x86_feature_detected!("avx2")`, which
+//! must only be handed out after [`avx2_available`], which
 //! [`crate::dispatch::kernel_set`] enforces.
 
 use core::arch::x86_64::*;
 
-use crate::{Gaussian3D, ProjectedGaussian, ALPHA_MAX, ALPHA_MIN};
+use crate::{Gaussian3D, ProjectedGaussian, ALPHA_MAX, ALPHA_MIN, TRANSMITTANCE_EPS};
 use gcc_math::exp::{DET_EXP_LN2_HI, DET_EXP_LN2_LO, DET_EXP_LOG2E, DET_EXP_POLY, EXP_INPUT_MIN};
 use gcc_math::Vec3;
 
 use super::scalar;
-use super::KernelSet;
+use super::{blend_lanes_len, BlendCounts, KernelSet, PixelLanes};
+
+/// Whether this CPU runs the AVX2 table: AVX2 for the vector bodies and
+/// POPCNT for the lane counts [`blend_span_avx2`] returns (every AVX2 CPU
+/// has it; detecting it keeps the `target_feature` list honest).
+pub(super) fn avx2_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
+}
 
 /// The SSE2 dispatch table (baseline on every x86-64 CPU). SH evaluation
 /// has no profitable SSE2 form (no gathers), so it routes to the scalar
@@ -24,6 +31,7 @@ pub(super) static SSE2: KernelSet = KernelSet {
     backend: super::Backend::Sse2,
     depth_keys: depth_keys_sse2,
     alpha_powers: alpha_powers_sse2,
+    blend_span: blend_span_sse2,
     sh_colors: scalar::sh_colors,
 };
 
@@ -33,6 +41,7 @@ pub(super) static AVX2: KernelSet = KernelSet {
     backend: super::Backend::Avx2,
     depth_keys: depth_keys_avx2,
     alpha_powers: alpha_powers_avx2,
+    blend_span: blend_span_avx2,
     sh_colors: sh_colors_avx2,
 };
 
@@ -95,7 +104,7 @@ fn alpha_powers_sse2(buf: &mut [f32]) {
 }
 
 /// In-place power → clamped-alpha over a buffer, 4 lanes at a time. Per
-/// lane this is exactly [`alpha_from_power`]: the `det_exp` operation
+/// lane this is exactly `ExpMode::Exact.alpha(power)`: the `det_exp` operation
 /// sequence plus the `[−5.54, 0)` input clamps and the
 /// `min(ALPHA_MAX)` / `< ALPHA_MIN → 0` output clamps, evaluated
 /// branchlessly (clamped lanes compute a discarded `det_exp`, which is
@@ -239,6 +248,133 @@ unsafe fn alpha8_avx2(x: __m256) -> __m256 {
         a = _mm256_min_ps(a, alpha_max);
         _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(a, alpha_min), a)
     }
+}
+
+fn blend_span_sse2(
+    alphas: &[f32],
+    color: [f32; 3],
+    alpha_min: f32,
+    px: PixelLanes<'_>,
+) -> BlendCounts {
+    let n = blend_lanes_len(alphas, &px);
+    // SAFETY: SSE2 is part of the x86-64 baseline; all five slices hold
+    // `n` lanes (checked above).
+    unsafe { blend_span_sse2_impl(n, alphas, color, alpha_min, px) }
+}
+
+/// 4 lanes at a time, the scalar twin's operation sequence per lane: the
+/// blend condition becomes a lane mask, masked-off lanes blend `α = 0`
+/// (adds `+0.0`, multiplies by `1.0`), a group with no lane on is left
+/// untouched. The caller guarantees `n` lanes in every slice.
+#[target_feature(enable = "sse2")]
+unsafe fn blend_span_sse2_impl(
+    n: usize,
+    alphas: &[f32],
+    color: [f32; 3],
+    alpha_min: f32,
+    px: PixelLanes<'_>,
+) -> BlendCounts {
+    let PixelLanes { r, g, b, t } = px;
+    let mut counts = BlendCounts::default();
+    unsafe {
+        let eps = _mm_set1_ps(TRANSMITTANCE_EPS);
+        let a_min = _mm_set1_ps(alpha_min);
+        let one = _mm_set1_ps(1.0);
+        let (cr, cg, cb) = (
+            _mm_set1_ps(color[0]),
+            _mm_set1_ps(color[1]),
+            _mm_set1_ps(color[2]),
+        );
+        let mut i = 0;
+        while i < n {
+            let a = _mm_loadu_ps(alphas.as_ptr().add(i));
+            let t0 = _mm_loadu_ps(t.as_ptr().add(i));
+            // !(T < ε) ∧ α > alpha_min, as in the scalar twin.
+            let on = _mm_and_ps(_mm_cmpnlt_ps(t0, eps), _mm_cmpgt_ps(a, a_min));
+            let on_bits = _mm_movemask_ps(on);
+            if on_bits != 0 {
+                let a = _mm_and_ps(a, on);
+                let w = _mm_mul_ps(a, t0);
+                let rp = r.as_mut_ptr().add(i);
+                let gp = g.as_mut_ptr().add(i);
+                let bp = b.as_mut_ptr().add(i);
+                _mm_storeu_ps(rp, _mm_add_ps(_mm_loadu_ps(rp), _mm_mul_ps(cr, w)));
+                _mm_storeu_ps(gp, _mm_add_ps(_mm_loadu_ps(gp), _mm_mul_ps(cg, w)));
+                _mm_storeu_ps(bp, _mm_add_ps(_mm_loadu_ps(bp), _mm_mul_ps(cb, w)));
+                let t1 = _mm_mul_ps(t0, _mm_sub_ps(one, a));
+                _mm_storeu_ps(t.as_mut_ptr().add(i), t1);
+                let done = _mm_and_ps(on, _mm_cmplt_ps(t1, eps));
+                counts.blended += on_bits.count_ones();
+                counts.terminated += _mm_movemask_ps(done).count_ones();
+            }
+            i += 4;
+        }
+    }
+    counts
+}
+
+fn blend_span_avx2(
+    alphas: &[f32],
+    color: [f32; 3],
+    alpha_min: f32,
+    px: PixelLanes<'_>,
+) -> BlendCounts {
+    let n = blend_lanes_len(alphas, &px);
+    debug_assert!(avx2_available());
+    // SAFETY: the AVX2 table is only handed out after feature detection;
+    // all five slices hold `n` lanes (checked above).
+    unsafe { blend_span_avx2_impl(n, alphas, color, alpha_min, px) }
+}
+
+/// 8-lane twin of [`blend_span_sse2_impl`] (identical per-lane sequence),
+/// one [`super::BLEND_LANES`] group per iteration.
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn blend_span_avx2_impl(
+    n: usize,
+    alphas: &[f32],
+    color: [f32; 3],
+    alpha_min: f32,
+    px: PixelLanes<'_>,
+) -> BlendCounts {
+    let PixelLanes { r, g, b, t } = px;
+    let mut counts = BlendCounts::default();
+    unsafe {
+        let eps = _mm256_set1_ps(TRANSMITTANCE_EPS);
+        let a_min = _mm256_set1_ps(alpha_min);
+        let one = _mm256_set1_ps(1.0);
+        let (cr, cg, cb) = (
+            _mm256_set1_ps(color[0]),
+            _mm256_set1_ps(color[1]),
+            _mm256_set1_ps(color[2]),
+        );
+        let mut i = 0;
+        while i < n {
+            let a = _mm256_loadu_ps(alphas.as_ptr().add(i));
+            let t0 = _mm256_loadu_ps(t.as_ptr().add(i));
+            let on = _mm256_and_ps(
+                _mm256_cmp_ps::<_CMP_NLT_UQ>(t0, eps),
+                _mm256_cmp_ps::<_CMP_GT_OQ>(a, a_min),
+            );
+            let on_bits = _mm256_movemask_ps(on);
+            if on_bits != 0 {
+                let a = _mm256_and_ps(a, on);
+                let w = _mm256_mul_ps(a, t0);
+                let rp = r.as_mut_ptr().add(i);
+                let gp = g.as_mut_ptr().add(i);
+                let bp = b.as_mut_ptr().add(i);
+                _mm256_storeu_ps(rp, _mm256_add_ps(_mm256_loadu_ps(rp), _mm256_mul_ps(cr, w)));
+                _mm256_storeu_ps(gp, _mm256_add_ps(_mm256_loadu_ps(gp), _mm256_mul_ps(cg, w)));
+                _mm256_storeu_ps(bp, _mm256_add_ps(_mm256_loadu_ps(bp), _mm256_mul_ps(cb, w)));
+                let t1 = _mm256_mul_ps(t0, _mm256_sub_ps(one, a));
+                _mm256_storeu_ps(t.as_mut_ptr().add(i), t1);
+                let done = _mm256_and_ps(on, _mm256_cmp_ps::<_CMP_LT_OQ>(t1, eps));
+                counts.blended += on_bits.count_ones();
+                counts.terminated += _mm256_movemask_ps(done).count_ones();
+            }
+            i += 8;
+        }
+    }
+    counts
 }
 
 fn sh_colors_avx2(

@@ -28,16 +28,16 @@
 //! ([`render_gaussian_wise_with`]) with per-window [`FrameStats`] partials
 //! merged in window order — bit-identical to the sequential schedule.
 
-use gcc_core::alpha::{ExpMode, RowAlpha};
+use gcc_core::alpha::ExpMode;
 use gcc_core::boundary::{BlockGrid, BlockTracer, MaskMode, TMask};
 use gcc_core::bounds::{BoundingLaw, EffectiveTest};
 use gcc_core::dispatch::{self, Backend, KernelSet};
 use gcc_core::grouping::{group_by_depth, DepthGroups, GroupingConfig};
 use gcc_core::{Camera, Gaussian3D, ProjectedGaussian};
 use gcc_math::{Vec2, Vec3};
-use gcc_parallel::{par_map_chunked, par_map_indexed, Parallelism};
+use gcc_parallel::{par_map_chunked, Parallelism};
 
-use crate::pipeline::stages::{self, PixelPatch};
+use crate::pipeline::stages::{self, BlendScratch};
 use crate::pipeline::{FrameScratch, FrameStats};
 use crate::Image;
 
@@ -167,14 +167,6 @@ struct WindowContext<'a> {
     roi: Option<crate::pipeline::Roi>,
 }
 
-/// What one window render produces: its pixel patch, additive stats, and
-/// the Gaussians that contributed (merged by OR into the frame set).
-struct WindowOutcome {
-    patch: PixelPatch,
-    stats: FrameStats,
-    rendered: Vec<u32>,
-}
-
 /// Conservative circle-vs-window overlap test (the Cmode 2D spatial
 /// binning of paper §4.6).
 fn touches_window(b: &ScreenBound, win: (u32, u32, u32, u32)) -> bool {
@@ -186,14 +178,18 @@ fn touches_window(b: &ScreenBound, win: (u32, u32, u32, u32)) -> bool {
     d2 <= b.radius * b.radius
 }
 
-/// Renders one (sub-)view through Stages II–IV with cross-stage
-/// conditional group skipping. Pure function of its inputs — the unit of
-/// parallelism of the Gaussian-wise schedule under Compatibility Mode.
-fn render_window(ctx: &WindowContext<'_>, win: (u32, u32, u32, u32)) -> WindowOutcome {
+/// Renders one (sub-)view into `work.patch` through Stages II–IV with
+/// cross-stage conditional group skipping. Returns the window's additive
+/// stats and leaves the ids of the Gaussians that contributed in
+/// `work.rendered` (merged by OR into the frame set). Pure function of its
+/// inputs — the unit of parallelism of the Gaussian-wise schedule under
+/// Compatibility Mode.
+fn render_window(
+    ctx: &WindowContext<'_>,
+    win: (u32, u32, u32, u32),
+    work: &mut BlendScratch,
+) -> FrameStats {
     let cfg = ctx.cfg;
-    // The alpha kernels implement exactly `ExpMode::Exact`; the LUT
-    // datapath keeps the per-pixel loop.
-    let exact = matches!(cfg.exp, ExpMode::Exact);
     let subcam = ctx.cam.sub_view(win.0, win.1, win.2, win.3);
     let grid = BlockGrid::new(cfg.block, win.2, win.3);
     let mut tracer = BlockTracer::new(grid);
@@ -217,17 +213,22 @@ fn render_window(ctx: &WindowContext<'_>, win: (u32, u32, u32, u32)) -> WindowOu
     // (a terminated block's pixels reject every blend), so the
     // cross-stage skip stays crop-exact.
     let mut live_blocks = (0..grid.block_count()).filter(|&b| block_in_roi(b)).count();
-    let mut patch = PixelPatch::new(win.0, win.1, win.2, win.3);
+    // Non-terminated pixels per block: what the Alpha Unit evaluates when
+    // the block is dispatched, and zero exactly when the block's T-mask
+    // bit may be set.
+    let mut live_pixels: Vec<u32> = (0..grid.block_count())
+        .map(|b| {
+            let (bx0, by0, bx1, by1) = grid.block_rect(b);
+            ((bx1 - bx0) * (by1 - by0)) as u32
+        })
+        .collect();
+    let BlendScratch {
+        patch, rendered, ..
+    } = work;
+    patch.reset(win.0, win.1, win.2, win.3, cfg.block);
     let mut stats = FrameStats::default();
-    let mut rendered = Vec::new();
     let mut blocks_buf: Vec<usize> = Vec::new();
     let mut survivors: Vec<ProjectedGaussian> = Vec::new();
-    // One batch reused across Gaussians: each Gaussian's live pixels over
-    // its whole dispatched block list feed a single alpha-kernel pass
-    // instead of one ≤8 px row at a time. `block_segs` remembers which
-    // segment range belongs to which block for the per-block sweep.
-    let mut batch = dispatch::AlphaBatch::new();
-    let mut block_segs: Vec<(usize, usize, usize)> = Vec::new();
 
     for group in ctx.groups.iter() {
         // Cross-stage conditional skip: the rendering termination
@@ -294,92 +295,31 @@ fn render_window(ctx: &WindowContext<'_>, win: (u32, u32, u32, u32)) -> WindowOu
             }
             stages::shade_one_deg(p, &ctx.gaussians[p.id as usize], &subcam, cfg.sh_degree);
 
+            // Blend the dispatched blocks row by row. `alpha_lane_evals`
+            // keeps its per-pixel meaning: evaluations the hardware Alpha
+            // Unit performs, i.e. the block's non-terminated lanes.
             let mut contributed = false;
-            if exact {
-                // Kernel path, phase 1: record every block row's powers
-                // branchlessly across the Gaussian's *entire* dispatched
-                // block list — blocks are disjoint pixel sets, so one
-                // kernel pass covers the whole footprint; liveness is
-                // re-read in the sweep (a pixel's termination state can't
-                // change before this Gaussian's own blend reaches it).
-                // Per-block span ranges are snapshotted so the sweep can
-                // keep block-local `all_terminated` logic.
-                batch.clear();
-                block_segs.clear();
-                for &b in &blocks_buf {
-                    let (bx0, by0, bx1, by1) = grid.block_rect(b);
-                    let s0 = batch.seg_count();
-                    for y in by0..by1 {
-                        let mut alpha_row = RowAlpha::new(p, bx0, y);
-                        batch.collect_row(&mut alpha_row, y, bx0, (bx1 - bx0) as usize);
-                    }
-                    block_segs.push((b, s0, batch.seg_count()));
-                }
-                // Phases 2+3: one dispatched alpha-kernel pass (scalar or
-                // SIMD, bit-identical), then the per-pixel blend sweep.
-                // Sound because this Gaussian touches each pixel once. The
-                // `alpha_lane_evals` counter keeps its per-pixel meaning
-                // (evaluations the hardware Alpha Unit performs, i.e.
-                // non-terminated lanes).
-                batch.eval(ctx.kernels);
-                let pw = patch.w as usize;
-                let px = patch.states_mut();
-                for &(b, s0, s1) in &block_segs {
-                    let mut all_terminated = true;
-                    for (y, x, alphas) in batch.segments_in(s0..s1) {
-                        let off = y as usize * pw + x as usize;
-                        for (st, &a) in px[off..off + alphas.len()].iter_mut().zip(alphas) {
-                            if st.terminated() {
-                                continue;
-                            }
-                            stats.alpha_lane_evals += 1;
-                            if a > cfg.alpha_min {
-                                st.blend(a, p.color);
-                                stats.pixels_blended += 1;
-                                contributed = true;
-                            }
-                            if !st.terminated() {
-                                all_terminated = false;
-                            }
-                        }
-                    }
-                    if all_terminated && !tmask.is_set(b) {
-                        tmask.set(b);
-                        live_blocks -= 1;
-                    }
-                }
-            } else {
-                for &b in &blocks_buf {
-                    let (bx0, by0, bx1, by1) = grid.block_rect(b);
-                    let mut all_terminated = true;
-                    for y in by0..by1 {
-                        // Row-incremental alpha across the 8-px block row:
-                        // the conic quadratic form runs once, then two
-                        // adds/pixel.
-                        let mut alpha_row = RowAlpha::new(p, bx0, y);
-                        let row = patch.row_mut(y as u32);
-                        for st in &mut row[bx0 as usize..bx1 as usize] {
-                            if st.terminated() {
-                                alpha_row.advance();
-                                continue;
-                            }
-                            stats.alpha_lane_evals += 1;
-                            let a = alpha_row.alpha(&cfg.exp);
-                            if a > cfg.alpha_min {
-                                st.blend(a, p.color);
-                                stats.pixels_blended += 1;
-                                contributed = true;
-                            }
-                            if !st.terminated() {
-                                all_terminated = false;
-                            }
-                            alpha_row.advance();
-                        }
-                    }
-                    if all_terminated && !tmask.is_set(b) {
-                        tmask.set(b);
-                        live_blocks -= 1;
-                    }
+            for &b in &blocks_buf {
+                let (bx0, by0, bx1, by1) = grid.block_rect(b);
+                stats.alpha_lane_evals += u64::from(live_pixels[b]);
+                // Row-incremental alpha across each block row: the conic
+                // quadratic form runs once, then two adds/pixel.
+                let counts = patch.blend_rows(
+                    b,
+                    p,
+                    (bx0, by0),
+                    0..(by1 - by0) as u32,
+                    |_| (0, (bx1 - bx0) as u32),
+                    cfg.alpha_min,
+                    &cfg.exp,
+                    ctx.kernels,
+                );
+                stats.pixels_blended += u64::from(counts.blended);
+                contributed |= counts.blended > 0;
+                live_pixels[b] -= counts.terminated;
+                if live_pixels[b] == 0 && !tmask.is_set(b) {
+                    tmask.set(b);
+                    live_blocks -= 1;
                 }
             }
             if contributed {
@@ -389,11 +329,7 @@ fn render_window(ctx: &WindowContext<'_>, win: (u32, u32, u32, u32)) -> WindowOu
         }
     }
 
-    WindowOutcome {
-        patch,
-        stats,
-        rendered,
-    }
+    stats
 }
 
 /// Renders a frame with the GCC Gaussian-wise dataflow, sequentially (the
@@ -525,34 +461,21 @@ pub fn render_gaussian_wise_job(
         kernels,
         roi,
     };
-    let outcomes = par_map_indexed(windows.len(), threads, |wi| {
-        render_window(&ctx, windows[wi])
-    });
-
-    // ---- Merge in window order: patches are disjoint, counters additive,
-    // contributor sets OR-combined. ----
-    // A fresh PixelState resolves to exactly the background (T = 1, no
-    // color), so the frame is pre-filled directly (windows tile the whole
-    // image; the fill is only visible if a window produces no patch).
-    let (out_w, out_h, origin_x, origin_y) = match &roi {
-        Some(r) => (r.width, r.height, r.x0, r.y0),
-        None => (w, h, 0, 0),
-    };
-    let mut image = Image::filled(out_w, out_h, cfg.background);
-    let mut rendered_anywhere = vec![false; gaussians.len()];
-    for outcome in &outcomes {
-        stats.merge_add(&outcome.stats);
-        outcome
-            .patch
-            .resolve_into_clipped(&mut image, cfg.background, origin_x, origin_y);
-        for &id in &outcome.rendered {
-            rendered_anywhere[id as usize] = true;
-        }
-    }
-    stats.rendered = rendered_anywhere.iter().filter(|&&b| b).count() as u64;
+    let rendered = stages::render_units(
+        windows.len(),
+        threads,
+        &mut scratch.workers,
+        (w, h),
+        roi.as_ref(),
+        cfg.background,
+        gaussians.len(),
+        |wi, work| render_window(&ctx, windows[wi], work),
+    );
+    stats.merge_add(&rendered.stats);
+    stats.rendered = rendered.rendered;
 
     GaussianWiseOutput {
-        image,
+        image: rendered.image,
         stats,
         group_sizes,
     }

@@ -1,10 +1,11 @@
 //! Reusable per-frame working memory for the hot path.
 //!
 //! A frame render needs several transient buffers — depth keys, the radix
-//! ping-pong arrays, footprint rectangles, CSR tile bins, Stage I depths.
-//! Allocating them per frame is pure overhead in batch workloads (a
-//! trajectory render re-creates them hundreds of times), so they live in
-//! one [`FrameScratch`] that callers thread through
+//! ping-pong arrays, footprint rectangles, CSR tile bins, Stage I depths,
+//! the workers' SoA pixel patches. Allocating them per frame is pure
+//! overhead in batch workloads (a trajectory render re-creates them
+//! hundreds of times), so they live in one [`FrameScratch`] that callers
+//! thread through
 //! [`crate::pipeline::Renderer::render_frame_reusing`]. The trajectory
 //! runner keeps one scratch per worker thread.
 //!
@@ -16,7 +17,7 @@
 use gcc_core::bounds::PixelRect;
 use gcc_core::{Camera, Gaussian3D, ProjectedGaussian};
 
-use super::stages::TileBins;
+use super::stages::{BlendScratch, TileBins};
 
 /// Struct-of-arrays view of the post-cull survivors: the per-survivor
 /// fields the vectorized stages stream over, packed into contiguous
@@ -109,6 +110,9 @@ pub struct FrameScratch {
     pub(crate) depths: Vec<f32>,
     /// SoA survivor fields streamed by the vectorized stages.
     pub(crate) soa: SurvivorSoa,
+    /// Per-worker blending scratch (pixel patches, index lists), leased
+    /// to the tile/window workers of a frame and returned warm.
+    pub(crate) workers: Vec<BlendScratch>,
 }
 
 impl FrameScratch {

@@ -17,35 +17,42 @@
 //!   over survivors or over per-tile index lists,
 //! * [`partition_windows`] — Compatibility-Mode sub-view partitioning,
 //! * [`PixelPatch`] — a rectangular tile/window of blending state that a
-//!   worker owns exclusively, resolved into the frame at merge time.
+//!   worker owns exclusively, and [`PixelPatch::blend_rows`], the one
+//!   blend loop: the schedules decide which row spans of which Gaussians
+//!   reach it and in what order, never how a span is blended.
 //!
 //! Every function here is deterministic and free of interior ordering
 //! choices, which is what makes the parallel engine's output bit-identical
 //! to the sequential schedules.
 
-use gcc_core::alpha::PixelState;
+use std::sync::Mutex;
+
+use gcc_core::alpha::{ExpMode, PixelState, RowAlpha, PAD_POWER};
 use gcc_core::bounds::{BoundingLaw, PixelRect};
-use gcc_core::dispatch::KernelSet;
+use gcc_core::dispatch::{BlendCounts, KernelSet, PixelLanes, BLEND_LANES};
 use gcc_core::projection::{map_color, map_color_deg, project_gaussian};
 use gcc_core::sort::depth_key;
 use gcc_core::{Camera, Gaussian3D, ProjectedGaussian};
 use gcc_math::Vec3;
 use gcc_parallel::{
-    exclusive_prefix_sum, par_chunks_mut, par_filter_map_chunked, radix_sort_indices_into,
+    exclusive_prefix_sum, par_chunks_mut, par_filter_map_chunked, par_map_indexed_with,
+    radix_sort_indices_into,
 };
 
+use super::{FrameStats, Roi};
 use crate::Image;
 
 // Rough per-item costs, in nanoseconds, that the chunk-parallel stages
 // quote to `gcc-parallel`'s work floor — from the benchmark's traced Lego
-// frame (`gcc-render.project_ms` 0.97, `shade_ms` 0.28, `footprint_ms`
-// 0.19 over 8.5 k survivors; `gcc-core.depth_keys_ns_per_elem` 0.13). A
+// frame (`gcc-render.project_ms` 0.64, `shade_ms` 0.12, `footprint_ms`
+// 0.13 over 8.5 k survivors; `gcc-core.depth_keys_ns_per_elem` 0.12). A
 // stage whose share per thread is too small to pay for a helper thread
-// runs inline, so at a frame's sizes only projection is shared out.
-const PROJECT_NS: u32 = 110;
-const SHADE_NS: u32 = 33;
+// runs inline, so only projection is ever shared out, and only from
+// about 11 k Gaussians up.
+const PROJECT_NS: u32 = 75;
+const SHADE_NS: u32 = 15;
 /// One footprint: an AABB from a circle, or an OBB from a covariance.
-pub(crate) const FOOTPRINT_NS: u32 = 22;
+pub(crate) const FOOTPRINT_NS: u32 = 15;
 const VIEW_DEPTH_NS: u32 = 3;
 const DEPTH_KEY_NS: u32 = 1;
 
@@ -397,11 +404,20 @@ pub fn partition_windows(w: u32, h: u32, subview: Option<u32>) -> Vec<(u32, u32,
 }
 
 /// A rectangle of per-pixel blending state owned exclusively by one work
-/// unit (a tile or a Cmode window). Workers blend into their patch;
-/// the frame driver resolves patches into the output image in work-unit
-/// order — the merge is trivially deterministic because patches never
-/// overlap.
-#[derive(Debug, Clone)]
+/// unit (a tile or a Cmode window), as struct-of-arrays pixel tiles: one
+/// plane per accumulated color channel and one for transmittance, stored
+/// block by block (the standard schedule's one 16×16 tile, the
+/// Gaussian-wise schedule's 8×8 PE-array blocks) with each block row
+/// padded to whole [`BLEND_LANES`] groups. A block is therefore one
+/// contiguous run of every plane, and the blend kernel always sees full
+/// groups. Workers blend into their patch through [`Self::blend_rows`] —
+/// the one blend loop both schedules share — and resolve it into the
+/// output image when the unit is done; patches never overlap, so the
+/// frame is the same whatever order units finish in.
+///
+/// A patch is reusable capacity: [`Self::reset`] re-targets it without
+/// reallocating once its planes have grown to the largest unit.
+#[derive(Debug, Clone, Default)]
 pub struct PixelPatch {
     /// Frame-space x of the patch's left edge.
     pub x0: u32,
@@ -411,103 +427,179 @@ pub struct PixelPatch {
     pub w: u32,
     /// Patch height in pixels.
     pub h: u32,
-    states: Vec<PixelState>,
+    /// Block edge in pixels; blocks are numbered row-major like
+    /// [`gcc_core::boundary::BlockGrid`]'s.
+    block: u32,
+    blocks_x: u32,
+    /// Lanes per block row: `block` rounded up to whole groups.
+    row_lanes: usize,
+    r: Vec<f32>,
+    g: Vec<f32>,
+    b: Vec<f32>,
+    /// Transmittance; lanes that are no pixel of the patch hold 0
+    /// (terminated), so nothing can blend into them.
+    t: Vec<f32>,
+    /// One block's worth of lanes: the powers, then alphas, of the
+    /// Gaussian being blended ([`Self::blend_rows`]).
+    powers: Vec<f32>,
 }
 
 impl PixelPatch {
-    /// Fresh (fully transparent) patch covering `[x0, x0+w) × [y0, y0+h)`.
-    pub fn new(x0: u32, y0: u32, w: u32, h: u32) -> Self {
-        Self {
-            x0,
-            y0,
-            w,
-            h,
-            states: vec![PixelState::new(); (w as usize) * (h as usize)],
+    /// Fresh (fully transparent) patch covering `[x0, x0+w) × [y0, y0+h)`
+    /// in blocks of edge `block`.
+    pub fn new(x0: u32, y0: u32, w: u32, h: u32, block: u32) -> Self {
+        let mut patch = Self::default();
+        patch.reset(x0, y0, w, h, block);
+        patch
+    }
+
+    /// Re-targets the patch at `[x0, x0+w) × [y0, y0+h)`, stored in blocks
+    /// of edge `block`, with every pixel fresh: black, fully transmissive.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `block` is zero.
+    pub fn reset(&mut self, x0: u32, y0: u32, w: u32, h: u32, block: u32) {
+        assert!(block > 0, "block edge must be positive");
+        (self.x0, self.y0, self.w, self.h, self.block) = (x0, y0, w, h, block);
+        self.blocks_x = w.div_ceil(block);
+        self.row_lanes = (block as usize).next_multiple_of(BLEND_LANES);
+        let lanes = (self.blocks_x * h.div_ceil(block)) as usize * self.block_lanes();
+        for plane in [&mut self.r, &mut self.g, &mut self.b, &mut self.t] {
+            plane.clear();
+            plane.resize(lanes, 0.0);
         }
+        self.powers.resize(self.block_lanes(), PAD_POWER);
+        for by in 0..h.div_ceil(block) {
+            let rows = block.min(h - by * block) as usize;
+            for bx in 0..self.blocks_x {
+                let cols = block.min(w - bx * block) as usize;
+                let base = (by * self.blocks_x + bx) as usize * self.block_lanes();
+                for row in 0..rows {
+                    let at = base + row * self.row_lanes;
+                    self.t[at..at + cols].fill(1.0);
+                }
+            }
+        }
+    }
+
+    /// Lanes one block occupies in every plane.
+    fn block_lanes(&self) -> usize {
+        self.row_lanes * self.block as usize
+    }
+
+    /// Plane index of the patch-local pixel `(x, y)`.
+    fn lane(&self, x: u32, y: u32) -> usize {
+        let block = (y / self.block * self.blocks_x + x / self.block) as usize;
+        block * self.block_lanes()
+            + (y % self.block) as usize * self.row_lanes
+            + (x % self.block) as usize
     }
 
     /// Blending state of the patch-local pixel `(x, y)`.
     ///
     /// # Panics
     ///
-    /// Panics when `(x, y)` is outside the patch. The check is
-    /// unconditional: a wrapped index could still land inside `states`
-    /// and silently blend the wrong pixel, and this accessor is the
-    /// module's safety seam for future schedules.
-    pub fn state_mut(&mut self, x: u32, y: u32) -> &mut PixelState {
-        assert!(x < self.w && y < self.h, "pixel ({x},{y}) outside patch");
-        &mut self.states[(y * self.w + x) as usize]
-    }
-
-    /// Shared view of the patch-local pixel `(x, y)`.
-    ///
-    /// # Panics
-    ///
     /// Panics when `(x, y)` is outside the patch.
-    pub fn state(&self, x: u32, y: u32) -> &PixelState {
+    pub fn state(&self, x: u32, y: u32) -> PixelState {
         assert!(x < self.w && y < self.h, "pixel ({x},{y}) outside patch");
-        &self.states[(y * self.w + x) as usize]
+        let i = self.lane(x, y);
+        PixelState {
+            color: Vec3::new(self.r[i], self.g[i], self.b[i]),
+            transmittance: self.t[i],
+        }
     }
 
-    /// Mutable view of one patch-local pixel row — the blend loops' bulk
-    /// accessor: one bounds check per row instead of an asserting
-    /// per-pixel [`Self::state_mut`] call.
+    /// Blends the projected Gaussian `p`, front to back, into rows `rows`
+    /// of block `block` — the blend loop of every schedule. `span_of(y)`
+    /// names the block-local columns `[x0, x1)` of row `y` that can
+    /// contribute (empty when `x0 >= x1`); it is called once per row, in
+    /// row order, so it may walk its spans incrementally. `origin` is the
+    /// block's first pixel in `p`'s coordinates.
+    ///
+    /// Three phases over the block's power tile, whose rows are contiguous:
+    /// per row, the scalar forward-difference chain ([`RowAlpha`], started
+    /// at the span's first pixel) fills the span's lanes and
+    /// [`PAD_POWER`] the others; one pass turns the touched rows into
+    /// alphas (`kernels.alpha_powers` for [`ExpMode::Exact`], the LUT per
+    /// lane otherwise); one `kernels.blend_span` call blends them into the
+    /// planes. Lanes outside a span reach the kernel as `α = 0` and leave
+    /// their pixels as they were. Keeping the rows of a Gaussian in one
+    /// loop lets their independent span solves and chains overlap, and
+    /// gives each kernel a run of whole rows instead of a handful of
+    /// lanes. A negative `alpha_min` means 0 (the intrinsic `1/255` cutoff
+    /// alone): padding relies on `α = 0` never passing the mask.
     ///
     /// # Panics
     ///
-    /// Panics when `y` is outside the patch.
-    pub fn row_mut(&mut self, y: u32) -> &mut [PixelState] {
-        assert!(y < self.h, "row {y} outside patch");
-        let w = self.w as usize;
-        &mut self.states[y as usize * w..(y as usize + 1) * w]
-    }
-
-    /// The whole backing store, row-major (`w` pixels per row). The batch
-    /// blend sweeps address row spans as `y·w + x` directly into this
-    /// slice — one offset and one bounds check per span instead of
-    /// [`row_mut`](Self::row_mut)'s assert-plus-reslice.
-    pub fn states_mut(&mut self) -> &mut [PixelState] {
-        &mut self.states
+    /// Panics when a row or a span leaves the block.
+    // One argument per input of a blend (where, what, how): a struct
+    // would only rename them.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn blend_rows(
+        &mut self,
+        block: usize,
+        p: &ProjectedGaussian,
+        origin: (i32, i32),
+        rows: std::ops::Range<u32>,
+        mut span_of: impl FnMut(u32) -> (u32, u32),
+        alpha_min: f32,
+        exp: &ExpMode,
+        kernels: &KernelSet,
+    ) -> BlendCounts {
+        assert!(rows.end <= self.block, "rows {rows:?} outside their block");
+        let alpha_min = alpha_min.max(0.0);
+        let row_lanes = self.row_lanes;
+        // Lane range of the rows from the first to the last non-empty one.
+        let mut touched: Option<(usize, usize)> = None;
+        for y in rows {
+            let (x0, x1) = span_of(y);
+            let at = y as usize * row_lanes;
+            if x0 >= x1 {
+                if touched.is_some() {
+                    self.powers[at..at + row_lanes].fill(PAD_POWER);
+                }
+                continue;
+            }
+            assert!(x1 <= self.block, "span [{x0},{x1}) outside its block");
+            let lanes = &mut self.powers[at..at + row_lanes];
+            lanes.fill(PAD_POWER);
+            let mut row = RowAlpha::new(p, origin.0 + x0 as i32, origin.1 + y as i32);
+            for slot in &mut lanes[x0 as usize..x1 as usize] {
+                *slot = row.power();
+                row.advance();
+            }
+            touched = Some((touched.map_or(at, |(first, _)| first), at + row_lanes));
+        }
+        let Some((first, end)) = touched else {
+            return BlendCounts::default();
+        };
+        let base = block * self.block_lanes();
+        let alphas = &mut self.powers[first..end];
+        match exp {
+            ExpMode::Exact => (kernels.alpha_powers)(alphas),
+            ExpMode::Lut(_) => alphas.iter_mut().for_each(|a| *a = exp.alpha(*a)),
+        }
+        let lanes = base + first..base + end;
+        (kernels.blend_span)(
+            alphas,
+            [p.color.x, p.color.y, p.color.z],
+            alpha_min,
+            PixelLanes {
+                r: &mut self.r[lanes.clone()],
+                g: &mut self.g[lanes.clone()],
+                b: &mut self.b[lanes.clone()],
+                t: &mut self.t[lanes],
+            },
+        )
     }
 
     /// Resolves every pixel against `background` and writes the patch into
-    /// its frame-space rectangle of `image`, walking the `states` buffer
-    /// row by row (one offset computation per row — this runs for every
-    /// pixel of every tile/window merge).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the patch extends past the image.
-    pub fn resolve_into(&self, image: &mut Image, background: Vec3) {
-        assert!(
-            self.x0 + self.w <= image.width() && self.y0 + self.h <= image.height(),
-            "patch {}x{}@({},{}) exceeds image {}x{}",
-            self.w,
-            self.h,
-            self.x0,
-            self.y0,
-            image.width(),
-            image.height()
-        );
-        if self.w == 0 || self.h == 0 {
-            return;
-        }
-        let iw = image.width() as usize;
-        let (x0, y0, w) = (self.x0 as usize, self.y0 as usize, self.w as usize);
-        let pixels = image.pixels_mut();
-        for (y, row) in self.states.chunks_exact(w).enumerate() {
-            let dst = &mut pixels[(y0 + y) * iw + x0..][..w];
-            for (d, s) in dst.iter_mut().zip(row) {
-                *d = s.resolve(background);
-            }
-        }
-    }
-
-    /// [`Self::resolve_into`] for an image covering only the frame-space
-    /// window starting at `(origin_x, origin_y)` (e.g. a region-of-interest
-    /// output): writes the intersection of the patch with the window,
-    /// silently clipping the rest. With origin `(0, 0)` and a full-frame
-    /// image this resolves exactly the patch rectangle.
+    /// `image`, which covers the frame-space window starting at
+    /// `(origin_x, origin_y)` (the whole frame, or a region-of-interest
+    /// output): the intersection of the patch with the window is written,
+    /// the rest silently clipped.
     pub fn resolve_into_clipped(
         &self,
         image: &mut Image,
@@ -523,18 +615,165 @@ impl PixelPatch {
         if ox0 >= ox1 || oy0 >= oy1 {
             return;
         }
-        let w = (ox1 - ox0) as usize;
         let iw = image.width() as usize;
         let pixels = image.pixels_mut();
+        let (first_block, first_col) = ((ox0 - self.x0) / self.block, (ox0 - self.x0) % self.block);
         for y in oy0..oy1 {
-            let src_off = ((y - self.y0) as usize) * self.w as usize + (ox0 - self.x0) as usize;
-            let dst_off = ((y - origin_y) as usize) * iw + (ox0 - origin_x) as usize;
-            let src = &self.states[src_off..src_off + w];
-            let dst = &mut pixels[dst_off..dst_off + w];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = s.resolve(background);
+            let ly = y - self.y0;
+            let row_base = (ly / self.block * self.blocks_x) as usize * self.block_lanes()
+                + (ly % self.block) as usize * self.row_lanes;
+            // One run per block the row crosses.
+            let mut dst_off = ((y - origin_y) as usize) * iw + (ox0 - origin_x) as usize;
+            let (mut block, mut col, mut left) = (first_block as usize, first_col, ox1 - ox0);
+            while left > 0 {
+                let run = (self.block - col).min(left) as usize;
+                let src = row_base + block * self.block_lanes() + col as usize;
+                let dst = &mut pixels[dst_off..dst_off + run];
+                let (r, g, b, t) = (
+                    &self.r[src..src + run],
+                    &self.g[src..src + run],
+                    &self.b[src..src + run],
+                    &self.t[src..src + run],
+                );
+                for (i, d) in dst.iter_mut().enumerate() {
+                    // `PixelState::resolve`: C + background · T.
+                    *d = Vec3::new(r[i], g[i], b[i]) + background * t[i];
+                }
+                dst_off += run;
+                left -= run as u32;
+                (block, col) = (block + 1, 0);
             }
         }
+    }
+}
+
+/// What a tile or window worker keeps between work units and frames: its
+/// pixel patch and the id lists it reports per unit. Pure capacity:
+/// [`render_units`] empties the lists before every unit and the unit
+/// resets the patch.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlendScratch {
+    /// The unit's blending state.
+    pub(crate) patch: PixelPatch,
+    /// Ids the current unit loaded.
+    pub(crate) loaded: Vec<u32>,
+    /// Ids that blended at least one pixel in the current unit.
+    pub(crate) rendered: Vec<u32>,
+}
+
+/// A [`BlendScratch`] on loan from the frame's pool for the length of one
+/// worker: put back when the worker ends, so the next frame finds it warm.
+struct BlendLease<'p, 'a> {
+    pool: &'p Mutex<&'a mut Vec<BlendScratch>>,
+    scratch: BlendScratch,
+}
+
+impl Drop for BlendLease<'_, '_> {
+    fn drop(&mut self) {
+        // A poisoned pool only loses warm capacity; never panic in drop.
+        if let Ok(mut pool) = self.pool.lock() {
+            pool.push(std::mem::take(&mut self.scratch));
+        }
+    }
+}
+
+/// What [`render_units`] returns: the frame and what its units summed to.
+pub(crate) struct UnitsOutcome {
+    /// The output image (the ROI's rectangle under an ROI).
+    pub(crate) image: Image,
+    /// Sum of the units' additive stats.
+    pub(crate) stats: FrameStats,
+    /// Distinct ids some unit reported as loaded.
+    pub(crate) loaded: u64,
+    /// Distinct ids some unit reported as rendered.
+    pub(crate) rendered: u64,
+}
+
+/// Renders `units` disjoint work units (tiles, windows) of a `w × h`
+/// frame on `threads` workers and merges them as they finish — the driver
+/// both schedules share. `render(k, work)` resets `work.patch` to unit
+/// `k` and renders into it, pushes onto `work.loaded` / `work.rendered`
+/// (handed over empty) the ids (below `ids`) it loaded and blended, and
+/// returns the unit's additive stats.
+///
+/// Each worker leases one of the pooled `workers` scratches for all its
+/// units; a finished unit is resolved into the output image (the `roi`
+/// rectangle, or the whole frame) and its id lists OR-ed into the frame
+/// sets under one lock. Patches are disjoint, counters additive and the
+/// sets order-insensitive, so any finishing order gives the sequential
+/// result; a pixel no unit covers resolves to `background`, exactly what
+/// a fresh pixel (T = 1, no color) would.
+// The frame's geometry, the pool and the unit body: a struct would only
+// rename them.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn render_units<F>(
+    units: usize,
+    threads: usize,
+    workers: &mut Vec<BlendScratch>,
+    (w, h): (u32, u32),
+    roi: Option<&Roi>,
+    background: Vec3,
+    ids: usize,
+    render: F,
+) -> UnitsOutcome
+where
+    F: Fn(usize, &mut BlendScratch) -> FrameStats + Sync,
+{
+    struct Merged {
+        image: Image,
+        loaded: Vec<bool>,
+        rendered: Vec<bool>,
+    }
+    let (out_w, out_h, origin_x, origin_y) = match roi {
+        Some(r) => (r.width, r.height, r.x0, r.y0),
+        None => (w, h, 0, 0),
+    };
+    let merged = Mutex::new(Merged {
+        image: Image::filled(out_w, out_h, background),
+        loaded: vec![false; ids],
+        rendered: vec![false; ids],
+    });
+    let pool = Mutex::new(workers);
+    let partials = par_map_indexed_with(
+        units,
+        threads,
+        || BlendLease {
+            pool: &pool,
+            scratch: pool
+                .lock()
+                .expect("the pool lock is only held to push or pop")
+                .pop()
+                .unwrap_or_default(),
+        },
+        |lease, k| {
+            let work = &mut lease.scratch;
+            // Whatever an earlier unit, frame or schedule left behind.
+            work.loaded.clear();
+            work.rendered.clear();
+            let stats = render(k, work);
+            let mut merged = merged.lock().expect("a unit merge panicked");
+            work.patch
+                .resolve_into_clipped(&mut merged.image, background, origin_x, origin_y);
+            for &id in &work.loaded {
+                merged.loaded[id as usize] = true;
+            }
+            for &id in &work.rendered {
+                merged.rendered[id as usize] = true;
+            }
+            stats
+        },
+    );
+    let mut stats = FrameStats::default();
+    for partial in &partials {
+        stats.merge_add(partial);
+    }
+    let merged = merged.into_inner().expect("a unit merge panicked");
+    let count = |flags: &[bool]| flags.iter().filter(|&&f| f).count() as u64;
+    UnitsOutcome {
+        stats,
+        loaded: count(&merged.loaded),
+        rendered: count(&merged.rendered),
+        image: merged.image,
     }
 }
 
@@ -602,12 +841,22 @@ mod tests {
         assert_eq!(partition_windows(100, 60, None), vec![(0, 0, 100, 60)]);
     }
 
+    /// Blends one contribution into patch pixel `(x, y)` through
+    /// `PixelState` — how the tests below seed a patch.
+    fn blend_pixel(patch: &mut PixelPatch, x: u32, y: u32, alpha: f32, color: Vec3) {
+        let mut st = patch.state(x, y);
+        st.blend(alpha, color);
+        let i = patch.lane(x, y);
+        (patch.r[i], patch.g[i], patch.b[i]) = (st.color.x, st.color.y, st.color.z);
+        patch.t[i] = st.transmittance;
+    }
+
     #[test]
     fn pixel_patch_resolves_into_frame_rect() {
-        let mut patch = PixelPatch::new(2, 1, 3, 2);
-        patch.state_mut(0, 0).blend(0.9, Vec3::new(1.0, 0.0, 0.0));
+        let mut patch = PixelPatch::new(2, 1, 3, 2, 16);
+        blend_pixel(&mut patch, 0, 0, 0.9, Vec3::new(1.0, 0.0, 0.0));
         let mut img = Image::new(8, 4);
-        patch.resolve_into(&mut img, Vec3::splat(0.5));
+        patch.resolve_into_clipped(&mut img, Vec3::splat(0.5), 0, 0);
         // Blended pixel lands at frame (2, 1).
         assert!(img.get(2, 1).x > 0.8);
         // Untouched patch pixels resolve to background…
@@ -618,13 +867,13 @@ mod tests {
 
     #[test]
     fn clipped_resolve_matches_full_resolve_on_the_overlap() {
-        let mut patch = PixelPatch::new(4, 2, 6, 5);
-        patch.state_mut(1, 1).blend(0.8, Vec3::new(0.0, 1.0, 0.0));
-        patch.state_mut(5, 4).blend(0.6, Vec3::new(1.0, 0.0, 0.0));
+        let mut patch = PixelPatch::new(4, 2, 6, 5, 4);
+        blend_pixel(&mut patch, 1, 1, 0.8, Vec3::new(0.0, 1.0, 0.0));
+        blend_pixel(&mut patch, 5, 4, 0.6, Vec3::new(1.0, 0.0, 0.0));
         let bg = Vec3::splat(0.25);
         // Full-frame reference.
         let mut full = Image::new(16, 12);
-        patch.resolve_into(&mut full, bg);
+        patch.resolve_into_clipped(&mut full, bg, 0, 0);
         // Window covering frame rect [6, 14) x [3, 8): overlaps the patch
         // partially on the left/top.
         let mut win = Image::filled(8, 5, Vec3::ZERO);
@@ -754,11 +1003,225 @@ mod tests {
         assert!(bins.bin(3).is_empty());
     }
 
+    fn wide_gaussian() -> ProjectedGaussian {
+        let cov = gcc_math::SymMat2::new(60.0, 9.0, 14.0);
+        ProjectedGaussian {
+            id: 0,
+            mean2d: gcc_math::Vec2::new(19.3, 2.2),
+            cov2d: cov,
+            conic: cov.inverse().unwrap(),
+            depth: 1.0,
+            opacity: 0.93,
+            ln_opacity: 0.93f32.ln(),
+            radius: 24.0,
+            color: Vec3::new(0.8, 0.3, 0.1),
+        }
+    }
+
+    /// A `w × h` patch in blocks of `block` whose pixels are terminated in
+    /// a fixed scatter, and the same pixels as a row-major reference.
+    fn scattered_patch(w: u32, h: u32, block: u32) -> (PixelPatch, Vec<PixelState>) {
+        let mut patch = PixelPatch::new(5, 7, w, h, block);
+        let mut states = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                if (x * 7 + y * 3) % 5 == 0 {
+                    // Opaque enough to terminate the pixel.
+                    for _ in 0..3 {
+                        blend_pixel(&mut patch, x, y, 0.99, Vec3::splat(0.5));
+                    }
+                }
+                states.push(patch.state(x, y));
+            }
+        }
+        (patch, states)
+    }
+
+    /// The loop both renderers carried before the kernel, over pixels
+    /// `[x0, x1)` of row `y` of a `w`-wide reference.
+    fn reference_row(
+        states: &mut [PixelState],
+        w: u32,
+        (y, x0, x1): (u32, u32, u32),
+        p: &ProjectedGaussian,
+        alpha_min: f32,
+        exp: &ExpMode,
+    ) -> BlendCounts {
+        let mut counts = BlendCounts::default();
+        let mut row = RowAlpha::new(p, x0 as i32, y as i32);
+        for x in x0..x1 {
+            let st = &mut states[(y * w + x) as usize];
+            let a = row.alpha(exp);
+            if !st.terminated() && a > alpha_min {
+                st.blend(a, p.color);
+                counts.blended += 1;
+                counts.terminated += u32::from(st.terminated());
+            }
+            row.advance();
+        }
+        counts
+    }
+
+    fn assert_patch_equals(patch: &PixelPatch, want: &[PixelState], what: &str) {
+        for y in 0..patch.h {
+            for x in 0..patch.w {
+                assert_eq!(
+                    patch.state(x, y),
+                    want[(y * patch.w + x) as usize],
+                    "{what} pixel ({x},{y})"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn patch_row_mut_aliases_state_mut() {
-        let mut patch = PixelPatch::new(0, 0, 4, 3);
-        patch.row_mut(1)[2].blend(0.5, Vec3::new(1.0, 0.0, 0.0));
-        assert!(patch.state(2, 1).color.x > 0.4);
-        assert_eq!(patch.row_mut(2).len(), 4);
+    fn blend_rows_matches_the_per_pixel_loop_on_any_span() {
+        // Spans that start and end anywhere in a block row — inside one
+        // lane group, across several, empty, up to the padded edge — over
+        // pixels that are partly terminated, for both
+        // exponential datapaths and every backend: bit-identical to the
+        // per-pixel `RowAlpha::alpha` + `PixelState::blend` loop, counts
+        // included.
+        use gcc_core::dispatch::{available, kernel_set};
+        let p = wide_gaussian();
+        let (w, h) = (37u32, 4u32);
+        for exp in [ExpMode::Exact, ExpMode::lut()] {
+            for alpha_min in [0.0f32, 0.05] {
+                for backend in available() {
+                    let kernels = kernel_set(backend).unwrap();
+                    // One 40-pixel block holds the whole patch.
+                    let (mut patch, mut want) = scattered_patch(w, h, 40);
+                    for span in [
+                        (0u32, 0u32, 37u32),
+                        (1, 3, 7),
+                        (1, 6, 19),
+                        (2, 15, 16),
+                        (2, 17, 17),
+                        (3, 30, 37),
+                        (0, 8, 24),
+                    ] {
+                        let counts = reference_row(&mut want, w, span, &p, alpha_min, &exp);
+                        let (y, x0, x1) = span;
+                        let got = patch.blend_rows(
+                            0,
+                            &p,
+                            (0, 0),
+                            y..y + 1,
+                            |_| (x0, x1),
+                            alpha_min,
+                            &exp,
+                            kernels,
+                        );
+                        assert_eq!(got, counts, "{backend} row {y} [{x0},{x1})");
+                    }
+                    assert_patch_equals(&patch, &want, &format!("{backend} {exp:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blend_rows_matches_the_per_pixel_loop_for_any_block_edge() {
+        // Every block of a patch whose edge blocks are clipped, for block
+        // edges below, at and above the lane-group width.
+        use gcc_core::dispatch::{available, kernel_set};
+        let p = wide_gaussian();
+        let (w, h) = (37u32, 11u32);
+        for block in [3u32, 8, 12, 16, 72] {
+            for exp in [ExpMode::Exact, ExpMode::lut()] {
+                for backend in available() {
+                    let kernels = kernel_set(backend).unwrap();
+                    let (mut patch, mut want) = scattered_patch(w, h, block);
+                    let blocks_x = w.div_ceil(block);
+                    for b in 0..blocks_x * h.div_ceil(block) {
+                        let (bx0, by0) = (b % blocks_x * block, b / blocks_x * block);
+                        let (bx1, by1) = ((bx0 + block).min(w), (by0 + block).min(h));
+                        let mut counts = BlendCounts::default();
+                        for y in by0..by1 {
+                            let row = reference_row(&mut want, w, (y, bx0, bx1), &p, 0.0, &exp);
+                            counts.blended += row.blended;
+                            counts.terminated += row.terminated;
+                        }
+                        let got = patch.blend_rows(
+                            b as usize,
+                            &p,
+                            (bx0 as i32, by0 as i32),
+                            0..by1 - by0,
+                            |_| (0, bx1 - bx0),
+                            0.0,
+                            &exp,
+                            kernels,
+                        );
+                        assert_eq!(got, counts, "{backend} block {b} of edge {block}");
+                    }
+                    assert_patch_equals(&patch, &want, &format!("{backend} edge {block}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reset_patch_is_fresh_whatever_it_held() {
+        let mut patch = PixelPatch::new(0, 0, 20, 3, 16);
+        blend_pixel(&mut patch, 19, 2, 0.7, Vec3::splat(1.0));
+        patch.reset(4, 4, 9, 2, 8);
+        assert_eq!((patch.x0, patch.y0, patch.w, patch.h), (4, 4, 9, 2));
+        for y in 0..2 {
+            for x in 0..9 {
+                assert_eq!(patch.state(x, y), PixelState::new());
+            }
+        }
+        // Lanes that are no pixel are dead.
+        let live = patch.t.iter().filter(|&&t| t == 1.0).count();
+        assert_eq!(live, 9 * 2);
+        assert!(patch.t.iter().all(|&t| t == 1.0 || t == 0.0));
+    }
+
+    #[test]
+    fn render_units_merges_disjoint_units_and_returns_scratch_to_the_pool() {
+        // Four 8×8 units of a 16×16 frame reporting ids, the top two
+        // blending a row; more workers than pooled scratches.
+        let p = wide_gaussian();
+        let kernels = gcc_core::dispatch::active();
+        let mut pooled = vec![BlendScratch::default()];
+        for threads in [1usize, 3] {
+            let out = render_units(
+                4,
+                threads,
+                &mut pooled,
+                (16, 16),
+                None,
+                Vec3::splat(0.25),
+                10,
+                |k, work| {
+                    let (ux, uy) = ((k as u32 % 2) * 8, (k as u32 / 2) * 8);
+                    work.patch.reset(ux, uy, 8, 8, 8);
+                    work.loaded.extend([k as u32, 9]);
+                    let counts = work.patch.blend_rows(
+                        0,
+                        &p,
+                        (ux as i32, uy as i32),
+                        2..3,
+                        |_| if k < 2 { (0, 8) } else { (0, 0) },
+                        0.0,
+                        &ExpMode::Exact,
+                        kernels,
+                    );
+                    if counts.blended > 0 {
+                        work.rendered.push(k as u32);
+                    }
+                    FrameStats {
+                        pixels_blended: u64::from(counts.blended),
+                        ..FrameStats::default()
+                    }
+                },
+            );
+            assert_eq!((out.loaded, out.rendered), (5, 2), "threads={threads}");
+            assert_eq!(out.stats.pixels_blended, 16, "threads={threads}");
+            assert_ne!(out.image.get(3, 2), Vec3::splat(0.25));
+            assert_eq!(out.image.get(3, 12), Vec3::splat(0.25));
+            // As many scratches as leases were ever out at once.
+            assert!((1..=threads).contains(&pooled.len()), "threads={threads}");
+        }
     }
 }

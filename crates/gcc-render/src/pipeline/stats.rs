@@ -63,7 +63,11 @@ pub struct FrameStats {
     /// Alpha evaluations an AABB footprint would perform on the same
     /// workload (Table 1 "AABB").
     pub pixels_tested_aabb: u64,
-    /// Alpha evaluations an OBB footprint would perform (Table 1 "OBB").
+    /// Alpha evaluations the OBB footprint performed (Table 1 "OBB").
+    /// Filled only by renders whose footprint *is* the OBB
+    /// (`Footprint::Obb`, e.g. `Schedule::Gscore`), where it equals
+    /// [`Self::pixels_tested`]; an AABB render never walks OBBs and leaves
+    /// it zero.
     pub pixels_tested_obb: u64,
 
     // ---- Gaussian-wise schedule section ----

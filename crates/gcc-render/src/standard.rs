@@ -14,16 +14,19 @@
 //!    a flat CSR layout ([`stages::TileBins`]), so every tile bin is born
 //!    depth-sorted — the GSCore-shaped "ordering is one global key sort"
 //!    formulation, replacing the historical per-tile comparison sorts.
-//!    Pixels are blended front-to-back with early termination and
-//!    row-incremental alpha evaluation ([`RowAlpha`]). A Gaussian
-//!    overlapping `k` tiles is loaded `k` times (the Fig. 2(b)
-//!    redundancy).
+//!    Pixels are blended front-to-back with early termination: per
+//!    (Gaussian, tile) the row spans that can contribute are solved
+//!    analytically ([`EffectiveSpanWalker`], clipped by the OBB walker
+//!    under [`Footprint::Obb`]) and handed to the shared blend loop
+//!    ([`stages::PixelPatch::blend_rows`]). A Gaussian overlapping `k`
+//!    tiles is loaded `k` times (the Fig. 2(b) redundancy).
 //!
 //! Tiles own disjoint pixel rectangles, so the frame engine renders them
 //! in parallel ([`render_standard_with`]): each worker blends into its own
-//! [`stages::PixelPatch`] and reports an additive [`FrameStats`] partial;
-//! the driver merges patches and partials in tile order, which makes the
-//! parallel render bit-identical to the sequential one.
+//! pooled [`stages::PixelPatch`], resolves it into the frame as the tile
+//! finishes and reports an additive [`FrameStats`] partial — disjoint
+//! pixels and additive counters make the parallel render bit-identical to
+//! the sequential one.
 //!
 //! The renderer is instrumented to produce every statistic the paper's
 //! motivation section and evaluation need (Fig. 2, Table 1, Fig. 11/12
@@ -33,14 +36,14 @@
 //! work now happens once globally; the simulator's sort-cost models are
 //! calibrated against that definition.
 
-use gcc_core::alpha::{EffectiveSpanWalker, ExpMode, RowAlpha};
+use gcc_core::alpha::{EffectiveSpanWalker, ExpMode};
 use gcc_core::bounds::{BoundingLaw, Obb, PixelRect};
 use gcc_core::dispatch::{self, Backend, KernelSet};
 use gcc_core::{Camera, Gaussian3D, ProjectedGaussian};
 use gcc_math::Vec3;
-use gcc_parallel::{par_map_chunked, par_map_indexed, Parallelism};
+use gcc_parallel::{par_map_chunked, Parallelism};
 
-use crate::pipeline::stages::{self, PixelPatch};
+use crate::pipeline::stages::{self, BlendScratch};
 use crate::pipeline::{FrameScratch, FrameStats};
 use crate::Image;
 
@@ -141,6 +144,7 @@ pub struct StandardOutput {
 struct TileContext<'a> {
     cfg: &'a StandardConfig,
     projected: &'a [ProjectedGaussian],
+    /// Per-survivor OBBs; empty unless the footprint is [`Footprint::Obb`].
     obbs: &'a [Option<Obb>],
     rects: &'a [PixelRect],
     width: u32,
@@ -150,31 +154,32 @@ struct TileContext<'a> {
     kernels: &'static KernelSet,
 }
 
-/// What one tile render produces: its pixel patch, additive stats, and
-/// the Gaussians it loaded/rendered (merged by OR into the frame sets).
-struct TileOutcome {
-    patch: PixelPatch,
-    stats: FrameStats,
-    loaded: Vec<u32>,
-    rendered: Vec<u32>,
-}
-
-/// Renders one tile: its bin arrives depth-sorted (born that way from the
-/// global ordering + CSR fill), so the worker goes straight to blending
-/// front-to-back with per-tile early termination. Pure function of its
-/// inputs — the unit of parallelism of the standard schedule.
-fn render_tile(ctx: &TileContext<'_>, tile: usize, bin: &[u32]) -> TileOutcome {
+/// Renders one tile into `work.patch`: its bin arrives depth-sorted (born
+/// that way from the global ordering + CSR fill), so the worker goes
+/// straight to blending front-to-back with per-tile early termination.
+/// Returns the tile's additive stats and leaves the Gaussians it loaded
+/// and rendered in `work` (merged by OR into the frame sets). Pure
+/// function of its inputs — the unit of parallelism of the standard
+/// schedule.
+fn render_tile(
+    ctx: &TileContext<'_>,
+    tile: usize,
+    bin: &[u32],
+    work: &mut BlendScratch,
+) -> FrameStats {
     let ts = ctx.cfg.tile_size;
-    // The alpha kernels implement exactly `ExpMode::Exact`; the LUT
-    // datapath keeps the per-pixel loop.
-    let exact = matches!(ctx.cfg.exp, ExpMode::Exact);
     let tx = (tile as u32) % ctx.tiles_x;
     let ty = (tile as u32) / ctx.tiles_x;
     let x0 = (tx * ts) as i32;
     let y0 = (ty * ts) as i32;
     let x1 = ((tx + 1) * ts).min(ctx.width) as i32;
     let y1 = ((ty + 1) * ts).min(ctx.height) as i32;
-    let mut patch = PixelPatch::new(x0 as u32, y0 as u32, (x1 - x0) as u32, (y1 - y0) as u32);
+    let BlendScratch {
+        patch,
+        loaded,
+        rendered,
+    } = work;
+    patch.reset(x0 as u32, y0 as u32, (x1 - x0) as u32, (y1 - y0) as u32, ts);
 
     let mut stats = FrameStats::default();
     // Elements through the depth-ordering stage for this tile. The
@@ -183,15 +188,9 @@ fn render_tile(ctx: &TileContext<'_>, tile: usize, bin: &[u32]) -> TileOutcome {
     // sort-cost models consume, so it is preserved verbatim.
     stats.sort_elements += bin.len() as u64;
 
-    let mut loaded = Vec::new();
-    let mut rendered = Vec::new();
-    let mut active = ((x1 - x0) * (y1 - y0)) as i64;
-    // One batch reused across the whole bin: a Gaussian's live pixels over
-    // its entire tile footprint feed a single alpha-kernel pass, so the
-    // vector width is the footprint (up to 16×16), not one ≤16 px row.
-    let mut batch = dispatch::AlphaBatch::new();
+    let mut active = ((x1 - x0) * (y1 - y0)) as u32;
     for &idx in bin {
-        if active <= 0 {
+        if active == 0 {
             // Tile fully terminated: the remaining KV pairs are never
             // loaded (GSCore's per-tile early termination).
             break;
@@ -208,106 +207,50 @@ fn render_tile(ctx: &TileContext<'_>, tile: usize, bin: &[u32]) -> TileOutcome {
         if rx0 >= rx1 || ry0 >= ry1 {
             continue;
         }
-        let obb = ctx.obbs[idx as usize].as_ref();
-        let mut obb_walker = obb.map(|o| o.span_walker(rx0, rx1, ry0));
+        // Row-analytic work restriction: the footprint test and the alpha
+        // cutoff are solved per row by forward-differenced span walkers
+        // (adds per row, no divisions), so only the span that can
+        // contribute reaches the blend. Counters keep their per-pixel
+        // semantics via bulk adds.
+        let aabb_tests = ((rx1 - rx0) * (ry1 - ry0)) as u64;
+        stats.pixels_tested_aabb += aabb_tests;
+        let mut obb_walker = match ctx.cfg.footprint {
+            Footprint::Aabb => {
+                stats.pixels_tested += aabb_tests;
+                None
+            }
+            // A survivor without an OBB has an empty envelope.
+            Footprint::Obb => Some(ctx.obbs[idx as usize].map(|o| o.span_walker(rx0, rx1, ry0))),
+        };
         let mut alpha_spans = EffectiveSpanWalker::new(p, rx0, rx1, ry0);
-        let mut contributed = false;
-        batch.clear();
-        for y in ry0..ry1 {
-            // Row-analytic work restriction: the footprint tests and the
-            // alpha cutoff are solved per row by forward-differenced span
-            // walkers (adds per row, no divisions), so the pixel loop
-            // walks only the span that can contribute. Counters keep
-            // their per-pixel semantics via bulk adds; pixels inside the
-            // span still run the exact incremental evaluation.
-            stats.pixels_tested_aabb += (rx1 - rx0) as u64;
-            let obb_span = obb_walker.as_mut().map(|w| w.next_span());
-            if let Some((ox0, ox1)) = obb_span {
-                stats.pixels_tested_obb += (ox1 - ox0) as u64;
-            }
-            let (ex0, ex1) = alpha_spans.next_span();
-            let (sx0, sx1) = match ctx.cfg.footprint {
-                Footprint::Aabb => {
-                    stats.pixels_tested += (rx1 - rx0) as u64;
-                    (ex0, ex1)
+        let counts = patch.blend_rows(
+            0,
+            p,
+            (x0, y0),
+            (ry0 - y0) as u32..(ry1 - y0) as u32,
+            |_| {
+                let (mut sx0, mut sx1) = alpha_spans.next_span();
+                if let Some(walker) = &mut obb_walker {
+                    let (ox0, ox1) = walker.as_mut().map_or((rx0, rx0), |w| w.next_span());
+                    let tests = (ox1 - ox0) as u64;
+                    stats.pixels_tested += tests;
+                    stats.pixels_tested_obb += tests;
+                    (sx0, sx1) = (sx0.max(ox0), sx1.min(ox1));
                 }
-                Footprint::Obb => {
-                    let (ox0, ox1) = obb_span.unwrap_or((rx0, rx0));
-                    stats.pixels_tested += (ox1 - ox0) as u64;
-                    (ex0.max(ox0), ex1.min(ox1))
-                }
-            };
-            if sx0 >= sx1 {
-                continue;
-            }
-            // Row-incremental evaluation inside the span: the conic
-            // quadratic form runs once, then two adds per pixel.
-            let mut alpha_row = RowAlpha::new(p, sx0, y);
-            if exact {
-                // Kernel path, phase 1: record the whole span's powers
-                // branchlessly (liveness is re-read in the sweep — a
-                // pixel's termination state can't change before this
-                // Gaussian's own blend reaches it); alphas are evaluated
-                // after the row loop in one kernel pass over the whole
-                // footprint.
-                batch.collect_row(&mut alpha_row, y, sx0, (sx1 - sx0) as usize);
-            } else {
-                let row = patch.row_mut((y - y0) as u32);
-                let span = &mut row[(sx0 - x0) as usize..(sx1 - x0) as usize];
-                for st in span {
-                    if !st.terminated() {
-                        let a = alpha_row.alpha(&ctx.cfg.exp);
-                        if a > ctx.cfg.alpha_min {
-                            st.blend(a, p.color);
-                            stats.pixels_blended += 1;
-                            contributed = true;
-                            if st.terminated() {
-                                active -= 1;
-                            }
-                        }
-                    }
-                    alpha_row.advance();
-                }
-            }
-        }
-        if !batch.is_empty() {
-            // Phases 2+3: one dispatched alpha-kernel pass (scalar or
-            // SIMD, bit-identical), then sweep the spans back into their
-            // pixels with the per-pixel loop's exact liveness/blend/stats
-            // logic (terminated pixels' alphas are discarded unread).
-            // Sound because this Gaussian touches each pixel once: the
-            // blends here cannot invalidate phase 1's termination reads.
-            batch.eval(ctx.kernels);
-            let pw = (x1 - x0) as usize;
-            let px = patch.states_mut();
-            for (y, x, alphas) in batch.segments() {
-                let off = (y - y0) as usize * pw + (x - x0) as usize;
-                for (st, &a) in px[off..off + alphas.len()].iter_mut().zip(alphas) {
-                    if st.terminated() {
-                        continue;
-                    }
-                    if a > ctx.cfg.alpha_min {
-                        st.blend(a, p.color);
-                        stats.pixels_blended += 1;
-                        contributed = true;
-                        if st.terminated() {
-                            active -= 1;
-                        }
-                    }
-                }
-            }
-        }
-        if contributed {
+                // Tile-local; both walkers stay inside `[rx0, rx1)`.
+                ((sx0 - x0) as u32, (sx1 - x0) as u32)
+            },
+            ctx.cfg.alpha_min,
+            &ctx.cfg.exp,
+            ctx.kernels,
+        );
+        active -= counts.terminated;
+        if counts.blended > 0 {
+            stats.pixels_blended += u64::from(counts.blended);
             rendered.push(idx);
         }
     }
-
-    TileOutcome {
-        patch,
-        stats,
-        loaded,
-        rendered,
-    }
+    stats
 }
 
 /// Renders a frame with the standard two-stage tile-wise dataflow,
@@ -406,12 +349,13 @@ pub fn render_standard_job(
         ..FrameStats::default()
     };
 
-    // Precompute OBBs once per projected Gaussian (used for footprint
-    // and/or the Table 1 OBB column).
-    let obbs: Vec<Option<Obb>> =
-        par_map_chunked(&projected, threads, stages::FOOTPRINT_NS, |_, p| {
+    // OBBs once per projected Gaussian, for the footprint that tests them.
+    let obbs: Vec<Option<Obb>> = match cfg.footprint {
+        Footprint::Aabb => Vec::new(),
+        Footprint::Obb => par_map_chunked(&projected, threads, stages::FOOTPRINT_NS, |_, p| {
             Obb::from_cov(p.mean2d, p.cov2d, cfg.law, p.opacity)
-        });
+        }),
+    };
 
     // ---- Global depth ordering: one radix sort over monotone keys,
     // generated from the flat SoA depth array by the dispatched kernel. ----
@@ -470,42 +414,28 @@ pub fn render_standard_job(
     let occupied: Vec<usize> = (0..n_tiles)
         .filter(|&t| bins.count(t) > 0 && in_roi(t))
         .collect();
-    let outcomes = par_map_indexed(occupied.len(), threads, |k| {
-        let t = occupied[k];
-        render_tile(&ctx, t, bins.bin(t))
-    });
 
-    // ---- Merge in tile order: patches are disjoint, counters additive,
-    // loaded/rendered sets OR-combined — all order-insensitive, so the
-    // merge reproduces the sequential render exactly. ----
-    // A fresh PixelState resolves to exactly the background (T = 1, no
-    // color), so unoccupied tiles are pre-filled directly.
-    let (out_w, out_h, origin_x, origin_y) = match &roi {
-        Some(r) => (r.width, r.height, r.x0, r.y0),
-        None => (w, h, 0, 0),
-    };
-    let mut image = Image::filled(out_w, out_h, cfg.background);
-    let mut loaded = vec![false; projected.len()];
-    let mut rendered = vec![false; projected.len()];
-    for outcome in &outcomes {
-        stats.merge_add(&outcome.stats);
-        outcome
-            .patch
-            .resolve_into_clipped(&mut image, cfg.background, origin_x, origin_y);
-        for &idx in &outcome.loaded {
-            loaded[idx as usize] = true;
-        }
-        for &idx in &outcome.rendered {
-            rendered[idx as usize] = true;
-        }
-    }
-    stats.unique_loaded = loaded.iter().filter(|&&b| b).count() as u64;
-    stats.rendered = rendered.iter().filter(|&&b| b).count() as u64;
+    let tiles = stages::render_units(
+        occupied.len(),
+        threads,
+        &mut scratch.workers,
+        (w, h),
+        roi.as_ref(),
+        cfg.background,
+        projected.len(),
+        |k, work| {
+            let t = occupied[k];
+            render_tile(&ctx, t, bins.bin(t), work)
+        },
+    );
+    stats.merge_add(&tiles.stats);
+    stats.unique_loaded = tiles.loaded;
+    stats.rendered = tiles.rendered;
     // Single window: every contributor is invoked exactly once.
     stats.render_invocations = stats.rendered;
 
     StandardOutput {
-        image,
+        image: tiles.image,
         stats,
         projected,
         tile_gaussian_counts,
@@ -656,9 +586,15 @@ mod tests {
                 Vec3::new(t, 1.0 - t, 0.5),
             ));
         }
-        let out = render_reference(&gaussians, &cam);
+        // The OBB column comes from a render that tests OBBs; an AABB
+        // render leaves it empty.
+        let out = render_standard(&gaussians, &cam, &StandardConfig::gscore());
         assert!(out.stats.pixels_tested_aabb >= out.stats.pixels_tested_obb);
+        assert_eq!(out.stats.pixels_tested_obb, out.stats.pixels_tested);
         assert!(out.stats.pixels_tested_obb >= out.stats.pixels_blended);
+        let aabb = render_reference(&gaussians, &cam);
+        assert_eq!(aabb.stats.pixels_tested_aabb, out.stats.pixels_tested_aabb);
+        assert_eq!(aabb.stats.pixels_tested_obb, 0);
     }
 
     #[test]

@@ -3,22 +3,25 @@
 //! The dispatch layer's contract is that every SIMD backend is
 //! *bit-identical* to the scalar reference (see `gcc_core::dispatch`).
 //! These tests pin that contract where it matters — whole frames through
-//! both schedules — by rendering the same scene once per available
-//! backend (via the `backend` config override, so no process-global env
-//! is touched) and across thread counts, and requiring bitwise-equal
-//! images and identical statistics.
+//! both schedules and both exponential datapaths (the LUT computes its
+//! alphas per lane but blends through the same dispatched kernel) — by
+//! rendering the same scene once per available backend (via the `backend`
+//! config override, so no process-global env is touched) and across
+//! thread counts, and requiring bitwise-equal images and identical
+//! statistics.
 //!
 //! CI runs this suite twice: once dispatched (default) and once under
 //! `GCC_FORCE_SCALAR=1` (the `simd-matrix` job). Because the per-backend
 //! pins here compare every supported backend against scalar in-process,
 //! both runs prove the same equality from opposite directions.
 
+use gcc_core::alpha::ExpMode;
 use gcc_core::dispatch::{self, Backend};
 use gcc_core::{Camera, Gaussian3D};
 use gcc_math::Vec3;
 use gcc_parallel::Parallelism;
 use gcc_render::gaussian_wise::{render_gaussian_wise_with, GaussianWiseConfig};
-use gcc_render::standard::{render_standard_with, StandardConfig};
+use gcc_render::standard::{render_standard_with, Footprint, StandardConfig};
 use gcc_render::Image;
 
 fn test_cam() -> Camera {
@@ -73,22 +76,30 @@ fn assert_images_bitwise_equal(a: &Image, b: &Image, what: &str) {
 fn standard_render_is_bit_identical_across_backends_and_threads() {
     let cam = test_cam();
     let g = cloud(400);
-    let scalar_cfg = StandardConfig {
-        backend: Some(Backend::Scalar),
-        ..StandardConfig::default()
-    };
-    let reference = render_standard_with(&g, &cam, &scalar_cfg, Parallelism::Sequential);
-    assert!(reference.stats.rendered > 0, "scene must be non-trivial");
-    for backend in dispatch::available() {
-        for threads in [1usize, 2, 4] {
-            let cfg = StandardConfig {
-                backend: Some(backend),
-                ..StandardConfig::default()
-            };
-            let out = render_standard_with(&g, &cam, &cfg, Parallelism::fixed(threads));
-            let what = format!("standard {backend} threads={threads}");
-            assert_images_bitwise_equal(&reference.image, &out.image, &what);
-            assert_eq!(reference.stats, out.stats, "{what}: stats");
+    // The reference schedule, then GSCore's footprint on the LUT datapath
+    // with a raised alpha floor: every branch around the blend kernel.
+    for (exp, footprint, alpha_min) in [
+        (ExpMode::Exact, Footprint::Aabb, 0.0),
+        (ExpMode::lut(), Footprint::Obb, 0.05),
+    ] {
+        let with_backend = |backend| StandardConfig {
+            backend: Some(backend),
+            exp: exp.clone(),
+            footprint,
+            alpha_min,
+            ..StandardConfig::default()
+        };
+        let scalar_cfg = with_backend(Backend::Scalar);
+        let reference = render_standard_with(&g, &cam, &scalar_cfg, Parallelism::Sequential);
+        assert!(reference.stats.rendered > 0, "scene must be non-trivial");
+        for backend in dispatch::available() {
+            for threads in [1usize, 2, 4] {
+                let cfg = with_backend(backend);
+                let out = render_standard_with(&g, &cam, &cfg, Parallelism::fixed(threads));
+                let what = format!("standard {exp:?} {backend} threads={threads}");
+                assert_images_bitwise_equal(&reference.image, &out.image, &what);
+                assert_eq!(reference.stats, out.stats, "{what}: stats");
+            }
         }
     }
 }
@@ -97,25 +108,29 @@ fn standard_render_is_bit_identical_across_backends_and_threads() {
 fn gaussian_wise_render_is_bit_identical_across_backends_and_threads() {
     let cam = test_cam();
     let g = cloud(300);
-    for subview in [None, Some(48)] {
-        let scalar_cfg = GaussianWiseConfig {
-            backend: Some(Backend::Scalar),
-            subview,
-            ..GaussianWiseConfig::default()
-        };
-        let reference = render_gaussian_wise_with(&g, &cam, &scalar_cfg, Parallelism::Sequential);
-        assert!(reference.stats.rendered > 0, "scene must be non-trivial");
-        for backend in dispatch::available() {
-            for threads in [1usize, 2, 4] {
-                let cfg = GaussianWiseConfig {
-                    backend: Some(backend),
-                    subview,
-                    ..GaussianWiseConfig::default()
-                };
-                let out = render_gaussian_wise_with(&g, &cam, &cfg, Parallelism::fixed(threads));
-                let what = format!("gaussian-wise {backend} subview={subview:?} threads={threads}");
-                assert_images_bitwise_equal(&reference.image, &out.image, &what);
-                assert_eq!(reference.stats, out.stats, "{what}: stats");
+    for exp in [ExpMode::Exact, ExpMode::lut()] {
+        for subview in [None, Some(48)] {
+            let with_backend = |backend| GaussianWiseConfig {
+                backend: Some(backend),
+                exp: exp.clone(),
+                subview,
+                ..GaussianWiseConfig::default()
+            };
+            let scalar_cfg = with_backend(Backend::Scalar);
+            let reference =
+                render_gaussian_wise_with(&g, &cam, &scalar_cfg, Parallelism::Sequential);
+            assert!(reference.stats.rendered > 0, "scene must be non-trivial");
+            for backend in dispatch::available() {
+                for threads in [1usize, 2, 4] {
+                    let cfg = with_backend(backend);
+                    let out =
+                        render_gaussian_wise_with(&g, &cam, &cfg, Parallelism::fixed(threads));
+                    let what = format!(
+                        "gaussian-wise {exp:?} {backend} subview={subview:?} threads={threads}"
+                    );
+                    assert_images_bitwise_equal(&reference.image, &out.image, &what);
+                    assert_eq!(reference.stats, out.stats, "{what}: stats");
+                }
             }
         }
     }
@@ -164,24 +179,4 @@ fn dispatched_default_matches_pinned_scalar() {
     );
     assert_images_bitwise_equal(&gw_scalar.image, &gw_dispatched.image, &what);
     assert_eq!(gw_scalar.stats, gw_dispatched.stats, "{what}: gw stats");
-}
-
-#[test]
-fn lut_datapath_is_untouched_by_backend_pins() {
-    // The LUT exponential keeps the per-pixel path in every backend; the
-    // backend knob must be a no-op there too.
-    let cam = test_cam();
-    let g = cloud(200);
-    let base = GaussianWiseConfig::gcc_hardware();
-    let reference = render_gaussian_wise_with(&g, &cam, &base, Parallelism::Sequential);
-    for backend in dispatch::available() {
-        let cfg = GaussianWiseConfig {
-            backend: Some(backend),
-            ..GaussianWiseConfig::gcc_hardware()
-        };
-        let out = render_gaussian_wise_with(&g, &cam, &cfg, Parallelism::Sequential);
-        let what = format!("lut {backend}");
-        assert_images_bitwise_equal(&reference.image, &out.image, &what);
-        assert_eq!(reference.stats, out.stats, "{what}: stats");
-    }
 }

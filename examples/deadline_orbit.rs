@@ -8,11 +8,16 @@
 //! is using. The rolling per-scene cost model prices a rung only from
 //! frames it has *measured* at that thread count: a cold scene starts at
 //! the miss-proof floor and probes one rung up per frame while the chosen
-//! rung fits, so a relaxed deadline is back at exact rendering on the
-//! fourth frame. Under a deadline that full quality cannot meet the orbit
-//! steps down just far enough (reduced resolution + filtered upscale) and
-//! stays there; once the deadline relaxes the ladder climbs straight back
-//! to exact full-quality rendering, which it has already priced.
+//! rung fits, so a relaxed deadline is back at exact rendering within a
+//! handful of frames — the climb ends on `full`, which on two quiet cores
+//! costs 18–20 ms for this scene and would fit a 33 ms deadline too. The
+//! tight orbit therefore takes its deadline from what `full` was just
+//! measured to cost (0.85×, which full quality cannot meet): the ladder
+//! steps down to the best rung whose measured cost fits with the policy's
+//! margin — `half_res` (reduced resolution + filtered upscale) when its
+//! cost leaves the margin, `coarse` when it sits on the edge — and stays
+//! there; once the deadline relaxes the ladder climbs straight back to
+//! exact full-quality rendering, which it has already priced.
 //!
 //! Run with: `cargo run --release --example deadline_orbit`
 

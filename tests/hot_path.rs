@@ -107,6 +107,33 @@ fn scratch_reuse_is_bit_identical_to_fresh_scratch() {
 }
 
 #[test]
+fn one_scratch_serves_every_schedule_and_scene() {
+    // What a serve worker does: one scratch across batches of different
+    // schedules, scenes and resolutions, in any order. Nothing a frame
+    // leaves in it (pooled patches, id lists sized to another scene) may
+    // reach the next one.
+    let big = scene(ScenePreset::Lego, 0.08);
+    let small = scene(ScenePreset::Train, 0.02);
+    let renderers: Vec<Box<dyn Renderer>> = vec![
+        Box::new(StandardRenderer::reference()),
+        Box::new(GaussianWiseRenderer::default()),
+        Box::new(StandardRenderer::gscore().with_parallelism(Parallelism::fixed(2))),
+        Box::new(GaussianWiseRenderer::gcc_hardware()),
+    ];
+    let mut shared = FrameScratch::new();
+    for round in 0..2 {
+        for (i, r) in renderers.iter().enumerate() {
+            let scene = if (i + round) % 2 == 0 { &big } else { &small };
+            let cam = scene.camera(0.3 * i as f32);
+            let reused = r.render_frame_reusing(&scene.gaussians, &cam, &mut shared);
+            let fresh = r.render_frame(&scene.gaussians, &cam);
+            assert_eq!(reused.image, fresh.image, "{} round {round}", r.name());
+            assert_eq!(reused.stats, fresh.stats, "{} round {round}", r.name());
+        }
+    }
+}
+
+#[test]
 fn trajectory_runner_scratch_threading_stays_deterministic() {
     let scene = scene(ScenePreset::Train, 0.04);
     let renderer = StandardRenderer::reference();
