@@ -5,7 +5,12 @@
 //! (standard tile-wise and GCC Gaussian-wise), each under sequential,
 //! two-thread and auto-threaded intra-frame parallelism, and records
 //! wall-clock frame times together with what ran them: the SIMD backend
-//! the dispatcher selected and the host's thread count. The output is the
+//! the dispatcher selected and the host's thread count. Each scene also
+//! gets two cold-load cells under the same cell schema — `engine:
+//! "load_json"` and `"load_binary"`, the cost of one
+//! `gcc_scene::io::load_scene_file` of that scene's file — so the frame
+//! gate's missing-cell and slower-than-tolerance rules watch scene loads
+//! with no gate code of their own. The output is the
 //! start of the repository's perf trajectory:
 //! every PR that touches the hot path regenerates the file and compares
 //! against the previous run.
@@ -24,12 +29,13 @@
 //! "valid perf record produced". CI compares the record against
 //! `ci/bench_baseline.json` with the `perf_gate` binary.
 
-use std::time::Instant;
+use std::path::Path;
+use std::time::{Duration, Instant};
 
 use gcc_bench::TablePrinter;
 use gcc_parallel::{available_threads, Parallelism};
 use gcc_render::pipeline::{Frame, FrameScratch, GaussianWiseRenderer, Renderer, StandardRenderer};
-use gcc_scene::{Scene, SceneConfig, ScenePreset};
+use gcc_scene::{io, Scene, SceneConfig, ScenePreset};
 
 /// One (scene, scale) point of the sweep.
 struct Case {
@@ -79,6 +85,36 @@ fn time_frames(scene: &Scene, renderer: &dyn Renderer, reps: usize) -> f64 {
         // optimized away.
         assert!(frame.image.width() > 0);
         best = best.min(ms);
+    }
+    best
+}
+
+/// `io::write_json_file` / `io::write_binary_file`.
+type WriteSceneFile = fn(&Scene, &Path) -> Result<(), io::SceneIoError>;
+
+/// Shortest timed sample of a load cell: loads repeat until this much
+/// time has passed and the sample is their mean. A small binary scene
+/// decodes in tens of microseconds, too short for one load to be a
+/// sample a 25 % gate can hold; a large JSON one is a sample by itself.
+const LOAD_SAMPLE_FLOOR: Duration = Duration::from_millis(20);
+
+/// Best-of-`reps` cost of one `load_scene_file(path)` in milliseconds
+/// (one warmup load first, like [`time_frames`]' warmup render).
+fn time_loads(path: &Path, gaussians: usize, reps: usize) -> f64 {
+    let load = || {
+        let scene = io::load_scene_file(path).expect("read the scene file back");
+        assert_eq!(scene.len(), gaussians);
+    };
+    load();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let mut loads = 0u32;
+        while loads == 0 || start.elapsed() < LOAD_SAMPLE_FLOOR {
+            load();
+            loads += 1;
+        }
+        best = best.min(start.elapsed().as_secs_f64() * 1e3 / f64::from(loads));
     }
     best
 }
@@ -164,8 +200,31 @@ fn main() {
     let mut table = TablePrinter::new();
     table.row(["scene", "scale", "gaussians", "engine", "par", "ms/frame"]);
 
+    let dir = std::env::temp_dir().join(format!("gcc_bench_frame_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scene dir");
     for case in &cases {
         let scene = case.preset.build(&SceneConfig::with_scale(case.scale));
+        let mut push = |engine: &'static str, par_name: &'static str, threads, ms: f64| {
+            table.row([
+                scene.name.clone(),
+                format!("{}", case.scale),
+                format!("{}", scene.len()),
+                engine.to_string(),
+                par_name.to_string(),
+                format!("{ms:.3}"),
+            ]);
+            rows.push(Row {
+                scene: case.preset.params().name,
+                scale: case.scale,
+                gaussians: scene.len(),
+                width: scene.resolution.0,
+                height: scene.resolution.1,
+                engine,
+                parallelism: par_name,
+                threads,
+                ms_per_frame: ms,
+            });
+        };
         for engine in ENGINES {
             for (par_name, par, threads) in [
                 ("sequential", Parallelism::Sequential, 1),
@@ -175,28 +234,21 @@ fn main() {
             ] {
                 let renderer = build_engine(engine, par);
                 let ms = time_frames(&scene, renderer.as_ref(), reps);
-                table.row([
-                    scene.name.clone(),
-                    format!("{}", case.scale),
-                    format!("{}", scene.len()),
-                    engine.to_string(),
-                    par_name.to_string(),
-                    format!("{ms:.3}"),
-                ]);
-                rows.push(Row {
-                    scene: case.preset.params().name,
-                    scale: case.scale,
-                    gaussians: scene.len(),
-                    width: scene.resolution.0,
-                    height: scene.resolution.1,
-                    engine,
-                    parallelism: par_name,
-                    threads,
-                    ms_per_frame: ms,
-                });
+                push(engine, par_name, threads, ms);
             }
         }
+        let path = dir.join("scene");
+        let formats: [(&'static str, WriteSceneFile); 2] = [
+            ("load_json", io::write_json_file),
+            ("load_binary", io::write_binary_file),
+        ];
+        for (engine, write) in formats {
+            write(&scene, &path).expect("write the scene file");
+            let ms = time_loads(&path, scene.len(), reps);
+            push(engine, "sequential", 1, ms);
+        }
     }
+    let _ = std::fs::remove_dir_all(&dir);
     table.print();
 
     let mut json = String::new();

@@ -27,8 +27,9 @@
 //!
 //! The record includes throughput, per-priority p50/p95 latency and
 //! deadline-miss counts, stream lifecycle counters, cache hit rate, the
-//! per-schedule breakdown and the batched/naive speedup. In full
-//! (non-smoke) mode the binary *enforces* `speedup_vs_naive ≥ 2` **and**
+//! per-schedule breakdown, each scene file's cold `load_ms` and the
+//! batched/naive speedup. In full (non-smoke) mode the binary *enforces*
+//! `speedup_vs_naive ≥` [`SERVE_SPEEDUP_FLOOR`] **and**
 //! the latency-class contract (batched Interactive p95 ≤ Bulk p95 under
 //! the mixed load), and in every mode it checks a sample of served
 //! frames — streamed and submitted, including posed, ROI'd and
@@ -98,6 +99,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gcc_bench::perf_gate::SERVE_SPEEDUP_FLOOR;
 use gcc_bench::TablePrinter;
 use gcc_lod::cost::NEAR_RETRY_INTERVAL;
 use gcc_lod::{attach_hierarchy, QualityLadder, QualityRung};
@@ -193,15 +195,24 @@ fn scene_set(smoke: bool) -> Vec<BenchScene> {
     }
 }
 
-/// Registry entries plus direct copies of the scenes behind them.
-type RegistryAndScenes = (Vec<(String, SceneSource)>, Vec<(String, Arc<Scene>)>);
+/// Registry entries, direct copies of the scenes behind them, and what
+/// one cold load of each scene file costs (ms).
+type RegistryAndScenes = (
+    Vec<(String, SceneSource)>,
+    Vec<(String, Arc<Scene>)>,
+    Vec<f64>,
+);
 
-/// Builds the scene files and the service registry; returns the registry
-/// plus each scene loaded directly (for parity checks and size totals).
+/// Builds the scene files and the service registry; returns the registry,
+/// each scene held directly (for parity checks and size totals) and the
+/// fastest of three `load_scene_file`s of each file — what `naive_evict`
+/// pays on every request, so the record shows how much of the strawman's
+/// wall time is loading.
 fn build_registry(scenes: &[BenchScene], dir: &PathBuf) -> RegistryAndScenes {
     std::fs::create_dir_all(dir).expect("create scene dir");
     let mut registry = Vec::new();
     let mut loaded = Vec::new();
+    let mut load_ms = Vec::new();
     for s in scenes {
         let scene = s.preset.build(&SceneConfig::with_scale(s.scale));
         let path = dir.join(format!("{}.{}", s.id, if s.json { "json" } else { "bin" }));
@@ -210,10 +221,20 @@ fn build_registry(scenes: &[BenchScene], dir: &PathBuf) -> RegistryAndScenes {
         } else {
             io::write_binary_file(&scene, &path).expect("write scene binary");
         }
+        load_ms.push(
+            (0..3)
+                .map(|_| {
+                    let start = Instant::now();
+                    let back = io::load_scene_file(&path).expect("read the scene file back");
+                    assert_eq!(back.len(), scene.len());
+                    start.elapsed().as_secs_f64() * 1e3
+                })
+                .fold(f64::INFINITY, f64::min),
+        );
         registry.push((s.id.to_string(), SceneSource::File(path)));
         loaded.push((s.id.to_string(), Arc::new(scene)));
     }
-    (registry, loaded)
+    (registry, loaded, load_ms)
 }
 
 /// Schedule mix of the heterogeneous workload, skewed toward the cheap
@@ -1362,7 +1383,7 @@ fn main() {
 
     let scenes = scene_set(smoke);
     let dir = std::env::temp_dir().join(format!("gcc_bench_serve_{}", std::process::id()));
-    let (registry, loaded) = build_registry(&scenes, &dir);
+    let (registry, loaded, load_ms) = build_registry(&scenes, &dir);
     let scene_bytes: usize = loaded.iter().map(|(_, s)| s.approx_bytes()).sum();
     let scripts = workload(
         &scenes,
@@ -1554,11 +1575,13 @@ fn main() {
     json.push_str("  \"scenes\": [\n");
     for (i, (id, scene)) in loaded.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"id\": \"{}\", \"gaussians\": {}, \"bytes\": {}, \"format\": \"{}\"}}{}\n",
+            "    {{\"id\": \"{}\", \"gaussians\": {}, \"bytes\": {}, \"format\": \"{}\", \
+             \"load_ms\": {:.3}}}{}\n",
             json_escape_free(id),
             scene.len(),
             scene.approx_bytes(),
             if scenes[i].json { "json" } else { "binary" },
+            load_ms[i],
             if i + 1 == loaded.len() { "" } else { "," },
         ));
     }
@@ -1777,13 +1800,16 @@ fn main() {
         }
     }
 
-    // Full mode is the acceptance run: the cache-hit batched service must
-    // at least double naive load-render-evict throughput on the mixed
-    // streaming workload, and the latency classes must separate —
-    // Interactive p95 at or below Bulk p95 under contention.
+    // Full mode is the acceptance run: residency and batching must beat
+    // naive load-render-evict throughput on the mixed streaming workload
+    // by the floor, and the latency classes must separate — Interactive
+    // p95 at or below Bulk p95 under contention.
     if !smoke {
-        if speedup < 2.0 {
-            eprintln!("bench_serve: speedup {speedup:.2}x below the 2x acceptance threshold");
+        if speedup < SERVE_SPEEDUP_FLOOR {
+            eprintln!(
+                "bench_serve: speedup {speedup:.2}x below the {SERVE_SPEEDUP_FLOOR}x acceptance \
+                 threshold"
+            );
             std::process::exit(1);
         }
         let int_p95 = batched.stats.priority(Priority::Interactive).latency_p95_ms;

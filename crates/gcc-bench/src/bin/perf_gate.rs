@@ -11,7 +11,8 @@
 //! * **Serve gate** (`--serve`): checks a `bench_serve/v3` record —
 //!   committed or freshly measured — against a throughput floor: the
 //!   batched/naive `speedup_vs_naive` must be at least `--serve-floor`
-//!   (default 2.0, the acceptance threshold) and the record's own
+//!   (default [`SERVE_SPEEDUP_FLOOR`], the acceptance threshold of a
+//!   full-mode record) and the record's own
 //!   serve-vs-direct parity pass must have succeeded. A record produced
 //!   with `bench_serve --chaos` carries a `"chaos"` object, and the gate
 //!   additionally requires its fault storm to have resolved cleanly:
@@ -30,7 +31,7 @@
 //! ```text
 //! cargo run --release -p gcc-bench --bin perf_gate -- \
 //!     --baseline ci/bench_baseline.json --current BENCH_gate.json \
-//!     [--tolerance 0.25] [--serve BENCH_serve.json] [--serve-floor 2.0]
+//!     [--tolerance 0.25] [--serve BENCH_serve.json] [--serve-floor 1.3]
 //! ```
 //!
 //! Refreshing the baseline (documented in README "Perf gate"): rerun
@@ -38,7 +39,7 @@
 //! record over `ci/bench_baseline.json` in the same PR that explains the
 //! intentional change.
 
-use gcc_bench::perf_gate::{check_serve_record, compare};
+use gcc_bench::perf_gate::{check_serve_record, compare, SERVE_SPEEDUP_FLOOR};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,7 +47,7 @@ fn main() {
     let mut current_path = None;
     let mut serve_path = None;
     let mut tolerance = 0.25f64;
-    let mut serve_floor = 2.0f64;
+    let mut serve_floor = SERVE_SPEEDUP_FLOOR;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {

@@ -458,6 +458,20 @@ impl ServeGateReport {
     }
 }
 
+/// Floor on a full-mode record's `speedup_vs_naive`: what `bench_serve`
+/// enforces before it exits zero and `perf_gate --serve` defaults to.
+///
+/// The ratio is `batched_lru` throughput (every scene resident, requests
+/// batched) over `naive_evict` throughput (load, render, evict on every
+/// request), so it prices residency and batching *at what a load honestly
+/// costs*. It was 2.0 while a JSON scene load cost ≈ 11 ms per thousand
+/// Gaussians and eight of the strawman's eleven seconds were spent in
+/// the parser — a floor a slower parser cleared more easily. With the
+/// single-pass decoder the same workload lands near 1.7; 1.3 leaves the
+/// host's run-to-run spread below that and still trips when the cache or
+/// the batcher stops paying.
+pub const SERVE_SPEEDUP_FLOOR: f64 = 1.3;
+
 /// Checks a `bench_serve/v3` record against a throughput floor.
 ///
 /// # Errors
@@ -476,10 +490,14 @@ pub fn check_serve_record(text: &str, floor: f64) -> Result<ServeGateReport, Str
     if schema != "bench_serve/v3" {
         return Err(format!("unexpected schema '{schema}'"));
     }
-    let speedup = doc
-        .get("speedup_vs_naive")
-        .and_then(Value::as_f32)
-        .ok_or("missing number 'speedup_vs_naive'")?;
+    // Read at full width: through `f32` a recorded 1.3 would land just
+    // under a floor of 1.3.
+    let speedup = match doc.get("speedup_vs_naive") {
+        Some(Value::Num(token)) => token.parse::<f64>().ok(),
+        _ => None,
+    }
+    .filter(|v| v.is_finite())
+    .ok_or("missing number 'speedup_vs_naive'")?;
     let parity_ok = match doc.get("parity_ok") {
         Some(Value::Bool(b)) => *b,
         _ => return Err("missing bool 'parity_ok'".into()),
@@ -608,7 +626,7 @@ pub fn check_serve_record(text: &str, floor: f64) -> Result<ServeGateReport, Str
     };
     Ok(ServeGateReport {
         floor,
-        speedup_vs_naive: f64::from(speedup),
+        speedup_vs_naive: speedup,
         parity_ok,
         interactive_p95_ms,
         bulk_p95_ms,
@@ -621,6 +639,9 @@ pub fn check_serve_record(text: &str, floor: f64) -> Result<ServeGateReport, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The floor the serve-gate tests run at: the one CI enforces.
+    const FLOOR: f64 = SERVE_SPEEDUP_FLOOR;
 
     fn record(cells: &[(&str, f32, &str, &str, f64)]) -> String {
         let mut out = String::from(
@@ -872,7 +893,7 @@ mod tests {
 
     #[test]
     fn serve_gate_passes_above_the_floor_and_reads_p95s() {
-        let report = check_serve_record(&serve_record(3.2, true), 2.0).unwrap();
+        let report = check_serve_record(&serve_record(3.2, true), FLOOR).unwrap();
         assert!(report.passed());
         assert!((report.speedup_vs_naive - 3.2).abs() < 1e-6);
         assert_eq!(report.interactive_p95_ms, Some(12.5));
@@ -883,19 +904,40 @@ mod tests {
     #[test]
     fn serve_gate_fails_below_the_floor() {
         // The acceptance check: a throughput collapse must trip the gate.
-        let report = check_serve_record(&serve_record(1.4, true), 2.0).unwrap();
+        let report = check_serve_record(&serve_record(1.1, true), FLOOR).unwrap();
         assert!(!report.passed());
         assert!(report.render().contains("BELOW FLOOR"));
         assert!(report.render().contains("FAIL"));
         // Exactly at the floor passes.
-        assert!(check_serve_record(&serve_record(2.0, true), 2.0)
+        assert!(check_serve_record(&serve_record(FLOOR, true), FLOOR)
             .unwrap()
             .passed());
     }
 
     #[test]
+    fn serve_gate_ignores_the_scene_rows_and_their_load_ms() {
+        // `bench_serve` reports each scene file's cold load beside its
+        // size; the gate reads neither, so a record carrying the rows
+        // gates exactly like one without them.
+        let plain = serve_record(1.7, true);
+        let with_rows = plain.replacen(
+            "\"configs\"",
+            "\"scenes\": [{\"id\": \"train\", \"gaussians\": 11000, \"bytes\": 2596141, \
+             \"format\": \"json\", \"load_ms\": 35.567}], \"configs\"",
+            1,
+        );
+        assert_ne!(with_rows, plain);
+        let report = check_serve_record(&with_rows, FLOOR).unwrap();
+        assert!(report.passed());
+        assert_eq!(
+            report.render(),
+            check_serve_record(&plain, FLOOR).unwrap().render()
+        );
+    }
+
+    #[test]
     fn serve_gate_fails_on_broken_parity_regardless_of_speedup() {
-        let report = check_serve_record(&serve_record(9.0, false), 2.0).unwrap();
+        let report = check_serve_record(&serve_record(9.0, false), FLOOR).unwrap();
         assert!(!report.passed());
         assert!(report.render().contains("parity: FAILED"));
     }
@@ -912,7 +954,7 @@ mod tests {
 
     #[test]
     fn serve_gate_reads_and_enforces_the_chaos_summary() {
-        let report = check_serve_record(&chaos_record(3.0, true, 0), 2.0).unwrap();
+        let report = check_serve_record(&chaos_record(3.0, true, 0), FLOOR).unwrap();
         assert!(report.passed());
         let c = report.chaos.as_ref().expect("chaos summary parsed");
         assert!(c.all_resolved);
@@ -921,12 +963,12 @@ mod tests {
         assert!(report.render().contains("all requests resolved"));
 
         // A stranded storm fails the gate even above the floor.
-        let report = check_serve_record(&chaos_record(9.0, false, 0), 2.0).unwrap();
+        let report = check_serve_record(&chaos_record(9.0, false, 0), FLOOR).unwrap();
         assert!(!report.passed());
         assert!(report.render().contains("REQUESTS STRANDED"));
 
         // A pool that never recovered to width fails too.
-        let report = check_serve_record(&chaos_record(9.0, true, 1), 2.0).unwrap();
+        let report = check_serve_record(&chaos_record(9.0, true, 1), FLOOR).unwrap();
         assert!(!report.passed());
         assert!(report.render().contains("NOT RECOVERED"));
     }
@@ -937,12 +979,12 @@ mod tests {
         // silent passes.
         let missing_resolved =
             chaos_record(3.0, true, 0).replace("\"all_resolved\": true", "\"all_resolved\": 1");
-        assert!(check_serve_record(&missing_resolved, 2.0).is_err());
+        assert!(check_serve_record(&missing_resolved, FLOOR).is_err());
         let missing_lost = chaos_record(3.0, true, 0).replace("\"lost_workers\": 0, ", "");
-        assert!(check_serve_record(&missing_lost, 2.0).is_err());
+        assert!(check_serve_record(&missing_lost, FLOOR).is_err());
         // Records without a chaos object stay valid (pinned above by
         // every other serve-gate test).
-        assert!(check_serve_record(&serve_record(3.0, true), 2.0)
+        assert!(check_serve_record(&serve_record(3.0, true), FLOOR)
             .unwrap()
             .chaos
             .is_none());
@@ -962,7 +1004,7 @@ mod tests {
 
     #[test]
     fn serve_gate_reads_and_enforces_the_wire_summary() {
-        let report = check_serve_record(&wire_record(3.0, 2, true, true), 2.0).unwrap();
+        let report = check_serve_record(&wire_record(3.0, 2, true, true), FLOOR).unwrap();
         assert!(report.passed());
         let w = report.wire.as_ref().expect("wire summary parsed");
         assert_eq!(w.shards, 2);
@@ -970,17 +1012,17 @@ mod tests {
         assert!(report.render().contains("wire fleet: 2 shards"));
 
         // A stranded client request fails the gate even above the floor.
-        let report = check_serve_record(&wire_record(9.0, 2, false, true), 2.0).unwrap();
+        let report = check_serve_record(&wire_record(9.0, 2, false, true), FLOOR).unwrap();
         assert!(!report.passed());
         assert!(report.render().contains("REQUESTS STRANDED"));
 
         // A wire frame that diverged from its direct render fails too.
-        let report = check_serve_record(&wire_record(9.0, 2, true, false), 2.0).unwrap();
+        let report = check_serve_record(&wire_record(9.0, 2, true, false), FLOOR).unwrap();
         assert!(!report.passed());
         assert!(report.render().contains("DIVERGED"));
 
         // So does an unsharded "fleet": one backend is not a deployment.
-        assert!(!check_serve_record(&wire_record(9.0, 1, true, true), 2.0)
+        assert!(!check_serve_record(&wire_record(9.0, 1, true, true), FLOOR)
             .unwrap()
             .passed());
     }
@@ -991,11 +1033,11 @@ mod tests {
         // silent passes.
         let bad_parity =
             wire_record(3.0, 2, true, true).replace("\"parity_ok\": true", "\"parity_ok\": 1");
-        assert!(check_serve_record(&bad_parity, 2.0).is_err());
+        assert!(check_serve_record(&bad_parity, FLOOR).is_err());
         let missing_shards = wire_record(3.0, 2, true, true).replace("\"shards\": 2, ", "");
-        assert!(check_serve_record(&missing_shards, 2.0).is_err());
+        assert!(check_serve_record(&missing_shards, FLOOR).is_err());
         // Records without a wire object stay valid.
-        assert!(check_serve_record(&serve_record(3.0, true), 2.0)
+        assert!(check_serve_record(&serve_record(3.0, true), FLOOR)
             .unwrap()
             .wire
             .is_none());
@@ -1050,7 +1092,7 @@ mod tests {
 
     #[test]
     fn serve_gate_reads_and_enforces_the_lod_summary() {
-        let report = check_serve_record(&lod_record(0, 12, true, true), 2.0).unwrap();
+        let report = check_serve_record(&lod_record(0, 12, true, true), FLOOR).unwrap();
         assert!(report.passed());
         let l = report.lod.as_ref().expect("lod summary parsed");
         assert_eq!(l.misses_ladder_on, 0);
@@ -1063,19 +1105,19 @@ mod tests {
             .contains("lod ladder: 0 misses vs 12 ladder-off"));
 
         // A ladder run that still missed a deadline fails the gate.
-        assert!(!check_serve_record(&lod_record(1, 12, true, true), 2.0)
+        assert!(!check_serve_record(&lod_record(1, 12, true, true), FLOOR)
             .unwrap()
             .passed());
         // A deadline the exact run also met proves nothing — refused.
-        assert!(!check_serve_record(&lod_record(0, 0, true, true), 2.0)
+        assert!(!check_serve_record(&lod_record(0, 0, true, true), FLOOR)
             .unwrap()
             .passed());
         // Dropped frames fail even with zero misses.
-        let report = check_serve_record(&lod_record(0, 12, false, true), 2.0).unwrap();
+        let report = check_serve_record(&lod_record(0, 12, false, true), FLOOR).unwrap();
         assert!(!report.passed());
         assert!(report.render().contains("FRAMES LOST"));
         // So does a rung below its documented quality floor.
-        let report = check_serve_record(&lod_record(0, 12, true, false), 2.0).unwrap();
+        let report = check_serve_record(&lod_record(0, 12, true, false), FLOOR).unwrap();
         assert!(!report.passed());
         assert!(report.render().contains("BELOW FLOOR"));
     }
@@ -1084,7 +1126,7 @@ mod tests {
     fn serve_gate_refuses_a_ladder_that_hides_on_the_floor() {
         let gate = |frames_by_rung, cost_ms| {
             let record = lod_record_with((0, 40), true, true, frames_by_rung, cost_ms);
-            check_serve_record(&record, 2.0).unwrap()
+            check_serve_record(&record, FLOOR).unwrap()
         };
         // The record PR 10 committed: zero misses, bought with 39 of 40
         // frames at the floor while `half_res` fit the deadline.
@@ -1116,10 +1158,10 @@ mod tests {
             ("rung frames", good.replace("[0, 38, 1, 1]", "7")),
         ] {
             assert_ne!(bad, good, "{what}: the fixture did not change");
-            assert!(check_serve_record(&bad, 2.0).is_err(), "{what}");
+            assert!(check_serve_record(&bad, FLOOR).is_err(), "{what}");
         }
         // Records without a lod object stay valid.
-        assert!(check_serve_record(&serve_record(3.0, true), 2.0)
+        assert!(check_serve_record(&serve_record(3.0, true), FLOOR)
             .unwrap()
             .lod
             .is_none());
@@ -1127,11 +1169,14 @@ mod tests {
 
     #[test]
     fn serve_gate_rejects_malformed_records() {
-        assert!(check_serve_record("not json", 2.0).is_err());
-        assert!(check_serve_record("{\"schema\": \"bench_serve/v2\"}", 2.0).is_err());
+        assert!(check_serve_record("not json", FLOOR).is_err());
+        assert!(check_serve_record("{\"schema\": \"bench_serve/v2\"}", FLOOR).is_err());
         assert!(
-            check_serve_record("{\"schema\": \"bench_serve/v3\", \"parity_ok\": true}", 2.0)
-                .is_err(),
+            check_serve_record(
+                "{\"schema\": \"bench_serve/v3\", \"parity_ok\": true}",
+                FLOOR
+            )
+            .is_err(),
             "missing speedup must be an error"
         );
         assert!(check_serve_record(&serve_record(3.0, true), f64::NAN).is_err());

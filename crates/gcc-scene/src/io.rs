@@ -3,15 +3,24 @@
 //!
 //! The binary layout is the accelerator's DRAM image: a small header
 //! followed by each Gaussian's 59-float record (see
-//! [`Gaussian3D::to_floats`]), little-endian.
+//! [`gcc_core::Gaussian3D::to_floats`]), little-endian.
+//!
+//! Both decoders run over the whole file in memory, in one pass, straight
+//! into [`gcc_core::Gaussian3D`] records: the JSON one pulls tokens from a
+//! [`json::Reader`] and parses each number once from its source text (no
+//! document tree is built), the binary one slices records off a byte
+//! slice. Either way every Gaussian array ends with `capacity == len`,
+//! so [`Scene::approx_bytes`] does not depend on the format a scene was
+//! loaded from.
 
 use crate::codec;
-use crate::json::{self, Value};
+use crate::json::{self, Reader};
+use crate::lod::{read_binary_records, read_json_records, SceneLod};
 use crate::{OrbitRig, Scene};
-use gcc_core::{Gaussian3D, PARAM_FLOATS};
+use gcc_core::PARAM_FLOATS;
 use gcc_math::Vec3;
 use std::fmt::Write as _;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes of the binary format.
@@ -131,7 +140,7 @@ impl RetryPolicy {
 ///
 /// Floats are written with Rust's shortest round-trip formatting, so
 /// [`from_json`] recovers bit-identical values. Each Gaussian is one
-/// 59-float array in [`Gaussian3D::to_floats`] order.
+/// 59-float array in [`gcc_core::Gaussian3D::to_floats`] order.
 ///
 /// # Errors
 ///
@@ -220,95 +229,116 @@ pub fn to_json(scene: &Scene, pretty: bool) -> Result<String, SceneIoError> {
     Ok(out)
 }
 
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, SceneIoError> {
-    v.get(key)
-        .ok_or_else(|| SceneIoError::Format(format!("missing field '{key}'")))
+fn missing(key: &str) -> String {
+    format!("missing field '{key}'")
 }
 
-fn f32_field(v: &Value, key: &str) -> Result<f32, SceneIoError> {
-    field(v, key)?
-        .as_f32()
-        .ok_or_else(|| SceneIoError::Format(format!("field '{key}' is not a number")))
+fn vec3(r: &mut Reader<'_>, key: &str) -> Result<Vec3, String> {
+    let [x, y, z] = r
+        .f32_array::<3>()
+        .map_err(|e| format!("field '{key}' is not a 3-array of numbers: {e}"))?;
+    Ok(Vec3::new(x, y, z))
 }
 
-fn vec3_field(v: &Value, key: &str) -> Result<Vec3, SceneIoError> {
-    let arr = field(v, key)?
-        .as_arr()
-        .filter(|a| a.len() == 3)
-        .ok_or_else(|| SceneIoError::Format(format!("field '{key}' is not a 3-array")))?;
-    let mut out = [0.0f32; 3];
-    for (slot, item) in out.iter_mut().zip(arr) {
-        *slot = item
-            .as_f32()
-            .ok_or_else(|| SceneIoError::Format(format!("non-numeric '{key}' element")))?;
+fn f32_field(r: &mut Reader<'_>, key: &str) -> Result<f32, String> {
+    r.f32()
+        .map_err(|e| format!("field '{key}' is not a number: {e}"))
+}
+
+/// Reads the `rig` object. Like the scene object around it: keys in any
+/// order, unknown ones skipped, the first of a repeated key kept.
+fn rig_from_json(r: &mut Reader<'_>) -> Result<OrbitRig, String> {
+    let (mut center, mut look_at) = (None, None);
+    let (mut radius, mut height, mut arc, mut phase) = (None, None, None, None);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "center" if center.is_none() => center = Some(vec3(r, &key)?),
+            "look_at" if look_at.is_none() => look_at = Some(vec3(r, &key)?),
+            "radius" if radius.is_none() => radius = Some(f32_field(r, &key)?),
+            "height" if height.is_none() => height = Some(f32_field(r, &key)?),
+            "arc" if arc.is_none() => arc = Some(f32_field(r, &key)?),
+            "phase" if phase.is_none() => phase = Some(f32_field(r, &key)?),
+            _ => r.skip_value()?,
+        }
     }
-    Ok(Vec3::new(out[0], out[1], out[2]))
+    Ok(OrbitRig {
+        center: center.ok_or_else(|| missing("center"))?,
+        look_at: look_at.ok_or_else(|| missing("look_at"))?,
+        radius: radius.ok_or_else(|| missing("radius"))?,
+        height: height.ok_or_else(|| missing("height"))?,
+        arc: arc.ok_or_else(|| missing("arc"))?,
+        phase: phase.ok_or_else(|| missing("phase"))?,
+    })
 }
 
-/// Parses a scene from the JSON produced by [`to_json`].
+fn resolution_from_json(r: &mut Reader<'_>) -> Result<(u32, u32), String> {
+    let not_a_pair =
+        |r: &Reader<'_>| format!("'resolution' is not a 2-array at byte {}", r.offset());
+    r.begin_array()?;
+    let mut res = [0u32; 2];
+    for (slot, what) in res.iter_mut().zip(["width", "height"]) {
+        if !r.next_element()? {
+            return Err(not_a_pair(r));
+        }
+        *slot = r.u32().map_err(|e| format!("bad {what}: {e}"))?;
+    }
+    if r.next_element()? {
+        return Err(not_a_pair(r));
+    }
+    Ok((res[0], res[1]))
+}
+
+fn scene_from_json(s: &str) -> Result<Scene, String> {
+    let mut r = Reader::new(s);
+    let (mut name, mut resolution, mut fov_y_deg, mut rig) = (None, None, None, None);
+    let (mut gaussians, mut lod) = (None, None);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "name" if name.is_none() => {
+                let v = r
+                    .string()
+                    .map_err(|e| format!("'name' is not a string: {e}"));
+                name = Some(v?.into_owned());
+            }
+            "resolution" if resolution.is_none() => {
+                resolution = Some(resolution_from_json(&mut r)?)
+            }
+            "fov_y_deg" if fov_y_deg.is_none() => fov_y_deg = Some(f32_field(&mut r, &key)?),
+            "rig" if rig.is_none() => rig = Some(rig_from_json(&mut r)?),
+            "gaussians" if gaussians.is_none() => {
+                gaussians = Some(read_json_records(&mut r, "gaussian")?);
+            }
+            "lod" if lod.is_none() => lod = Some(SceneLod::read_json(&mut r)?),
+            // The two keys that carry records: decoding a second copy to
+            // throw it away is the cost this decoder exists to avoid.
+            "gaussians" | "lod" => {
+                return Err(format!("repeated '{key}' at byte {}", r.offset()));
+            }
+            _ => r.skip_value()?,
+        }
+    }
+    r.finish()?;
+    Ok(Scene {
+        name: name.ok_or_else(|| missing("name"))?,
+        gaussians: gaussians.ok_or_else(|| missing("gaussians"))?,
+        resolution: resolution.ok_or_else(|| missing("resolution"))?,
+        fov_y_deg: fov_y_deg.ok_or_else(|| missing("fov_y_deg"))?,
+        rig: rig.ok_or_else(|| missing("rig"))?,
+        lod,
+    })
+}
+
+/// Parses a scene from the JSON produced by [`to_json`]: one pass over
+/// `s`, keys in any order, unknown keys skipped.
 ///
 /// # Errors
 ///
-/// Returns [`SceneIoError::Format`] for malformed JSON or a wrong schema.
+/// Returns [`SceneIoError::Format`] for malformed JSON or a wrong schema,
+/// naming the byte offset where the tokenizer knows it.
 pub fn from_json(s: &str) -> Result<Scene, SceneIoError> {
-    let doc = json::parse(s).map_err(SceneIoError::Format)?;
-    let name = field(&doc, "name")?
-        .as_str()
-        .ok_or_else(|| SceneIoError::Format("'name' is not a string".into()))?
-        .to_string();
-    let res = field(&doc, "resolution")?
-        .as_arr()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| SceneIoError::Format("'resolution' is not a 2-array".into()))?;
-    let resolution = (
-        res[0]
-            .as_u32()
-            .ok_or_else(|| SceneIoError::Format("bad width".into()))?,
-        res[1]
-            .as_u32()
-            .ok_or_else(|| SceneIoError::Format("bad height".into()))?,
-    );
-    let fov_y_deg = f32_field(&doc, "fov_y_deg")?;
-    let rig_v = field(&doc, "rig")?;
-    let rig = OrbitRig {
-        center: vec3_field(rig_v, "center")?,
-        look_at: vec3_field(rig_v, "look_at")?,
-        radius: f32_field(rig_v, "radius")?,
-        height: f32_field(rig_v, "height")?,
-        arc: f32_field(rig_v, "arc")?,
-        phase: f32_field(rig_v, "phase")?,
-    };
-    let gauss_v = field(&doc, "gaussians")?
-        .as_arr()
-        .ok_or_else(|| SceneIoError::Format("'gaussians' is not an array".into()))?;
-    let mut gaussians = Vec::with_capacity(gauss_v.len());
-    for (i, g) in gauss_v.iter().enumerate() {
-        let rec = g
-            .as_arr()
-            .filter(|a| a.len() == PARAM_FLOATS)
-            .ok_or_else(|| {
-                SceneIoError::Format(format!("gaussian {i} is not a {PARAM_FLOATS}-array"))
-            })?;
-        let mut floats = [0.0f32; PARAM_FLOATS];
-        for (slot, item) in floats.iter_mut().zip(rec) {
-            *slot = item
-                .as_f32()
-                .ok_or_else(|| SceneIoError::Format(format!("gaussian {i}: bad float")))?;
-        }
-        gaussians.push(Gaussian3D::from_floats(&floats));
-    }
-    let lod = match doc.get("lod") {
-        Some(v) => Some(crate::lod::SceneLod::from_json(v).map_err(SceneIoError::Format)?),
-        None => None,
-    };
-    Ok(Scene {
-        name,
-        gaussians,
-        resolution,
-        fov_y_deg,
-        rig,
-        lod,
-    })
+    scene_from_json(s).map_err(SceneIoError::Format)
 }
 
 /// Writes the binary DRAM-image format.
@@ -356,23 +386,29 @@ pub fn write_binary<W: Write>(scene: &Scene, mut w: W) -> Result<(), SceneIoErro
     Ok(())
 }
 
-/// Reads the binary DRAM-image format.
+/// Reads the binary DRAM-image format: `r` is read to its end and the
+/// scene decoded from memory.
 ///
 /// # Errors
 ///
 /// Returns [`SceneIoError::Format`] for bad magic/truncated payloads and
 /// [`SceneIoError::Io`] for reader failures.
 pub fn read_binary<R: Read>(mut r: R) -> Result<Scene, SceneIoError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(SceneIoError::Format("bad magic".into()));
-    }
-    read_binary_after_magic(&mut r)
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    decode_binary(&bytes)
 }
 
-/// Body of the binary format, after the 8 magic bytes were consumed.
-fn read_binary_after_magic<R: Read>(r: &mut R) -> Result<Scene, SceneIoError> {
+/// Decodes a whole binary scene file held in memory.
+fn decode_binary(bytes: &[u8]) -> Result<Scene, SceneIoError> {
+    let Some(mut r) = bytes.strip_prefix(MAGIC) else {
+        return Err(if bytes.len() < MAGIC.len() {
+            io::Error::from(io::ErrorKind::UnexpectedEof).into()
+        } else {
+            SceneIoError::Format("bad magic".into())
+        });
+    };
+    let r = &mut r;
     // `read_str` would fold the cap and UTF-8 checks into one
     // `InvalidData` I/O error; the name is read by hand so both keep
     // surfacing as the historical `Format` errors.
@@ -390,21 +426,14 @@ fn read_binary_after_magic<R: Read>(r: &mut R) -> Result<Scene, SceneIoError> {
     for v in &mut rig {
         *v = codec::read_f32(r)?;
     }
-    let count = codec::read_u64(r)? as usize;
-    let mut gaussians = Vec::with_capacity(count.min(1 << 24));
-    let mut rec = [0.0f32; PARAM_FLOATS];
-    for _ in 0..count {
-        for v in &mut rec {
-            *v = codec::read_f32(r)?;
-        }
-        gaussians.push(Gaussian3D::from_floats(&rec));
-    }
+    let count = codec::read_u64(r)?;
+    let gaussians = read_binary_records(r, count)?;
     // Optional trailing LOD section. Pre-LOD files end here, so a clean
     // EOF at the flag byte means "no hierarchy"; any other flag value or
     // a truncated section is a format error.
     let lod = match codec::read_u8(r) {
         Ok(1) => Some(
-            crate::lod::SceneLod::read_binary(r)
+            SceneLod::read_binary(r)
                 .map_err(|e| SceneIoError::Format(format!("bad lod section: {e}")))?,
         ),
         Ok(0) => None,
@@ -459,47 +488,32 @@ pub fn write_json_file(scene: &Scene, path: &Path) -> Result<(), SceneIoError> {
 /// binary magic parse as the DRAM-image format, everything else as JSON.
 /// This is the loader handle the serving layer's cache uses for on-demand
 /// residency, so it must accept both interchange formats by content, not
-/// by extension.
+/// by extension. The file is read once and decoded from memory.
 ///
 /// # Errors
 ///
 /// Returns [`SceneIoError::Io`] for filesystem failures and
 /// [`SceneIoError::Format`] for malformed contents in either format.
 pub fn load_scene_file(path: &Path) -> Result<Scene, SceneIoError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    let mut head = [0u8; 8];
-    let got = {
-        // Read up to 8 bytes without failing on shorter (JSON) files;
-        // retry EINTR like `read_exact` would.
-        let mut filled = 0;
-        while filled < head.len() {
-            match r.read(&mut head[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        filled
-    };
-    if got == head.len() && &head == MAGIC {
-        return read_binary_after_magic(&mut r);
+    decode_scene(&std::fs::read(path)?)
+}
+
+/// Decodes a whole scene file held in memory, in the format its first
+/// bytes say it is. UTF-8 is validated over the full contents.
+pub(crate) fn decode_scene(bytes: &[u8]) -> Result<Scene, SceneIoError> {
+    if bytes.starts_with(MAGIC) {
+        return decode_binary(bytes);
     }
-    // Not the binary format: treat the whole file as JSON. UTF-8 is
-    // validated over the full contents (a multi-byte character may span
-    // the sniffed head's boundary).
-    let mut bytes = head[..got].to_vec();
-    r.read_to_end(&mut bytes)?;
-    let text = String::from_utf8(bytes)
+    let text = std::str::from_utf8(bytes)
         .map_err(|_| SceneIoError::Format("neither binary magic nor UTF-8 JSON".into()))?;
-    from_json(&text)
+    from_json(text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{SceneConfig, ScenePreset};
+    use gcc_core::Gaussian3D;
 
     fn small_scene() -> Scene {
         ScenePreset::Lego.build(&SceneConfig::with_scale(0.02))

@@ -41,6 +41,8 @@ mod preset;
 pub mod rng;
 mod runner;
 mod scene;
+#[cfg(test)]
+mod scene_file_tests;
 mod trajectory;
 mod view;
 

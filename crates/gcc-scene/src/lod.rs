@@ -7,12 +7,70 @@
 //! lives in the `gcc-lod` crate (it needs the parallel stack); this
 //! module holds only the data type, its byte accounting, and its
 //! JSON/binary codecs so scenes can carry a hierarchy through the io
-//! layer and the serve cache without a dependency cycle.
+//! layer and the serve cache without a dependency cycle. The two record
+//! decoders every Gaussian array of a scene file goes through
+//! (`read_json_records`, `read_binary_records`) live here for the
+//! same reason: [`crate::io`] reads the scene's own cloud with them.
 
-use crate::json::Value;
+use crate::codec;
+use crate::json::Reader;
 use gcc_core::{Gaussian3D, PARAM_FLOATS};
 use std::fmt::Write as _;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
+
+/// Decodes a JSON array of 59-number records in one pass, each number
+/// parsed once from its source text. The result ends with
+/// `capacity == len`, which is what `approx_bytes` charges.
+///
+/// # Errors
+///
+/// Names the index (and `what` cloud) of the first record that is not
+/// exactly 59 in-range numbers.
+pub(crate) fn read_json_records(r: &mut Reader<'_>, what: &str) -> Result<Vec<Gaussian3D>, String> {
+    r.begin_array()?;
+    let mut out = Vec::new();
+    while r.next_element()? {
+        let floats = r
+            .f32_array::<PARAM_FLOATS>()
+            .map_err(|e| format!("{what} {}: {e}", out.len()))?;
+        out.push(Gaussian3D::from_floats(&floats));
+    }
+    out.shrink_to_fit();
+    Ok(out)
+}
+
+/// Decodes `count` little-endian 59-float records off the front of `r`.
+/// The count is checked against the bytes in hand before anything is
+/// reserved, so a hostile header cannot ask for more than its file holds.
+///
+/// # Errors
+///
+/// `UnexpectedEof` when `r` is shorter than `count` records.
+pub(crate) fn read_binary_records(r: &mut &[u8], count: u64) -> io::Result<Vec<Gaussian3D>> {
+    const RECORD_BYTES: usize = PARAM_FLOATS * 4;
+    let bytes = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(RECORD_BYTES))
+        .filter(|&b| b <= r.len())
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("{count} records declared, {} bytes left", r.len()),
+            )
+        })?;
+    let (records, rest) = r.split_at(bytes);
+    *r = rest;
+    let mut floats = [0.0f32; PARAM_FLOATS];
+    Ok(records
+        .chunks_exact(RECORD_BYTES)
+        .map(|rec| {
+            for (slot, b) in floats.iter_mut().zip(rec.chunks_exact(4)) {
+                *slot = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            }
+            Gaussian3D::from_floats(&floats)
+        })
+        .collect())
+}
 
 /// One coarse level of the hierarchy.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,6 +86,36 @@ impl LodLevel {
     /// Resident heap size of this level in bytes.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.gaussians.capacity() * std::mem::size_of::<Gaussian3D>()
+    }
+
+    /// Reads level `li` of a hierarchy's `levels` array.
+    fn read_json(r: &mut Reader<'_>, li: usize) -> Result<Self, String> {
+        let (mut cell_size, mut gaussians) = (None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "cell_size" if cell_size.is_none() => {
+                    let v = r
+                        .f32()
+                        .map_err(|e| format!("lod level {li}: bad 'cell_size': {e}"));
+                    cell_size = Some(v?);
+                }
+                "gaussians" if gaussians.is_none() => {
+                    gaussians = Some(read_json_records(r, &format!("lod level {li} gaussian"))?);
+                }
+                "gaussians" => {
+                    return Err(format!(
+                        "lod level {li}: repeated 'gaussians' at byte {}",
+                        r.offset()
+                    ));
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        Ok(Self {
+            gaussians: gaussians.ok_or_else(|| format!("lod level {li}: missing 'gaussians'"))?,
+            cell_size: cell_size.ok_or_else(|| format!("lod level {li}: missing 'cell_size'"))?,
+        })
     }
 }
 
@@ -80,7 +168,7 @@ impl SceneLod {
     /// Returns a message naming the first non-finite float (JSON has no
     /// NaN/infinity tokens).
     pub fn write_json(&self, out: &mut String) -> Result<(), String> {
-        let _ = write!(out, "{{\"seed\": {}, \"levels\": [", self.seed);
+        let _ = write!(out, "{{\"seed\":{},\"levels\":[", self.seed);
         for (li, l) in self.levels.iter().enumerate() {
             if !l.cell_size.is_finite() {
                 return Err(format!("non-finite cell_size in lod level {li}"));
@@ -88,7 +176,7 @@ impl SceneLod {
             if li > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"cell_size\": {}, \"gaussians\": [", l.cell_size);
+            let _ = write!(out, "{{\"cell_size\":{},\"gaussians\":[", l.cell_size);
             for (gi, g) in l.gaussians.iter().enumerate() {
                 if gi > 0 {
                     out.push(',');
@@ -113,54 +201,40 @@ impl SceneLod {
         Ok(())
     }
 
-    /// Parses the object produced by [`Self::write_json`].
+    /// Reads the object produced by [`Self::write_json`] (spaced or not,
+    /// keys in any order, unknown keys skipped) off `r`, in one pass.
     ///
     /// # Errors
     ///
-    /// Returns a message describing the first schema violation.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let seed = match v.get("seed") {
-            Some(Value::Num(t)) => t
-                .parse::<u64>()
-                .map_err(|_| format!("lod: bad seed '{t}'"))?,
-            _ => return Err("lod: missing numeric 'seed'".into()),
-        };
-        let levels_v = v
-            .get("levels")
-            .and_then(Value::as_arr)
-            .ok_or("lod: missing 'levels' array")?;
-        let mut levels = Vec::with_capacity(levels_v.len());
-        for (li, lv) in levels_v.iter().enumerate() {
-            let cell_size = lv
-                .get("cell_size")
-                .and_then(Value::as_f32)
-                .ok_or_else(|| format!("lod level {li}: bad 'cell_size'"))?;
-            let gauss_v = lv
-                .get("gaussians")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("lod level {li}: missing 'gaussians'"))?;
-            let mut gaussians = Vec::with_capacity(gauss_v.len());
-            for (gi, gv) in gauss_v.iter().enumerate() {
-                let rec = gv
-                    .as_arr()
-                    .filter(|a| a.len() == PARAM_FLOATS)
-                    .ok_or_else(|| {
-                        format!("lod level {li} gaussian {gi}: not a {PARAM_FLOATS}-array")
-                    })?;
-                let mut floats = [0.0f32; PARAM_FLOATS];
-                for (slot, item) in floats.iter_mut().zip(rec) {
-                    *slot = item
-                        .as_f32()
-                        .ok_or_else(|| format!("lod level {li} gaussian {gi}: bad float"))?;
+    /// Returns a message describing the first schema violation. A
+    /// repeated `levels` or `gaussians` key is one: a streaming decoder
+    /// would pay for both arrays to keep one.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Self, String> {
+        let (mut seed, mut levels) = (None, None);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "seed" if seed.is_none() => {
+                    seed = Some(r.u64().map_err(|e| format!("lod: bad 'seed': {e}"))?);
                 }
-                gaussians.push(Gaussian3D::from_floats(&floats));
+                "levels" if levels.is_none() => {
+                    let mut read = Vec::new();
+                    r.begin_array()?;
+                    while r.next_element()? {
+                        read.push(LodLevel::read_json(r, read.len())?);
+                    }
+                    levels = Some(read);
+                }
+                "levels" => {
+                    return Err(format!("lod: repeated 'levels' at byte {}", r.offset()));
+                }
+                _ => r.skip_value()?,
             }
-            levels.push(LodLevel {
-                gaussians,
-                cell_size,
-            });
         }
-        Ok(Self { levels, seed })
+        Ok(Self {
+            levels: levels.ok_or("lod: missing 'levels' array")?,
+            seed: seed.ok_or("lod: missing numeric 'seed'")?,
+        })
     }
 
     /// Writes the binary hierarchy section: seed, level count, then per
@@ -184,15 +258,17 @@ impl SceneLod {
         Ok(())
     }
 
-    /// Reads the section written by [`Self::write_binary`].
+    /// Reads the section written by [`Self::write_binary`] off the front
+    /// of `r`.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for implausible headers, reader errors
-    /// otherwise (truncation surfaces as `UnexpectedEof`).
-    pub fn read_binary<R: Read>(r: &mut R) -> io::Result<Self> {
-        let seed = crate::codec::read_u64(r)?;
-        let n_levels = crate::codec::read_u32(r)? as usize;
+    /// Returns `InvalidData` for an implausible level count and
+    /// `UnexpectedEof` for truncation, including a record count the
+    /// remaining bytes cannot hold.
+    pub fn read_binary(r: &mut &[u8]) -> io::Result<Self> {
+        let seed = codec::read_u64(r)?;
+        let n_levels = codec::read_u32(r)? as usize;
         if n_levels > 64 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -201,18 +277,10 @@ impl SceneLod {
         }
         let mut levels = Vec::with_capacity(n_levels);
         for _ in 0..n_levels {
-            let cell_size = crate::codec::read_f32(r)?;
-            let count = crate::codec::read_u64(r)? as usize;
-            let mut gaussians = Vec::with_capacity(count.min(1 << 24));
-            let mut f = [0.0f32; PARAM_FLOATS];
-            for _ in 0..count {
-                for slot in &mut f {
-                    *slot = crate::codec::read_f32(r)?;
-                }
-                gaussians.push(Gaussian3D::from_floats(&f));
-            }
+            let cell_size = codec::read_f32(r)?;
+            let count = codec::read_u64(r)?;
             levels.push(LodLevel {
-                gaussians,
+                gaussians: read_binary_records(r, count)?,
                 cell_size,
             });
         }
@@ -267,8 +335,10 @@ mod tests {
         let lod = sample_lod();
         let mut doc = String::new();
         lod.write_json(&mut doc).unwrap();
-        let v = crate::json::parse(&doc).unwrap();
-        let back = SceneLod::from_json(&v).unwrap();
+        assert!(!doc.contains(' '), "the writer is compact: {doc}");
+        let mut r = Reader::new(&doc);
+        let back = SceneLod::read_json(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(back, lod);
     }
 
