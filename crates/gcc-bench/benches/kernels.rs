@@ -119,6 +119,7 @@ fn bench_boundary(c: &mut Criterion) {
 
     let grid = BlockGrid::new(8, 128, 128);
     let mut block_tracer = BlockTracer::new(grid);
+    let kernels = gcc_core::dispatch::active();
     let mut out_blocks = Vec::new();
     c.bench_function("boundary_alg1_block8_bfs", |b| {
         b.iter(|| {
@@ -126,6 +127,7 @@ fn bench_boundary(c: &mut Criterion) {
                 black_box(&test),
                 None,
                 MaskMode::SkipAndBlock,
+                kernels,
                 &mut out_blocks,
             )
         })

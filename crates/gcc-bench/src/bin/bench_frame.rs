@@ -26,12 +26,15 @@
 //! [`gcc_bench::default_artifact_path`] so a run from any subdirectory
 //! doesn't scatter artifacts). The binary re-parses the JSON it wrote and
 //! exits non-zero if the file is invalid, so CI can treat a zero exit as
-//! "valid perf record produced". CI compares the record against
+//! "valid perf record produced"; it also prints, per scene, the
+//! sequential `gaussian_wise ÷ standard` ratio the gate requires to stay
+//! at or below 1. CI compares the record against
 //! `ci/bench_baseline.json` with the `perf_gate` binary.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use gcc_bench::perf_gate::{parse_bench_cells, schedule_orderings};
 use gcc_bench::TablePrinter;
 use gcc_parallel::{available_threads, Parallelism};
 use gcc_render::pipeline::{Frame, FrameScratch, GaussianWiseRenderer, Renderer, StandardRenderer};
@@ -268,9 +271,20 @@ fn main() {
     json.push_str("  ]\n}\n");
 
     // Self-validate before declaring success: CI keys off the exit code.
-    if let Err(e) = gcc_scene::json::parse(&json) {
-        eprintln!("bench_frame produced invalid JSON: {e}");
-        std::process::exit(1);
+    let cells = match parse_bench_cells(&json) {
+        Ok(cells) => cells,
+        Err(e) => {
+            eprintln!("bench_frame produced an invalid record: {e}");
+            std::process::exit(1);
+        }
+    };
+    // The ordering `perf_gate` holds the record to.
+    for o in schedule_orderings(&cells) {
+        println!(
+            "{} gaussian_wise / standard (sequential): {:.2}",
+            o.scene,
+            o.ratio()
+        );
     }
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("bench_frame could not write {}: {e}", out_path.display());

@@ -6,8 +6,9 @@
 //!   produced `BENCH_frame.json` against the committed
 //!   `ci/bench_baseline.json` cell-by-cell and fails when any
 //!   `(scene, scale, engine, parallelism)` cell slowed down beyond the
-//!   tolerance, or when baseline coverage is missing from the current
-//!   run.
+//!   tolerance, when baseline coverage is missing from the current
+//!   run, or when the current record's sequential Gaussian-wise frame is
+//!   slower than its standard frame on any scene.
 //! * **Serve gate** (`--serve`): checks a `bench_serve/v3` record —
 //!   committed or freshly measured — against a throughput floor: the
 //!   batched/naive `speedup_vs_naive` must be at least `--serve-floor`
@@ -106,8 +107,9 @@ fn main() {
         print!("{}", report.render());
         if !report.passed() {
             eprintln!(
-                "perf_gate: regression beyond +{:.0}% against {baseline_path} — \
-                 if intentional, refresh the baseline (see README \"Perf gate\")",
+                "perf_gate: regression beyond +{:.0}% against {baseline_path}, or a \
+                 Gaussian-wise frame slower than the standard one — if the former is \
+                 intentional, refresh the baseline (see README \"Perf gate\")",
                 tolerance * 100.0
             );
             failed = true;

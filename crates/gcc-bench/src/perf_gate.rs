@@ -8,6 +8,12 @@
 //! current run are reported but do not fail the gate, so adding sweep
 //! points doesn't require touching the baseline in the same PR.
 //!
+//! One rule reads the current record alone: on every scene that carries
+//! both schedules' sequential cells, the Gaussian-wise frame may not be
+//! slower than the standard one ([`schedule_orderings`]). The paper's
+//! claim is that ordering, and a ratio taken within one run does not
+//! depend on the host the run was made on.
+//!
 //! The logic lives in the library (not the `perf_gate` binary) so the
 //! gate's fail-on-regression behavior is pinned by unit tests — CI runs
 //! the same code the tests cover.
@@ -92,6 +98,51 @@ pub fn parse_bench_cells(text: &str) -> Result<Vec<BenchCell>, String> {
     Ok(cells)
 }
 
+/// The sequential cells of the two schedules on one scene of a record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScheduleOrdering {
+    /// `scene@scale`.
+    pub scene: String,
+    /// `standard_frame_engine`, sequential, milliseconds per frame.
+    pub standard_ms: f64,
+    /// `gaussian_wise_frame_engine`, sequential, milliseconds per frame.
+    pub gaussian_wise_ms: f64,
+}
+
+impl ScheduleOrdering {
+    /// `gaussian_wise ÷ standard` (> 1: the paper's schedule is slower).
+    pub fn ratio(&self) -> f64 {
+        self.gaussian_wise_ms / self.standard_ms
+    }
+
+    /// `true` when the Gaussian-wise frame is no slower than the
+    /// standard one.
+    pub fn holds(&self) -> bool {
+        self.ratio() <= 1.0
+    }
+}
+
+/// Pairs the sequential standard and Gaussian-wise cells of every scene
+/// of a record that has both, in record order.
+pub fn schedule_orderings(cells: &[BenchCell]) -> Vec<ScheduleOrdering> {
+    let sequential = |engine: &'static str| {
+        cells
+            .iter()
+            .filter(move |c| c.engine == engine && c.parallelism == "sequential")
+    };
+    sequential("standard_frame_engine")
+        .filter_map(|s| {
+            let g = sequential("gaussian_wise_frame_engine")
+                .find(|g| g.scene == s.scene && g.scale == s.scale)?;
+            Some(ScheduleOrdering {
+                scene: format!("{}@{}", s.scene, s.scale),
+                standard_ms: s.ms_per_frame,
+                gaussian_wise_ms: g.ms_per_frame,
+            })
+        })
+        .collect()
+}
+
 /// One baseline-vs-current cell comparison.
 #[derive(Debug, Clone)]
 pub struct CellComparison {
@@ -118,12 +169,19 @@ pub struct GateReport {
     pub missing_in_current: Vec<String>,
     /// Current cells absent from the baseline (informational).
     pub new_in_current: Vec<String>,
+    /// Schedule ordering per scene of the current record (fails the gate
+    /// where it does not hold).
+    pub orderings: Vec<ScheduleOrdering>,
 }
 
 impl GateReport {
-    /// `true` when no cell regressed and no baseline coverage was lost.
+    /// `true` when no cell regressed, no baseline coverage was lost and
+    /// the Gaussian-wise schedule is no slower than the standard one on
+    /// any scene of the current record.
     pub fn passed(&self) -> bool {
-        self.missing_in_current.is_empty() && self.cells.iter().all(|c| !c.regressed)
+        self.missing_in_current.is_empty()
+            && self.cells.iter().all(|c| !c.regressed)
+            && self.orderings.iter().all(ScheduleOrdering::holds)
     }
 
     /// One-line failure summaries, one per regressed cell: the offending
@@ -166,6 +224,20 @@ impl GateReport {
         }
         for k in &self.new_in_current {
             out.push_str(&format!("{k}  new (not in baseline)\n"));
+        }
+        for o in &self.orderings {
+            out.push_str(&format!(
+                "{} gaussian_wise / standard (sequential): {:.4} / {:.4} ms = {:.2}{}\n",
+                o.scene,
+                o.gaussian_wise_ms,
+                o.standard_ms,
+                o.ratio(),
+                if o.holds() {
+                    ""
+                } else {
+                    "  SLOWER than standard"
+                },
+            ));
         }
         for line in self.regression_lines() {
             out.push_str(&line);
@@ -223,6 +295,7 @@ pub fn compare(
         cells,
         missing_in_current: missing,
         new_in_current,
+        orderings: schedule_orderings(&current),
     })
 }
 
@@ -747,6 +820,40 @@ mod tests {
             .unwrap()
             .regression_lines()
             .is_empty());
+    }
+
+    #[test]
+    fn gaussian_wise_slower_than_standard_fails_the_gate_within_one_record() {
+        // Every cell within tolerance of its baseline: only the
+        // within-run ordering of the current record can fail this.
+        let both = |gaussian_wise_ms| {
+            record(&[
+                ("Lego", 0.05, "standard_frame_engine", "sequential", 3.0),
+                ("Lego", 0.05, "standard_frame_engine", "fixed2", 2.0),
+                (
+                    "Lego",
+                    0.05,
+                    "gaussian_wise_frame_engine",
+                    "sequential",
+                    gaussian_wise_ms,
+                ),
+                // Not a sequential cell: no part of the rule.
+                ("Lego", 0.05, "gaussian_wise_frame_engine", "fixed2", 9.0),
+                ("Train", 0.02, "standard_frame_engine", "sequential", 4.0),
+            ])
+        };
+        let report = compare(&both(2.7), &both(2.9), 0.25).unwrap();
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(report.orderings.len(), 1, "Train has one schedule only");
+        assert!((report.orderings[0].ratio() - 2.9 / 3.0).abs() < 1e-6);
+
+        let report = compare(&both(2.7), &both(3.3), 0.25).unwrap();
+        assert!(report.cells.iter().all(|c| !c.regressed));
+        assert!(!report.passed());
+        let rendered = report.render();
+        assert!(rendered.contains("Lego@0.05 gaussian_wise / standard (sequential)"));
+        assert!(rendered.contains("SLOWER than standard"));
+        assert!(rendered.contains("FAIL"));
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Runtime-dispatched SIMD kernels for the frame hot path.
 //!
 //! The renderers in `gcc-render` spend almost their entire frame budget in
-//! four flat loops: depth-key generation before the radix sort, the
-//! exponential/clamp tail of alpha evaluation, the masked front-to-back
-//! blend of those alphas into the pixel planes, and SH color evaluation.
-//! This module provides explicitly vectorized `core::arch` implementations
-//! of those loops (SSE2/AVX2 on x86-64, NEON on aarch64) behind a one-time
-//! runtime dispatch table, with the scalar path kept as the bit-exactness
+//! six loops: depth-key generation before the radix sort, SH color
+//! evaluation, and the four that make up the paper's Alpha and Blending
+//! Units — the `E(p)` test of a whole pixel block (Algorithm 1's PE-array
+//! dispatch), the forward-difference power chain of a block, the
+//! exponential/clamp tail of alpha evaluation, and the masked
+//! front-to-back blend of those alphas into the pixel planes. This module
+//! provides explicitly vectorized `core::arch` implementations of those
+//! loops (SSE2/AVX2 on x86-64, NEON on aarch64) behind a one-time runtime
+//! dispatch table, with the scalar path kept as the bit-exactness
 //! reference.
 //!
 //! # Bit-exactness contract
@@ -19,8 +22,14 @@
 //!   IEEE-754 single-precision operations with no FMA and no libm call —
 //!   and the SIMD kernels perform the same per-lane operation sequence;
 //! * sequentially-dependent arithmetic (the [`RowAlpha`] forward-difference
-//!   chain) stays scalar in both paths; only the independent per-element
-//!   tails (exp + clamps, then the blend) are vectorized;
+//!   chain) is never re-associated: a variable span of the standard
+//!   schedule runs it scalar, and [`BlockPowersFn`] runs the *same*
+//!   recurrence with a block's rows in the vector lanes — eight
+//!   independent chains advance together, each lane adding exactly what
+//!   the scalar chain of its row adds, in the same order;
+//! * [`BlockPassFn`] evaluates [`EffectiveTest::passes`]'s expression tree
+//!   per lane (columns as lanes, left-to-right products, no FMA) and
+//!   reduces the comparison to a bit per lane;
 //! * kernels never use horizontal float reductions, re-association, or
 //!   FMA contraction, so lane results equal scalar results bit for bit
 //!   (the counts [`BlendSpanFn`] returns are integer popcounts of lane
@@ -37,7 +46,9 @@
 //!
 //! [`active`] resolves the best supported backend once (cached): AVX2 if
 //! the CPU reports it, else SSE2 on x86-64, NEON on aarch64, scalar
-//! elsewhere. Setting the environment variable `GCC_FORCE_SCALAR` to
+//! elsewhere. (The NEON table routes the two block kernels to their scalar
+//! twins — the documented fallback of [`KernelSet`] — until someone can
+//! build and test intrinsics for them on an aarch64 host.) Setting the environment variable `GCC_FORCE_SCALAR` to
 //! anything but `0`/empty forces the scalar reference. Renderer configs can
 //! also pin a backend per call (`StandardConfig::backend`), which is what
 //! the in-process parity tests use — no global state involved.
@@ -54,6 +65,7 @@ mod x86;
 #[allow(unsafe_code)]
 mod neon;
 
+use crate::bounds::EffectiveTest;
 use crate::{Gaussian3D, ProjectedGaussian};
 use std::sync::OnceLock;
 
@@ -178,6 +190,70 @@ fn blend_lanes_len(alphas: &[f32], px: &PixelLanes<'_>) -> usize {
     n
 }
 
+/// The Alpha Unit's PE array: evaluates `E(p)` on every pixel of one block
+/// and returns the pass pattern as row masks. The block's first pixel is
+/// `origin`, it is `cols` pixels wide and
+/// `masks.len() / cols.div_ceil(BLEND_LANES)` pixels tall (both already
+/// clipped to the image: a lane that is no pixel is never evaluated into
+/// a mask). `masks` is row-major, one byte per 8-lane group of a row: bit
+/// `l` of `masks[row · groups + g]` is lane `8·g + l` of that row, and the
+/// bits past `cols` in a row's last byte are clear.
+///
+/// Per lane this is [`EffectiveTest::passes`], operation for operation:
+/// `dx = x as f32 + 0.5 − μx`, `dy` likewise,
+/// `q = a·dx·dx + 2·b·dx·dy + c·dy·dy` evaluated left to right with
+/// separate multiplies and adds, `q ≤ extent_sq`, and no lane passes when
+/// `extent_sq ≤ 0`.
+///
+/// # Panics
+///
+/// Panics when `cols` is zero or `masks` is not a whole number of rows.
+pub type BlockPassFn = fn(test: &EffectiveTest, origin: (i32, i32), cols: usize, masks: &mut [u8]);
+
+/// The shape check every [`BlockPassFn`] twin runs first; returns the mask
+/// bytes per row.
+fn block_pass_groups(cols: usize, masks: &[u8]) -> usize {
+    let groups = cols.div_ceil(BLEND_LANES);
+    assert!(
+        cols > 0 && masks.len().is_multiple_of(groups),
+        "block_pass takes {groups} mask bytes per row of {cols} lanes"
+    );
+    groups
+}
+
+/// Fills a block's row-major power tile: row `r` of `tile` (rows are
+/// `row_lanes` apart, there are `tile.len() / row_lanes` of them) receives
+/// the exponents of pixels `(origin.0 .. origin.0 + cols, origin.1 + r)`
+/// in its first `cols` lanes and [`PAD_POWER`](crate::alpha::PAD_POWER) in
+/// the rest.
+///
+/// Per row this is exactly the [`RowAlpha`](crate::alpha::RowAlpha) chain
+/// the per-span fill of the renderers runs — `RowAlpha::new` at the row's
+/// first pixel, then `power += step; step += curve` per pixel. The SIMD
+/// twins put the block's *rows* in the vector lanes, so every lane
+/// performs its row's scalar additions in the scalar order, and transpose
+/// the column vectors into the row-major tile.
+///
+/// # Panics
+///
+/// Panics when `row_lanes` is not a positive multiple of [`BLEND_LANES`],
+/// `cols` exceeds it, or `tile` is not a whole number of rows.
+pub type BlockPowersFn =
+    fn(p: &ProjectedGaussian, origin: (i32, i32), cols: usize, row_lanes: usize, tile: &mut [f32]);
+
+/// The shape check every [`BlockPowersFn`] twin runs first; returns the
+/// tile's row count.
+fn block_powers_rows(cols: usize, row_lanes: usize, tile: &[f32]) -> usize {
+    assert!(
+        row_lanes > 0
+            && row_lanes.is_multiple_of(BLEND_LANES)
+            && cols <= row_lanes
+            && tile.len().is_multiple_of(row_lanes),
+        "block_powers takes whole rows of whole {BLEND_LANES}-lane groups"
+    );
+    tile.len() / row_lanes
+}
+
 /// Evaluates SH colors for a batch of survivors and writes
 /// `out[i].color`. Coefficients are read in place from
 /// `gaussians[out[i].id].sh` (48 floats: 16 per channel, channel-major) —
@@ -207,6 +283,10 @@ pub struct KernelSet {
     pub backend: Backend,
     /// Depth-key generation kernel.
     pub depth_keys: DepthKeysFn,
+    /// Block-wide `E(p)` evaluation (Algorithm 1's PE-array dispatch).
+    pub block_pass: BlockPassFn,
+    /// Block-wide power chain, rows as lanes (Gaussian-wise blend fill).
+    pub block_powers: BlockPowersFn,
     /// Power → clamped-alpha kernel (`ExpMode::Exact` datapath).
     pub alpha_powers: AlphaPowersFn,
     /// Masked front-to-back blend kernel (both exponential datapaths).
@@ -219,6 +299,8 @@ pub struct KernelSet {
 static SCALAR: KernelSet = KernelSet {
     backend: Backend::Scalar,
     depth_keys: scalar::depth_keys,
+    block_pass: scalar::block_pass,
+    block_powers: scalar::block_powers,
     alpha_powers: scalar::alpha_powers,
     blend_span: scalar::blend_span,
     sh_colors: scalar::sh_colors,
@@ -317,6 +399,7 @@ pub fn active_backend() -> Backend {
 mod tests {
     use super::*;
     use crate::alpha::{ExpMode, PixelState, RowAlpha, PAD_POWER};
+    use crate::splitmix;
     use crate::{ALPHA_MIN, TRANSMITTANCE_EPS};
     use gcc_math::{SymMat2, Vec2, Vec3};
 
@@ -545,15 +628,6 @@ mod tests {
         }
     }
 
-    /// SplitMix64 — the kernel tests' seeded source of lane patterns.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     /// Runs `kernel` over SoA copies of `pixels` and returns the pixels it
     /// leaves behind together with its counts.
     fn run_blend(
@@ -727,6 +801,183 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Projected Gaussians the block kernels are swept over: thin,
+    /// rotated, huge and too faint to pass anywhere, centred on the
+    /// blocks, beside them and at negative coordinates, then seeded ones.
+    fn block_cases() -> Vec<ProjectedGaussian> {
+        let mut cases = Vec::new();
+        for mean in [
+            Vec2::new(9.3, 7.1),
+            Vec2::new(-13.7, -4.2),
+            Vec2::new(70.5, 3.0),
+            Vec2::new(1003.25, 2001.75),
+        ] {
+            for (cov, opacity) in [
+                (SymMat2::new(0.4, 0.0, 30.0), 0.9),
+                (SymMat2::new(20.0, 14.0, 12.0), 0.6),
+                (SymMat2::new(4000.0, 900.0, 2500.0), 0.99),
+                (SymMat2::new(9.0, 0.0, 9.0), 1.0 / 255.0),
+                (SymMat2::new(9.0, 0.0, 9.0), 0.002),
+            ] {
+                cases.push(proj(mean, cov, opacity));
+            }
+        }
+        let mut seed = 0xB10C_0001;
+        for _ in 0..24 {
+            let mut unit = || (splitmix(&mut seed) % 10_000) as f32 / 10_000.0;
+            let (a, c) = (0.3 + 80.0 * unit(), 0.3 + 80.0 * unit());
+            let b = (unit() - 0.5) * 1.9 * (a * c).sqrt();
+            let mean = Vec2::new(unit() * 96.0 - 24.0, unit() * 48.0 - 16.0);
+            cases.push(proj(mean, SymMat2::new(a, b, c), 0.01 + unit()));
+        }
+        cases
+    }
+
+    const BLOCK_COLS: [usize; 8] = [1, 3, 7, 8, 9, 12, 16, 72];
+    /// Full blocks and clipped last rows.
+    const BLOCK_ROWS: [usize; 4] = [1, 5, 8, 13];
+    const BLOCK_ORIGINS: [(i32, i32); 4] = [(0, 0), (-16, -8), (5, 3), (1000, 2000)];
+
+    #[test]
+    fn block_pass_kernels_match_effective_test_lane_by_lane() {
+        let mut passing = 0usize;
+        for p in block_cases() {
+            let test = EffectiveTest::new(p.mean2d, p.conic, p.opacity);
+            for origin in BLOCK_ORIGINS {
+                for cols in BLOCK_COLS {
+                    let groups = cols.div_ceil(BLEND_LANES);
+                    for rows in BLOCK_ROWS {
+                        for b in available() {
+                            // Stale bits must not survive a call.
+                            let mut masks = vec![0xA5u8; rows * groups];
+                            (kernel_set(b).unwrap().block_pass)(&test, origin, cols, &mut masks);
+                            if p.opacity <= ALPHA_MIN {
+                                assert!(masks.iter().all(|&m| m == 0), "{b}: faint, not empty");
+                            }
+                            for row in 0..rows {
+                                for lane in 0..groups * BLEND_LANES {
+                                    let bit = masks[row * groups + lane / 8] >> (lane % 8) & 1;
+                                    let (x, y) = (origin.0 + lane as i32, origin.1 + row as i32);
+                                    let want = lane < cols && test.passes(x, y);
+                                    assert_eq!(
+                                        bit == 1,
+                                        want,
+                                        "block_pass {b}: {test:?} origin {origin:?} \
+                                         cols {cols} row {row} lane {lane}"
+                                    );
+                                    passing += usize::from(want);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(passing > 10_000, "the sweep must hit passing lanes");
+    }
+
+    #[test]
+    fn block_powers_kernels_match_the_row_alpha_chain_bitwise() {
+        for p in block_cases() {
+            for origin in BLOCK_ORIGINS {
+                for cols in BLOCK_COLS {
+                    // The tightest tile and one with a whole group of padding.
+                    let tight = cols.next_multiple_of(BLEND_LANES);
+                    for row_lanes in [tight, tight + BLEND_LANES] {
+                        for rows in BLOCK_ROWS {
+                            for b in available() {
+                                let mut tile = vec![f32::NAN; rows * row_lanes];
+                                (kernel_set(b).unwrap().block_powers)(
+                                    &p, origin, cols, row_lanes, &mut tile,
+                                );
+                                for (row, lanes) in tile.chunks_exact(row_lanes).enumerate() {
+                                    let mut chain =
+                                        RowAlpha::new(&p, origin.0, origin.1 + row as i32);
+                                    for (lane, got) in lanes.iter().enumerate() {
+                                        let want = if lane < cols {
+                                            chain.power()
+                                        } else {
+                                            PAD_POWER
+                                        };
+                                        chain.advance();
+                                        assert_eq!(
+                                            got.to_bits(),
+                                            want.to_bits(),
+                                            "block_powers {b}: origin {origin:?} cols {cols} \
+                                             of {row_lanes} row {row} lane {lane}: {got} vs {want}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_kernels_reject_ragged_shapes() {
+        let p = proj(Vec2::new(4.0, 4.0), SymMat2::new(6.0, 1.0, 5.0), 0.8);
+        let test = EffectiveTest::new(p.mean2d, p.conic, p.opacity);
+        for b in available() {
+            let ks = kernel_set(b).unwrap();
+            // (cols, mask bytes): no lanes; a 12-lane row is two bytes.
+            for (cols, bytes) in [(0usize, 4usize), (12, 3)] {
+                let ragged = std::panic::catch_unwind(|| {
+                    (ks.block_pass)(&test, (0, 0), cols, &mut vec![0u8; bytes]);
+                });
+                assert!(
+                    ragged.is_err(),
+                    "{b} block_pass took {cols} cols, {bytes} bytes"
+                );
+            }
+            // (cols, row_lanes, tile lanes): rows of half a group, a span
+            // wider than its row, half a row.
+            for (cols, row_lanes, lanes) in [(8usize, 12usize, 24usize), (9, 8, 16), (8, 16, 24)] {
+                let ragged = std::panic::catch_unwind(|| {
+                    (ks.block_powers)(&p, (0, 0), cols, row_lanes, &mut vec![0.0; lanes]);
+                });
+                assert!(
+                    ragged.is_err(),
+                    "{b} block_powers took {cols} of {row_lanes} lanes in {lanes}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_scalar_table_holds_the_six_scalar_twins() {
+        // What a `Backend::Scalar`-pinned render runs: no entry of the
+        // reference table may route to an intrinsic kernel.
+        let ks = kernel_set(Backend::Scalar).unwrap();
+        assert_eq!(ks.backend, Backend::Scalar);
+        assert!(std::ptr::fn_addr_eq(
+            ks.depth_keys,
+            scalar::depth_keys as DepthKeysFn
+        ));
+        assert!(std::ptr::fn_addr_eq(
+            ks.block_pass,
+            scalar::block_pass as BlockPassFn
+        ));
+        assert!(std::ptr::fn_addr_eq(
+            ks.block_powers,
+            scalar::block_powers as BlockPowersFn
+        ));
+        assert!(std::ptr::fn_addr_eq(
+            ks.alpha_powers,
+            scalar::alpha_powers as AlphaPowersFn
+        ));
+        assert!(std::ptr::fn_addr_eq(
+            ks.blend_span,
+            scalar::blend_span as BlendSpanFn
+        ));
+        assert!(std::ptr::fn_addr_eq(
+            ks.sh_colors,
+            scalar::sh_colors as ShColorsFn
+        ));
     }
 
     #[test]

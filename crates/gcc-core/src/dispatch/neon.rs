@@ -5,7 +5,8 @@
 //! compare-and-select (`a < b ? a : b`) so NaN propagation matches the
 //! scalar `f32::min`/`f32::max` results on every input the renderers can
 //! produce. SH evaluation has no NEON gather, so it routes to the scalar
-//! twin.
+//! twin; so do the two block kernels (`block_pass`, `block_powers`), whose
+//! intrinsics no one has been able to build on an aarch64 host yet.
 
 use core::arch::aarch64::*;
 
@@ -19,6 +20,8 @@ use super::{blend_lanes_len, BlendCounts, KernelSet, PixelLanes};
 pub(super) static NEON: KernelSet = KernelSet {
     backend: super::Backend::Neon,
     depth_keys: depth_keys_neon,
+    block_pass: scalar::block_pass,
+    block_powers: scalar::block_powers,
     alpha_powers: alpha_powers_neon,
     blend_span: blend_span_neon,
     sh_colors: scalar::sh_colors,

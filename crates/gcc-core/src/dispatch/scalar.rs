@@ -3,18 +3,54 @@
 //! exact arithmetic the renderers used before dispatch existed, expressed
 //! over the flat SoA slices the kernel ABI takes.
 
-use crate::alpha::ExpMode;
+use crate::alpha::{ExpMode, RowAlpha, PAD_POWER};
+use crate::bounds::EffectiveTest;
 use crate::sort::depth_key;
 use crate::{Gaussian3D, ProjectedGaussian, TRANSMITTANCE_EPS};
 use gcc_math::Vec3;
 
-use super::{blend_lanes_len, BlendCounts, PixelLanes};
+use super::{
+    blend_lanes_len, block_pass_groups, block_powers_rows, BlendCounts, PixelLanes, BLEND_LANES,
+};
 
 /// Scalar [`crate::dispatch::DepthKeysFn`].
 pub fn depth_keys(depths: &[f32], keys: &mut [u32]) {
     assert_eq!(depths.len(), keys.len());
     for (k, d) in keys.iter_mut().zip(depths) {
         *k = depth_key(*d);
+    }
+}
+
+/// Scalar [`crate::dispatch::BlockPassFn`]: [`EffectiveTest::passes`] on
+/// every pixel of the block, one bit per passing lane.
+pub fn block_pass(test: &EffectiveTest, (x0, y0): (i32, i32), cols: usize, masks: &mut [u8]) {
+    let groups = block_pass_groups(cols, masks);
+    masks.fill(0);
+    for (y, row) in (y0..).zip(masks.chunks_exact_mut(groups)) {
+        for (lane, x) in (x0..).take(cols).enumerate() {
+            row[lane / BLEND_LANES] |= u8::from(test.passes(x, y)) << (lane % BLEND_LANES);
+        }
+    }
+}
+
+/// Scalar [`crate::dispatch::BlockPowersFn`]: one [`RowAlpha`] chain per
+/// row of the tile, padding after it.
+pub fn block_powers(
+    p: &ProjectedGaussian,
+    (x0, y0): (i32, i32),
+    cols: usize,
+    row_lanes: usize,
+    tile: &mut [f32],
+) {
+    block_powers_rows(cols, row_lanes, tile);
+    for (y, lanes) in (y0..).zip(tile.chunks_exact_mut(row_lanes)) {
+        let (span, pad) = lanes.split_at_mut(cols);
+        let mut chain = RowAlpha::new(p, x0, y);
+        for slot in span {
+            *slot = chain.power();
+            chain.advance();
+        }
+        pad.fill(PAD_POWER);
     }
 }
 

@@ -10,12 +10,17 @@
 
 use core::arch::x86_64::*;
 
+use crate::alpha::PAD_POWER;
+use crate::bounds::EffectiveTest;
 use crate::{Gaussian3D, ProjectedGaussian, ALPHA_MAX, ALPHA_MIN, TRANSMITTANCE_EPS};
 use gcc_math::exp::{DET_EXP_LN2_HI, DET_EXP_LN2_LO, DET_EXP_LOG2E, DET_EXP_POLY, EXP_INPUT_MIN};
 use gcc_math::Vec3;
 
 use super::scalar;
-use super::{blend_lanes_len, BlendCounts, KernelSet, PixelLanes};
+use super::{
+    blend_lanes_len, block_pass_groups, block_powers_rows, BlendCounts, KernelSet, PixelLanes,
+    BLEND_LANES,
+};
 
 /// Whether this CPU runs the AVX2 table: AVX2 for the vector bodies and
 /// POPCNT for the lane counts [`blend_span_avx2`] returns (every AVX2 CPU
@@ -30,6 +35,8 @@ pub(super) fn avx2_available() -> bool {
 pub(super) static SSE2: KernelSet = KernelSet {
     backend: super::Backend::Sse2,
     depth_keys: depth_keys_sse2,
+    block_pass: block_pass_sse2,
+    block_powers: block_powers_sse2,
     alpha_powers: alpha_powers_sse2,
     blend_span: blend_span_sse2,
     sh_colors: scalar::sh_colors,
@@ -40,6 +47,8 @@ pub(super) static SSE2: KernelSet = KernelSet {
 pub(super) static AVX2: KernelSet = KernelSet {
     backend: super::Backend::Avx2,
     depth_keys: depth_keys_avx2,
+    block_pass: block_pass_avx2,
+    block_powers: block_powers_avx2,
     alpha_powers: alpha_powers_avx2,
     blend_span: blend_span_avx2,
     sh_colors: sh_colors_avx2,
@@ -96,6 +105,304 @@ unsafe fn depth_keys_avx2_impl(depths: &[f32], keys: &mut [u32]) {
     for j in i..n {
         keys[j] = crate::sort::depth_key(depths[j]);
     }
+}
+
+/// The mask-byte bits of lane group `g` that are lanes of a `cols`-wide
+/// row: all eight, or the low `cols − 8·g` of the row's last group.
+fn group_tail(cols: usize, g: usize) -> u8 {
+    let live = (cols - g * BLEND_LANES).min(BLEND_LANES);
+    (0xffu16 >> (BLEND_LANES - live)) as u8
+}
+
+fn block_pass_sse2(test: &EffectiveTest, origin: (i32, i32), cols: usize, masks: &mut [u8]) {
+    let groups = block_pass_groups(cols, masks);
+    // SAFETY: SSE2 is part of the x86-64 baseline.
+    unsafe { block_pass_sse2_impl(test, origin, cols, groups, masks) }
+}
+
+/// Columns as lanes, two 4-lane halves per mask byte: the terms of
+/// `EffectiveTest::passes` that depend only on the column (`a·dx·dx`,
+/// `2·b·dx`) are built once per lane group and reused down the block's
+/// rows; the per-row terms are the scalar twin's scalars, broadcast.
+#[target_feature(enable = "sse2")]
+fn block_pass_sse2_impl(
+    test: &EffectiveTest,
+    (x0, y0): (i32, i32),
+    cols: usize,
+    groups: usize,
+    masks: &mut [u8],
+) {
+    if test.extent_sq <= 0.0 {
+        masks.fill(0);
+        return;
+    }
+    let (a, two_b, c) = (test.conic.a, 2.0 * test.conic.b, test.conic.c);
+    let half = _mm_set1_ps(0.5);
+    let mx = _mm_set1_ps(test.mean.x);
+    let extent = _mm_set1_ps(test.extent_sq);
+    for g in 0..groups {
+        let first = x0 + (g * BLEND_LANES) as i32;
+        let column_terms = |xi: __m128i| {
+            let dx = _mm_sub_ps(_mm_add_ps(_mm_cvtepi32_ps(xi), half), mx);
+            (
+                _mm_mul_ps(_mm_mul_ps(_mm_set1_ps(a), dx), dx),
+                _mm_mul_ps(_mm_set1_ps(two_b), dx),
+            )
+        };
+        let (adxdx_lo, bdx_lo) =
+            column_terms(_mm_setr_epi32(first, first + 1, first + 2, first + 3));
+        let (adxdx_hi, bdx_hi) =
+            column_terms(_mm_setr_epi32(first + 4, first + 5, first + 6, first + 7));
+        let tail = group_tail(cols, g);
+        for (y, row) in (y0..).zip(masks.chunks_exact_mut(groups)) {
+            let dy = y as f32 + 0.5 - test.mean.y;
+            let (dy_v, cdydy) = (_mm_set1_ps(dy), _mm_set1_ps(c * dy * dy));
+            let pass = |adxdx, bdx| {
+                let q = _mm_add_ps(_mm_add_ps(adxdx, _mm_mul_ps(bdx, dy_v)), cdydy);
+                _mm_movemask_ps(_mm_cmple_ps(q, extent))
+            };
+            let bits = pass(adxdx_lo, bdx_lo) | pass(adxdx_hi, bdx_hi) << 4;
+            row[g] = bits as u8 & tail;
+        }
+    }
+}
+
+fn block_pass_avx2(test: &EffectiveTest, origin: (i32, i32), cols: usize, masks: &mut [u8]) {
+    let groups = block_pass_groups(cols, masks);
+    debug_assert!(avx2_available());
+    // SAFETY: the AVX2 table is only handed out after feature detection.
+    unsafe { block_pass_avx2_impl(test, origin, cols, groups, masks) }
+}
+
+/// 8-lane twin of [`block_pass_sse2_impl`] (identical per-lane sequence):
+/// one vector and one `movemask` per mask byte.
+#[target_feature(enable = "avx2")]
+fn block_pass_avx2_impl(
+    test: &EffectiveTest,
+    (x0, y0): (i32, i32),
+    cols: usize,
+    groups: usize,
+    masks: &mut [u8],
+) {
+    if test.extent_sq <= 0.0 {
+        masks.fill(0);
+        return;
+    }
+    let (a, two_b, c) = (test.conic.a, 2.0 * test.conic.b, test.conic.c);
+    let half = _mm256_set1_ps(0.5);
+    let mx = _mm256_set1_ps(test.mean.x);
+    let extent = _mm256_set1_ps(test.extent_sq);
+    let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for g in 0..groups {
+        let xi = _mm256_add_epi32(_mm256_set1_epi32(x0 + (g * BLEND_LANES) as i32), iota);
+        let dx = _mm256_sub_ps(_mm256_add_ps(_mm256_cvtepi32_ps(xi), half), mx);
+        let adxdx = _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(a), dx), dx);
+        let bdx = _mm256_mul_ps(_mm256_set1_ps(two_b), dx);
+        let tail = group_tail(cols, g);
+        for (y, row) in (y0..).zip(masks.chunks_exact_mut(groups)) {
+            let dy = y as f32 + 0.5 - test.mean.y;
+            let q = _mm256_add_ps(
+                _mm256_add_ps(adxdx, _mm256_mul_ps(bdx, _mm256_set1_ps(dy))),
+                _mm256_set1_ps(c * dy * dy),
+            );
+            let bits = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(q, extent));
+            row[g] = bits as u8 & tail;
+        }
+    }
+}
+
+fn block_powers_sse2(
+    p: &ProjectedGaussian,
+    origin: (i32, i32),
+    cols: usize,
+    row_lanes: usize,
+    tile: &mut [f32],
+) {
+    block_powers_rows(cols, row_lanes, tile);
+    // SAFETY: SSE2 is part of the x86-64 baseline.
+    unsafe { block_powers_sse2_impl(p, origin, cols, row_lanes, tile) }
+}
+
+/// Rows as lanes, four at a time: `RowAlpha::new` for four rows in one
+/// vector (the column-only factors are the scalar twin's scalars,
+/// broadcast), then four chain steps give four column vectors, which a
+/// 4×4 transpose turns into four row-major runs of the tile. Lanes past
+/// `cols` are overwritten with the pad power; rows past the tile are not
+/// stored.
+#[target_feature(enable = "sse2")]
+fn block_powers_sse2_impl(
+    p: &ProjectedGaussian,
+    (x0, y0): (i32, i32),
+    cols: usize,
+    row_lanes: usize,
+    tile: &mut [f32],
+) {
+    const ROWS: usize = 4;
+    let conic = p.conic;
+    let dx = x0 as f32 + 0.5 - p.mean2d.x;
+    let two_b = 2.0 * conic.b;
+    let half = _mm_set1_ps(0.5);
+    let pad = _mm_set1_ps(PAD_POWER);
+    let iota = _mm_setr_epi32(0, 1, 2, 3);
+    let curve = _mm_set1_ps(-conic.a);
+    for (group, rows) in tile.chunks_mut(ROWS * row_lanes).enumerate() {
+        let yi = _mm_add_epi32(_mm_set1_epi32(y0 + (group * ROWS) as i32), iota);
+        let dy = _mm_sub_ps(
+            _mm_add_ps(_mm_cvtepi32_ps(yi), half),
+            _mm_set1_ps(p.mean2d.y),
+        );
+        let q = _mm_add_ps(
+            _mm_add_ps(
+                _mm_set1_ps(conic.a * dx * dx),
+                _mm_mul_ps(_mm_set1_ps(two_b * dx), dy),
+            ),
+            _mm_mul_ps(_mm_mul_ps(_mm_set1_ps(conic.c), dy), dy),
+        );
+        let mut power = _mm_sub_ps(_mm_set1_ps(p.ln_opacity), _mm_mul_ps(half, q));
+        let mut step = _mm_mul_ps(
+            _mm_set1_ps(-0.5),
+            _mm_add_ps(
+                _mm_set1_ps(conic.a * (2.0 * dx + 1.0)),
+                _mm_mul_ps(_mm_set1_ps(two_b), dy),
+            ),
+        );
+        for col0 in (0..row_lanes).step_by(ROWS) {
+            let live = cols.saturating_sub(col0).min(ROWS);
+            let mut v = [pad; ROWS];
+            if live > 0 {
+                for column in &mut v {
+                    *column = power;
+                    power = _mm_add_ps(power, step);
+                    step = _mm_add_ps(step, curve);
+                }
+                let [r0, r1, r2, r3] = &mut v;
+                _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+                if live < ROWS {
+                    let keep = _mm_castsi128_ps(_mm_cmpgt_epi32(_mm_set1_epi32(live as i32), iota));
+                    for row in &mut v {
+                        *row = _mm_or_ps(_mm_and_ps(keep, *row), _mm_andnot_ps(keep, pad));
+                    }
+                }
+            }
+            for (row, lanes) in v.iter().zip(rows.chunks_exact_mut(row_lanes)) {
+                let run = &mut lanes[col0..col0 + ROWS];
+                // SAFETY: `run` is exactly the four floats the store writes.
+                unsafe { _mm_storeu_ps(run.as_mut_ptr(), *row) };
+            }
+        }
+    }
+}
+
+fn block_powers_avx2(
+    p: &ProjectedGaussian,
+    origin: (i32, i32),
+    cols: usize,
+    row_lanes: usize,
+    tile: &mut [f32],
+) {
+    block_powers_rows(cols, row_lanes, tile);
+    debug_assert!(avx2_available());
+    // SAFETY: the AVX2 table is only handed out after feature detection.
+    unsafe { block_powers_avx2_impl(p, origin, cols, row_lanes, tile) }
+}
+
+/// 8-row twin of [`block_powers_sse2_impl`] (identical per-lane sequence):
+/// eight chains advance together and one 8×8 transpose per lane group
+/// writes eight rows of the tile.
+#[target_feature(enable = "avx2")]
+fn block_powers_avx2_impl(
+    p: &ProjectedGaussian,
+    (x0, y0): (i32, i32),
+    cols: usize,
+    row_lanes: usize,
+    tile: &mut [f32],
+) {
+    const ROWS: usize = 8;
+    let conic = p.conic;
+    let dx = x0 as f32 + 0.5 - p.mean2d.x;
+    let two_b = 2.0 * conic.b;
+    let half = _mm256_set1_ps(0.5);
+    let pad = _mm256_set1_ps(PAD_POWER);
+    let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let curve = _mm256_set1_ps(-conic.a);
+    for (group, rows) in tile.chunks_mut(ROWS * row_lanes).enumerate() {
+        let yi = _mm256_add_epi32(_mm256_set1_epi32(y0 + (group * ROWS) as i32), iota);
+        let dy = _mm256_sub_ps(
+            _mm256_add_ps(_mm256_cvtepi32_ps(yi), half),
+            _mm256_set1_ps(p.mean2d.y),
+        );
+        let q = _mm256_add_ps(
+            _mm256_add_ps(
+                _mm256_set1_ps(conic.a * dx * dx),
+                _mm256_mul_ps(_mm256_set1_ps(two_b * dx), dy),
+            ),
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(conic.c), dy), dy),
+        );
+        let mut power = _mm256_sub_ps(_mm256_set1_ps(p.ln_opacity), _mm256_mul_ps(half, q));
+        let mut step = _mm256_mul_ps(
+            _mm256_set1_ps(-0.5),
+            _mm256_add_ps(
+                _mm256_set1_ps(conic.a * (2.0 * dx + 1.0)),
+                _mm256_mul_ps(_mm256_set1_ps(two_b), dy),
+            ),
+        );
+        for col0 in (0..row_lanes).step_by(ROWS) {
+            let live = cols.saturating_sub(col0).min(ROWS);
+            let mut v = [pad; ROWS];
+            if live > 0 {
+                for column in &mut v {
+                    *column = power;
+                    power = _mm256_add_ps(power, step);
+                    step = _mm256_add_ps(step, curve);
+                }
+                v = transpose8_avx2(v);
+                if live < ROWS {
+                    let keep = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
+                        _mm256_set1_epi32(live as i32),
+                        iota,
+                    ));
+                    for row in &mut v {
+                        *row = _mm256_blendv_ps(pad, *row, keep);
+                    }
+                }
+            }
+            for (row, lanes) in v.iter().zip(rows.chunks_exact_mut(row_lanes)) {
+                let run = &mut lanes[col0..col0 + ROWS];
+                // SAFETY: `run` is exactly the eight floats the store writes.
+                unsafe { _mm256_storeu_ps(run.as_mut_ptr(), *row) };
+            }
+        }
+    }
+}
+
+/// 8×8 `f32` transpose: lane `j` of output `i` is lane `i` of input `j`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn transpose8_avx2([r0, r1, r2, r3, r4, r5, r6, r7]: [__m256; 8]) -> [__m256; 8] {
+    // Interleave row pairs, pair the pairs inside each 128-bit half,
+    // then swap halves across the middle.
+    let (p0, p1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+    let (p2, p3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+    let (p4, p5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
+    let (p6, p7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
+    let q0 = _mm256_shuffle_ps::<0x44>(p0, p2);
+    let q1 = _mm256_shuffle_ps::<0xEE>(p0, p2);
+    let q2 = _mm256_shuffle_ps::<0x44>(p1, p3);
+    let q3 = _mm256_shuffle_ps::<0xEE>(p1, p3);
+    let q4 = _mm256_shuffle_ps::<0x44>(p4, p6);
+    let q5 = _mm256_shuffle_ps::<0xEE>(p4, p6);
+    let q6 = _mm256_shuffle_ps::<0x44>(p5, p7);
+    let q7 = _mm256_shuffle_ps::<0xEE>(p5, p7);
+    [
+        _mm256_permute2f128_ps::<0x20>(q0, q4),
+        _mm256_permute2f128_ps::<0x20>(q1, q5),
+        _mm256_permute2f128_ps::<0x20>(q2, q6),
+        _mm256_permute2f128_ps::<0x20>(q3, q7),
+        _mm256_permute2f128_ps::<0x31>(q0, q4),
+        _mm256_permute2f128_ps::<0x31>(q1, q5),
+        _mm256_permute2f128_ps::<0x31>(q2, q6),
+        _mm256_permute2f128_ps::<0x31>(q3, q7),
+    ]
 }
 
 fn alpha_powers_sse2(buf: &mut [f32]) {

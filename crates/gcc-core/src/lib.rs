@@ -63,6 +63,17 @@ pub mod projection;
 pub mod sh;
 pub mod sort;
 
+/// SplitMix64 — the seeded source of lane patterns and test Gaussians the
+/// kernel and tracer sweeps share.
+#[cfg(test)]
+pub(crate) fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 pub use camera::Camera;
 pub use gaussian::{Gaussian3D, PARAM_FLOATS, SH_COEFFS_PER_CHANNEL, SH_FLOATS};
 pub use projection::ProjectedGaussian;

@@ -18,7 +18,13 @@
 //!   ([`stages::sort_by_depth`]).
 //! * **Stage IV** — Algorithm 1 block traversal (8×8 PE array granularity)
 //!   restricted by the transmittance mask, alpha evaluation (optionally
-//!   through the fixed-point LUT-EXP), and front-to-back blending.
+//!   through the fixed-point LUT-EXP), and front-to-back blending. Both
+//!   halves of the Alpha Unit are block-wide kernels of the render's
+//!   [`KernelSet`]: the tracer evaluates `E(p)` once per dispatched block
+//!   (`block_pass`) and steers by the pass pattern, and each effective
+//!   block's exponents come from one `block_powers` fill
+//!   ([`stages::PixelPatch::blend_block`]) ahead of the blend tail the
+//!   standard schedule shares.
 //!
 //! Compatibility Mode (paper §4.6) partitions the image into `n × n`
 //! sub-views ([`stages::partition_windows`]) rendered independently, with
@@ -35,7 +41,7 @@ use gcc_core::dispatch::{self, Backend, KernelSet};
 use gcc_core::grouping::{group_by_depth, DepthGroups, GroupingConfig};
 use gcc_core::{Camera, Gaussian3D, ProjectedGaussian};
 use gcc_math::{Vec2, Vec3};
-use gcc_parallel::{par_map_chunked, Parallelism};
+use gcc_parallel::{par_chunks_mut, Parallelism};
 
 use crate::pipeline::stages::{self, BlendScratch};
 use crate::pipeline::{FrameScratch, FrameStats};
@@ -145,9 +151,27 @@ pub struct GaussianWiseOutput {
 /// Cheap Stage-I screen information used for Cmode window binning: center
 /// projection plus a conservative bounding-circle radius (center + max
 /// scale only — over-covers the exact ω-σ footprint, as in paper §4.6).
-struct ScreenBound {
+#[derive(Debug, Clone)]
+pub(crate) struct ScreenBound {
     center: Vec2,
     radius: f32,
+}
+
+/// What a window worker keeps between windows and frames beside its pixel
+/// patch: the Alpha Unit's tracer and the per-block and per-group lists.
+/// Pure capacity — [`render_window`] re-targets every part at its window's
+/// block grid before use.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WindowScratch {
+    /// `None` until a window first renders with this scratch.
+    tracer: Option<BlockTracer>,
+    tmask: TMask,
+    /// Non-terminated pixels per block.
+    live_pixels: Vec<u32>,
+    /// Effective blocks of the Gaussian being traced.
+    blocks: Vec<usize>,
+    /// Projected survivors of the group being rendered.
+    survivors: Vec<ProjectedGaussian>,
 }
 
 /// Everything a window worker needs, shared read-only across workers.
@@ -192,8 +216,22 @@ fn render_window(
     let cfg = ctx.cfg;
     let subcam = ctx.cam.sub_view(win.0, win.1, win.2, win.3);
     let grid = BlockGrid::new(cfg.block, win.2, win.3);
-    let mut tracer = BlockTracer::new(grid);
-    let mut tmask = TMask::new(&grid);
+    let BlendScratch {
+        patch,
+        rendered,
+        window,
+        ..
+    } = work;
+    let WindowScratch {
+        tracer,
+        tmask,
+        live_pixels,
+        blocks: blocks_buf,
+        survivors,
+    } = window;
+    let tracer = tracer.get_or_insert_with(|| BlockTracer::new(grid));
+    tracer.retarget(grid);
+    tmask.reset(&grid);
     // Block-level ROI restriction: block rects are window-local, the ROI
     // is frame-global.
     let block_in_roi = |b: usize| match &ctx.roi {
@@ -216,19 +254,13 @@ fn render_window(
     // Non-terminated pixels per block: what the Alpha Unit evaluates when
     // the block is dispatched, and zero exactly when the block's T-mask
     // bit may be set.
-    let mut live_pixels: Vec<u32> = (0..grid.block_count())
-        .map(|b| {
-            let (bx0, by0, bx1, by1) = grid.block_rect(b);
-            ((bx1 - bx0) * (by1 - by0)) as u32
-        })
-        .collect();
-    let BlendScratch {
-        patch, rendered, ..
-    } = work;
+    live_pixels.clear();
+    live_pixels.extend((0..grid.block_count()).map(|b| {
+        let (bx0, by0, bx1, by1) = grid.block_rect(b);
+        ((bx1 - bx0) * (by1 - by0)) as u32
+    }));
     patch.reset(win.0, win.1, win.2, win.3, cfg.block);
     let mut stats = FrameStats::default();
-    let mut blocks_buf: Vec<usize> = Vec::new();
-    let mut survivors: Vec<ProjectedGaussian> = Vec::new();
 
     for group in ctx.groups.iter() {
         // Cross-stage conditional skip: the rendering termination
@@ -264,7 +296,7 @@ fn render_window(
 
         // ---- Stage III: intra-group sort + conditional SH. ----
         stats.sort_elements += survivors.len() as u64;
-        stages::sort_by_depth(&mut survivors);
+        stages::sort_by_depth(survivors);
         for p in survivors.iter_mut() {
             // ---- Stage IV: boundary identification + blending. ----
             // Alpha evaluation needs only geometry (μ′, Σ′⁻¹, lnω);
@@ -276,7 +308,7 @@ fn render_window(
             // fully preprocessed (paper §1, Fig. 1 "Conditional
             // Loading").
             let test = EffectiveTest::new(p.mean2d, p.conic, p.opacity);
-            let tr = tracer.trace(&test, Some(&tmask), cfg.mask_mode, &mut blocks_buf);
+            let tr = tracer.trace(&test, Some(tmask), cfg.mask_mode, ctx.kernels, blocks_buf);
             stats.blocks_dispatched += tr.blocks_dispatched;
             stats.blocks_masked_skips += tr.blocks_masked;
             stats.pixels_evaluated += tr.pixels_evaluated;
@@ -295,25 +327,14 @@ fn render_window(
             }
             stages::shade_one_deg(p, &ctx.gaussians[p.id as usize], &subcam, cfg.sh_degree);
 
-            // Blend the dispatched blocks row by row. `alpha_lane_evals`
-            // keeps its per-pixel meaning: evaluations the hardware Alpha
-            // Unit performs, i.e. the block's non-terminated lanes.
+            // Blend the effective blocks, each evaluated whole.
+            // `alpha_lane_evals` keeps its per-pixel meaning: evaluations
+            // the hardware Alpha Unit performs, i.e. the block's
+            // non-terminated lanes.
             let mut contributed = false;
-            for &b in &blocks_buf {
-                let (bx0, by0, bx1, by1) = grid.block_rect(b);
+            for &b in blocks_buf.iter() {
                 stats.alpha_lane_evals += u64::from(live_pixels[b]);
-                // Row-incremental alpha across each block row: the conic
-                // quadratic form runs once, then two adds/pixel.
-                let counts = patch.blend_rows(
-                    b,
-                    p,
-                    (bx0, by0),
-                    0..(by1 - by0) as u32,
-                    |_| (0, (bx1 - bx0) as u32),
-                    cfg.alpha_min,
-                    &cfg.exp,
-                    ctx.kernels,
-                );
+                let counts = patch.blend_block(b, p, cfg.alpha_min, &cfg.exp, ctx.kernels);
                 stats.pixels_blended += u64::from(counts.blended);
                 contributed |= counts.blended > 0;
                 live_pixels[b] -= counts.terminated;
@@ -358,7 +379,8 @@ pub fn render_gaussian_wise_with(
 }
 
 /// [`render_gaussian_wise_with`] reusing caller-owned scratch (the Stage I
-/// depth buffer) — the batch-render entry point. Output is bit-identical
+/// depth and screen-bound buffers, the window workers' patches, tracers
+/// and lists) — the batch-render entry point. Output is bit-identical
 /// whatever the scratch previously held.
 pub fn render_gaussian_wise_scratch(
     gaussians: &[Gaussian3D],
@@ -398,9 +420,16 @@ pub fn render_gaussian_wise_job(
     let threads = parallelism.threads();
     let (w, h) = (cam.width, cam.height);
 
+    let FrameScratch {
+        depths,
+        bounds,
+        workers,
+        ..
+    } = scratch;
+
     // ---- Stage I: depths + grouping (global, once per frame). ----
-    stages::view_depths_into(gaussians, cam, threads, &mut scratch.depths);
-    let depths = &scratch.depths;
+    stages::view_depths_into(gaussians, cam, threads, depths);
+    let depths = &*depths;
     let grouping = cfg
         .grouping
         .unwrap_or_else(|| GroupingConfig::for_count(gaussians.len()));
@@ -429,14 +458,19 @@ pub fn render_gaussian_wise_job(
     // One point projection and a radius: the rough per-item cost quoted to
     // `gcc-parallel`'s work floor.
     const BOUND_NS: u32 = 10;
-    let bounds: Vec<Option<ScreenBound>> = par_map_chunked(gaussians, threads, BOUND_NS, |i, g| {
-        let z = depths[i];
-        if z < gcc_core::NEAR_DEPTH {
-            return None;
+    bounds.clear();
+    bounds.resize(gaussians.len(), None);
+    par_chunks_mut(bounds, threads, BOUND_NS, |off, chunk| {
+        for (i, bound) in (off..).zip(chunk) {
+            let z = depths[i];
+            if z < gcc_core::NEAR_DEPTH {
+                continue;
+            }
+            if let Some((px, _)) = cam.project_point(gaussians[i].mean) {
+                let radius = 6.0 * gaussians[i].scale.max_component() * focal / z + 4.0;
+                *bound = Some(ScreenBound { center: px, radius });
+            }
         }
-        let (px, _) = cam.project_point(g.mean)?;
-        let radius = 6.0 * g.scale.max_component() * focal / z + 4.0;
-        Some(ScreenBound { center: px, radius })
     });
 
     let mut stats = FrameStats {
@@ -457,14 +491,14 @@ pub fn render_gaussian_wise_job(
         cam,
         gaussians,
         groups: &groups,
-        bounds: &bounds,
+        bounds,
         kernels,
         roi,
     };
     let rendered = stages::render_units(
         windows.len(),
         threads,
-        &mut scratch.workers,
+        workers,
         (w, h),
         roi.as_ref(),
         cfg.background,

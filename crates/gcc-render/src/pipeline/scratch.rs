@@ -1,11 +1,11 @@
 //! Reusable per-frame working memory for the hot path.
 //!
 //! A frame render needs several transient buffers — depth keys, the radix
-//! ping-pong arrays, footprint rectangles, CSR tile bins, Stage I depths,
-//! the workers' SoA pixel patches. Allocating them per frame is pure
-//! overhead in batch workloads (a trajectory render re-creates them
-//! hundreds of times), so they live in one [`FrameScratch`] that callers
-//! thread through
+//! ping-pong arrays, footprint rectangles, CSR tile bins, Stage I depths
+//! and screen bounds, the workers' SoA pixel patches and block tracers.
+//! Allocating them per frame is pure overhead in batch workloads (a
+//! trajectory render re-creates them hundreds of times), so they live in
+//! one [`FrameScratch`] that callers thread through
 //! [`crate::pipeline::Renderer::render_frame_reusing`]. The trajectory
 //! runner keeps one scratch per worker thread.
 //!
@@ -108,6 +108,9 @@ pub struct FrameScratch {
     pub(crate) bins: TileBins,
     /// Stage I view depths (Gaussian-wise schedule).
     pub(crate) depths: Vec<f32>,
+    /// Stage I conservative screen bounds, scene order (Gaussian-wise
+    /// schedule's Cmode window binning).
+    pub(crate) bounds: Vec<Option<crate::gaussian_wise::ScreenBound>>,
     /// SoA survivor fields streamed by the vectorized stages.
     pub(crate) soa: SurvivorSoa,
     /// Per-worker blending scratch (pixel patches, index lists), leased

@@ -17,9 +17,13 @@
 //!   over survivors or over per-tile index lists,
 //! * [`partition_windows`] — Compatibility-Mode sub-view partitioning,
 //! * [`PixelPatch`] — a rectangular tile/window of blending state that a
-//!   worker owns exclusively, and [`PixelPatch::blend_rows`], the one
-//!   blend loop: the schedules decide which row spans of which Gaussians
-//!   reach it and in what order, never how a span is blended.
+//!   worker owns exclusively, and the one blend loop: a schedule fills a
+//!   block's power tile — span by span ([`PixelPatch::blend_rows`], the
+//!   standard schedule's variable spans) or whole
+//!   ([`PixelPatch::blend_block`], a dispatched Gaussian-wise block) —
+//!   and both end in the same exponential + `blend_span` tail; the
+//!   schedules decide which Gaussians reach it and in what order, never
+//!   how a lane is blended.
 //!
 //! Every function here is deterministic and free of interior ordering
 //! choices, which is what makes the parallel engine's output bit-identical
@@ -410,9 +414,9 @@ pub fn partition_windows(w: u32, h: u32, subview: Option<u32>) -> Vec<(u32, u32,
 /// Gaussian-wise schedule's 8×8 PE-array blocks) with each block row
 /// padded to whole [`BLEND_LANES`] groups. A block is therefore one
 /// contiguous run of every plane, and the blend kernel always sees full
-/// groups. Workers blend into their patch through [`Self::blend_rows`] —
-/// the one blend loop both schedules share — and resolve it into the
-/// output image when the unit is done; patches never overlap, so the
+/// groups. Workers blend into their patch through [`Self::blend_rows`] /
+/// [`Self::blend_block`] — two fills of the one blend loop both schedules
+/// share — and resolve it into the output image when the unit is done; patches never overlap, so the
 /// frame is the same whatever order units finish in.
 ///
 /// A patch is reusable capacity: [`Self::reset`] re-targets it without
@@ -440,7 +444,7 @@ pub struct PixelPatch {
     /// (terminated), so nothing can blend into them.
     t: Vec<f32>,
     /// One block's worth of lanes: the powers, then alphas, of the
-    /// Gaussian being blended ([`Self::blend_rows`]).
+    /// Gaussian being blended ([`Self::blend_powers`]).
     powers: Vec<f32>,
 }
 
@@ -511,24 +515,20 @@ impl PixelPatch {
     }
 
     /// Blends the projected Gaussian `p`, front to back, into rows `rows`
-    /// of block `block` — the blend loop of every schedule. `span_of(y)`
-    /// names the block-local columns `[x0, x1)` of row `y` that can
-    /// contribute (empty when `x0 >= x1`); it is called once per row, in
-    /// row order, so it may walk its spans incrementally. `origin` is the
-    /// block's first pixel in `p`'s coordinates.
+    /// of block `block` over per-row column spans — how the standard
+    /// schedule feeds the blend loop. `span_of(y)` names the block-local
+    /// columns `[x0, x1)` of row `y` that can contribute (empty when
+    /// `x0 >= x1`); it is called once per row, in row order, so it may walk
+    /// its spans incrementally. `origin` is the block's first pixel in
+    /// `p`'s coordinates.
     ///
-    /// Three phases over the block's power tile, whose rows are contiguous:
-    /// per row, the scalar forward-difference chain ([`RowAlpha`], started
-    /// at the span's first pixel) fills the span's lanes and
-    /// [`PAD_POWER`] the others; one pass turns the touched rows into
-    /// alphas (`kernels.alpha_powers` for [`ExpMode::Exact`], the LUT per
-    /// lane otherwise); one `kernels.blend_span` call blends them into the
-    /// planes. Lanes outside a span reach the kernel as `α = 0` and leave
-    /// their pixels as they were. Keeping the rows of a Gaussian in one
-    /// loop lets their independent span solves and chains overlap, and
-    /// gives each kernel a run of whole rows instead of a handful of
-    /// lanes. A negative `alpha_min` means 0 (the intrinsic `1/255` cutoff
-    /// alone): padding relies on `α = 0` never passing the mask.
+    /// Per row, the scalar forward-difference chain ([`RowAlpha`], started
+    /// at the span's first pixel) fills the span's lanes of the block's
+    /// power tile and [`PAD_POWER`] the others; the rows from the first to
+    /// the last non-empty one then go through [`Self::blend_powers`].
+    /// Keeping the rows of a Gaussian in one loop lets their independent
+    /// span solves and chains overlap, and gives each kernel a run of
+    /// whole rows instead of a handful of lanes.
     ///
     /// # Panics
     ///
@@ -549,7 +549,6 @@ impl PixelPatch {
         kernels: &KernelSet,
     ) -> BlendCounts {
         assert!(rows.end <= self.block, "rows {rows:?} outside their block");
-        let alpha_min = alpha_min.max(0.0);
         let row_lanes = self.row_lanes;
         // Lane range of the rows from the first to the last non-empty one.
         let mut touched: Option<(usize, usize)> = None;
@@ -572,20 +571,70 @@ impl PixelPatch {
             }
             touched = Some((touched.map_or(at, |(first, _)| first), at + row_lanes));
         }
-        let Some((first, end)) = touched else {
-            return BlendCounts::default();
-        };
+        match touched {
+            Some((first, end)) => self.blend_powers(block, first..end, p, alpha_min, exp, kernels),
+            None => BlendCounts::default(),
+        }
+    }
+
+    /// Blends the projected Gaussian `p`, given in patch-local pixel
+    /// coordinates, front to back into every pixel of block `block` — how
+    /// the Gaussian-wise schedule feeds the blend loop: a dispatched block
+    /// is evaluated whole, so `kernels.block_powers` fills the power tile
+    /// with the block's rows in the vector lanes (the same chain per row
+    /// as [`Self::blend_rows`] runs, bit for bit) before
+    /// [`Self::blend_powers`].
+    #[inline]
+    pub fn blend_block(
+        &mut self,
+        block: usize,
+        p: &ProjectedGaussian,
+        alpha_min: f32,
+        exp: &ExpMode,
+        kernels: &KernelSet,
+    ) -> BlendCounts {
+        let (bx, by) = (block as u32 % self.blocks_x, block as u32 / self.blocks_x);
+        let (x0, y0) = (bx * self.block, by * self.block);
+        let cols = self.block.min(self.w - x0) as usize;
+        let end = self.block.min(self.h - y0) as usize * self.row_lanes;
+        (kernels.block_powers)(
+            p,
+            (x0 as i32, y0 as i32),
+            cols,
+            self.row_lanes,
+            &mut self.powers[..end],
+        );
+        self.blend_powers(block, 0..end, p, alpha_min, exp, kernels)
+    }
+
+    /// The tail every blend shares: turns lanes `lanes` of the power tile
+    /// (whole rows) into alphas in one pass (`kernels.alpha_powers` for
+    /// [`ExpMode::Exact`], the LUT per lane otherwise) and blends them
+    /// into the same lanes of block `block` with one `kernels.blend_span`
+    /// call. Lanes holding [`PAD_POWER`] reach the kernel as `α = 0` and
+    /// leave their pixels as they were. A negative `alpha_min` means 0
+    /// (the intrinsic `1/255` cutoff alone): padding relies on `α = 0`
+    /// never passing the mask.
+    fn blend_powers(
+        &mut self,
+        block: usize,
+        lanes: std::ops::Range<usize>,
+        p: &ProjectedGaussian,
+        alpha_min: f32,
+        exp: &ExpMode,
+        kernels: &KernelSet,
+    ) -> BlendCounts {
         let base = block * self.block_lanes();
-        let alphas = &mut self.powers[first..end];
+        let alphas = &mut self.powers[lanes.clone()];
         match exp {
             ExpMode::Exact => (kernels.alpha_powers)(alphas),
             ExpMode::Lut(_) => alphas.iter_mut().for_each(|a| *a = exp.alpha(*a)),
         }
-        let lanes = base + first..base + end;
+        let lanes = base + lanes.start..base + lanes.end;
         (kernels.blend_span)(
             alphas,
             [p.color.x, p.color.y, p.color.z],
-            alpha_min,
+            alpha_min.max(0.0),
             PixelLanes {
                 r: &mut self.r[lanes.clone()],
                 g: &mut self.g[lanes.clone()],
@@ -648,9 +697,9 @@ impl PixelPatch {
 }
 
 /// What a tile or window worker keeps between work units and frames: its
-/// pixel patch and the id lists it reports per unit. Pure capacity:
-/// [`render_units`] empties the lists before every unit and the unit
-/// resets the patch.
+/// pixel patch, the id lists it reports per unit and, for a Gaussian-wise
+/// window, the Alpha Unit's state. Pure capacity: [`render_units`] empties
+/// the lists before every unit and the unit resets the rest.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BlendScratch {
     /// The unit's blending state.
@@ -659,6 +708,8 @@ pub(crate) struct BlendScratch {
     pub(crate) loaded: Vec<u32>,
     /// Ids that blended at least one pixel in the current unit.
     pub(crate) rendered: Vec<u32>,
+    /// Tracer, T-mask and lists of a Gaussian-wise window.
+    pub(crate) window: crate::gaussian_wise::WindowScratch,
 }
 
 /// A [`BlendScratch`] on loan from the frame's pool for the length of one
@@ -1123,7 +1174,8 @@ mod tests {
     #[test]
     fn blend_rows_matches_the_per_pixel_loop_for_any_block_edge() {
         // Every block of a patch whose edge blocks are clipped, for block
-        // edges below, at and above the lane-group width.
+        // edges below, at and above the lane-group width, filled span by
+        // span and whole.
         use gcc_core::dispatch::{available, kernel_set};
         let p = wide_gaussian();
         let (w, h) = (37u32, 11u32);
@@ -1132,6 +1184,8 @@ mod tests {
                 for backend in available() {
                     let kernels = kernel_set(backend).unwrap();
                     let (mut patch, mut want) = scattered_patch(w, h, block);
+                    // The same blocks through the block-wide fill.
+                    let mut whole = patch.clone();
                     let blocks_x = w.div_ceil(block);
                     for b in 0..blocks_x * h.div_ceil(block) {
                         let (bx0, by0) = (b % blocks_x * block, b / blocks_x * block);
@@ -1153,8 +1207,11 @@ mod tests {
                             kernels,
                         );
                         assert_eq!(got, counts, "{backend} block {b} of edge {block}");
+                        let got = whole.blend_block(b as usize, &p, 0.0, &exp, kernels);
+                        assert_eq!(got, counts, "{backend} whole block {b} of edge {block}");
                     }
                     assert_patch_equals(&patch, &want, &format!("{backend} edge {block}"));
+                    assert_patch_equals(&whole, &want, &format!("{backend} whole, edge {block}"));
                 }
             }
         }

@@ -178,6 +178,7 @@ fn render_tile(
         patch,
         loaded,
         rendered,
+        ..
     } = work;
     patch.reset(x0 as u32, y0 as u32, (x1 - x0) as u32, (y1 - y0) as u32, ts);
 

@@ -180,3 +180,39 @@ fn dispatched_default_matches_pinned_scalar() {
     assert_images_bitwise_equal(&gw_scalar.image, &gw_dispatched.image, &what);
     assert_eq!(gw_scalar.stats, gw_dispatched.stats, "{what}: gw stats");
 }
+
+#[test]
+fn gaussian_wise_block_edges_and_cmode_are_bit_identical_across_backends_and_threads() {
+    // The block kernels (`block_pass`, `block_powers`) take their shape
+    // from the block edge: half a lane group, two groups (whose last
+    // block row is clipped at 120 pixels), and the default edge under the
+    // paper's 128-pixel Cmode partition.
+    let cam = test_cam();
+    let g = cloud(300);
+    for (block, subview) in [(4u32, None), (16, None), (8, Some(128))] {
+        let with_backend = |backend| GaussianWiseConfig {
+            backend: Some(backend),
+            block,
+            subview,
+            ..GaussianWiseConfig::default()
+        };
+        let reference = render_gaussian_wise_with(
+            &g,
+            &cam,
+            &with_backend(Backend::Scalar),
+            Parallelism::Sequential,
+        );
+        assert!(reference.stats.rendered > 0, "scene must be non-trivial");
+        for backend in dispatch::available() {
+            for threads in [1usize, 2, 4] {
+                let cfg = with_backend(backend);
+                let out = render_gaussian_wise_with(&g, &cam, &cfg, Parallelism::fixed(threads));
+                let what = format!(
+                    "gaussian-wise {backend} block={block} subview={subview:?} threads={threads}"
+                );
+                assert_images_bitwise_equal(&reference.image, &out.image, &what);
+                assert_eq!(reference.stats, out.stats, "{what}: stats");
+            }
+        }
+    }
+}

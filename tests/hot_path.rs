@@ -7,9 +7,12 @@
 
 use gcc_core::sort::depth_key;
 use gcc_parallel::{radix_sort_indices, Parallelism};
+use gcc_render::gaussian_wise::GaussianWiseConfig;
 use gcc_render::pipeline::stages::{self, footprint_rects_into, global_depth_order_into, TileBins};
-use gcc_render::pipeline::{FrameScratch, GaussianWiseRenderer, Renderer, StandardRenderer};
-use gcc_scene::{SceneConfig, ScenePreset, TrajectoryRunner};
+use gcc_render::pipeline::{
+    FrameScratch, GaussianWiseRenderer, RenderOptions, Renderer, StandardRenderer,
+};
+use gcc_scene::{SceneConfig, ScenePreset, TrajectoryRunner, ViewSpec};
 
 fn scene(preset: ScenePreset, scale: f32) -> gcc_scene::Scene {
     preset.build(&SceneConfig::with_scale(scale))
@@ -109,26 +112,44 @@ fn scratch_reuse_is_bit_identical_to_fresh_scratch() {
 #[test]
 fn one_scratch_serves_every_schedule_and_scene() {
     // What a serve worker does: one scratch across batches of different
-    // schedules, scenes and resolutions, in any order. Nothing a frame
-    // leaves in it (pooled patches, id lists sized to another scene) may
-    // reach the next one.
+    // schedules, scenes, resolutions and block edges, in any order.
+    // Nothing a frame leaves in it (pooled patches, id lists sized to
+    // another scene, a block tracer, T-mask and live-pixel counts laid
+    // out for another grid, screen bounds of another scene) may reach the
+    // next one.
     let big = scene(ScenePreset::Lego, 0.08);
     let small = scene(ScenePreset::Train, 0.02);
+    let gaussian_wise = |block: u32, subview: Option<u32>| {
+        Box::new(GaussianWiseRenderer::new(GaussianWiseConfig {
+            block,
+            subview,
+            ..GaussianWiseConfig::default()
+        }))
+    };
     let renderers: Vec<Box<dyn Renderer>> = vec![
         Box::new(StandardRenderer::reference()),
         Box::new(GaussianWiseRenderer::default()),
         Box::new(StandardRenderer::gscore().with_parallelism(Parallelism::fixed(2))),
         Box::new(GaussianWiseRenderer::gcc_hardware()),
+        gaussian_wise(16, None),
+        gaussian_wise(4, Some(64)),
+        gaussian_wise(12, None),
     ];
+    let resolutions = [(160u32, 120u32), (97, 131), (64, 48)];
     let mut shared = FrameScratch::new();
-    for round in 0..2 {
+    for round in 0..3 {
         for (i, r) in renderers.iter().enumerate() {
             let scene = if (i + round) % 2 == 0 { &big } else { &small };
-            let cam = scene.camera(0.3 * i as f32);
+            let (w, h) = resolutions[(i + round) % resolutions.len()];
+            let options = RenderOptions::default().at_resolution(w, h);
+            let cam = scene
+                .resolve_view(&ViewSpec::trajectory(0.3 * i as f32 % 1.0), &options)
+                .expect("a valid view");
             let reused = r.render_frame_reusing(&scene.gaussians, &cam, &mut shared);
             let fresh = r.render_frame(&scene.gaussians, &cam);
-            assert_eq!(reused.image, fresh.image, "{} round {round}", r.name());
-            assert_eq!(reused.stats, fresh.stats, "{} round {round}", r.name());
+            let what = format!("{} #{i} round {round} at {w}x{h}", r.name());
+            assert_eq!(reused.image, fresh.image, "{what}");
+            assert_eq!(reused.stats, fresh.stats, "{what}");
         }
     }
 }

@@ -10,6 +10,7 @@
 use gcc_core::alpha::{composite, PixelState};
 use gcc_core::boundary::{BlockGrid, BlockTracer, MaskMode, PixelTracer};
 use gcc_core::bounds::{bounding_radius, omega_sigma_extent_sq, BoundingLaw, EffectiveTest};
+use gcc_core::dispatch;
 use gcc_core::grouping::{group_by_depth, GroupingConfig};
 use gcc_core::projection::{covariance3d, project_gaussian};
 use gcc_core::{Camera, Gaussian3D};
@@ -191,17 +192,24 @@ fn block_trace_covers_every_effective_pixel() {
         }
         let conic = cov.inverse().unwrap();
         let test = EffectiveTest::new(Vec2::new(cx, cy), conic, op);
-        let grid = BlockGrid::new(8, 64, 64);
-        let mut tracer = BlockTracer::new(grid);
-        let mut blocks = Vec::new();
-        tracer.trace(&test, None, MaskMode::Traverse, &mut blocks);
-        for y in 0..64 {
-            for x in 0..64 {
-                if test.passes(x, y) {
-                    assert!(
-                        blocks.contains(&grid.block_of(x, y)),
-                        "effective pixel ({x},{y}) missed"
-                    );
+        // Every block edge the design-space sweep uses, on every kernel
+        // table the host can run.
+        for block in [4, 8, 12, 16] {
+            let grid = BlockGrid::new(block, 64, 64);
+            let mut tracer = BlockTracer::new(grid);
+            let mut blocks = Vec::new();
+            for backend in dispatch::available() {
+                let kernels = dispatch::kernel_set(backend).unwrap();
+                tracer.trace(&test, None, MaskMode::Traverse, kernels, &mut blocks);
+                for y in 0..64 {
+                    for x in 0..64 {
+                        if test.passes(x, y) {
+                            assert!(
+                                blocks.contains(&grid.block_of(x, y)),
+                                "{backend} edge {block}: effective pixel ({x},{y}) missed"
+                            );
+                        }
+                    }
                 }
             }
         }
