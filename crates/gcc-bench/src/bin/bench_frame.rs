@@ -8,9 +8,11 @@
 //! the dispatcher selected and the host's thread count. Each scene also
 //! gets two cold-load cells under the same cell schema — `engine:
 //! "load_json"` and `"load_binary"`, the cost of one
-//! `gcc_scene::io::load_scene_file` of that scene's file — so the frame
-//! gate's missing-cell and slower-than-tolerance rules watch scene loads
-//! with no gate code of their own. The output is the
+//! `gcc_scene::io::load_scene_file` of that scene's file — and the scenes
+//! big enough for it to matter two `engine: "build_hierarchy"` cells, one
+//! `gcc_lod::build_hierarchy` of the cloud on one thread and on two, so
+//! the frame gate's missing-cell and slower-than-tolerance rules watch
+//! scene loads with no gate code of their own. The output is the
 //! start of the repository's perf trajectory:
 //! every PR that touches the hot path regenerates the file and compares
 //! against the previous run.
@@ -26,16 +28,19 @@
 //! [`gcc_bench::default_artifact_path`] so a run from any subdirectory
 //! doesn't scatter artifacts). The binary re-parses the JSON it wrote and
 //! exits non-zero if the file is invalid, so CI can treat a zero exit as
-//! "valid perf record produced"; it also prints, per scene, the
-//! sequential `gaussian_wise ÷ standard` ratio the gate requires to stay
-//! at or below 1. CI compares the record against
+//! "valid perf record produced"; it also prints the two ratios the gate
+//! takes within one record: per scene, sequential `gaussian_wise ÷
+//! standard` (to stay at or below 1), and per scene and engine, `fixed2 ÷
+//! sequential` (a borrowed core may not cost). CI compares the record against
 //! `ci/bench_baseline.json` with the `perf_gate` binary.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use gcc_bench::perf_gate::{parse_bench_cells, schedule_orderings};
+use gcc_bench::perf_gate::{borrowed_cores, parse_bench_cells, schedule_orderings};
 use gcc_bench::TablePrinter;
+use gcc_core::Gaussian3D;
+use gcc_lod::{build_hierarchy, HierarchyConfig};
 use gcc_parallel::{available_threads, Parallelism};
 use gcc_render::pipeline::{Frame, FrameScratch, GaussianWiseRenderer, Renderer, StandardRenderer};
 use gcc_scene::{io, Scene, SceneConfig, ScenePreset};
@@ -44,6 +49,8 @@ use gcc_scene::{io, Scene, SceneConfig, ScenePreset};
 struct Case {
     preset: ScenePreset,
     scale: f32,
+    /// Whether the point carries `build_hierarchy` cells.
+    hierarchy: bool,
 }
 
 /// One measured row of the output.
@@ -95,19 +102,15 @@ fn time_frames(scene: &Scene, renderer: &dyn Renderer, reps: usize) -> f64 {
 /// `io::write_json_file` / `io::write_binary_file`.
 type WriteSceneFile = fn(&Scene, &Path) -> Result<(), io::SceneIoError>;
 
-/// Shortest timed sample of a load cell: loads repeat until this much
-/// time has passed and the sample is their mean. A small binary scene
+/// Shortest timed sample of a load cell: the load repeats until this much
+/// time has passed and the sample is the mean. A small binary scene
 /// decodes in tens of microseconds, too short for one load to be a
 /// sample a 25 % gate can hold; a large JSON one is a sample by itself.
 const LOAD_SAMPLE_FLOOR: Duration = Duration::from_millis(20);
 
-/// Best-of-`reps` cost of one `load_scene_file(path)` in milliseconds
-/// (one warmup load first, like [`time_frames`]' warmup render).
-fn time_loads(path: &Path, gaussians: usize, reps: usize) -> f64 {
-    let load = || {
-        let scene = io::load_scene_file(path).expect("read the scene file back");
-        assert_eq!(scene.len(), gaussians);
-    };
+/// Best-of-`reps` cost of one `load()` in milliseconds (one warmup call
+/// first, like [`time_frames`]' warmup render).
+fn time_loads(reps: usize, load: impl Fn()) -> f64 {
     load();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
@@ -120,6 +123,22 @@ fn time_loads(path: &Path, gaussians: usize, reps: usize) -> f64 {
         best = best.min(start.elapsed().as_secs_f64() * 1e3 / f64::from(loads));
     }
     best
+}
+
+/// One `load_scene_file(path)`, checked.
+fn load_file(path: &Path, gaussians: usize) {
+    let scene = io::load_scene_file(path).expect("read the scene file back");
+    assert_eq!(scene.len(), gaussians);
+}
+
+/// One default-policy hierarchy build over `cloud` on `threads` threads —
+/// what a cold load under a `LodPolicy` adds to the file's decode.
+fn build_levels(cloud: &[Gaussian3D], threads: usize) {
+    let cfg = HierarchyConfig {
+        threads,
+        ..HierarchyConfig::default()
+    };
+    assert!(build_hierarchy(cloud, &cfg).depth() > 0);
 }
 
 fn push_json_row(out: &mut String, row: &Row, last: bool) {
@@ -166,10 +185,12 @@ fn main() {
             Case {
                 preset: ScenePreset::Lego,
                 scale: 0.05,
+                hierarchy: true,
             },
             Case {
                 preset: ScenePreset::Train,
                 scale: 0.02,
+                hierarchy: true,
             },
         ]
     } else {
@@ -177,23 +198,28 @@ fn main() {
             Case {
                 preset: ScenePreset::Lego,
                 scale: 0.25,
+                hierarchy: false,
             },
             // The repo benchmark's `deadline_lod` scene.
             Case {
                 preset: ScenePreset::Lego,
                 scale: 0.5,
+                hierarchy: true,
             },
             Case {
                 preset: ScenePreset::Lego,
                 scale: 1.0,
+                hierarchy: true,
             },
             Case {
                 preset: ScenePreset::Train,
                 scale: 0.05,
+                hierarchy: false,
             },
             Case {
                 preset: ScenePreset::Train,
                 scale: 0.2,
+                hierarchy: true,
             },
         ]
     };
@@ -231,7 +257,7 @@ fn main() {
         for engine in ENGINES {
             for (par_name, par, threads) in [
                 ("sequential", Parallelism::Sequential, 1),
-                // What `gcc-serve` lends a deadline frame on a 2-core host.
+                // What `gcc-serve` lends a frame on an idle 2-core host.
                 ("fixed2", Parallelism::fixed(2), 2),
                 ("auto", Parallelism::Auto, auto_threads),
             ] {
@@ -247,8 +273,14 @@ fn main() {
         ];
         for (engine, write) in formats {
             write(&scene, &path).expect("write the scene file");
-            let ms = time_loads(&path, scene.len(), reps);
+            let ms = time_loads(reps, || load_file(&path, scene.len()));
             push(engine, "sequential", 1, ms);
+        }
+        if case.hierarchy {
+            for (par_name, threads) in [("sequential", 1), ("fixed2", 2)] {
+                let ms = time_loads(reps, || build_levels(&scene.gaussians, threads));
+                push("build_hierarchy", par_name, threads, ms);
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -278,13 +310,16 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // The ordering `perf_gate` holds the record to.
+    // The two within-record ratios `perf_gate` holds the record to.
     for o in schedule_orderings(&cells) {
         println!(
             "{} gaussian_wise / standard (sequential): {:.2}",
             o.scene,
             o.ratio()
         );
+    }
+    for b in borrowed_cores(&cells) {
+        println!("{} fixed2 / sequential: {:.2}", b.cell, b.ratio());
     }
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("bench_frame could not write {}: {e}", out_path.display());

@@ -62,8 +62,8 @@
 //!
 //! With `--lod` the harness exercises the deadline-aware quality ladder
 //! (`gcc-lod` + `ServeConfig::lod`): it prices every rung *through the
-//! service* (deadline frames render on the cores the service lends
-//! them), calibrates a per-frame deadline that full-quality rendering
+//! service* (frames render on the cores the service lends them),
+//! calibrates a per-frame deadline that full-quality rendering
 //! cannot meet but the better degraded rungs can, replays the same
 //! deadline-carrying orbit with the ladder on (expecting **zero**
 //! misses) and off (expecting misses), and measures every rung's

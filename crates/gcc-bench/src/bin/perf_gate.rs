@@ -7,8 +7,10 @@
 //!   `ci/bench_baseline.json` cell-by-cell and fails when any
 //!   `(scene, scale, engine, parallelism)` cell slowed down beyond the
 //!   tolerance, when baseline coverage is missing from the current
-//!   run, or when the current record's sequential Gaussian-wise frame is
-//!   slower than its standard frame on any scene.
+//!   run, when the current record's sequential Gaussian-wise frame is
+//!   slower than its standard frame on any scene, or when any of its
+//!   `fixed2` cells is more than 10 % slower than the `sequential` cell
+//!   beside it.
 //! * **Serve gate** (`--serve`): checks a `bench_serve/v3` record —
 //!   committed or freshly measured — against a throughput floor: the
 //!   batched/naive `speedup_vs_naive` must be at least `--serve-floor`
@@ -107,9 +109,10 @@ fn main() {
         print!("{}", report.render());
         if !report.passed() {
             eprintln!(
-                "perf_gate: regression beyond +{:.0}% against {baseline_path}, or a \
-                 Gaussian-wise frame slower than the standard one — if the former is \
-                 intentional, refresh the baseline (see README \"Perf gate\")",
+                "perf_gate: regression beyond +{:.0}% against {baseline_path}, a \
+                 Gaussian-wise frame slower than the standard one, or a cell slower on \
+                 two threads than on one — if the first is intentional, refresh the \
+                 baseline (see README \"Perf gate\")",
                 tolerance * 100.0
             );
             failed = true;

@@ -8,11 +8,16 @@
 //! current run are reported but do not fail the gate, so adding sweep
 //! points doesn't require touching the baseline in the same PR.
 //!
-//! One rule reads the current record alone: on every scene that carries
-//! both schedules' sequential cells, the Gaussian-wise frame may not be
-//! slower than the standard one ([`schedule_orderings`]). The paper's
-//! claim is that ordering, and a ratio taken within one run does not
-//! depend on the host the run was made on.
+//! Two rules read the current record alone, as ratios taken within one
+//! run, which do not depend on the host the run was made on. On every
+//! scene that carries both schedules' sequential cells, the Gaussian-wise
+//! frame may not be slower than the standard one
+//! ([`schedule_orderings`]): the paper's claim is that ordering. And on
+//! every scene and engine that carries both a `sequential` and a `fixed2`
+//! cell, the two-thread cell may not be more than [`BORROW_TOLERANCE`]
+//! slower than the one-thread cell ([`borrowed_cores`]): `gcc-serve` lends
+//! every frame and every load the idle cores, so work that cannot use a
+//! second core must at least not pay for being offered one.
 //!
 //! The logic lives in the library (not the `perf_gate` binary) so the
 //! gate's fail-on-regression behavior is pinned by unit tests — CI runs
@@ -143,6 +148,57 @@ pub fn schedule_orderings(cells: &[BenchCell]) -> Vec<ScheduleOrdering> {
         .collect()
 }
 
+/// How much slower than its `sequential` cell a `fixed2` cell may be
+/// (run-to-run noise on cells that gain nothing from the second thread
+/// sits within ±3 %).
+pub const BORROW_TOLERANCE: f64 = 1.10;
+
+/// The one-thread and two-thread cells of one scene and engine of a
+/// record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BorrowedCore {
+    /// `scene@scale/engine`.
+    pub cell: String,
+    /// The `sequential` cell, milliseconds.
+    pub sequential_ms: f64,
+    /// The `fixed2` cell, milliseconds.
+    pub fixed2_ms: f64,
+}
+
+impl BorrowedCore {
+    /// `fixed2 ÷ sequential` (> 1: the second thread cost time).
+    pub fn ratio(&self) -> f64 {
+        self.fixed2_ms / self.sequential_ms
+    }
+
+    /// `true` when the second thread cost at most [`BORROW_TOLERANCE`].
+    pub fn holds(&self) -> bool {
+        self.ratio() <= BORROW_TOLERANCE
+    }
+}
+
+/// Pairs the `sequential` and `fixed2` cells of every scene and engine of
+/// a record that has both, in record order.
+pub fn borrowed_cores(cells: &[BenchCell]) -> Vec<BorrowedCore> {
+    cells
+        .iter()
+        .filter(|c| c.parallelism == "sequential")
+        .filter_map(|s| {
+            let two = cells.iter().find(|c| {
+                c.parallelism == "fixed2"
+                    && c.engine == s.engine
+                    && c.scene == s.scene
+                    && c.scale == s.scale
+            })?;
+            Some(BorrowedCore {
+                cell: format!("{}@{}/{}", s.scene, s.scale, s.engine),
+                sequential_ms: s.ms_per_frame,
+                fixed2_ms: two.ms_per_frame,
+            })
+        })
+        .collect()
+}
+
 /// One baseline-vs-current cell comparison.
 #[derive(Debug, Clone)]
 pub struct CellComparison {
@@ -172,16 +228,21 @@ pub struct GateReport {
     /// Schedule ordering per scene of the current record (fails the gate
     /// where it does not hold).
     pub orderings: Vec<ScheduleOrdering>,
+    /// What a second thread did to each scene and engine of the current
+    /// record (fails the gate where it cost more than the tolerance).
+    pub borrowed: Vec<BorrowedCore>,
 }
 
 impl GateReport {
-    /// `true` when no cell regressed, no baseline coverage was lost and
-    /// the Gaussian-wise schedule is no slower than the standard one on
-    /// any scene of the current record.
+    /// `true` when no cell regressed, no baseline coverage was lost, the
+    /// Gaussian-wise schedule is no slower than the standard one on any
+    /// scene of the current record and no engine of it is slower on two
+    /// threads than on one.
     pub fn passed(&self) -> bool {
         self.missing_in_current.is_empty()
             && self.cells.iter().all(|c| !c.regressed)
             && self.orderings.iter().all(ScheduleOrdering::holds)
+            && self.borrowed.iter().all(BorrowedCore::holds)
     }
 
     /// One-line failure summaries, one per regressed cell: the offending
@@ -236,6 +297,20 @@ impl GateReport {
                     ""
                 } else {
                     "  SLOWER than standard"
+                },
+            ));
+        }
+        for b in &self.borrowed {
+            out.push_str(&format!(
+                "{} fixed2 / sequential: {:.4} / {:.4} ms = {:.2}{}\n",
+                b.cell,
+                b.fixed2_ms,
+                b.sequential_ms,
+                b.ratio(),
+                if b.holds() {
+                    ""
+                } else {
+                    "  SLOWER on a borrowed core"
                 },
             ));
         }
@@ -296,6 +371,7 @@ pub fn compare(
         missing_in_current: missing,
         new_in_current,
         orderings: schedule_orderings(&current),
+        borrowed: borrowed_cores(&current),
     })
 }
 
@@ -838,7 +914,7 @@ mod tests {
                     gaussian_wise_ms,
                 ),
                 // Not a sequential cell: no part of the rule.
-                ("Lego", 0.05, "gaussian_wise_frame_engine", "fixed2", 9.0),
+                ("Lego", 0.05, "gaussian_wise_frame_engine", "fixed2", 2.6),
                 ("Train", 0.02, "standard_frame_engine", "sequential", 4.0),
             ])
         };
@@ -853,6 +929,52 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("Lego@0.05 gaussian_wise / standard (sequential)"));
         assert!(rendered.contains("SLOWER than standard"));
+        assert!(rendered.contains("FAIL"));
+    }
+
+    #[test]
+    fn a_cell_slower_on_two_threads_fails_the_gate_within_one_record() {
+        // Every cell within tolerance of its baseline and the schedules in
+        // order: only the two-thread cell of the hierarchy build against
+        // its own one-thread cell can fail this.
+        let with = |fixed2_ms| {
+            record(&[
+                ("Lego", 0.5, "standard_frame_engine", "sequential", 26.0),
+                ("Lego", 0.5, "standard_frame_engine", "fixed2", 15.0),
+                (
+                    "Lego",
+                    0.5,
+                    "gaussian_wise_frame_engine",
+                    "sequential",
+                    18.0,
+                ),
+                ("Lego", 0.5, "gaussian_wise_frame_engine", "fixed2", 18.2),
+                ("Lego", 0.5, "load_json", "sequential", 44.0),
+                ("Lego", 0.5, "build_hierarchy", "sequential", 6.1),
+                ("Lego", 0.5, "build_hierarchy", "fixed2", fixed2_ms),
+                // Another scene's cell pairs with nothing here.
+                ("Train", 0.2, "build_hierarchy", "fixed2", 9.0),
+            ])
+        };
+        let report = compare(&with(6.4), &with(6.6), 0.25).unwrap();
+        assert!(report.passed(), "{}", report.render());
+        let cells: Vec<&str> = report.borrowed.iter().map(|b| b.cell.as_str()).collect();
+        assert_eq!(
+            cells,
+            [
+                "Lego@0.5/standard_frame_engine",
+                "Lego@0.5/gaussian_wise_frame_engine",
+                "Lego@0.5/build_hierarchy"
+            ]
+        );
+        // The parent's builder: 8.0 ms on two threads against 6.1 on one.
+        let report = compare(&with(6.6), &with(8.0), 0.25).unwrap();
+        assert!(report.cells.iter().all(|c| !c.regressed));
+        assert!(report.orderings.iter().all(ScheduleOrdering::holds));
+        assert!(!report.passed());
+        let rendered = report.render();
+        assert!(rendered.contains("Lego@0.5/build_hierarchy fixed2 / sequential"));
+        assert!(rendered.contains("SLOWER on a borrowed core"));
         assert!(rendered.contains("FAIL"));
     }
 

@@ -79,8 +79,12 @@ pub const MIN_NS_PER_THREAD: u64 = 400_000;
 
 /// How many of `threads` a map over `items` items of roughly `item_ns`
 /// nanoseconds each keeps busy for at least [`MIN_NS_PER_THREAD`] (at
-/// least 1: the caller).
-fn worthwhile_threads(threads: usize, items: usize, item_ns: u32) -> usize {
+/// least 1: the caller). The chunked maps apply it themselves; a driver
+/// that hands out coarse units through [`par_map_indexed_with`] (the
+/// renderers' tile and window loop) calls it with what it knows of its
+/// work, so a thread count lent from outside never spawns a helper the
+/// work does not pay for.
+pub fn worthwhile_threads(threads: usize, items: usize, item_ns: u32) -> usize {
     let affordable = (items as u64).saturating_mul(u64::from(item_ns)) / MIN_NS_PER_THREAD;
     threads
         .min(usize::try_from(affordable).unwrap_or(usize::MAX))
@@ -90,8 +94,10 @@ fn worthwhile_threads(threads: usize, items: usize, item_ns: u32) -> usize {
 /// Maps `f` over `0..count` with `threads` workers and returns the results
 /// in index order. Items are handed out through an atomic cursor, so
 /// uneven item costs still balance across workers. Items are taken to be
-/// coarse (a tile, a frame, a cluster): any two of them are worth a second
-/// thread.
+/// coarse (a tile, a frame): any two of them are worth a second thread,
+/// and each pays an atomic handout. Fine-grained items — a Gaussian, a
+/// two-member voxel cell — belong in [`par_map_chunked`], which hands out
+/// contiguous chunks and carries the work floor.
 ///
 /// With `threads <= 1` (or fewer than two items) the map runs inline on
 /// the calling thread — that path *is* the sequential reference schedule,

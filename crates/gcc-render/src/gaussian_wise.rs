@@ -495,9 +495,20 @@ pub fn render_gaussian_wise_job(
         kernels,
         roi,
     };
+    // A window's cost follows its area far more closely than anything else
+    // the frame knows before rendering it: 40–290 ns per pixel over
+    // sub-views of 16 to 128 pixels on the benchmark's scenes (Lego@0.25:
+    // 4 windows of 128² in 12.8 ms, 256 of 16² in 32.8 ms; Lego@0.05:
+    // 2.6 and 6.5 ms), so the low end is what the work floor is quoted.
+    const WINDOW_PIXEL_NS: u32 = 40;
+    let window_pixels: usize = windows
+        .iter()
+        .map(|&(_, _, ww, wh)| ww as usize * wh as usize)
+        .sum();
     let rendered = stages::render_units(
         windows.len(),
         threads,
+        (window_pixels, WINDOW_PIXEL_NS),
         workers,
         (w, h),
         roi.as_ref(),
@@ -592,7 +603,16 @@ mod tests {
 
     #[test]
     fn parallel_windows_reproduce_sequential_render_exactly() {
-        let cam = test_cam();
+        // A frame large enough that the window loop's work floor grants
+        // every thread count below (80 windows, 76 800 pixels).
+        let cam = Camera::look_at(
+            Vec3::new(0.0, 0.0, -4.0),
+            Vec3::ZERO,
+            Vec3::new(0.0, 1.0, 0.0),
+            60.0,
+            320,
+            240,
+        );
         let cloud = colored_cloud(150);
         let cfg = GaussianWiseConfig {
             subview: Some(32),

@@ -87,7 +87,7 @@ impl Schedule {
     /// Builds the sequential renderer for this schedule — the serving
     /// layer's configuration: one frame per worker unless a job names its
     /// own parallelism ([`RenderJob::parallelism`], which the service sets
-    /// on deadline-carrying frames).
+    /// on every frame it can lend an idle core to).
     pub fn renderer(self) -> Box<dyn Renderer + Send + Sync> {
         self.renderer_with(Parallelism::Sequential)
     }
@@ -366,8 +366,8 @@ pub struct RenderJob<'a> {
     /// Intra-frame parallelism for this one job; `None` leaves the
     /// renderer's own policy in force. A scheduling decision, not part of
     /// the request: it is the dispatcher that knows how many cores are
-    /// free right now (the serving layer lends idle cores to
-    /// deadline-carrying frames). Images and [`FrameStats`] are
+    /// free right now (the serving layer lends every frame the cores no
+    /// other worker is busy on). Images and [`FrameStats`] are
     /// bit-identical for every value; the in-tree renderers honor it, a
     /// custom [`Renderer`] may ignore it.
     ///

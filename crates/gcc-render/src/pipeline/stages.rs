@@ -40,7 +40,7 @@ use gcc_core::{Camera, Gaussian3D, ProjectedGaussian};
 use gcc_math::Vec3;
 use gcc_parallel::{
     exclusive_prefix_sum, par_chunks_mut, par_filter_map_chunked, par_map_indexed_with,
-    radix_sort_indices_into,
+    radix_sort_indices_into, worthwhile_threads,
 };
 
 use super::{FrameStats, Roi};
@@ -741,11 +741,18 @@ pub(crate) struct UnitsOutcome {
 }
 
 /// Renders `units` disjoint work units (tiles, windows) of a `w × h`
-/// frame on `threads` workers and merges them as they finish — the driver
-/// both schedules share. `render(k, work)` resets `work.patch` to unit
-/// `k` and renders into it, pushes onto `work.loaded` / `work.rendered`
-/// (handed over empty) the ids (below `ids`) it loaded and blended, and
-/// returns the unit's additive stats.
+/// frame on up to `threads` workers and merges them as they finish — the
+/// driver both schedules share. `render(k, work)` resets `work.patch` to
+/// unit `k` and renders into it, pushes onto `work.loaded` /
+/// `work.rendered` (handed over empty) the ids (below `ids`) it loaded
+/// and blended, and returns the unit's additive stats.
+///
+/// `threads` is an offer, not an order: the service lends every frame the
+/// host's idle cores, and a frame takes only as many as its work keeps
+/// busy. `(items, item_ns)` is the caller's estimate of that work, quoted
+/// like a chunked map's — a count it already holds and one item's rough
+/// cost — and [`worthwhile_threads`] turns it into the worker count, so
+/// no helper is spawned for less than a `MIN_NS_PER_THREAD` share.
 ///
 /// Each worker leases one of the pooled `workers` scratches for all its
 /// units; a finished unit is resolved into the output image (the `roi`
@@ -760,6 +767,7 @@ pub(crate) struct UnitsOutcome {
 pub(crate) fn render_units<F>(
     units: usize,
     threads: usize,
+    (items, item_ns): (usize, u32),
     workers: &mut Vec<BlendScratch>,
     (w, h): (u32, u32),
     roi: Option<&Roi>,
@@ -787,7 +795,7 @@ where
     let pool = Mutex::new(workers);
     let partials = par_map_indexed_with(
         units,
-        threads,
+        worthwhile_threads(threads, items, item_ns),
         || BlendLease {
             pool: &pool,
             scratch: pool
@@ -1245,6 +1253,8 @@ mod tests {
             let out = render_units(
                 4,
                 threads,
+                // Quoted heavy: every unit is worth a thread.
+                (4, gcc_parallel::MIN_NS_PER_THREAD as u32),
                 &mut pooled,
                 (16, 16),
                 None,
@@ -1279,6 +1289,51 @@ mod tests {
             assert_eq!(out.image.get(3, 12), Vec3::splat(0.25));
             // As many scratches as leases were ever out at once.
             assert!((1..=threads).contains(&pooled.len()), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn render_units_takes_only_the_threads_its_work_pays_for() {
+        // Eight units offered eight threads: the units meet at a barrier
+        // sized to the worker count the quoted work affords, so each case
+        // finishes only if exactly that many workers run, and the thread
+        // ids confirm it. Below one thread's floor the caller renders
+        // every unit itself.
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+        let floor = gcc_parallel::MIN_NS_PER_THREAD as u32;
+        for (work, want) in [
+            ((8, floor), 8usize),
+            ((3, floor), 3),
+            ((8, floor / 4), 2),
+            ((7, floor / 8), 1),
+            ((0, floor), 1),
+        ] {
+            let seen = Mutex::new(HashSet::new());
+            let barrier = Barrier::new(want);
+            let out = render_units(
+                8,
+                8,
+                work,
+                &mut Vec::new(),
+                (16, 16),
+                None,
+                Vec3::ZERO,
+                0,
+                |k, work| {
+                    work.patch.reset(0, 0, 1, 1, 8);
+                    seen.lock().unwrap().insert(std::thread::current().id());
+                    // Each worker's first unit: the cursor hands units
+                    // 0..want to distinct workers only if all of them
+                    // are up, so wait for them there.
+                    if k < want {
+                        barrier.wait();
+                    }
+                    FrameStats::default()
+                },
+            );
+            assert_eq!(out.stats, FrameStats::default());
+            assert_eq!(seen.into_inner().unwrap().len(), want, "work {work:?}");
         }
     }
 }

@@ -47,6 +47,15 @@ use crate::pipeline::stages::{self, BlendScratch};
 use crate::pipeline::{FrameScratch, FrameStats};
 use crate::Image;
 
+/// Rough cost of one (Gaussian, tile) pair in the tile stage — span
+/// solve, power chain, exponentials, blend — quoted to
+/// [`stages::render_units`]' work floor. A sequential standard frame at
+/// 256² costs 230–400 ns per KV pair all told on every scene and ladder
+/// rung the repo benchmark renders (Lego@0.5 `full` 94 k pairs in 27 ms,
+/// its `floor` rung 11 k in 4.3 ms, Train@0.05 21 k in 6.4 ms), the tile
+/// stage being all of that but the ≈ 1.5 ms of preprocessing.
+const KV_PAIR_NS: u32 = 250;
+
 /// Which footprint limits per-pixel alpha evaluation inside a tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Footprint {
@@ -415,10 +424,14 @@ pub fn render_standard_job(
     let occupied: Vec<usize> = (0..n_tiles)
         .filter(|&t| bins.count(t) > 0 && in_roi(t))
         .collect();
+    // What the tile stage has to do, for `render_units`' work floor: the
+    // KV pairs of the tiles that run.
+    let pairs: usize = occupied.iter().map(|&t| bins.count(t) as usize).sum();
 
     let tiles = stages::render_units(
         occupied.len(),
         threads,
+        (pairs, KV_PAIR_NS),
         &mut scratch.workers,
         (w, h),
         roi.as_ref(),
@@ -624,8 +637,8 @@ mod tests {
     fn parallel_tiles_reproduce_sequential_render_exactly() {
         let cam = test_cam();
         let mut gaussians = Vec::new();
-        for i in 0..250 {
-            let t = i as f32 / 250.0;
+        for i in 0..4000 {
+            let t = i as f32 / 4000.0;
             gaussians.push(Gaussian3D::isotropic(
                 Vec3::new((t * 19.0).sin(), (t * 13.0).cos() * 0.6, t * 2.0 - 0.3),
                 0.05 + 0.1 * t,
@@ -634,6 +647,14 @@ mod tests {
             ));
         }
         let seq = render_standard(&gaussians, &cam, &StandardConfig::default());
+        // Enough pairs that the tile stage's work floor grants every
+        // thread count below: the frames really are rendered in parallel.
+        assert_eq!(
+            gcc_parallel::worthwhile_threads(7, seq.stats.kv_pairs as usize, KV_PAIR_NS),
+            7,
+            "{} pairs",
+            seq.stats.kv_pairs
+        );
         for threads in [2, 4, 7] {
             let par = render_standard_with(
                 &gaussians,

@@ -45,9 +45,11 @@
 //!   then probing back up one rung per frame when headroom returns.
 //!   Rung 0 is exact, so ladder-on serving stays bit-identical
 //!   whenever the deadline affords it; scene hierarchies build at load
-//!   time and are charged to the cache budget. With or without a
-//!   ladder, a frame that carries a deadline is lent the cores no
-//!   other worker is rendering on (DESIGN.md §14 "Lending").
+//!   time and are charged to the cache budget.
+//! * **Lending** — every frame, and the hierarchy build of a cold load,
+//!   runs on its worker's core plus the cores no other worker is busy
+//!   (loading or rendering) on: one rule, one counter, no knob
+//!   (DESIGN.md §14 "Lending").
 //! * [`ServeStats`] — the introspection surface: per-scene hit / miss /
 //!   eviction / batch counters, per-schedule and per-priority
 //!   request/frame breakdowns (separate Interactive vs Bulk latency

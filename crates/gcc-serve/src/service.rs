@@ -53,15 +53,22 @@
 //!
 //! # Lending
 //!
-//! One frame per worker is what batch throughput wants, and it leaves a
-//! deadline frame's latency on the table whenever a core is idle. So a
-//! frame that carries a deadline renders on `max(1, host threads −
-//! workers rendering other batches)` threads — its worker's core plus
-//! every core nobody is rendering on — through the `gcc-parallel` frame
-//! engine, and a deadline-free frame renders on one. The deadline *is*
-//! the request for latency; there is no knob. Images and `FrameStats`
-//! are bit-identical for every thread count, so the parity contract
-//! below does not notice.
+//! A worker that is waiting for work holds no core, so the cores of
+//! waiting workers are lent to the ones that have some: every unit of
+//! work a worker starts — a frame of any priority, with or without a
+//! deadline, and the hierarchy build of a cold load — runs on `max(1,
+//! host threads − other busy workers)` threads, read once when the unit
+//! starts. *Busy* is one atomic counter ([`Shared::busy`]) a worker is
+//! counted into while it loads a scene or renders a batch, and at no
+//! other time (not while it waits on the condvar, not while it sleeps
+//! out a retry back-off). On a loaded service every worker is busy and
+//! each frame renders on its worker's one core, the one-frame-per-worker
+//! schedule batch throughput wants; on an idle one the first frame a
+//! client asks for gets the host. A frame takes only the threads its
+//! work pays for (`gcc_render::pipeline::stages::render_units`' work
+//! floor), there is no knob, and images and `FrameStats` are
+//! bit-identical for every thread count, so the parity contract below
+//! does not notice.
 //!
 //! # Scratch lifetime
 //!
@@ -89,7 +96,7 @@ use gcc_scene::{Scene, ViewError, ViewSpec};
 
 use crate::cache::LruSceneCache;
 use crate::session::{FrameStream, Inbox, Priority, Session, StreamConfig, StreamPoll};
-use crate::source::SceneSource;
+use crate::source::{LoadError, SceneSource};
 use crate::stats::{
     percentile_us, LodCounters, LodDecision, PriorityCounters, SceneCounters, ScheduleCounters,
     ServeStats, StreamCounters, LOD_TRACE_WINDOW,
@@ -173,6 +180,10 @@ pub struct LodPolicy {
     /// from. The hierarchy is charged to the cache byte budget.
     pub build_on_load: bool,
     /// Hierarchy builder configuration used by [`Self::build_on_load`].
+    /// The service builds on the threads it can lend when the load
+    /// happens, whatever `threads` says here — every count builds the
+    /// same hierarchy; the field keeps its meaning for direct callers of
+    /// `gcc_lod::attach_hierarchy`.
     pub hierarchy: HierarchyConfig,
 }
 
@@ -271,10 +282,9 @@ impl RenderRequest {
 
 /// The renderer table the service dispatches [`Schedule`]s through: one
 /// long-lived renderer per schedule, each sequential by default — the
-/// service parallelizes across requests, and inside a frame only when
-/// the frame carries a deadline and cores are idle, by naming a thread
-/// count on the job ([`RenderJob::parallelism`]; a custom renderer may
-/// ignore it).
+/// service parallelizes across requests, and inside a frame over the
+/// cores no other worker is busy on, by naming a thread count on the job
+/// ([`RenderJob::parallelism`]; a custom renderer may ignore it).
 pub struct ScheduleRenderers {
     /// Indexed in [`Schedule::ALL`] order.
     renderers: Vec<Box<dyn Renderer + Send + Sync>>,
@@ -738,19 +748,20 @@ pub(crate) struct Shared {
     lod: Option<LodPolicy>,
     /// Hardware threads of the host, read once at construction.
     host_threads: usize,
-    /// Workers inside [`Shared::render_batch`] right now — what the
-    /// lending rule subtracts from [`Self::host_threads`]. An atomic
-    /// beside the state mutex so a panicking batch always gives its core
-    /// back (the panic path may not be able to take the lock).
-    rendering: AtomicUsize,
+    /// Workers inside [`Shared::load_scene`] or [`Shared::render_batch`]
+    /// right now — what the lending rule ([`Shared::lent_threads`])
+    /// subtracts from [`Self::host_threads`]. An atomic beside the state
+    /// mutex so a panicking load or batch always gives its core back (the
+    /// panic path may not be able to take the lock).
+    busy: AtomicUsize,
     state: Mutex<State>,
     work: Condvar,
 }
 
-/// Counts its worker into [`Shared::rendering`] for as long as it lives.
-struct Rendering<'a>(&'a AtomicUsize);
+/// Counts its worker into [`Shared::busy`] for as long as it lives.
+struct Busy<'a>(&'a AtomicUsize);
 
-impl<'a> Rendering<'a> {
+impl<'a> Busy<'a> {
     fn enter(count: &'a AtomicUsize) -> Self {
         // Relaxed: the count publishes no other data, it only sizes a loan.
         count.fetch_add(1, Ordering::Relaxed);
@@ -758,7 +769,7 @@ impl<'a> Rendering<'a> {
     }
 }
 
-impl Drop for Rendering<'_> {
+impl Drop for Busy<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
@@ -999,7 +1010,7 @@ impl Shared {
         }
 
         let renderer = self.renderers.get(key.schedule);
-        let _rendering = Rendering::enter(&self.rendering);
+        let _busy = Busy::enter(&self.busy);
         let mut guard = PanicGuard {
             shared: self,
             remaining: batch
@@ -1020,17 +1031,9 @@ impl Shared {
         // consumed frame is always visible in the next `stats()`
         // snapshot.
         for p in batch {
-            // Lending: a frame that carries a deadline bought latency, so
-            // it renders on this worker's core plus every core no other
-            // worker is rendering on; a deadline-free frame keeps the
-            // one-frame-per-worker schedule that batch throughput wants.
-            let threads = match p.deadline {
-                Some(_) => {
-                    let others = self.rendering.load(Ordering::Relaxed).saturating_sub(1);
-                    self.host_threads.saturating_sub(others).max(1)
-                }
-                None => 1,
-            };
+            // Read once per frame: the count the frame renders on is the
+            // count the ladder prices it at and files its cost under.
+            let threads = self.lent_threads();
             // Adaptive quality: a deadline-carrying frame under a
             // configured ladder asks the cost model of its thread count
             // for the best rung whose measured cost (with the policy
@@ -1165,14 +1168,48 @@ impl Shared {
         }
     }
 
+    /// The lending rule, in the one place a thread count comes from: what
+    /// a unit of work starting now may run on — the calling worker's core
+    /// plus every core no other worker is busy on. The caller is one of
+    /// the busy (it holds a [`Busy`]).
+    fn lent_threads(&self) -> usize {
+        let others = self.busy.load(Ordering::Relaxed).saturating_sub(1);
+        self.host_threads.saturating_sub(others).max(1)
+    }
+
+    /// One attempt at a cold scene, start to finish and counted busy
+    /// throughout: the source's load, then — for a scene that ships
+    /// without a hierarchy under a policy that asks for one — the
+    /// hierarchy build, on the threads lent at that moment. Lock-free CPU
+    /// and I/O work on a scene no consumer shares yet; the hierarchy's
+    /// bytes are charged to the cache budget on insert.
+    fn load_scene(&self, source: &SceneSource) -> Result<Arc<Scene>, LoadError> {
+        let _busy = Busy::enter(&self.busy);
+        let mut scene = source.load_classified()?;
+        if let Some(policy) = &self.lod {
+            if policy.build_on_load && scene.lod.is_none() {
+                // Any thread count builds the same hierarchy, so the
+                // policy's own count gives way to what is idle right now.
+                let cfg = HierarchyConfig {
+                    threads: self.lent_threads(),
+                    ..policy.hierarchy
+                };
+                attach_hierarchy(Arc::make_mut(&mut scene), &cfg);
+            }
+        }
+        Ok(scene)
+    }
+
     /// Loads a claimed cold scene with no lock held, inserts it (evicting
     /// under the budget), then drains the first waiting batch itself.
     fn load_then_drain(&self, id: &str, scratch: &mut FrameScratch) {
-        /// A panic inside `SceneSource::load` must not wedge the service:
-        /// the claimed `loading` entry would otherwise never clear, making
-        /// the shutdown condition unsatisfiable and stranding every stream
-        /// waiting on this scene. Armed only around the lock-free load
-        /// call, so the blocking re-lock in `drop` cannot self-deadlock.
+        /// A panic inside [`Shared::load_scene`] must not wedge the
+        /// service: the claimed `loading` entry would otherwise never
+        /// clear, making the shutdown condition unsatisfiable and
+        /// stranding every stream waiting on this scene. Armed only
+        /// around the lock-free load call, so the blocking re-lock in
+        /// `drop` cannot self-deadlock. By the time it runs the unwinding
+        /// load has already given its core back.
         struct LoadGuard<'a> {
             shared: &'a Shared,
             id: &'a str,
@@ -1223,7 +1260,7 @@ impl Shared {
         let loaded = loop {
             attempt += 1;
             guard.armed = true;
-            let result = source.load_classified();
+            let result = self.load_scene(source);
             guard.armed = false;
             match result {
                 Ok(scene) => break Ok(scene),
@@ -1244,21 +1281,6 @@ impl Shared {
                 },
                 Err(e) => break Err(e),
             }
-        };
-        // Scenes that ship without a hierarchy get one built here when
-        // the LOD policy asks for it — lock-free CPU work on the freshly
-        // loaded scene, before any consumer can share the Arc. The
-        // hierarchy's bytes are charged to the cache budget on insert.
-        let loaded = match loaded {
-            Ok(mut scene) => {
-                if let Some(policy) = &self.lod {
-                    if policy.build_on_load && scene.lod.is_none() {
-                        attach_hierarchy(Arc::make_mut(&mut scene), &policy.hierarchy);
-                    }
-                }
-                Ok(scene)
-            }
-            Err(e) => Err(e),
         };
         let mut st = self.state.lock().expect("service state poisoned");
         st.loading.remove(id);
@@ -1394,7 +1416,7 @@ impl RenderService {
             shed: cfg.shed,
             lod: cfg.lod,
             host_threads: available_threads(),
-            rendering: AtomicUsize::new(0),
+            busy: AtomicUsize::new(0),
             state: Mutex::new(State {
                 cache: LruSceneCache::new(cfg.cache_budget_bytes),
                 queues: HashMap::new(),

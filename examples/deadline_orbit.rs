@@ -55,7 +55,7 @@ fn orbit(
         item.expect("orbit frame");
     }
     // This stream is the service's only traffic: no other worker is
-    // rendering, so each of its frames is lent the whole host.
+    // busy, so each of its frames is lent the whole host.
     let threads = available_threads();
     let decisions: Vec<LodDecision> = service.stats().lod.recent[seen..].to_vec();
     for (i, d) in decisions.iter().enumerate() {

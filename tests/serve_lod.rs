@@ -3,8 +3,8 @@
 //! back under generous deadlines, hopeless deadlines pin the floor,
 //! deadline-free frames bypass the ladder entirely (and stay
 //! bit-identical to ladder-off serving), load-time hierarchy builds are
-//! charged to the cache budget, and deadline-carrying frames are lent
-//! the cores no other worker is rendering on.
+//! charged to the cache budget, and every frame is lent the cores no
+//! other worker is busy — rendering or loading — on.
 //!
 //! The end-to-end miss-avoidance demonstration (ladder-on zero misses vs
 //! ladder-off misses under the same deadline) lives in
@@ -20,8 +20,8 @@ use gcc_render::pipeline::{Frame, FrameScratch, RenderJob};
 use gcc_render::{RenderOptions, Renderer, Schedule};
 use gcc_scene::{Scene, SceneConfig, ScenePreset};
 use gcc_serve::{
-    LodPolicy, RenderRequest, RenderService, SceneSource, ScheduleRenderers, ServeConfig,
-    StreamConfig, StreamSpec,
+    FaultPlan, LoadFault, LodPolicy, RenderRequest, RenderService, SceneSource, ScheduleRenderers,
+    ServeConfig, StreamConfig, StreamSpec,
 };
 
 fn lego(scale: f32) -> Arc<Scene> {
@@ -223,8 +223,17 @@ fn stream_frames(svc: &RenderService, options: RenderOptions, config: StreamConf
     }
 }
 
+/// The host's thread count less `others` busy cores, as the lending rule
+/// clamps it. Prints the host's count, because what a lending test can
+/// tell apart depends on it (on a 1-thread host every count is 1).
+fn host_less(others: usize) -> usize {
+    let host = available_threads();
+    println!("host threads: {host}");
+    host.saturating_sub(others).max(1)
+}
+
 #[test]
-fn deadline_frames_borrow_the_idle_cores_and_deadline_free_frames_do_not() {
+fn every_frame_borrows_the_idle_cores() {
     let scene = lego(0.02);
     let seen = Arc::new(Mutex::new(Vec::new()));
     let svc = RenderService::with_renderers(
@@ -235,14 +244,23 @@ fn deadline_frames_borrow_the_idle_cores_and_deadline_free_frames_do_not() {
         [("lego".to_string(), SceneSource::Memory(Arc::clone(&scene)))],
         ScheduleRenderers::default().with(Schedule::Reference, Recording::boxed(&seen, None)),
     );
-    // One worker: nobody else is rendering, so a deadline buys the host.
-    let with_deadline = StreamConfig::default().with_deadline(Duration::from_secs(60));
-    stream_frames(&svc, RenderOptions::default(), with_deadline);
-    assert_eq!(*seen.lock().unwrap(), [available_threads(); 3]);
-    // No deadline: the one-frame-per-worker schedule, whatever the host.
-    seen.lock().unwrap().clear();
-    stream_frames(&svc, RenderOptions::default(), StreamConfig::default());
-    assert_eq!(*seen.lock().unwrap(), [1; 3]);
+    // One worker: nobody else is busy, so whatever the frame carries —
+    // a deadline or none, either priority — it is offered the host. That
+    // goes for the very first frame too, which its worker renders
+    // straight after loading the scene: the load and the batch count one
+    // after the other, never twice.
+    let host = host_less(0);
+    let deadline = Duration::from_secs(60);
+    for config in [
+        StreamConfig::default().with_deadline(deadline),
+        StreamConfig::default(),
+        StreamConfig::bulk(),
+        StreamConfig::bulk().with_deadline(deadline),
+    ] {
+        seen.lock().unwrap().clear();
+        stream_frames(&svc, RenderOptions::default(), config);
+        assert_eq!(*seen.lock().unwrap(), [host; 3], "{config:?}");
+    }
     svc.shutdown();
 }
 
@@ -266,7 +284,8 @@ fn a_core_another_worker_is_rendering_on_is_not_lent() {
             .with(Schedule::Reference, Recording::boxed(&seen, None))
             .with(Schedule::Standard, blocking),
     );
-    // Park one worker inside a deadline-free render...
+    // Park one worker inside a render (it started alone, on the whole
+    // host)...
     let parked = svc
         .submit(
             RenderRequest::trajectory("lego", 0.1)
@@ -274,14 +293,127 @@ fn a_core_another_worker_is_rendering_on_is_not_lent() {
         )
         .unwrap();
     entered.recv().unwrap();
-    // ...and the deadline frame the other worker picks up gets every core
-    // but that one.
-    let with_deadline = StreamConfig::default().with_deadline(Duration::from_secs(60));
-    stream_frames(&svc, RenderOptions::default(), with_deadline);
-    let lent = available_threads().saturating_sub(1).max(1);
-    assert_eq!(*seen.lock().unwrap(), [lent; 3]);
+    // ...and the frames the other worker picks up get every core but
+    // that one.
+    stream_frames(&svc, RenderOptions::default(), StreamConfig::default());
+    assert_eq!(*seen.lock().unwrap(), [host_less(1); 3]);
     release.send(()).unwrap();
     parked.wait().unwrap();
-    assert_eq!(*blocked.lock().unwrap(), [1]);
+    assert_eq!(*blocked.lock().unwrap(), [host_less(0)]);
+    svc.shutdown();
+}
+
+/// A scene "file" whose load blocks until the test lets it go: a FIFO.
+/// The loader's `fs::read` cannot open it before a writer does and reads
+/// until the writer closes — a gate made of the real load path, with no
+/// sleep on either side.
+#[cfg(unix)]
+struct GatedSceneFile {
+    path: std::path::PathBuf,
+}
+
+#[cfg(unix)]
+impl GatedSceneFile {
+    fn create(name: &str) -> Self {
+        let path = std::env::temp_dir().join(format!("gcc_{name}_{}.fifo", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let made = std::process::Command::new("mkfifo")
+            .arg(&path)
+            .status()
+            .expect("run mkfifo");
+        assert!(made.success(), "mkfifo {}", path.display());
+        Self { path }
+    }
+
+    /// Returns once a loader is inside its read of the file, with the
+    /// write end that keeps it there.
+    fn wait_for_loader(&self) -> std::fs::File {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&self.path)
+            .expect("open the FIFO's write end")
+    }
+}
+
+#[cfg(unix)]
+impl Drop for GatedSceneFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn a_core_another_worker_is_loading_on_is_not_lent() {
+    let scene = lego(0.02);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let gated = GatedSceneFile::create("serve_lod_gated");
+    let svc = RenderService::with_renderers(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        [
+            ("lego".to_string(), SceneSource::Memory(Arc::clone(&scene))),
+            ("cold".to_string(), SceneSource::File(gated.path.clone())),
+        ],
+        ScheduleRenderers::default().with(Schedule::Reference, Recording::boxed(&seen, None)),
+    );
+    // Alone on the service: the host.
+    stream_frames(&svc, RenderOptions::default(), StreamConfig::default());
+    // Park one worker inside the load of the cold scene...
+    let cold = svc.submit(RenderRequest::trajectory("cold", 0.1)).unwrap();
+    let mut gate = gated.wait_for_loader();
+    // ...and the frames the other worker renders meanwhile get every
+    // core but the loader's.
+    stream_frames(&svc, RenderOptions::default(), StreamConfig::default());
+    // Let the load finish before asserting anything: a failed assertion
+    // must not leave a worker blocked in `read` under the service's drop.
+    gcc_scene::io::write_binary(&scene, &mut gate).expect("feed the gated load");
+    drop(gate);
+    cold.wait().expect("the gated scene loads and renders");
+    let (host, lent) = (host_less(0), host_less(1));
+    assert_eq!(
+        seen.lock().unwrap()[..6],
+        [host, host, host, lent, lent, lent]
+    );
+    svc.shutdown();
+}
+
+#[test]
+fn a_loader_that_fails_or_panics_gives_its_core_back() {
+    let scene = lego(0.02);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let plan = Arc::new(
+        FaultPlan::new(1)
+            .script_loads("fails", [Some(LoadFault::FailFatal)])
+            .script_loads("panics", [Some(LoadFault::Panic)]),
+    );
+    let faulty = |id: &str| {
+        let inner = SceneSource::Memory(Arc::clone(&scene));
+        let source = SceneSource::faulty(id, inner, Arc::clone(&plan));
+        (id.to_string(), source)
+    };
+    let svc = RenderService::with_renderers(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        [
+            ("lego".to_string(), SceneSource::Memory(Arc::clone(&scene))),
+            faulty("fails"),
+            faulty("panics"),
+        ],
+        ScheduleRenderers::default().with(Schedule::Reference, Recording::boxed(&seen, None)),
+    );
+    for id in ["fails", "panics"] {
+        // The load's outcome reaches the client only after the loader
+        // stopped counting as busy, so the next frames see the whole host.
+        svc.render_blocking(RenderRequest::trajectory(id, 0.1))
+            .expect_err("the scripted load fault surfaces");
+        seen.lock().unwrap().clear();
+        stream_frames(&svc, RenderOptions::default(), StreamConfig::default());
+        assert_eq!(*seen.lock().unwrap(), [host_less(0); 3], "after '{id}'");
+    }
     svc.shutdown();
 }

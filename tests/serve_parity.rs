@@ -327,6 +327,55 @@ fn deadline_streams_on_lent_cores_are_bit_identical_to_sequential_renders() {
 }
 
 #[test]
+fn every_lent_frame_is_bit_identical_to_a_sequential_render() {
+    // Lending is not a deadline's privilege: on a one-worker service
+    // nobody else is ever busy, so every frame — either priority, no
+    // deadline — is offered all of the host's threads. Whatever it takes
+    // of them, image and every `FrameStats` field must equal the direct
+    // sequential render, for every schedule, full frame and ROI.
+    let dir = std::env::temp_dir().join(format!("gcc_serve_lent_all_{}", std::process::id()));
+    let (registry, direct) = file_registry(&dir);
+    let service = RenderService::new(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        registry,
+    );
+    println!("host threads: {}", gcc_parallel::available_threads());
+    let spec = StreamSpec::orbit(2);
+    let mut frames = 0;
+    for id in ["lego", "train"] {
+        let scene = &direct.iter().find(|(s, _)| s == id).unwrap().1;
+        for schedule in Schedule::ALL {
+            for roi in [None, Some(Roi::new(40, 24, 96, 72))] {
+                let mut options = RenderOptions::default().with_schedule(schedule);
+                if let Some(roi) = roi {
+                    options = options.with_roi(roi);
+                }
+                for config in [StreamConfig::bulk().with_window(2), StreamConfig::default()] {
+                    let session = service.session(id, options.clone()).unwrap();
+                    let stream = session.stream_with(spec.clone(), config).unwrap();
+                    for (i, (frame, view)) in stream.zip(spec.views()).enumerate() {
+                        let frame = frame.expect("stream frame");
+                        let req = RenderRequest::new(id, view).with_options(options.clone());
+                        let want = direct_render(scene, &req);
+                        let what = format!("{id} {schedule} roi {roi:?} {:?}", config.priority);
+                        assert_eq!(frame.image, want.image, "{what} frame {i} diverged");
+                        assert_eq!(frame.stats, want.stats, "{what} frame {i} stats");
+                        frames += 1;
+                    }
+                }
+            }
+        }
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.frames, frames);
+    assert_eq!(frames, 2 * 5 * 2 * 2 * 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn eviction_churn_preserves_determinism() {
     // A budget that fits only one scene forces constant eviction between
     // interleaved requests; frames must still be bit-identical to direct
