@@ -1343,6 +1343,400 @@ mod tests {
         assert_eq!(back.lod, stats.lod);
     }
 
+    /// FNV-1a over the payload bytes (the fold of `tests/golden_frames.rs`).
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn pinned_stats() -> ServeStats {
+        let mut stats = ServeStats::default();
+        let scene = |k: u64| SceneCounters {
+            requests: k,
+            hits: k + 1,
+            misses: k + 2,
+            loads: k + 3,
+            evictions: k + 4,
+            frames: k + 5,
+            batches: k + 6,
+            retries: k + 7,
+            quarantines: k + 8,
+        };
+        stats.per_scene.insert("palace".into(), scene(10));
+        stats.per_scene.insert("lego".into(), scene(200));
+        let schedule = |k: u64| ScheduleCounters {
+            requests: k,
+            frames: k + 1,
+            batches: k + 2,
+        };
+        stats.per_schedule.insert(Schedule::Reference, schedule(30));
+        stats.per_schedule.insert(Schedule::Gscore, schedule(40));
+        let priority = |k: u64| PriorityCounters {
+            requests: k,
+            frames: k + 1,
+            completed: k + 2,
+            queued: k as usize + 3,
+            max_queued: k as usize + 4,
+            with_deadline: k + 5,
+            deadline_misses: k + 6,
+            rejected: k + 7,
+            shed: k + 8,
+            latency_p50_ms: k as f64 + 0.5,
+            latency_p95_ms: k as f64 + 0.75,
+        };
+        stats
+            .per_priority
+            .insert(Priority::Interactive, priority(50));
+        stats.per_priority.insert(Priority::Bulk, priority(60));
+        stats.streams = StreamCounters {
+            opened: 70,
+            completed: 71,
+            cancelled: 72,
+            frames_discarded: 73,
+        };
+        stats.completed = 80;
+        stats.queue_depth = 81;
+        stats.max_queue_depth = 82;
+        stats.batches = 83;
+        stats.frames = 84;
+        stats.latency_p50_ms = 8.5;
+        stats.latency_p95_ms = 8.75;
+        stats.frame_stats = pinned_frame_stats(1000);
+        stats.resident_bytes = 90;
+        stats.resident_scenes = 91;
+        stats.respawns = 92;
+        stats.lost_workers = 93;
+        stats.quarantined_scenes = 94;
+        stats.lod = LodCounters {
+            enabled: true,
+            frames_by_rung: vec![30, 6, 3],
+            degraded_frames: 9,
+            degradations: 4,
+            recoveries: 2,
+            recent: vec![
+                LodDecision {
+                    rung: 2,
+                    predicted_us: 0,
+                    actual_us: 1_200,
+                    budget_us: 4_000,
+                    missed: false,
+                },
+                LodDecision {
+                    rung: 0,
+                    predicted_us: 9_500,
+                    actual_us: 9_800,
+                    budget_us: 33_000,
+                    missed: true,
+                },
+            ],
+        };
+        stats
+    }
+
+    /// Every counter non-zero and distinct, so two fields swapping on
+    /// both sides of the codec at once moves the digest.
+    fn pinned_frame_stats(k: u64) -> FrameStats {
+        FrameStats {
+            total_gaussians: k + 1,
+            geometry_loads: k + 2,
+            projected: k + 3,
+            sh_loads: k + 4,
+            rendered: k + 5,
+            render_invocations: k + 6,
+            pixels_blended: k + 7,
+            sort_elements: k + 8,
+            windows: k + 9,
+            tiles: k + 10,
+            kv_pairs: k + 11,
+            tile_loads: k + 12,
+            unique_loaded: k + 13,
+            pixels_tested: k + 14,
+            pixels_tested_aabb: k + 15,
+            pixels_tested_obb: k + 16,
+            near_culled: k + 17,
+            groups_total: k + 18,
+            groups_processed: k + 19,
+            groups_skipped: k + 20,
+            blocks_dispatched: k + 21,
+            blocks_masked_skips: k + 22,
+            pixels_evaluated: k + 23,
+            alpha_lane_evals: k + 24,
+        }
+    }
+
+    /// One fixed instance of every message kind as `(name, kind,
+    /// payload, is_request)`: between them every arm of `ViewSpec`,
+    /// `StreamSpec` and `WireRejection`, and every `Option` field both
+    /// ways.
+    fn pinned_payloads() -> Vec<(String, u8, Vec<u8>, bool)> {
+        let requests = vec![
+            (
+                "open_sweep",
+                Request::Open {
+                    scene: "palace".into(),
+                    defaults: RenderOptions::default()
+                        .with_schedule(Schedule::GccHardware)
+                        .at_resolution(64, 48)
+                        .with_roi(Roi::new(1, 2, 30, 20))
+                        .on_background(Vec3::new(0.1, 0.2, 0.3))
+                        .with_alpha_min(0.01)
+                        .with_sh_degree(2),
+                    spec: StreamSpec::TrajectorySweep {
+                        t0: 0.25,
+                        t1: 0.75,
+                        frames: 12,
+                    },
+                    config: StreamConfig::default()
+                        .with_priority(Priority::Bulk)
+                        .with_deadline(Duration::from_millis(33))
+                        .with_window(7),
+                },
+            ),
+            (
+                "open_views",
+                Request::Open {
+                    scene: "lego".into(),
+                    defaults: RenderOptions {
+                        schedule: Schedule::Standard,
+                        resolution: None,
+                        roi: None,
+                        background: None,
+                        alpha_min: None,
+                        sh_degree: None,
+                    },
+                    spec: StreamSpec::ViewList(vec![
+                        ViewSpec::Trajectory { t: 0.5 },
+                        ViewSpec::LookAt {
+                            eye: Vec3::new(1.0, 2.0, 3.0),
+                            target: Vec3::new(0.0, -0.5, 0.25),
+                            up: Vec3::new(0.0, 1.0, 0.0),
+                            fov_y_deg: Some(55.0),
+                        },
+                        ViewSpec::LookAt {
+                            eye: Vec3::new(-4.0, 5.0, -6.0),
+                            target: Vec3::new(0.5, 0.0, 0.0),
+                            up: Vec3::new(0.0, 0.0, 1.0),
+                            fov_y_deg: None,
+                        },
+                        ViewSpec::Orbit {
+                            angle: 1.25,
+                            radius_scale: 0.9,
+                            height_offset: -0.1,
+                        },
+                    ]),
+                    config: StreamConfig {
+                        priority: Priority::Interactive,
+                        deadline: None,
+                        window: 3,
+                    },
+                },
+            ),
+            (
+                "open_orbit",
+                Request::Open {
+                    scene: "train".into(),
+                    defaults: RenderOptions::default().with_schedule(Schedule::GaussianWise),
+                    spec: StreamSpec::OrbitLoop {
+                        frames: 8,
+                        radius_scale: 1.1,
+                        height_offset: 0.2,
+                    },
+                    config: StreamConfig::default(),
+                },
+            ),
+            ("next_frame", Request::NextFrame { stream: 42 }),
+            ("cancel", Request::Cancel { stream: u64::MAX }),
+            ("stats", Request::Stats),
+            ("ping", Request::Ping),
+            ("shutdown", Request::Shutdown),
+        ];
+
+        let mut image = Image::new(4, 3);
+        for (i, p) in image.pixels_mut().iter_mut().enumerate() {
+            *p = Vec3::new(i as f32 * 0.25, 1.0 - i as f32 * 0.125, 0.5 + i as f32);
+        }
+        let rejections = vec![
+            (
+                "unknown_scene",
+                WireRejection::UnknownScene("mystery".into()),
+            ),
+            (
+                "invalid_request",
+                WireRejection::InvalidRequest("t out of range".into()),
+            ),
+            ("empty_stream", WireRejection::EmptyStream),
+            (
+                "load",
+                WireRejection::Load {
+                    scene: "palace".into(),
+                    message: "file vanished".into(),
+                },
+            ),
+            ("shutting_down", WireRejection::ShuttingDown),
+            ("worker_panicked", WireRejection::WorkerPanicked),
+            (
+                "quarantined",
+                WireRejection::Quarantined {
+                    scene: "truck".into(),
+                    retry_after: Duration::from_millis(250),
+                },
+            ),
+            (
+                "overloaded",
+                WireRejection::Overloaded {
+                    retry_after: Duration::from_micros(1500),
+                },
+            ),
+            (
+                "unavailable",
+                WireRejection::Unavailable {
+                    message: "shard 1 down".into(),
+                    retry_after: Duration::from_millis(100),
+                },
+            ),
+        ];
+        let mut responses = vec![
+            (
+                "opened".to_string(),
+                Response::Opened {
+                    stream: 3,
+                    frames: 24,
+                },
+            ),
+            (
+                "frame".into(),
+                Response::Frame {
+                    stream: 3,
+                    index: 5,
+                    frame: Frame {
+                        image,
+                        stats: pinned_frame_stats(0),
+                    },
+                },
+            ),
+            (
+                "frame_error".into(),
+                Response::FrameError {
+                    stream: 3,
+                    index: 6,
+                    error: WireRejection::Load {
+                        scene: "lego".into(),
+                        message: "décodage échoué".into(),
+                    },
+                },
+            ),
+            ("stream_end".into(), Response::StreamEnd { stream: 3 }),
+            ("cancelled".into(), Response::Cancelled { stream: 4 }),
+            (
+                "stats_snapshot".into(),
+                Response::Stats(Box::new(pinned_stats())),
+            ),
+            ("pong".into(), Response::Pong),
+            ("shutdown_ack".into(), Response::ShutdownAck),
+            (
+                "error".into(),
+                Response::Error {
+                    message: "unknown request kind 0x7f".into(),
+                },
+            ),
+        ];
+        responses.extend(
+            rejections
+                .into_iter()
+                .map(|(name, rej)| (format!("rejected_{name}"), Response::Rejected(rej))),
+        );
+
+        let mut out = Vec::new();
+        for (name, req) in requests {
+            let (kind, payload) = req.encode();
+            out.push((name.to_string(), kind, payload, true));
+        }
+        for (name, resp) in responses {
+            let (kind, payload) = resp.encode();
+            out.push((name, kind, payload, false));
+        }
+        out
+    }
+
+    /// `(name, kind, payload length, FNV-1a digest)` of every pinned
+    /// message, computed with the hand-written codecs this table was
+    /// committed beside. A mismatch means a payload byte moved: that is
+    /// a `WIRE_VERSION` bump, never an edit of this table.
+    const PINNED: [(&str, u8, usize, u64); 26] = [
+        ("open_sweep", 0x01, 92, 0x366888650f036606),
+        ("open_views", 0x01, 127, 0xfa32734893798343),
+        ("open_orbit", 0x01, 42, 0xc6c28ccbc3e6fc0f),
+        ("next_frame", 0x02, 8, 0xff3add6b3789daef),
+        ("cancel", 0x03, 8, 0x8cf51a8bfca3883d),
+        ("stats", 0x04, 0, 0xcbf29ce484222325),
+        ("ping", 0x05, 0, 0xcbf29ce484222325),
+        ("shutdown", 0x06, 0, 0xcbf29ce484222325),
+        ("opened", 0x81, 16, 0xbea0de5a7a836fbe),
+        ("frame", 0x82, 360, 0x9591950f5b43471f),
+        ("frame_error", 0x83, 47, 0x797a5fd33912de4a),
+        ("stream_end", 0x84, 8, 0xc7c2bf3b330983e6),
+        ("cancelled", 0x85, 8, 0x2cdcdc0dfc5d1141),
+        ("stats_snapshot", 0x87, 837, 0x1d099c548f35f87f),
+        ("pong", 0x88, 0, 0xcbf29ce484222325),
+        ("shutdown_ack", 0x89, 0, 0xcbf29ce484222325),
+        ("error", 0x8a, 29, 0x9a83903db15b65e4),
+        ("rejected_unknown_scene", 0x86, 12, 0xab65c0d9aa3bddad),
+        ("rejected_invalid_request", 0x86, 19, 0xf6514d0ac9b1ae5a),
+        ("rejected_empty_stream", 0x86, 1, 0xaf63bf4c8601bb45),
+        ("rejected_load", 0x86, 28, 0x49db1d4c62fecc03),
+        ("rejected_shutting_down", 0x86, 1, 0xaf63b94c8601b113),
+        ("rejected_worker_panicked", 0x86, 1, 0xaf63b84c8601af60),
+        ("rejected_quarantined", 0x86, 18, 0xe6c7b99dcc2f0c95),
+        ("rejected_overloaded", 0x86, 9, 0xb1d94a120b5aa02d),
+        ("rejected_unavailable", 0x86, 25, 0x73eb8ef47cde0983),
+    ];
+
+    #[test]
+    fn payload_bytes_are_pinned() {
+        let actual: Vec<(String, u8, usize, u64)> = pinned_payloads()
+            .into_iter()
+            .map(|(name, kind, payload, _)| (name, kind, payload.len(), fnv(&payload)))
+            .collect();
+        let expected: Vec<(String, u8, usize, u64)> = PINNED
+            .iter()
+            .map(|(name, kind, len, digest)| (name.to_string(), *kind, *len, *digest))
+            .collect();
+        if actual != expected {
+            for (name, kind, len, digest) in &actual {
+                eprintln!("        ({name:?}, {kind:#04x}, {len}, {digest:#018x}),");
+            }
+            panic!("a wire payload moved; the table above is what the codecs produce now");
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_extension_of_a_pinned_payload_is_malformed() {
+        for (name, kind, payload, is_request) in pinned_payloads() {
+            let decode = |bytes: &[u8]| {
+                if is_request {
+                    Request::decode(kind, bytes).map(drop)
+                } else {
+                    Response::decode(kind, bytes).map(drop)
+                }
+            };
+            decode(&payload).unwrap_or_else(|e| panic!("{name}: whole payload: {e}"));
+            for cut in 0..payload.len() {
+                assert!(
+                    matches!(decode(&payload[..cut]), Err(WireError::Malformed(_))),
+                    "{name}: the {cut}-byte prefix of {} bytes decoded",
+                    payload.len()
+                );
+            }
+            let mut longer = payload.clone();
+            longer.push(0);
+            assert!(
+                matches!(decode(&longer), Err(WireError::Malformed(_))),
+                "{name}: a trailing byte was accepted"
+            );
+        }
+    }
+
     #[test]
     fn wire_rejection_mirrors_serve_error() {
         let err = ServeError::Quarantined {
