@@ -15,7 +15,7 @@ use gcc_render::{Frame, RenderOptions};
 use gcc_serve::{ServeStats, StreamConfig, StreamSpec};
 
 use crate::frame::{read_event, write_frame, FrameEvent, WireError};
-use crate::proto::{Request, Response};
+use crate::proto::{Request, Response, Tagged};
 
 /// A client-side handle to one open wire stream. Plain data: all I/O goes
 /// through the [`WireClient`] that opened it.
@@ -277,18 +277,5 @@ impl WireClient {
 }
 
 fn unexpected(wanted: &str, got: &Response) -> WireError {
-    // Stats snapshots are huge; name the variant, not the payload.
-    let got = match got {
-        Response::Opened { .. } => "Opened",
-        Response::Frame { .. } => "Frame",
-        Response::FrameError { .. } => "FrameError",
-        Response::StreamEnd { .. } => "StreamEnd",
-        Response::Cancelled { .. } => "Cancelled",
-        Response::Rejected(_) => "Rejected",
-        Response::Stats(_) => "Stats",
-        Response::Pong => "Pong",
-        Response::ShutdownAck => "ShutdownAck",
-        Response::Error { .. } => "Error",
-    };
-    WireError::Protocol(format!("expected {wanted}, got {got}"))
+    WireError::Protocol(format!("expected {wanted}, got {}", got.arm()))
 }

@@ -153,10 +153,15 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), 
 /// Fills `buf` from `r`, retrying interrupted and timed-out reads (a
 /// timeout mid-frame means the rest of the frame is still in flight, not
 /// that the peer is gone — giving up there would desync the stream).
-fn read_exact_patient<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<()> {
+/// `at_boundary` marks the read that starts a frame: there, and only
+/// before its first byte arrives, a clean close and a timeout are not
+/// failures but [`FrameEvent::Eof`] and [`FrameEvent::Idle`].
+fn fill<R: Read>(r: &mut R, buf: &mut [u8], at_boundary: bool) -> io::Result<Option<FrameEvent>> {
     let mut filled = 0;
     while filled < buf.len() {
+        let nothing_yet = at_boundary && filled == 0;
         match r.read(&mut buf[filled..]) {
+            Ok(0) if nothing_yet => return Ok(Some(FrameEvent::Eof)),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -164,17 +169,21 @@ fn read_exact_patient<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<()> {
                 ))
             }
             Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e)
                 if matches!(
                     e.kind(),
-                    io::ErrorKind::Interrupted
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::WouldBlock
-                ) => {}
+                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+                ) =>
+            {
+                if nothing_yet {
+                    return Ok(Some(FrameEvent::Idle));
+                }
+            }
             Err(e) => return Err(e),
         }
     }
-    Ok(())
+    Ok(None)
 }
 
 /// Reads one frame (or observes EOF / idleness) at a frame boundary.
@@ -189,37 +198,16 @@ fn read_exact_patient<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<()> {
 ///
 /// As described above.
 pub fn read_event<R: Read>(r: &mut R) -> Result<FrameEvent, WireError> {
-    // The length prefix is read byte-wise so a clean close (EOF before
-    // any byte) and an idle timeout (no bytes yet) are distinguishable
-    // from a truncated prefix (EOF/timeout after some bytes).
     let mut prefix = [0u8; 4];
-    let mut filled = 0;
-    while filled < prefix.len() {
-        match r.read(&mut prefix[filled..]) {
-            Ok(0) if filled == 0 => return Ok(FrameEvent::Eof),
-            Ok(0) => {
-                return Err(WireError::Malformed(
-                    "connection closed inside a length prefix".into(),
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if filled == 0
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                    ) =>
-            {
-                return Ok(FrameEvent::Idle)
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ) => {}
-            Err(e) => return Err(e.into()),
+    match fill(r, &mut prefix, true) {
+        Ok(None) => {}
+        Ok(Some(event)) => return Ok(event),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            return Err(WireError::Malformed(
+                "connection closed inside a length prefix".into(),
+            ))
         }
+        Err(e) => return Err(e.into()),
     }
     let len = u32::from_le_bytes(prefix);
     if len < 2 {
@@ -234,7 +222,7 @@ pub fn read_event<R: Read>(r: &mut R) -> Result<FrameEvent, WireError> {
         let mut chunk = [0u8; 64 << 10];
         while remaining > 0 {
             let take = remaining.min(chunk.len() as u64) as usize;
-            read_exact_patient(r, &mut chunk[..take]).map_err(|e| {
+            fill(r, &mut chunk[..take], false).map_err(|e| {
                 WireError::Malformed(format!("oversized frame truncated while draining: {e}"))
             })?;
             remaining -= take as u64;
@@ -245,8 +233,7 @@ pub fn read_event<R: Read>(r: &mut R) -> Result<FrameEvent, WireError> {
         });
     }
     let mut body = vec![0u8; len as usize];
-    read_exact_patient(r, &mut body)
-        .map_err(|e| WireError::Malformed(format!("frame truncated: {e}")))?;
+    fill(r, &mut body, false).map_err(|e| WireError::Malformed(format!("frame truncated: {e}")))?;
     let version = body[0];
     let kind = body[1];
     body.drain(..2);

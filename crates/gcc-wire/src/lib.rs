@@ -3,9 +3,8 @@
 //!
 //! `gcc-serve` turns the renderers into an in-process service; this crate
 //! puts that service behind a socket without adding a single dependency —
-//! `std::net` TCP, hand-rolled binary codecs in the style of
-//! [`gcc_scene::io`], and the workspace's own supervision and hashing
-//! primitives:
+//! `std::net` TCP, binary codecs over [`gcc_scene::codec`], and the
+//! workspace's own supervision and hashing primitives:
 //!
 //! * [`frame`] — the transport: length-prefixed, versioned frames over any
 //!   `Read`/`Write`, with resync-or-fail rules for malformed input.
@@ -15,13 +14,16 @@
 //!   image of [`gcc_serve::ServeError`] — `Overloaded`/`Quarantined`
 //!   retry hints survive the trip.
 //! * [`client`] — a blocking [`WireClient`] with [`RemoteStream`] pulls.
-//! * [`server`] — [`WireServer`]: an accept loop feeding a supervised
-//!   handler pool (a panicking connection handler is respawned, the
-//!   listener survives) multiplexing every connection onto one
-//!   [`gcc_serve::RenderService`], with graceful drain on shutdown.
-//! * [`shard`] — [`ShardRing`] + [`ShardProxy`]: consistent hashing of
-//!   scene ids over N backends (SplitMix64 ring, session affinity),
-//!   health-probed failover, typed rejections forwarded verbatim.
+//! * `listener` (private) — what the server and the proxy share: an
+//!   accept loop feeding a supervised handler pool (a panicking
+//!   connection handler is respawned, the listener survives), the request
+//!   loop of a connection, and graceful drain on shutdown.
+//! * [`server`] — [`WireServer`]: that listener multiplexing every
+//!   connection onto one [`gcc_serve::RenderService`].
+//! * [`shard`] — [`ShardRing`] + [`ShardProxy`]: the same listener over a
+//!   consistent hashing of scene ids onto N backends (SplitMix64 ring,
+//!   session affinity), health-probed failover, typed rejections
+//!   forwarded verbatim.
 //!
 //! Two binaries ship with the crate: `gcc-served` (a standalone server)
 //! and `gcc-shard` (the proxy). `gcc-bench`'s `bench_serve --wire` drives
@@ -32,6 +34,7 @@
 
 pub mod client;
 pub mod frame;
+mod listener;
 pub mod proto;
 pub mod server;
 pub mod shard;

@@ -1,4 +1,4 @@
-//! Typed requests, responses and their binary codecs.
+//! Typed requests, responses and the one description of how each travels.
 //!
 //! Every message is one wire frame (see [`crate::frame`]): the frame's
 //! `kind` byte selects the variant, the payload is the variant's fields in
@@ -7,11 +7,20 @@
 //! responses `0x81..=0x8A` — the high bit marks the direction, so a peer
 //! can reject a message sent the wrong way without guessing.
 //!
+//! Nothing here is written twice: a crate-private `Wire` trait is
+//! implemented once for each primitive and container the protocol is made
+//! of, and one field list per struct / one tagged-arm list per enum
+//! generates both directions for everything else. Decoding builds each
+//! value with a literal, so a field added to [`ServeStats`] or
+//! [`FrameStats`] and not listed here is a compile error.
+//!
 //! # Versioning rules
 //!
 //! The frame header's `version` byte covers *everything* in this module:
 //! any change to a payload layout, a tag value, or the meaning of a field
-//! bumps [`crate::frame::WIRE_VERSION`]. Within one version the rules are:
+//! bumps [`crate::frame::WIRE_VERSION`] (the unit test
+//! `payload_bytes_are_pinned` holds the bytes of one instance of every
+//! message). Within one version the rules are:
 //!
 //! * fields are appended, never reordered or resized;
 //! * decoders reject trailing bytes (`Malformed`), so payloads cannot be
@@ -20,12 +29,15 @@
 //!
 //! # Limits
 //!
-//! Strings are capped at [`MAX_STR_LEN`] bytes, explicit view lists at
-//! [`MAX_VIEWS`] entries and images at [`MAX_PIXELS`] pixels. The caps are
-//! validated before any allocation is sized from wire data, so a hostile
-//! peer cannot force a huge allocation with a short frame.
+//! Strings are capped at [`MAX_STR_LEN`] bytes — refused beyond it on the
+//! way in, cut to it at a character boundary on the way out — and
+//! explicit view lists at [`MAX_VIEWS`] entries. Every declared size (a
+//! collection's count, an image's width × height) is checked against the
+//! bytes that remain in the payload before anything is allocated from it,
+//! so a hostile peer cannot force a large allocation with a short frame.
 
-use std::io::{self, Read};
+use std::collections::BTreeMap;
+use std::io;
 use std::time::Duration;
 
 use gcc_math::Vec3;
@@ -42,12 +54,10 @@ use crate::frame::WireError;
 /// Longest string (scene id, error message) a codec will read.
 pub const MAX_STR_LEN: usize = 4096;
 
-/// Most entries an explicit [`StreamSpec::ViewList`] may carry on the wire.
+/// Most entries an explicit [`StreamSpec::ViewList`] — the one collection
+/// of the protocol that a client sizes — may carry on the wire; no counted
+/// collection decodes past it.
 pub const MAX_VIEWS: usize = 1 << 20;
-
-/// Most pixels a wire-decoded [`Image`] may have (64 Mpx ≈ the transport's
-/// frame cap divided by the 12-byte pixel).
-pub const MAX_PIXELS: u64 = 1 << 26;
 
 // ---------------------------------------------------------------------------
 // Message types
@@ -267,669 +277,519 @@ impl std::fmt::Display for WireRejection {
 }
 
 // ---------------------------------------------------------------------------
-// Frame kinds
+// One description per type
 // ---------------------------------------------------------------------------
 
-mod kind {
-    pub const OPEN: u8 = 0x01;
-    pub const NEXT_FRAME: u8 = 0x02;
-    pub const CANCEL: u8 = 0x03;
-    pub const STATS: u8 = 0x04;
-    pub const PING: u8 = 0x05;
-    pub const SHUTDOWN: u8 = 0x06;
-
-    pub const OPENED: u8 = 0x81;
-    pub const FRAME: u8 = 0x82;
-    pub const FRAME_ERROR: u8 = 0x83;
-    pub const STREAM_END: u8 = 0x84;
-    pub const CANCELLED: u8 = 0x85;
-    pub const REJECTED: u8 = 0x86;
-    pub const STATS_SNAPSHOT: u8 = 0x87;
-    pub const PONG: u8 = 0x88;
-    pub const SHUTDOWN_ACK: u8 = 0x89;
-    pub const ERROR: u8 = 0x8A;
+/// How a type is laid out in a payload. Every type says it once: the
+/// `put` and `get` of each struct and enum below are generated from one
+/// field list, so the two directions cannot disagree, and `get` builds the
+/// value with a literal, so a field that is not listed does not compile.
+trait Wire: Sized {
+    /// Fewest bytes a value encodes to — what a counted collection
+    /// multiplies its declared count by before it allocates.
+    const MIN_LEN: usize;
+    /// Appends the value's encoding.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Decodes one value off the front of `r`.
+    fn get(r: &mut &[u8]) -> io::Result<Self>;
 }
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
+/// An enum whose arms are told apart by a one-byte tag: the first payload
+/// byte when nested in a message (the blanket [`Wire`] impl), the frame's
+/// kind byte for [`Request`] and [`Response`] themselves.
+pub(crate) trait Tagged: Sized {
+    /// Fewest bytes any arm's fields encode to.
+    const MIN_BODY: usize;
+    /// The arm's name — what the client reports an unexpected answer as
+    /// (a `Stats` or `Frame` payload is too large to print).
+    fn arm(&self) -> &'static str;
+    fn tag(&self) -> u8;
+    fn put_body(&self, out: &mut Vec<u8>);
+    fn get_body(tag: u8, r: &mut &[u8]) -> io::Result<Self>;
+}
+
+impl<T: Tagged> Wire for T {
+    const MIN_LEN: usize = 1 + T::MIN_BODY;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.tag().put(out);
+        self.put_body(out);
+    }
+    fn get(r: &mut &[u8]) -> io::Result<Self> {
+        let tag = u8::get(r)?;
+        T::get_body(tag, r)
+    }
+}
 
 /// An `InvalidData` error with a message — the shared "semantically bad
-/// bytes" failure all decoders funnel through.
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+/// bytes" failure every `get` funnels through.
+fn bad(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Writes to `Vec<u8>` cannot fail; this collapses the codec's
-/// `io::Result` plumbing at the message boundary.
-fn infallible<T>(r: io::Result<T>) -> T {
-    r.expect("writes to Vec<u8> are infallible")
-}
-
-fn dur_to_nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-fn write_duration(out: &mut Vec<u8>, d: Duration) -> io::Result<()> {
-    codec::write_u64(out, dur_to_nanos(d))
-}
-
-fn read_duration<R: Read>(r: &mut R) -> io::Result<Duration> {
-    Ok(Duration::from_nanos(codec::read_u64(r)?))
-}
-
-fn write_opt<T>(
-    out: &mut Vec<u8>,
-    v: Option<&T>,
-    f: impl FnOnce(&mut Vec<u8>, &T) -> io::Result<()>,
-) -> io::Result<()> {
-    match v {
-        None => codec::write_u8(out, 0),
-        Some(v) => {
-            codec::write_u8(out, 1)?;
-            f(out, v)
+/// The smallest of `lens`, for an enum's cheapest arm.
+const fn min_of(lens: &[usize]) -> usize {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < lens.len() {
+        if lens[i] < min {
+            min = lens[i];
         }
+        i += 1;
     }
+    min
 }
 
-fn read_opt<R: Read, T>(
-    r: &mut R,
-    f: impl FnOnce(&mut R) -> io::Result<T>,
-) -> io::Result<Option<T>> {
-    match codec::read_u8(r)? {
-        0 => Ok(None),
-        1 => Ok(Some(f(r)?)),
-        t => Err(bad(format!("bad option tag {t}"))),
-    }
-}
-
-fn write_vec3(out: &mut Vec<u8>, v: Vec3) -> io::Result<()> {
-    codec::write_f32(out, v.x)?;
-    codec::write_f32(out, v.y)?;
-    codec::write_f32(out, v.z)
-}
-
-fn read_vec3<R: Read>(r: &mut R) -> io::Result<Vec3> {
-    Ok(Vec3 {
-        x: codec::read_f32(r)?,
-        y: codec::read_f32(r)?,
-        z: codec::read_f32(r)?,
-    })
-}
-
-fn schedule_tag(s: Schedule) -> u8 {
-    Schedule::ALL
-        .iter()
-        .position(|v| *v == s)
-        .expect("Schedule::ALL covers every schedule") as u8
-}
-
-fn read_schedule<R: Read>(r: &mut R) -> io::Result<Schedule> {
-    let tag = codec::read_u8(r)?;
-    Schedule::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or_else(|| bad(format!("bad schedule tag {tag}")))
-}
-
-fn priority_tag(p: Priority) -> u8 {
-    match p {
-        Priority::Interactive => 0,
-        Priority::Bulk => 1,
-    }
-}
-
-fn read_priority<R: Read>(r: &mut R) -> io::Result<Priority> {
-    match codec::read_u8(r)? {
-        0 => Ok(Priority::Interactive),
-        1 => Ok(Priority::Bulk),
-        t => Err(bad(format!("bad priority tag {t}"))),
-    }
-}
-
-fn read_usize<R: Read>(r: &mut R) -> io::Result<usize> {
-    let v = codec::read_u64(r)?;
-    usize::try_from(v).map_err(|_| bad(format!("count {v} exceeds this platform's usize")))
-}
-
-fn read_bool<R: Read>(r: &mut R) -> io::Result<bool> {
-    match codec::read_u8(r)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(bad(format!("bad bool tag {t}"))),
-    }
-}
-
-fn write_view_spec(out: &mut Vec<u8>, v: &ViewSpec) -> io::Result<()> {
-    match v {
-        ViewSpec::Trajectory { t } => {
-            codec::write_u8(out, 0)?;
-            codec::write_f32(out, *t)
-        }
-        ViewSpec::LookAt {
-            eye,
-            target,
-            up,
-            fov_y_deg,
-        } => {
-            codec::write_u8(out, 1)?;
-            write_vec3(out, *eye)?;
-            write_vec3(out, *target)?;
-            write_vec3(out, *up)?;
-            write_opt(out, fov_y_deg.as_ref(), |o, v| codec::write_f32(o, *v))
-        }
-        ViewSpec::Orbit {
-            angle,
-            radius_scale,
-            height_offset,
-        } => {
-            codec::write_u8(out, 2)?;
-            codec::write_f32(out, *angle)?;
-            codec::write_f32(out, *radius_scale)?;
-            codec::write_f32(out, *height_offset)
-        }
-    }
-}
-
-fn read_view_spec<R: Read>(r: &mut R) -> io::Result<ViewSpec> {
-    match codec::read_u8(r)? {
-        0 => Ok(ViewSpec::Trajectory {
-            t: codec::read_f32(r)?,
-        }),
-        1 => Ok(ViewSpec::LookAt {
-            eye: read_vec3(r)?,
-            target: read_vec3(r)?,
-            up: read_vec3(r)?,
-            fov_y_deg: read_opt(r, |r| codec::read_f32(r))?,
-        }),
-        2 => Ok(ViewSpec::Orbit {
-            angle: codec::read_f32(r)?,
-            radius_scale: codec::read_f32(r)?,
-            height_offset: codec::read_f32(r)?,
-        }),
-        t => Err(bad(format!("bad view spec tag {t}"))),
-    }
-}
-
-fn write_stream_spec(out: &mut Vec<u8>, s: &StreamSpec) -> io::Result<()> {
-    match s {
-        StreamSpec::TrajectorySweep { t0, t1, frames } => {
-            codec::write_u8(out, 0)?;
-            codec::write_f32(out, *t0)?;
-            codec::write_f32(out, *t1)?;
-            codec::write_u64(out, *frames as u64)
-        }
-        StreamSpec::OrbitLoop {
-            frames,
-            radius_scale,
-            height_offset,
-        } => {
-            codec::write_u8(out, 1)?;
-            codec::write_u64(out, *frames as u64)?;
-            codec::write_f32(out, *radius_scale)?;
-            codec::write_f32(out, *height_offset)
-        }
-        StreamSpec::ViewList(views) => {
-            codec::write_u8(out, 2)?;
-            codec::write_u32(out, views.len() as u32)?;
-            for v in views {
-                write_view_spec(out, v)?;
+/// The little-endian primitives, through the workspace's one byte-order
+/// module.
+macro_rules! wire_primitive {
+    ($($ty:ty: $write:ident, $read:ident;)*) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = std::mem::size_of::<$ty>();
+            fn put(&self, out: &mut Vec<u8>) {
+                codec::$write(out, *self).expect("writes to a Vec<u8> cannot fail");
             }
-            Ok(())
-        }
-    }
-}
-
-fn read_stream_spec<R: Read>(r: &mut R) -> io::Result<StreamSpec> {
-    match codec::read_u8(r)? {
-        0 => Ok(StreamSpec::TrajectorySweep {
-            t0: codec::read_f32(r)?,
-            t1: codec::read_f32(r)?,
-            frames: read_usize(r)?,
-        }),
-        1 => Ok(StreamSpec::OrbitLoop {
-            frames: read_usize(r)?,
-            radius_scale: codec::read_f32(r)?,
-            height_offset: codec::read_f32(r)?,
-        }),
-        2 => {
-            let n = codec::read_u32(r)? as usize;
-            if n > MAX_VIEWS {
-                return Err(bad(format!("view list of {n} exceeds cap {MAX_VIEWS}")));
+            fn get(r: &mut &[u8]) -> io::Result<Self> {
+                codec::$read(r)
             }
-            let mut views = Vec::with_capacity(n);
-            for _ in 0..n {
-                views.push(read_view_spec(r)?);
+        }
+    )*};
+}
+
+/// A struct is its fields, in this order.
+macro_rules! wire_struct {
+    ($ty:ident { $($f:ident: $t:ty),* $(,)? }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = 0 $(+ <$t as Wire>::MIN_LEN)*;
+            fn put(&self, out: &mut Vec<u8>) {
+                let Self { $($f),* } = self;
+                $($f.put(out);)*
             }
-            Ok(StreamSpec::ViewList(views))
+            fn get(r: &mut &[u8]) -> io::Result<Self> {
+                Ok(Self { $($f: <$t as Wire>::get(r)?),* })
+            }
         }
-        t => Err(bad(format!("bad stream spec tag {t}"))),
-    }
-}
-
-fn write_stream_config(out: &mut Vec<u8>, c: &StreamConfig) -> io::Result<()> {
-    codec::write_u8(out, priority_tag(c.priority))?;
-    write_opt(out, c.deadline.as_ref(), |o, d| write_duration(o, *d))?;
-    codec::write_u64(out, c.window as u64)
-}
-
-fn read_stream_config<R: Read>(r: &mut R) -> io::Result<StreamConfig> {
-    Ok(StreamConfig {
-        priority: read_priority(r)?,
-        deadline: read_opt(r, read_duration)?,
-        window: read_usize(r)?,
-    })
-}
-
-fn write_render_options(out: &mut Vec<u8>, o: &RenderOptions) -> io::Result<()> {
-    codec::write_u8(out, schedule_tag(o.schedule))?;
-    write_opt(out, o.resolution.as_ref(), |b, (w, h)| {
-        codec::write_u32(b, *w)?;
-        codec::write_u32(b, *h)
-    })?;
-    write_opt(out, o.roi.as_ref(), |b, roi| {
-        codec::write_u32(b, roi.x0)?;
-        codec::write_u32(b, roi.y0)?;
-        codec::write_u32(b, roi.width)?;
-        codec::write_u32(b, roi.height)
-    })?;
-    write_opt(out, o.background.as_ref(), |b, v| write_vec3(b, *v))?;
-    write_opt(out, o.alpha_min.as_ref(), |b, v| codec::write_f32(b, *v))?;
-    write_opt(out, o.sh_degree.as_ref(), |b, v| codec::write_u8(b, *v))
-}
-
-fn read_render_options<R: Read>(r: &mut R) -> io::Result<RenderOptions> {
-    Ok(RenderOptions {
-        schedule: read_schedule(r)?,
-        resolution: read_opt(r, |r| Ok((codec::read_u32(r)?, codec::read_u32(r)?)))?,
-        roi: read_opt(r, |r| {
-            Ok(Roi {
-                x0: codec::read_u32(r)?,
-                y0: codec::read_u32(r)?,
-                width: codec::read_u32(r)?,
-                height: codec::read_u32(r)?,
-            })
-        })?,
-        background: read_opt(r, read_vec3)?,
-        alpha_min: read_opt(r, |r| codec::read_f32(r))?,
-        sh_degree: read_opt(r, |r| codec::read_u8(r))?,
-    })
-}
-
-/// [`FrameStats`] fields in declaration order — the wire layout is this
-/// list, 24 `u64`s, and the round-trip test pins the count so a new field
-/// cannot be forgotten silently.
-fn stats_fields(s: &FrameStats) -> [u64; 24] {
-    [
-        s.total_gaussians,
-        s.geometry_loads,
-        s.projected,
-        s.sh_loads,
-        s.rendered,
-        s.render_invocations,
-        s.pixels_blended,
-        s.sort_elements,
-        s.windows,
-        s.tiles,
-        s.kv_pairs,
-        s.tile_loads,
-        s.unique_loaded,
-        s.pixels_tested,
-        s.pixels_tested_aabb,
-        s.pixels_tested_obb,
-        s.near_culled,
-        s.groups_total,
-        s.groups_processed,
-        s.groups_skipped,
-        s.blocks_dispatched,
-        s.blocks_masked_skips,
-        s.pixels_evaluated,
-        s.alpha_lane_evals,
-    ]
-}
-
-fn write_frame_stats(out: &mut Vec<u8>, s: &FrameStats) -> io::Result<()> {
-    for v in stats_fields(s) {
-        codec::write_u64(out, v)?;
-    }
-    Ok(())
-}
-
-fn read_frame_stats<R: Read>(r: &mut R) -> io::Result<FrameStats> {
-    let mut f = [0u64; 24];
-    for v in &mut f {
-        *v = codec::read_u64(r)?;
-    }
-    Ok(FrameStats {
-        total_gaussians: f[0],
-        geometry_loads: f[1],
-        projected: f[2],
-        sh_loads: f[3],
-        rendered: f[4],
-        render_invocations: f[5],
-        pixels_blended: f[6],
-        sort_elements: f[7],
-        windows: f[8],
-        tiles: f[9],
-        kv_pairs: f[10],
-        tile_loads: f[11],
-        unique_loaded: f[12],
-        pixels_tested: f[13],
-        pixels_tested_aabb: f[14],
-        pixels_tested_obb: f[15],
-        near_culled: f[16],
-        groups_total: f[17],
-        groups_processed: f[18],
-        groups_skipped: f[19],
-        blocks_dispatched: f[20],
-        blocks_masked_skips: f[21],
-        pixels_evaluated: f[22],
-        alpha_lane_evals: f[23],
-    })
-}
-
-fn write_image(out: &mut Vec<u8>, img: &Image) -> io::Result<()> {
-    codec::write_u32(out, img.width())?;
-    codec::write_u32(out, img.height())?;
-    for p in img.pixels() {
-        write_vec3(out, *p)?;
-    }
-    Ok(())
-}
-
-fn read_image<R: Read>(r: &mut R) -> io::Result<Image> {
-    let w = codec::read_u32(r)?;
-    let h = codec::read_u32(r)?;
-    let count = u64::from(w) * u64::from(h);
-    if count > MAX_PIXELS {
-        return Err(bad(format!("{w}x{h} image exceeds the {MAX_PIXELS}px cap")));
-    }
-    let mut img = Image::new(w, h);
-    for p in img.pixels_mut() {
-        *p = read_vec3(r)?;
-    }
-    Ok(img)
-}
-
-fn write_render_frame(out: &mut Vec<u8>, f: &Frame) -> io::Result<()> {
-    write_image(out, &f.image)?;
-    write_frame_stats(out, &f.stats)
-}
-
-fn read_render_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
-    Ok(Frame {
-        image: read_image(r)?,
-        stats: read_frame_stats(r)?,
-    })
-}
-
-fn write_serve_stats(out: &mut Vec<u8>, s: &ServeStats) -> io::Result<()> {
-    codec::write_u32(out, s.per_scene.len() as u32)?;
-    for (scene, c) in &s.per_scene {
-        codec::write_str(out, scene)?;
-        for v in [
-            c.requests,
-            c.hits,
-            c.misses,
-            c.loads,
-            c.evictions,
-            c.frames,
-            c.batches,
-            c.retries,
-            c.quarantines,
-        ] {
-            codec::write_u64(out, v)?;
-        }
-    }
-    codec::write_u32(out, s.per_schedule.len() as u32)?;
-    for (sched, c) in &s.per_schedule {
-        codec::write_u8(out, schedule_tag(*sched))?;
-        for v in [c.requests, c.frames, c.batches] {
-            codec::write_u64(out, v)?;
-        }
-    }
-    codec::write_u32(out, s.per_priority.len() as u32)?;
-    for (p, c) in &s.per_priority {
-        codec::write_u8(out, priority_tag(*p))?;
-        for v in [
-            c.requests,
-            c.frames,
-            c.completed,
-            c.queued as u64,
-            c.max_queued as u64,
-            c.with_deadline,
-            c.deadline_misses,
-            c.rejected,
-            c.shed,
-        ] {
-            codec::write_u64(out, v)?;
-        }
-        codec::write_f64(out, c.latency_p50_ms)?;
-        codec::write_f64(out, c.latency_p95_ms)?;
-    }
-    for v in [
-        s.streams.opened,
-        s.streams.completed,
-        s.streams.cancelled,
-        s.streams.frames_discarded,
-        s.completed,
-        s.queue_depth as u64,
-        s.max_queue_depth as u64,
-        s.batches,
-        s.frames,
-    ] {
-        codec::write_u64(out, v)?;
-    }
-    codec::write_f64(out, s.latency_p50_ms)?;
-    codec::write_f64(out, s.latency_p95_ms)?;
-    write_frame_stats(out, &s.frame_stats)?;
-    for v in [
-        s.resident_bytes as u64,
-        s.resident_scenes as u64,
-        s.respawns,
-        s.lost_workers,
-        s.quarantined_scenes as u64,
-    ] {
-        codec::write_u64(out, v)?;
-    }
-    write_lod_counters(out, &s.lod)?;
-    Ok(())
-}
-
-fn write_lod_counters(out: &mut Vec<u8>, lod: &LodCounters) -> io::Result<()> {
-    codec::write_u8(out, u8::from(lod.enabled))?;
-    codec::write_u32(out, lod.frames_by_rung.len() as u32)?;
-    for v in &lod.frames_by_rung {
-        codec::write_u64(out, *v)?;
-    }
-    for v in [lod.degraded_frames, lod.degradations, lod.recoveries] {
-        codec::write_u64(out, v)?;
-    }
-    codec::write_u32(out, lod.recent.len() as u32)?;
-    for d in &lod.recent {
-        codec::write_u32(out, d.rung)?;
-        codec::write_u64(out, d.predicted_us)?;
-        codec::write_u64(out, d.actual_us)?;
-        codec::write_u64(out, d.budget_us)?;
-        codec::write_u8(out, u8::from(d.missed))?;
-    }
-    Ok(())
-}
-
-fn read_lod_counters<R: Read>(r: &mut R) -> io::Result<LodCounters> {
-    let mut lod = LodCounters {
-        enabled: read_bool(r)?,
-        ..LodCounters::default()
     };
-    for _ in 0..codec::read_u32(r)? {
-        lod.frames_by_rung.push(codec::read_u64(r)?);
-    }
-    lod.degraded_frames = codec::read_u64(r)?;
-    lod.degradations = codec::read_u64(r)?;
-    lod.recoveries = codec::read_u64(r)?;
-    for _ in 0..codec::read_u32(r)? {
-        lod.recent.push(LodDecision {
-            rung: codec::read_u32(r)?,
-            predicted_us: codec::read_u64(r)?,
-            actual_us: codec::read_u64(r)?,
-            budget_us: codec::read_u64(r)?,
-            missed: read_bool(r)?,
-        });
-    }
-    Ok(lod)
 }
 
-fn read_serve_stats<R: Read>(r: &mut R) -> io::Result<ServeStats> {
-    let mut stats = ServeStats::default();
-    for _ in 0..codec::read_u32(r)? {
-        let scene = codec::read_str(r, MAX_STR_LEN)?;
-        let c = SceneCounters {
-            requests: codec::read_u64(r)?,
-            hits: codec::read_u64(r)?,
-            misses: codec::read_u64(r)?,
-            loads: codec::read_u64(r)?,
-            evictions: codec::read_u64(r)?,
-            frames: codec::read_u64(r)?,
-            batches: codec::read_u64(r)?,
-            retries: codec::read_u64(r)?,
-            quarantines: codec::read_u64(r)?,
-        };
-        stats.per_scene.insert(scene, c);
-    }
-    for _ in 0..codec::read_u32(r)? {
-        let sched = read_schedule(r)?;
-        let c = ScheduleCounters {
-            requests: codec::read_u64(r)?,
-            frames: codec::read_u64(r)?,
-            batches: codec::read_u64(r)?,
-        };
-        stats.per_schedule.insert(sched, c);
-    }
-    for _ in 0..codec::read_u32(r)? {
-        let p = read_priority(r)?;
-        let c = PriorityCounters {
-            requests: codec::read_u64(r)?,
-            frames: codec::read_u64(r)?,
-            completed: codec::read_u64(r)?,
-            queued: read_usize(r)?,
-            max_queued: read_usize(r)?,
-            with_deadline: codec::read_u64(r)?,
-            deadline_misses: codec::read_u64(r)?,
-            rejected: codec::read_u64(r)?,
-            shed: codec::read_u64(r)?,
-            latency_p50_ms: codec::read_f64(r)?,
-            latency_p95_ms: codec::read_f64(r)?,
-        };
-        stats.per_priority.insert(p, c);
-    }
-    stats.streams = StreamCounters {
-        opened: codec::read_u64(r)?,
-        completed: codec::read_u64(r)?,
-        cancelled: codec::read_u64(r)?,
-        frames_discarded: codec::read_u64(r)?,
+/// An enum is a tag and the fields of the arm it selects. An arm is a
+/// unit, a `{ field: Type, .. }` list, or one unnamed field written
+/// `(name: Type)` — `Type` being what travels, which `get` converts
+/// `.into()` the field (the identity but for the one boxed arm).
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal, {
+        $($tag:literal => $arm:ident $({ $($f:ident: $t:ty),* })? $(($x:ident: $xt:ty))?,)*
+    }) => {
+        // Unit arms bind nothing, and an all-unit enum reads no bytes.
+        #[allow(unused_variables)]
+        impl Tagged for $ty {
+            const MIN_BODY: usize = min_of(&[$(
+                0 $($(+ <$t as Wire>::MIN_LEN)*)? $(+ <$xt as Wire>::MIN_LEN)?
+            ),*]);
+            fn arm(&self) -> &'static str {
+                match self {
+                    $(Self::$arm $({ $($f),* })? $(($x))? => stringify!($arm),)*
+                }
+            }
+            fn tag(&self) -> u8 {
+                match self {
+                    $(Self::$arm $({ $($f),* })? $(($x))? => $tag,)*
+                }
+            }
+            fn put_body(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$arm $({ $($f),* })? $(($x))? => {
+                        $($($f.put(out);)*)?
+                        $($x.put(out);)?
+                    })*
+                }
+            }
+            fn get_body(tag: u8, r: &mut &[u8]) -> io::Result<Self> {
+                match tag {
+                    $($tag => Ok(Self::$arm
+                        $({ $($f: <$t as Wire>::get(r)?),* })?
+                        $((<$xt as Wire>::get(r)?.into()))?
+                    ),)*
+                    t => Err(bad(format!("unknown {} {t:#04x}", $what))),
+                }
+            }
+        }
     };
-    stats.completed = codec::read_u64(r)?;
-    stats.queue_depth = read_usize(r)?;
-    stats.max_queue_depth = read_usize(r)?;
-    stats.batches = codec::read_u64(r)?;
-    stats.frames = codec::read_u64(r)?;
-    stats.latency_p50_ms = codec::read_f64(r)?;
-    stats.latency_p95_ms = codec::read_f64(r)?;
-    stats.frame_stats = read_frame_stats(r)?;
-    stats.resident_bytes = read_usize(r)?;
-    stats.resident_scenes = read_usize(r)?;
-    stats.respawns = codec::read_u64(r)?;
-    stats.lost_workers = codec::read_u64(r)?;
-    stats.quarantined_scenes = read_usize(r)?;
-    stats.lod = read_lod_counters(r)?;
-    Ok(stats)
 }
 
-fn write_rejection(out: &mut Vec<u8>, rej: &WireRejection) -> io::Result<()> {
-    match rej {
-        WireRejection::UnknownScene(s) => {
-            codec::write_u8(out, 0)?;
-            codec::write_str(out, s)
-        }
-        WireRejection::InvalidRequest(m) => {
-            codec::write_u8(out, 1)?;
-            codec::write_str(out, m)
-        }
-        WireRejection::EmptyStream => codec::write_u8(out, 2),
-        WireRejection::Load { scene, message } => {
-            codec::write_u8(out, 3)?;
-            codec::write_str(out, scene)?;
-            codec::write_str(out, message)
-        }
-        WireRejection::ShuttingDown => codec::write_u8(out, 4),
-        WireRejection::WorkerPanicked => codec::write_u8(out, 5),
-        WireRejection::Quarantined { scene, retry_after } => {
-            codec::write_u8(out, 6)?;
-            codec::write_str(out, scene)?;
-            write_duration(out, *retry_after)
-        }
-        WireRejection::Overloaded { retry_after } => {
-            codec::write_u8(out, 7)?;
-            write_duration(out, *retry_after)
-        }
-        WireRejection::Unavailable {
-            message,
-            retry_after,
-        } => {
-            codec::write_u8(out, 8)?;
-            codec::write_str(out, message)?;
-            write_duration(out, *retry_after)
+wire_primitive! {
+    u8: write_u8, read_u8;
+    u32: write_u32, read_u32;
+    u64: write_u64, read_u64;
+    f32: write_f32, read_f32;
+    f64: write_f64, read_f64;
+}
+
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
+    }
+    fn get(r: &mut &[u8]) -> io::Result<Self> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(bad(format!("bad bool tag {t}"))),
         }
     }
 }
 
-fn read_rejection<R: Read>(r: &mut R) -> io::Result<WireRejection> {
-    match codec::read_u8(r)? {
-        0 => Ok(WireRejection::UnknownScene(codec::read_str(
-            r,
-            MAX_STR_LEN,
-        )?)),
-        1 => Ok(WireRejection::InvalidRequest(codec::read_str(
-            r,
-            MAX_STR_LEN,
-        )?)),
-        2 => Ok(WireRejection::EmptyStream),
-        3 => Ok(WireRejection::Load {
-            scene: codec::read_str(r, MAX_STR_LEN)?,
-            message: codec::read_str(r, MAX_STR_LEN)?,
-        }),
-        4 => Ok(WireRejection::ShuttingDown),
-        5 => Ok(WireRejection::WorkerPanicked),
-        6 => Ok(WireRejection::Quarantined {
-            scene: codec::read_str(r, MAX_STR_LEN)?,
-            retry_after: read_duration(r)?,
-        }),
-        7 => Ok(WireRejection::Overloaded {
-            retry_after: read_duration(r)?,
-        }),
-        8 => Ok(WireRejection::Unavailable {
-            message: codec::read_str(r, MAX_STR_LEN)?,
-            retry_after: read_duration(r)?,
-        }),
-        t => Err(bad(format!("bad rejection tag {t}"))),
+/// A `usize` travels as a `u64`.
+impl Wire for usize {
+    const MIN_LEN: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn get(r: &mut &[u8]) -> io::Result<Self> {
+        let v = u64::get(r)?;
+        usize::try_from(v).map_err(|_| bad(format!("count {v} exceeds this platform's usize")))
     }
 }
+
+/// A `Duration` travels as whole nanoseconds in a `u64`, saturating.
+impl Wire for Duration {
+    const MIN_LEN: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        u64::try_from(self.as_nanos()).unwrap_or(u64::MAX).put(out);
+    }
+    fn get(r: &mut &[u8]) -> io::Result<Self> {
+        Ok(Duration::from_nanos(u64::get(r)?))
+    }
+}
+
+/// A string is capped at [`MAX_STR_LEN`] bytes in both directions: `get`
+/// refuses a longer one, so `put` sends the longest prefix that fits and
+/// ends on a character boundary — a long error message arrives cut short
+/// inside the typed rejection that carries it, not as a decode failure.
+impl Wire for String {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut end = self.len().min(MAX_STR_LEN);
+        while !self.is_char_boundary(end) {
+            end -= 1;
+        }
+        codec::write_str(out, &self[..end]).expect("writes to a Vec<u8> cannot fail");
+    }
+    fn get(r: &mut &[u8]) -> io::Result<Self> {
+        codec::read_str(r, MAX_STR_LEN)
+    }
+}
+
+/// An option travels as a `bool` and, when set, the value.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut &[u8]) -> io::Result<Self> {
+        bool::get(r)?.then(|| T::get(r)).transpose()
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut &[u8]) -> io::Result<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// The one rule for a declared size: before anything is allocated from
+/// it, `count` elements of at least `min_len` bytes each must fit the
+/// bytes that remain. A short hostile payload therefore cannot reserve
+/// more than a small multiple of its own length.
+fn check_count(count: u64, min_len: usize, r: &[u8]) -> io::Result<usize> {
+    match count.checked_mul(min_len as u64) {
+        Some(bytes) if bytes <= r.len() as u64 => Ok(count as usize),
+        _ => Err(bad(format!(
+            "{count} elements of {min_len}+ bytes declared with {} bytes left",
+            r.len()
+        ))),
+    }
+}
+
+/// Reads a collection's `u32` element count, under [`MAX_VIEWS`] and
+/// [`check_count`].
+fn get_count<T: Wire>(r: &mut &[u8]) -> io::Result<usize> {
+    let count = u32::get(r)?;
+    if count as usize > MAX_VIEWS {
+        return Err(bad(format!("count {count} exceeds the cap {MAX_VIEWS}")));
+    }
+    check_count(count.into(), T::MIN_LEN, r)
+}
+
+/// A collection travels as a `u32` count and its elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut &[u8]) -> io::Result<Self> {
+        let count = get_count::<T>(r)?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A map travels as its `(key, value)` entries in key order.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+    fn get(r: &mut &[u8]) -> io::Result<Self> {
+        let count = get_count::<(K, V)>(r)?;
+        (0..count).map(|_| <(K, V)>::get(r)).collect()
+    }
+}
+
+/// The one hot codec (786 648 bytes per 256² frame), written out by hand:
+/// width, height, then 12 bytes per pixel, checked against the bytes that
+/// remain before the pixel buffer exists.
+impl Wire for Image {
+    const MIN_LEN: usize = 8 + Vec3::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.width().put(out);
+        self.height().put(out);
+        out.reserve(self.pixels().len() * Vec3::MIN_LEN);
+        for p in self.pixels() {
+            p.put(out);
+        }
+    }
+    fn get(r: &mut &[u8]) -> io::Result<Self> {
+        let (w, h) = (u32::get(r)?, u32::get(r)?);
+        if w == 0 || h == 0 {
+            return Err(bad(format!("degenerate {w}x{h} image")));
+        }
+        check_count(u64::from(w) * u64::from(h), Vec3::MIN_LEN, r)?;
+        let mut img = Image::new(w, h);
+        for p in img.pixels_mut() {
+            *p = Vec3::get(r)?;
+        }
+        Ok(img)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The messages and what they are made of
+// ---------------------------------------------------------------------------
+
+wire_enum! { Schedule, "schedule tag", {
+    0 => Reference,
+    1 => Standard,
+    2 => Gscore,
+    3 => GaussianWise,
+    4 => GccHardware,
+}}
+
+wire_enum! { Priority, "priority tag", {
+    0 => Interactive,
+    1 => Bulk,
+}}
+
+wire_struct! { Vec3 { x: f32, y: f32, z: f32 }}
+
+wire_struct! { Roi { x0: u32, y0: u32, width: u32, height: u32 }}
+
+wire_struct! { RenderOptions {
+    schedule: Schedule,
+    resolution: Option<(u32, u32)>,
+    roi: Option<Roi>,
+    background: Option<Vec3>,
+    alpha_min: Option<f32>,
+    sh_degree: Option<u8>,
+}}
+
+wire_struct! { StreamConfig { priority: Priority, deadline: Option<Duration>, window: usize }}
+
+wire_enum! { ViewSpec, "view spec tag", {
+    0 => Trajectory { t: f32 },
+    1 => LookAt { eye: Vec3, target: Vec3, up: Vec3, fov_y_deg: Option<f32> },
+    2 => Orbit { angle: f32, radius_scale: f32, height_offset: f32 },
+}}
+
+wire_enum! { StreamSpec, "stream spec tag", {
+    0 => TrajectorySweep { t0: f32, t1: f32, frames: usize },
+    1 => OrbitLoop { frames: usize, radius_scale: f32, height_offset: f32 },
+    2 => ViewList(views: Vec<ViewSpec>),
+}}
+
+wire_struct! { FrameStats {
+    total_gaussians: u64,
+    geometry_loads: u64,
+    projected: u64,
+    sh_loads: u64,
+    rendered: u64,
+    render_invocations: u64,
+    pixels_blended: u64,
+    sort_elements: u64,
+    windows: u64,
+    tiles: u64,
+    kv_pairs: u64,
+    tile_loads: u64,
+    unique_loaded: u64,
+    pixels_tested: u64,
+    pixels_tested_aabb: u64,
+    pixels_tested_obb: u64,
+    near_culled: u64,
+    groups_total: u64,
+    groups_processed: u64,
+    groups_skipped: u64,
+    blocks_dispatched: u64,
+    blocks_masked_skips: u64,
+    pixels_evaluated: u64,
+    alpha_lane_evals: u64,
+}}
+
+wire_struct! { Frame { image: Image, stats: FrameStats }}
+
+wire_struct! { SceneCounters {
+    requests: u64,
+    hits: u64,
+    misses: u64,
+    loads: u64,
+    evictions: u64,
+    frames: u64,
+    batches: u64,
+    retries: u64,
+    quarantines: u64,
+}}
+
+wire_struct! { ScheduleCounters { requests: u64, frames: u64, batches: u64 }}
+
+wire_struct! { PriorityCounters {
+    requests: u64,
+    frames: u64,
+    completed: u64,
+    queued: usize,
+    max_queued: usize,
+    with_deadline: u64,
+    deadline_misses: u64,
+    rejected: u64,
+    shed: u64,
+    latency_p50_ms: f64,
+    latency_p95_ms: f64,
+}}
+
+wire_struct! { StreamCounters {
+    opened: u64,
+    completed: u64,
+    cancelled: u64,
+    frames_discarded: u64,
+}}
+
+wire_struct! { LodDecision {
+    rung: u32,
+    predicted_us: u64,
+    actual_us: u64,
+    budget_us: u64,
+    missed: bool,
+}}
+
+wire_struct! { LodCounters {
+    enabled: bool,
+    frames_by_rung: Vec<u64>,
+    degraded_frames: u64,
+    degradations: u64,
+    recoveries: u64,
+    recent: Vec<LodDecision>,
+}}
+
+wire_struct! { ServeStats {
+    per_scene: BTreeMap<String, SceneCounters>,
+    per_schedule: BTreeMap<Schedule, ScheduleCounters>,
+    per_priority: BTreeMap<Priority, PriorityCounters>,
+    streams: StreamCounters,
+    completed: u64,
+    queue_depth: usize,
+    max_queue_depth: usize,
+    batches: u64,
+    frames: u64,
+    latency_p50_ms: f64,
+    latency_p95_ms: f64,
+    frame_stats: FrameStats,
+    resident_bytes: usize,
+    resident_scenes: usize,
+    respawns: u64,
+    lost_workers: u64,
+    quarantined_scenes: usize,
+    lod: LodCounters,
+}}
+
+wire_enum! { WireRejection, "rejection tag", {
+    0 => UnknownScene(scene: String),
+    1 => InvalidRequest(message: String),
+    2 => EmptyStream,
+    3 => Load { scene: String, message: String },
+    4 => ShuttingDown,
+    5 => WorkerPanicked,
+    6 => Quarantined { scene: String, retry_after: Duration },
+    7 => Overloaded { retry_after: Duration },
+    8 => Unavailable { message: String, retry_after: Duration },
+}}
+
+wire_enum! { Request, "request kind", {
+    0x01 => Open { scene: String, defaults: RenderOptions, spec: StreamSpec, config: StreamConfig },
+    0x02 => NextFrame { stream: u64 },
+    0x03 => Cancel { stream: u64 },
+    0x04 => Stats,
+    0x05 => Ping,
+    0x06 => Shutdown,
+}}
+
+wire_enum! { Response, "response kind", {
+    0x81 => Opened { stream: u64, frames: u64 },
+    0x82 => Frame { stream: u64, index: u64, frame: Frame },
+    0x83 => FrameError { stream: u64, index: u64, error: WireRejection },
+    0x84 => StreamEnd { stream: u64 },
+    0x85 => Cancelled { stream: u64 },
+    0x86 => Rejected(rejection: WireRejection),
+    0x87 => Stats(stats: ServeStats),
+    0x88 => Pong,
+    0x89 => ShutdownAck,
+    0x8A => Error { message: String },
+}}
 
 // ---------------------------------------------------------------------------
 // Message encode / decode
 // ---------------------------------------------------------------------------
 
-/// Finishes a decode: maps I/O truncation / semantic errors to
-/// [`WireError::Malformed`] and rejects payloads with trailing bytes.
-fn finish<T>(what: &str, rest: &[u8], decoded: io::Result<T>) -> Result<T, WireError> {
-    let v = decoded.map_err(|e| WireError::Malformed(format!("{what}: {e}")))?;
-    if rest.is_empty() {
-        Ok(v)
+fn encode<M: Tagged>(message: &M) -> (u8, Vec<u8>) {
+    let mut out = Vec::new();
+    message.put_body(&mut out);
+    (message.tag(), out)
+}
+
+/// Short, hostile and over-long payloads alike are
+/// [`WireError::Malformed`]: a truncated field, a bad tag, a count the
+/// remaining bytes cannot hold, or bytes left over after the last field.
+fn decode<M: Tagged>(kind: u8, payload: &[u8]) -> Result<M, WireError> {
+    let mut r = payload;
+    let message = M::get_body(kind, &mut r).map_err(|e| WireError::Malformed(e.to_string()))?;
+    if r.is_empty() {
+        Ok(message)
     } else {
-        Err(WireError::Malformed(format!(
-            "{what}: {} trailing bytes",
-            rest.len()
-        )))
+        Err(WireError::Malformed(format!("{} trailing bytes", r.len())))
     }
 }
 
@@ -937,33 +797,7 @@ impl Request {
     /// Encodes the request as a `(kind, payload)` pair for
     /// [`crate::frame::write_frame`].
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut out = Vec::new();
-        let kind = match self {
-            Request::Open {
-                scene,
-                defaults,
-                spec,
-                config,
-            } => {
-                infallible(codec::write_str(&mut out, scene));
-                infallible(write_render_options(&mut out, defaults));
-                infallible(write_stream_spec(&mut out, spec));
-                infallible(write_stream_config(&mut out, config));
-                kind::OPEN
-            }
-            Request::NextFrame { stream } => {
-                infallible(codec::write_u64(&mut out, *stream));
-                kind::NEXT_FRAME
-            }
-            Request::Cancel { stream } => {
-                infallible(codec::write_u64(&mut out, *stream));
-                kind::CANCEL
-            }
-            Request::Stats => kind::STATS,
-            Request::Ping => kind::PING,
-            Request::Shutdown => kind::SHUTDOWN,
-        };
-        (kind, out)
+        encode(self)
     }
 
     /// Decodes a request from a frame's `(kind, payload)`. Unknown kinds
@@ -971,28 +805,7 @@ impl Request {
     /// payloads are [`WireError::Malformed`] — the connection survives,
     /// the request does not.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Request, WireError> {
-        let mut r = payload;
-        let decoded = match kind {
-            kind::OPEN => (|r: &mut &[u8]| {
-                Ok(Request::Open {
-                    scene: codec::read_str(r, MAX_STR_LEN)?,
-                    defaults: read_render_options(r)?,
-                    spec: read_stream_spec(r)?,
-                    config: read_stream_config(r)?,
-                })
-            })(&mut r),
-            kind::NEXT_FRAME => codec::read_u64(&mut r).map(|stream| Request::NextFrame { stream }),
-            kind::CANCEL => codec::read_u64(&mut r).map(|stream| Request::Cancel { stream }),
-            kind::STATS => Ok(Request::Stats),
-            kind::PING => Ok(Request::Ping),
-            kind::SHUTDOWN => Ok(Request::Shutdown),
-            k => {
-                return Err(WireError::Malformed(format!(
-                    "unknown request kind {k:#04x}"
-                )))
-            }
-        };
-        finish("request", r, decoded)
+        decode(kind, payload)
     }
 }
 
@@ -1000,107 +813,25 @@ impl Response {
     /// Encodes the response as a `(kind, payload)` pair for
     /// [`crate::frame::write_frame`].
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut out = Vec::new();
-        let kind = match self {
-            Response::Opened { stream, frames } => {
-                infallible(codec::write_u64(&mut out, *stream));
-                infallible(codec::write_u64(&mut out, *frames));
-                kind::OPENED
-            }
-            Response::Frame {
-                stream,
-                index,
-                frame,
-            } => {
-                infallible(codec::write_u64(&mut out, *stream));
-                infallible(codec::write_u64(&mut out, *index));
-                infallible(write_render_frame(&mut out, frame));
-                kind::FRAME
-            }
-            Response::FrameError {
-                stream,
-                index,
-                error,
-            } => {
-                infallible(codec::write_u64(&mut out, *stream));
-                infallible(codec::write_u64(&mut out, *index));
-                infallible(write_rejection(&mut out, error));
-                kind::FRAME_ERROR
-            }
-            Response::StreamEnd { stream } => {
-                infallible(codec::write_u64(&mut out, *stream));
-                kind::STREAM_END
-            }
-            Response::Cancelled { stream } => {
-                infallible(codec::write_u64(&mut out, *stream));
-                kind::CANCELLED
-            }
-            Response::Rejected(rej) => {
-                infallible(write_rejection(&mut out, rej));
-                kind::REJECTED
-            }
-            Response::Stats(stats) => {
-                infallible(write_serve_stats(&mut out, stats));
-                kind::STATS_SNAPSHOT
-            }
-            Response::Pong => kind::PONG,
-            Response::ShutdownAck => kind::SHUTDOWN_ACK,
-            Response::Error { message } => {
-                infallible(codec::write_str(&mut out, message));
-                kind::ERROR
-            }
-        };
-        (kind, out)
+        encode(self)
     }
 
     /// Decodes a response from a frame's `(kind, payload)`.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Response, WireError> {
-        let mut r = payload;
-        let decoded = match kind {
-            kind::OPENED => (|r: &mut &[u8]| {
-                Ok(Response::Opened {
-                    stream: codec::read_u64(r)?,
-                    frames: codec::read_u64(r)?,
-                })
-            })(&mut r),
-            kind::FRAME => (|r: &mut &[u8]| {
-                Ok(Response::Frame {
-                    stream: codec::read_u64(r)?,
-                    index: codec::read_u64(r)?,
-                    frame: read_render_frame(r)?,
-                })
-            })(&mut r),
-            kind::FRAME_ERROR => (|r: &mut &[u8]| {
-                Ok(Response::FrameError {
-                    stream: codec::read_u64(r)?,
-                    index: codec::read_u64(r)?,
-                    error: read_rejection(r)?,
-                })
-            })(&mut r),
-            kind::STREAM_END => {
-                codec::read_u64(&mut r).map(|stream| Response::StreamEnd { stream })
-            }
-            kind::CANCELLED => codec::read_u64(&mut r).map(|stream| Response::Cancelled { stream }),
-            kind::REJECTED => read_rejection(&mut r).map(Response::Rejected),
-            kind::STATS_SNAPSHOT => read_serve_stats(&mut r).map(|s| Response::Stats(Box::new(s))),
-            kind::PONG => Ok(Response::Pong),
-            kind::SHUTDOWN_ACK => Ok(Response::ShutdownAck),
-            kind::ERROR => {
-                codec::read_str(&mut r, MAX_STR_LEN).map(|message| Response::Error { message })
-            }
-            k => {
-                return Err(WireError::Malformed(format!(
-                    "unknown response kind {k:#04x}"
-                )))
-            }
-        };
-        finish("response", r, decoded)
+        decode(kind, payload)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The kind bytes the hand-built payloads below are sent under.
+    mod kind {
+        pub const OPEN: u8 = 0x01;
+        pub const FRAME: u8 = 0x82;
+        pub const PONG: u8 = 0x88;
+    }
 
     fn roundtrip_request(req: &Request) {
         let (kind, payload) = req.encode();
@@ -1775,6 +1506,10 @@ mod tests {
             Request::decode(kind::PONG, &[]),
             Err(WireError::Malformed(_))
         ));
+        assert!(matches!(
+            Response::decode(kind::OPEN, &[]),
+            Err(WireError::Malformed(_))
+        ));
 
         // Truncated payload.
         let (kind, payload) = Request::NextFrame { stream: 7 }.encode();
@@ -1787,7 +1522,7 @@ mod tests {
         // cap, not by a failed allocation.
         let mut payload = Vec::new();
         codec::write_str(&mut payload, "palace").unwrap();
-        write_render_options(&mut payload, &RenderOptions::default()).unwrap();
+        RenderOptions::default().put(&mut payload);
         codec::write_u8(&mut payload, 2).unwrap(); // ViewList tag
         codec::write_u32(&mut payload, u32::MAX).unwrap();
         let err = Request::decode(kind::OPEN, &payload).unwrap_err();
@@ -1811,6 +1546,73 @@ mod tests {
         codec::write_u32(&mut payload, u32::MAX).unwrap(); // width
         codec::write_u32(&mut payload, u32::MAX).unwrap(); // height
         let err = Response::decode(kind::FRAME, &payload).unwrap_err();
-        assert!(matches!(err, WireError::Malformed(ref m) if m.contains("cap")));
+        // No pixel cap any more: the declared size is held against the
+        // bytes that remain.
+        assert!(matches!(err, WireError::Malformed(ref m) if m.contains("0 bytes left")));
+    }
+
+    #[test]
+    fn declared_sizes_are_checked_against_the_bytes_that_remain() {
+        let view_list = |count: u32, views: usize| {
+            let mut payload = Vec::new();
+            "palace".to_string().put(&mut payload);
+            RenderOptions::default().put(&mut payload);
+            2u8.put(&mut payload); // StreamSpec::ViewList
+            count.put(&mut payload);
+            for _ in 0..views {
+                ViewSpec::Trajectory { t: 0.5 }.put(&mut payload);
+            }
+            StreamConfig::default().put(&mut payload);
+            Request::decode(kind::OPEN, &payload)
+        };
+        assert!(view_list(2, 2).is_ok());
+        // More views declared than the bytes behind the count can hold —
+        // the 13-byte `StreamConfig` after them is not two 5-byte views.
+        assert!(matches!(view_list(3, 0), Err(WireError::Malformed(_))));
+        assert!(matches!(
+            view_list(u32::MAX, 2),
+            Err(WireError::Malformed(_))
+        ));
+
+        let frame = |w: u32, h: u32, pixels: usize| {
+            let mut payload = Vec::new();
+            (1u64, 0u64).put(&mut payload); // stream, index
+            (w, h).put(&mut payload);
+            payload.resize(payload.len() + pixels * 12, 0);
+            FrameStats::default().put(&mut payload);
+            Response::decode(kind::FRAME, &payload)
+        };
+        assert!(frame(2, 2, 4).is_ok());
+        // 8192 x 8192 pixels declared in front of 192 bytes of counters.
+        assert!(matches!(frame(8192, 8192, 0), Err(WireError::Malformed(_))));
+        assert!(matches!(
+            frame(u32::MAX, u32::MAX, 1),
+            Err(WireError::Malformed(_))
+        ));
+        // A zero-sized image is refused, not handed to `Image::new`.
+        assert!(matches!(frame(0, 7, 0), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn strings_are_cut_at_a_character_boundary_on_the_way_out() {
+        // '€' is three bytes and 4096 is not a multiple of three.
+        let long = "€".repeat(2000);
+        let (kind, payload) = Response::Error {
+            message: long.clone(),
+        }
+        .encode();
+        match Response::decode(kind, &payload).expect("a capped string decodes") {
+            Response::Error { message } => {
+                assert_eq!(message.len(), 4095);
+                assert!(long.starts_with(&message));
+            }
+            other => panic!("decoded {other:?}"),
+        }
+        let short = "€".repeat(1365);
+        let (_, payload) = Response::Error {
+            message: short.clone(),
+        }
+        .encode();
+        assert_eq!(payload.len(), 4 + short.len(), "4095 bytes travel whole");
     }
 }

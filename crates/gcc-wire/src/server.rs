@@ -1,51 +1,22 @@
-//! The standalone wire server: a TCP accept loop feeding a supervised
-//! connection-handler pool, all multiplexed onto one
-//! [`RenderService`].
+//! The standalone wire server: every connection of one listener
+//! multiplexed onto one [`RenderService`].
 //!
-//! # Threading model
-//!
-//! One plain thread blocks in `accept` and enqueues sockets; a
-//! [`gcc_parallel::WorkerPool`] of handler threads dequeues them, and
-//! each handler owns one live connection end-to-end (a client gets a
-//! dedicated handler thread for the life of its connection; excess
-//! connections queue until a handler frees up). Handlers run under the
-//! pool's supervision: a panic inside a connection handler closes that
-//! one socket, the worker respawns with fresh state, and the listener —
-//! and every other connection — survives.
-//!
-//! # Shutdown
-//!
-//! There is no dependency-free portable signal handling, so the wire
-//! [`Request::Shutdown`] *is* the SIGTERM equivalent: it flips the server
-//! into draining (new `Open`s are rejected with
-//! [`WireRejection::ShuttingDown`], open streams keep delivering), and
-//! [`WireServer::shutdown_requested`] lets the hosting binary observe it
-//! and call [`WireServer::shutdown`], which waits up to the configured
-//! drain window for connections to quiesce before stopping the pool and
-//! consuming the service.
+//! The crate's `listener` module owns the sockets, the handler pool and
+//! shutdown (its docs have the threading model and the drain protocol);
+//! what is left here is what a request means to a render service — the
+//! connection's table of open [`FrameStream`]s and the four requests that
+//! touch it.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::time::Duration;
 
-use gcc_parallel::{RestartPolicy, WorkerPool, WorkerStep};
 use gcc_serve::session::FrameStream;
 use gcc_serve::{RenderService, ServeStats};
 
-use crate::frame::{read_event, write_frame, FrameEvent, WireError};
+use crate::listener::{not_dispatched, Listener, Service};
 use crate::proto::{Request, Response, WireRejection};
-
-/// How long a handler blocks in a socket read before polling its stop
-/// flag. Bounds shutdown latency for idle connections.
-const READ_TICK: Duration = Duration::from_millis(200);
-
-/// How long a handler waits for a queued connection before re-checking
-/// the stop flag.
-const QUEUE_TICK: Duration = Duration::from_millis(100);
 
 /// Tuning for [`WireServer`].
 #[derive(Debug, Clone)]
@@ -67,39 +38,10 @@ impl Default for WireServerConfig {
     }
 }
 
-/// Everything the accept thread, the handler pool and the shutdown path
-/// share.
-struct ServerShared {
-    service: RenderService,
-    conns: Mutex<VecDeque<TcpStream>>,
-    available: Condvar,
-    /// Handlers and the accept loop exit when set.
-    stop: AtomicBool,
-    /// New streams are rejected with `ShuttingDown` when set; open
-    /// streams keep delivering.
-    draining: AtomicBool,
-    /// A client sent [`Request::Shutdown`]; the hosting binary polls
-    /// this.
-    shutdown_requested: AtomicBool,
-    /// Connections currently owned by a handler (drain waits on this).
-    active: AtomicUsize,
-}
-
 /// A running wire server bound to a TCP address.
+#[derive(Debug)]
 pub struct WireServer {
-    shared: Option<Arc<ServerShared>>,
-    addr: SocketAddr,
-    drain: Duration,
-    accept: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool>,
-}
-
-impl std::fmt::Debug for WireServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WireServer")
-            .field("addr", &self.addr)
-            .finish()
-    }
+    listener: Listener<RenderService>,
 }
 
 impl WireServer {
@@ -115,55 +57,19 @@ impl WireServer {
         service: RenderService,
         cfg: WireServerConfig,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(ServerShared {
-            service,
-            conns: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-        });
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gcc-wire-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))?
-        };
-
-        let pool = {
-            let shared = Arc::clone(&shared);
-            WorkerPool::spawn_supervised(
-                cfg.handlers.max(1),
-                || (),
-                move |_worker, ()| handler_step(&shared),
-                RestartPolicy::default(),
-            )
-        };
-
-        Ok(Self {
-            shared: Some(shared),
-            addr,
-            drain: cfg.drain,
-            accept: Some(accept),
-            pool: Some(pool),
-        })
+        let listener = Listener::bind(addr, service, "gcc-wire", cfg.handlers, cfg.drain)?;
+        Ok(Self { listener })
     }
 
     /// The bound address (with the real port after an ephemeral bind).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Whether any client has sent [`Request::Shutdown`]. The hosting
     /// binary polls this and then calls [`Self::shutdown`].
     pub fn shutdown_requested(&self) -> bool {
-        self.shared
-            .as_ref()
-            .is_some_and(|s| s.shutdown_requested.load(Ordering::Acquire))
+        self.listener.shutdown_requested()
     }
 
     /// Drains and stops the server: rejects new streams, waits up to the
@@ -171,269 +77,143 @@ impl WireServer {
     /// accept loop and handler pool, and shuts the underlying service
     /// down. Returns the service's final statistics.
     pub fn shutdown(mut self) -> ServeStats {
-        let shared = self.shared.take().expect("shutdown runs once");
-        shared.draining.store(true, Ordering::Release);
-        let deadline = Instant::now() + self.drain;
-        while Instant::now() < deadline {
-            let quiesced = shared.active.load(Ordering::Acquire) == 0
-                && shared.conns.lock().expect("conns lock").is_empty();
-            if quiesced {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        self.stop_threads(&shared);
-        let shared = Arc::try_unwrap(shared)
-            .unwrap_or_else(|_| panic!("all server threads joined, no Arc clones remain"));
-        shared.service.shutdown()
-    }
-
-    /// Sets the stop flag, wakes every blocked thread, and joins them.
-    fn stop_threads(&mut self, shared: &Arc<ServerShared>) {
-        shared.stop.store(true, Ordering::Release);
-        shared.available.notify_all();
-        // The accept thread blocks in `accept`; a throwaway connection
-        // wakes it so it can observe the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.join();
-        }
+        let service = self.listener.shutdown();
+        service.expect("first shutdown").shutdown()
     }
 }
 
-impl Drop for WireServer {
-    fn drop(&mut self) {
-        // `shutdown` already took the shared state on the graceful path;
-        // this only runs for servers dropped without it (tests, error
-        // paths) and skips the drain wait.
-        if let Some(shared) = self.shared.take() {
-            self.stop_threads(&shared);
-        }
-    }
+/// One connection's open streams.
+#[derive(Default)]
+pub(crate) struct ServerConn {
+    streams: HashMap<u64, StreamEntry>,
+    last_id: u64,
 }
 
-fn accept_loop(listener: &TcpListener, shared: &ServerShared) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    return; // the wake-up connection, or a late arrival
-                }
-                let mut conns = shared.conns.lock().expect("conns lock");
-                conns.push_back(stream);
-                drop(conns);
-                shared.available.notify_one();
-            }
-            Err(_) if shared.stop.load(Ordering::Acquire) => return,
-            // Transient accept errors (EMFILE, aborted handshake) leave
-            // the listener usable; keep serving.
-            Err(_) => {}
-        }
-    }
-}
-
-/// One supervised pool step: wait for a connection, own it to completion.
-fn handler_step(shared: &Arc<ServerShared>) -> WorkerStep {
-    let stream = {
-        let conns = shared.conns.lock().expect("conns lock");
-        let (mut conns, _timeout) = shared
-            .available
-            .wait_timeout_while(conns, QUEUE_TICK, |q| {
-                q.is_empty() && !shared.stop.load(Ordering::Acquire)
-            })
-            .expect("conns lock");
-        if shared.stop.load(Ordering::Acquire) {
-            return WorkerStep::Stop;
-        }
-        match conns.pop_front() {
-            Some(s) => s,
-            None => return WorkerStep::Continue, // timed out, poll again
-        }
-    };
-    shared.active.fetch_add(1, Ordering::AcqRel);
-    // Balance the counter even if the handler panics (the pool catches
-    // the panic and respawns the worker; a stuck counter would make
-    // drain wait its full window for a connection that is already gone).
-    struct ActiveGuard<'a>(&'a AtomicUsize);
-    impl Drop for ActiveGuard<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    let _guard = ActiveGuard(&shared.active);
-    handle_connection(shared, stream);
-    WorkerStep::Continue
-}
-
-/// Per-connection bookkeeping for one open stream.
 struct StreamEntry {
     frames: FrameStream,
     /// Index of the next frame slot to resolve.
     next_index: u64,
 }
 
-/// Serves one connection until EOF, a fatal transport error, or server
-/// stop. Malformed frames, bad versions and oversized frames get a
-/// [`Response::Error`] and the connection survives (the transport
-/// guarantees the stream is resynced; see [`crate::frame::read_event`]).
-fn handle_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
-    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut streams: HashMap<u64, StreamEntry> = HashMap::new();
-    let mut next_id: u64 = 1;
+impl Service for RenderService {
+    type Conn = ServerConn;
 
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let outcome = match read_event(&mut reader) {
-            Ok(FrameEvent::Frame { kind, payload }) => match Request::decode(kind, &payload) {
-                Ok(req) => dispatch(shared, &mut streams, &mut next_id, req),
-                Err(e) => protocol_error(&e),
-            },
-            Ok(FrameEvent::Eof) => return,
-            Ok(FrameEvent::Idle) => continue,
-            // Typed, resynced transport errors: tell the peer, keep the
-            // connection.
-            Err(e @ (WireError::BadVersion { .. } | WireError::Oversized { .. })) => {
-                protocol_error(&e)
-            }
-            // Truncation, I/O failure: the frame boundary is gone.
-            Err(_) => return,
-        };
-        match outcome {
-            Some(resp) => {
-                if respond(&mut writer, &resp).is_err() {
-                    return;
-                }
-            }
-            None => return,
-        }
-    }
-}
-
-fn protocol_error(e: &WireError) -> Option<Response> {
-    Some(Response::Error {
-        message: e.to_string(),
-    })
-}
-
-/// Handles one decoded request. `None` means the connection should close
-/// (never produced today; kept so stream-fatal dispatch outcomes have a
-/// place to go without reshaping the loop).
-fn dispatch(
-    shared: &Arc<ServerShared>,
-    streams: &mut HashMap<u64, StreamEntry>,
-    next_id: &mut u64,
-    req: Request,
-) -> Option<Response> {
-    let resp = match req {
-        Request::Open {
-            scene,
-            defaults,
-            spec,
-            config,
-        } => {
-            if shared.draining.load(Ordering::Acquire) {
-                Response::Rejected(WireRejection::ShuttingDown)
-            } else {
-                let opened = shared
-                    .service
+    fn dispatch(&self, conn: &mut ServerConn, req: Request) -> Response {
+        match req {
+            Request::Open {
+                scene,
+                defaults,
+                spec,
+                config,
+            } => {
+                let opened = self
                     .session(scene, defaults)
                     .and_then(|session| session.stream_with(spec, config));
                 match opened {
                     Ok(frames) => {
-                        let id = *next_id;
-                        *next_id += 1;
+                        conn.last_id += 1;
                         let total = frames.len() as u64;
-                        streams.insert(
-                            id,
-                            StreamEntry {
-                                frames,
-                                next_index: 0,
-                            },
-                        );
+                        let entry = StreamEntry {
+                            frames,
+                            next_index: 0,
+                        };
+                        conn.streams.insert(conn.last_id, entry);
                         Response::Opened {
-                            stream: id,
+                            stream: conn.last_id,
                             frames: total,
                         }
                     }
                     Err(e) => Response::Rejected(WireRejection::from(&e)),
                 }
             }
-        }
-        Request::NextFrame { stream } => match streams.get_mut(&stream) {
-            // Unknown or finished ids answer `StreamEnd` instead of a
-            // protocol error: a client draining a stream races its own
-            // cancel, and idempotent pulls keep that race harmless.
-            None => Response::StreamEnd { stream },
-            Some(entry) => match entry.frames.next_frame() {
-                Some(Ok(frame)) => {
-                    let index = entry.next_index;
-                    entry.next_index += 1;
-                    Response::Frame {
+            Request::NextFrame { stream } => {
+                // Unknown or finished ids answer `StreamEnd` instead of a
+                // protocol error: a client draining a stream races its
+                // own cancel, and idempotent pulls keep that race
+                // harmless.
+                let Some(entry) = conn.streams.get_mut(&stream) else {
+                    return Response::StreamEnd { stream };
+                };
+                let Some(resolved) = entry.frames.next_frame() else {
+                    conn.streams.remove(&stream);
+                    return Response::StreamEnd { stream };
+                };
+                let index = entry.next_index;
+                entry.next_index += 1;
+                match resolved {
+                    Ok(frame) => Response::Frame {
                         stream,
                         index,
                         frame,
-                    }
-                }
-                Some(Err(e)) => {
-                    let index = entry.next_index;
-                    entry.next_index += 1;
-                    Response::FrameError {
+                    },
+                    Err(e) => Response::FrameError {
                         stream,
                         index,
                         error: WireRejection::from(&e),
-                    }
+                    },
                 }
-                None => {
-                    streams.remove(&stream);
-                    Response::StreamEnd { stream }
-                }
-            },
-        },
-        Request::Cancel { stream } => {
-            if let Some(mut entry) = streams.remove(&stream) {
-                entry.frames.cancel();
             }
-            Response::Cancelled { stream }
+            Request::Cancel { stream } => {
+                if let Some(mut entry) = conn.streams.remove(&stream) {
+                    entry.frames.cancel();
+                }
+                Response::Cancelled { stream }
+            }
+            Request::Stats => Response::Stats(Box::new(self.stats())),
+            req @ (Request::Ping | Request::Shutdown) => not_dispatched(&req),
         }
-        Request::Stats => Response::Stats(Box::new(shared.service.stats())),
-        Request::Ping => Response::Pong,
-        Request::Shutdown => {
-            shared.draining.store(true, Ordering::Release);
-            shared.shutdown_requested.store(true, Ordering::Release);
-            Response::ShutdownAck
-        }
-    };
-    Some(resp)
+    }
 }
 
-/// Writes one response frame and flushes. A response too large for the
-/// transport (a frame image past [`crate::frame::MAX_FRAME_LEN`]) is
-/// downgraded to a [`Response::Error`] so the connection stays in sync
-/// instead of dying mid-write.
-fn respond(writer: &mut BufWriter<TcpStream>, resp: &Response) -> Result<(), WireError> {
-    let (kind, payload) = resp.encode();
-    match write_frame(writer, kind, &payload) {
-        Ok(()) => {}
-        Err(WireError::Oversized { len, max }) => {
-            let fallback = Response::Error {
-                message: format!("response frame of {len} bytes exceeds the {max}-byte ceiling"),
-            };
-            let (kind, payload) = fallback.encode();
-            write_frame(writer, kind, &payload)?;
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use gcc_render::RenderOptions;
+    use gcc_scene::{SceneConfig, ScenePreset};
+    use gcc_serve::{FaultPlan, SceneSource, ServeConfig, StreamConfig, StreamSpec};
+
+    use super::*;
+    use crate::proto::MAX_STR_LEN;
+    use crate::{WireClient, WireError};
+
+    /// A rejection whose message outgrows the string cap (here a load
+    /// failure quoting a 5 000-byte label) reaches the client as the typed
+    /// rejection it is, cut short — not as a decode failure — and the
+    /// connection keeps serving.
+    #[test]
+    fn an_overlong_rejection_message_arrives_typed_and_the_connection_survives() {
+        let label = "€".repeat(1667); // 5 001 bytes, three per character
+        let scene = Arc::new(ScenePreset::Lego.build(&SceneConfig::with_scale(0.01)));
+        let plan = Arc::new(FaultPlan::new(7).with_fatal_load_failures(1000));
+        let doomed = SceneSource::faulty(label.clone(), SceneSource::Memory(scene), plan);
+        let service = RenderService::new(ServeConfig::default(), [("doomed".to_string(), doomed)]);
+        let server =
+            WireServer::bind("127.0.0.1:0", service, WireServerConfig::default()).expect("bind");
+        let mut client = WireClient::connect(server.local_addr()).expect("connect");
+
+        let opened = client.open(
+            "doomed",
+            RenderOptions::default(),
+            StreamSpec::orbit(2),
+            StreamConfig::default(),
+        );
+        let failed = match opened {
+            Ok(mut stream) => client.next_frame(&mut stream).map(drop),
+            Err(e) => Err(e),
+        };
+        match failed {
+            Err(WireError::Rejected(WireRejection::Load { scene, message })) => {
+                assert_eq!(scene, "doomed");
+                assert!(message.len() <= MAX_STR_LEN, "{} bytes", message.len());
+                assert!(message.len() > MAX_STR_LEN - 3, "cut at the last boundary");
+                let whole = format!("injected fatal load failure for '{label}'");
+                assert!(whole.starts_with(&message), "not a prefix: {message:?}");
+            }
+            other => panic!("expected the typed Load rejection, got {other:?}"),
         }
-        Err(e) => return Err(e),
+        client.ping().expect("the connection still answers");
+        drop(client);
+        server.shutdown();
     }
-    writer.flush().map_err(WireError::Io)
 }

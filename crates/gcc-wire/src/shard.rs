@@ -30,27 +30,22 @@
 //! when no owner is alive the client gets a typed
 //! [`WireRejection::Unavailable`] instead of a hung connect.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::hash_map::{Entry, HashMap};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use gcc_parallel::{RestartPolicy, WorkerPool, WorkerStep};
 use gcc_scene::rng::splitmix64;
-use gcc_serve::ServeStats;
+use gcc_serve::{PriorityCounters, SceneCounters, ScheduleCounters, ServeStats, StreamCounters};
 
 use crate::client::{RemoteStream, WireClient};
-use crate::frame::{read_event, write_frame, FrameEvent, WireError};
+use crate::frame::WireError;
+use crate::listener::{not_dispatched, Listener, Service};
 use crate::proto::{Request, Response, WireRejection};
-
-/// How long a proxy handler blocks in a socket read before polling stop.
-const READ_TICK: Duration = Duration::from_millis(200);
-
-/// How long a handler waits for a queued connection before re-checking.
-const QUEUE_TICK: Duration = Duration::from_millis(100);
 
 /// Backoff hint attached to [`WireRejection::Unavailable`] — roughly two
 /// probe intervals, after which a recovered backend would be visible.
@@ -167,46 +162,25 @@ impl Default for ShardProxyConfig {
     }
 }
 
-struct ProxyShared {
-    backends: Vec<SocketAddr>,
+/// What the proxy's handlers and its health prober share: the backends,
+/// the ring over them and what is known of their health.
+#[derive(Debug)]
+struct Backends {
+    addrs: Vec<SocketAddr>,
     ring: ShardRing,
     /// Health-prober verdicts; handlers also clear a slot on hard
     /// upstream failures so the next open fails over immediately.
     alive: Vec<AtomicBool>,
-    conns: Mutex<VecDeque<TcpStream>>,
-    available: Condvar,
-    stop: AtomicBool,
-    draining: AtomicBool,
-    shutdown_requested: AtomicBool,
-    active: AtomicUsize,
     probe_timeout: Duration,
 }
 
-impl ProxyShared {
-    fn alive_snapshot(&self) -> Vec<bool> {
-        self.alive
-            .iter()
-            .map(|a| a.load(Ordering::Acquire))
-            .collect()
-    }
-}
-
 /// A running sharding proxy bound to a TCP address.
+#[derive(Debug)]
 pub struct ShardProxy {
-    shared: Option<Arc<ProxyShared>>,
-    addr: SocketAddr,
-    drain: Duration,
-    accept: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool>,
-}
-
-impl std::fmt::Debug for ShardProxy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardProxy")
-            .field("addr", &self.addr)
-            .finish()
-    }
+    listener: Listener<Arc<Backends>>,
+    backends: Arc<Backends>,
+    /// The health prober, and the channel whose hang-up stops it.
+    prober: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl ShardProxy {
@@ -230,259 +204,130 @@ impl ShardProxy {
                 "a shard proxy needs at least one backend",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(ProxyShared {
+        let backends = Arc::new(Backends {
             ring: ShardRing::new(backends.len()),
             alive: backends.iter().map(|_| AtomicBool::new(true)).collect(),
-            backends,
-            conns: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
+            addrs: backends,
             probe_timeout: cfg.probe_timeout,
         });
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gcc-shard-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))?
-        };
-
+        let listener = Listener::bind(
+            addr,
+            Arc::clone(&backends),
+            "gcc-shard",
+            cfg.handlers,
+            cfg.drain,
+        )?;
+        let (stop, stopped) = mpsc::channel();
         let prober = {
-            let shared = Arc::clone(&shared);
-            let interval = cfg.probe_interval;
+            let backends = Arc::clone(&backends);
             std::thread::Builder::new()
                 .name("gcc-shard-probe".into())
-                .spawn(move || probe_loop(&shared, interval))?
+                .spawn(move || backends.probe_loop(cfg.probe_interval, &stopped))?
         };
-
-        let pool = {
-            let shared = Arc::clone(&shared);
-            WorkerPool::spawn_supervised(
-                cfg.handlers.max(1),
-                || (),
-                move |_worker, ()| handler_step(&shared),
-                RestartPolicy::default(),
-            )
-        };
-
         Ok(Self {
-            shared: Some(shared),
-            addr,
-            drain: cfg.drain,
-            accept: Some(accept),
-            prober: Some(prober),
-            pool: Some(pool),
+            listener,
+            backends,
+            prober: Some((stop, prober)),
         })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Which backends the last health information considers alive.
     pub fn alive(&self) -> Vec<bool> {
-        self.shared
-            .as_ref()
-            .map(|s| s.alive_snapshot())
-            .unwrap_or_default()
+        self.backends.alive_snapshot()
     }
 
     /// Whether any client has sent [`Request::Shutdown`]. Shutting down
     /// the proxy drains the proxy only — backends belong to their own
     /// operators (the bench harness shuts them down explicitly).
     pub fn shutdown_requested(&self) -> bool {
-        self.shared
-            .as_ref()
-            .is_some_and(|s| s.shutdown_requested.load(Ordering::Acquire))
+        self.listener.shutdown_requested()
     }
 
     /// Drains and stops the proxy: waits up to the drain window for live
-    /// client connections, then stops the accept loop, prober and
-    /// handler pool.
+    /// client connections, then stops the accept loop, handler pool and
+    /// prober.
     pub fn shutdown(mut self) {
-        let shared = self.shared.take().expect("shutdown runs once");
-        shared.draining.store(true, Ordering::Release);
-        let deadline = Instant::now() + self.drain;
-        while Instant::now() < deadline {
-            let quiesced = shared.active.load(Ordering::Acquire) == 0
-                && shared.conns.lock().expect("conns lock").is_empty();
-            if quiesced {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        self.stop_threads(&shared);
-    }
-
-    fn stop_threads(&mut self, shared: &Arc<ProxyShared>) {
-        shared.stop.store(true, Ordering::Release);
-        shared.available.notify_all();
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prober.take() {
-            let _ = h.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.join();
-        }
+        self.listener.shutdown();
+        // Dropping `self` stops the prober.
     }
 }
 
 impl Drop for ShardProxy {
     fn drop(&mut self) {
-        if let Some(shared) = self.shared.take() {
-            self.stop_threads(&shared);
+        if let Some((stop, prober)) = self.prober.take() {
+            drop(stop);
+            let _ = prober.join();
         }
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &ProxyShared) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                let mut conns = shared.conns.lock().expect("conns lock");
-                conns.push_back(stream);
-                drop(conns);
-                shared.available.notify_one();
+impl Backends {
+    fn alive_snapshot(&self) -> Vec<bool> {
+        self.alive
+            .iter()
+            .map(|a| a.load(Ordering::Acquire))
+            .collect()
+    }
+
+    /// Pings every backend, updating its alive slot, once per `interval`
+    /// until the proxy hangs up `stopped` — which ends the wait at once,
+    /// so proxy shutdown is not gated on a probe interval.
+    fn probe_loop(&self, interval: Duration, stopped: &Receiver<()>) {
+        loop {
+            for (addr, alive) in self.addrs.iter().zip(&self.alive) {
+                alive.store(self.probe_one(addr), Ordering::Release);
             }
-            Err(_) if shared.stop.load(Ordering::Acquire) => return,
-            Err(_) => {}
+            if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                return;
+            }
         }
     }
-}
 
-/// Pings every backend, updating its alive slot; sleeps the interval in
-/// short ticks so proxy shutdown is not gated on a probe round.
-fn probe_loop(shared: &ProxyShared, interval: Duration) {
-    while !shared.stop.load(Ordering::Acquire) {
-        for (i, addr) in shared.backends.iter().enumerate() {
-            let healthy = probe_one(addr, shared.probe_timeout);
-            shared.alive[i].store(healthy, Ordering::Release);
+    fn probe_one(&self, addr: &SocketAddr) -> bool {
+        let Ok(mut client) = WireClient::connect_timeout(addr, self.probe_timeout) else {
+            return false;
+        };
+        if client.set_read_timeout(Some(self.probe_timeout)).is_err() {
+            return false;
         }
-        let deadline = Instant::now() + interval;
-        while Instant::now() < deadline && !shared.stop.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        client.ping().is_ok()
     }
-}
-
-fn probe_one(addr: &SocketAddr, timeout: Duration) -> bool {
-    let Ok(mut client) = WireClient::connect_timeout(addr, timeout) else {
-        return false;
-    };
-    if client.set_read_timeout(Some(timeout)).is_err() {
-        return false;
-    }
-    client.ping().is_ok()
-}
-
-fn handler_step(shared: &Arc<ProxyShared>) -> WorkerStep {
-    let stream = {
-        let conns = shared.conns.lock().expect("conns lock");
-        let (mut conns, _timeout) = shared
-            .available
-            .wait_timeout_while(conns, QUEUE_TICK, |q| {
-                q.is_empty() && !shared.stop.load(Ordering::Acquire)
-            })
-            .expect("conns lock");
-        if shared.stop.load(Ordering::Acquire) {
-            return WorkerStep::Stop;
-        }
-        match conns.pop_front() {
-            Some(s) => s,
-            None => return WorkerStep::Continue,
-        }
-    };
-    shared.active.fetch_add(1, Ordering::AcqRel);
-    struct ActiveGuard<'a>(&'a AtomicUsize);
-    impl Drop for ActiveGuard<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    let _guard = ActiveGuard(&shared.active);
-    handle_connection(shared, stream);
-    WorkerStep::Continue
 }
 
 /// Per-client-connection proxy state: one upstream client per backend
 /// (session affinity), and the proxy-id → (backend, upstream stream)
 /// table.
+#[derive(Default)]
 struct ProxyConn {
     upstreams: HashMap<usize, WireClient>,
     streams: HashMap<u64, (usize, RemoteStream)>,
-    next_id: u64,
+    last_id: u64,
 }
 
 impl ProxyConn {
     /// The upstream client for backend `b`, connecting on first use.
-    fn upstream(&mut self, shared: &ProxyShared, b: usize) -> Result<&mut WireClient, WireError> {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.upstreams.entry(b) {
-            let client = WireClient::connect_timeout(&shared.backends[b], shared.probe_timeout)
-                .map_err(WireError::Io)?;
-            e.insert(client);
-        }
-        Ok(self.upstreams.get_mut(&b).expect("just inserted"))
+    fn upstream(&mut self, backends: &Backends, b: usize) -> Result<&mut WireClient, WireError> {
+        Ok(match self.upstreams.entry(b) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(WireClient::connect_timeout(
+                &backends.addrs[b],
+                backends.probe_timeout,
+            )?),
+        })
     }
 
-    /// Drops the upstream to backend `b` and fails its streams: the next
-    /// pull on any of them answers `StreamEnd` (their frames are gone
-    /// with the backend).
-    fn drop_backend(&mut self, b: usize) {
+    /// Marks backend `b` dead (the prober will re-admit it), drops the
+    /// upstream to it and fails its streams: the next pull on any of
+    /// them answers `StreamEnd` (their frames are gone with the backend).
+    fn lose_backend(&mut self, backends: &Backends, b: usize) {
+        backends.alive[b].store(false, Ordering::Release);
         self.upstreams.remove(&b);
         self.streams.retain(|_, (owner, _)| *owner != b);
-    }
-}
-
-fn handle_connection(shared: &Arc<ProxyShared>, stream: TcpStream) {
-    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = std::io::BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut conn = ProxyConn {
-        upstreams: HashMap::new(),
-        streams: HashMap::new(),
-        next_id: 1,
-    };
-
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let resp = match read_event(&mut reader) {
-            Ok(FrameEvent::Frame { kind, payload }) => match Request::decode(kind, &payload) {
-                Ok(req) => dispatch(shared, &mut conn, req),
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-            },
-            Ok(FrameEvent::Eof) => return,
-            Ok(FrameEvent::Idle) => continue,
-            Err(e @ (WireError::BadVersion { .. } | WireError::Oversized { .. })) => {
-                Response::Error {
-                    message: e.to_string(),
-                }
-            }
-            Err(_) => return,
-        };
-        if respond(&mut writer, &resp).is_err() {
-            return;
-        }
     }
 }
 
@@ -493,137 +338,135 @@ fn unavailable(message: impl Into<String>) -> Response {
     })
 }
 
-fn dispatch(shared: &Arc<ProxyShared>, conn: &mut ProxyConn, req: Request) -> Response {
-    match req {
-        Request::Open {
-            scene,
-            defaults,
-            spec,
-            config,
-        } => {
-            if shared.draining.load(Ordering::Acquire) {
-                return Response::Rejected(WireRejection::ShuttingDown);
+impl Service for Arc<Backends> {
+    type Conn = ProxyConn;
+
+    fn dispatch(&self, conn: &mut ProxyConn, req: Request) -> Response {
+        match req {
+            Request::Open {
+                scene,
+                defaults,
+                spec,
+                config,
+            } => {
+                // Fail over at most once per backend: a connect or
+                // transport failure marks the target dead and re-routes
+                // clockwise.
+                for _attempt in 0..self.addrs.len() {
+                    let Some(b) = self.ring.route(&scene, &self.alive_snapshot()) else {
+                        return unavailable("no alive backend");
+                    };
+                    let open = conn
+                        .upstream(self, b)
+                        .and_then(|up| up.open(&scene, defaults.clone(), spec.clone(), config));
+                    match open {
+                        Ok(remote) => {
+                            conn.last_id += 1;
+                            let frames = remote.len();
+                            conn.streams.insert(conn.last_id, (b, remote));
+                            return Response::Opened {
+                                stream: conn.last_id,
+                                frames,
+                            };
+                        }
+                        // A typed refusal means the backend is healthy
+                        // and said no — forward it verbatim, hints intact.
+                        Err(WireError::Rejected(rej)) => return Response::Rejected(rej),
+                        Err(_) => conn.lose_backend(self, b),
+                    }
+                }
+                unavailable("every backend failed the open")
             }
-            // Fail over at most once per backend: a connect/transport
-            // failure marks the target dead (the prober will re-admit it)
-            // and re-routes clockwise.
-            for _attempt in 0..shared.backends.len() {
-                let Some(b) = shared.ring.route(&scene, &shared.alive_snapshot()) else {
-                    return unavailable("no alive backend");
+            Request::NextFrame { stream } => {
+                let Some((b, mut remote)) = conn.streams.remove(&stream) else {
+                    return Response::StreamEnd { stream };
                 };
-                let open = conn
-                    .upstream(shared, b)
-                    .and_then(|up| up.open(&scene, defaults.clone(), spec.clone(), config));
-                match open {
-                    Ok(remote) => {
-                        let id = conn.next_id;
-                        conn.next_id += 1;
-                        let frames = remote.len();
-                        conn.streams.insert(id, (b, remote));
-                        return Response::Opened { stream: id, frames };
+                let pulled = conn
+                    .upstream(self, b)
+                    .and_then(|up| up.next_frame(&mut remote));
+                match pulled {
+                    Ok(Some(frame)) => {
+                        let index = remote.delivered() - 1;
+                        conn.streams.insert(stream, (b, remote));
+                        Response::Frame {
+                            stream,
+                            index,
+                            frame,
+                        }
                     }
-                    // A typed refusal means the backend is healthy and
-                    // said no — forward it verbatim, hints intact.
-                    Err(WireError::Rejected(rej)) => return Response::Rejected(rej),
+                    Ok(None) => Response::StreamEnd { stream },
+                    Err(WireError::Rejected(error)) => {
+                        let index = remote.delivered() - 1;
+                        conn.streams.insert(stream, (b, remote));
+                        Response::FrameError {
+                            stream,
+                            index,
+                            error,
+                        }
+                    }
+                    // The backend died mid-stream. Its undelivered frames
+                    // are gone; new opens will fail over, but this stream
+                    // cannot (frames must stay in order and the
+                    // replacement backend never saw the stream).
                     Err(_) => {
-                        shared.alive[b].store(false, Ordering::Release);
-                        conn.drop_backend(b);
+                        conn.lose_backend(self, b);
+                        Response::FrameError {
+                            stream,
+                            index: remote.delivered(),
+                            error: WireRejection::Unavailable {
+                                message: format!("backend {b} lost mid-stream"),
+                                retry_after: UNAVAILABLE_RETRY,
+                            },
+                        }
                     }
                 }
             }
-            unavailable("every backend failed the open")
-        }
-        Request::NextFrame { stream } => {
-            let Some((b, mut remote)) = conn.streams.remove(&stream) else {
-                return Response::StreamEnd { stream };
-            };
-            let pulled = match conn.upstream(shared, b) {
-                Ok(up) => up.next_frame(&mut remote),
-                Err(e) => Err(e),
-            };
-            match pulled {
-                Ok(Some(frame)) => {
-                    let index = remote.delivered() - 1;
-                    conn.streams.insert(stream, (b, remote));
-                    Response::Frame {
-                        stream,
-                        index,
-                        frame,
+            Request::Cancel { stream } => {
+                if let Some((b, mut remote)) = conn.streams.remove(&stream) {
+                    if let Ok(up) = conn.upstream(self, b) {
+                        let _ = up.cancel(&mut remote);
                     }
                 }
-                Ok(None) => Response::StreamEnd { stream },
-                Err(WireError::Rejected(error)) => {
-                    let index = remote.delivered() - 1;
-                    conn.streams.insert(stream, (b, remote));
-                    Response::FrameError {
-                        stream,
-                        index,
-                        error,
+                Response::Cancelled { stream }
+            }
+            Request::Stats => {
+                // Merged view over every alive backend, through this
+                // connection's affine upstreams.
+                let mut merged = ServeStats::default();
+                let mut reached = 0usize;
+                for b in 0..self.addrs.len() {
+                    if !self.alive[b].load(Ordering::Acquire) {
+                        continue;
+                    }
+                    match conn.upstream(self, b).and_then(WireClient::stats) {
+                        Ok(s) => {
+                            merge_stats(&mut merged, &s);
+                            reached += 1;
+                        }
+                        Err(_) => conn.lose_backend(self, b),
                     }
                 }
-                // The backend died mid-stream. Its undelivered frames are
-                // gone; new opens will fail over, but this stream cannot
-                // (frames must stay in order and the replacement backend
-                // never saw the stream).
-                Err(_) => {
-                    shared.alive[b].store(false, Ordering::Release);
-                    conn.drop_backend(b);
-                    Response::FrameError {
-                        stream,
-                        index: remote.delivered(),
-                        error: WireRejection::Unavailable {
-                            message: format!("backend {b} lost mid-stream"),
-                            retry_after: UNAVAILABLE_RETRY,
-                        },
-                    }
+                if reached == 0 {
+                    unavailable("no alive backend for stats")
+                } else {
+                    Response::Stats(Box::new(merged))
                 }
             }
-        }
-        Request::Cancel { stream } => {
-            if let Some((b, mut remote)) = conn.streams.remove(&stream) {
-                if let Ok(up) = conn.upstream(shared, b) {
-                    let _ = up.cancel(&mut remote);
-                }
-            }
-            Response::Cancelled { stream }
-        }
-        Request::Stats => {
-            // Merged view over every alive backend, through this
-            // connection's affine upstreams.
-            let mut merged = ServeStats::default();
-            let mut reached = 0usize;
-            for b in 0..shared.backends.len() {
-                if !shared.alive[b].load(Ordering::Acquire) {
-                    continue;
-                }
-                let snap = match conn.upstream(shared, b) {
-                    Ok(up) => up.stats(),
-                    Err(e) => Err(e),
-                };
-                match snap {
-                    Ok(s) => {
-                        merge_stats(&mut merged, &s);
-                        reached += 1;
-                    }
-                    Err(_) => {
-                        shared.alive[b].store(false, Ordering::Release);
-                        conn.drop_backend(b);
-                    }
-                }
-            }
-            if reached == 0 {
-                unavailable("no alive backend for stats")
-            } else {
-                Response::Stats(Box::new(merged))
-            }
-        }
-        Request::Ping => Response::Pong,
-        Request::Shutdown => {
-            shared.draining.store(true, Ordering::Release);
-            shared.shutdown_requested.store(true, Ordering::Release);
-            Response::ShutdownAck
+            req @ (Request::Ping | Request::Shutdown) => not_dispatched(&req),
         }
     }
+}
+
+/// Folds one stats struct into another, field by field: `acc.f += f` for
+/// the fields in the braces, `acc.f = acc.f.max(f)` for those under `max`.
+/// The struct is taken apart without `..`, so a field that is added to it
+/// and not folded here does not compile.
+macro_rules! fold {
+    ($acc:expr, $ty:ident { $($add:ident),* } = $from:expr $(, max($($max:ident),*))?) => {{
+        let (acc, $ty { $($add,)* $($($max,)*)? }) = ($acc, $from);
+        $(acc.$add += *$add;)*
+        $($(acc.$max = acc.$max.max(*$max);)*)?
+    }};
 }
 
 /// Folds one backend's snapshot into a fleet-wide view: counters add,
@@ -632,72 +475,92 @@ fn dispatch(shared: &Arc<ProxyShared>, conn: &mut ProxyConn, req: Request) -> Re
 /// percentile of percentiles has no exact answer; the max is the
 /// conservative bound an operator alarms on).
 fn merge_stats(acc: &mut ServeStats, s: &ServeStats) {
-    for (scene, c) in &s.per_scene {
-        let e = acc.per_scene.entry(scene.clone()).or_default();
-        e.requests += c.requests;
-        e.hits += c.hits;
-        e.misses += c.misses;
-        e.loads += c.loads;
-        e.evictions += c.evictions;
-        e.frames += c.frames;
-        e.batches += c.batches;
-        e.retries += c.retries;
-        e.quarantines += c.quarantines;
+    let ServeStats {
+        per_scene,
+        per_schedule,
+        per_priority,
+        streams,
+        completed,
+        queue_depth,
+        max_queue_depth,
+        batches,
+        frames,
+        latency_p50_ms,
+        latency_p95_ms,
+        frame_stats,
+        resident_bytes,
+        resident_scenes,
+        respawns,
+        lost_workers,
+        quarantined_scenes,
+        lod,
+    } = s;
+    for (scene, c) in per_scene {
+        fold!(
+            acc.per_scene.entry(scene.clone()).or_default(),
+            SceneCounters {
+                requests,
+                hits,
+                misses,
+                loads,
+                evictions,
+                frames,
+                batches,
+                retries,
+                quarantines
+            } = c
+        );
     }
-    for (sched, c) in &s.per_schedule {
-        let e = acc.per_schedule.entry(*sched).or_default();
-        e.requests += c.requests;
-        e.frames += c.frames;
-        e.batches += c.batches;
+    for (schedule, c) in per_schedule {
+        fold!(
+            acc.per_schedule.entry(*schedule).or_default(),
+            ScheduleCounters {
+                requests,
+                frames,
+                batches
+            } = c
+        );
     }
-    for (p, c) in &s.per_priority {
-        let e = acc.per_priority.entry(*p).or_default();
-        e.requests += c.requests;
-        e.frames += c.frames;
-        e.completed += c.completed;
-        e.queued += c.queued;
-        e.max_queued += c.max_queued;
-        e.with_deadline += c.with_deadline;
-        e.deadline_misses += c.deadline_misses;
-        e.rejected += c.rejected;
-        e.shed += c.shed;
-        e.latency_p50_ms = e.latency_p50_ms.max(c.latency_p50_ms);
-        e.latency_p95_ms = e.latency_p95_ms.max(c.latency_p95_ms);
+    for (priority, c) in per_priority {
+        fold!(
+            acc.per_priority.entry(*priority).or_default(),
+            PriorityCounters {
+                requests,
+                frames,
+                completed,
+                queued,
+                max_queued,
+                with_deadline,
+                deadline_misses,
+                rejected,
+                shed
+            } = c,
+            max(latency_p50_ms, latency_p95_ms)
+        );
     }
-    acc.streams.opened += s.streams.opened;
-    acc.streams.completed += s.streams.completed;
-    acc.streams.cancelled += s.streams.cancelled;
-    acc.streams.frames_discarded += s.streams.frames_discarded;
-    acc.completed += s.completed;
-    acc.queue_depth += s.queue_depth;
-    acc.max_queue_depth += s.max_queue_depth;
-    acc.batches += s.batches;
-    acc.frames += s.frames;
-    acc.latency_p50_ms = acc.latency_p50_ms.max(s.latency_p50_ms);
-    acc.latency_p95_ms = acc.latency_p95_ms.max(s.latency_p95_ms);
-    acc.frame_stats.merge_add(&s.frame_stats);
-    acc.resident_bytes += s.resident_bytes;
-    acc.resident_scenes += s.resident_scenes;
-    acc.respawns += s.respawns;
-    acc.lost_workers += s.lost_workers;
-    acc.quarantined_scenes += s.quarantined_scenes;
-    acc.lod.merge_add(&s.lod);
-}
-
-fn respond(writer: &mut BufWriter<TcpStream>, resp: &Response) -> Result<(), WireError> {
-    let (kind, payload) = resp.encode();
-    match write_frame(writer, kind, &payload) {
-        Ok(()) => {}
-        Err(WireError::Oversized { len, max }) => {
-            let fallback = Response::Error {
-                message: format!("response frame of {len} bytes exceeds the {max}-byte ceiling"),
-            };
-            let (kind, payload) = fallback.encode();
-            write_frame(writer, kind, &payload)?;
-        }
-        Err(e) => return Err(e),
-    }
-    writer.flush().map_err(WireError::Io)
+    fold!(
+        &mut acc.streams,
+        StreamCounters {
+            opened,
+            completed,
+            cancelled,
+            frames_discarded
+        } = streams
+    );
+    acc.completed += completed;
+    acc.queue_depth += queue_depth;
+    acc.max_queue_depth += max_queue_depth;
+    acc.batches += batches;
+    acc.frames += frames;
+    acc.latency_p50_ms = acc.latency_p50_ms.max(*latency_p50_ms);
+    acc.latency_p95_ms = acc.latency_p95_ms.max(*latency_p95_ms);
+    acc.frame_stats.merge_add(frame_stats);
+    acc.resident_bytes += resident_bytes;
+    acc.resident_scenes += resident_scenes;
+    acc.respawns += respawns;
+    acc.lost_workers += lost_workers;
+    acc.quarantined_scenes += quarantined_scenes;
+    acc.lod.merge_add(lod);
 }
 
 #[cfg(test)]
