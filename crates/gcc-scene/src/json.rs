@@ -705,4 +705,316 @@ mod tests {
             panic!("not an object");
         }
     }
+
+    // ---- what the number reader accepts, rejects and where it stops ----
+    //
+    // Taken from the reader whose every `f32` went through `token()` +
+    // `str::parse::<f32>`, and committed green against it. A later change
+    // to how numbers are read must leave every value here as it is: the
+    // bits, the full error text with its byte offset, and the cursor.
+
+    type Pinned<T> = Result<T, &'static str>;
+
+    /// `Reader::f32` on a bare text: the bits or the error, then
+    /// `Reader::offset()` after the read.
+    const PINNED_TOKENS: &[(&str, Pinned<u32>, usize)] = &[
+        ("0", Ok(0x00000000), 1),
+        ("-0", Ok(0x80000000), 2),
+        ("1", Ok(0x3f800000), 1),
+        ("-1", Ok(0xbf800000), 2),
+        ("0.1", Ok(0x3dcccccd), 3),
+        ("0.3", Ok(0x3e99999a), 3),
+        ("-0.25,", Ok(0xbe800000), 5),
+        ("1.5]", Ok(0x3fc00000), 3),
+        (" \t\r\n2.5 ,", Ok(0x40200000), 7),
+        ("01", Ok(0x3f800000), 2),
+        ("007.50", Ok(0x40f00000), 6),
+        ("1.", Ok(0x3f800000), 2),
+        ("-.5", Ok(0xbf000000), 3),
+        ("1e5", Ok(0x47c35000), 3),
+        ("1E+2", Ok(0x42c80000), 4),
+        ("1.5e-3 ", Ok(0x3ac49ba6), 6),
+        ("-1.5E-3]", Ok(0xbac49ba6), 7),
+        ("1.e5", Ok(0x47c35000), 4),
+        ("1e-60", Ok(0x00000000), 5),
+        ("1e39", Err("number '1e39' at byte 0 overflows f32"), 4),
+        ("-1e39", Err("number '-1e39' at byte 0 overflows f32"), 5),
+        ("1e400", Err("number '1e400' at byte 0 overflows f32"), 5),
+        ("3.4028235e38", Ok(0x7f7fffff), 12),
+        (
+            "340282350000000000000000000000000000000",
+            Ok(0x7f7fffff),
+            39,
+        ),
+        (
+            "340282360000000000000000000000000000000",
+            Err("number '340282360000000000000000000000000000000' at byte 0 overflows f32"),
+            39,
+        ),
+        ("16777217", Ok(0x4b800000), 8),
+        ("16777217.0000001", Ok(0x4b800001), 16),
+        ("16777216.9999999", Ok(0x4b800000), 16),
+        ("9007199254740992", Ok(0x5a000000), 16),
+        ("9007199254740993", Ok(0x5a000000), 16),
+        ("1234567890123456789", Ok(0x5d891088), 19),
+        ("12345678901234567890", Ok(0x5f2b54aa), 20),
+        ("0.000000000000000001", Ok(0x219392ef), 20),
+        ("0.0000000000000000001", Ok(0x1fec1e4a), 21),
+        ("1.17549435e-38", Ok(0x00800000), 14),
+        (
+            "0.00000000000000000000000000000000000001",
+            Ok(0x006ce3ee),
+            40,
+        ),
+        (
+            "0.000000000000000000000000000000000000000000001",
+            Ok(0x00000001),
+            47,
+        ),
+        (
+            "0.000000000000000000000000000000000000000000000000000000000001",
+            Ok(0x00000000),
+            62,
+        ),
+        ("4.000000238418579", Ok(0x40800000), 17),
+        ("4.0000002384185791015625", Ok(0x40800000), 24),
+        ("1.00000005960464477539062", Ok(0x3f800000), 25),
+        ("8388608.5", Ok(0x4b000000), 9),
+        ("8388609.5", Ok(0x4b000002), 9),
+        ("0.10000000149011612", Ok(0x3dcccccd), 19),
+        ("123456.789", Ok(0x47f12065), 10),
+        ("-98765.4321x", Ok(0xc7c0e6b7), 11),
+        ("-0.0", Ok(0x80000000), 4),
+        ("-0.000", Ok(0x80000000), 6),
+        ("0e0", Ok(0x00000000), 3),
+        ("-0e-5", Ok(0x80000000), 5),
+        ("1x", Ok(0x3f800000), 1),
+        ("0x10", Ok(0x00000000), 1),
+        ("1_000", Ok(0x3f800000), 1),
+        ("0.5f", Ok(0x3f000000), 3),
+        ("1\u{e9}", Ok(0x3f800000), 1),
+        ("", Err("expected a number at byte 0"), 0),
+        (" ", Err("expected a number at byte 1"), 1),
+        ("-", Err("bad number '-' at byte 0"), 1),
+        ("--1", Err("bad number '--1' at byte 0"), 3),
+        ("1-2", Err("bad number '1-2' at byte 0"), 3),
+        ("1+1", Err("bad number '1+1' at byte 0"), 3),
+        ("1.5.2", Err("bad number '1.5.2' at byte 0"), 5),
+        ("1..2", Err("bad number '1..2' at byte 0"), 4),
+        ("1e", Err("bad number '1e' at byte 0"), 2),
+        ("1e+", Err("bad number '1e+' at byte 0"), 3),
+        ("1ee5", Err("bad number '1ee5' at byte 0"), 4),
+        ("1e5.5", Err("bad number '1e5.5' at byte 0"), 5),
+        ("5e-1-", Err("bad number '5e-1-' at byte 0"), 5),
+        ("-1.5e", Err("bad number '-1.5e' at byte 0"), 5),
+        (".5", Err("expected a number at byte 0"), 0),
+        ("+1", Err("expected a number at byte 0"), 0),
+        ("e5", Err("expected a number at byte 0"), 0),
+        ("-e5", Err("bad number '-e5' at byte 0"), 3),
+        ("-inf", Err("bad number '-' at byte 0"), 1),
+        ("inf", Err("expected a number at byte 0"), 0),
+        ("NaN", Err("expected a number at byte 0"), 0),
+        ("-nan", Err("bad number '-' at byte 0"), 1),
+        ("\u{663}", Err("expected a number at byte 0"), 0),
+    ];
+
+    /// `Reader::f32_array::<N>` on a document, `N` in the second column:
+    /// the bits or the error, then `Reader::offset()` afterwards.
+    const PINNED_ARRAYS: &[(&str, usize, Pinned<&[u32]>, usize)] = &[
+        ("[1]", 1, Ok(&[0x3f800000]), 3),
+        ("[1,2]", 2, Ok(&[0x3f800000, 0x40000000]), 5),
+        ("[ 1.5 , -2.25 ]", 2, Ok(&[0x3fc00000, 0xc0100000]), 15),
+        (
+            "[1\n,\n2,3]",
+            3,
+            Ok(&[0x3f800000, 0x40000000, 0x40400000]),
+            9,
+        ),
+        (
+            "[0.1,0.3,-0]",
+            3,
+            Ok(&[0x3dcccccd, 0x3e99999a, 0x80000000]),
+            12,
+        ),
+        (
+            "[1e5,1E+2,-1.5e-3]",
+            3,
+            Ok(&[0x47c35000, 0x42c80000, 0xbac49ba6]),
+            18,
+        ),
+        ("[1e-60]", 1, Ok(&[0x00000000]), 7),
+        ("[01]", 1, Ok(&[0x3f800000]), 4),
+        ("[1.]", 1, Ok(&[0x3f800000]), 4),
+        ("[-.5]", 1, Ok(&[0xbf000000]), 5),
+        (
+            "[]",
+            1,
+            Err("array of 0 numbers where 1 are due, closed at byte 1"),
+            2,
+        ),
+        (
+            "[1]",
+            2,
+            Err("array of 1 numbers where 2 are due, closed at byte 2"),
+            3,
+        ),
+        ("[1,2]", 1, Err("array of more than 1 numbers at byte 3"), 3),
+        (
+            "[1,2,3,4]",
+            3,
+            Err("array of more than 3 numbers at byte 7"),
+            7,
+        ),
+        ("[1,]", 1, Err("array of more than 1 numbers at byte 3"), 3),
+        ("[1,]", 2, Err("expected a number at byte 3"), 3),
+        ("[,1]", 1, Err("expected a number at byte 1"), 1),
+        ("[1,,2]", 2, Err("expected a number at byte 3"), 3),
+        ("[1 2]", 2, Err("expected ',' or ']' at byte 3"), 3),
+        ("[-]", 1, Err("bad number '-' at byte 1"), 2),
+        ("[--1]", 1, Err("bad number '--1' at byte 1"), 4),
+        ("[1-2]", 1, Err("bad number '1-2' at byte 1"), 4),
+        ("[1.5.2]", 1, Err("bad number '1.5.2' at byte 1"), 6),
+        ("[1e]", 1, Err("bad number '1e' at byte 1"), 3),
+        ("[1e39]", 1, Err("number '1e39' at byte 1 overflows f32"), 5),
+        (
+            "[-1e39]",
+            1,
+            Err("number '-1e39' at byte 1 overflows f32"),
+            6,
+        ),
+        ("[.5]", 1, Err("expected a number at byte 1"), 1),
+        ("[+1]", 1, Err("expected a number at byte 1"), 1),
+        ("[1x]", 1, Err("expected ',' or ']' at byte 2"), 2),
+        ("[0x10]", 1, Err("expected ',' or ']' at byte 2"), 2),
+        ("[1,2", 2, Err("expected ',' or ']' at byte 4"), 4),
+        ("[1,2.", 2, Err("expected ',' or ']' at byte 5"), 5),
+        ("[1,2.5", 2, Err("expected ',' or ']' at byte 6"), 6),
+        ("[1,-", 2, Err("bad number '-' at byte 3"), 4),
+        ("[1,", 2, Err("expected a number at byte 3"), 3),
+        ("[", 1, Err("expected a number at byte 1"), 1),
+        ("1]", 1, Err("expected '[' at byte 0"), 0),
+        ("[true]", 1, Err("expected a number at byte 1"), 1),
+        ("[[1]]", 1, Err("expected a number at byte 1"), 1),
+        ("[\"1\"]", 1, Err("expected a number at byte 1"), 1),
+    ];
+
+    #[test]
+    fn number_tokens_are_pinned() {
+        for &(text, want, cursor) in PINNED_TOKENS {
+            let mut r = Reader::new(text);
+            let got = r.f32().map(f32::to_bits);
+            assert_eq!(got, want.map_err(str::to_string), "{text:?}");
+            assert_eq!(r.offset(), cursor, "cursor after {text:?}");
+        }
+    }
+
+    #[test]
+    fn number_arrays_are_pinned() {
+        fn read<const N: usize>(doc: &str) -> (Result<Vec<u32>, String>, usize) {
+            let mut r = Reader::new(doc);
+            let got = r.f32_array::<N>();
+            (got.map(|a| a.map(f32::to_bits).to_vec()), r.offset())
+        }
+        for &(doc, n, want, cursor) in PINNED_ARRAYS {
+            let (got, at) = match n {
+                1 => read::<1>(doc),
+                2 => read::<2>(doc),
+                3 => read::<3>(doc),
+                _ => unreachable!("no pinned array of {n}"),
+            };
+            let want = want.map(<[u32]>::to_vec).map_err(str::to_string);
+            assert_eq!(got, want, "{doc:?} as {n}");
+            assert_eq!(at, cursor, "cursor after {doc:?} as {n}");
+        }
+    }
+
+    /// The same contract one layer up: records of a minimal scene document
+    /// through `io::from_json`.
+    #[test]
+    fn scene_records_are_pinned() {
+        use crate::io;
+        fn scene_doc(records: &str) -> String {
+            format!(
+                "{{\"name\":\"s\",\"resolution\":[4,4],\"fov_y_deg\":50,\"rig\":{{\"center\":[0,0,0],\
+                 \"look_at\":[0,0,1],\"radius\":1.5,\"height\":0,\"arc\":1,\"phase\":0}},\
+                 \"gaussians\":[{records}]}}"
+            )
+        }
+        // -7.4, -7.03, …, 5.1800003, …, 14.06: one to nine digits each.
+        fn numbers(n: usize) -> Vec<String> {
+            (0..n)
+                .map(|i| format!("{}", (i as f32 - 20.0) * 0.37))
+                .collect()
+        }
+        let record = |numbers: &[String]| format!("[{}]", numbers.join(","));
+        let good = numbers(59);
+        let with = |i: usize, token: &str| {
+            let mut numbers = good.clone();
+            numbers[i] = token.to_string();
+            record(&numbers)
+        };
+        let full = scene_doc(&record(&good));
+        let spaced = scene_doc(&format!("[ {} ]", good.join(" , ")));
+
+        for (label, doc) in [("compact", &full), ("spaced", &spaced)] {
+            let scene = io::from_json(doc).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let digest = scene
+                .gaussians
+                .iter()
+                .flat_map(|g| g.to_floats())
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            assert_eq!(scene.gaussians.len(), 1, "{label}");
+            assert_eq!(
+                digest, 0xee67_c7e5_b633_42a6,
+                "{label}: FNV-1a of the 59 floats"
+            );
+            assert_eq!(scene.fov_y_deg.to_bits(), 0x4248_0000, "{label}");
+            assert_eq!(scene.rig.radius.to_bits(), 0x3fc0_0000, "{label}");
+        }
+
+        let rejected = [
+            (
+                scene_doc(&record(&numbers(58))),
+                "gaussian 0: array of 58 numbers where 59 are due, closed at byte 489",
+            ),
+            (
+                scene_doc(&record(&numbers(60))),
+                "gaussian 0: array of more than 59 numbers at byte 496",
+            ),
+            (
+                scene_doc(&format!("{},{}", record(&good), record(&numbers(58)))),
+                "gaussian 1: array of 58 numbers where 59 are due, closed at byte 842",
+            ),
+            (
+                scene_doc(&with(2, "1e39")),
+                "gaussian 0: number '1e39' at byte 156 overflows f32",
+            ),
+            (
+                scene_doc(&with(58, "1-2")),
+                "gaussian 0: bad number '1-2' at byte 490",
+            ),
+            (
+                scene_doc(&format!("{},", record(&good))),
+                "gaussian 1: expected '[' at byte 497",
+            ),
+            // A number cut by the end of input: `…,13.` and `…,13.6900`.
+            (
+                full[..full.rfind("690001").unwrap()].to_string(),
+                "gaussian 0: expected ',' or ']' at byte 483",
+            ),
+            (
+                full[..full.rfind("01,14").unwrap()].to_string(),
+                "gaussian 0: expected ',' or ']' at byte 487",
+            ),
+        ];
+        for (doc, want) in rejected {
+            match io::from_json(&doc) {
+                Err(io::SceneIoError::Format(got)) => assert_eq!(got, want),
+                other => panic!("{want}: got {other:?}"),
+            }
+        }
+    }
 }
