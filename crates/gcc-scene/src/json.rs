@@ -5,15 +5,24 @@
 //! lexer, the pull tokenizer [`Reader`], and two consumers of it:
 //!
 //! * the scene decoder in [`crate::io`] walks a scene file in a single
-//!   pass and parses every number token exactly once, as a borrowed slice
-//!   of the input, straight into the record it belongs to — no tree;
+//!   pass and reads every number token exactly once, in place, straight
+//!   into the record it belongs to — no tree;
 //! * [`parse`] builds the small [`Value`] tree that the bench records and
 //!   the repo benchmark read their documents with.
 //!
-//! Either way a number is handed to `str::parse` as its raw source text,
-//! so an `f32` written with Rust's shortest round-trip `Display` reads
-//! back as the bit-identical `f32` — which is what makes the JSON
-//! round-trip tests in [`crate::io`] exact.
+//! The contract on numbers is the value: a token reads as the `f32`
+//! nearest to the decimal it spells, which is what `str::parse::<f32>`
+//! returns, so an `f32` written with Rust's shortest round-trip `Display`
+//! reads back as the bit-identical `f32` — which is what makes the JSON
+//! round-trip tests in [`crate::io`] exact. The routine is not always
+//! `str::parse`: [`Reader::f32`] converts a plain decimal of at most 19
+//! digits (`-?D+(.D+)?`, all the writer emits but for values under
+//! ≈ 1e-10 or over 2^53 ≈ 9e15) itself — one integer accumulate, one
+//! `f64` divide, one guard (`exact_f32`) — and hands everything else
+//! (exponents, longer digit runs, anything malformed) to `str::parse` as
+//! its raw source text, which therefore still decides what is accepted
+//! and with which error. The [`Value`] tree keeps number tokens as text
+//! and reads them with `str::parse` only.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -61,6 +70,12 @@ impl Value {
     }
 
     /// Number parsed as `f32` (exact for tokens written from `f32`).
+    ///
+    /// Always through `str::parse::<f32>`, never [`Reader::f32`]'s fast
+    /// path: this is a cold call, and it is what `scene_file_tests.rs`'s
+    /// tree decoder reads numbers with — the independent oracle the
+    /// streaming decoder is held against, which routing it through the
+    /// fast path would turn into the fast path compared with itself.
     ///
     /// Returns `None` for tokens whose magnitude overflows `f32` (Rust's
     /// parser saturates such tokens to infinity; JSON itself cannot
@@ -163,6 +178,77 @@ pub enum Kind {
     Bool,
     /// `n` — read with [`Reader::null`].
     Null,
+}
+
+/// `10^k` for every `k` [`exact_f32`] divides by: each is an exact `f64`
+/// (as is every power of ten up to `10^22`).
+const POW10: [f64; 19] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18,
+];
+
+/// The number fast path: reads a plain decimal `-?D+(.D+)?` at `start`
+/// and returns its value as the nearest `f32` with the offset just past
+/// it, or `None` — nothing consumed — for every token the general route
+/// ([`Reader::token`] + `str::parse::<f32>`) has to see.
+///
+/// Taken are tokens of at most 19 digits (so `w`, the digits read as one
+/// integer, fits a `u64`, and `k`, the count of fraction digits, is at
+/// most 18) with `w ≤ 2^53`, followed by none of `. e E + -` (so the
+/// token ends where `token()` would end it). The value is
+/// `(w as f64 / 10^k) as f32`, and that is Clinger's exact case taken
+/// through `f64`: `w` and `10^k` are exact `f64`s and IEEE division is
+/// correctly rounded, so the quotient `q` is the `f64` nearest to the
+/// real value `x`; rounding is monotone and every `f32` rounding boundary
+/// (the midpoint of two adjacent `f32`s) is itself an `f64`, so `q` lies
+/// on the same side of every boundary as `x` does — unless `q` *is* a
+/// boundary, which says nothing about the side `x` is on, and is left to
+/// the general route. A non-zero `q` lies in `[1e-18, 2^53]`, inside
+/// `f32`'s normal range, so a boundary is exactly a `q` whose 29
+/// significand bits below `f32`'s 23 read `1000…0`.
+fn exact_f32(src: &[u8], start: usize) -> Option<(f32, usize)> {
+    // Digits from `pos` on, folded into `w`; a run too long for `w`
+    // wraps, and is turned away by its length below.
+    let digits = |mut pos: usize, w: &mut u64| {
+        while let Some(d) = src
+            .get(pos)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|&d| d < 10)
+        {
+            *w = w.wrapping_mul(10).wrapping_add(u64::from(d));
+            pos += 1;
+        }
+        pos
+    };
+    let negative = src.get(start) == Some(&b'-');
+    let first = start + usize::from(negative);
+    let mut w = 0u64;
+    let mut end = digits(first, &mut w);
+    let mut count = end - first;
+    let mut k = 0;
+    if count > 0 && src.get(end) == Some(&b'.') {
+        let frac = end + 1;
+        end = digits(frac, &mut w);
+        k = end - frac;
+        if k == 0 {
+            return None;
+        }
+        count += k;
+    }
+    if count == 0
+        || count > 19
+        || w > 1 << 53
+        || matches!(src.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+    {
+        return None;
+    }
+    let q = w as f64 / POW10[k];
+    if q.to_bits() & 0x1fff_ffff == 0x1000_0000 {
+        return None;
+    }
+    // The sign goes on as a bit, so `-0` stays `-0.0`.
+    let bits = (q as f32).to_bits() | u32::from(negative) << 31;
+    Some((f32::from_bits(bits), end))
 }
 
 /// A pull tokenizer over a JSON document.
@@ -402,7 +488,9 @@ impl<'a> Reader<'a> {
 
     /// The one number lexer: a leading `-` or digit, then the run of
     /// `0-9 . e E + -`. Whether the run is a number is for the caller's
-    /// `str::parse` to say. Returns the token and its offset.
+    /// `str::parse` to say. Returns the token and its offset. ([`exact_f32`]
+    /// reads a plain decimal without it, and only one that ends where this
+    /// would end it.)
     fn token(&mut self) -> Result<(&'a str, usize), String> {
         self.skip_ws();
         let start = self.pos;
@@ -437,7 +525,12 @@ impl<'a> Reader<'a> {
         self.parsed::<f64>().map(|(_, token, _)| token)
     }
 
-    /// A number as `f32` — exact for tokens written from an `f32`.
+    /// A number as `f32`: the `f32` nearest to the decimal the token
+    /// spells, ties to even — so a token written from an `f32` with
+    /// Rust's shortest round-trip `Display` reads back as the identical
+    /// bits. A plain decimal of at most 19 digits is converted here
+    /// (`exact_f32`: one integer accumulate, one `f64` divide, one guard);
+    /// every other token, and every error, is `str::parse::<f32>`'s.
     ///
     /// # Errors
     ///
@@ -446,6 +539,11 @@ impl<'a> Reader<'a> {
     /// and JSON cannot represent a non-finite value, so saturation is
     /// always an out-of-range input, not data.
     pub fn f32(&mut self) -> Result<f32, String> {
+        self.skip_ws();
+        if let Some((v, end)) = exact_f32(self.src.as_bytes(), self.pos) {
+            self.pos = end;
+            return Ok(v);
+        }
         let (v, token, start) = self.parsed::<f32>()?;
         if v.is_finite() {
             Ok(v)
@@ -481,6 +579,16 @@ impl<'a> Reader<'a> {
         self.begin_array()?;
         let mut out = [0.0f32; N];
         for (i, slot) in out.iter_mut().enumerate() {
+            // What the compact writer emits between two numbers: a comma
+            // with the next plain decimal right behind it. Anything else
+            // (whitespace, the closer, an exponent, an error) is for the
+            // general steps below to handle from the same cursor.
+            if i > 0 && self.peek_byte() == Some(b',') {
+                if let Some((v, end)) = exact_f32(self.src.as_bytes(), self.pos + 1) {
+                    (*slot, self.pos) = (v, end);
+                    continue;
+                }
+            }
             if !self.next_element()? {
                 return Err(format!(
                     "array of {i} numbers where {N} are due, closed at byte {}",
@@ -586,7 +694,11 @@ impl<'a> Reader<'a> {
             .src
             .get(self.pos..self.pos + 4)
             .ok_or("truncated \\u escape")?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape '{hex}'"))?;
+        // `from_str_radix` alone would take a sign: `\u+041` is no escape.
+        let code = u32::from_str_radix(hex, 16)
+            .ok()
+            .filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| format!("bad \\u escape '{hex}'"))?;
         self.pos += 4;
         Ok(code)
     }
@@ -674,6 +786,20 @@ mod tests {
         assert!(parse(r#"["\ude00"]"#).is_err());
         assert!(parse(r#"["\ud83dx"]"#).is_err());
         assert!(parse(r#"["\ud83dA"]"#).is_err());
+    }
+
+    #[test]
+    fn a_signed_u_escape_is_malformed() {
+        // `u32::from_str_radix` reads "+041" as 0x41.
+        for doc in [r#"["\u+041"]"#, r#"["\ud83d\u+e00"]"#] {
+            let err = parse(doc).unwrap_err();
+            assert!(err.contains("bad \\u escape '+"), "{doc}: {err}");
+        }
+        let v = parse(r#"["\u0041\u00e9\u00E9\ud83d\ude00"]"#).unwrap();
+        assert_eq!(
+            v.as_arr().unwrap()[0].as_str(),
+            Some("A\u{e9}\u{e9}\u{1F600}")
+        );
     }
 
     #[test]
@@ -1015,6 +1141,191 @@ mod tests {
                 Err(io::SceneIoError::Format(got)) => assert_eq!(got, want),
                 other => panic!("{want}: got {other:?}"),
             }
+        }
+    }
+
+    // ---- the fast path against `str::parse::<f32>` ----
+
+    /// Holds `Reader::f32` on the bare token `tok` (the lexer's alphabet
+    /// only, so the whole of it is one token) to `str::parse::<f32>` and
+    /// the finite filter: the same bits or both rejected, and the cursor
+    /// at the token's end either way. Says whether the fast path took it.
+    fn same_as_std(tok: &str) -> bool {
+        let mut r = Reader::new(tok);
+        let got = r.f32().ok().map(f32::to_bits);
+        let want = tok.parse().ok().filter(|v: &f32| v.is_finite());
+        assert_eq!(got, want.map(f32::to_bits), "{tok}");
+        assert_eq!(r.offset(), tok.len(), "cursor after {tok}");
+        exact_f32(tok.as_bytes(), 0).is_some()
+    }
+
+    /// Every `stride`-th `f32` bit pattern (NaN and ±∞ aside: the writer
+    /// refuses them), written by `render` and held to [`same_as_std`], on
+    /// every core. Returns the tokens compared and, of those with
+    /// `1e-6 ≤ |v| < 1e7` — where scene data lives — how many there were
+    /// and how many the fast path took.
+    fn sweep_bit_patterns(stride: u64, render: fn(&mut String, f32)) -> [u64; 3] {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let (mut tok, mut counts) = (String::new(), [0u64; 3]);
+                        for bits in (t * stride..1 << 32).step_by((threads * stride) as usize) {
+                            let v = f32::from_bits(bits as u32);
+                            if !v.is_finite() {
+                                continue;
+                            }
+                            tok.clear();
+                            render(&mut tok, v);
+                            let fast = same_as_std(&tok);
+                            let scene_like = (1e-6..1e7).contains(&v.abs());
+                            counts[0] += 1;
+                            counts[1] += u64::from(scene_like);
+                            counts[2] += u64::from(scene_like && fast);
+                        }
+                        counts
+                    })
+                })
+                .collect();
+            workers.into_iter().fold([0; 3], |sum, w| {
+                let counts = w.join().expect("a sweep thread found a mismatch");
+                [sum[0] + counts[0], sum[1] + counts[1], sum[2] + counts[2]]
+            })
+        })
+    }
+
+    fn display(tok: &mut String, v: f32) {
+        let _ = write!(tok, "{v}");
+    }
+
+    /// The fast path cannot pass by never firing: of the `Display` tokens
+    /// in the scene-like band nearly all must have taken it.
+    fn assert_fast_share([tokens, scene_like, fast]: [u64; 3]) {
+        assert!(
+            scene_like > 0 && fast * 100 >= scene_like * 99,
+            "fast path took {fast} of {scene_like} scene-like tokens ({tokens} compared)"
+        );
+    }
+
+    #[test]
+    fn every_251st_f32_reads_back_as_str_parse_reads_it() {
+        let shown = sweep_bit_patterns(251, display);
+        assert_fast_share(shown);
+        let exp = sweep_bit_patterns(251, |tok, v| {
+            let _ = write!(tok, "{v:e}");
+        });
+        assert_eq!(shown[0], exp[0]);
+        assert!(shown[0] > (1 << 32) / 252);
+        // The ends of the range, whatever the stride lands on.
+        for v in [0.0, -0.0, f32::MAX, f32::MIN, f32::MIN_POSITIVE, 1e-45] {
+            same_as_std(&format!("{v}"));
+            same_as_std(&format!("{v:e}"));
+        }
+    }
+
+    /// The proof by exhaustion: all 4 278 190 080 finite `f32`s through
+    /// `Display`. Minutes of every core in release, so not in the default
+    /// run: `cargo test --release -p gcc-scene -- --ignored every_f32`.
+    #[test]
+    #[ignore = "all 2^32 bit patterns: minutes of every core, run in release"]
+    fn every_f32_reads_back_as_str_parse_reads_it() {
+        let t0 = std::time::Instant::now();
+        let counts = sweep_bit_patterns(1, display);
+        println!(
+            "{} tokens, 0 mismatches, fast path {} of {} scene-like, {:.0} s",
+            counts[0],
+            counts[2],
+            counts[1],
+            t0.elapsed().as_secs_f64()
+        );
+        assert_eq!(counts[0], (1 << 32) - (1 << 24));
+        assert_fast_share(counts);
+    }
+
+    #[test]
+    fn random_decimal_strings_read_as_str_parse_reads_them() {
+        use crate::rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(0xf32);
+        let mut digits = |tok: &mut String, n: usize| {
+            for _ in 0..n {
+                tok.push(char::from(b'0' + rng.gen_range(0..10usize) as u8));
+            }
+        };
+        let mut shape = StdRng::seed_from_u64(19);
+        let (mut tok, mut fast) = (String::new(), 0u32);
+        for _ in 0..2_000_000 {
+            // -?D{1,12}(.D{0,25})? and, one time in four, e±DD.
+            tok.clear();
+            if shape.gen_range(0..2usize) == 0 {
+                tok.push('-');
+            }
+            digits(&mut tok, shape.gen_range(1..13usize));
+            if shape.gen_range(0..4usize) != 0 {
+                tok.push('.');
+                digits(&mut tok, shape.gen_range(0..26usize));
+            }
+            if shape.gen_range(0..4usize) == 0 {
+                tok.push(['e', 'E'][shape.gen_range(0..2usize)]);
+                tok.push(['+', '-'][shape.gen_range(0..2usize)]);
+                digits(&mut tok, 2);
+            }
+            fast += u32::from(same_as_std(&tok));
+        }
+        // Short plain decimals are a good part of these; the rest is the
+        // fallback reading exponents, `1.` and digit runs past 19.
+        assert!(fast > 200_000, "fast path took {fast} of 2 000 000");
+    }
+
+    /// Tokens at and around `f32` rounding boundaries, where a second
+    /// rounding would show: for `y` over every exponent, the midpoint of
+    /// `y` and the next `f32` up, spelled exactly, cut to 15–19 digits (a
+    /// hair below the boundary, and inside the fast domain at 15 and 16)
+    /// and nudged past it again by a digit or two.
+    #[test]
+    fn rounding_boundary_neighbours_read_as_str_parse_reads_them() {
+        use crate::rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(0xb0d);
+        let mut tok = String::new();
+        let (mut compared, mut fast) = (0u32, 0u32);
+        for exponent in 0..255u32 {
+            for _ in 0..300 {
+                let y = f32::from_bits(exponent << 23 | (rng.gen::<u64>() >> 41) as u32);
+                let above = f32::from_bits(y.to_bits() + 1);
+                let mid = (f64::from(y) + f64::from(above)) / 2.0;
+                // A midpoint is 25 significant bits at 2^-150 or above:
+                // 160 places spell it exactly.
+                let exact = format!("{mid:.160}");
+                let exact = exact.trim_end_matches('0');
+                let whole = exact.find('.').expect("a fraction point");
+                for cut in [15, 16, 17, 19usize] {
+                    let keep = (whole + 1 + cut.saturating_sub(whole)).min(exact.len());
+                    for nudge in ["", "1", "01", "9"] {
+                        for sign in ["", "-"] {
+                            tok.clear();
+                            tok.push_str(sign);
+                            tok.push_str(&exact[..keep]);
+                            tok.push_str(nudge);
+                            fast += u32::from(same_as_std(&tok));
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fast * 20 > compared, "fast path took {fast} of {compared}");
+        for tok in [
+            "16777217",
+            "16777217.0000001",
+            "16777216.9999999",
+            "9007199254740993",
+            "0.1",
+            "0.3",
+            "1.17549435e-38",
+            "0.00000000000000000000000000000000000001",
+        ] {
+            same_as_std(tok);
+            same_as_std(&format!("-{tok}"));
         }
     }
 }

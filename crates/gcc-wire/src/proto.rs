@@ -565,15 +565,20 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
 
 /// The one hot codec (786 648 bytes per 256² frame), written out by hand:
 /// width, height, then 12 bytes per pixel, checked against the bytes that
-/// remain before the pixel buffer exists.
+/// remain before the pixel buffer exists. Each direction is one pass over
+/// the pixel bytes as a single slice, sized once — not a call per `f32`.
 impl Wire for Image {
     const MIN_LEN: usize = 8 + Vec3::MIN_LEN;
     fn put(&self, out: &mut Vec<u8>) {
         self.width().put(out);
         self.height().put(out);
-        out.reserve(self.pixels().len() * Vec3::MIN_LEN);
-        for p in self.pixels() {
-            p.put(out);
+        let start = out.len();
+        out.resize(start + self.pixels().len() * Vec3::MIN_LEN, 0);
+        let pixels = out[start..].chunks_exact_mut(Vec3::MIN_LEN);
+        for (bytes, p) in pixels.zip(self.pixels()) {
+            bytes[..4].copy_from_slice(&p.x.to_le_bytes());
+            bytes[4..8].copy_from_slice(&p.y.to_le_bytes());
+            bytes[8..].copy_from_slice(&p.z.to_le_bytes());
         }
     }
     fn get(r: &mut &[u8]) -> io::Result<Self> {
@@ -581,10 +586,17 @@ impl Wire for Image {
         if w == 0 || h == 0 {
             return Err(bad(format!("degenerate {w}x{h} image")));
         }
-        check_count(u64::from(w) * u64::from(h), Vec3::MIN_LEN, r)?;
+        let count = check_count(u64::from(w) * u64::from(h), Vec3::MIN_LEN, r)?;
+        let (pixels, rest) = r.split_at(count * Vec3::MIN_LEN);
+        *r = rest;
         let mut img = Image::new(w, h);
-        for p in img.pixels_mut() {
-            *p = Vec3::get(r)?;
+        for (p, b) in img
+            .pixels_mut()
+            .iter_mut()
+            .zip(pixels.chunks_exact(Vec3::MIN_LEN))
+        {
+            let le = |i: usize| f32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+            *p = Vec3::new(le(0), le(4), le(8));
         }
         Ok(img)
     }
