@@ -6,13 +6,16 @@
 //! two-thread and auto-threaded intra-frame parallelism, and records
 //! wall-clock frame times together with what ran them: the SIMD backend
 //! the dispatcher selected and the host's thread count. Each scene also
-//! gets two cold-load cells under the same cell schema — `engine:
-//! "load_json"` and `"load_binary"`, the cost of one
-//! `gcc_scene::io::load_scene_file` of that scene's file — and the scenes
+//! gets its cold-load cells under the same cell schema — `engine:
+//! "build_preset"` (one `ScenePreset::build_on`) and `"load_json"` (one
+//! `gcc_scene::io::load_scene_file_on` of the scene's JSON file) on one
+//! thread and on two, the two scene sources a lent core speeds up, and
+//! `"load_binary"` on one, a copy no second thread helps — and the scenes
 //! big enough for it to matter two `engine: "build_hierarchy"` cells, one
 //! `gcc_lod::build_hierarchy` of the cloud on one thread and on two, so
-//! the frame gate's missing-cell and slower-than-tolerance rules watch
-//! scene loads with no gate code of their own. The output is the
+//! the frame gate's missing-cell, slower-than-tolerance and
+//! slower-on-two-threads rules watch scene loads with no gate code of
+//! their own. The output is the
 //! start of the repository's perf trajectory:
 //! every PR that touches the hot path regenerates the file and compares
 //! against the previous run.
@@ -125,9 +128,9 @@ fn time_loads(reps: usize, load: impl Fn()) -> f64 {
     best
 }
 
-/// One `load_scene_file(path)`, checked.
-fn load_file(path: &Path, gaussians: usize) {
-    let scene = io::load_scene_file(path).expect("read the scene file back");
+/// One `load_scene_file_on(path, threads)`, checked.
+fn load_file(path: &Path, threads: usize, gaussians: usize) {
+    let scene = io::load_scene_file_on(path, threads).expect("read the scene file back");
     assert_eq!(scene.len(), gaussians);
 }
 
@@ -266,18 +269,31 @@ fn main() {
                 push(engine, par_name, threads, ms);
             }
         }
+        // What a cold load is lent on an idle 2-core host, beside what it
+        // costs alone.
+        const LENT: [(&str, usize); 2] = [("sequential", 1), ("fixed2", 2)];
+        let config = SceneConfig::with_scale(case.scale);
+        for (par_name, threads) in LENT {
+            let ms = time_loads(reps, || {
+                assert_eq!(case.preset.build_on(&config, threads).len(), scene.len());
+            });
+            push("build_preset", par_name, threads, ms);
+        }
         let path = dir.join("scene");
-        let formats: [(&'static str, WriteSceneFile); 2] = [
-            ("load_json", io::write_json_file),
-            ("load_binary", io::write_binary_file),
+        // A binary file's decode is a copy: one thread is all it uses.
+        let formats: [(&'static str, WriteSceneFile, usize); 2] = [
+            ("load_json", io::write_json_file, 2),
+            ("load_binary", io::write_binary_file, 1),
         ];
-        for (engine, write) in formats {
+        for (engine, write, cells) in formats {
             write(&scene, &path).expect("write the scene file");
-            let ms = time_loads(reps, || load_file(&path, scene.len()));
-            push(engine, "sequential", 1, ms);
+            for (par_name, threads) in LENT.into_iter().take(cells) {
+                let ms = time_loads(reps, || load_file(&path, threads, scene.len()));
+                push(engine, par_name, threads, ms);
+            }
         }
         if case.hierarchy {
-            for (par_name, threads) in [("sequential", 1), ("fixed2", 2)] {
+            for (par_name, threads) in LENT {
                 let ms = time_loads(reps, || build_levels(&scene.gaussians, threads));
                 push("build_hierarchy", par_name, threads, ms);
             }

@@ -29,7 +29,10 @@
 //! deadline-miss counts, stream lifecycle counters, cache hit rate, the
 //! per-schedule breakdown, each scene file's cold `load_ms` and the
 //! batched/naive speedup. In full (non-smoke) mode the binary *enforces*
-//! `speedup_vs_naive ≥` [`SERVE_SPEEDUP_FLOOR`] **and**
+//! the serve gate against the committed record — `batched_lru`
+//! throughput and Interactive p95 within [`SERVE_TOLERANCE`] of the
+//! `BENCH_serve.json` it is about to replace, which a failing run leaves
+//! in place; `speedup_vs_naive` printed and not gated — **and**
 //! the latency-class contract (batched Interactive p95 ≤ Bulk p95 under
 //! the mixed load), and in every mode it checks a sample of served
 //! frames — streamed and submitted, including posed, ROI'd and
@@ -99,7 +102,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gcc_bench::perf_gate::SERVE_SPEEDUP_FLOOR;
+use gcc_bench::perf_gate::{replace_serve_record, SERVE_TOLERANCE};
 use gcc_bench::TablePrinter;
 use gcc_lod::cost::NEAR_RETRY_INTERVAL;
 use gcc_lod::{attach_hierarchy, QualityLadder, QualityRung};
@@ -1745,8 +1748,34 @@ fn main() {
         eprintln!("bench_serve produced invalid JSON: {e}");
         std::process::exit(1);
     }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench_serve could not write {}: {e}", out_path.display());
+    // Full mode is the acceptance run: throughput and Interactive p95 on
+    // the mixed streaming workload must hold against the record this run
+    // replaces, and a run that does not hold leaves that record as it was
+    // — the next run is compared with the same reference. A smoke record
+    // has no reference and is written as it is.
+    let written = if smoke {
+        std::fs::write(&out_path, &json).map_err(|e| format!("{}: {e}", out_path.display()))
+    } else {
+        replace_serve_record(&out_path, &json, SERVE_TOLERANCE).and_then(|report| {
+            print!("{}", report.render());
+            if report.holds_reference() {
+                Ok(())
+            } else {
+                Err(format!(
+                    "the run does not hold the numbers of {}, which is left as it was",
+                    out_path.display()
+                ))
+            }
+        })
+    };
+    if let Err(e) = written {
+        eprintln!("bench_serve: record not written: {e}");
+        if !smoke {
+            eprintln!(
+                "bench_serve: to move the reference on purpose, delete {} and rerun",
+                out_path.display()
+            );
+        }
         std::process::exit(1);
     }
     println!("wrote {}", out_path.display());
@@ -1800,18 +1829,9 @@ fn main() {
         }
     }
 
-    // Full mode is the acceptance run: residency and batching must beat
-    // naive load-render-evict throughput on the mixed streaming workload
-    // by the floor, and the latency classes must separate — Interactive
+    // And in full mode the latency classes must separate: Interactive
     // p95 at or below Bulk p95 under contention.
     if !smoke {
-        if speedup < SERVE_SPEEDUP_FLOOR {
-            eprintln!(
-                "bench_serve: speedup {speedup:.2}x below the {SERVE_SPEEDUP_FLOOR}x acceptance \
-                 threshold"
-            );
-            std::process::exit(1);
-        }
         let int_p95 = batched.stats.priority(Priority::Interactive).latency_p95_ms;
         let bulk_p95 = batched.stats.priority(Priority::Bulk).latency_p95_ms;
         if int_p95 > bulk_p95 {

@@ -12,29 +12,32 @@
 //!   `fixed2` cells is more than 10 % slower than the `sequential` cell
 //!   beside it.
 //! * **Serve gate** (`--serve`): checks a `bench_serve/v3` record —
-//!   committed or freshly measured — against a throughput floor: the
-//!   batched/naive `speedup_vs_naive` must be at least `--serve-floor`
-//!   (default [`SERVE_SPEEDUP_FLOOR`], the acceptance threshold of a
-//!   full-mode record) and the record's own
-//!   serve-vs-direct parity pass must have succeeded. A record produced
-//!   with `bench_serve --chaos` carries a `"chaos"` object, and the gate
-//!   additionally requires its fault storm to have resolved cleanly:
-//!   `all_resolved` and zero lost workers — the fault-free floor and the
-//!   resilience contract are enforced by the same invocation. Likewise a
-//!   record produced with `bench_serve --lod` carries a `"lod"` object,
-//!   and the gate requires the deadline-degradation contract: the
-//!   quality-ladder run missed zero deadlines where the exact run missed
-//!   at least one, every frame was delivered, and every rung met its
-//!   documented PSNR/SSIM floor.
+//!   committed or freshly measured — on its own contracts. The record
+//!   must carry its `batched_lru` numbers and its own serve-vs-direct
+//!   parity pass must have succeeded. Throughput and Interactive p95 are
+//!   held to a reference where a reference exists: a full-mode
+//!   `bench_serve` run compares itself with the committed record before
+//!   it replaces it (`gcc_bench::perf_gate::replace_serve_record`).
+//!   `speedup_vs_naive` is printed and not gated: it is a ratio to a
+//!   strawman that gets faster whenever a scene load does. A record
+//!   produced with `bench_serve --chaos` carries a `"chaos"` object, and
+//!   the gate additionally requires its fault storm to have resolved
+//!   cleanly: `all_resolved` and zero lost workers. Likewise a record
+//!   produced with `bench_serve --lod` carries a `"lod"` object, and the
+//!   gate requires the deadline-degradation contract: the quality-ladder
+//!   run missed zero deadlines where the exact run missed at least one,
+//!   every frame was delivered, and every rung met its documented
+//!   PSNR/SSIM floor; and one produced with `--wire` a `"wire"` object:
+//!   at least two shards, every request resolved, frame parity held.
 //!
 //! The comparison logic itself lives in `gcc_bench::perf_gate`, where
-//! unit tests pin that an inflated timing record and a collapsed serve
-//! speedup both fail the gate.
+//! unit tests pin that an inflated timing record, a collapsed serve
+//! throughput and a blown-up Interactive p95 each fail the gate.
 //!
 //! ```text
 //! cargo run --release -p gcc-bench --bin perf_gate -- \
 //!     --baseline ci/bench_baseline.json --current BENCH_gate.json \
-//!     [--tolerance 0.25] [--serve BENCH_serve.json] [--serve-floor 1.3]
+//!     [--tolerance 0.25] [--serve BENCH_serve.json]
 //! ```
 //!
 //! Refreshing the baseline (documented in README "Perf gate"): rerun
@@ -42,7 +45,7 @@
 //! record over `ci/bench_baseline.json` in the same PR that explains the
 //! intentional change.
 
-use gcc_bench::perf_gate::{check_serve_record, compare, SERVE_SPEEDUP_FLOOR};
+use gcc_bench::perf_gate::{check_serve_record, compare, SERVE_TOLERANCE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,7 +53,6 @@ fn main() {
     let mut current_path = None;
     let mut serve_path = None;
     let mut tolerance = 0.25f64;
-    let mut serve_floor = SERVE_SPEEDUP_FLOOR;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -65,16 +67,10 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--tolerance needs a number");
             }
-            "--serve-floor" => {
-                serve_floor = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--serve-floor needs a number");
-            }
             other => {
                 eprintln!(
                     "unknown flag {other} (expected --baseline, --current, --tolerance, \
-                     --serve, --serve-floor)"
+                     --serve)"
                 );
                 std::process::exit(2);
             }
@@ -119,7 +115,7 @@ fn main() {
         }
     }
     if let Some(serve_path) = serve_path {
-        let report = match check_serve_record(&read(&serve_path), serve_floor) {
+        let report = match check_serve_record(&read(&serve_path), None, SERVE_TOLERANCE) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("perf_gate: serve record {serve_path}: {e}");
@@ -129,9 +125,8 @@ fn main() {
         print!("{}", report.render());
         if !report.passed() {
             eprintln!(
-                "perf_gate: serve throughput floor ({serve_floor:.2}x) not held by \
-                 {serve_path} — if intentional, refresh the record (see README \
-                 \"Serving layer\")"
+                "perf_gate: serve gate not held by {serve_path} — refresh the record (see \
+                 README \"Serving layer\")"
             );
             failed = true;
         }

@@ -21,18 +21,64 @@ use crate::scene::{Scene, SceneConfig};
 use crate::trajectory::OrbitRig;
 use gcc_core::{Gaussian3D, SH_COEFFS_PER_CHANNEL, SH_FLOATS};
 use gcc_math::{Quat, Vec3};
+use std::sync::mpsc::{sync_channel, TrySendError};
+use std::sync::Mutex;
 
-/// Builds a scene from preset parameters and a config.
-pub fn build_scene(params: &PresetParams, config: &SceneConfig) -> Scene {
+/// Rough cost of synthesizing one Gaussian on one thread, for
+/// [`gcc_parallel::worthwhile_threads`]' floor (Lego@0.5: 17 000 in
+/// 14.4 ms).
+const GAUSSIAN_NS: u32 = 800;
+
+/// Gaussians per block the scout hands the fillers.
+const BLOCK: usize = 128;
+
+/// Blocks the scout may run ahead of the fillers before it fills the block
+/// in its hands itself: enough that a filler never finds the queue empty
+/// while the scout is busy filling, few enough that the heads in flight
+/// (≈ 56 bytes each) stay in cache.
+const BLOCKS_AHEAD: usize = 16;
+
+/// Draws the tail of a Gaussian consumes, whatever the [`SceneKind`]:
+/// four normals of [`sample_scale`], three uniforms of [`sample_rotation`]
+/// and one normal per coefficient of [`sample_sh`], a normal being two
+/// draws.
+const TAIL_DRAWS: usize = 2 * 4 + 3 + 2 * SH_FLOATS;
+
+/// Builds a scene from preset parameters and a config, on up to `threads`
+/// threads. Any thread count builds the same scene, bit for bit.
+///
+/// The scene is a function of one PRNG stream, and the stream is
+/// sequential — but a draw costs ≈ 1 ns and what is computed *from* the
+/// draws (`ln`, `cos`, `sqrt`, `exp`) ≈ 50 times that. So with more than
+/// one thread the calling thread becomes a *scout*: it walks the stream
+/// through the draws whose count depends on their values (the head of a
+/// Gaussian: position, opacity, the backdrop draw), keeps a copy of the
+/// generator where the tail starts, and steps over the tail's
+/// [`TAIL_DRAWS`] draws without evaluating them. *Fillers* take blocks of
+/// heads as the scout publishes them and run the tail (scale, rotation,
+/// SH — 107 of a Gaussian's ≈ 117 draws) from each copy into their block
+/// of the output; the scout fills a block itself whenever it is
+/// [`BLOCKS_AHEAD`], and joins the fillers when the stream ends. One
+/// thread, or a scene too small to be worth a second, runs head and tail
+/// fused on the one generator: no copy, no stepping over.
+pub fn build_scene(params: &PresetParams, config: &SceneConfig, threads: usize) -> Scene {
     let seed = config.seed.unwrap_or(params.seed);
     let mut rng = StdRng::seed_from_u64(seed);
     let count = ((params.base_count as f32 * config.scale) as usize).max(16);
 
-    let mut gaussians = Vec::with_capacity(count);
-    let cluster_centers = sample_cluster_centers(params, &mut rng);
-    for _ in 0..count {
-        gaussians.push(sample_gaussian(params, &cluster_centers, &mut rng));
-    }
+    let clusters = sample_cluster_centers(params, &mut rng);
+    let threads = gcc_parallel::worthwhile_threads(threads, count, GAUSSIAN_NS);
+    let gaussians = if threads <= 1 {
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(sample_gaussian(params, &clusters, &mut rng));
+        }
+        out
+    } else {
+        let mut out = vec![Gaussian3D::default(); count];
+        scout_and_fill(params, &clusters, rng, &mut out, threads);
+        out
+    };
 
     Scene {
         name: params.name.to_string(),
@@ -42,6 +88,61 @@ pub fn build_scene(params: &PresetParams, config: &SceneConfig) -> Scene {
         rig: camera_rig(params),
         lod: None,
     }
+}
+
+/// The pipelined build of [`build_scene`]: the caller scouts `rng`'s
+/// stream for `out.len()` Gaussians, `threads - 1` helpers fill them in.
+fn scout_and_fill(
+    params: &PresetParams,
+    clusters: &[Cluster],
+    mut rng: StdRng,
+    out: &mut [Gaussian3D],
+    threads: usize,
+) {
+    type Job<'a> = (&'a mut [Gaussian3D], Vec<(Head, StdRng)>);
+    let fill = |(block, heads): Job<'_>| {
+        for (slot, (head, mut rng)) in block.iter_mut().zip(heads) {
+            *slot = sample_tail(params, &head, &mut rng);
+        }
+    };
+    let (publish, published) = sync_channel::<Job<'_>>(BLOCKS_AHEAD);
+    let published = Mutex::new(published);
+    // `None` once the scout has hung up and the queue is drained. Only a
+    // thread with nothing else to do waits here, lock in hand.
+    let next = || {
+        let queue = published
+            .lock()
+            .expect("nothing panics with the queue in hand");
+        queue.recv().ok()
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(|| {
+                while let Some(job) = next() {
+                    fill(job);
+                }
+            });
+        }
+        for block in out.chunks_mut(BLOCK) {
+            let heads = block
+                .iter()
+                .map(|_| {
+                    let head = sample_head(params, clusters, &mut rng);
+                    let tail = rng.clone();
+                    rng.advance(TAIL_DRAWS);
+                    (head, tail)
+                })
+                .collect();
+            match publish.try_send((block, heads)) {
+                Ok(()) => {}
+                Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => fill(job),
+            }
+        }
+        drop(publish);
+        while let Some(job) = next() {
+            fill(job);
+        }
+    });
 }
 
 /// Azimuth (radians) from a truncated normal with σ = half-angle/2,
@@ -227,6 +328,7 @@ fn sample_opacity(params: &PresetParams, rng: &mut StdRng) -> f32 {
     }
 }
 
+#[inline(always)]
 fn sample_scale(params: &PresetParams, size_mul: f32, rng: &mut StdRng) -> Vec3 {
     let base = size_mul * (params.log_scale_mean + params.log_scale_sigma * normal(rng)).exp();
     // Trained 3DGS splats are strongly surfel-like: two comparable in-plane
@@ -241,6 +343,7 @@ fn sample_scale(params: &PresetParams, size_mul: f32, rng: &mut StdRng) -> Vec3 
     )
 }
 
+#[inline(always)]
 fn sample_rotation(rng: &mut StdRng) -> Quat {
     // Uniform random rotation (Shoemake).
     let u1: f32 = rng.gen();
@@ -251,6 +354,7 @@ fn sample_rotation(rng: &mut StdRng) -> Quat {
     Quat::new(a * u2.sin(), a * u2.cos(), b * u3.sin(), b * u3.cos())
 }
 
+#[inline(always)]
 fn sample_sh(rng: &mut StdRng) -> [f32; SH_FLOATS] {
     let mut sh = [0.0f32; SH_FLOATS];
     for c in 0..3 {
@@ -270,7 +374,17 @@ fn sample_sh(rng: &mut StdRng) -> [f32; SH_FLOATS] {
     sh
 }
 
-fn sample_gaussian(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng) -> Gaussian3D {
+/// What the scout reads off the stream for one Gaussian: everything whose
+/// draw count depends on the values drawn.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    position: Vec3,
+    opacity: f32,
+    size_mul: f32,
+}
+
+#[inline(always)]
+fn sample_head(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng) -> Head {
     let (position, role) = sample_position(params, clusters, rng);
     let mut opacity = sample_opacity(params, rng);
     if role == Role::Backdrop {
@@ -286,11 +400,33 @@ fn sample_gaussian(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng
         Role::Backdrop => 1.2,
         _ => 0.8,
     };
-    Gaussian3D::new(
+    Head {
         position,
-        sample_scale(params, size_mul, rng),
-        sample_rotation(rng),
         opacity,
+        size_mul,
+    }
+}
+
+/// Head and tail fused on one generator: the whole Gaussian.
+#[inline(always)]
+fn sample_gaussian(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng) -> Gaussian3D {
+    let head = sample_head(params, clusters, rng);
+    sample_tail(params, &head, rng)
+}
+
+/// The rest of the Gaussian `head` starts: exactly [`TAIL_DRAWS`] draws
+/// of `rng`, in this order.
+///
+/// The samplers on this path are `inline(always)`: with two callers (the
+/// fused loop, the fillers) the compiler otherwise stops inlining what it
+/// inlined for one, and the one-thread build gets 3–4 % slower.
+#[inline(always)]
+fn sample_tail(params: &PresetParams, head: &Head, rng: &mut StdRng) -> Gaussian3D {
+    Gaussian3D::new(
+        head.position,
+        sample_scale(params, head.size_mul, rng),
+        sample_rotation(rng),
+        head.opacity,
         sample_sh(rng),
     )
 }
@@ -321,7 +457,55 @@ fn camera_rig(params: &PresetParams) -> OrbitRig {
 
 #[cfg(test)]
 mod tests {
-    use crate::{SceneConfig, ScenePreset, ALL_PRESETS};
+    use super::*;
+    use crate::{ScenePreset, ALL_PRESETS};
+
+    #[test]
+    fn the_tail_of_a_gaussian_is_exactly_tail_draws_for_every_scene_kind() {
+        // What lets the scout step over a tail it does not evaluate. An
+        // edit to a tail sampler that changes its draw count fails here.
+        // Six presets, all three kinds; 200 Gaussians take every branch
+        // of `sample_position` and `sample_opacity`.
+        for preset in ALL_PRESETS {
+            let params = preset.params();
+            let mut rng = StdRng::seed_from_u64(params.seed);
+            let clusters = sample_cluster_centers(&params, &mut rng);
+            for _ in 0..200 {
+                let head = sample_head(&params, &clusters, &mut rng);
+                let mut stepped = rng.clone();
+                stepped.advance(TAIL_DRAWS);
+                sample_tail(&params, &head, &mut rng);
+                assert_eq!(rng.gen::<u64>(), stepped.gen::<u64>(), "{preset}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_pipeline_fills_what_the_fused_loop_builds_whatever_the_block_split() {
+        // Counts under the work floor never reach the pipeline through
+        // `build_scene`; it is driven directly, over a partial block, one
+        // block, a ragged last block and more threads than blocks.
+        for preset in [
+            ScenePreset::Palace,
+            ScenePreset::Truck,
+            ScenePreset::Drjohnson,
+        ] {
+            let params = preset.params();
+            for count in [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17] {
+                let mut rng = StdRng::seed_from_u64(params.seed);
+                let clusters = sample_cluster_centers(&params, &mut rng);
+                let mut fused_rng = rng.clone();
+                let fused: Vec<Gaussian3D> = (0..count)
+                    .map(|_| sample_gaussian(&params, &clusters, &mut fused_rng))
+                    .collect();
+                for threads in [2, 3, 8] {
+                    let mut out = vec![Gaussian3D::default(); count];
+                    scout_and_fill(&params, &clusters, rng.clone(), &mut out, threads);
+                    assert!(out == fused, "{preset} count {count} threads {threads}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn determinism_same_seed_same_scene() {

@@ -11,7 +11,10 @@
 //! document tree is built), the binary one slices records off a byte
 //! slice. Either way every Gaussian array ends with `capacity == len`,
 //! so [`Scene::approx_bytes`] does not depend on the format a scene was
-//! loaded from.
+//! loaded from. A JSON document's record arrays are decoded in chunks on
+//! the threads the caller can spare ([`load_scene_file_on`]), each array
+//! on as many as its length is worth; the scene decoded does not depend
+//! on how many those are.
 
 use crate::codec;
 use crate::json::{self, Reader};
@@ -19,6 +22,7 @@ use crate::lod::{read_binary_records, read_json_records, SceneLod};
 use crate::{OrbitRig, Scene};
 use gcc_core::PARAM_FLOATS;
 use gcc_math::Vec3;
+use gcc_parallel::available_threads;
 use std::fmt::Write as _;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
@@ -289,7 +293,8 @@ fn resolution_from_json(r: &mut Reader<'_>) -> Result<(u32, u32), String> {
     Ok((res[0], res[1]))
 }
 
-fn scene_from_json(s: &str) -> Result<Scene, String> {
+/// [`from_json_on`] with the error as the decoder words it.
+pub(crate) fn scene_from_json(s: &str, threads: usize) -> Result<Scene, String> {
     let mut r = Reader::new(s);
     let (mut name, mut resolution, mut fov_y_deg, mut rig) = (None, None, None, None);
     let (mut gaussians, mut lod) = (None, None);
@@ -308,9 +313,9 @@ fn scene_from_json(s: &str) -> Result<Scene, String> {
             "fov_y_deg" if fov_y_deg.is_none() => fov_y_deg = Some(f32_field(&mut r, &key)?),
             "rig" if rig.is_none() => rig = Some(rig_from_json(&mut r)?),
             "gaussians" if gaussians.is_none() => {
-                gaussians = Some(read_json_records(&mut r, "gaussian")?);
+                gaussians = Some(read_json_records(&mut r, "gaussian", threads)?);
             }
-            "lod" if lod.is_none() => lod = Some(SceneLod::read_json(&mut r)?),
+            "lod" if lod.is_none() => lod = Some(SceneLod::read_json_on(&mut r, threads)?),
             // The two keys that carry records: decoding a second copy to
             // throw it away is the cost this decoder exists to avoid.
             "gaussians" | "lod" => {
@@ -331,14 +336,26 @@ fn scene_from_json(s: &str) -> Result<Scene, String> {
 }
 
 /// Parses a scene from the JSON produced by [`to_json`]: one pass over
-/// `s`, keys in any order, unknown keys skipped.
+/// `s`, keys in any order, unknown keys skipped — on every hardware
+/// thread: [`from_json_on`] for a caller with nothing else running.
 ///
 /// # Errors
 ///
 /// Returns [`SceneIoError::Format`] for malformed JSON or a wrong schema,
 /// naming the byte offset where the tokenizer knows it.
 pub fn from_json(s: &str) -> Result<Scene, SceneIoError> {
-    scene_from_json(s).map_err(SceneIoError::Format)
+    from_json_on(s, available_threads())
+}
+
+/// [`from_json`] on up to `threads` threads — as many of them as each
+/// record array keeps busy. The scene decoded, or the error, is the same
+/// at every thread count.
+///
+/// # Errors
+///
+/// As [`from_json`].
+pub fn from_json_on(s: &str, threads: usize) -> Result<Scene, SceneIoError> {
+    scene_from_json(s, threads).map_err(SceneIoError::Format)
 }
 
 /// Writes the binary DRAM-image format.
@@ -488,25 +505,39 @@ pub fn write_json_file(scene: &Scene, path: &Path) -> Result<(), SceneIoError> {
 /// binary magic parse as the DRAM-image format, everything else as JSON.
 /// This is the loader handle the serving layer's cache uses for on-demand
 /// residency, so it must accept both interchange formats by content, not
-/// by extension. The file is read once and decoded from memory.
+/// by extension. The file is read once and decoded from memory, on every
+/// hardware thread: [`load_scene_file_on`] for a caller with nothing else
+/// running.
 ///
 /// # Errors
 ///
 /// Returns [`SceneIoError::Io`] for filesystem failures and
 /// [`SceneIoError::Format`] for malformed contents in either format.
 pub fn load_scene_file(path: &Path) -> Result<Scene, SceneIoError> {
-    decode_scene(&std::fs::read(path)?)
+    load_scene_file_on(path, available_threads())
+}
+
+/// [`load_scene_file`] on up to `threads` threads (what a serving worker
+/// is lent at the moment it loads). Only a JSON file has use for more than
+/// one — a binary file's decode is a copy — and the scene loaded, or the
+/// error, is the same at every thread count.
+///
+/// # Errors
+///
+/// As [`load_scene_file`].
+pub fn load_scene_file_on(path: &Path, threads: usize) -> Result<Scene, SceneIoError> {
+    decode_scene(&std::fs::read(path)?, threads)
 }
 
 /// Decodes a whole scene file held in memory, in the format its first
 /// bytes say it is. UTF-8 is validated over the full contents.
-pub(crate) fn decode_scene(bytes: &[u8]) -> Result<Scene, SceneIoError> {
+pub(crate) fn decode_scene(bytes: &[u8], threads: usize) -> Result<Scene, SceneIoError> {
     if bytes.starts_with(MAGIC) {
         return decode_binary(bytes);
     }
     let text = std::str::from_utf8(bytes)
         .map_err(|_| SceneIoError::Format("neither binary magic nor UTF-8 JSON".into()))?;
-    from_json(text)
+    from_json_on(text, threads)
 }
 
 #[cfg(test)]

@@ -251,6 +251,27 @@ fn exact_f32(src: &[u8], start: usize) -> Option<(f32, usize)> {
     Some((f32::from_bits(bits), end))
 }
 
+/// The offset of the first byte at or after `pos` that is not JSON
+/// whitespace.
+#[inline]
+fn ws_end(bytes: &[u8], mut pos: usize) -> usize {
+    while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        pos += 1;
+    }
+    pos
+}
+
+/// What [`Reader::flat_arrays`] found of an array of flat arrays.
+#[derive(Debug)]
+pub(crate) struct FlatArrays {
+    /// Offset of the `[` of every element the walk passed.
+    pub starts: Vec<usize>,
+    /// Offset of the array's own `]`, when the walk got that far: every
+    /// gap up to it checked out and `starts` is all the elements there
+    /// are.
+    pub close: Option<usize>,
+}
+
 /// A pull tokenizer over a JSON document.
 ///
 /// The consumer drives: it enters a container, asks for the next key or
@@ -308,10 +329,7 @@ impl<'a> Reader<'a> {
     }
 
     fn skip_ws(&mut self) {
-        let bytes = self.src.as_bytes();
-        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.pos = ws_end(self.src.as_bytes(), self.pos);
     }
 
     fn peek_byte(&self) -> Option<u8> {
@@ -604,6 +622,63 @@ impl<'a> Reader<'a> {
             ));
         }
         Ok(out)
+    }
+
+    /// Walks the array just entered ([`Self::begin_array`], nothing read
+    /// since) without decoding it, taking each element to be a flat array
+    /// that ends at the first `]` after its `[` and holds at least
+    /// `min_len` bytes. The walk holds the gaps between elements to
+    /// exactly what [`Self::next_element`] and [`Self::begin_array`]
+    /// accept between two arrays, and stops at the first thing that is
+    /// not one; what is *inside* an element it does not look at, so an
+    /// element that is no flat array of numbers — a nested array, a
+    /// string holding a bracket — shows up as an element the caller fails
+    /// to decode, or as a gap that does not check out.
+    ///
+    /// It is what lets a consumer of a long array of records size its
+    /// output once and decode the records out of order (each from
+    /// [`Self::at`] its start): when the walk reaches the closer and every
+    /// element decodes, the elements are what the sequential readers
+    /// would have read, because those stop at the same brackets.
+    pub(crate) fn flat_arrays(&self, min_len: usize) -> FlatArrays {
+        let bytes = self.src.as_bytes();
+        let skip_ws = |pos: usize| ws_end(bytes, pos);
+        let mut starts = Vec::new();
+        let mut pos = skip_ws(self.pos);
+        let mut close = (bytes.get(pos) == Some(&b']')).then_some(pos);
+        while close.is_none() && bytes.get(pos) == Some(&b'[') {
+            // `[` is ASCII, so `pos` is a character boundary.
+            let Some(len) = self.src[pos..].find(']').filter(|len| len + 1 >= min_len) else {
+                break;
+            };
+            starts.push(pos);
+            pos = skip_ws(pos + len + 1);
+            match bytes.get(pos) {
+                Some(b',') => pos = skip_ws(pos + 1),
+                Some(b']') => close = Some(pos),
+                _ => break,
+            }
+        }
+        FlatArrays { starts, close }
+    }
+
+    /// A reader of the same document inside the same containers, its
+    /// cursor at `pos` with a value due there.
+    pub(crate) fn at(&self, pos: usize) -> Self {
+        Self {
+            src: self.src,
+            pos,
+            depth: self.depth,
+            fresh: false,
+        }
+    }
+
+    /// Leaves the current array through its closer at `close`, as found by
+    /// [`Self::flat_arrays`], skipping what lies before it.
+    pub(crate) fn leave_array_at(&mut self, close: usize) {
+        self.pos = close;
+        let more = self.next_element();
+        debug_assert_eq!(more, Ok(false));
     }
 
     /// A string, unescaped; borrowed from the input when it holds no
@@ -1082,8 +1157,14 @@ mod tests {
         let full = scene_doc(&record(&good));
         let spaced = scene_doc(&format!("[ {} ]", good.join(" , ")));
 
+        // One thread is the sequential loop; two and three decode an
+        // array span by span.
+        const THREADS: [usize; 3] = [1, 2, 3];
         for (label, doc) in [("compact", &full), ("spaced", &spaced)] {
-            let scene = io::from_json(doc).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let [scene, ..] = THREADS.map(|threads| {
+                io::scene_from_json(doc, threads)
+                    .unwrap_or_else(|e| panic!("{label} on {threads} threads: {e}"))
+            });
             let digest = scene
                 .gaussians
                 .iter()
@@ -1137,9 +1218,11 @@ mod tests {
             ),
         ];
         for (doc, want) in rejected {
-            match io::from_json(&doc) {
-                Err(io::SceneIoError::Format(got)) => assert_eq!(got, want),
-                other => panic!("{want}: got {other:?}"),
+            for threads in THREADS {
+                match io::scene_from_json(&doc, threads) {
+                    Err(got) => assert_eq!(got, want, "on {threads} threads"),
+                    Ok(scene) => panic!("{want}: {threads} threads read {scene:?}"),
+                }
             }
         }
     }

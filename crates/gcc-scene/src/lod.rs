@@ -15,19 +15,48 @@
 use crate::codec;
 use crate::json::Reader;
 use gcc_core::{Gaussian3D, PARAM_FLOATS};
+use gcc_parallel::par_chunks_mut;
 use std::fmt::Write as _;
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Decodes a JSON array of 59-number records in one pass, each number
-/// parsed once from its source text. The result ends with
+/// The least text a record takes: 59 one-digit numbers, 58 commas and the
+/// two brackets. A shorter element cannot be one, so [`read_json_records`]
+/// never sizes its output from a count the text cannot back with data: at
+/// most 236 resident bytes for every 119 of input.
+const MIN_RECORD_BYTES: usize = 2 * PARAM_FLOATS + 1;
+
+/// Rough cost of decoding one record on one thread, for the chunked maps'
+/// work floor (5 040 records in 5.2 ms): an array of fewer than 800 is
+/// decoded by the thread that walked it.
+const RECORD_NS: u32 = 1_000;
+
+/// Decodes a JSON array of 59-number records, each number parsed once
+/// from its source text, on up to `threads` threads. The result ends with
 /// `capacity == len`, which is what `approx_bytes` charges.
+///
+/// One thread reads record after record into a growing `Vec` (sizing it
+/// from a count first was measured and is slower there: EXPERIMENTS.md
+/// "PR 22", "What one thread pays"). More walk the array for its record
+/// spans first ([`read_json_spans`]); whatever that does not make a whole
+/// array of is this loop's to read from the same cursor, so every error
+/// and its offset are produced by the one piece of code that words them.
 ///
 /// # Errors
 ///
 /// Names the index (and `what` cloud) of the first record that is not
 /// exactly 59 in-range numbers.
-pub(crate) fn read_json_records(r: &mut Reader<'_>, what: &str) -> Result<Vec<Gaussian3D>, String> {
+pub(crate) fn read_json_records(
+    r: &mut Reader<'_>,
+    what: &str,
+    threads: usize,
+) -> Result<Vec<Gaussian3D>, String> {
     r.begin_array()?;
+    if threads > 1 {
+        if let Some(out) = read_json_spans(r, threads) {
+            return Ok(out);
+        }
+    }
     let mut out = Vec::new();
     while r.next_element()? {
         let floats = r
@@ -37,6 +66,44 @@ pub(crate) fn read_json_records(r: &mut Reader<'_>, what: &str) -> Result<Vec<Ga
     }
     out.shrink_to_fit();
     Ok(out)
+}
+
+/// The array `r` has just entered, decoded span by span on as many of
+/// `threads` threads as its records keep busy ([`RECORD_NS`] each: every
+/// array of a document is weighed on its own, so a hierarchy's short
+/// levels spawn nothing), with `r` left behind it — or `None`, and `r`
+/// where it was.
+///
+/// [`Reader::flat_arrays`] finds where each record starts and how many
+/// there are, so the output is allocated once, at its final size, and
+/// every chunk of records is decoded — with the `f32_array::<59>` the
+/// sequential loop runs, from the offsets it would run it at — straight
+/// into its own part of it. That stands only if the walk reached the
+/// array's closer and every span decoded.
+fn read_json_spans(r: &mut Reader<'_>, threads: usize) -> Option<Vec<Gaussian3D>> {
+    let spans = r.flat_arrays(MIN_RECORD_BYTES);
+    let close = spans.close?;
+    let starts = &spans.starts[..];
+    let mut out = vec![Gaussian3D::default(); starts.len()];
+    // Publishes nothing: a failed decode's output is dropped, a whole
+    // one's is read after `par_chunks_mut` has joined its threads.
+    let failed = AtomicBool::new(false);
+    par_chunks_mut(&mut out, threads, RECORD_NS, |offset, chunk| {
+        for (slot, &start) in chunk.iter_mut().zip(&starts[offset..]) {
+            if failed.load(Ordering::Relaxed) {
+                return;
+            }
+            match r.at(start).f32_array::<PARAM_FLOATS>() {
+                Ok(floats) => *slot = Gaussian3D::from_floats(&floats),
+                Err(_) => return failed.store(true, Ordering::Relaxed),
+            }
+        }
+    });
+    if failed.into_inner() {
+        return None;
+    }
+    r.leave_array_at(close);
+    Some(out)
 }
 
 /// Decodes `count` little-endian 59-float records off the front of `r`.
@@ -89,7 +156,7 @@ impl LodLevel {
     }
 
     /// Reads level `li` of a hierarchy's `levels` array.
-    fn read_json(r: &mut Reader<'_>, li: usize) -> Result<Self, String> {
+    fn read_json(r: &mut Reader<'_>, li: usize, threads: usize) -> Result<Self, String> {
         let (mut cell_size, mut gaussians) = (None, None);
         r.begin_object()?;
         while let Some(key) = r.next_key()? {
@@ -101,7 +168,8 @@ impl LodLevel {
                     cell_size = Some(v?);
                 }
                 "gaussians" if gaussians.is_none() => {
-                    gaussians = Some(read_json_records(r, &format!("lod level {li} gaussian"))?);
+                    let what = format!("lod level {li} gaussian");
+                    gaussians = Some(read_json_records(r, &what, threads)?);
                 }
                 "gaussians" => {
                     return Err(format!(
@@ -202,7 +270,8 @@ impl SceneLod {
     }
 
     /// Reads the object produced by [`Self::write_json`] (spaced or not,
-    /// keys in any order, unknown keys skipped) off `r`, in one pass.
+    /// keys in any order, unknown keys skipped) off `r`, in one pass on
+    /// the calling thread.
     ///
     /// # Errors
     ///
@@ -210,6 +279,12 @@ impl SceneLod {
     /// repeated `levels` or `gaussians` key is one: a streaming decoder
     /// would pay for both arrays to keep one.
     pub fn read_json(r: &mut Reader<'_>) -> Result<Self, String> {
+        Self::read_json_on(r, 1)
+    }
+
+    /// [`Self::read_json`] with every level's records decoded on
+    /// `threads` threads (see [`read_json_records`]).
+    pub(crate) fn read_json_on(r: &mut Reader<'_>, threads: usize) -> Result<Self, String> {
         let (mut seed, mut levels) = (None, None);
         r.begin_object()?;
         while let Some(key) = r.next_key()? {
@@ -221,7 +296,7 @@ impl SceneLod {
                     let mut read = Vec::new();
                     r.begin_array()?;
                     while r.next_element()? {
-                        read.push(LodLevel::read_json(r, read.len())?);
+                        read.push(LodLevel::read_json(r, read.len(), threads)?);
                     }
                     levels = Some(read);
                 }
@@ -340,6 +415,64 @@ mod tests {
         let back = SceneLod::read_json(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, lod);
+    }
+
+    #[test]
+    fn records_decode_in_chunks_only_when_every_span_is_a_record() {
+        let level = &sample_lod().levels[0];
+        let record = |g: &Gaussian3D| format!("{:?}", g.to_floats()).replace(' ', "");
+        let records: Vec<String> = level.gaussians.iter().map(record).collect();
+        let doc = format!("[{}] ", records.join(","));
+        let entered = |doc| {
+            let mut r = Reader::new(doc);
+            r.begin_array().unwrap();
+            r
+        };
+        for threads in [2, 3, 8] {
+            let mut r = entered(&doc);
+            let chunked = read_json_spans(&mut r, threads);
+            assert_eq!(chunked.as_ref(), Some(&level.gaussians), "{threads}");
+            assert_eq!(r.offset(), doc.len() - 1, "left behind the closer");
+            r.finish().unwrap();
+        }
+        // Long enough to clear the work floor, the array is decoded on
+        // helper threads too, into what one thread reads.
+        let long = format!("[{}]", vec![records.join(","); 1000].join(","));
+        let [one, more @ ..] = [1, 2, 3, 8].map(|threads| {
+            let mut r = Reader::new(&long);
+            let read = read_json_records(&mut r, "g", threads).unwrap();
+            r.finish().unwrap();
+            read
+        });
+        assert_eq!(one.len(), 3000);
+        assert!(more.iter().all(|read| *read == one));
+        // A hierarchy's short levels are not: each array is weighed alone.
+        assert_eq!(gcc_parallel::worthwhile_threads(8, 799, RECORD_NS), 1);
+        assert_eq!(gcc_parallel::worthwhile_threads(8, 1600, RECORD_NS), 4);
+        // One span that is no record: nothing of the chunked decode
+        // stands, the reader has not moved, and the error is the
+        // sequential loop's.
+        let bad = doc.replacen("],[", "],[true,", 1);
+        let mut r = entered(&bad);
+        assert_eq!(r.flat_arrays(MIN_RECORD_BYTES).starts.len(), 3);
+        assert_eq!(read_json_spans(&mut r, 2), None);
+        assert_eq!(r.offset(), 1);
+        for threads in [1, 2] {
+            let err = read_json_records(&mut Reader::new(&bad), "g", threads).unwrap_err();
+            assert!(err.starts_with("g 1: expected a number at byte"), "{err}");
+        }
+        // A span too short to be a record ends the walk where it stands.
+        let short = format!("[{},[0,1],{}]", records[0], records[1]);
+        let mut r = entered(&short);
+        let spans = r.flat_arrays(MIN_RECORD_BYTES);
+        assert_eq!((spans.starts.len(), spans.close), (1, None));
+        assert_eq!(read_json_spans(&mut r, 2), None);
+        // And an empty array is an empty cloud, chunked or not.
+        for threads in [1, 2] {
+            let mut r = Reader::new(" [ ] ");
+            assert_eq!(read_json_records(&mut r, "g", threads), Ok(Vec::new()));
+            r.finish().unwrap();
+        }
     }
 
     #[test]

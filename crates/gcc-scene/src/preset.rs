@@ -209,9 +209,17 @@ impl ScenePreset {
         }
     }
 
-    /// Builds the scene for this preset under `config`.
+    /// Builds the scene for this preset under `config`, on every hardware
+    /// thread: [`Self::build_on`] for a caller with nothing else running.
     pub fn build(&self, config: &SceneConfig) -> Scene {
-        crate::builder::build_scene(&self.params(), config)
+        self.build_on(config, gcc_parallel::available_threads())
+    }
+
+    /// Builds the scene for this preset under `config` on up to `threads`
+    /// threads (what a serving worker is lent at the moment it loads).
+    /// The scene is the same, bit for bit, at every thread count.
+    pub fn build_on(&self, config: &SceneConfig, threads: usize) -> Scene {
+        crate::builder::build_scene(&self.params(), config, threads)
     }
 }
 

@@ -44,6 +44,12 @@ impl StdRng {
 
     fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        self.step();
+        result
+    }
+
+    /// One state transition of xoshiro256.
+    fn step(&mut self) {
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -51,7 +57,18 @@ impl StdRng {
         self.s[0] ^= self.s[3];
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
-        result
+    }
+
+    /// Steps over the next `draws` draws: the state is left exactly where
+    /// `draws` discarded `gen::<u64>()` calls (or draws of any other type:
+    /// every [`Sample`] and [`SampleRange`] here consumes one) leave it,
+    /// without computing their outputs. It is how a reader of the stream
+    /// runs ahead of the consumers of its draws: clone the generator,
+    /// `advance` past what the clone's owner will draw, and carry on.
+    pub fn advance(&mut self, draws: usize) {
+        for _ in 0..draws {
+            self.step();
+        }
     }
 
     /// Uniform sample in `[0, 1)` with 24 bits of mantissa entropy.
@@ -153,6 +170,35 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn advance_leaves_the_state_discarded_draws_leave() {
+        for n in (0..=300).chain([1_000_003]) {
+            let mut drawn = StdRng::seed_from_u64(0x0AD7_A9CE);
+            let mut advanced = drawn.clone();
+            for _ in 0..n {
+                let _: u64 = drawn.gen();
+            }
+            advanced.advance(n);
+            assert_eq!(advanced.s, drawn.s, "n = {n}");
+            assert_eq!(advanced.next_u64(), drawn.next_u64(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn every_sampler_consumes_one_draw() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut one = rng.clone();
+        let _: f32 = rng.gen();
+        one.advance(1);
+        assert_eq!(rng.s, one.s);
+        let _ = rng.gen_range(-1.0f32..1.0);
+        one.advance(1);
+        assert_eq!(rng.s, one.s);
+        let _ = rng.gen_range(0usize..17);
+        one.advance(1);
+        assert_eq!(rng.s, one.s);
     }
 
     #[test]

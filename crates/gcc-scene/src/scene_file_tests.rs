@@ -155,10 +155,32 @@ fn same_scene(a: &Scene, b: &Scene) -> bool {
         && a.lod == b.lod
 }
 
-/// Decodes `doc` both ways and checks they agree; returns the streaming
-/// decoder's result.
+/// The thread counts every document is decoded on: one is the sequential
+/// loop, two and three walk every record array for its spans and decode
+/// it span by span (arrays this short on the thread that walked them:
+/// what a walk can get wrong is where it splits, which no thread changes).
+const THREADS: [usize; 3] = [1, 2, 3];
+
+/// Decodes `doc` on every count of [`THREADS`] and checks that chunking
+/// changes nothing: the same scene, or the same error to the letter.
+/// Returns the sequential result.
+fn on_every_thread_count(doc: &str, why: &str) -> Result<Scene, SceneIoError> {
+    let [sequential, chunked @ ..] = THREADS.map(|threads| io::scene_from_json(doc, threads));
+    for (chunked, threads) in chunked.iter().zip(&THREADS[1..]) {
+        match (&sequential, chunked) {
+            (Ok(s), Ok(c)) => assert!(same_scene(s, c), "{why}: {threads} threads, scenes differ"),
+            (Err(s), Err(c)) => assert_eq!(s, c, "{why}: {threads} threads"),
+            (Ok(_), Err(e)) => panic!("{why}: {threads} threads reject what one accepts ({e})"),
+            (Err(e), Ok(_)) => panic!("{why}: {threads} threads accept what one rejects ({e})"),
+        }
+    }
+    sequential.map_err(SceneIoError::Format)
+}
+
+/// Decodes `doc` both ways — the streaming decoder on every thread count —
+/// and checks they agree; returns the streaming decoder's result.
 fn agree(doc: &str, why: &str) -> Result<Scene, SceneIoError> {
-    let streamed = io::from_json(doc);
+    let streamed = on_every_thread_count(doc, why);
     match (&streamed, from_json_dom(doc)) {
         (Ok(s), Ok(r)) => assert!(same_scene(s, &r), "{why}: decoded scenes differ"),
         (Err(_), Err(_)) => {}
@@ -347,6 +369,120 @@ fn scene_errors_name_the_record_and_the_byte_offset() {
     assert!(agree(&huge, "huge cell_size").is_err());
 }
 
+// ---- documents the span walk could mis-split ----
+
+/// The compact document of a scene with `records` Gaussians and no
+/// hierarchy, and the offsets of its records' opening brackets.
+fn flat_doc(records: usize) -> (String, Vec<usize>) {
+    let mut scene = ScenePreset::Lego.build(&SceneConfig::with_scale(0.002));
+    scene.gaussians.truncate(records);
+    assert_eq!(scene.len(), records);
+    let doc = io::to_json(&scene, false).unwrap();
+    let array = doc.find("\"gaussians\":[").unwrap() + "\"gaussians\":[".len();
+    let mut starts = vec![array];
+    starts.extend(
+        doc[array..]
+            .match_indices("],[")
+            .map(|(at, _)| array + at + 2),
+    );
+    assert_eq!(starts.len(), records);
+    (doc, starts)
+}
+
+#[test]
+fn brackets_where_the_span_walk_does_not_expect_them_change_nothing() {
+    let (doc, starts) = flat_doc(9);
+    let third = starts[2];
+    // The first number of the third record, and what follows it.
+    let comma = third + doc[third..].find(',').unwrap();
+    let (head, first, rest) = (&doc[..third + 1], &doc[third + 1..comma], &doc[comma..]);
+    let refused = [
+        ("nested array", format!("{head}[{first}]{rest}")),
+        ("nested empty array", format!("{head}{first},[]{rest}")),
+        ("string holding ]", format!("{head}\"]\"{rest}")),
+        ("string holding [", format!("{head}\"[\"{rest}")),
+        ("string faking a gap", format!("{head}\"],[\"{rest}")),
+        ("object holding ]", format!("{head}{{\"]\":0}}{rest}")),
+        ("58 numbers", format!("{head}{}", &rest[1..])),
+        ("60 numbers", format!("{head}0,{first}{rest}")),
+        (
+            "empty record",
+            format!("{}[],{}", &doc[..third], &doc[third..]),
+        ),
+        (
+            "stray closer",
+            format!("{}],{}", &doc[..third], &doc[third..]),
+        ),
+        (
+            "doubled comma",
+            format!("{},{}", &doc[..third], &doc[third..]),
+        ),
+        (
+            "leading comma",
+            format!("{},{}", &doc[..starts[0]], &doc[starts[0]..]),
+        ),
+        ("trailing comma", doc.replacen("]]", "],]", 1)),
+        (
+            "missing comma",
+            format!("{}{}", &doc[..third - 1], &doc[third..]),
+        ),
+        (
+            "number between records",
+            format!("{}7,{}", &doc[..third], &doc[third..]),
+        ),
+    ];
+    for (what, bad) in &refused {
+        assert_ne!(bad, &doc, "{what}");
+        let err = agree(bad, what).unwrap_err().to_string();
+        // Two whole records were read before the walk's guess went wrong.
+        let named = ["gaussian 2:", "gaussian 3:", "at byte"];
+        assert!(named.iter().any(|n| err.contains(n)), "{what}: {err}");
+    }
+    // A file that ends inside the array, at and around every boundary the
+    // walk steps over.
+    for &start in &starts[1..] {
+        for cut in start - 2..start + 3 {
+            assert!(agree(&doc[..cut], "cut inside the array").is_err());
+        }
+    }
+    // An empty array, bare and spaced.
+    let close = doc.rfind("]]").unwrap() + 1;
+    for gap in ["", " ", "\n\t "] {
+        let empty = format!("{}{gap}{}", &doc[..starts[0]], &doc[close..]);
+        assert!(agree(&empty, "empty array").unwrap().gaussians.is_empty());
+    }
+}
+
+#[test]
+fn whitespace_between_records_and_a_lod_section_after_them_decode_chunked() {
+    let scene = with_lod({
+        let mut scene = ScenePreset::Train.build(&SceneConfig::with_scale(0.002));
+        scene.gaussians.truncate(40);
+        scene
+    });
+    // `to_json` writes `lod` after `gaussians`; the pretty form puts a
+    // newline and an indent between records.
+    for pretty in [false, true] {
+        let doc = io::to_json(&scene, pretty).unwrap();
+        assert!(doc.find("\"lod\"").unwrap() > doc.find("\"gaussians\"").unwrap());
+        let back = agree(&doc, "lod after gaussians").unwrap();
+        assert!(same_scene(&back, &scene), "pretty={pretty}");
+    }
+    // Every gap the grammar allows, stretched: before the first record,
+    // around each comma, before the closer — and inside the records.
+    let doc = io::to_json(&scene, false).unwrap();
+    let stretched = doc
+        .replace("],[", "] \r\n,\t\n [")
+        .replace("[[", "[ \n[ ")
+        .replace("]]", " ]\n\t]");
+    assert_ne!(stretched, doc);
+    let back = agree(&stretched, "stretched gaps").unwrap();
+    assert!(same_scene(&back, &scene));
+    // Exponents and a cut number do not move a span's end.
+    let exponent = doc.replacen("],[", "],[1e0,", 1);
+    assert!(agree(&exponent, "60 numbers, one an exponent").is_err());
+}
+
 // ---- resident size does not depend on the format ----
 
 #[test]
@@ -411,7 +547,7 @@ fn mutated_json_scenes_never_panic_and_both_decoders_agree() {
             // What `load_scene_file` answers for such a file.
             Err(_) => {
                 not_text += 1;
-                let err = io::decode_scene(&bytes).unwrap_err();
+                let err = io::decode_scene(&bytes, 1).unwrap_err();
                 assert!(matches!(err, SceneIoError::Format(_)), "{err}");
             }
         }
@@ -428,7 +564,7 @@ fn mutated_binary_scenes_never_panic() {
     let scene = tiny_scene();
     let mut image = Vec::new();
     io::write_binary(&scene, &mut image).unwrap();
-    assert!(same_scene(&io::decode_scene(&image).unwrap(), &scene));
+    assert!(same_scene(&io::decode_scene(&image, 1).unwrap(), &scene));
     // Where the scene's own records end and the LOD flag sits.
     let mut flagless = scene.clone();
     flagless.lod = None;
@@ -436,7 +572,7 @@ fn mutated_binary_scenes_never_panic() {
     io::write_binary(&flagless, &mut head).unwrap();
     let flag_at = head.len() - 1;
     for cut in 0..image.len() {
-        match io::decode_scene(&image[..cut]) {
+        match io::decode_scene(&image[..cut], 1) {
             // A file from before the LOD section ends at the flag byte.
             Ok(back) => assert!(cut == flag_at && back.lod.is_none(), "cut at {cut}"),
             // Shorter than the magic, such a file is read as JSON.
@@ -449,7 +585,7 @@ fn mutated_binary_scenes_never_panic() {
     }
     let (mut decoded, mut refused) = (0, 0);
     for bytes in mutations(&image, 6000, 0x5CE7_E003) {
-        match io::decode_scene(&bytes) {
+        match io::decode_scene(&bytes, 1) {
             Ok(_) => decoded += 1,
             Err(_) => refused += 1,
         }
@@ -472,7 +608,7 @@ fn binary_record_counts_are_checked_against_the_bytes_in_hand() {
     assert_eq!(image[count_at..count_at + 8], 6u64.to_le_bytes());
     for count in [7u64, 1 << 24, u64::MAX / 236, u64::MAX] {
         image[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
-        match io::decode_scene(&image).unwrap_err() {
+        match io::decode_scene(&image, 1).unwrap_err() {
             SceneIoError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
             other => panic!("count {count}: {other}"),
         }

@@ -3,7 +3,9 @@
 //!
 //! Both decoders size their `Vec`s from the input: the binary one checks
 //! a declared record count against the bytes left before reserving, the
-//! JSON one grows as records arrive. This test watches every allocation
+//! JSON one grows as records arrive on one thread and, on several, counts
+//! the record spans the text holds — spans long enough to be records —
+//! and reserves exactly that many. This test watches every allocation
 //! a decode makes — through a counting global allocator, which is why it
 //! is an integration test of its own: the crate itself forbids `unsafe`
 //! — over truncations at every offset, seeded byte edits and forged
@@ -48,7 +50,11 @@ static ALLOCATOR: Watching = Watching;
 /// A record is 236 bytes resident and at least 120 bytes of JSON (59
 /// one-digit numbers, separators, brackets), and a growing `Vec` doubles:
 /// four times the input covers the worst case, the rest is slack for
-/// error strings and the name.
+/// error strings and the name. It is not twice the input because one
+/// thread still grows its `Vec`: sizing it once from a count was measured
+/// (PR 22, Palace@0.18: 5.96 → 6.38 ms with the span walk, 5.70 → 6.31
+/// from a byte bound) and not taken — EXPERIMENTS.md "What one thread
+/// pays". Only a decode on several threads allocates once.
 fn budget(input: usize) -> usize {
     4 * input + 4096
 }
@@ -141,9 +147,28 @@ fn no_decode_reserves_more_than_its_input_justifies() {
     }
 
     // The smallest records there can be: the JSON worst case above.
-    let dense = format!(
-        "{{\"gaussians\":[{}]}}",
-        vec![format!("[{}]", vec!["0"; 59].join(",")); 300].join(",")
+    let dense = |records: usize| {
+        format!(
+            "{{\"gaussians\":[{}]}}",
+            vec![format!("[{}]", vec!["0"; 59].join(",")); records].join(",")
+        )
+    };
+    check_json(&dense(300), "dense records");
+
+    // Long enough (600 KB) to be decoded in chunks on two threads: the
+    // array is sized once, from its span count, so twice the input
+    // covers it (the document is then refused for the fields it lacks).
+    // Cut anywhere, the walk stops short and the growing `Vec`'s budget
+    // holds.
+    let long = dense(5000);
+    let largest = largest_request(|| drop(io::from_json_on(&long, 2)));
+    assert!(
+        largest <= budget(long.len()) / 2,
+        "{} bytes of dense records made the chunked decoder ask for {largest} bytes",
+        long.len()
     );
-    check_json(&dense, "dense records");
+    for cut in [long.len() / 3, long.len() / 2, long.len() - 2] {
+        let largest = largest_request(|| drop(io::from_json_on(&long[..cut], 2)));
+        assert!(largest <= budget(cut), "cut at {cut}: {largest} bytes");
+    }
 }

@@ -1180,12 +1180,12 @@ impl Shared {
     /// One attempt at a cold scene, start to finish and counted busy
     /// throughout: the source's load, then — for a scene that ships
     /// without a hierarchy under a policy that asks for one — the
-    /// hierarchy build, on the threads lent at that moment. Lock-free CPU
-    /// and I/O work on a scene no consumer shares yet; the hierarchy's
-    /// bytes are charged to the cache budget on insert.
+    /// hierarchy build, each on the threads lent at the moment it starts.
+    /// Lock-free CPU and I/O work on a scene no consumer shares yet; the
+    /// hierarchy's bytes are charged to the cache budget on insert.
     fn load_scene(&self, source: &SceneSource) -> Result<Arc<Scene>, LoadError> {
         let _busy = Busy::enter(&self.busy);
-        let mut scene = source.load_classified()?;
+        let mut scene = source.load_classified_on(self.lent_threads())?;
         if let Some(policy) = &self.lod {
             if policy.build_on_load && scene.lod.is_none() {
                 // Any thread count builds the same hierarchy, so the
@@ -1757,6 +1757,47 @@ mod tests {
         assert_eq!(stats.streams.opened, 6);
         assert_eq!(stats.streams.completed, 6);
         assert_eq!(stats.streams.cancelled, 0);
+    }
+
+    #[test]
+    fn a_cold_load_on_lent_threads_leaves_the_scene_a_direct_build_is() {
+        // Big enough that a second thread is worth it to both kinds of
+        // source that have use for one: the preset's synthesis and the
+        // JSON file's decode.
+        let config = SceneConfig::with_scale(0.25);
+        let built = ScenePreset::Lego.build_on(&config, 1);
+        let dir = std::env::temp_dir().join(format!("gcc_serve_lent_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lego.json");
+        gcc_scene::io::write_json_file(&built, &path).unwrap();
+        let preset = SceneSource::Preset {
+            preset: ScenePreset::Lego,
+            scale: config.scale,
+        };
+        let reg = vec![
+            ("preset".to_string(), preset),
+            ("file".to_string(), SceneSource::File(path)),
+        ];
+        let service = RenderService::new(
+            ServeConfig {
+                workers: 2,
+                ..ServeConfig::default()
+            },
+            reg,
+        );
+        for id in ["preset", "file"] {
+            // One request at a time: the other worker is idle, so on a
+            // host with a second core the load is lent it.
+            service
+                .render_blocking(RenderRequest::trajectory(id, 0.0))
+                .unwrap();
+            let resident = service.shared.state.lock().unwrap().cache.get(id).unwrap();
+            assert_eq!(resident.name, built.name, "{id}");
+            assert!(resident.gaussians == built.gaussians, "{id}");
+            assert_eq!(resident.gaussians.capacity(), built.len(), "{id}");
+        }
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

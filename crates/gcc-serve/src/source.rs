@@ -3,6 +3,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use gcc_parallel::available_threads;
 use gcc_scene::{Scene, SceneConfig, ScenePreset};
 
 use crate::fault::{FaultPlan, LoadFault};
@@ -43,7 +44,7 @@ pub enum SceneSource {
         scale: f32,
     },
     /// Load from a scene file, sniffing the binary DRAM-image format vs
-    /// JSON by content ([`gcc_scene::io::load_scene_file`]).
+    /// JSON by content ([`gcc_scene::io::load_scene_file_on`]).
     File(PathBuf),
     /// An already-built scene (embedders, tests). Loading is a cheap
     /// `Arc` clone — note the cache still accounts its full byte size.
@@ -77,15 +78,29 @@ impl SceneSource {
         }
     }
 
-    /// Loads the scene. Errors are stringified so they can fan out to
-    /// every request waiting on this load.
+    /// Loads the scene on every hardware thread: [`Self::load_on`] for a
+    /// caller with nothing else running. Errors are stringified so they
+    /// can fan out to every request waiting on this load.
     pub fn load(&self) -> Result<Arc<Scene>, String> {
-        self.load_classified().map_err(|e| e.message)
+        self.load_on(available_threads())
     }
 
     /// [`Self::load`] with the retryable-vs-fatal classification the
     /// service's retry loop dispatches on.
     pub fn load_classified(&self) -> Result<Arc<Scene>, LoadError> {
+        self.load_classified_on(available_threads())
+    }
+
+    /// Loads the scene on up to `threads` threads — what a preset's
+    /// synthesis and a JSON file's decode spread over; the scene loaded
+    /// is the same, bit for bit, at every count.
+    pub fn load_on(&self, threads: usize) -> Result<Arc<Scene>, String> {
+        self.load_classified_on(threads).map_err(|e| e.message)
+    }
+
+    /// [`Self::load_on`] with [`Self::load_classified`]'s classification:
+    /// the form a service worker calls, with the threads it is lent.
+    pub fn load_classified_on(&self, threads: usize) -> Result<Arc<Scene>, LoadError> {
         match self {
             Self::Preset { preset, scale } => {
                 if !(*scale > 0.0 && *scale <= 100.0) {
@@ -94,9 +109,10 @@ impl SceneSource {
                         "preset scale {scale} out of range (0, 100]"
                     )));
                 }
-                Ok(Arc::new(preset.build(&SceneConfig::with_scale(*scale))))
+                let config = SceneConfig::with_scale(*scale);
+                Ok(Arc::new(preset.build_on(&config, threads)))
             }
-            Self::File(path) => gcc_scene::io::load_scene_file(path)
+            Self::File(path) => gcc_scene::io::load_scene_file_on(path, threads)
                 .map(Arc::new)
                 .map_err(|e| LoadError {
                     retryable: e.is_retryable(),
@@ -114,9 +130,9 @@ impl SceneSource {
                 Some(LoadFault::Panic) => panic!("injected load panic for '{label}'"),
                 Some(LoadFault::Slow(delay)) => {
                     std::thread::sleep(delay);
-                    inner.load_classified()
+                    inner.load_classified_on(threads)
                 }
-                None => inner.load_classified(),
+                None => inner.load_classified_on(threads),
             },
             #[cfg(test)]
             Self::PanicsOnLoad => panic!("scene load blew up"),

@@ -2,7 +2,10 @@
 //! every float of every Gaussian, for each preset at two test scales, the
 //! repo benchmark's five scenes, and two seeds of each — so "the same
 //! scene, bit for bit" is something the suite checks whatever route a
-//! scene was built through.
+//! scene was built through and on however many threads. (That a cold load
+//! inside a `RenderService` leaves the same scene resident is checked
+//! where the cache can be looked into: `gcc-serve`'s
+//! `a_cold_load_on_lent_threads_leaves_the_scene_a_direct_build_is`.)
 //!
 //! To re-pin after an *intended* change to the synthesis, run
 //! `cargo test --test scene_digests -- --nocapture`: on a mismatch the
@@ -76,16 +79,19 @@ fn config(scale: f32, seed: Option<u64>) -> SceneConfig {
     }
 }
 
-/// Digests of every pinned scene as `build` builds it, checked against
+/// Digests of every pinned scene as `build` builds it under the seeds of
+/// `columns` (0: the preset's own, 1: [`OTHER_SEED`]), checked against
 /// [`PINS`]; on a mismatch the measured table is printed paste-ready.
-fn check(route: &str, build: impl Fn(ScenePreset, &SceneConfig) -> Scene) {
+fn check(route: &str, columns: &[usize], build: impl Fn(ScenePreset, &SceneConfig) -> Scene) {
     let scenes = pinned_scenes();
-    let measured: Vec<[u64; 2]> = scenes
-        .iter()
-        .map(|&(preset, scale)| {
-            [None, Some(OTHER_SEED)].map(|seed| scene_digest(&build(preset, &config(scale, seed))))
-        })
-        .collect();
+    assert_eq!(scenes.len(), PINS.len());
+    let mut measured = PINS;
+    for (row, &(preset, scale)) in measured.iter_mut().zip(&scenes) {
+        for &column in columns {
+            let seed = [None, Some(OTHER_SEED)][column];
+            row[column] = scene_digest(&build(preset, &config(scale, seed)));
+        }
+    }
     if measured != PINS {
         println!("const PINS: [[u64; 2]; {}] = [", measured.len());
         for ([default, other], (preset, scale)) in measured.iter().zip(&scenes) {
@@ -99,10 +105,40 @@ fn check(route: &str, build: impl Fn(ScenePreset, &SceneConfig) -> Scene) {
             "{route}: {preset}@{scale} [default seed, seed {OTHER_SEED}]: {got:#018x?}"
         );
     }
-    assert_eq!(measured.len(), PINS.len());
 }
 
 #[test]
 fn every_preset_builds_its_pinned_scene() {
-    check("ScenePreset::build", |preset, config| preset.build(config));
+    check("ScenePreset::build", &[0, 1], |preset, config| {
+        preset.build(config)
+    });
+}
+
+#[test]
+fn every_thread_count_builds_the_pinned_scenes() {
+    // One thread is the fused loop, two the scout and one filler, three
+    // and eight more fillers than this host may have cores for.
+    for threads in [1, 2, 3, 8] {
+        check(
+            &format!("build_on(_, {threads})"),
+            &[0, 1],
+            |preset, config| preset.build_on(config, threads),
+        );
+    }
+}
+
+#[test]
+fn a_scene_source_loads_the_pinned_scenes() {
+    use gcc_repro::serve::SceneSource;
+    // A source has no seed of its own: the default seed's column.
+    for threads in [1, 2, 3] {
+        check(&format!("load_on({threads})"), &[0], |preset, config| {
+            let source = SceneSource::Preset {
+                preset,
+                scale: config.scale,
+            };
+            let scene = source.load_on(threads).expect("a preset builds");
+            std::sync::Arc::unwrap_or_clone(scene)
+        });
+    }
 }
