@@ -185,20 +185,22 @@ pub fn effective_row_span(p: &ProjectedGaussian, y: i32, x0: i32, x1: i32) -> (i
 /// pad, so the conservative-coverage guarantee is preserved.
 #[derive(Debug, Clone, Copy)]
 pub struct EffectiveSpanWalker {
-    x0: i32,
-    x1: i32,
+    // Crate-visible for the vector twins of `dispatch::RowSpansFn`, which
+    // step the same state and solve four rows at a time.
+    pub(crate) x0: i32,
+    pub(crate) x1: i32,
     /// Interval center in `dx`, linear in `dy`.
-    center: f64,
-    dcenter: f64,
+    pub(crate) center: f64,
+    pub(crate) dcenter: f64,
     /// Discriminant `a·rhs − det·dy²`, quadratic in `dy`.
-    disc: f64,
-    ddisc: f64,
-    dddisc: f64,
-    inv_a: f64,
+    pub(crate) disc: f64,
+    pub(crate) ddisc: f64,
+    pub(crate) dddisc: f64,
+    pub(crate) inv_a: f64,
     /// `μ′.x − 0.5`: converts `dx` to pixel x.
-    mx_off: f64,
+    pub(crate) mx_off: f64,
     /// Degenerate conic: every row falls back to the full `[x0, x1)`.
-    degenerate: bool,
+    pub(crate) degenerate: bool,
 }
 
 impl EffectiveSpanWalker {

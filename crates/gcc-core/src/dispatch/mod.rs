@@ -65,6 +65,7 @@ mod x86;
 #[allow(unsafe_code)]
 mod neon;
 
+use crate::alpha::EffectiveSpanWalker;
 use crate::bounds::EffectiveTest;
 use crate::{Gaussian3D, ProjectedGaussian};
 use std::sync::OnceLock;
@@ -254,6 +255,99 @@ fn block_powers_rows(cols: usize, row_lanes: usize, tile: &[f32]) -> usize {
     tile.len() / row_lanes
 }
 
+/// Solves the effective row spans of one (Gaussian, clip window) pair: row
+/// `r` of `lo` / `hi` receives what the `r`-th
+/// [`EffectiveSpanWalker::next_span`] call returns, as the half-open pixel
+/// interval `[lo[r], hi[r])` — inside the walker's clip window, and
+/// `lo[r] == hi[r]` (both the window's left edge) on a row the Gaussian
+/// cannot reach.
+///
+/// The scalar twin *is* that loop. The vector twins keep the walker's
+/// three `f64` forward differences per row as scalar adds in row order
+/// (they are a dependent chain, and not what costs) and run the tail of
+/// `next_span` — the sign test, `sqrt · inv_a`, the `floor` / `ceil`
+/// rounding with its one-pixel pads, the clip by `max` / `min`, the
+/// `lo ≥ hi` test and the two casts — on four rows per `f64` vector: each
+/// of those is one correctly rounded IEEE-754 operation, so a lane holds
+/// its row's scalar result bit for bit (a NaN discriminant takes the full
+/// window in both, through the same `max` / `min` operand order).
+///
+/// # Panics
+///
+/// Panics when `lo` and `hi` differ in length.
+pub type RowSpansFn = fn(walker: EffectiveSpanWalker, lo: &mut [i32], hi: &mut [i32]);
+
+/// Fills a power tile from per-row spans — the standard schedule's fill of
+/// the blend loop. `tile` is `lo.len()` rows of `row_lanes` lanes whose
+/// first lane is pixel `origin` in `p`'s coordinates, and `[lo[r], hi[r])`
+/// are the pixels of row `r` that can contribute, none when
+/// `lo[r] >= hi[r]`. Returns the lane range of `tile` from the first to
+/// the last non-empty row (whole rows; `0..0` when every row is empty) —
+/// what the exponential + blend tail has to visit. Inside that range, row
+/// `r` receives the [`RowAlpha`](crate::alpha::RowAlpha) chain **started
+/// at the row's own `lo[r]`** (`RowAlpha::new(p, lo[r], origin.1 + r)`,
+/// then `power += step; step += curve` per pixel) in the lanes of its
+/// span and [`PAD_POWER`](crate::alpha::PAD_POWER) in every other lane;
+/// rows outside the range are left as they were.
+///
+/// Empty rows may sit anywhere, also between two non-empty ones (the
+/// intersection with an OBB span can round one in). The SIMD twins put
+/// the rows in the vector lanes with one start column per lane: every
+/// lane builds `RowAlpha::new`'s expression tree operation for operation
+/// (`(a·dx)·dx + ((2b)·dx)·dy + (c·dy)·dy`, separate multiplies and
+/// adds) from its own `dx`, the chains advance together for the longest
+/// span of the lane group, and each row's values are transposed out and
+/// stored at its own column offset.
+///
+/// # Panics
+///
+/// Panics when `lo` and `hi` differ in length, `row_lanes` is not a
+/// positive multiple of [`BLEND_LANES`], `tile` is not `lo.len()` rows,
+/// or a non-empty span leaves its row (`lo[r] < origin.0` or
+/// `hi[r] − origin.0 > row_lanes`).
+pub type SpanPowersFn = fn(
+    p: &ProjectedGaussian,
+    origin: (i32, i32),
+    lo: &[i32],
+    hi: &[i32],
+    row_lanes: usize,
+    tile: &mut [f32],
+) -> std::ops::Range<usize>;
+
+/// The shape check every [`SpanPowersFn`] twin runs first; returns the
+/// rows from the first to the last non-empty one, `None` when every row
+/// is empty. After it, `0 ≤ lo[r] − x0 < hi[r] − x0 ≤ row_lanes` holds on
+/// every non-empty row.
+fn span_powers_rows(
+    x0: i32,
+    lo: &[i32],
+    hi: &[i32],
+    row_lanes: usize,
+    tile: &[f32],
+) -> Option<std::ops::Range<usize>> {
+    assert!(
+        lo.len() == hi.len()
+            && row_lanes > 0
+            && row_lanes.is_multiple_of(BLEND_LANES)
+            && tile.len() == lo.len() * row_lanes,
+        "span_powers takes one span per whole row of whole {BLEND_LANES}-lane groups"
+    );
+    // Branch-free per row: which rows are empty is data nobody can
+    // predict.
+    let (mut first, mut end, mut inside) = (usize::MAX, 0, true);
+    for (row, (&lo, &hi)) in lo.iter().zip(hi).enumerate() {
+        let live = lo < hi;
+        inside &= !live | (lo >= x0) & (i64::from(hi) - i64::from(x0) <= row_lanes as i64);
+        first = first.min(if live { row } else { usize::MAX });
+        end = end.max(if live { row + 1 } else { 0 });
+    }
+    assert!(
+        inside,
+        "a span of {lo:?}..{hi:?} leaves its row of {row_lanes} lanes at {x0}"
+    );
+    (first < end).then_some(first..end)
+}
+
 /// Evaluates SH colors for a batch of survivors and writes
 /// `out[i].color`. Coefficients are read in place from
 /// `gaussians[out[i].id].sh` (48 floats: 16 per channel, channel-major) —
@@ -287,6 +381,11 @@ pub struct KernelSet {
     pub block_pass: BlockPassFn,
     /// Block-wide power chain, rows as lanes (Gaussian-wise blend fill).
     pub block_powers: BlockPowersFn,
+    /// Effective row spans of a (Gaussian, tile) pair, rows as lanes.
+    pub row_spans: RowSpansFn,
+    /// Power chain over per-row spans, rows as lanes with a start column
+    /// each (standard blend fill).
+    pub span_powers: SpanPowersFn,
     /// Power → clamped-alpha kernel (`ExpMode::Exact` datapath).
     pub alpha_powers: AlphaPowersFn,
     /// Masked front-to-back blend kernel (both exponential datapaths).
@@ -301,6 +400,8 @@ static SCALAR: KernelSet = KernelSet {
     depth_keys: scalar::depth_keys,
     block_pass: scalar::block_pass,
     block_powers: scalar::block_powers,
+    row_spans: scalar::row_spans,
+    span_powers: scalar::span_powers,
     alpha_powers: scalar::alpha_powers,
     blend_span: scalar::blend_span,
     sh_colors: scalar::sh_colors,
@@ -399,6 +500,9 @@ pub fn active_backend() -> Backend {
 mod tests {
     use super::*;
     use crate::alpha::{ExpMode, PixelState, RowAlpha, PAD_POWER};
+
+    /// The largest float below the exponential's input floor.
+    const EXP_FLOOR_BELOW: f32 = f32::from_bits(gcc_math::exp::EXP_INPUT_MIN.to_bits() + 1);
     use crate::splitmix;
     use crate::{ALPHA_MIN, TRANSMITTANCE_EPS};
     use gcc_math::{SymMat2, Vec2, Vec3};
@@ -948,8 +1052,408 @@ mod tests {
         }
     }
 
+    /// A projected Gaussian given by its conic, as the span kernels read
+    /// it: mean, conic and `ln_opacity` only.
+    fn conic_proj(mean: Vec2, (a, b, c): (f32, f32, f32), ln_opacity: f32) -> ProjectedGaussian {
+        let conic = SymMat2::new(a, b, c);
+        ProjectedGaussian {
+            conic,
+            ln_opacity,
+            opacity: ln_opacity.exp(),
+            ..proj(mean, SymMat2::new(1.0, 0.0, 1.0), 0.5)
+        }
+    }
+
+    /// What the span kernels are swept over, finite inputs first: round
+    /// and needle-thin conics, `det → 0`, a denormal and a non-positive
+    /// `a` (the degenerate full span), `ln_opacity` from the `1/255`
+    /// cutoff to above saturation, means on the tile, beside it and far
+    /// off-screen, then seeded ones. `non_finite_span_cases` continues.
+    fn span_cases() -> Vec<ProjectedGaussian> {
+        let ln_min = ALPHA_MIN.ln();
+        let mut cases = Vec::new();
+        for mean in [
+            Vec2::new(9.3, 7.1),
+            Vec2::new(15.5, 16.5),
+            Vec2::new(-13.7, 40.2),
+            Vec2::new(1.0e6, -1.0e6),
+            Vec2::new(-5000.25, 3.0),
+        ] {
+            for (conic, ln_opacity) in [
+                ((0.25, 0.0, 0.25), -0.1),
+                ((0.02, 0.0, 0.02), 0.0),
+                ((0.004, 0.0, 3.0), -0.4),
+                ((3.0, 0.0, 0.004), -0.4),
+                ((1.2, 1.19, 1.2), -0.05),
+                ((1.0, 0.999_999_9, 1.0), -0.2),
+                ((1.0, 1.0, 1.0), -0.2),
+                ((1.0e-40, 0.0, 0.5), -0.3),
+                ((1.0e-40, 1.0e-20, 1.0e-40), -0.3),
+                ((0.0, 0.0, 0.3), -0.3),
+                ((-0.2, 0.1, 0.3), -0.3),
+                ((0.3, 0.05, 0.2), ln_min),
+                ((0.3, 0.05, 0.2), ln_min - 1.0e-3),
+                ((0.3, 0.05, 0.2), ln_min + 1.0e-3),
+                ((0.3, 0.05, 0.2), 0.3),
+                ((40.0, -12.0, 9.0), -0.01),
+            ] {
+                cases.push(conic_proj(mean, conic, ln_opacity));
+            }
+        }
+        let mut seed = 0x5EED_5BA2;
+        for _ in 0..48 {
+            let mut unit = || (splitmix(&mut seed) % 10_000) as f32 / 10_000.0;
+            let (a, c) = (0.003 + 2.0 * unit() * unit(), 0.003 + 2.0 * unit() * unit());
+            let b = (unit() - 0.5) * 1.98 * (a * c).sqrt();
+            let mean = Vec2::new(unit() * 64.0 - 16.0, unit() * 64.0 - 16.0);
+            cases.push(conic_proj(mean, (a, b, c), ln_min * unit()));
+        }
+        cases
+    }
+
+    /// Inputs projection never produces: the kernels must still agree on
+    /// the spans and stay inside their tile.
+    fn non_finite_span_cases() -> Vec<ProjectedGaussian> {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let mean = Vec2::new(9.3, 7.1);
+        vec![
+            conic_proj(mean, (nan, 0.0, 0.3), -0.2),
+            conic_proj(mean, (inf, 0.0, 0.3), -0.2),
+            conic_proj(mean, (0.3, nan, 0.3), -0.2),
+            conic_proj(mean, (0.3, inf, 0.3), -0.2),
+            conic_proj(mean, (0.3, 0.0, nan), -0.2),
+            conic_proj(mean, (0.3, 0.0, -inf), -0.2),
+            conic_proj(mean, (0.3, 0.05, 0.2), nan),
+            conic_proj(mean, (0.3, 0.05, 0.2), inf),
+            conic_proj(mean, (0.3, 0.05, 0.2), -inf),
+            conic_proj(Vec2::new(nan, 7.1), (0.3, 0.05, 0.2), -0.2),
+            conic_proj(Vec2::new(9.3, inf), (0.3, 0.05, 0.2), -0.2),
+            conic_proj(Vec2::new(-inf, nan), (0.3, 0.05, 0.2), -0.2),
+            conic_proj(Vec2::new(3.0e38, 7.1), (3.0e38, 0.0, 3.0e38), -0.2),
+        ]
+    }
+
+    /// Block edges of the span sweeps; the rows of a tile are as many.
+    const SPAN_BLOCKS: [i32; 4] = [8, 16, 24, 32];
+    const SPAN_ORIGINS: [(i32, i32); 3] = [(0, 0), (-16, 32), (992, -2016)];
+    /// Written around every buffer a kernel is handed a part of.
+    const CANARY_I32: i32 = 0x5CA1_AB1E;
+
+    /// Runs `kernel` on the middle of canary-framed buffers and returns
+    /// the spans; the frame must come back intact.
+    fn run_row_spans(
+        kernel: RowSpansFn,
+        walker: EffectiveSpanWalker,
+        rows: usize,
+    ) -> Vec<(i32, i32)> {
+        let mut lo = vec![CANARY_I32; rows + 16];
+        let mut hi = vec![CANARY_I32; rows + 16];
+        kernel(walker, &mut lo[8..8 + rows], &mut hi[8..8 + rows]);
+        for buf in [&lo, &hi] {
+            assert!(buf[..8]
+                .iter()
+                .chain(&buf[8 + rows..])
+                .all(|&v| v == CANARY_I32));
+        }
+        lo[8..8 + rows]
+            .iter()
+            .copied()
+            .zip(hi[8..8 + rows].iter().copied())
+            .collect()
+    }
+
     #[test]
-    fn the_scalar_table_holds_the_six_scalar_twins() {
+    fn row_spans_kernels_match_the_next_span_loop() {
+        // Every clip window of a tile over all its rows, and every row
+        // count from several first rows over a few windows; the
+        // definition is the `next_span` loop itself.
+        let (mut non_empty, mut clipped, mut full) = (0usize, 0usize, 0usize);
+        let cases: Vec<_> = span_cases()
+            .into_iter()
+            .chain(non_finite_span_cases())
+            .collect();
+        for p in &cases {
+            for block in SPAN_BLOCKS {
+                for (ox, oy) in SPAN_ORIGINS {
+                    let mut sweep = |x0: i32, x1: i32, y0: i32, rows: usize| {
+                        let walker = EffectiveSpanWalker::new(p, x0, x1, y0);
+                        let mut reference = walker;
+                        let want: Vec<(i32, i32)> =
+                            (0..rows).map(|_| reference.next_span()).collect();
+                        for &(lo, hi) in &want {
+                            assert!(
+                                x0 <= lo && lo <= hi && hi <= x1,
+                                "[{lo},{hi}) of [{x0},{x1})"
+                            );
+                            non_empty += usize::from(lo < hi);
+                            clipped += usize::from(lo < hi && (lo > x0 || hi < x1));
+                            full += usize::from(lo < hi && lo == x0 && hi == x1);
+                        }
+                        for b in available() {
+                            let got = run_row_spans(kernel_set(b).unwrap().row_spans, walker, rows);
+                            assert_eq!(
+                                got, want,
+                                "row_spans {b}: {p:?} window [{x0},{x1}) rows {y0}+{rows}"
+                            );
+                        }
+                    };
+                    for x0 in 0..block {
+                        for x1 in x0 + 1..=block {
+                            sweep(ox + x0, ox + x1, oy, block as usize);
+                        }
+                    }
+                    for rows in 1..=block {
+                        for y0 in [0, (block - rows) / 2, block - rows] {
+                            sweep(ox, ox + block, oy + y0, rows as usize);
+                            sweep(ox + 3, ox + block - 2, oy + y0, rows as usize);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(non_empty > 100_000 && clipped > 10_000 && full > 10_000);
+    }
+
+    /// What a kernel finds in every lane it is handed or could overrun.
+    const CANARY_F32: f32 = 12_345_678.0;
+
+    /// The fill `span_powers` is defined by: from the first to the last
+    /// non-empty row, the `RowAlpha` chain from the row's own first pixel
+    /// and padding elsewhere; the rows around them untouched.
+    fn reference_span_powers(
+        p: &ProjectedGaussian,
+        (x0, y0): (i32, i32),
+        spans: &[(i32, i32)],
+        row_lanes: usize,
+    ) -> (Vec<f32>, std::ops::Range<usize>) {
+        let live = |&(lo, hi): &(i32, i32)| lo < hi;
+        let mut tile = vec![CANARY_F32; spans.len() * row_lanes];
+        let Some(first) = spans.iter().position(live) else {
+            return (tile, 0..0);
+        };
+        let end = spans.iter().rposition(live).unwrap() + 1;
+        for row in first..end {
+            let lanes = &mut tile[row * row_lanes..(row + 1) * row_lanes];
+            lanes.fill(PAD_POWER);
+            let (lo, hi) = spans[row];
+            if lo < hi {
+                let mut chain = RowAlpha::new(p, lo, y0 + row as i32);
+                fill_powers(
+                    &mut chain,
+                    &mut lanes[(lo - x0) as usize..(hi - x0) as usize],
+                );
+            }
+        }
+        (tile, first * row_lanes..end * row_lanes)
+    }
+
+    /// Every backend's `span_powers` on `spans` against the reference
+    /// fill: the whole tile bit for bit (NaN for NaN when `finite` is
+    /// off: which NaN an operation hands on is not pinned), the returned
+    /// range, and nothing written before, after or around those rows.
+    fn assert_span_powers(
+        p: &ProjectedGaussian,
+        origin: (i32, i32),
+        spans: &[(i32, i32)],
+        row_lanes: usize,
+        finite: bool,
+    ) {
+        let (want, want_range) = reference_span_powers(p, origin, spans, row_lanes);
+        let (lo, hi): (Vec<i32>, Vec<i32>) = spans.iter().copied().unzip();
+        for b in available() {
+            let frame = 2 * row_lanes;
+            let mut buf = vec![CANARY_F32; want.len() + 2 * frame];
+            let got_range = (kernel_set(b).unwrap().span_powers)(
+                p,
+                origin,
+                &lo,
+                &hi,
+                row_lanes,
+                &mut buf[frame..frame + want.len()],
+            );
+            let what = format!("span_powers {b}: {p:?} origin {origin:?} spans {spans:?}");
+            assert_eq!(got_range, want_range, "{what}");
+            for (i, got) in buf.iter().enumerate() {
+                let inside = (frame..frame + want.len()).contains(&i);
+                let want = if inside { want[i - frame] } else { CANARY_F32 };
+                let same = got.to_bits() == want.to_bits();
+                assert!(
+                    same || (inside && !finite && got.is_nan() && want.is_nan()),
+                    "{what}: lane {} of {row_lanes}-lane rows: {got} vs {want}",
+                    i as isize - frame as isize
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn span_powers_kernels_match_the_row_alpha_fill_on_solved_spans() {
+        // The spans `row_spans` solves for each case: the whole tile, then
+        // every row count from the top, the middle and the bottom.
+        for (cases, finite) in [(span_cases(), true), (non_finite_span_cases(), false)] {
+            for p in &cases {
+                for block in SPAN_BLOCKS {
+                    for (ox, oy) in SPAN_ORIGINS {
+                        let solve = |x0: i32, x1: i32, y0: i32, rows: usize| {
+                            run_row_spans(
+                                SCALAR.row_spans,
+                                EffectiveSpanWalker::new(p, x0, x1, y0),
+                                rows,
+                            )
+                        };
+                        let lanes = block as usize;
+                        for rows in 1..=block {
+                            for y0 in [0, (block - rows) / 2, block - rows] {
+                                let spans = solve(ox, ox + block, oy + y0, rows as usize);
+                                assert_span_powers(p, (ox, oy + y0), &spans, lanes, finite);
+                            }
+                        }
+                        // A clipped window, in a tile with a group to spare.
+                        let spans = solve(ox + 3, ox + block - 2, oy, lanes);
+                        assert_span_powers(p, (ox, oy), &spans, lanes + BLEND_LANES, finite);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_powers_kernels_match_the_row_alpha_fill_on_any_span_pattern() {
+        // Spans no solver would hand over, which the OBB intersection can:
+        // every `[lo, hi)` of a row, all-empty pairs, one non-empty row
+        // anywhere, an empty row between non-empty ones, inverted spans,
+        // seeded mixes — for every row count, plus a row too wide for the
+        // vector twins' staging (they hand it to the scalar twin).
+        let cases = [
+            conic_proj(Vec2::new(9.3, 7.1), (0.02, 0.004, 0.03), -0.1),
+            conic_proj(Vec2::new(-40.0, 70.0), (0.3, -0.1, 0.2), -0.7),
+        ];
+        let mut seed = 0x5BA2_0002;
+        for p in &cases {
+            for block in SPAN_BLOCKS.into_iter().chain([40]) {
+                let lanes = block as usize;
+                let origin = (-5, 11);
+                let local = |lo: i32, hi: i32| (origin.0 + lo, origin.0 + hi);
+                // Every span of a row, dealt round-robin onto full tiles.
+                let every: Vec<(i32, i32)> = (0..block)
+                    .flat_map(|lo| (lo + 1..=block).map(move |hi| local(lo, hi)))
+                    .collect();
+                for spans in every.chunks(lanes) {
+                    assert_span_powers(p, origin, spans, lanes, true);
+                }
+                for rows in 1..=lanes {
+                    let empty = vec![local(3, 3); rows];
+                    assert_span_powers(p, origin, &empty, lanes, true);
+                    // Empty rows are `lo >= hi`, whatever the values.
+                    let inverted = vec![(origin.0 + block + 9, origin.0 - 9); rows];
+                    assert_span_powers(p, origin, &inverted, lanes, true);
+                    for row in 0..rows {
+                        let mut single = empty.clone();
+                        single[row] = local(row as i32 % block, block);
+                        assert_span_powers(p, origin, &single, lanes, true);
+                        // A hole at `row` in an otherwise full pair.
+                        let mut hole = vec![local(1, block - 1); rows];
+                        hole[row] = local(5, 5);
+                        assert_span_powers(p, origin, &hole, lanes, true);
+                    }
+                    for _ in 0..6 {
+                        let spans: Vec<(i32, i32)> = (0..rows)
+                            .map(|_| {
+                                let pick = splitmix(&mut seed);
+                                let lo = (pick % block as u64) as i32;
+                                let len = ((pick >> 16) % (block - lo + 1) as u64) as i32;
+                                // Two rows in five are empty.
+                                if (pick >> 32) % 5 < 2 {
+                                    local(lo, lo)
+                                } else {
+                                    local(lo, lo + len)
+                                }
+                            })
+                            .collect();
+                        assert_span_powers(p, origin, &spans, lanes, true);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_kernels_reject_ragged_shapes() {
+        let p = conic_proj(Vec2::new(4.0, 4.0), (0.2, 0.01, 0.3), -0.2);
+        for b in available() {
+            let ks = kernel_set(b).unwrap();
+            let ragged = std::panic::catch_unwind(|| {
+                let walker = EffectiveSpanWalker::new(&p, 0, 16, 0);
+                (ks.row_spans)(walker, &mut [0; 4], &mut [0; 5]);
+            });
+            assert!(ragged.is_err(), "{b} row_spans took 4 and 5 rows");
+            // (lo, hi, row_lanes, tile lanes): a hi short, half a group per
+            // row, a row short, a span left of its row, one right of it.
+            for (lo, hi, row_lanes, lanes) in [
+                (vec![2, 2], vec![5], 8usize, 16usize),
+                (vec![2], vec![5], 12, 12),
+                (vec![2, 2], vec![5, 5], 8, 8),
+                (vec![-1], vec![5], 8, 8),
+                (vec![2], vec![9], 8, 8),
+            ] {
+                let ragged = std::panic::catch_unwind(|| {
+                    (ks.span_powers)(&p, (0, 0), &lo, &hi, row_lanes, &mut vec![0.0; lanes]);
+                });
+                assert!(
+                    ragged.is_err(),
+                    "{b} span_powers took {lo:?}..{hi:?} on {lanes} lanes by {row_lanes}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn alpha_powers_dead_groups_come_out_as_the_clamp_chain_leaves_them() {
+        // A lane group wholly below the exponential's input floor is
+        // stored as `+0.0` without evaluation — bit for bit what the
+        // clamps make of such lanes. Groups that are all padding, mixed,
+        // and dead but for one lane that is live, saturated, `−0.0`,
+        // exactly on the floor or NaN (which compares false and must take
+        // the full path), at every position of the group.
+        let below = [PAD_POWER, -5.6, f32::NEG_INFINITY, -1.0e30, EXP_FLOOR_BELOW];
+        for len in [8usize, 16, 24, 19, 5] {
+            for odd in [
+                PAD_POWER,
+                -2.5,
+                0.0,
+                -0.0,
+                0.7,
+                gcc_math::exp::EXP_INPUT_MIN,
+                f32::NAN,
+            ] {
+                for at in 0..len {
+                    let mut powers: Vec<f32> = (0..len).map(|i| below[i % below.len()]).collect();
+                    powers[at] = odd;
+                    let mut want = powers.clone();
+                    (SCALAR.alpha_powers)(&mut want);
+                    for b in available() {
+                        let mut got = powers.clone();
+                        (kernel_set(b).unwrap().alpha_powers)(&mut got);
+                        let (got, want): (Vec<u32>, Vec<u32>) = got
+                            .iter()
+                            .zip(&want)
+                            .map(|(g, w)| (g.to_bits(), w.to_bits()))
+                            .unzip();
+                        assert_eq!(got, want, "alpha_powers {b}: {odd} at {at} of {len}");
+                    }
+                }
+            }
+        }
+        let mut dead = [PAD_POWER; 3 * BLEND_LANES];
+        for b in available() {
+            (kernel_set(b).unwrap().alpha_powers)(&mut dead);
+            assert!(dead.iter().all(|a| a.to_bits() == 0), "{b}: not +0.0");
+            dead.fill(PAD_POWER);
+        }
+    }
+
+    #[test]
+    fn the_scalar_table_holds_the_eight_scalar_twins() {
         // What a `Backend::Scalar`-pinned render runs: no entry of the
         // reference table may route to an intrinsic kernel.
         let ks = kernel_set(Backend::Scalar).unwrap();
@@ -965,6 +1469,14 @@ mod tests {
         assert!(std::ptr::fn_addr_eq(
             ks.block_powers,
             scalar::block_powers as BlockPowersFn
+        ));
+        assert!(std::ptr::fn_addr_eq(
+            ks.row_spans,
+            scalar::row_spans as RowSpansFn
+        ));
+        assert!(std::ptr::fn_addr_eq(
+            ks.span_powers,
+            scalar::span_powers as SpanPowersFn
         ));
         assert!(std::ptr::fn_addr_eq(
             ks.alpha_powers,

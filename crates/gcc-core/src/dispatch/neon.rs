@@ -22,6 +22,8 @@ pub(super) static NEON: KernelSet = KernelSet {
     depth_keys: depth_keys_neon,
     block_pass: scalar::block_pass,
     block_powers: scalar::block_powers,
+    row_spans: scalar::row_spans,
+    span_powers: scalar::span_powers,
     alpha_powers: alpha_powers_neon,
     blend_span: blend_span_neon,
     sh_colors: scalar::sh_colors,

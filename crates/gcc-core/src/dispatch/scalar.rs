@@ -3,14 +3,15 @@
 //! exact arithmetic the renderers used before dispatch existed, expressed
 //! over the flat SoA slices the kernel ABI takes.
 
-use crate::alpha::{ExpMode, RowAlpha, PAD_POWER};
+use crate::alpha::{EffectiveSpanWalker, ExpMode, RowAlpha, PAD_POWER};
 use crate::bounds::EffectiveTest;
 use crate::sort::depth_key;
 use crate::{Gaussian3D, ProjectedGaussian, TRANSMITTANCE_EPS};
 use gcc_math::Vec3;
 
 use super::{
-    blend_lanes_len, block_pass_groups, block_powers_rows, BlendCounts, PixelLanes, BLEND_LANES,
+    blend_lanes_len, block_pass_groups, block_powers_rows, span_powers_rows, BlendCounts,
+    PixelLanes, BLEND_LANES,
 };
 
 /// Scalar [`crate::dispatch::DepthKeysFn`].
@@ -52,6 +53,42 @@ pub fn block_powers(
         }
         pad.fill(PAD_POWER);
     }
+}
+
+/// Scalar [`crate::dispatch::RowSpansFn`]: the
+/// [`EffectiveSpanWalker::next_span`] loop.
+pub fn row_spans(mut walker: EffectiveSpanWalker, lo: &mut [i32], hi: &mut [i32]) {
+    assert_eq!(lo.len(), hi.len());
+    for (lo, hi) in lo.iter_mut().zip(hi) {
+        (*lo, *hi) = walker.next_span();
+    }
+}
+
+/// Scalar [`crate::dispatch::SpanPowersFn`]: one [`RowAlpha`] chain per
+/// non-empty row, started at the row's own first pixel, padding around it.
+pub fn span_powers(
+    p: &ProjectedGaussian,
+    (x0, y0): (i32, i32),
+    lo: &[i32],
+    hi: &[i32],
+    row_lanes: usize,
+    tile: &mut [f32],
+) -> std::ops::Range<usize> {
+    let Some(rows) = span_powers_rows(x0, lo, hi, row_lanes, tile) else {
+        return 0..0;
+    };
+    for row in rows.clone() {
+        let lanes = &mut tile[row * row_lanes..(row + 1) * row_lanes];
+        lanes.fill(PAD_POWER);
+        if lo[row] < hi[row] {
+            let mut chain = RowAlpha::new(p, lo[row], y0 + row as i32);
+            for slot in &mut lanes[(lo[row] - x0) as usize..(hi[row] - x0) as usize] {
+                *slot = chain.power();
+                chain.advance();
+            }
+        }
+    }
+    rows.start * row_lanes..rows.end * row_lanes
 }
 
 /// Scalar [`crate::dispatch::AlphaPowersFn`]: [`ExpMode::alpha`] of the

@@ -37,6 +37,8 @@ pub(super) static SSE2: KernelSet = KernelSet {
     depth_keys: depth_keys_sse2,
     block_pass: block_pass_sse2,
     block_powers: block_powers_sse2,
+    row_spans: scalar::row_spans,
+    span_powers: scalar::span_powers,
     alpha_powers: alpha_powers_sse2,
     blend_span: blend_span_sse2,
     sh_colors: scalar::sh_colors,
@@ -49,6 +51,8 @@ pub(super) static AVX2: KernelSet = KernelSet {
     depth_keys: depth_keys_avx2,
     block_pass: block_pass_avx2,
     block_powers: block_powers_avx2,
+    row_spans: scalar::row_spans,
+    span_powers: scalar::span_powers,
     alpha_powers: alpha_powers_avx2,
     blend_span: blend_span_avx2,
     sh_colors: sh_colors_avx2,

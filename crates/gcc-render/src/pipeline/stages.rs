@@ -31,7 +31,7 @@
 
 use std::sync::Mutex;
 
-use gcc_core::alpha::{ExpMode, PixelState, RowAlpha, PAD_POWER};
+use gcc_core::alpha::{ExpMode, PixelState, PAD_POWER};
 use gcc_core::bounds::{BoundingLaw, PixelRect};
 use gcc_core::dispatch::{BlendCounts, KernelSet, PixelLanes, BLEND_LANES};
 use gcc_core::projection::{map_color, map_color_deg, project_gaussian};
@@ -514,25 +514,26 @@ impl PixelPatch {
         }
     }
 
-    /// Blends the projected Gaussian `p`, front to back, into rows `rows`
-    /// of block `block` over per-row column spans — how the standard
-    /// schedule feeds the blend loop. `span_of(y)` names the block-local
-    /// columns `[x0, x1)` of row `y` that can contribute (empty when
-    /// `x0 >= x1`); it is called once per row, in row order, so it may walk
-    /// its spans incrementally. `origin` is the block's first pixel in
-    /// `p`'s coordinates.
+    /// Blends the projected Gaussian `p`, front to back, into consecutive
+    /// rows of block `block` over per-row column spans — how the standard
+    /// schedule feeds the blend loop. Row `first_row + r` of the block gets
+    /// the pixels `[lo[r], hi[r])`, in `p`'s coordinates like `origin`, the
+    /// block's first pixel (empty when `lo[r] >= hi[r]`); `kernels.row_spans`
+    /// writes spans in this form.
     ///
-    /// Per row, the scalar forward-difference chain ([`RowAlpha`], started
-    /// at the span's first pixel) fills the span's lanes of the block's
-    /// power tile and [`PAD_POWER`] the others; the rows from the first to
-    /// the last non-empty one then go through [`Self::blend_powers`].
-    /// Keeping the rows of a Gaussian in one loop lets their independent
-    /// span solves and chains overlap, and gives each kernel a run of
-    /// whole rows instead of a handful of lanes.
+    /// `kernels.span_powers` fills those rows of the block's power tile —
+    /// per row the forward-difference chain
+    /// ([`RowAlpha`](gcc_core::alpha::RowAlpha)) started at the
+    /// span's first pixel, [`PAD_POWER`] in the other lanes — and the rows
+    /// from the first to the last non-empty one then go through
+    /// [`Self::blend_powers`]. All rows of a Gaussian go through each
+    /// kernel in one call, so their span solves and chains share vector
+    /// lanes and the tail sees a run of whole rows instead of a handful of
+    /// lanes.
     ///
     /// # Panics
     ///
-    /// Panics when a row or a span leaves the block.
+    /// Panics when a row leaves the block or a span its row's lanes.
     // One argument per input of a blend (where, what, how): a struct
     // would only rename them.
     #[allow(clippy::too_many_arguments)]
@@ -542,39 +543,31 @@ impl PixelPatch {
         block: usize,
         p: &ProjectedGaussian,
         origin: (i32, i32),
-        rows: std::ops::Range<u32>,
-        mut span_of: impl FnMut(u32) -> (u32, u32),
+        first_row: u32,
+        (lo, hi): (&[i32], &[i32]),
         alpha_min: f32,
         exp: &ExpMode,
         kernels: &KernelSet,
     ) -> BlendCounts {
-        assert!(rows.end <= self.block, "rows {rows:?} outside their block");
-        let row_lanes = self.row_lanes;
-        // Lane range of the rows from the first to the last non-empty one.
-        let mut touched: Option<(usize, usize)> = None;
-        for y in rows {
-            let (x0, x1) = span_of(y);
-            let at = y as usize * row_lanes;
-            if x0 >= x1 {
-                if touched.is_some() {
-                    self.powers[at..at + row_lanes].fill(PAD_POWER);
-                }
-                continue;
-            }
-            assert!(x1 <= self.block, "span [{x0},{x1}) outside its block");
-            let lanes = &mut self.powers[at..at + row_lanes];
-            lanes.fill(PAD_POWER);
-            let mut row = RowAlpha::new(p, origin.0 + x0 as i32, origin.1 + y as i32);
-            for slot in &mut lanes[x0 as usize..x1 as usize] {
-                *slot = row.power();
-                row.advance();
-            }
-            touched = Some((touched.map_or(at, |(first, _)| first), at + row_lanes));
+        let rows = first_row as usize..first_row as usize + lo.len();
+        assert!(
+            rows.end <= self.block as usize,
+            "rows {rows:?} outside their block"
+        );
+        let at = rows.start * self.row_lanes;
+        let touched = (kernels.span_powers)(
+            p,
+            (origin.0, origin.1 + first_row as i32),
+            lo,
+            hi,
+            self.row_lanes,
+            &mut self.powers[at..rows.end * self.row_lanes],
+        );
+        if touched.is_empty() {
+            return BlendCounts::default();
         }
-        match touched {
-            Some((first, end)) => self.blend_powers(block, first..end, p, alpha_min, exp, kernels),
-            None => BlendCounts::default(),
-        }
+        let lanes = at + touched.start..at + touched.end;
+        self.blend_powers(block, lanes, p, alpha_min, exp, kernels)
     }
 
     /// Blends the projected Gaussian `p`, given in patch-local pixel
@@ -708,6 +701,9 @@ pub(crate) struct BlendScratch {
     pub(crate) loaded: Vec<u32>,
     /// Ids that blended at least one pixel in the current unit.
     pub(crate) rendered: Vec<u32>,
+    /// Row spans `[lo, hi)` of the (Gaussian, tile) pair being blended,
+    /// one entry per tile row (standard schedule).
+    pub(crate) spans: (Vec<i32>, Vec<i32>),
     /// Tracer, T-mask and lists of a Gaussian-wise window.
     pub(crate) window: crate::gaussian_wise::WindowScratch,
 }
@@ -839,6 +835,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcc_core::alpha::RowAlpha;
     use gcc_math::Vec3;
 
     fn cam() -> Camera {
@@ -1165,8 +1162,8 @@ mod tests {
                             0,
                             &p,
                             (0, 0),
-                            y..y + 1,
-                            |_| (x0, x1),
+                            y,
+                            (&[x0 as i32], &[x1 as i32]),
                             alpha_min,
                             &exp,
                             kernels,
@@ -1204,12 +1201,13 @@ mod tests {
                             counts.blended += row.blended;
                             counts.terminated += row.terminated;
                         }
+                        let rows = (by1 - by0) as usize;
                         let got = patch.blend_rows(
                             b as usize,
                             &p,
                             (bx0 as i32, by0 as i32),
-                            0..by1 - by0,
-                            |_| (0, bx1 - bx0),
+                            0,
+                            (&vec![bx0 as i32; rows], &vec![bx1 as i32; rows]),
                             0.0,
                             &exp,
                             kernels,
@@ -1264,12 +1262,13 @@ mod tests {
                     let (ux, uy) = ((k as u32 % 2) * 8, (k as u32 / 2) * 8);
                     work.patch.reset(ux, uy, 8, 8, 8);
                     work.loaded.extend([k as u32, 9]);
+                    let ux = ux as i32;
                     let counts = work.patch.blend_rows(
                         0,
                         &p,
-                        (ux as i32, uy as i32),
-                        2..3,
-                        |_| if k < 2 { (0, 8) } else { (0, 0) },
+                        (ux, uy as i32),
+                        2,
+                        (&[ux], &[if k < 2 { ux + 8 } else { ux }]),
                         0.0,
                         &ExpMode::Exact,
                         kernels,

@@ -187,9 +187,12 @@ fn render_tile(
         patch,
         loaded,
         rendered,
+        spans: (span_lo, span_hi),
         ..
     } = work;
     patch.reset(x0 as u32, y0 as u32, (x1 - x0) as u32, (y1 - y0) as u32, ts);
+    span_lo.resize(ts as usize, 0);
+    span_hi.resize(ts as usize, 0);
 
     let mut stats = FrameStats::default();
     // Elements through the depth-ordering stage for this tile. The
@@ -217,39 +220,45 @@ fn render_tile(
         if rx0 >= rx1 || ry0 >= ry1 {
             continue;
         }
-        // Row-analytic work restriction: the footprint test and the alpha
-        // cutoff are solved per row by forward-differenced span walkers
-        // (adds per row, no divisions), so only the span that can
-        // contribute reaches the blend. Counters keep their per-pixel
-        // semantics via bulk adds.
+        // Row-analytic work restriction: the alpha cutoff and the
+        // footprint test are solved per row (forward differences down the
+        // rows, no per-pixel test), so only the span that can contribute
+        // reaches the blend. Counters keep their per-pixel semantics via
+        // bulk adds.
         let aabb_tests = ((rx1 - rx0) * (ry1 - ry0)) as u64;
         stats.pixels_tested_aabb += aabb_tests;
-        let mut obb_walker = match ctx.cfg.footprint {
+        let obb = match ctx.cfg.footprint {
             Footprint::Aabb => {
                 stats.pixels_tested += aabb_tests;
                 None
             }
-            // A survivor without an OBB has an empty envelope.
-            Footprint::Obb => Some(ctx.obbs[idx as usize].map(|o| o.span_walker(rx0, rx1, ry0))),
+            // A survivor without an OBB has an empty envelope: nothing to
+            // test, nothing to blend.
+            Footprint::Obb => match &ctx.obbs[idx as usize] {
+                Some(obb) => Some(obb),
+                None => continue,
+            },
         };
-        let mut alpha_spans = EffectiveSpanWalker::new(p, rx0, rx1, ry0);
+        let rows = (ry1 - ry0) as usize;
+        let (lo, hi) = (&mut span_lo[..rows], &mut span_hi[..rows]);
+        (ctx.kernels.row_spans)(EffectiveSpanWalker::new(p, rx0, rx1, ry0), lo, hi);
+        if let Some(obb) = obb {
+            let mut walker = obb.span_walker(rx0, rx1, ry0);
+            for (lo, hi) in lo.iter_mut().zip(hi.iter_mut()) {
+                let (ox0, ox1) = walker.next_span();
+                let tests = (ox1 - ox0) as u64;
+                stats.pixels_tested += tests;
+                stats.pixels_tested_obb += tests;
+                (*lo, *hi) = ((*lo).max(ox0), (*hi).min(ox1));
+            }
+        }
+        // Both walkers stay inside `[rx0, rx1)`, hence inside the tile.
         let counts = patch.blend_rows(
             0,
             p,
             (x0, y0),
-            (ry0 - y0) as u32..(ry1 - y0) as u32,
-            |_| {
-                let (mut sx0, mut sx1) = alpha_spans.next_span();
-                if let Some(walker) = &mut obb_walker {
-                    let (ox0, ox1) = walker.as_mut().map_or((rx0, rx0), |w| w.next_span());
-                    let tests = (ox1 - ox0) as u64;
-                    stats.pixels_tested += tests;
-                    stats.pixels_tested_obb += tests;
-                    (sx0, sx1) = (sx0.max(ox0), sx1.min(ox1));
-                }
-                // Tile-local; both walkers stay inside `[rx0, rx1)`.
-                ((sx0 - x0) as u32, (sx1 - x0) as u32)
-            },
+            (ry0 - y0) as u32,
+            (lo, hi),
             ctx.cfg.alpha_min,
             &ctx.cfg.exp,
             ctx.kernels,
