@@ -69,9 +69,18 @@ unsafe fn alpha_from_powers_neon(buf: &mut [f32]) {
     let n = buf.len();
     let mut i = 0;
     unsafe {
+        let exp_min = vdupq_n_f32(EXP_INPUT_MIN);
         while i + 4 <= n {
             let x = vld1q_f32(buf.as_ptr().add(i));
-            vst1q_f32(buf.as_mut_ptr().add(i), alpha4_neon(x));
+            // Every lane below the input floor (padding, mostly): the
+            // clamps would make each `+0.0`, so skip the evaluation. A
+            // NaN compares false and takes the full path.
+            let a = if vminvq_u32(vcltq_f32(x, exp_min)) == u32::MAX {
+                vdupq_n_f32(0.0)
+            } else {
+                alpha4_neon(x)
+            };
+            vst1q_f32(buf.as_mut_ptr().add(i), a);
             i += 4;
         }
         if i < n {

@@ -10,7 +10,7 @@ use crate::{Gaussian3D, ProjectedGaussian, TRANSMITTANCE_EPS};
 use gcc_math::Vec3;
 
 use super::{
-    blend_lanes_len, block_pass_groups, block_powers_rows, span_powers_rows, BlendCounts,
+    blend_lanes_len, block_pass_groups, block_powers_rows, span_powers_shape, BlendCounts,
     PixelLanes, BLEND_LANES,
 };
 
@@ -74,13 +74,20 @@ pub fn span_powers(
     row_lanes: usize,
     tile: &mut [f32],
 ) -> std::ops::Range<usize> {
-    let Some(rows) = span_powers_rows(x0, lo, hi, row_lanes, tile) else {
+    span_powers_shape(lo, hi, row_lanes, tile);
+    let live = |(lo, hi): (&i32, &i32)| lo < hi;
+    let Some(first) = lo.iter().zip(hi).position(live) else {
         return 0..0;
     };
-    for row in rows.clone() {
+    let end = lo.iter().zip(hi).rposition(live).map_or(first, |last| last) + 1;
+    for row in first..end {
         let lanes = &mut tile[row * row_lanes..(row + 1) * row_lanes];
         lanes.fill(PAD_POWER);
         if lo[row] < hi[row] {
+            assert!(
+                lo[row] >= x0 && i64::from(hi[row]) - i64::from(x0) <= row_lanes as i64,
+                "a span of {lo:?}..{hi:?} leaves its row of {row_lanes} lanes at {x0}"
+            );
             let mut chain = RowAlpha::new(p, lo[row], y0 + row as i32);
             for slot in &mut lanes[(lo[row] - x0) as usize..(hi[row] - x0) as usize] {
                 *slot = chain.power();
@@ -88,7 +95,7 @@ pub fn span_powers(
             }
         }
     }
-    rows.start * row_lanes..rows.end * row_lanes
+    first * row_lanes..end * row_lanes
 }
 
 /// Scalar [`crate::dispatch::AlphaPowersFn`]: [`ExpMode::alpha`] of the

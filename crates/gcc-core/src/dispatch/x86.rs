@@ -10,7 +10,7 @@
 
 use core::arch::x86_64::*;
 
-use crate::alpha::PAD_POWER;
+use crate::alpha::{EffectiveSpanWalker, PAD_POWER};
 use crate::bounds::EffectiveTest;
 use crate::{Gaussian3D, ProjectedGaussian, ALPHA_MAX, ALPHA_MIN, TRANSMITTANCE_EPS};
 use gcc_math::exp::{DET_EXP_LN2_HI, DET_EXP_LN2_LO, DET_EXP_LOG2E, DET_EXP_POLY, EXP_INPUT_MIN};
@@ -18,8 +18,8 @@ use gcc_math::Vec3;
 
 use super::scalar;
 use super::{
-    blend_lanes_len, block_pass_groups, block_powers_rows, BlendCounts, KernelSet, PixelLanes,
-    BLEND_LANES,
+    blend_lanes_len, block_pass_groups, block_powers_rows, span_powers_shape, BlendCounts,
+    KernelSet, PixelLanes, BLEND_LANES,
 };
 
 /// Whether this CPU runs the AVX2 table: AVX2 for the vector bodies and
@@ -51,8 +51,8 @@ pub(super) static AVX2: KernelSet = KernelSet {
     depth_keys: depth_keys_avx2,
     block_pass: block_pass_avx2,
     block_powers: block_powers_avx2,
-    row_spans: scalar::row_spans,
-    span_powers: scalar::span_powers,
+    row_spans: row_spans_avx2,
+    span_powers: span_powers_avx2,
     alpha_powers: alpha_powers_avx2,
     blend_span: blend_span_avx2,
     sh_colors: sh_colors_avx2,
@@ -409,6 +409,337 @@ fn transpose8_avx2([r0, r1, r2, r3, r4, r5, r6, r7]: [__m256; 8]) -> [__m256; 8]
     ]
 }
 
+fn row_spans_avx2(walker: EffectiveSpanWalker, lo: &mut [i32], hi: &mut [i32]) {
+    assert_eq!(lo.len(), hi.len());
+    debug_assert!(avx2_available());
+    // SAFETY: the AVX2 table is only handed out after feature detection.
+    unsafe { row_spans_avx2_impl(walker, lo, hi) }
+}
+
+/// Rows as lanes, four `f64` at a time. The walker's state is stepped row
+/// by row exactly as `next_span` steps it (three scalar adds a row, in row
+/// order); what follows the stepping in `next_span` runs once per four
+/// rows: `sqrt`, the multiply, the adds and subtractions, `floor` / `ceil`
+/// and the conversions are the scalar instructions' packed forms, `max` /
+/// `min` keep the scalar operand order (a NaN yields the clip edge in
+/// both), and the two early returns become one lane mask.
+#[target_feature(enable = "avx2")]
+fn row_spans_avx2_impl(mut w: EffectiveSpanWalker, lo: &mut [i32], hi: &mut [i32]) {
+    const ROWS: usize = 4;
+    if w.degenerate {
+        lo.fill(w.x0);
+        hi.fill(w.x1);
+        return;
+    }
+    let (x0, x1) = (
+        _mm256_set1_pd(f64::from(w.x0)),
+        _mm256_set1_pd(f64::from(w.x1)),
+    );
+    let x0_i = _mm_set1_epi32(w.x0);
+    let (inv_a, mx_off) = (_mm256_set1_pd(w.inv_a), _mm256_set1_pd(w.mx_off));
+    let one = _mm256_set1_pd(1.0);
+    for (lo, hi) in lo.chunks_mut(ROWS).zip(hi.chunks_mut(ROWS)) {
+        // Rows past the end of a short last chunk are stepped and solved
+        // like the others and not stored.
+        let (mut center, mut disc) = ([0.0f64; ROWS], [0.0f64; ROWS]);
+        for (center, disc) in center.iter_mut().zip(&mut disc) {
+            (*center, *disc) = (w.center, w.disc);
+            w.center += w.dcenter;
+            w.disc += w.ddisc;
+            w.ddisc += w.dddisc;
+        }
+        let center = _mm256_set_pd(center[3], center[2], center[1], center[0]);
+        let disc = _mm256_set_pd(disc[3], disc[2], disc[1], disc[0]);
+        // `disc < 0`: the row is below the cutoff (its square root is a
+        // NaN nobody reads).
+        let below = _mm256_cmp_pd::<_CMP_LT_OQ>(disc, _mm256_setzero_pd());
+        let half = _mm256_mul_pd(_mm256_sqrt_pd(disc), inv_a);
+        let lo_f = _mm256_max_pd(
+            _mm256_floor_pd(_mm256_sub_pd(
+                _mm256_add_pd(_mm256_sub_pd(center, half), mx_off),
+                one,
+            )),
+            x0,
+        );
+        let hi_f = _mm256_min_pd(
+            _mm256_add_pd(
+                _mm256_ceil_pd(_mm256_add_pd(
+                    _mm256_add_pd(_mm256_add_pd(center, half), mx_off),
+                    one,
+                )),
+                one,
+            ),
+            x1,
+        );
+        let empty = _mm256_castpd_ps(_mm256_or_pd(below, _mm256_cmp_pd::<_CMP_GE_OQ>(lo_f, hi_f)));
+        // The low half of each 64-bit lane mask, as four 32-bit masks.
+        let empty = _mm_castps_si128(_mm_shuffle_ps::<0b10_00_10_00>(
+            _mm256_castps256_ps128(empty),
+            _mm256_extractf128_ps::<1>(empty),
+        ));
+        // A non-empty span lies inside `[x0, x1)`, so both conversions
+        // are exact there; the others are replaced.
+        let lo_i = _mm_blendv_epi8(_mm256_cvttpd_epi32(lo_f), x0_i, empty);
+        let hi_i = _mm_blendv_epi8(_mm256_cvttpd_epi32(hi_f), x0_i, empty);
+        if lo.len() == ROWS {
+            // SAFETY: both chunks are exactly the four `i32` a store writes.
+            unsafe {
+                _mm_storeu_si128(lo.as_mut_ptr().cast(), lo_i);
+                _mm_storeu_si128(hi.as_mut_ptr().cast(), hi_i);
+            }
+        } else {
+            let (mut lo4, mut hi4) = ([0i32; ROWS], [0i32; ROWS]);
+            // SAFETY: the arrays are exactly the four `i32` a store writes.
+            unsafe {
+                _mm_storeu_si128(lo4.as_mut_ptr().cast(), lo_i);
+                _mm_storeu_si128(hi4.as_mut_ptr().cast(), hi_i);
+            }
+            lo.copy_from_slice(&lo4[..lo.len()]);
+            hi.copy_from_slice(&hi4[..hi.len()]);
+        }
+    }
+}
+
+/// Widest row and most rows the vector `span_powers` takes: its chains
+/// run in blocks of eight columns, one monomorphised body per block count,
+/// and it keeps which rows are live in one `u32`.
+const SPAN_POWERS_MAX_LANES: usize = 4 * BLEND_LANES;
+
+fn span_powers_avx2(
+    p: &ProjectedGaussian,
+    origin: (i32, i32),
+    lo: &[i32],
+    hi: &[i32],
+    row_lanes: usize,
+    tile: &mut [f32],
+) -> std::ops::Range<usize> {
+    if row_lanes > SPAN_POWERS_MAX_LANES || lo.len() > SPAN_POWERS_MAX_LANES {
+        return scalar::span_powers(p, origin, lo, hi, row_lanes, tile);
+    }
+    span_powers_shape(lo, hi, row_lanes, tile);
+    debug_assert!(avx2_available());
+    // SAFETY: the AVX2 table is only handed out after feature detection.
+    unsafe { span_powers_avx2_impl(p, origin, lo, hi, row_lanes, tile) }
+}
+
+/// The spans of up to eight rows from row `first` on, as vectors; lanes
+/// past the last row read `[0, 0)`, an empty span.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load_spans_avx2(lo: &[i32], hi: &[i32], first: usize) -> (__m256i, __m256i) {
+    let (lo, hi) = (&lo[first..], &hi[first..]);
+    let rows = lo.len().min(hi.len()).min(8) as i32;
+    let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let within = _mm256_cmpgt_epi32(_mm256_set1_epi32(rows), iota);
+    // SAFETY: a masked load reads the lanes its mask selects, the first
+    // `rows` elements of each slice.
+    unsafe {
+        (
+            _mm256_maskload_epi32(lo.as_ptr(), within),
+            _mm256_maskload_epi32(hi.as_ptr(), within),
+        )
+    }
+}
+
+/// Rows as lanes, eight at a time, each lane with its own start column:
+/// `RowAlpha::new` is evaluated per lane from the lane's `dx` (the scalar
+/// expression tree, operation for operation), the eight chains advance
+/// together for the longest span of the group, a lane's values past its
+/// span's end are replaced by the pad power, and 8×8 transposes turn the
+/// column vectors into runs of one row each, stored at the row's own
+/// offset. Such a store may run past the row's end into the next row of
+/// the tile; rows are written in order, each after the padding of its
+/// whole group, so whatever spills is pad power on lanes the next row
+/// writes afterwards, or that are padding there too, or that lie after
+/// the last non-empty row.
+///
+/// A group of fewer than eight rows sits in the *last* lanes: the lanes
+/// before it hold empty spans and store their (all pad) runs onto the
+/// head of the group's first row, which is padding at that point and
+/// written after them — no lane needs a branch.
+///
+/// The caller has checked the shape ([`span_powers_shape`], at most
+/// [`SPAN_POWERS_MAX_LANES`] rows of as many lanes); the spans are checked
+/// here, in the same vectors that find the live rows.
+#[target_feature(enable = "avx2")]
+fn span_powers_avx2_impl(
+    p: &ProjectedGaussian,
+    (x0, y0): (i32, i32),
+    lo: &[i32],
+    hi: &[i32],
+    row_lanes: usize,
+    tile: &mut [f32],
+) -> std::ops::Range<usize> {
+    const ROWS: usize = 8;
+    // Which rows are live, and whether a live span leaves its row.
+    let x0_v = _mm256_set1_epi32(x0);
+    let x1_v = _mm256_set1_epi32(x0.saturating_add(row_lanes as i32));
+    let (mut live_rows, mut outside) = (0u32, _mm256_setzero_si256());
+    for first in (0..lo.len()).step_by(ROWS) {
+        let (lo_v, hi_v) = load_spans_avx2(lo, hi, first);
+        let live = _mm256_cmpgt_epi32(hi_v, lo_v);
+        let out = _mm256_or_si256(
+            _mm256_cmpgt_epi32(x0_v, lo_v),
+            _mm256_cmpgt_epi32(hi_v, x1_v),
+        );
+        outside = _mm256_or_si256(outside, _mm256_and_si256(live, out));
+        live_rows |= (_mm256_movemask_ps(_mm256_castsi256_ps(live)) as u32) << first;
+    }
+    assert!(
+        _mm256_testz_si256(outside, outside) != 0,
+        "a span of {lo:?}..{hi:?} leaves its row of {row_lanes} lanes at {x0}"
+    );
+    if live_rows == 0 {
+        return 0..0;
+    }
+    let rows = live_rows.trailing_zeros() as usize..(32 - live_rows.leading_zeros()) as usize;
+
+    let conic = p.conic;
+    let (a, two_b, c) = (
+        _mm256_set1_ps(conic.a),
+        _mm256_set1_ps(2.0 * conic.b),
+        _mm256_set1_ps(conic.c),
+    );
+    let half = _mm256_set1_ps(0.5);
+    let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let curve = _mm256_set1_ps(-conic.a);
+    for first in rows.clone().step_by(ROWS) {
+        let n = ROWS.min(rows.end - first);
+        for lanes in tile[first * row_lanes..(first + n) * row_lanes].chunks_exact_mut(ROWS) {
+            lanes.fill(PAD_POWER);
+        }
+        // Lane `l` is row `first + n − 8 + l`: the group's spans rotated
+        // into the last `n` lanes, empty spans before them.
+        let (lo_v, hi_v) = load_spans_avx2(&lo[..first + n], &hi[..first + n], first);
+        let rotate = _mm256_and_si256(
+            _mm256_add_epi32(iota, _mm256_set1_epi32(n as i32)),
+            _mm256_set1_epi32(7),
+        );
+        let lo_v = _mm256_permutevar8x32_epi32(lo_v, rotate);
+        let hi_v = _mm256_permutevar8x32_epi32(hi_v, rotate);
+        let row = _mm256_add_epi32(_mm256_set1_epi32((first + n) as i32 - 8), iota);
+        let live = _mm256_cmpgt_epi32(hi_v, lo_v);
+        let len = _mm256_and_si256(_mm256_sub_epi32(hi_v, lo_v), live);
+        // Where each lane's run goes: the first lane of its span; the
+        // head of its row when that is empty; the head of the group's
+        // first row when the lane is no row of the group.
+        let mut at = [0i32; ROWS];
+        let row_lanes_v = _mm256_set1_epi32(row_lanes as i32);
+        let at_v = _mm256_add_epi32(
+            _mm256_mullo_epi32(
+                _mm256_max_epi32(row, _mm256_set1_epi32(first as i32)),
+                row_lanes_v,
+            ),
+            _mm256_and_si256(_mm256_sub_epi32(lo_v, x0_v), live),
+        );
+        // SAFETY: `at` is exactly the eight `i32` the store writes.
+        unsafe { _mm256_storeu_si256(at.as_mut_ptr().cast(), at_v) };
+        // `RowAlpha::new(p, lo, y)` in every lane.
+        let yi = _mm256_add_epi32(_mm256_set1_epi32(y0), row);
+        let dx = _mm256_sub_ps(
+            _mm256_add_ps(_mm256_cvtepi32_ps(lo_v), half),
+            _mm256_set1_ps(p.mean2d.x),
+        );
+        let dy = _mm256_sub_ps(
+            _mm256_add_ps(_mm256_cvtepi32_ps(yi), half),
+            _mm256_set1_ps(p.mean2d.y),
+        );
+        let q = _mm256_add_ps(
+            _mm256_add_ps(
+                _mm256_mul_ps(_mm256_mul_ps(a, dx), dx),
+                _mm256_mul_ps(_mm256_mul_ps(two_b, dx), dy),
+            ),
+            _mm256_mul_ps(_mm256_mul_ps(c, dy), dy),
+        );
+        let power = _mm256_sub_ps(_mm256_set1_ps(p.ln_opacity), _mm256_mul_ps(half, q));
+        let step = _mm256_mul_ps(
+            _mm256_set1_ps(-0.5),
+            _mm256_add_ps(
+                _mm256_mul_ps(
+                    a,
+                    _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(2.0), dx), _mm256_set1_ps(1.0)),
+                ),
+                _mm256_mul_ps(two_b, dy),
+            ),
+        );
+        let chains = SpanChains {
+            power,
+            step,
+            curve,
+            len,
+        };
+        // As many blocks of eight steps as the longest span of the group.
+        let longer_than =
+            |steps| _mm256_movemask_epi8(_mm256_cmpgt_epi32(len, _mm256_set1_epi32(steps))) != 0;
+        if !longer_than(8) {
+            span_chains_avx2::<1>(chains, &at, tile);
+        } else if !longer_than(16) {
+            span_chains_avx2::<2>(chains, &at, tile);
+        } else if !longer_than(24) {
+            span_chains_avx2::<3>(chains, &at, tile);
+        } else {
+            span_chains_avx2::<4>(chains, &at, tile);
+        }
+    }
+    rows.start * row_lanes..rows.end * row_lanes
+}
+
+/// Eight [`RowAlpha`](crate::alpha::RowAlpha) chains, one per lane, and
+/// how many steps of each are inside its span.
+#[derive(Clone, Copy)]
+struct SpanChains {
+    power: __m256,
+    step: __m256,
+    curve: __m256,
+    len: __m256i,
+}
+
+/// Advances eight chains `8 · BLOCKS` steps and stores the run of lane `l`
+/// at lane `at[l]` of `tile`, steps past the lane's length as pad power:
+/// see [`span_powers_avx2_impl`]. A store the tile ends inside is cut
+/// there.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn span_chains_avx2<const BLOCKS: usize>(chains: SpanChains, at: &[i32; 8], tile: &mut [f32]) {
+    let SpanChains {
+        mut power,
+        mut step,
+        curve,
+        len,
+    } = chains;
+    let pad = _mm256_set1_ps(PAD_POWER);
+    let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let mut runs = [[pad; 8]; BLOCKS];
+    for (block, runs) in runs.iter_mut().enumerate() {
+        for (k, column) in runs.iter_mut().enumerate() {
+            let inside = _mm256_cmpgt_epi32(len, _mm256_set1_epi32((block * 8 + k) as i32));
+            *column = _mm256_blendv_ps(pad, power, _mm256_castsi256_ps(inside));
+            power = _mm256_add_ps(power, step);
+            step = _mm256_add_ps(step, curve);
+        }
+        *runs = transpose8_avx2(*runs);
+    }
+    // Lane by lane, a lane's blocks together: what a row spills is on the
+    // tile before the next row is written.
+    for (l, at) in at.iter().enumerate() {
+        for (block, runs) in runs.iter().enumerate() {
+            let at = *at as usize + block * 8;
+            match tile.get_mut(at..at + 8) {
+                // SAFETY: `lanes` is exactly the eight floats the store
+                // writes.
+                Some(lanes) => unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), runs[l]) },
+                None => {
+                    let rest = tile.get_mut(at..).unwrap_or_default();
+                    let within = _mm256_cmpgt_epi32(_mm256_set1_epi32(rest.len() as i32), iota);
+                    // SAFETY: a masked store writes the lanes its mask
+                    // selects, the `rest.len() < 8` floats of `rest`.
+                    unsafe { _mm256_maskstore_ps(rest.as_mut_ptr(), within, runs[l]) };
+                }
+            }
+        }
+    }
+}
+
 fn alpha_powers_sse2(buf: &mut [f32]) {
     // SAFETY: SSE2 is part of the x86-64 baseline.
     unsafe { alpha_from_powers_sse2(buf) }
@@ -425,9 +756,18 @@ unsafe fn alpha_from_powers_sse2(buf: &mut [f32]) {
     let n = buf.len();
     let mut i = 0;
     unsafe {
+        let exp_min = _mm_set1_ps(EXP_INPUT_MIN);
         while i + 4 <= n {
             let x = _mm_loadu_ps(buf.as_ptr().add(i));
-            _mm_storeu_ps(buf.as_mut_ptr().add(i), alpha4_sse2(x));
+            // Every lane below the input floor (padding, mostly): the
+            // clamps would make each `+0.0`, so skip the evaluation. A
+            // NaN compares false and takes the full path.
+            let a = if _mm_movemask_ps(_mm_cmplt_ps(x, exp_min)) == 0xF {
+                _mm_setzero_ps()
+            } else {
+                alpha4_sse2(x)
+            };
+            _mm_storeu_ps(buf.as_mut_ptr().add(i), a);
             i += 4;
         }
         if i < n {
@@ -502,9 +842,18 @@ unsafe fn alpha_from_powers_avx2(buf: &mut [f32]) {
     let n = buf.len();
     let mut i = 0;
     unsafe {
+        let exp_min = _mm256_set1_ps(EXP_INPUT_MIN);
         while i + 8 <= n {
             let x = _mm256_loadu_ps(buf.as_ptr().add(i));
-            _mm256_storeu_ps(buf.as_mut_ptr().add(i), alpha8_avx2(x));
+            // Every lane below the input floor (padding, mostly): the
+            // clamps would make each `+0.0`, so skip the evaluation. A
+            // NaN compares false and takes the full path.
+            let a = if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(x, exp_min)) == 0xFF {
+                _mm256_setzero_ps()
+            } else {
+                alpha8_avx2(x)
+            };
+            _mm256_storeu_ps(buf.as_mut_ptr().add(i), a);
             i += 8;
         }
         if i < n {
