@@ -5,7 +5,10 @@
 //! (standard tile-wise and GCC Gaussian-wise), each under sequential,
 //! two-thread and auto-threaded intra-frame parallelism, and records
 //! wall-clock frame times together with what ran them: the SIMD backend
-//! the dispatcher selected and the host's thread count. Each scene also
+//! the dispatcher selected and the host's thread count. The tile-wise
+//! schedule's OBB-clipped variant (`engine: "gscore_frame_engine"`, what
+//! `Schedule::Gscore` serves) gets one `sequential` cell per scene: its
+//! tile stage differs from the standard one by the clip alone. Each scene also
 //! gets its cold-load cells under the same cell schema — `engine:
 //! "build_preset"` (one `ScenePreset::build_on`) and `"load_json"` (one
 //! `gcc_scene::io::load_scene_file_on` of the scene's JSON file) on one
@@ -31,11 +34,12 @@
 //! [`gcc_bench::default_artifact_path`] so a run from any subdirectory
 //! doesn't scatter artifacts). The binary re-parses the JSON it wrote and
 //! exits non-zero if the file is invalid, so CI can treat a zero exit as
-//! "valid perf record produced"; it also prints the two ratios the gate
-//! takes within one record: per scene, sequential `gaussian_wise ÷
-//! standard` (to stay at or below 1), and per scene and engine, `fixed2 ÷
-//! sequential` (a borrowed core may not cost). CI compares the record against
-//! `ci/bench_baseline.json` with the `perf_gate` binary.
+//! "valid perf record produced"; it also prints the two ratios
+//! `perf_gate` takes within one record: per scene, sequential
+//! `gaussian_wise ÷ standard` (reported only), and per scene and engine,
+//! `fixed2 ÷ sequential` (gated: a borrowed core may not cost). CI
+//! compares the record against `ci/bench_baseline.json` with the
+//! `perf_gate` binary.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -69,8 +73,12 @@ struct Row {
     ms_per_frame: f64,
 }
 
-/// The engines of the sweep; [`build_engine`] is the single constructor.
+/// The engines swept over every parallelism; [`build_engine`] is the
+/// single constructor.
 const ENGINES: [&str; 2] = ["standard_frame_engine", "gaussian_wise_frame_engine"];
+/// The standard schedule under GSCore's OBB footprint: one sequential
+/// cell (its threads scale as the standard engine's do).
+const GSCORE_ENGINE: &str = "gscore_frame_engine";
 
 fn build_engine(engine: &str, parallelism: Parallelism) -> Box<dyn Renderer> {
     match engine {
@@ -80,6 +88,7 @@ fn build_engine(engine: &str, parallelism: Parallelism) -> Box<dyn Renderer> {
         "gaussian_wise_frame_engine" => {
             Box::new(GaussianWiseRenderer::default().with_parallelism(parallelism))
         }
+        GSCORE_ENGINE => Box::new(StandardRenderer::gscore().with_parallelism(parallelism)),
         other => unreachable!("unknown engine {other}"),
     }
 }
@@ -269,6 +278,9 @@ fn main() {
                 push(engine, par_name, threads, ms);
             }
         }
+        let gscore = build_engine(GSCORE_ENGINE, Parallelism::Sequential);
+        let ms = time_frames(&scene, gscore.as_ref(), reps);
+        push(GSCORE_ENGINE, "sequential", 1, ms);
         // What a cold load is lent on an idle 2-core host, beside what it
         // costs alone.
         const LENT: [(&str, usize); 2] = [("sequential", 1), ("fixed2", 2)];
@@ -326,7 +338,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // The two within-record ratios `perf_gate` holds the record to.
+    // The two within-record ratios `perf_gate` prints; it gates the second.
     for o in schedule_orderings(&cells) {
         println!(
             "{} gaussian_wise / standard (sequential): {:.2}",

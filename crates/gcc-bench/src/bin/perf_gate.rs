@@ -7,10 +7,10 @@
 //!   `ci/bench_baseline.json` cell-by-cell and fails when any
 //!   `(scene, scale, engine, parallelism)` cell slowed down beyond the
 //!   tolerance, when baseline coverage is missing from the current
-//!   run, when the current record's sequential Gaussian-wise frame is
-//!   slower than its standard frame on any scene, or when any of its
-//!   `fixed2` cells is more than 10 % slower than the `sequential` cell
-//!   beside it.
+//!   run, or when any of the current record's `fixed2` cells is more
+//!   than 10 % slower than the `sequential` cell beside it. The
+//!   sequential Gaussian-wise ÷ standard ratio of each scene is printed
+//!   and decides nothing.
 //! * **Serve gate** (`--serve`): checks a `bench_serve/v3` record —
 //!   committed or freshly measured — on its own contracts. The record
 //!   must carry its `batched_lru` numbers and its own serve-vs-direct

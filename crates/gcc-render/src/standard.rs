@@ -16,8 +16,9 @@
 //!    formulation, replacing the historical per-tile comparison sorts.
 //!    Pixels are blended front-to-back with early termination: per
 //!    (Gaussian, tile) the row spans that can contribute are solved
-//!    analytically ([`EffectiveSpanWalker`], clipped by the OBB walker
-//!    under [`Footprint::Obb`]) and handed to the shared blend loop
+//!    analytically, all rows in one `KernelSet::row_spans` call
+//!    ([`EffectiveSpanWalker`] is its definition), clipped by the OBB
+//!    walker under [`Footprint::Obb`], and handed to the shared blend loop
 //!    ([`stages::PixelPatch::blend_rows`]). A Gaussian overlapping `k`
 //!    tiles is loaded `k` times (the Fig. 2(b) redundancy).
 //!
@@ -50,11 +51,16 @@ use crate::Image;
 /// Rough cost of one (Gaussian, tile) pair in the tile stage — span
 /// solve, power chain, exponentials, blend — quoted to
 /// [`stages::render_units`]' work floor. A sequential standard frame at
-/// 256² costs 230–400 ns per KV pair all told on every scene and ladder
-/// rung the repo benchmark renders (Lego@0.5 `full` 94 k pairs in 27 ms,
-/// its `floor` rung 11 k in 4.3 ms, Train@0.05 21 k in 6.4 ms), the tile
-/// stage being all of that but the ≈ 1.5 ms of preprocessing.
-const KV_PAIR_NS: u32 = 250;
+/// 256² costs 185–235 ns per KV pair all told on every scene and ladder
+/// rung the repo benchmark renders (Lego@0.5 `full` 94.8 k pairs in
+/// 17.5 ms, its `floor` rung 10.8 k in 2.6 ms, Train@0.05 21.1 k in
+/// 4.4 ms, Lego@0.15 28.1 k in 5.4 ms), and the tile stage is all of
+/// that but the 0.9 ms (8.5 k Gaussians) to 3 ms (17 k) of preprocessing:
+/// 150–165 ns a pair. At this quote a frame is offered a second thread
+/// from 5 000 pairs up; the smallest frames measured on two threads —
+/// `bench_frame`'s smoke scenes (8.4 k and 9.3 k pairs) and the `floor`
+/// rung — take 0.80, 0.80 and 0.63 of their one-thread time there.
+const KV_PAIR_NS: u32 = 160;
 
 /// Which footprint limits per-pixel alpha evaluation inside a tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -646,8 +652,8 @@ mod tests {
     fn parallel_tiles_reproduce_sequential_render_exactly() {
         let cam = test_cam();
         let mut gaussians = Vec::new();
-        for i in 0..4000 {
-            let t = i as f32 / 4000.0;
+        for i in 0..6400 {
+            let t = i as f32 / 6400.0;
             gaussians.push(Gaussian3D::isotropic(
                 Vec3::new((t * 19.0).sin(), (t * 13.0).cos() * 0.6, t * 2.0 - 0.3),
                 0.05 + 0.1 * t,

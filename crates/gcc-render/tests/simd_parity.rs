@@ -105,6 +105,45 @@ fn standard_render_is_bit_identical_across_backends_and_threads() {
 }
 
 #[test]
+fn standard_tile_edges_are_bit_identical_across_backends_and_threads() {
+    // The span kernels (`row_spans`, `span_powers`) take their shape from
+    // the tile edge: one lane group per row, the paper's two, three
+    // (where rows outnumber the lanes of a vector and 120 rows leave a
+    // clipped last tile) and four, under both footprints — the OBB clip
+    // is what hands `span_powers` an empty row between two live ones.
+    let cam = test_cam();
+    let g = cloud(400);
+    for tile_size in [8u32, 16, 24, 32] {
+        for footprint in [Footprint::Aabb, Footprint::Obb] {
+            let with_backend = |backend| StandardConfig {
+                backend: Some(backend),
+                tile_size,
+                footprint,
+                ..StandardConfig::default()
+            };
+            let reference = render_standard_with(
+                &g,
+                &cam,
+                &with_backend(Backend::Scalar),
+                Parallelism::Sequential,
+            );
+            assert!(reference.stats.rendered > 0, "scene must be non-trivial");
+            for backend in dispatch::available() {
+                for threads in [1usize, 2] {
+                    let cfg = with_backend(backend);
+                    let out = render_standard_with(&g, &cam, &cfg, Parallelism::fixed(threads));
+                    let what = format!(
+                        "standard {footprint:?} tile={tile_size} {backend} threads={threads}"
+                    );
+                    assert_images_bitwise_equal(&reference.image, &out.image, &what);
+                    assert_eq!(reference.stats, out.stats, "{what}: stats");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn gaussian_wise_render_is_bit_identical_across_backends_and_threads() {
     let cam = test_cam();
     let g = cloud(300);
