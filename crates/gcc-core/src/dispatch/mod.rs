@@ -1,15 +1,17 @@
 //! Runtime-dispatched SIMD kernels for the frame hot path.
 //!
 //! The renderers in `gcc-render` spend almost their entire frame budget in
-//! six loops: depth-key generation before the radix sort, SH color
-//! evaluation, and the four that make up the paper's Alpha and Blending
+//! eight loops: depth-key generation before the radix sort, SH color
+//! evaluation, and the six that make up the paper's Alpha and Blending
 //! Units — the `E(p)` test of a whole pixel block (Algorithm 1's PE-array
-//! dispatch), the forward-difference power chain of a block, the
-//! exponential/clamp tail of alpha evaluation, and the masked
-//! front-to-back blend of those alphas into the pixel planes. This module
-//! provides explicitly vectorized `core::arch` implementations of those
-//! loops (SSE2/AVX2 on x86-64, NEON on aarch64) behind a one-time runtime
-//! dispatch table, with the scalar path kept as the bit-exactness
+//! dispatch) and the forward-difference power chain of a block for the
+//! Gaussian-wise schedule; the effective row spans of a (Gaussian, tile)
+//! pair and the power chains over those spans for the tile-wise one; and
+//! the tail both share, the exponential/clamp of alpha evaluation and the
+//! masked front-to-back blend of those alphas into the pixel planes. This
+//! module provides explicitly vectorized `core::arch` implementations of
+//! those loops (SSE2/AVX2 on x86-64, NEON on aarch64) behind a one-time
+//! runtime dispatch table, with the scalar path kept as the bit-exactness
 //! reference.
 //!
 //! # Bit-exactness contract
@@ -21,12 +23,17 @@
 //! * the exponential is [`gcc_math::exp::det_exp`] — a fixed sequence of
 //!   IEEE-754 single-precision operations with no FMA and no libm call —
 //!   and the SIMD kernels perform the same per-lane operation sequence;
-//! * sequentially-dependent arithmetic (the [`RowAlpha`] forward-difference
-//!   chain) is never re-associated: a variable span of the standard
-//!   schedule runs it scalar, and [`BlockPowersFn`] runs the *same*
-//!   recurrence with a block's rows in the vector lanes — eight
-//!   independent chains advance together, each lane adding exactly what
-//!   the scalar chain of its row adds, in the same order;
+//! * sequentially-dependent arithmetic (the
+//!   [`RowAlpha`](crate::alpha::RowAlpha) forward-difference chain) is
+//!   never re-associated: [`BlockPowersFn`] and [`SpanPowersFn`] run the
+//!   *same* recurrence with a block's or a tile's rows in the vector
+//!   lanes — eight independent chains advance together, each lane adding
+//!   exactly what the scalar chain of its row adds, in the same order, a
+//!   span's chain started at its own row's first column; likewise
+//!   [`RowSpansFn`] keeps the span walker's `f64` forward differences
+//!   scalar and in row order and vectorizes what follows them, where every
+//!   operation (`sqrt`, `floor`, `ceil`, `min`, `max`, a multiply, an add)
+//!   is one correctly rounded IEEE-754 operation per lane;
 //! * [`BlockPassFn`] evaluates [`EffectiveTest::passes`]'s expression tree
 //!   per lane (columns as lanes, left-to-right products, no FMA) and
 //!   reduces the comparison to a bit per lane;
@@ -46,9 +53,12 @@
 //!
 //! [`active`] resolves the best supported backend once (cached): AVX2 if
 //! the CPU reports it, else SSE2 on x86-64, NEON on aarch64, scalar
-//! elsewhere. (The NEON table routes the two block kernels to their scalar
-//! twins — the documented fallback of [`KernelSet`] — until someone can
-//! build and test intrinsics for them on an aarch64 host.) Setting the environment variable `GCC_FORCE_SCALAR` to
+//! elsewhere. Not every table has a vector body for every kernel — the
+//! documented fallback of [`KernelSet`] is the scalar twin, bit-identical
+//! either way: SSE2 routes `sh_colors` (no gathers), `row_spans` (no
+//! `roundpd`) and `span_powers` there, and NEON those three and the two
+//! block kernels, until someone can build and test intrinsics for them on
+//! an aarch64 host. Setting the environment variable `GCC_FORCE_SCALAR` to
 //! anything but `0`/empty forces the scalar reference. Renderer configs can
 //! also pin a backend per call (`StandardConfig::backend`), which is what
 //! the in-process parity tests use — no global state involved.
@@ -111,13 +121,16 @@ impl std::fmt::Display for Backend {
 /// `depths[i]` ([`crate::sort::depth_key`]). Slices must be equal length.
 pub type DepthKeysFn = fn(depths: &[f32], keys: &mut [u32]);
 
-/// Converts a buffer of raw [`RowAlpha`] power values into clamped alphas
+/// Converts a buffer of raw [`RowAlpha`](crate::alpha::RowAlpha) power
+/// values into clamped alphas
 /// **in place**, in `ExpMode::Exact` semantics: `x < −5.54 → 0`,
 /// `x ≥ 0 → 1`, else `det_exp(x)`, then `min(ALPHA_MAX)` and the
-/// `< ALPHA_MIN → 0` cutoff. The power fill itself (the
-/// sequentially-dependent forward-difference chain) always runs scalar in
-/// the caller, so kernels only see the independent per-element exp/clamp
-/// tail, which is what vectorizes.
+/// `< ALPHA_MIN → 0` cutoff. The power fill itself is a kernel of its own
+/// ([`BlockPowersFn`], [`SpanPowersFn`]): this one sees only the
+/// independent per-element exp/clamp tail. The SIMD twins store `+0.0` for
+/// a whole lane group below the input floor without evaluating it —
+/// bit for bit what the clamps make of each such lane, and most of what a
+/// padded power tile holds.
 pub type AlphaPowersFn = fn(powers: &mut [f32]);
 
 /// Lane-group width of [`BlendSpanFn`]: every slice it takes is a whole

@@ -5,8 +5,9 @@
 //! compare-and-select (`a < b ? a : b`) so NaN propagation matches the
 //! scalar `f32::min`/`f32::max` results on every input the renderers can
 //! produce. SH evaluation has no NEON gather, so it routes to the scalar
-//! twin; so do the two block kernels (`block_pass`, `block_powers`), whose
-//! intrinsics no one has been able to build on an aarch64 host yet.
+//! twin; so do the two block kernels (`block_pass`, `block_powers`) and
+//! the two span kernels (`row_spans`, `span_powers`), whose intrinsics no
+//! one has been able to build on an aarch64 host yet.
 
 use core::arch::aarch64::*;
 
@@ -75,7 +76,7 @@ unsafe fn alpha_from_powers_neon(buf: &mut [f32]) {
             // Every lane below the input floor (padding, mostly): the
             // clamps would make each `+0.0`, so skip the evaluation. A
             // NaN compares false and takes the full path.
-            let a = if vminvq_u32(vcltq_f32(x, exp_min)) == u32::MAX {
+            let a = if vaddvq_u32(vshrq_n_u32::<31>(vcltq_f32(x, exp_min))) == 4 {
                 vdupq_n_f32(0.0)
             } else {
                 alpha4_neon(x)

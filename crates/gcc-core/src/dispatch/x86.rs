@@ -30,8 +30,10 @@ pub(super) fn avx2_available() -> bool {
 }
 
 /// The SSE2 dispatch table (baseline on every x86-64 CPU). SH evaluation
-/// has no profitable SSE2 form (no gathers), so it routes to the scalar
-/// twin — bit-identical either way.
+/// has no profitable SSE2 form (no gathers) and the span solve none at all
+/// (no packed `floor` / `ceil` before SSE4.1), so they route to the scalar
+/// twins, and so does the span fill, whose write-out leans on AVX2's
+/// variable blends and lane permutes — bit-identical either way.
 pub(super) static SSE2: KernelSet = KernelSet {
     backend: super::Backend::Sse2,
     depth_keys: depth_keys_sse2,

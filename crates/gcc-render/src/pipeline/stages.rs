@@ -18,7 +18,7 @@
 //! * [`partition_windows`] — Compatibility-Mode sub-view partitioning,
 //! * [`PixelPatch`] — a rectangular tile/window of blending state that a
 //!   worker owns exclusively, and the one blend loop: a schedule fills a
-//!   block's power tile — span by span ([`PixelPatch::blend_rows`], the
+//!   block's power tile — over per-row spans ([`PixelPatch::blend_rows`], the
 //!   standard schedule's variable spans) or whole
 //!   ([`PixelPatch::blend_block`], a dispatched Gaussian-wise block) —
 //!   and both end in the same exponential + `blend_span` tail; the
