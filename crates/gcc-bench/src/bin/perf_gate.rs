@@ -105,10 +105,9 @@ fn main() {
         print!("{}", report.render());
         if !report.passed() {
             eprintln!(
-                "perf_gate: regression beyond +{:.0}% against {baseline_path}, a \
-                 Gaussian-wise frame slower than the standard one, or a cell slower on \
-                 two threads than on one — if the first is intentional, refresh the \
-                 baseline (see README \"Perf gate\")",
+                "perf_gate: regression beyond +{:.0}% against {baseline_path}, lost \
+                 coverage, or a cell slower on two threads than on one — if the first \
+                 is intentional, refresh the baseline (see README \"Perf gate\")",
                 tolerance * 100.0
             );
             failed = true;

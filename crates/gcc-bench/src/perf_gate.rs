@@ -18,13 +18,13 @@
 //!
 //! The other within-record ratio is reported and does not gate: per scene,
 //! the sequential Gaussian-wise frame over the standard one
-//! ([`schedule_orderings`]). From PR 16 to PR 23 the gate failed a record
+//! ([`schedule_orderings`]). From PR 16 to PR 22 the gate failed a record
 //! where that ratio exceeded 1, and it held at 0.68–0.76 — because PR 16
 //! had vectorised the Gaussian-wise schedule's front half (`block_pass`,
 //! `block_powers`) while the tile-wise baseline still solved its spans and
 //! ran its power chains scalar. With `row_spans` and `span_powers` the
 //! baseline's front half is vectorised too and the ratio sits at
-//! 0.93–1.03: a rule that only a slow baseline satisfies rewards the
+//! 0.97–1.08: a rule that only a slow baseline satisfies rewards the
 //! defect, the way `SERVE_SPEEDUP_FLOOR` rewarded a slow scene parser.
 //! Each schedule's cells stay held to the baseline record by the per-cell
 //! tolerance, so neither can get slower unnoticed; what the paper claims

@@ -79,7 +79,7 @@ pub fn span_powers(
     let Some(first) = lo.iter().zip(hi).position(live) else {
         return 0..0;
     };
-    let end = lo.iter().zip(hi).rposition(live).map_or(first, |last| last) + 1;
+    let end = lo.iter().zip(hi).rposition(live).unwrap_or(first) + 1;
     for row in first..end {
         let lanes = &mut tile[row * row_lanes..(row + 1) * row_lanes];
         lanes.fill(PAD_POWER);

@@ -490,14 +490,14 @@ fn row_spans_avx2_impl(mut w: EffectiveSpanWalker, lo: &mut [i32], hi: &mut [i32
                 _mm_storeu_si128(hi.as_mut_ptr().cast(), hi_i);
             }
         } else {
-            let (mut lo4, mut hi4) = ([0i32; ROWS], [0i32; ROWS]);
-            // SAFETY: the arrays are exactly the four `i32` a store writes.
+            let rows = _mm_set1_epi32(lo.len().min(hi.len()) as i32);
+            let within = _mm_cmpgt_epi32(rows, _mm_setr_epi32(0, 1, 2, 3));
+            // SAFETY: a masked store writes the lanes its mask selects,
+            // the elements each short chunk has.
             unsafe {
-                _mm_storeu_si128(lo4.as_mut_ptr().cast(), lo_i);
-                _mm_storeu_si128(hi4.as_mut_ptr().cast(), hi_i);
+                _mm_maskstore_epi32(lo.as_mut_ptr(), within, lo_i);
+                _mm_maskstore_epi32(hi.as_mut_ptr(), within, hi_i);
             }
-            lo.copy_from_slice(&lo4[..lo.len()]);
-            hi.copy_from_slice(&hi4[..hi.len()]);
         }
     }
 }
