@@ -1683,6 +1683,12 @@ mod tests {
     use gcc_render::pipeline::{Roi, StandardRenderer};
     use gcc_scene::{SceneConfig, ScenePreset};
 
+    mod ledger {
+        use crate as gcc_serve;
+        include!("../../../tests/ledger/mod.rs");
+    }
+    use ledger::assert_ledger;
+
     fn mem_source(preset: ScenePreset, scale: f32) -> (Arc<Scene>, SceneSource) {
         let scene = Arc::new(preset.build(&SceneConfig::with_scale(scale)));
         (Arc::clone(&scene), SceneSource::Memory(scene))
@@ -2672,6 +2678,7 @@ mod tests {
                 // Invariants after every resolved request: no phantom
                 // load claim survives its request, a failed load is not
                 // resident, and the byte budget holds through the churn.
+                assert_ledger(&service.stats());
                 let st = service.shared.state.lock().unwrap();
                 assert!(
                     st.loading.is_empty(),
@@ -2691,6 +2698,7 @@ mod tests {
                 );
             }
             let stats = service.shutdown();
+            assert_ledger(&stats);
             assert_eq!(served + failed + quarantined, 60);
             assert_eq!(stats.completed, served + failed);
             assert!(

@@ -28,6 +28,9 @@ use gcc_serve::{
     ServeConfig, ServeError, ShedPolicy, StreamConfig, StreamSpec,
 };
 
+mod ledger;
+use ledger::assert_ledger;
+
 fn scenes() -> Vec<(&'static str, Arc<Scene>)> {
     [("lego", ScenePreset::Lego), ("palace", ScenePreset::Palace)]
         .map(|(id, preset)| (id, Arc::new(preset.build(&SceneConfig::with_scale(0.02)))))
@@ -171,6 +174,7 @@ fn fault_storm_resolves_every_stream_and_recovers_the_pool() {
     );
 
     let mid = service.stats();
+    assert_ledger(&mid);
     assert!(mid.respawns >= 1, "the scripted load panic guarantees one");
     assert_eq!(
         mid.lost_workers, 0,
@@ -203,6 +207,7 @@ fn fault_storm_resolves_every_stream_and_recovers_the_pool() {
         }
     }
     let stats = service.shutdown();
+    assert_ledger(&stats);
     assert_eq!(stats.lost_workers, 0);
     assert_eq!(
         stats.quarantined_scenes, 0,
@@ -259,6 +264,7 @@ fn bulk_sheds_before_interactive_under_watermark_pressure() {
         assert_eq!(stream.filter(Result::is_ok).count(), 3);
     }
     let stats = service.shutdown();
+    assert_ledger(&stats);
     assert_eq!(stats.priority(Priority::Bulk).rejected, 1);
     assert_eq!(stats.priority(Priority::Bulk).shed, 0);
     assert_eq!(stats.priority(Priority::Interactive).rejected, 0);
@@ -331,6 +337,7 @@ fn render_panic_storm_with_backpressure_still_drains_every_stream() {
         std::thread::yield_now();
     }
     let stats = service.stats();
+    assert_ledger(&stats);
     assert!(
         stats.respawns >= 1,
         "a 20% panic rate over {} renders must trip at least once",
@@ -350,5 +357,5 @@ fn render_panic_storm_with_backpressure_still_drains_every_stream() {
         .unwrap();
     let stream = session.stream(StreamSpec::orbit(5)).unwrap();
     assert_eq!(stream.filter(Result::is_ok).count(), 5);
-    service.shutdown();
+    assert_ledger(&service.shutdown());
 }

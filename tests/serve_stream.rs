@@ -18,6 +18,9 @@ use gcc_serve::{
     StreamPoll, StreamSpec,
 };
 
+mod ledger;
+use ledger::assert_ledger;
+
 fn registry(scale: f32) -> (Vec<Arc<Scene>>, Vec<(String, SceneSource)>) {
     let mut scenes = Vec::new();
     let mut reg = Vec::new();
@@ -102,6 +105,7 @@ fn streams_deliver_in_order_under_the_backpressure_window() {
     }
     assert_eq!(delivered, 8);
     let stats = service.shutdown();
+    assert_ledger(&stats);
     assert_eq!(stats.frames, 8);
     assert_eq!(stats.streams.opened, 1);
     assert_eq!(stats.streams.completed, 1);
@@ -142,6 +146,7 @@ fn cancellation_releases_queued_work() {
         .render_blocking(RenderRequest::trajectory("palace", 0.5))
         .unwrap();
     let stats = service.shutdown();
+    assert_ledger(&stats);
     assert_eq!(stats.streams.cancelled, 1);
     assert!(
         stats.streams.frames_discarded >= 1,
@@ -171,6 +176,7 @@ fn dropping_a_stream_cancels_it() {
         // Dropped without consuming a single frame.
     }
     let stats = service.shutdown();
+    assert_ledger(&stats);
     assert_eq!(stats.streams.opened, 1);
     assert_eq!(stats.streams.cancelled, 1);
     assert_eq!(stats.streams.completed, 0);
@@ -198,6 +204,7 @@ fn shutdown_resolves_in_flight_streams_with_shutting_down() {
     // mid-flight (8+ frames never issued).
     stream.next_frame().expect("first frame").expect("renders");
     let stats = service.shutdown();
+    assert_ledger(&stats);
     assert!(
         stats.frames < 10,
         "shutdown must not render the whole stream"
@@ -241,7 +248,7 @@ fn wait_timeout_polls_without_losing_the_frame() {
     };
     assert!(frame.image.width() > 0);
     assert!(timeouts >= 1, "a 5ms poll must time out at least once");
-    service.shutdown();
+    assert_ledger(&service.shutdown());
 }
 
 #[test]
@@ -263,6 +270,7 @@ fn zero_deadline_counts_every_frame_as_missed() {
         .unwrap();
     assert_eq!(stream.filter(Result::is_ok).count(), 4);
     let stats = service.shutdown();
+    assert_ledger(&stats);
     let bulk = stats.priority(Priority::Bulk);
     assert_eq!(bulk.with_deadline, 4);
     assert_eq!(bulk.deadline_misses, 4, "a zero deadline is always missed");
@@ -291,6 +299,7 @@ fn priorities_split_the_statistics() {
     }
     assert_eq!(bulk.filter(Result::is_ok).count(), 5);
     let stats = service.shutdown();
+    assert_ledger(&stats);
     assert_eq!(stats.priority(Priority::Bulk).frames, 5);
     assert_eq!(stats.priority(Priority::Interactive).frames, 3);
     assert_eq!(stats.priority(Priority::Bulk).requests, 5);
@@ -350,6 +359,7 @@ fn empty_and_invalid_stream_specs_are_rejected_at_open() {
         Err(ServeError::InvalidRequest(_))
     ));
     let stats = service.shutdown();
+    assert_ledger(&stats);
     assert_eq!(stats.streams.opened, 0);
     assert_eq!(stats.frames, 0);
 }
