@@ -49,7 +49,9 @@ use gcc_bench::TablePrinter;
 use gcc_core::Gaussian3D;
 use gcc_lod::{build_hierarchy, HierarchyConfig};
 use gcc_parallel::{available_threads, Parallelism};
-use gcc_render::pipeline::{Frame, FrameScratch, GaussianWiseRenderer, Renderer, StandardRenderer};
+use gcc_render::pipeline::{
+    Frame, FrameScratch, GaussianWiseRenderer, RenderJob, Renderer, StandardRenderer,
+};
 use gcc_scene::{io, Scene, SceneConfig, ScenePreset};
 
 /// One (scene, scale) point of the sweep.
@@ -96,12 +98,13 @@ fn build_engine(engine: &str, parallelism: Parallelism) -> Box<dyn Renderer> {
 /// Best-of-`reps` frame time in milliseconds (one warmup render first).
 fn time_frames(scene: &Scene, renderer: &dyn Renderer, reps: usize) -> f64 {
     let cam = scene.default_camera();
+    let job = RenderJob::new(&scene.gaussians, &cam);
     let mut scratch = FrameScratch::new();
-    let _warmup: Frame = renderer.render_frame_reusing(&scene.gaussians, &cam, &mut scratch);
+    let _warmup: Frame = renderer.render_job(&job, &mut scratch);
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
-        let frame = renderer.render_frame_reusing(&scene.gaussians, &cam, &mut scratch);
+        let frame = renderer.render_job(&job, &mut scratch);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         // Keep the frame alive through the timer so the render cannot be
         // optimized away.

@@ -352,8 +352,8 @@ impl std::error::Error for JobError {}
 
 /// One fully specified frame request: the Gaussian cloud, a resolved
 /// camera (already at the output resolution) and the per-request options.
-/// This is what [`Renderer::render_job`] consumes; `render_frame` /
-/// `render_frame_reusing` are thin shims over a default-options job.
+/// This is what [`Renderer::render_job`] consumes; `render_frame` is a
+/// convenience over a default-options job.
 #[derive(Debug, Clone)]
 pub struct RenderJob<'a> {
     /// The Gaussian cloud.

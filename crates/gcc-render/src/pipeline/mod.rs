@@ -23,12 +23,12 @@
 //! new `Renderer` implementation over the same stages — no new stats
 //! plumbing, no simulator changes.
 //!
-//! Since the request-model redesign, the primary entry point is
-//! [`Renderer::render_job`]: a [`RenderJob`] carries the cloud, a resolved
-//! [`Camera`], and per-request [`RenderOptions`] (schedule selection via
-//! [`Schedule`], region-of-interest [`Roi`], background and quality
-//! knobs). `render_frame` / `render_frame_reusing` are thin shims over a
-//! default-options job.
+//! The one entry point is [`Renderer::render_job`]: a [`RenderJob`]
+//! carries the cloud, a resolved [`Camera`], and per-request
+//! [`RenderOptions`] (schedule selection via [`Schedule`],
+//! region-of-interest [`Roi`], background and quality knobs).
+//! `render_frame` is a convenience over a default-options job and a fresh
+//! scratch.
 
 mod job;
 mod scratch;
@@ -65,51 +65,24 @@ pub trait Renderer: Sync {
     /// Human-readable schedule name (report rows, bench labels).
     fn name(&self) -> &str;
 
-    /// Renders one frame.
-    fn render_frame(&self, gaussians: &[Gaussian3D], cam: &Camera) -> Frame;
-
-    /// Renders one frame reusing `scratch` for the hot-path buffers. The
-    /// output is bit-identical to [`Self::render_frame`] regardless of
-    /// what earlier frames left in the scratch; batch drivers keep one
-    /// scratch per worker to stop reallocating per frame.
-    ///
-    /// The default implementation ignores the scratch, so renderers that
-    /// carry no reusable state only implement [`Self::render_frame`].
-    fn render_frame_reusing(
-        &self,
-        gaussians: &[Gaussian3D],
-        cam: &Camera,
-        scratch: &mut FrameScratch,
-    ) -> Frame {
-        let _ = scratch;
-        self.render_frame(gaussians, cam)
-    }
-
-    /// Renders one fully specified request — the primary entry point of
-    /// the request-model API. A default-options job is identical to
-    /// [`Self::render_frame_reusing`]; an ROI job's image is bit-identical
-    /// to the crop of the full-frame render (see
-    /// [`RenderOptions`]).
-    ///
-    /// The default implementation renders the full frame and crops the
-    /// ROI; it ignores schedule-cooperative options (background override,
-    /// quality knobs) and the job's parallelism, which the in-tree
-    /// schedules honor through their own overrides. `options.schedule` never changes which renderer runs —
-    /// dispatch on it with [`Schedule::renderer`] or the serving layer.
+    /// Renders one fully specified request, reusing `scratch` for the
+    /// hot-path buffers. The output is bit-identical whatever earlier
+    /// frames left in the scratch; batch drivers keep one scratch per
+    /// worker to stop reallocating per frame. An ROI job's image is
+    /// bit-identical to the crop of the full-frame render (see
+    /// [`RenderOptions`]). `options.schedule` never changes which renderer
+    /// runs — dispatch on it with [`Schedule::renderer`] or the serving
+    /// layer.
     ///
     /// # Panics
     ///
     /// Panics when the job fails [`RenderJob::validate`] (serving-layer
     /// callers validate at submit and return typed errors instead).
-    fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
-        if let Err(e) = job.validate() {
-            panic!("invalid render job: {e}");
-        }
-        let mut frame = self.render_frame_reusing(job.gaussians, job.camera, scratch);
-        if let Some(roi) = &job.options.roi {
-            frame.image = job::crop_image(&frame.image, roi);
-        }
-        frame
+    fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame;
+
+    /// Renders one frame with default options and a fresh scratch.
+    fn render_frame(&self, gaussians: &[Gaussian3D], cam: &Camera) -> Frame {
+        self.render_job(&RenderJob::new(gaussians, cam), &mut FrameScratch::new())
     }
 }
 
@@ -161,19 +134,6 @@ impl StandardRenderer {
 impl Renderer for StandardRenderer {
     fn name(&self) -> &str {
         "standard"
-    }
-
-    fn render_frame(&self, gaussians: &[Gaussian3D], cam: &Camera) -> Frame {
-        self.render_frame_reusing(gaussians, cam, &mut FrameScratch::new())
-    }
-
-    fn render_frame_reusing(
-        &self,
-        gaussians: &[Gaussian3D],
-        cam: &Camera,
-        scratch: &mut FrameScratch,
-    ) -> Frame {
-        self.render_job(&RenderJob::new(gaussians, cam), scratch)
     }
 
     fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
@@ -241,19 +201,6 @@ impl GaussianWiseRenderer {
 impl Renderer for GaussianWiseRenderer {
     fn name(&self) -> &str {
         "gaussian-wise"
-    }
-
-    fn render_frame(&self, gaussians: &[Gaussian3D], cam: &Camera) -> Frame {
-        self.render_frame_reusing(gaussians, cam, &mut FrameScratch::new())
-    }
-
-    fn render_frame_reusing(
-        &self,
-        gaussians: &[Gaussian3D],
-        cam: &Camera,
-        scratch: &mut FrameScratch,
-    ) -> Frame {
-        self.render_job(&RenderJob::new(gaussians, cam), scratch)
     }
 
     fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {

@@ -6,7 +6,7 @@
 //! Allocating them per frame is pure overhead in batch workloads (a
 //! trajectory render re-creates them hundreds of times), so they live in
 //! one [`FrameScratch`] that callers thread through
-//! [`crate::pipeline::Renderer::render_frame_reusing`]. The trajectory
+//! [`crate::pipeline::Renderer::render_job`]. The trajectory
 //! runner keeps one scratch per worker thread.
 //!
 //! A scratch is *pure capacity*: every buffer is rebuilt from scratch each

@@ -7,8 +7,7 @@
 //! that a service can validate *before* the scene is even loaded, and
 //! resolve once it is. Three forms:
 //!
-//! * [`ViewSpec::Trajectory`] — parameter `t` on the scene's rig (the
-//!   historical `RenderRequest { scene, t }` surface),
+//! * [`ViewSpec::Trajectory`] — parameter `t` on the scene's rig,
 //! * [`ViewSpec::LookAt`] — an explicit pose (headset / free-fly clients),
 //! * [`ViewSpec::Orbit`] — an absolute angle on the rig circle with
 //!   radius/height adjustments (turntable clients).

@@ -27,7 +27,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use gcc_core::{Camera, Gaussian3D};
 use gcc_render::pipeline::{Frame, FrameScratch, RenderJob, Renderer};
 
 /// One injected load failure mode.
@@ -260,8 +259,7 @@ fn hash_str(s: &str) -> u64 {
 
 /// A [`Renderer`] wrapper that injects panics per the plan's render
 /// schedule and otherwise delegates — frames it does render are
-/// bit-identical to the inner renderer's (all entry points forward, so
-/// scratch-reuse overrides of the wrapped renderer stay in effect).
+/// bit-identical to the inner renderer's.
 pub struct ChaosRenderer {
     inner: Box<dyn Renderer + Send + Sync>,
     plan: Arc<FaultPlan>,
@@ -271,12 +269,6 @@ impl ChaosRenderer {
     /// Wraps `inner`, drawing on `plan` before every render call.
     pub fn new(inner: Box<dyn Renderer + Send + Sync>, plan: Arc<FaultPlan>) -> Self {
         Self { inner, plan }
-    }
-
-    fn maybe_panic(&self) {
-        if self.plan.next_render_fault() {
-            panic!("injected render fault");
-        }
     }
 }
 
@@ -293,23 +285,10 @@ impl Renderer for ChaosRenderer {
         self.inner.name()
     }
 
-    fn render_frame(&self, gaussians: &[Gaussian3D], cam: &Camera) -> Frame {
-        self.maybe_panic();
-        self.inner.render_frame(gaussians, cam)
-    }
-
-    fn render_frame_reusing(
-        &self,
-        gaussians: &[Gaussian3D],
-        cam: &Camera,
-        scratch: &mut FrameScratch,
-    ) -> Frame {
-        self.maybe_panic();
-        self.inner.render_frame_reusing(gaussians, cam, scratch)
-    }
-
     fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
-        self.maybe_panic();
+        if self.plan.next_render_fault() {
+            panic!("injected render fault");
+        }
         self.inner.render_job(job, scratch)
     }
 }

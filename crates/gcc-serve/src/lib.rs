@@ -31,9 +31,8 @@
 //!   [`FrameScratch`](gcc_render::pipeline::FrameScratch); requests for
 //!   a cold scene trigger an asynchronous load on one worker which then
 //!   drains the waiting batch itself (load-then-drain), while other
-//!   workers keep serving resident scenes. [`RenderService::submit`] and
-//!   [`RenderService::render_blocking`] are thin shims over single-frame
-//!   interactive streams.
+//!   workers keep serving resident scenes. Every request is a stream:
+//!   a single frame ([`Session::submit`]) is a one-view interactive one.
 //! * [`LodPolicy`] — deadline-aware adaptive quality: with
 //!   `ServeConfig::lod` set, deadline-carrying frames dispatch through
 //!   the `gcc_lod` quality ladder. A rolling per-scene cost model
@@ -58,12 +57,12 @@
 //!   [`FrameStats`](gcc_render::pipeline::FrameStats) of everything
 //!   rendered.
 //!
-//! Requests are validated at submit/open: NaN parameters, out-of-range
-//! trajectory values, zero-sized ROIs, empty streams and unknown scene
-//! ids come back as typed [`ServeError`]s instead of reaching a render
-//! worker.
+//! Requests are validated when a session or stream opens: NaN
+//! parameters, out-of-range trajectory values, zero-sized ROIs, empty
+//! streams and unknown scene ids come back as typed [`ServeError`]s
+//! instead of reaching a render worker.
 //!
-//! Determinism contract: a served frame — streamed or submitted — is
+//! Determinism contract: a served frame — streamed or single — is
 //! bit-identical to calling
 //! [`Renderer::render_job`](gcc_render::pipeline::Renderer::render_job)
 //! directly with the same scene, resolved camera and options — scratch
@@ -74,9 +73,7 @@
 //! ```
 //! use gcc_render::{RenderOptions, Schedule};
 //! use gcc_scene::{ScenePreset, ViewSpec};
-//! use gcc_serve::{
-//!     RenderRequest, RenderService, SceneSource, ServeConfig, StreamConfig, StreamSpec,
-//! };
+//! use gcc_serve::{RenderService, SceneSource, ServeConfig, StreamConfig, StreamSpec};
 //!
 //! let service = RenderService::new(
 //!     ServeConfig { workers: 2, ..ServeConfig::default() },
@@ -85,14 +82,7 @@
 //!         SceneSource::Preset { preset: ScenePreset::Lego, scale: 0.02 },
 //!     )],
 //! );
-//! // The single-frame surface: a thin shim over a one-frame stream.
-//! let frame = service
-//!     .submit(RenderRequest::trajectory("lego", 0.25))
-//!     .unwrap()
-//!     .wait()
-//!     .unwrap();
-//! assert!(frame.image.width() > 0);
-//! // The session surface: open once, stream a whole sweep through it.
+//! // Open a session once, stream a whole sweep through it…
 //! let session = service
 //!     .session("lego", RenderOptions::default().with_schedule(Schedule::GccHardware))
 //!     .unwrap();
@@ -104,7 +94,9 @@
 //!     .unwrap();
 //! let frames: Vec<_> = stream.map(|r| r.unwrap()).collect();
 //! assert_eq!(frames.len(), 3);
-//! // And posed single frames through the same session.
+//! // …and single frames through the same session: one-view streams.
+//! let frame = session.submit(ViewSpec::trajectory(0.25)).unwrap().wait().unwrap();
+//! assert!(frame.image.width() > 0);
 //! let posed = session
 //!     .render_blocking(ViewSpec::look_at(
 //!         gcc_math::Vec3::new(0.0, 1.0, -4.0),
@@ -128,8 +120,7 @@ mod stats;
 pub use cache::LruSceneCache;
 pub use fault::{ChaosRenderer, FaultPlan, LoadFault};
 pub use service::{
-    LodPolicy, RenderHandle, RenderRequest, RenderService, ScheduleRenderers, ServeConfig,
-    ShedPolicy,
+    LodPolicy, RenderHandle, RenderService, ScheduleRenderers, ServeConfig, ShedPolicy,
 };
 pub use session::{FrameStream, Priority, Session, StreamConfig, StreamPoll, StreamSpec};
 pub use source::{LoadError, SceneSource};

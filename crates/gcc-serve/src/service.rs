@@ -4,17 +4,15 @@
 //!
 //! # Request model
 //!
-//! Since the session redesign *everything is a stream*: a client opens a
-//! [`Session`] per scene and streams view sequences through it
-//! ([`Session::stream_with`]); [`RenderService::submit`] is a thin shim
-//! that opens a single-frame interactive stream and wraps it in a
-//! [`RenderHandle`]. A [`RenderRequest`] is a scene id, a [`ViewSpec`]
-//! and [`RenderOptions`]; validation happens before any worker sees the
-//! request — unknown scene ids, NaN / out-of-range parameters and
-//! zero-sized ROIs fail with typed [`ServeError`]s at submit/open; ROI
-//! bounds against a scene's *native* resolution can only be checked once
-//! the scene is known, so that case resolves through the stream instead
-//! of panicking a worker.
+//! Everything is a stream: a client opens a [`Session`] per scene and
+//! streams view sequences through it ([`Session::stream_with`]); a single
+//! frame ([`Session::submit`]) is a one-view stream behind a
+//! [`RenderHandle`]. Validation happens before any worker sees a request
+//! — unknown scene ids and invalid options fail at
+//! [`RenderService::session`], NaN / out-of-range views and empty specs
+//! at open, all with typed [`ServeError`]s; ROI bounds against a scene's
+//! *native* resolution can only be checked once the scene is known, so
+//! that case resolves through the stream instead of panicking a worker.
 //!
 //! # Scheduling
 //!
@@ -28,16 +26,15 @@
 //! the lock released, or blocks on the condvar when every pending scene
 //! is already being loaded by someone else.
 //!
-//! Dispatch order replaced the old plain round-robin: the planner picks
-//! the best actionable key by `(priority, earliest head deadline, FIFO
-//! turn)` — `Interactive` preempts `Bulk` at every decision; within a
-//! class, earliest-deadline-first, with *any* deadline outranking
-//! deadline-free work (a deadline is a claim of urgency — latency
-//! promises are ordered ahead of best-effort traffic, which saturating
-//! deadline-carrying load can therefore starve, exactly as interactive
-//! can starve bulk); the FIFO turn (a drained-but-nonempty key rotates
-//! to the back) keeps keys of equal priority and deadline standing
-//! fair. Within a key, frames are served in issue order.
+//! Dispatch order is one rank, written once ([`best_key`]): `(priority,
+//! earliest head deadline, FIFO turn)` — `Interactive` preempts `Bulk`
+//! at every decision; within a class, earliest-deadline-first, with *any*
+//! deadline outranking deadline-free work (a deadline is a claim of
+//! urgency — latency promises are ordered ahead of best-effort traffic,
+//! which saturating deadline-carrying load can therefore starve, exactly
+//! as interactive can starve bulk); the FIFO turn (a drained-but-nonempty
+//! key rotates to the back) keeps keys of equal priority and deadline
+//! standing fair. Within a key, frames are served in issue order.
 //!
 //! Frames enter the queues *lazily*: a stream materializes at most
 //! `window` undelivered frames at a time (see
@@ -45,11 +42,17 @@
 //! backpressure that bounds queue space per client.
 //!
 //! A cold scene is loaded by exactly one worker (the `loading` guard),
-//! which then drains the first waiting batch itself — *load-then-drain*
-//! — while the insert makes the scene resident for every other worker to
-//! batch from in parallel. With a zero cache budget the insert evicts
-//! immediately and every request degenerates to load-render-evict: the
-//! naive configuration `bench_serve` compares against.
+//! which then drains the best waiting batch of that scene itself —
+//! *load-then-drain* — while the insert makes the scene resident for
+//! every other worker to batch from in parallel. With a zero cache budget
+//! the insert evicts immediately and every request degenerates to
+//! load-render-evict: the naive configuration `bench_serve` compares
+//! against.
+//!
+//! Frames that can no longer be rendered — a load that failed or
+//! panicked, a renderer panic, shutdown — fail through one function
+//! ([`fail_frames`]): counted completed, their streams forgotten, their
+//! inboxes failed once the lock is released.
 //!
 //! # Lending
 //!
@@ -80,7 +83,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gcc_lod::{attach_hierarchy, CostModel, HierarchyConfig, QualityLadder};
@@ -175,15 +178,13 @@ pub struct LodPolicy {
     /// Safety factor applied to a rung's measured cost before comparing against
     /// the deadline budget (> 1 leaves headroom for scheduling noise).
     pub margin: f64,
-    /// Build a [`gcc_scene::SceneLod`] hierarchy at load time for scenes
-    /// that ship without one, so the coarse rungs have levels to render
-    /// from. The hierarchy is charged to the cache byte budget.
-    pub build_on_load: bool,
-    /// Hierarchy builder configuration used by [`Self::build_on_load`].
-    /// The service builds on the threads it can lend when the load
-    /// happens, whatever `threads` says here — every count builds the
-    /// same hierarchy; the field keeps its meaning for direct callers of
-    /// `gcc_lod::attach_hierarchy`.
+    /// Hierarchy builder configuration: a scene that ships without a
+    /// [`gcc_scene::SceneLod`] gets one built at load time, so the coarse
+    /// rungs have levels to render from, and the hierarchy is charged to
+    /// the cache byte budget. The service builds on the threads it can
+    /// lend when the load happens, whatever `threads` says here — every
+    /// count builds the same hierarchy; the field keeps its meaning for
+    /// direct callers of `gcc_lod::attach_hierarchy`.
     pub hierarchy: HierarchyConfig,
 }
 
@@ -192,7 +193,6 @@ impl Default for LodPolicy {
         Self {
             ladder: QualityLadder::standard(),
             margin: 1.3,
-            build_on_load: true,
             hierarchy: HierarchyConfig::default(),
         }
     }
@@ -244,42 +244,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// One frame request: a registered scene id, the view to render, and the
-/// per-request options. [`RenderRequest::trajectory`] reproduces the
-/// historical `(scene, t)` surface.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RenderRequest {
-    /// Registered scene id.
-    pub scene: String,
-    /// The viewpoint, resolved against the scene's rig at render time.
-    pub view: ViewSpec,
-    /// Per-request options (schedule, resolution, ROI, quality knobs).
-    pub options: RenderOptions,
-}
-
-impl RenderRequest {
-    /// A request with default options.
-    pub fn new(scene: impl Into<String>, view: ViewSpec) -> Self {
-        Self {
-            scene: scene.into(),
-            view,
-            options: RenderOptions::default(),
-        }
-    }
-
-    /// The historical surface: trajectory parameter `t` on the scene's
-    /// rig, default options.
-    pub fn trajectory(scene: impl Into<String>, t: f32) -> Self {
-        Self::new(scene, ViewSpec::trajectory(t))
-    }
-
-    /// Attaches options to the request.
-    pub fn with_options(mut self, options: RenderOptions) -> Self {
-        self.options = options;
-        self
-    }
-}
-
 /// The renderer table the service dispatches [`Schedule`]s through: one
 /// long-lived renderer per schedule, each sequential by default — the
 /// service parallelizes across requests, and inside a frame over the
@@ -325,7 +289,7 @@ impl ScheduleRenderers {
     }
 }
 
-/// Waiter side of a submitted single-frame request: a handle over a
+/// Waiter side of a single frame ([`Session::submit`]): a handle over a
 /// one-frame interactive stream. Dropping the handle without waiting
 /// cancels the request (an abandoned frame releases its queue slot).
 #[derive(Debug)]
@@ -376,7 +340,7 @@ impl RenderHandle {
 /// back-to-back through one renderer and one scratch, at one priority.
 /// The `resolution` is the *override* (`None` = the scene's native
 /// size), so native-resolution requests coalesce without knowing the
-/// scene's actual dimensions at submit time. Priority is part of the key
+/// scene's actual dimensions at open time. Priority is part of the key
 /// so batches are priority-pure: an interactive frame never waits behind
 /// bulk frames inside one queue.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -423,19 +387,13 @@ struct StreamSched {
 /// most recent completions, not the full history.
 const LATENCY_WINDOW: usize = 1 << 15;
 
-/// Per-priority mutable statistics (folded under the service lock).
+/// One priority class: its counters as they are published, and its
+/// latency window.
 #[derive(Debug, Default)]
-struct PriorityInner {
-    requests: u64,
-    frames: u64,
-    completed: u64,
-    max_queued: usize,
-    with_deadline: u64,
-    deadline_misses: u64,
-    /// Streams turned away at the class's admission watermark.
-    rejected: u64,
-    /// Streams shed at a hard overload ceiling.
-    shed: u64,
+struct Class {
+    /// `queued` is live (the class's frames issued but not yet drained);
+    /// the latency percentiles are filled in by each snapshot.
+    counters: PriorityCounters,
     /// Ring buffer of recent frame latencies (µs); see
     /// [`LATENCY_WINDOW`].
     latencies_us: Vec<u64>,
@@ -443,7 +401,7 @@ struct PriorityInner {
     latency_cursor: usize,
 }
 
-impl PriorityInner {
+impl Class {
     fn record_latency(&mut self, us: u64) {
         if self.latencies_us.len() < LATENCY_WINDOW {
             self.latencies_us.push(us);
@@ -454,21 +412,22 @@ impl PriorityInner {
     }
 }
 
-/// Mutable aggregate statistics (folded under the service lock).
+/// The counters [`RenderService::stats`] publishes, held in the types it
+/// publishes them as. No total is stored beside the breakdown it sums:
+/// `completed`, `frames`, `batches` and the queue depth are summed by
+/// each snapshot.
 #[derive(Debug, Default)]
-struct StatsInner {
+struct Ledger {
     per_scene: BTreeMap<String, SceneCounters>,
     per_schedule: BTreeMap<Schedule, ScheduleCounters>,
-    per_priority: [PriorityInner; 2],
+    /// Indexed by [`Priority::index`].
+    classes: [Class; 2],
     streams: StreamCounters,
     frame_stats: FrameStats,
-    completed: u64,
-    batches: u64,
-    frames: u64,
     max_queue_depth: usize,
 }
 
-impl StatsInner {
+impl Ledger {
     fn scene(&mut self, id: &str) -> &mut SceneCounters {
         self.per_scene.entry(id.to_string()).or_default()
     }
@@ -477,49 +436,50 @@ impl StatsInner {
         self.per_schedule.entry(s).or_default()
     }
 
-    fn priority(&mut self, p: Priority) -> &mut PriorityInner {
-        &mut self.per_priority[p.index()]
+    fn class(&mut self, p: Priority) -> &mut PriorityCounters {
+        &mut self.classes[p.index()].counters
+    }
+
+    /// Frames issued but not yet drained into a batch, every class.
+    fn queued(&self) -> usize {
+        self.classes.iter().map(|c| c.counters.queued).sum()
     }
 }
 
-/// Adaptive-quality bookkeeping (live only when [`ServeConfig::lod`] is
-/// set; stays empty otherwise).
+/// Adaptive-quality state: the published counters plus what the ladder
+/// decides with (live only when [`ServeConfig::lod`] is set; stays empty
+/// otherwise).
 #[derive(Debug, Default)]
-struct LodInner {
+struct LodState {
+    counters: LodCounters,
     /// Rolling per-scene ms/frame estimates, one model per thread count a
     /// frame rendered on: a cost measured on two threads must not price a
     /// one-thread frame.
     cost: HashMap<usize, CostModel>,
-    /// Frames dispatched per ladder rung.
-    frames_by_rung: Vec<u64>,
-    degraded_frames: u64,
-    degradations: u64,
-    recoveries: u64,
     /// Last rung each scene dispatched at, for transition counting.
     last_rung: HashMap<String, usize>,
-    /// Bounded ring of recent decisions, oldest first.
-    recent: VecDeque<LodDecision>,
 }
 
-impl LodInner {
+impl LodState {
     fn record(&mut self, scene: &str, ladder_len: usize, decision: LodDecision) {
-        if self.frames_by_rung.len() < ladder_len {
-            self.frames_by_rung.resize(ladder_len, 0);
+        let c = &mut self.counters;
+        if c.frames_by_rung.len() < ladder_len {
+            c.frames_by_rung.resize(ladder_len, 0);
         }
         let rung = decision.rung as usize;
-        self.frames_by_rung[rung] += 1;
+        c.frames_by_rung[rung] += 1;
         if rung > 0 {
-            self.degraded_frames += 1;
+            c.degraded_frames += 1;
         }
         match self.last_rung.insert(scene.to_string(), rung) {
-            Some(prev) if rung > prev => self.degradations += 1,
-            Some(prev) if rung < prev => self.recoveries += 1,
+            Some(prev) if rung > prev => c.degradations += 1,
+            Some(prev) if rung < prev => c.recoveries += 1,
             _ => {}
         }
-        if self.recent.len() == LOD_TRACE_WINDOW {
-            self.recent.pop_front();
+        if c.recent.len() == LOD_TRACE_WINDOW {
+            c.recent.remove(0);
         }
-        self.recent.push_back(decision);
+        c.recent.push(decision);
     }
 }
 
@@ -542,14 +502,10 @@ struct State {
     /// the expiry passes; the first request after it removes the entry
     /// and proceeds as the half-open probe.
     quarantine: HashMap<String, Instant>,
-    /// Frames issued but not yet drained into a batch.
-    pending: usize,
-    /// [`Self::pending`] split by priority class.
-    pending_by_priority: [usize; 2],
     next_stream_id: u64,
     shutdown: bool,
-    stats: StatsInner,
-    lod: LodInner,
+    stats: Ledger,
+    lod: LodState,
 }
 
 /// What a worker decided to do while holding the lock.
@@ -567,21 +523,12 @@ enum Job {
 /// Pops up to `max` frames for `key` and repairs the `order`/`queues`
 /// invariant (remove when drained empty, rotate to the back otherwise).
 fn take_batch(st: &mut State, key: &BatchKey, max: usize) -> Vec<Pending> {
-    let mut batch = Vec::new();
-    let emptied = match st.queues.get_mut(key) {
-        Some(q) => {
-            while batch.len() < max {
-                match q.pop_front() {
-                    Some(p) => batch.push(p),
-                    None => break,
-                }
-            }
-            q.is_empty()
-        }
-        None => return batch,
+    let Some(q) = st.queues.get_mut(key) else {
+        return Vec::new();
     };
-    st.pending -= batch.len();
-    st.pending_by_priority[key.priority.index()] -= batch.len();
+    let batch: Vec<Pending> = q.drain(..max.min(q.len())).collect();
+    let emptied = q.is_empty();
+    st.stats.class(key.priority).queued -= batch.len();
     st.order.retain(|o| o != key);
     if emptied {
         st.queues.remove(key);
@@ -591,38 +538,28 @@ fn take_batch(st: &mut State, key: &BatchKey, max: usize) -> Vec<Pending> {
     batch
 }
 
-/// Drains *every* queue for `id`, across schedules, resolutions and
-/// priorities — the load-failure and load-panic fan-out path.
-fn take_all_for_scene(st: &mut State, id: &str) -> Vec<Pending> {
-    let keys: Vec<BatchKey> = st
-        .queues
-        .keys()
-        .filter(|k| k.scene == id)
-        .cloned()
-        .collect();
-    let mut all = Vec::new();
-    for key in keys {
-        all.extend(take_batch(st, &key, usize::MAX));
-    }
-    all
+/// Drains *every* queue whose key `sweep` accepts, across schedules,
+/// resolutions and priorities — the load-failure and shutdown sweeps.
+fn take_where(st: &mut State, sweep: impl Fn(&BatchKey) -> bool) -> Vec<Pending> {
+    let keys: Vec<BatchKey> = st.queues.keys().filter(|k| sweep(k)).cloned().collect();
+    keys.iter()
+        .flat_map(|key| take_batch(st, key, usize::MAX))
+        .collect()
 }
 
-/// Fails every stream behind `pendings` (scene load failure / load
-/// panic): counts the swept frames completed, removes those streams'
-/// scheduling entries, and returns the deduplicated inboxes to
-/// terminal-fail once the lock is released. Only streams with a frame
-/// queued at sweep time are failed — a stream on the same scene caught
-/// *between* windows (everything issued already delivered, refill not
-/// yet called) survives and retries the load on its next refill, the
-/// same retry-per-request semantics single-frame submits always had;
-/// it fails through this path only if the retry fails too.
-fn fail_streams_of(st: &mut State, pendings: &[Pending]) -> Vec<Arc<Inbox>> {
-    st.stats.completed += pendings.len() as u64;
+/// The one way undelivered frames fail (a load that failed or panicked,
+/// a renderer panic, shutdown): counts them completed, forgets their
+/// streams, and returns the forgotten streams' inboxes to fail once the
+/// lock is released. Only streams with a frame in `frames` fail — a
+/// stream on a failed scene caught *between* windows (everything issued
+/// already delivered, refill not yet called) survives and retries the
+/// load on its next refill; it fails here only if the retry fails too.
+fn fail_frames(st: &mut State, frames: impl IntoIterator<Item = Pending>) -> Vec<Arc<Inbox>> {
     let mut inboxes = Vec::new();
-    for p in pendings {
-        st.stats.per_priority[p.priority.index()].completed += 1;
+    for p in frames {
+        st.stats.class(p.priority).completed += 1;
         if st.streams.remove(&p.stream).is_some() {
-            inboxes.push(Arc::clone(&p.inbox));
+            inboxes.push(p.inbox);
         }
     }
     inboxes
@@ -680,62 +617,61 @@ fn issue_frames(st: &mut State, id: u64, now: Instant) -> usize {
             inbox: Arc::clone(&inbox),
         });
     }
-    st.pending += n;
-    let pi = key.priority.index();
-    st.pending_by_priority[pi] += n;
-    st.stats.max_queue_depth = st.stats.max_queue_depth.max(st.pending);
-    st.stats.per_priority[pi].max_queued = st.stats.per_priority[pi]
-        .max_queued
-        .max(st.pending_by_priority[pi]);
+    let class = st.stats.class(key.priority);
+    class.queued += n;
+    class.max_queued = class.max_queued.max(class.queued);
+    st.stats.max_queue_depth = st.stats.max_queue_depth.max(st.stats.queued());
     n
 }
 
-/// Picks the next job: the best *actionable* key — scene resident (drain
-/// a batch) or cold and unclaimed (load it) — ranked by `(priority,
-/// earliest head deadline, FIFO turn)`. `Interactive` always preempts
-/// `Bulk`; within a class, earliest-deadline-first, and a deadline is a
-/// claim of urgency: *any* deadline outranks deadline-free work of the
-/// same class (so a saturating deadline-carrying load can starve
-/// deadline-free peers, exactly as interactive can starve bulk — latency
-/// promises are ordered ahead of best-effort work). The FIFO turn only
-/// tiebreaks keys of equal priority and deadline standing. Returns
+/// The dispatch rank: of the keys `admit` accepts, the best by
+/// `(priority, earliest head deadline, FIFO turn)`. `Interactive` always
+/// preempts `Bulk`; within a class, earliest-deadline-first, and a
+/// deadline is a claim of urgency: *any* deadline outranks deadline-free
+/// work of the same class (so a saturating deadline-carrying load can
+/// starve deadline-free peers, exactly as interactive can starve bulk —
+/// latency promises are ordered ahead of best-effort work). The FIFO turn
+/// only tiebreaks keys of equal priority and deadline standing.
+fn best_key(st: &State, admit: impl Fn(&BatchKey) -> bool) -> Option<BatchKey> {
+    st.order
+        .iter()
+        .enumerate()
+        .filter(|(_, key)| admit(key))
+        .min_by_key(|(turn, key)| {
+            let head = st.queues.get(*key).and_then(|q| q.front()?.deadline);
+            (key.priority, head.is_none(), head, *turn)
+        })
+        .map(|(_, key)| key.clone())
+}
+
+/// Takes up to `max` frames of `key` for a worker to render, counting the
+/// batch under the lock it is taken with.
+fn drain_batch(st: &mut State, key: &BatchKey, max: usize) -> Vec<Pending> {
+    let batch = take_batch(st, key, max);
+    if !batch.is_empty() {
+        st.stats.scene(&key.scene).batches += 1;
+        st.stats.schedule(key.schedule).batches += 1;
+    }
+    batch
+}
+
+/// Picks the next job: the best *actionable* key ([`best_key`]) — scene
+/// resident (drain a batch) or cold and unclaimed (load it). Returns
 /// `None` when every pending scene is being loaded elsewhere.
 fn plan(st: &mut State, max_batch: usize) -> Option<Job> {
-    let mut best_rank: Option<(Priority, (bool, Option<Instant>), usize)> = None;
-    let mut best: Option<(usize, bool)> = None;
-    for (pos, key) in st.order.iter().enumerate() {
-        let resident = st.cache.contains(&key.scene);
-        if !resident && st.loading.contains(&key.scene) {
-            continue;
-        }
-        let head_deadline = st
-            .queues
-            .get(key)
-            .and_then(|q| q.front())
-            .and_then(|p| p.deadline);
-        let rank = (key.priority, (head_deadline.is_none(), head_deadline), pos);
-        if best_rank.is_none_or(|b| rank < b) {
-            best_rank = Some(rank);
-            best = Some((pos, resident));
-        }
+    let key = best_key(st, |k| {
+        st.cache.contains(&k.scene) || !st.loading.contains(&k.scene)
+    })?;
+    if let Some(scene) = st.cache.get(&key.scene) {
+        let batch = drain_batch(st, &key, max_batch);
+        return Some(Job::Render { key, scene, batch });
     }
-    let (pos, resident) = best?;
-    let key = st.order[pos].clone();
-    if resident {
-        let scene = st
-            .cache
-            .get(&key.scene)
-            .expect("planner checked residency under the same lock");
-        let batch = take_batch(st, &key, max_batch);
-        Some(Job::Render { key, scene, batch })
-    } else {
-        st.loading.insert(key.scene.clone());
-        // Move the claimed key to the back so other keys get turns while
-        // the load is in flight.
-        st.order.retain(|k| k != &key);
-        st.order.push_back(key.clone());
-        Some(Job::Load { id: key.scene })
-    }
+    st.loading.insert(key.scene.clone());
+    // Move the claimed key to the back so other keys get turns while
+    // the load is in flight.
+    st.order.retain(|k| k != &key);
+    st.order.push_back(key.clone());
+    Some(Job::Load { id: key.scene })
 }
 
 pub(crate) struct Shared {
@@ -775,39 +711,23 @@ impl Drop for Busy<'_> {
     }
 }
 
-/// The submit/open-time options check, shared by [`RenderService::session`]
-/// and [`Shared::open_stream`] so the two surfaces cannot diverge: ROI
-/// bounds are checkable now iff the resolution override names the frame
-/// size; against a native resolution they defer to render.
-fn validate_options(options: &RenderOptions) -> Result<(), ServeError> {
-    match options.resolution {
-        Some((w, h)) => options.validate_for(w, h),
-        None => options.validate(),
-    }
-    .map_err(|e| ServeError::InvalidRequest(ViewError::Options(e)))
-}
-
 impl Shared {
-    /// Opens a stream over pre-validated `views` (the session / submit
-    /// shims validate specs before calling). Validates the options and
-    /// the scene id, primes the window, and wakes workers.
+    /// Opens a stream of `session` over `views`, which the caller
+    /// validated; the session's scene id and options were validated when
+    /// it opened. Primes the window and wakes workers.
     pub(crate) fn open_stream(
-        shared: &Arc<Shared>,
-        scene: &str,
+        session: &Session,
         views: Vec<ViewSpec>,
-        options: RenderOptions,
         cfg: StreamConfig,
     ) -> Result<FrameStream, ServeError> {
-        if !shared.registry.contains_key(scene) {
-            return Err(ServeError::UnknownScene(scene.to_string()));
-        }
-        validate_options(&options)?;
+        let shared = &session.shared;
+        let scene = session.scene.as_str();
         let total = views.len();
         debug_assert!(total > 0, "callers reject empty view lists");
         let key = BatchKey {
             scene: scene.to_string(),
-            schedule: options.schedule,
-            resolution: options.resolution,
+            schedule: session.defaults.schedule,
+            resolution: session.defaults.resolution,
             priority: cfg.priority,
         };
         let inbox = Inbox::new(total);
@@ -834,41 +754,39 @@ impl Shared {
         // Bulk watermarks best-effort traffic is rejected first while
         // Interactive still admits.
         let shed = &shared.shed;
-        if st.pending >= shed.max_queue_depth || st.streams.len() >= shed.max_streams {
-            st.stats.priority(cfg.priority).shed += 1;
+        let (queued, streams) = (st.stats.queued(), st.streams.len());
+        if queued >= shed.max_queue_depth || streams >= shed.max_streams {
+            st.stats.class(cfg.priority).shed += 1;
             // The hint reflects the worse of the two ceilings: the side
             // that did not fire contributes the base hint, so `max` picks
             // the overshoot that actually caused the shed.
             let retry_after = shed
-                .retry_hint(st.pending, shed.max_queue_depth)
-                .max(shed.retry_hint(st.streams.len(), shed.max_streams));
+                .retry_hint(queued, shed.max_queue_depth)
+                .max(shed.retry_hint(streams, shed.max_streams));
             return Err(ServeError::Overloaded { retry_after });
         }
+        let bulk_queued = st.stats.class(Priority::Bulk).queued;
         if cfg.priority == Priority::Bulk
-            && (st.pending_by_priority[Priority::Bulk.index()] >= shed.bulk_queue_watermark
-                || st.streams.len() >= shed.bulk_stream_watermark)
+            && (bulk_queued >= shed.bulk_queue_watermark || streams >= shed.bulk_stream_watermark)
         {
-            st.stats.priority(Priority::Bulk).rejected += 1;
+            st.stats.class(Priority::Bulk).rejected += 1;
             let retry_after = shed
-                .retry_hint(
-                    st.pending_by_priority[Priority::Bulk.index()],
-                    shed.bulk_queue_watermark,
-                )
-                .max(shed.retry_hint(st.streams.len(), shed.bulk_stream_watermark));
+                .retry_hint(bulk_queued, shed.bulk_queue_watermark)
+                .max(shed.retry_hint(streams, shed.bulk_stream_watermark));
             return Err(ServeError::Overloaded { retry_after });
         }
         let id = st.next_stream_id;
         st.next_stream_id += 1;
         st.stats.scene(scene).requests += total as u64;
         st.stats.schedule(key.schedule).requests += total as u64;
-        st.stats.priority(cfg.priority).requests += total as u64;
+        st.stats.class(cfg.priority).requests += total as u64;
         st.stats.streams.opened += 1;
         st.streams.insert(
             id,
             StreamSched {
                 key,
                 views,
-                options: Arc::new(options),
+                options: Arc::new(session.defaults.clone()),
                 deadline: cfg.deadline,
                 window: cfg.effective_window(),
                 issued: 0,
@@ -936,8 +854,7 @@ impl Shared {
                 st.order.retain(|k| k != &s.key);
             }
         }
-        st.pending -= discarded;
-        st.pending_by_priority[s.key.priority.index()] -= discarded;
+        st.stats.class(s.key.priority).queued -= discarded;
         st.stats.streams.cancelled += 1;
         st.stats.streams.frames_discarded += discarded as u64;
         drop(st);
@@ -957,7 +874,7 @@ impl Shared {
                 }
                 return WorkerStep::Continue;
             }
-            if st.shutdown && st.pending == 0 && st.loading.is_empty() {
+            if st.shutdown && st.stats.queued() == 0 && st.loading.is_empty() {
                 // Wake siblings so they observe the drained shutdown too.
                 self.work.notify_all();
                 return WorkerStep::Stop;
@@ -970,9 +887,8 @@ impl Shared {
     /// scratch, with the key's schedule renderer. Statistics are folded
     /// in *before* any result is delivered, so a completed frame is
     /// always visible in the next `stats()` snapshot. A renderer panic
-    /// must not strand consumers: a drop guard terminal-fails every
-    /// not-yet-delivered stream of the batch before the panic unwinds the
-    /// worker.
+    /// must not strand consumers: a drop guard fails the batch's
+    /// undelivered frames before the panic unwinds the worker.
     fn render_batch(
         &self,
         key: &BatchKey,
@@ -980,30 +896,29 @@ impl Shared {
         batch: Vec<Pending>,
         scratch: &mut FrameScratch,
     ) {
-        /// Fails the batch's remaining streams when dropped mid-panic, so
-        /// stream consumers get an error instead of hanging, and
-        /// best-effort counts the frames as completed (`try_lock`: the
-        /// panic may have happened with the state lock held, and a
-        /// blocking re-lock from the same thread would deadlock).
+        /// Holds the batch's undelivered frames, and fails them through
+        /// [`fail_frames`] if it drops with any left (a renderer panic).
+        /// It blocks on the state lock: declared before every state guard
+        /// of `render_batch`, it drops after unwinding released them, so
+        /// the lock is never this thread's own — and on poison it takes
+        /// the inner value, as the streams must still be failed.
         struct PanicGuard<'a> {
             shared: &'a Shared,
-            /// `(inbox, stream id, priority)` of undelivered frames, in
-            /// batch order.
-            remaining: Vec<(Arc<Inbox>, u64, Priority)>,
+            batch: VecDeque<Pending>,
         }
         impl Drop for PanicGuard<'_> {
             fn drop(&mut self) {
-                if !std::thread::panicking() || self.remaining.is_empty() {
+                if self.batch.is_empty() {
                     return;
                 }
-                if let Ok(mut st) = self.shared.state.try_lock() {
-                    st.stats.completed += self.remaining.len() as u64;
-                    for (_, id, priority) in &self.remaining {
-                        st.stats.per_priority[priority.index()].completed += 1;
-                        st.streams.remove(id);
-                    }
-                }
-                for (inbox, _, _) in self.remaining.drain(..) {
+                let mut st = self
+                    .shared
+                    .state
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                let inboxes = fail_frames(&mut st, self.batch.drain(..));
+                drop(st);
+                for inbox in inboxes {
                     inbox.fail(ServeError::WorkerPanicked);
                 }
             }
@@ -1013,24 +928,15 @@ impl Shared {
         let _busy = Busy::enter(&self.busy);
         let mut guard = PanicGuard {
             shared: self,
-            remaining: batch
-                .iter()
-                .map(|p| (Arc::clone(&p.inbox), p.stream, p.priority))
-                .collect(),
+            batch: batch.into(),
         };
-        {
-            let mut st = self.state.lock().expect("service state poisoned");
-            st.stats.batches += 1;
-            st.stats.scene(&key.scene).batches += 1;
-            st.stats.schedule(key.schedule).batches += 1;
-        }
         // Each frame is delivered (and its latency sampled) as soon as it
         // renders — a consumer never sits behind the rest of its batch,
         // and the published latency is issue-to-delivery. Its stats are
         // folded under a brief lock *before* the inbox is filled, so a
         // consumed frame is always visible in the next `stats()`
         // snapshot.
-        for p in batch {
+        while let Some(p) = guard.batch.front() {
             // Read once per frame: the count the frame renders on is the
             // count the ladder prices it at and files its cost under.
             let threads = self.lent_threads();
@@ -1071,100 +977,94 @@ impl Shared {
                 Some(rung) if rung.degrades() => Arc::new(rung.apply(&p.options, target)),
                 _ => Arc::clone(&p.options),
             };
+            let render_start = Instant::now();
             // Residual validation that needed the scene: ROI bounds
             // against the native resolution. Fails the one frame with a
             // typed error instead of poisoning the worker; the stream
             // continues (later frames fail the same way, each in order).
-            let cam = match scene.resolve_view(&p.view, &options) {
-                Ok(cam) => cam,
-                Err(e) => {
-                    let mut st = self.state.lock().expect("service state poisoned");
-                    st.stats.completed += 1;
-                    st.stats.per_priority[p.priority.index()].completed += 1;
-                    drop(st);
-                    guard.remaining.remove(0);
-                    p.inbox.deliver(p.index, Err(ServeError::InvalidRequest(e)));
-                    continue;
+            let result = scene.resolve_view(&p.view, &options).map(|cam| {
+                // Degraded rungs render from a coarser hierarchy level
+                // when the scene ships one (missing hierarchies fall back
+                // to the full cloud — cheaper knobs still apply).
+                let gaussians = match rung_spec {
+                    Some(rung) if rung.lod_level > 0 => {
+                        scene.lod.as_ref().map_or(&scene.gaussians[..], |l| {
+                            l.level_gaussians(&scene.gaussians, rung.lod_level)
+                        })
+                    }
+                    _ => &scene.gaussians[..],
+                };
+                let mut job = RenderJob::with_options(gaussians, &cam, (*options).clone());
+                if threads > 1 {
+                    job = job.with_parallelism(Parallelism::fixed(threads));
                 }
-            };
-            // Degraded rungs render from a coarser hierarchy level when
-            // the scene ships one (missing hierarchies fall back to the
-            // full cloud — cheaper knobs still apply).
-            let gaussians = match rung_spec {
-                Some(rung) if rung.lod_level > 0 => {
-                    scene.lod.as_ref().map_or(&scene.gaussians[..], |l| {
-                        l.level_gaussians(&scene.gaussians, rung.lod_level)
-                    })
+                let mut frame = renderer.render_job(&job, scratch);
+                // Reduced-resolution frames are upscaled back to the
+                // request size with the filtered upscale pass, so a client
+                // always receives the geometry it asked for.
+                if (frame.image.width(), frame.image.height()) != target && p.options.roi.is_none()
+                {
+                    frame.image = upscale_bilinear(&frame.image, target.0, target.1);
                 }
-                _ => &scene.gaussians[..],
-            };
-            let render_start = Instant::now();
-            let mut job = RenderJob::with_options(gaussians, &cam, (*options).clone());
-            if threads > 1 {
-                job = job.with_parallelism(Parallelism::fixed(threads));
-            }
-            let mut frame = renderer.render_job(&job, scratch);
-            // Reduced-resolution frames are upscaled back to the request
-            // size with the filtered upscale pass, so a client always
-            // receives the geometry it asked for.
-            if (frame.image.width(), frame.image.height()) != target && p.options.roi.is_none() {
-                frame.image = upscale_bilinear(&frame.image, target.0, target.1);
-            }
+                frame
+            });
             let render_us = render_start.elapsed().as_micros() as u64;
             let us = p.submitted.elapsed().as_micros() as u64;
             let missed = p.deadline.is_some_and(|d| Instant::now() > d);
             let mut st = self.state.lock().expect("service state poisoned");
-            if let Some(policy) = &self.lod {
-                // ROI frames skip cost observation — a cropped render's
-                // cost would mislabel the rung's full-frame cell. Frames
-                // whose caller already reduced quality (SH clamp, alpha
-                // floor) skip it too: they render cheaper than the rung
-                // does, and observing them would skew the cell
-                // optimistic — rung 0 especially, where every deadline-free
-                // frame lands regardless of its options.
-                let caller_reduced = p.options.sh_degree.is_some_and(|d| d < 3)
-                    || p.options.alpha_min.is_some_and(|a| a > 0.0);
-                if p.options.roi.is_none() && !caller_reduced {
-                    let rung = lod_pick.map_or(0, |(r, _, _)| r);
-                    st.lod.cost.entry(threads).or_default().observe(
-                        &key.scene,
-                        rung,
-                        target,
-                        render_us as f64 / 1e3,
-                    );
+            st.stats.class(p.priority).completed += 1;
+            if let Ok(frame) = &result {
+                if let Some(policy) = &self.lod {
+                    // ROI frames skip cost observation — a cropped
+                    // render's cost would mislabel the rung's full-frame
+                    // cell. Frames whose caller already reduced quality
+                    // (SH clamp, alpha floor) skip it too: they render
+                    // cheaper than the rung does, and observing them
+                    // would skew the cell optimistic — rung 0 especially,
+                    // where every deadline-free frame lands regardless of
+                    // its options.
+                    let caller_reduced = p.options.sh_degree.is_some_and(|d| d < 3)
+                        || p.options.alpha_min.is_some_and(|a| a > 0.0);
+                    if p.options.roi.is_none() && !caller_reduced {
+                        let rung = lod_pick.map_or(0, |(r, _, _)| r);
+                        st.lod.cost.entry(threads).or_default().observe(
+                            &key.scene,
+                            rung,
+                            target,
+                            render_us as f64 / 1e3,
+                        );
+                    }
+                    if let Some((rung, predicted, budget)) = lod_pick {
+                        st.lod.record(
+                            &key.scene,
+                            policy.ladder.len(),
+                            LodDecision {
+                                rung: rung as u32,
+                                predicted_us: predicted.map_or(0, |ms| (ms * 1e3) as u64),
+                                actual_us: render_us,
+                                budget_us: budget.as_micros() as u64,
+                                missed,
+                            },
+                        );
+                    }
                 }
-                if let Some((rung, predicted, budget)) = lod_pick {
-                    st.lod.record(
-                        &key.scene,
-                        policy.ladder.len(),
-                        LodDecision {
-                            rung: rung as u32,
-                            predicted_us: predicted.map_or(0, |ms| (ms * 1e3) as u64),
-                            actual_us: render_us,
-                            budget_us: budget.as_micros() as u64,
-                            missed,
-                        },
-                    );
-                }
-            }
-            st.stats.frame_stats.merge_add(&frame.stats);
-            st.stats.frames += 1;
-            st.stats.completed += 1;
-            st.stats.scene(&key.scene).frames += 1;
-            st.stats.schedule(key.schedule).frames += 1;
-            let pp = &mut st.stats.per_priority[p.priority.index()];
-            pp.frames += 1;
-            pp.completed += 1;
-            pp.record_latency(us);
-            if p.deadline.is_some() {
-                pp.with_deadline += 1;
-                if missed {
-                    pp.deadline_misses += 1;
+                st.stats.frame_stats.merge_add(&frame.stats);
+                st.stats.scene(&key.scene).frames += 1;
+                st.stats.schedule(key.schedule).frames += 1;
+                let class = &mut st.stats.classes[p.priority.index()];
+                class.counters.frames += 1;
+                class.record_latency(us);
+                if p.deadline.is_some() {
+                    class.counters.with_deadline += 1;
+                    if missed {
+                        class.counters.deadline_misses += 1;
+                    }
                 }
             }
             drop(st);
-            guard.remaining.remove(0);
-            p.inbox.deliver(p.index, Ok(frame));
+            let p = guard.batch.pop_front().expect("the frame just rendered");
+            p.inbox
+                .deliver(p.index, result.map_err(ServeError::InvalidRequest));
         }
     }
 
@@ -1179,29 +1079,46 @@ impl Shared {
 
     /// One attempt at a cold scene, start to finish and counted busy
     /// throughout: the source's load, then — for a scene that ships
-    /// without a hierarchy under a policy that asks for one — the
-    /// hierarchy build, each on the threads lent at the moment it starts.
-    /// Lock-free CPU and I/O work on a scene no consumer shares yet; the
-    /// hierarchy's bytes are charged to the cache budget on insert.
+    /// without a hierarchy, under a ladder — the hierarchy build, each on
+    /// the threads lent at the moment it starts. Lock-free CPU and I/O
+    /// work on a scene no consumer shares yet; the hierarchy's bytes are
+    /// charged to the cache budget on insert.
     fn load_scene(&self, source: &SceneSource) -> Result<Arc<Scene>, LoadError> {
         let _busy = Busy::enter(&self.busy);
         let mut scene = source.load_classified_on(self.lent_threads())?;
-        if let Some(policy) = &self.lod {
-            if policy.build_on_load && scene.lod.is_none() {
-                // Any thread count builds the same hierarchy, so the
-                // policy's own count gives way to what is idle right now.
-                let cfg = HierarchyConfig {
-                    threads: self.lent_threads(),
-                    ..policy.hierarchy
-                };
-                attach_hierarchy(Arc::make_mut(&mut scene), &cfg);
-            }
+        if let (Some(policy), None) = (&self.lod, &scene.lod) {
+            // Any thread count builds the same hierarchy, so the policy's
+            // own count gives way to what is idle right now.
+            let cfg = HierarchyConfig {
+                threads: self.lent_threads(),
+                ..policy.hierarchy
+            };
+            attach_hierarchy(Arc::make_mut(&mut scene), &cfg);
         }
         Ok(scene)
     }
 
+    /// A load that failed or panicked: trips the scene's breaker (so
+    /// requests until the expiry fail fast instead of re-stalling a
+    /// loader on a known-bad source) and fails every stream with a frame
+    /// queued on the scene with `err`.
+    fn fail_load(&self, mut st: MutexGuard<'_, State>, id: &str, err: ServeError) {
+        if self.quarantine_for > Duration::ZERO {
+            st.quarantine
+                .insert(id.to_string(), Instant::now() + self.quarantine_for);
+            st.stats.scene(id).quarantines += 1;
+        }
+        let frames = take_where(&mut st, |k| k.scene == id);
+        let inboxes = fail_frames(&mut st, frames);
+        drop(st);
+        self.work.notify_all();
+        for inbox in inboxes {
+            inbox.fail(err.clone());
+        }
+    }
+
     /// Loads a claimed cold scene with no lock held, inserts it (evicting
-    /// under the budget), then drains the first waiting batch itself.
+    /// under the budget), then drains the best waiting batch itself.
     fn load_then_drain(&self, id: &str, scratch: &mut FrameScratch) {
         /// A panic inside [`Shared::load_scene`] must not wedge the
         /// service: the claimed `loading` entry would otherwise never
@@ -1220,33 +1137,24 @@ impl Shared {
                 if !self.armed || !std::thread::panicking() {
                     return;
                 }
-                if let Ok(mut st) = self.shared.state.lock() {
-                    st.loading.remove(self.id);
-                    // A panicking load is at least as suspect as a
-                    // failing one: quarantine it so repeat requests
-                    // don't keep panicking loader workers.
-                    if self.shared.quarantine_for > Duration::ZERO {
-                        st.quarantine.insert(
-                            self.id.to_string(),
-                            Instant::now() + self.shared.quarantine_for,
-                        );
-                        st.stats.scene(self.id).quarantines += 1;
-                    }
-                    let failed = take_all_for_scene(&mut st, self.id);
-                    let inboxes = fail_streams_of(&mut st, &failed);
-                    drop(st);
-                    self.shared.work.notify_all();
-                    for inbox in inboxes {
-                        inbox.fail(ServeError::WorkerPanicked);
-                    }
-                }
+                let mut st = self
+                    .shared
+                    .state
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                st.loading.remove(self.id);
+                // A panicking load is at least as suspect as a failing
+                // one: the quarantine keeps repeat requests from
+                // panicking loader workers.
+                self.shared
+                    .fail_load(st, self.id, ServeError::WorkerPanicked);
             }
         }
 
         let source = self
             .registry
             .get(id)
-            .expect("submit validated the scene id");
+            .expect("the session validated the scene id");
         let mut guard = LoadGuard {
             shared: self,
             id,
@@ -1284,71 +1192,35 @@ impl Shared {
         };
         let mut st = self.state.lock().expect("service state poisoned");
         st.loading.remove(id);
-        match loaded {
-            Ok(scene) => {
-                st.stats.scene(id).loads += 1;
-                let evicted = st.cache.insert(id, Arc::clone(&scene));
-                for victim in evicted {
-                    st.stats.scene(&victim).evictions += 1;
-                }
-                // Drain the best waiting batch for this scene (any
-                // schedule/resolution key) ourselves — same `(priority,
-                // earliest head deadline, FIFO turn)` rank as `plan`, so
-                // the first post-load batch honors the dispatch contract
-                // — while the residency makes the remaining keys
-                // drainable by every worker.
-                let first_key = {
-                    let mut best: Option<(Priority, (bool, Option<Instant>), usize)> = None;
-                    let mut bk: Option<BatchKey> = None;
-                    for (pos, k) in st.order.iter().enumerate() {
-                        if k.scene == id {
-                            let head_deadline = st
-                                .queues
-                                .get(k)
-                                .and_then(|q| q.front())
-                                .and_then(|p| p.deadline);
-                            let rank = (k.priority, (head_deadline.is_none(), head_deadline), pos);
-                            if best.is_none_or(|b| rank < b) {
-                                best = Some(rank);
-                                bk = Some(k.clone());
-                            }
-                        }
-                    }
-                    bk
-                };
-                let batch = match &first_key {
-                    Some(key) => take_batch(&mut st, key, self.max_batch),
-                    None => Vec::new(),
-                };
-                drop(st);
-                // The scene may now be resident and the queue changed —
-                // wake everyone blocked on "all pending scenes loading".
-                self.work.notify_all();
-                if let (Some(key), false) = (first_key, batch.is_empty()) {
-                    self.render_batch(&key, &scene, batch, scratch);
-                }
-            }
+        let scene = match loaded {
+            Ok(scene) => scene,
             Err(e) => {
-                // Trip the breaker: this scene's load is known-bad (a
-                // fatal error, or retries exhausted), so requests until
-                // the expiry fail fast instead of re-stalling a loader.
-                if self.quarantine_for > Duration::ZERO {
-                    st.quarantine
-                        .insert(id.to_string(), Instant::now() + self.quarantine_for);
-                    st.stats.scene(id).quarantines += 1;
-                }
                 let err = ServeError::Load {
                     scene: id.to_string(),
                     message: e.message,
                 };
-                let failed = take_all_for_scene(&mut st, id);
-                let inboxes = fail_streams_of(&mut st, &failed);
-                drop(st);
-                self.work.notify_all();
-                for inbox in inboxes {
-                    inbox.fail(err.clone());
-                }
+                return self.fail_load(st, id, err);
             }
+        };
+        st.stats.scene(id).loads += 1;
+        let evicted = st.cache.insert(id, Arc::clone(&scene));
+        for victim in evicted {
+            st.stats.scene(&victim).evictions += 1;
+        }
+        // Drain the best waiting batch of this scene (any schedule /
+        // resolution key) by the same rank as `plan`, so the first
+        // post-load batch honors the dispatch contract — while the
+        // residency makes the remaining keys drainable by every worker.
+        let drained = best_key(&st, |k| k.scene == id).map(|key| {
+            let batch = drain_batch(&mut st, &key, self.max_batch);
+            (key, batch)
+        });
+        drop(st);
+        // The scene may now be resident and the queue changed — wake
+        // everyone blocked on "all pending scenes loading".
+        self.work.notify_all();
+        if let Some((key, batch)) = drained {
+            self.render_batch(&key, &scene, batch, scratch);
         }
     }
 }
@@ -1407,6 +1279,13 @@ impl RenderService {
         } else {
             cfg.workers
         };
+        let lod = LodState {
+            counters: LodCounters {
+                enabled: cfg.lod.is_some(),
+                ..LodCounters::default()
+            },
+            ..LodState::default()
+        };
         let shared = Arc::new(Shared {
             registry: registry.into_iter().collect(),
             renderers,
@@ -1424,12 +1303,10 @@ impl RenderService {
                 streams: HashMap::new(),
                 loading: HashSet::new(),
                 quarantine: HashMap::new(),
-                pending: 0,
-                pending_by_priority: [0; 2],
                 next_stream_id: 0,
                 shutdown: false,
-                stats: StatsInner::default(),
-                lod: LodInner::default(),
+                stats: Ledger::default(),
+                lod,
             }),
             work: Condvar::new(),
         });
@@ -1472,7 +1349,10 @@ impl RenderService {
     /// # Errors
     ///
     /// [`ServeError::UnknownScene`] for an unregistered id and
-    /// [`ServeError::InvalidRequest`] for invalid default options.
+    /// [`ServeError::InvalidRequest`] for invalid default options
+    /// (zero-sized ROI, out-of-range quality knobs — and, when a
+    /// resolution override names the frame size, ROI bounds; against a
+    /// native resolution those resolve per frame).
     pub fn session(
         &self,
         scene: impl Into<String>,
@@ -1482,7 +1362,11 @@ impl RenderService {
         if !self.shared.registry.contains_key(&scene) {
             return Err(ServeError::UnknownScene(scene));
         }
-        validate_options(&defaults)?;
+        match defaults.resolution {
+            Some((w, h)) => defaults.validate_for(w, h),
+            None => defaults.validate(),
+        }
+        .map_err(|e| ServeError::InvalidRequest(ViewError::Options(e)))?;
         Ok(Session {
             shared: Arc::clone(&self.shared),
             scene,
@@ -1490,113 +1374,53 @@ impl RenderService {
         })
     }
 
-    /// Enqueues a single-frame request; the returned handle blocks until
-    /// its frame. A thin shim over a one-frame interactive stream — the
-    /// session API ([`Self::session`]) is the primary surface.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownScene`] for an unregistered id,
-    /// [`ServeError::InvalidRequest`] for a view or options that fail
-    /// validation (NaN / out-of-range trajectory `t`, degenerate pose,
-    /// zero-sized ROI, out-of-range quality knobs — and, when a resolution
-    /// override is present, ROI bounds), and [`ServeError::ShuttingDown`]
-    /// after [`Self::shutdown`] began.
-    pub fn submit(&self, req: RenderRequest) -> Result<RenderHandle, ServeError> {
-        if !self.shared.registry.contains_key(&req.scene) {
-            return Err(ServeError::UnknownScene(req.scene));
-        }
-        req.view.validate().map_err(ServeError::InvalidRequest)?;
-        let stream = Shared::open_stream(
-            &self.shared,
-            &req.scene,
-            vec![req.view],
-            req.options,
-            StreamConfig::default().with_window(1),
-        )?;
-        Ok(RenderHandle::from_stream(stream))
-    }
-
-    /// Convenience: submit and block for the frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::submit`] and load errors.
-    pub fn render_blocking(&self, req: RenderRequest) -> Result<Frame, ServeError> {
-        self.submit(req)?.wait()
-    }
-
-    /// Snapshot of the serving statistics. The percentile sorts (up to
+    /// Snapshot of the serving statistics: the ledger cloned, then
+    /// filled in with queue depths, cache residency, pool health,
+    /// quarantines and latency percentiles. The percentile sorts (up to
     /// both full latency windows) run *after* the service lock is
     /// released, so a periodic metrics poll doesn't stall the scheduler.
     pub fn stats(&self) -> ServeStats {
         let st = self.shared.state.lock().expect("service state poisoned");
+        let now = Instant::now();
         let mut out = ServeStats {
             per_scene: st.stats.per_scene.clone(),
             per_schedule: st.stats.per_schedule.clone(),
-            per_priority: BTreeMap::new(),
             streams: st.stats.streams,
-            completed: st.stats.completed,
-            queue_depth: st.pending,
             max_queue_depth: st.stats.max_queue_depth,
-            batches: st.stats.batches,
-            frames: st.stats.frames,
-            latency_p50_ms: 0.0,
-            latency_p95_ms: 0.0,
             frame_stats: st.stats.frame_stats,
             resident_bytes: st.cache.resident_bytes(),
             resident_scenes: st.cache.len(),
             respawns: self.health.restarts(),
             lost_workers: self.health.failed_workers(),
-            quarantined_scenes: {
-                let now = Instant::now();
-                st.quarantine.values().filter(|&&until| until > now).count()
-            },
-            lod: LodCounters {
-                enabled: self.shared.lod.is_some(),
-                frames_by_rung: st.lod.frames_by_rung.clone(),
-                degraded_frames: st.lod.degraded_frames,
-                degradations: st.lod.degradations,
-                recoveries: st.lod.recoveries,
-                recent: st.lod.recent.iter().copied().collect(),
-            },
+            quarantined_scenes: st.quarantine.values().filter(|&&until| until > now).count(),
+            lod: st.lod.counters.clone(),
+            ..ServeStats::default()
         };
-        let mut rings: Vec<(Priority, PriorityCounters, Vec<u64>)> = Vec::new();
-        for (i, priority) in Priority::ALL.into_iter().enumerate() {
-            let p = &st.stats.per_priority[i];
-            if p.requests == 0 && p.completed == 0 && p.rejected == 0 && p.shed == 0 {
-                continue;
-            }
-            rings.push((
-                priority,
-                PriorityCounters {
-                    requests: p.requests,
-                    frames: p.frames,
-                    completed: p.completed,
-                    queued: st.pending_by_priority[i],
-                    max_queued: p.max_queued,
-                    with_deadline: p.with_deadline,
-                    deadline_misses: p.deadline_misses,
-                    rejected: p.rejected,
-                    shed: p.shed,
-                    latency_p50_ms: 0.0,
-                    latency_p95_ms: 0.0,
-                },
-                p.latencies_us.clone(),
-            ));
-        }
+        let classes: Vec<(Priority, PriorityCounters, Vec<u64>)> = Priority::ALL
+            .into_iter()
+            .zip(&st.stats.classes)
+            .filter(|(_, c)| {
+                let p = &c.counters;
+                p.requests + p.completed + p.rejected + p.shed > 0
+            })
+            .map(|(priority, c)| (priority, c.counters, c.latencies_us.clone()))
+            .collect();
         drop(st);
         let mut merged: Vec<u64> = Vec::new();
-        for (priority, mut counters, mut ring) in rings {
+        for (priority, mut counters, mut ring) in classes {
             ring.sort_unstable();
             counters.latency_p50_ms = percentile_us(&ring, 0.50);
             counters.latency_p95_ms = percentile_us(&ring, 0.95);
             merged.extend_from_slice(&ring);
+            out.completed += counters.completed;
+            out.frames += counters.frames;
+            out.queue_depth += counters.queued;
             out.per_priority.insert(priority, counters);
         }
         merged.sort_unstable();
         out.latency_p50_ms = percentile_us(&merged, 0.50);
         out.latency_p95_ms = percentile_us(&merged, 0.95);
+        out.batches = out.per_schedule.values().map(|s| s.batches).sum();
         out
     }
 
@@ -1629,28 +1453,16 @@ impl RenderService {
         // either way: terminal-fail them all so no consumer blocks past
         // shutdown. (Streams whose every frame already rendered deliver
         // those frames first — the terminal only surfaces at a gap.)
-        let (leftovers, streams) = {
+        let inboxes = {
             let mut st = self.shared.state.lock().expect("service state poisoned");
-            let mut out = Vec::new();
-            for (_, q) in st.queues.drain() {
-                out.extend(q);
-            }
-            st.order.clear();
             st.loading.clear();
-            st.pending = 0;
-            st.pending_by_priority = [0; 2];
-            st.stats.completed += out.len() as u64;
-            for p in &out {
-                st.stats.per_priority[p.priority.index()].completed += 1;
-            }
-            let streams: Vec<StreamSched> = st.streams.drain().map(|(_, s)| s).collect();
-            (out, streams)
+            let leftovers = take_where(&mut st, |_| true);
+            let mut inboxes = fail_frames(&mut st, leftovers);
+            inboxes.extend(st.streams.drain().map(|(_, s)| s.inbox));
+            inboxes
         };
-        for p in &leftovers {
-            p.inbox.fail(ServeError::ShuttingDown);
-        }
-        for s in streams {
-            s.inbox.fail(ServeError::ShuttingDown);
+        for inbox in inboxes {
+            inbox.fail(ServeError::ShuttingDown);
         }
         // A pool panic here means a worker died past the restart budget.
         // Every stream has already been resolved with a terminal error
@@ -1689,6 +1501,13 @@ mod tests {
     }
     use ledger::assert_ledger;
 
+    /// One frame of `scene` at trajectory `t`, default options.
+    fn submit(service: &RenderService, scene: &str, t: f32) -> Result<RenderHandle, ServeError> {
+        service
+            .session(scene, RenderOptions::default())?
+            .submit(ViewSpec::trajectory(t))
+    }
+
     fn mem_source(preset: ScenePreset, scale: f32) -> (Arc<Scene>, SceneSource) {
         let scene = Arc::new(preset.build(&SceneConfig::with_scale(scale)));
         (Arc::clone(&scene), SceneSource::Memory(scene))
@@ -1715,33 +1534,19 @@ mod tests {
             },
             reg,
         );
-        let reqs: Vec<RenderRequest> = (0..6)
-            .map(|i| {
-                RenderRequest::trajectory(
-                    if i % 2 == 0 { "lego" } else { "palace" },
-                    i as f32 / 6.0,
-                )
-            })
-            .collect();
+        let reqs: Vec<(usize, f32)> = (0..6).map(|i| (i % 2, i as f32 / 6.0)).collect();
         let handles: Vec<RenderHandle> = reqs
             .iter()
-            .map(|r| service.submit(r.clone()).unwrap())
+            .map(|&(s, t)| submit(&service, ["lego", "palace"][s], t).unwrap())
             .collect();
         let direct = StandardRenderer::reference();
-        for (req, handle) in reqs.iter().zip(handles) {
+        for (&(s, t), handle) in reqs.iter().zip(handles) {
             let frame = handle.wait().unwrap();
-            let scene = if req.scene == "lego" {
-                &scenes[0]
-            } else {
-                &scenes[1]
-            };
-            let cam = scene.resolve_view(&req.view, &req.options).unwrap();
-            let want = direct.render_frame(&scene.gaussians, &cam);
-            assert_eq!(
-                frame.image, want.image,
-                "scene {} view {:?}",
-                req.scene, req.view
-            );
+            let cam = scenes[s]
+                .resolve_view(&ViewSpec::trajectory(t), &RenderOptions::default())
+                .unwrap();
+            let want = direct.render_frame(&scenes[s].gaussians, &cam);
+            assert_eq!(frame.image, want.image, "scene {s} t {t}");
             assert_eq!(frame.stats, want.stats);
         }
         let stats = service.shutdown();
@@ -1794,8 +1599,8 @@ mod tests {
         for id in ["preset", "file"] {
             // One request at a time: the other worker is idle, so on a
             // host with a second core the load is lent it.
-            service
-                .render_blocking(RenderRequest::trajectory(id, 0.0))
+            submit(&service, id, 0.0)
+                .and_then(RenderHandle::wait)
                 .unwrap();
             let resident = service.shared.state.lock().unwrap().cache.get(id).unwrap();
             assert_eq!(resident.name, built.name, "{id}");
@@ -1817,12 +1622,12 @@ mod tests {
             reg,
         );
         // Warm the scene, then issue classified-at-submit hits.
-        service
-            .render_blocking(RenderRequest::trajectory("lego", 0.0))
+        submit(&service, "lego", 0.0)
+            .and_then(RenderHandle::wait)
             .unwrap();
         for i in 0..4 {
-            service
-                .render_blocking(RenderRequest::trajectory("lego", i as f32 / 4.0))
+            submit(&service, "lego", i as f32 / 4.0)
+                .and_then(RenderHandle::wait)
                 .unwrap();
         }
         let stats = service.shutdown();
@@ -1848,8 +1653,8 @@ mod tests {
             reg,
         );
         for i in 0..3 {
-            service
-                .render_blocking(RenderRequest::trajectory("palace", i as f32 / 3.0))
+            submit(&service, "palace", i as f32 / 3.0)
+                .and_then(RenderHandle::wait)
                 .unwrap();
         }
         let stats = service.shutdown();
@@ -1871,14 +1676,8 @@ mod tests {
             },
             reg,
         );
-        let err = service
-            .submit(RenderRequest::trajectory("nope", 0.0))
-            .unwrap_err();
+        let err = submit(&service, "nope", 0.0).unwrap_err();
         assert_eq!(err, ServeError::UnknownScene("nope".into()));
-        assert!(matches!(
-            service.session("nope", RenderOptions::default()),
-            Err(ServeError::UnknownScene(_))
-        ));
     }
 
     #[test]
@@ -1892,40 +1691,35 @@ mod tests {
             reg,
         );
         // NaN trajectory parameter.
-        let err = service
-            .submit(RenderRequest::trajectory("lego", f32::NAN))
-            .unwrap_err();
+        let err = submit(&service, "lego", f32::NAN).unwrap_err();
         assert!(matches!(
             err,
             ServeError::InvalidRequest(ViewError::NonFinite { field: "t" })
         ));
         // Out-of-range trajectory parameter.
-        let err = service
-            .submit(RenderRequest::trajectory("lego", 2.5))
-            .unwrap_err();
+        let err = submit(&service, "lego", 2.5).unwrap_err();
         assert!(matches!(
             err,
             ServeError::InvalidRequest(ViewError::TrajectoryOutOfRange { .. })
         ));
-        // Zero-sized ROI.
+        // Zero-sized ROI: options are checked when the session opens.
         let err = service
-            .submit(
-                RenderRequest::trajectory("lego", 0.5)
-                    .with_options(RenderOptions::default().with_roi(Roi::new(0, 0, 0, 8))),
+            .session(
+                "lego",
+                RenderOptions::default().with_roi(Roi::new(0, 0, 0, 8)),
             )
             .unwrap_err();
         assert!(matches!(
             err,
             ServeError::InvalidRequest(ViewError::Options(gcc_render::JobError::EmptyRoi))
         ));
-        // ROI out of bounds of an explicit resolution: caught at submit.
+        // ROI out of bounds of an explicit resolution: caught at open.
         let err = service
-            .submit(
-                RenderRequest::trajectory("lego", 0.5).with_options(
-                    RenderOptions::default()
-                        .at_resolution(64, 64)
-                        .with_roi(Roi::new(32, 32, 64, 64)),
-                ),
+            .session(
+                "lego",
+                RenderOptions::default()
+                    .at_resolution(64, 64)
+                    .with_roi(Roi::new(32, 32, 64, 64)),
             )
             .unwrap_err();
         assert!(matches!(
@@ -1937,7 +1731,9 @@ mod tests {
         // Degenerate pose.
         let eye = gcc_math::Vec3::new(1.0, 1.0, 1.0);
         let err = service
-            .submit(RenderRequest::new("lego", ViewSpec::look_at(eye, eye)))
+            .session("lego", RenderOptions::default())
+            .unwrap()
+            .submit(ViewSpec::look_at(eye, eye))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1964,10 +1760,12 @@ mod tests {
             reg,
         );
         let err = service
-            .render_blocking(
-                RenderRequest::trajectory("lego", 0.2)
-                    .with_options(RenderOptions::default().with_roi(Roi::new(w - 1, h - 1, 8, 8))),
+            .session(
+                "lego",
+                RenderOptions::default().with_roi(Roi::new(w - 1, h - 1, 8, 8)),
             )
+            .unwrap()
+            .render_blocking(ViewSpec::trajectory(0.2))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1990,25 +1788,19 @@ mod tests {
             },
             reg,
         );
+        let sessions = [Schedule::Gscore, Schedule::GccHardware].map(|s| {
+            let options = RenderOptions::default().with_schedule(s);
+            service.session("lego", options).unwrap()
+        });
         let mut handles = Vec::new();
         for i in 0..4 {
-            handles.push(
-                service
-                    .submit(
-                        RenderRequest::trajectory("lego", i as f32 / 4.0)
-                            .with_options(RenderOptions::default().with_schedule(Schedule::Gscore)),
-                    )
-                    .unwrap(),
-            );
-            handles.push(
-                service
-                    .submit(
-                        RenderRequest::trajectory("lego", i as f32 / 4.0).with_options(
-                            RenderOptions::default().with_schedule(Schedule::GccHardware),
-                        ),
-                    )
-                    .unwrap(),
-            );
+            for session in &sessions {
+                handles.push(
+                    session
+                        .submit(ViewSpec::trajectory(i as f32 / 4.0))
+                        .unwrap(),
+                );
+            }
         }
         for h in handles {
             h.wait().unwrap();
@@ -2034,22 +1826,14 @@ mod tests {
             },
             reg,
         );
+        let small_session = service
+            .session("lego", RenderOptions::default().at_resolution(64, 48))
+            .unwrap();
         let mut handles = Vec::new();
         for i in 0..3 {
             let t = i as f32 / 3.0;
-            handles.push(
-                service
-                    .submit(RenderRequest::trajectory("lego", t))
-                    .unwrap(),
-            );
-            handles.push(
-                service
-                    .submit(
-                        RenderRequest::trajectory("lego", t)
-                            .with_options(RenderOptions::default().at_resolution(64, 48)),
-                    )
-                    .unwrap(),
-            );
+            handles.push(submit(&service, "lego", t).unwrap());
+            handles.push(small_session.submit(ViewSpec::trajectory(t)).unwrap());
         }
         let mut native = 0;
         let mut small = 0;
@@ -2083,7 +1867,7 @@ mod tests {
         let mut handles: Vec<RenderHandle> = Vec::new();
         let mut rejected = 0u64;
         for i in 0..3 {
-            match service.submit(RenderRequest::trajectory("ghost", i as f32 / 3.0)) {
+            match submit(&service, "ghost", i as f32 / 3.0) {
                 Ok(h) => handles.push(h),
                 Err(ServeError::Quarantined { scene, .. }) => {
                     assert_eq!(scene, "ghost");
@@ -2128,12 +1912,9 @@ mod tests {
             [Schedule::Reference, Schedule::Gscore, Schedule::GccHardware]
                 .into_iter()
                 .map(|s| {
-                    service
-                        .submit(
-                            RenderRequest::trajectory("ghost", 0.1)
-                                .with_options(RenderOptions::default().with_schedule(s)),
-                        )
-                        .unwrap()
+                    let options = RenderOptions::default().with_schedule(s);
+                    let session = service.session("ghost", options).unwrap();
+                    session.submit(ViewSpec::trajectory(0.1)).unwrap()
                 })
                 .collect();
         for h in handles {
@@ -2154,12 +1935,12 @@ mod tests {
         );
         let handles: Vec<RenderHandle> = (0..8)
             .map(|i| {
-                service
-                    .submit(RenderRequest::trajectory(
-                        if i % 2 == 0 { "lego" } else { "palace" },
-                        i as f32 / 8.0,
-                    ))
-                    .unwrap()
+                submit(
+                    &service,
+                    if i % 2 == 0 { "lego" } else { "palace" },
+                    i as f32 / 8.0,
+                )
+                .unwrap()
             })
             .collect();
         let stats = service.shutdown();
@@ -2183,9 +1964,7 @@ mod tests {
         );
         // Flip the internal flag to emulate a shutdown in progress.
         service.shared.state.lock().unwrap().shutdown = true;
-        let err = service
-            .submit(RenderRequest::trajectory("lego", 0.0))
-            .unwrap_err();
+        let err = submit(&service, "lego", 0.0).unwrap_err();
         assert_eq!(err, ServeError::ShuttingDown);
         // Sessions can still be opened (they are cheap handles), but
         // their streams are rejected.
@@ -2200,7 +1979,7 @@ mod tests {
 
     #[test]
     fn latency_window_is_a_bounded_ring() {
-        let mut p = PriorityInner::default();
+        let mut p = Class::default();
         for i in 0..(LATENCY_WINDOW as u64 + 10) {
             p.record_latency(i);
         }
@@ -2216,7 +1995,7 @@ mod tests {
         fn name(&self) -> &str {
             "always-panics"
         }
-        fn render_frame(&self, _: &[gcc_core::Gaussian3D], _: &gcc_core::Camera) -> Frame {
+        fn render_job(&self, _: &RenderJob<'_>, _: &mut FrameScratch) -> Frame {
             panic!("render blew up");
         }
     }
@@ -2232,26 +2011,107 @@ mod tests {
             reg,
             ScheduleRenderers::default().with(Schedule::Reference, Box::new(AlwaysPanics)),
         );
-        let handle = service
-            .submit(RenderRequest::trajectory("lego", 0.0))
-            .unwrap();
+        let handle = submit(&service, "lego", 0.0).unwrap();
         // The waiter must be released with an error, not hang.
         assert_eq!(handle.wait().unwrap_err(), ServeError::WorkerPanicked);
         // Supervision respawned the (only) worker with fresh scratch, so
         // the service keeps serving — on a schedule that doesn't panic.
         let frame = service
-            .submit(
-                RenderRequest::trajectory("lego", 0.25)
-                    .with_options(RenderOptions::default().with_schedule(Schedule::Gscore)),
+            .session(
+                "lego",
+                RenderOptions::default().with_schedule(Schedule::Gscore),
             )
             .unwrap()
-            .wait()
+            .render_blocking(ViewSpec::trajectory(0.25))
             .unwrap();
         assert!(frame.image.width() > 0);
         // Clean shutdown: the contained panic does not resurface at join.
         let stats = service.shutdown();
         assert!(stats.respawns >= 1, "the panic must be counted");
         assert_eq!(stats.completed, 2);
+
+        // Contended: the batch panics while another thread (a refill, an
+        // open, a `stats()` poll) holds the state lock. Its remaining
+        // frames must still count completed and their stream be
+        // forgotten, or the client's next refill issues frames that
+        // render for nobody.
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let gated = PanicsOnSecondFrame {
+            calls: AtomicUsize::new(0),
+            gate: Mutex::new((entered_tx, release_rx)),
+        };
+        let (_, reg) = registry(0.02);
+        let service = RenderService::with_renderers(
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            reg,
+            ScheduleRenderers::default().with(Schedule::Reference, Box::new(gated)),
+        );
+        let session = service.session("lego", RenderOptions::default()).unwrap();
+        let mut stream = session
+            .stream_with(
+                crate::StreamSpec::trajectory(4),
+                StreamConfig::default().with_window(2),
+            )
+            .unwrap();
+        entered.recv().unwrap();
+        let held = service.shared.state.lock().unwrap();
+        release.send(()).unwrap();
+        // Give the unwinding batch the chance to meet the held lock; a
+        // guard that waits for it cannot finish until it is released.
+        let start = Instant::now();
+        while service.health.restarts() == 0 && start.elapsed() < Duration::from_millis(300) {
+            std::thread::yield_now();
+        }
+        drop(held);
+        while service.health.restarts() == 0 {
+            assert!(start.elapsed() < Duration::from_secs(10), "no respawn");
+            std::thread::yield_now();
+        }
+        assert!(
+            service.shared.state.lock().unwrap().streams.is_empty(),
+            "the panicked stream must be forgotten"
+        );
+        assert_eq!(
+            service.stats().completed,
+            2,
+            "frame 0 rendered, frame 1 failed"
+        );
+        assert!(stream.next_frame().unwrap().is_ok());
+        assert_eq!(
+            stream.next_frame().unwrap().unwrap_err(),
+            ServeError::WorkerPanicked
+        );
+        assert!(stream.next_frame().is_none());
+        let stats = service.shutdown();
+        assert_ledger(&stats);
+        assert_eq!(stats.frames, 1, "nothing renders after the terminal");
+    }
+
+    /// Renders like the reference schedule, except that its second call
+    /// reports in on the gate's sender, waits for a go on its receiver and
+    /// panics.
+    struct PanicsOnSecondFrame {
+        calls: AtomicUsize,
+        gate: Mutex<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
+    }
+
+    impl Renderer for PanicsOnSecondFrame {
+        fn name(&self) -> &str {
+            "panics-on-second-frame"
+        }
+        fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
+            if self.calls.fetch_add(1, Ordering::Relaxed) == 1 {
+                let (entered, release) = &*self.gate.lock().unwrap();
+                entered.send(()).unwrap();
+                release.recv().unwrap();
+                panic!("render blew up while the state lock was held");
+            }
+            StandardRenderer::reference().render_job(job, scratch)
+        }
     }
 
     #[test]
@@ -2274,14 +2134,10 @@ mod tests {
             reg,
         );
         // First request kills the only worker during its scene load…
-        let doomed = service
-            .submit(RenderRequest::trajectory("boom", 0.1))
-            .unwrap();
+        let doomed = submit(&service, "boom", 0.1).unwrap();
         assert_eq!(doomed.wait().unwrap_err(), ServeError::WorkerPanicked);
         // …so this one can never be served.
-        let stranded = service
-            .submit(RenderRequest::trajectory("lego", 0.5))
-            .unwrap();
+        let stranded = submit(&service, "lego", 0.5).unwrap();
         assert!(!stranded.is_ready());
         let stats = service.shutdown();
         // The sweep resolved the stranded handle: wait() returns, with a
@@ -2306,9 +2162,7 @@ mod tests {
             },
             reg,
         );
-        let doomed = service
-            .submit(RenderRequest::trajectory("boom", 0.1))
-            .unwrap();
+        let doomed = submit(&service, "boom", 0.1).unwrap();
         assert_eq!(doomed.wait().unwrap_err(), ServeError::WorkerPanicked);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let _service = service;
@@ -2331,13 +2185,11 @@ mod tests {
             },
             [("boom".to_string(), SceneSource::PanicsOnLoad)],
         );
-        let handle = service
-            .submit(RenderRequest::trajectory("boom", 0.5))
-            .unwrap();
+        let handle = submit(&service, "boom", 0.5).unwrap();
         assert_eq!(handle.wait().unwrap_err(), ServeError::WorkerPanicked);
         // The panicking load tripped the breaker: repeat requests fail
         // fast at admission instead of re-panicking loader workers.
-        match service.submit(RenderRequest::trajectory("boom", 0.6)) {
+        match submit(&service, "boom", 0.6) {
             Err(ServeError::Quarantined { scene, retry_after }) => {
                 assert_eq!(scene, "boom");
                 assert!(retry_after > Duration::ZERO);
@@ -2365,11 +2217,7 @@ mod tests {
             reg,
         );
         let handles: Vec<RenderHandle> = (0..6)
-            .map(|i| {
-                service
-                    .submit(RenderRequest::trajectory("lego", i as f32 / 6.0))
-                    .unwrap()
-            })
+            .map(|i| submit(&service, "lego", i as f32 / 6.0).unwrap())
             .collect();
         for h in handles {
             h.wait().unwrap();
@@ -2406,11 +2254,7 @@ mod tests {
                 SceneSource::faulty("flaky", SceneSource::Memory(scene), plan),
             )],
         );
-        let frame = service
-            .submit(RenderRequest::trajectory("flaky", 0.3))
-            .unwrap()
-            .wait()
-            .unwrap();
+        let frame = submit(&service, "flaky", 0.3).unwrap().wait().unwrap();
         assert!(frame.image.width() > 0);
         let stats = service.shutdown();
         let flaky = &stats.per_scene["flaky"];
@@ -2439,14 +2283,10 @@ mod tests {
                 SceneSource::faulty("down", SceneSource::Memory(scene), plan),
             )],
         );
-        let err = service
-            .submit(RenderRequest::trajectory("down", 0.3))
-            .unwrap()
-            .wait()
-            .unwrap_err();
+        let err = submit(&service, "down", 0.3).unwrap().wait().unwrap_err();
         assert!(matches!(err, ServeError::Load { .. }), "{err:?}");
         assert!(matches!(
-            service.submit(RenderRequest::trajectory("down", 0.4)),
+            submit(&service, "down", 0.4),
             Err(ServeError::Quarantined { .. })
         ));
         let stats = service.shutdown();
@@ -2475,24 +2315,16 @@ mod tests {
                 SceneSource::faulty("wobbly", SceneSource::Memory(scene), plan),
             )],
         );
-        let err = service
-            .submit(RenderRequest::trajectory("wobbly", 0.1))
-            .unwrap()
-            .wait()
-            .unwrap_err();
+        let err = submit(&service, "wobbly", 0.1).unwrap().wait().unwrap_err();
         assert!(matches!(err, ServeError::Load { .. }), "{err:?}");
         assert!(matches!(
-            service.submit(RenderRequest::trajectory("wobbly", 0.2)),
+            submit(&service, "wobbly", 0.2),
             Err(ServeError::Quarantined { .. })
         ));
         std::thread::sleep(Duration::from_millis(60));
         // Past the expiry the next request is admitted as the probe, and
         // its (now healthy) load readmits the scene.
-        let frame = service
-            .submit(RenderRequest::trajectory("wobbly", 0.3))
-            .unwrap()
-            .wait()
-            .unwrap();
+        let frame = submit(&service, "wobbly", 0.3).unwrap().wait().unwrap();
         assert!(frame.image.width() > 0);
         let stats = service.shutdown();
         assert_eq!(stats.per_scene["wobbly"].quarantines, 1);
@@ -2524,11 +2356,7 @@ mod tests {
             other => panic!("expected bulk rejection, got {:?}", other.err()),
         }
         // Interactive traffic still admits past the Bulk watermark.
-        let frame = service
-            .submit(RenderRequest::trajectory("lego", 0.5))
-            .unwrap()
-            .wait()
-            .unwrap();
+        let frame = submit(&service, "lego", 0.5).unwrap().wait().unwrap();
         assert!(frame.image.width() > 0);
         let stats = service.shutdown();
         assert_eq!(stats.priority(Priority::Bulk).rejected, 1);
@@ -2552,7 +2380,7 @@ mod tests {
             reg,
         );
         assert!(matches!(
-            service.submit(RenderRequest::trajectory("lego", 0.1)),
+            submit(&service, "lego", 0.1),
             Err(ServeError::Overloaded { .. })
         ));
         let session = service.session("lego", RenderOptions::default()).unwrap();
@@ -2598,7 +2426,7 @@ mod tests {
             },
             reg,
         );
-        match service.submit(RenderRequest::trajectory("lego", 0.1)) {
+        match submit(&service, "lego", 0.1) {
             Err(ServeError::Overloaded { retry_after }) => {
                 assert_eq!(retry_after, Duration::from_millis(75));
             }
@@ -2655,26 +2483,25 @@ mod tests {
             let (mut served, mut failed, mut quarantined) = (0u64, 0u64, 0u64);
             for i in 0..60 {
                 let id = ids[rng.gen_range(0..ids.len())];
-                let load_failed =
-                    match service.submit(RenderRequest::trajectory(id, i as f32 / 60.0)) {
-                        Ok(h) => match h.wait() {
-                            Ok(_) => {
-                                served += 1;
-                                false
-                            }
-                            Err(ServeError::Load { scene, .. }) => {
-                                assert_eq!(scene, id);
-                                failed += 1;
-                                true
-                            }
-                            Err(other) => panic!("unexpected wait error: {other:?} (seed {seed})"),
-                        },
-                        Err(ServeError::Quarantined { .. }) => {
-                            quarantined += 1;
+                let load_failed = match submit(&service, id, i as f32 / 60.0) {
+                    Ok(h) => match h.wait() {
+                        Ok(_) => {
+                            served += 1;
                             false
                         }
-                        Err(other) => panic!("unexpected submit error: {other:?} (seed {seed})"),
-                    };
+                        Err(ServeError::Load { scene, .. }) => {
+                            assert_eq!(scene, id);
+                            failed += 1;
+                            true
+                        }
+                        Err(other) => panic!("unexpected wait error: {other:?} (seed {seed})"),
+                    },
+                    Err(ServeError::Quarantined { .. }) => {
+                        quarantined += 1;
+                        false
+                    }
+                    Err(other) => panic!("unexpected submit error: {other:?} (seed {seed})"),
+                };
                 // Invariants after every resolved request: no phantom
                 // load claim survives its request, a failed load is not
                 // resident, and the byte budget holds through the churn.

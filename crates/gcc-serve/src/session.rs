@@ -11,7 +11,8 @@
 //! `FrameScratch`, and the scene stays hot in the LRU cache for the
 //! stream's whole life.
 //!
-//! Three properties distinguish a stream from a loop of `submit` calls:
+//! Three properties distinguish a stream from a loop of single-frame
+//! [`Session::submit`] calls:
 //!
 //! * **Backpressure.** The scheduler never materializes more than
 //!   [`StreamConfig::window`] undelivered frames per stream — a frame is
@@ -31,7 +32,7 @@
 //! Delivery is *in order*: frame `i` of a stream is handed out before
 //! frame `i + 1` even when workers complete them out of order, and every
 //! delivered frame is bit-identical to the equivalent single-frame
-//! `submit` (pinned by `tests/serve_parity.rs`).
+//! [`Session::submit`] (pinned by `tests/serve_parity.rs`).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -292,24 +293,18 @@ impl Session {
         for view in &views {
             view.validate().map_err(ServeError::InvalidRequest)?;
         }
-        Shared::open_stream(&self.shared, &self.scene, views, self.defaults.clone(), cfg)
+        Shared::open_stream(self, views, cfg)
     }
 
-    /// Submits one frame with the session defaults — sugar for a
-    /// single-view interactive stream, sharing the session's warm scene.
+    /// Submits one frame with the session defaults: a one-view
+    /// interactive stream behind a [`crate::RenderHandle`], sharing the
+    /// session's warm scene.
     ///
     /// # Errors
     ///
     /// As [`Self::stream_with`], minus [`ServeError::EmptyStream`].
     pub fn submit(&self, view: ViewSpec) -> Result<crate::RenderHandle, ServeError> {
-        view.validate().map_err(ServeError::InvalidRequest)?;
-        let stream = Shared::open_stream(
-            &self.shared,
-            &self.scene,
-            vec![view],
-            self.defaults.clone(),
-            StreamConfig::default().with_window(1),
-        )?;
+        let stream = self.stream_with(StreamSpec::ViewList(vec![view]), StreamConfig::default())?;
         Ok(crate::RenderHandle::from_stream(stream))
     }
 

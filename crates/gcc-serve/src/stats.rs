@@ -11,10 +11,10 @@ use crate::session::Priority;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SceneCounters {
     /// Frame requests submitted for this scene (streamed frames count
-    /// individually; a single-frame `submit` is a one-frame stream).
+    /// individually; a single frame is a one-frame stream).
     pub requests: u64,
     /// Frames whose scene was resident when they were *issued* into the
-    /// scheduler (for single-frame submits, issue == submit; a streamed
+    /// scheduler (for a single frame, issue == submit; a streamed
     /// frame is classified when its window slot materializes it, so a
     /// long stream opened cold counts one window of misses and then
     /// hits — `hit_rate` tracks actual cache behavior).
@@ -80,11 +80,11 @@ pub struct PriorityCounters {
     pub latency_p95_ms: f64,
 }
 
-/// Stream lifecycle counters. A single-frame `submit` is a one-frame
-/// stream, so it counts here too.
+/// Stream lifecycle counters. A single frame is a one-frame stream, so
+/// it counts here too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamCounters {
-    /// Streams opened (including single-frame `submit` shims).
+    /// Streams opened (single frames included).
     pub opened: u64,
     /// Streams whose every frame was delivered to the client.
     pub completed: u64,
@@ -194,18 +194,21 @@ pub struct ServeStats {
     pub per_priority: BTreeMap<Priority, PriorityCounters>,
     /// Stream lifecycle counters.
     pub streams: StreamCounters,
-    /// Requests completed (fulfilled or failed).
+    /// Requests completed (fulfilled or failed): the sum of
+    /// [`PriorityCounters::completed`].
     pub completed: u64,
     /// Frames issued but not yet drained into a batch at snapshot time
     /// (frames already in flight on a worker are not counted; frames a
     /// stream has not materialized yet — beyond its window — are not
-    /// counted either).
+    /// counted either): the sum of [`PriorityCounters::queued`].
     pub queue_depth: usize,
     /// High-water mark of [`Self::queue_depth`] over the service's life.
     pub max_queue_depth: usize,
-    /// Batches drained.
+    /// Batches drained: the sum of the per-schedule (and of the
+    /// per-scene) batch counts.
     pub batches: u64,
-    /// Frames rendered (success path only).
+    /// Frames rendered (success path only): the sum of every
+    /// breakdown's frame counts.
     pub frames: u64,
     /// Median request latency over both priority windows merged, ms
     /// (issue → delivery; see [`PriorityCounters`] for the split).

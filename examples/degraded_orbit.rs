@@ -19,10 +19,10 @@ use std::time::Duration;
 
 use gcc_repro::render::{RenderOptions, Schedule};
 use gcc_repro::scene::io::RetryPolicy;
-use gcc_repro::scene::ScenePreset;
+use gcc_repro::scene::{ScenePreset, ViewSpec};
 use gcc_repro::serve::{
-    ChaosRenderer, FaultPlan, LoadFault, RenderRequest, RenderService, SceneSource,
-    ScheduleRenderers, ServeConfig, ServeError, StreamConfig, StreamSpec,
+    ChaosRenderer, FaultPlan, LoadFault, RenderService, SceneSource, ScheduleRenderers,
+    ServeConfig, ServeError, StreamConfig, StreamSpec,
 };
 
 fn main() {
@@ -110,14 +110,17 @@ fn main() {
     // Lego's fatal load trips the circuit breaker: the waiting request
     // gets a typed load error, and follow-ups fail fast while the scene
     // is quarantined — no loader worker stalls on a known-bad source.
-    match service.submit(RenderRequest::trajectory("lego", 0.2)) {
+    let lego = service
+        .session("lego", RenderOptions::default())
+        .expect("lego is registered");
+    match lego.submit(ViewSpec::trajectory(0.2)) {
         Ok(handle) => match handle.wait() {
             Err(e) => println!("first lego request: {e}"),
             Ok(_) => println!("first lego request unexpectedly rendered"),
         },
         Err(e) => println!("first lego request rejected at submit: {e}"),
     }
-    match service.submit(RenderRequest::trajectory("lego", 0.4)) {
+    match lego.submit(ViewSpec::trajectory(0.4)) {
         Err(e @ ServeError::Quarantined { .. }) => {
             println!("second lego request fails fast: {e}");
         }
@@ -129,8 +132,8 @@ fn main() {
     // full orbit delivers every frame.
     plan.disarm();
     std::thread::sleep(quarantine + Duration::from_millis(10));
-    let frame = service
-        .submit(RenderRequest::trajectory("lego", 0.5))
+    let frame = lego
+        .submit(ViewSpec::trajectory(0.5))
         .expect("the half-open probe admits after the quarantine window")
         .wait()
         .expect("the probe load succeeds once the storm is over");

@@ -13,7 +13,7 @@ use std::time::Duration;
 use gcc_math::Vec3;
 use gcc_render::{RenderOptions, Roi, Schedule};
 use gcc_scene::{ScenePreset, ViewSpec};
-use gcc_serve::{RenderRequest, RenderService, SceneSource, ServeConfig, ServeError};
+use gcc_serve::{RenderService, SceneSource, ServeConfig, ServeError};
 
 fn main() {
     let service = RenderService::new(
@@ -75,29 +75,29 @@ fn main() {
             .submit(ViewSpec::look_at(Vec3::new(4.0, 1.5, -6.0), Vec3::ZERO))
             .unwrap(),
     ));
-    // A magnifier asking for the center of the frame only (the plain
-    // submit surface still works and is equivalent).
+    // A magnifier asking for the center of the frame only.
+    let magnifier = service
+        .session(
+            "lego",
+            RenderOptions::default().with_roi(Roi::new(40, 30, 80, 60)),
+        )
+        .expect("lego session");
     handles.push((
         "magnifier ROI".to_string(),
-        service
-            .submit(
-                RenderRequest::trajectory("lego", 0.5)
-                    .with_options(RenderOptions::default().with_roi(Roi::new(40, 30, 80, 60))),
-            )
-            .unwrap(),
+        magnifier.submit(ViewSpec::trajectory(0.5)).unwrap(),
     ));
     // A turntable client driving the orbit directly.
+    let turntable = service
+        .session("palace", RenderOptions::default())
+        .expect("palace session");
     handles.push((
         "turntable".to_string(),
-        service
-            .submit(RenderRequest::new(
-                "palace",
-                ViewSpec::Orbit {
-                    angle: 1.8,
-                    radius_scale: 1.2,
-                    height_offset: 0.3,
-                },
-            ))
+        turntable
+            .submit(ViewSpec::Orbit {
+                angle: 1.8,
+                radius_scale: 1.2,
+                height_offset: 0.3,
+            })
             .unwrap(),
     ));
 

@@ -10,7 +10,7 @@ use gcc_parallel::{radix_sort_indices, Parallelism};
 use gcc_render::gaussian_wise::GaussianWiseConfig;
 use gcc_render::pipeline::stages::{self, footprint_rects_into, global_depth_order_into, TileBins};
 use gcc_render::pipeline::{
-    FrameScratch, GaussianWiseRenderer, RenderOptions, Renderer, StandardRenderer,
+    FrameScratch, GaussianWiseRenderer, RenderJob, RenderOptions, Renderer, StandardRenderer,
 };
 use gcc_scene::{SceneConfig, ScenePreset, TrajectoryRunner, ViewSpec};
 
@@ -101,7 +101,7 @@ fn scratch_reuse_is_bit_identical_to_fresh_scratch() {
         let mut warm = FrameScratch::new();
         for i in 0..4 {
             let cam = scene.camera(i as f32 / 4.0);
-            let reused = r.render_frame_reusing(&scene.gaussians, &cam, &mut warm);
+            let reused = r.render_job(&RenderJob::new(&scene.gaussians, &cam), &mut warm);
             let fresh = r.render_frame(&scene.gaussians, &cam);
             assert_eq!(reused.image, fresh.image, "{} frame {i}", r.name());
             assert_eq!(reused.stats, fresh.stats, "{} frame {i}", r.name());
@@ -145,7 +145,7 @@ fn one_scratch_serves_every_schedule_and_scene() {
             let cam = scene
                 .resolve_view(&ViewSpec::trajectory(0.3 * i as f32 % 1.0), &options)
                 .expect("a valid view");
-            let reused = r.render_frame_reusing(&scene.gaussians, &cam, &mut shared);
+            let reused = r.render_job(&RenderJob::new(&scene.gaussians, &cam), &mut shared);
             let fresh = r.render_frame(&scene.gaussians, &cam);
             let what = format!("{} #{i} round {round} at {w}x{h}", r.name());
             assert_eq!(reused.image, fresh.image, "{what}");

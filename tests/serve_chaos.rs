@@ -24,8 +24,8 @@ use gcc_render::{RenderOptions, Renderer, StandardRenderer};
 use gcc_scene::io::RetryPolicy;
 use gcc_scene::{Scene, SceneConfig, ScenePreset, ViewSpec};
 use gcc_serve::{
-    ChaosRenderer, FaultPlan, LoadFault, Priority, RenderRequest, RenderService, SceneSource,
-    ServeConfig, ServeError, ShedPolicy, StreamConfig, StreamSpec,
+    ChaosRenderer, FaultPlan, LoadFault, Priority, RenderService, SceneSource, ServeConfig,
+    ServeError, ShedPolicy, StreamConfig, StreamSpec,
 };
 
 mod ledger;
@@ -118,36 +118,34 @@ fn fault_storm_resolves_every_stream_and_recovers_the_pool() {
         // half-open probes actually run (a back-to-back loop would spend
         // the whole storm inside the first quarantine window).
         std::thread::sleep(Duration::from_millis(3));
-        match service.session(id, RenderOptions::default()) {
-            Ok(session) => match session.stream_with(
-                StreamSpec::trajectory(4),
-                StreamConfig::bulk().with_window(2),
-            ) {
-                Ok(stream) => {
-                    let mut items = 0u64;
-                    for item in stream {
-                        items += 1;
-                        match item {
-                            Ok(_) => delivered += 1,
-                            Err(
-                                ServeError::Load { .. }
-                                | ServeError::WorkerPanicked
-                                | ServeError::ShuttingDown,
-                            ) => failed += 1,
-                            Err(other) => panic!("unexpected stream error: {other}"),
-                        }
+        let session = service
+            .session(id, RenderOptions::default())
+            .unwrap_or_else(|e| panic!("sessions always open: {e}"));
+        match session.stream_with(
+            StreamSpec::trajectory(4),
+            StreamConfig::bulk().with_window(2),
+        ) {
+            Ok(stream) => {
+                let mut items = 0u64;
+                for item in stream {
+                    items += 1;
+                    match item {
+                        Ok(_) => delivered += 1,
+                        Err(
+                            ServeError::Load { .. }
+                            | ServeError::WorkerPanicked
+                            | ServeError::ShuttingDown,
+                        ) => failed += 1,
+                        Err(other) => panic!("unexpected stream error: {other}"),
                     }
-                    assert!(items >= 1, "an admitted stream always yields");
-                    resolved += 1;
                 }
-                Err(ServeError::Quarantined { .. } | ServeError::Overloaded { .. }) => {
-                    turned_away += 1
-                }
-                Err(other) => panic!("unexpected open error: {other}"),
-            },
-            Err(other) => panic!("sessions always open: {other}"),
+                assert!(items >= 1, "an admitted stream always yields");
+                resolved += 1;
+            }
+            Err(ServeError::Quarantined { .. } | ServeError::Overloaded { .. }) => turned_away += 1,
+            Err(other) => panic!("unexpected open error: {other}"),
         }
-        match service.submit(RenderRequest::trajectory(id, (round as f32) / 12.0)) {
+        match session.submit(ViewSpec::trajectory((round as f32) / 12.0)) {
             Ok(handle) => {
                 match handle.wait() {
                     Ok(_) => delivered += 1,
@@ -192,7 +190,8 @@ fn fault_storm_resolves_every_stream_and_recovers_the_pool() {
     for (id, scene) in &scenes {
         for t in [0.0f32, 0.4, 0.8] {
             let frame = service
-                .submit(RenderRequest::trajectory(*id, t))
+                .session(*id, options.clone())
+                .and_then(|session| session.submit(ViewSpec::trajectory(t)))
                 .unwrap_or_else(|e| panic!("epilogue submit for '{id}' rejected: {e}"))
                 .wait()
                 .unwrap_or_else(|e| panic!("epilogue render for '{id}' failed: {e}"));
@@ -253,7 +252,8 @@ fn bulk_sheds_before_interactive_under_watermark_pressure() {
     ));
     // …while interactive traffic still admits and completes.
     let frame = service
-        .submit(RenderRequest::trajectory("palace", 0.5))
+        .session("palace", RenderOptions::default())
+        .and_then(|session| session.submit(ViewSpec::trajectory(0.5)))
         .expect("interactive admits past the bulk watermark")
         .wait()
         .expect("interactive renders");

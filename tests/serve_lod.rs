@@ -14,15 +14,20 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use gcc_core::{Camera, Gaussian3D};
 use gcc_parallel::available_threads;
 use gcc_render::pipeline::{Frame, FrameScratch, RenderJob};
 use gcc_render::{RenderOptions, Renderer, Schedule};
-use gcc_scene::{Scene, SceneConfig, ScenePreset};
+use gcc_scene::{Scene, SceneConfig, ScenePreset, ViewSpec};
 use gcc_serve::{
-    FaultPlan, LoadFault, LodPolicy, RenderRequest, RenderService, SceneSource, ScheduleRenderers,
-    ServeConfig, StreamConfig, StreamSpec,
+    FaultPlan, LoadFault, LodPolicy, RenderHandle, RenderService, SceneSource, ScheduleRenderers,
+    ServeConfig, ServeError, StreamConfig, StreamSpec,
 };
+
+/// One frame of `scene` at trajectory `t`, default options.
+fn submit(svc: &RenderService, scene: &str, t: f32) -> Result<RenderHandle, ServeError> {
+    svc.session(scene, RenderOptions::default())?
+        .submit(ViewSpec::trajectory(t))
+}
 
 fn lego(scale: f32) -> Arc<Scene> {
     Arc::new(ScenePreset::Lego.build(&SceneConfig::with_scale(scale)))
@@ -130,11 +135,11 @@ fn deadline_free_frames_bypass_the_ladder_and_stay_bit_identical() {
     let ladder_on = service(&scene, Some(LodPolicy::default()));
     let ladder_off = service(&scene, None);
     for t in [0.1f32, 0.55] {
-        let a = ladder_on
-            .render_blocking(RenderRequest::trajectory("lego", t))
+        let a = submit(&ladder_on, "lego", t)
+            .and_then(RenderHandle::wait)
             .unwrap();
-        let b = ladder_off
-            .render_blocking(RenderRequest::trajectory("lego", t))
+        let b = submit(&ladder_off, "lego", t)
+            .and_then(RenderHandle::wait)
             .unwrap();
         assert_eq!(a.image, b.image, "ladder-on diverged at t {t}");
     }
@@ -153,13 +158,15 @@ fn hierarchies_are_built_on_load_and_charged_to_the_cache() {
     let plain_bytes = scene.approx_bytes();
 
     let svc = service(&scene, Some(LodPolicy::default()));
-    svc.render_blocking(RenderRequest::trajectory("lego", 0.2))
+    submit(&svc, "lego", 0.2)
+        .and_then(RenderHandle::wait)
         .unwrap();
     let with_lod = svc.stats().resident_bytes;
     svc.shutdown();
 
     let svc = service(&scene, None);
-    svc.render_blocking(RenderRequest::trajectory("lego", 0.2))
+    submit(&svc, "lego", 0.2)
+        .and_then(RenderHandle::wait)
         .unwrap();
     let without = svc.stats().resident_bytes;
     svc.shutdown();
@@ -198,10 +205,6 @@ impl Recording {
 impl Renderer for Recording {
     fn name(&self) -> &str {
         "recording"
-    }
-
-    fn render_frame(&self, gaussians: &[Gaussian3D], cam: &Camera) -> Frame {
-        self.inner.render_frame(gaussians, cam)
     }
 
     fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
@@ -287,10 +290,11 @@ fn a_core_another_worker_is_rendering_on_is_not_lent() {
     // Park one worker inside a render (it started alone, on the whole
     // host)...
     let parked = svc
-        .submit(
-            RenderRequest::trajectory("lego", 0.1)
-                .with_options(RenderOptions::default().with_schedule(Schedule::Standard)),
+        .session(
+            "lego",
+            RenderOptions::default().with_schedule(Schedule::Standard),
         )
+        .and_then(|session| session.submit(ViewSpec::trajectory(0.1)))
         .unwrap();
     entered.recv().unwrap();
     // ...and the frames the other worker picks up get every core but
@@ -362,7 +366,7 @@ fn a_core_another_worker_is_loading_on_is_not_lent() {
     // Alone on the service: the host.
     stream_frames(&svc, RenderOptions::default(), StreamConfig::default());
     // Park one worker inside the load of the cold scene...
-    let cold = svc.submit(RenderRequest::trajectory("cold", 0.1)).unwrap();
+    let cold = submit(&svc, "cold", 0.1).unwrap();
     let mut gate = gated.wait_for_loader();
     // ...and the frames the other worker renders meanwhile get every
     // core but the loader's.
@@ -409,7 +413,8 @@ fn a_loader_that_fails_or_panics_gives_its_core_back() {
     for id in ["fails", "panics"] {
         // The load's outcome reaches the client only after the loader
         // stopped counting as busy, so the next frames see the whole host.
-        svc.render_blocking(RenderRequest::trajectory(id, 0.1))
+        submit(&svc, id, 0.1)
+            .and_then(RenderHandle::wait)
             .expect_err("the scripted load fault surfaces");
         seen.lock().unwrap().clear();
         stream_frames(&svc, RenderOptions::default(), StreamConfig::default());

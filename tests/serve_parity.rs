@@ -16,7 +16,7 @@ use gcc_math::Vec3;
 use gcc_render::pipeline::FrameScratch;
 use gcc_render::{RenderJob, RenderOptions, Renderer, Roi, Schedule, StandardRenderer};
 use gcc_scene::{io, Scene, SceneConfig, ScenePreset, ViewSpec};
-use gcc_serve::{RenderRequest, RenderService, SceneSource, ServeConfig, StreamConfig, StreamSpec};
+use gcc_serve::{RenderService, SceneSource, ServeConfig, StreamConfig, StreamSpec};
 
 fn small(preset: ScenePreset, scale: f32) -> Scene {
     preset.build(&SceneConfig::with_scale(scale))
@@ -52,17 +52,27 @@ fn file_registry(dir: &std::path::Path) -> RegistryAndScenes {
     (registry, direct)
 }
 
-/// Renders `req` directly (fresh renderer + scratch), bypassing the
-/// service — the parity reference for a served frame.
-fn direct_render(scene: &Scene, req: &RenderRequest) -> gcc_render::Frame {
+/// Renders `view` with `options` directly (fresh renderer + scratch),
+/// bypassing the service — the parity reference for a served frame.
+fn direct_render(scene: &Scene, view: &ViewSpec, options: &RenderOptions) -> gcc_render::Frame {
     let cam = scene
-        .resolve_view(&req.view, &req.options)
+        .resolve_view(view, options)
         .expect("parity requests are valid");
-    let renderer = req.options.schedule.renderer();
+    let renderer = options.schedule.renderer();
     renderer.render_job(
-        &RenderJob::with_options(&scene.gaussians, &cam, req.options.clone()),
+        &RenderJob::with_options(&scene.gaussians, &cam, options.clone()),
         &mut FrameScratch::new(),
     )
+}
+
+/// One single frame: a session on `scene` with `options` submits `view`.
+type Request = (&'static str, ViewSpec, RenderOptions);
+
+fn submit(service: &RenderService, (scene, view, options): &Request) -> gcc_serve::RenderHandle {
+    service
+        .session(*scene, options.clone())
+        .and_then(|session| session.submit(view.clone()))
+        .expect("parity requests are valid")
 }
 
 #[test]
@@ -81,25 +91,21 @@ fn served_frames_are_bit_identical_to_direct_renders_for_both_schedules() {
         );
         // Interleave scenes and viewpoints so batches mix, then verify
         // every frame against a fresh direct render.
-        let reqs: Vec<RenderRequest> = (0..9)
+        let reqs: Vec<Request> = (0..9)
             .map(|i| {
-                RenderRequest::trajectory(["lego", "palace", "train"][i % 3], i as f32 / 9.0)
-                    .with_options(RenderOptions::default().with_schedule(schedule))
+                (
+                    ["lego", "palace", "train"][i % 3],
+                    ViewSpec::trajectory(i as f32 / 9.0),
+                    RenderOptions::default().with_schedule(schedule),
+                )
             })
             .collect();
-        let handles: Vec<_> = reqs
-            .iter()
-            .map(|r| service.submit(r.clone()).unwrap())
-            .collect();
-        for (req, handle) in reqs.iter().zip(handles) {
+        let handles: Vec<_> = reqs.iter().map(|r| submit(&service, r)).collect();
+        for ((id, view, options), handle) in reqs.iter().zip(handles) {
             let frame = handle.wait().unwrap();
-            let scene = &direct.iter().find(|(id, _)| *id == req.scene).unwrap().1;
-            let want = direct_render(scene, req);
-            assert_eq!(
-                frame.image, want.image,
-                "{schedule} diverged on {}",
-                req.scene
-            );
+            let scene = &direct.iter().find(|(s, _)| s == id).unwrap().1;
+            let want = direct_render(scene, view, options);
+            assert_eq!(frame.image, want.image, "{schedule} diverged on {id}");
             assert_eq!(frame.stats, want.stats);
         }
         let stats = service.shutdown();
@@ -127,65 +133,70 @@ fn heterogeneous_request_space_is_bit_identical_to_direct_renders() {
         registry,
     );
 
-    let reqs: Vec<RenderRequest> = vec![
+    let reqs: Vec<Request> = vec![
         // Trajectory + non-default schedule.
-        RenderRequest::trajectory("lego", 0.3)
-            .with_options(RenderOptions::default().with_schedule(Schedule::Gscore)),
+        (
+            "lego",
+            ViewSpec::trajectory(0.3),
+            RenderOptions::default().with_schedule(Schedule::Gscore),
+        ),
         // Explicit pose at a non-default resolution.
-        RenderRequest::new(
+        (
             "palace",
             ViewSpec::look_at(Vec3::new(3.0, 2.0, -5.0), Vec3::ZERO),
-        )
-        .with_options(RenderOptions::default().at_resolution(192, 108)),
+            RenderOptions::default().at_resolution(192, 108),
+        ),
         // Orbit view through the GCC hardware schedule.
-        RenderRequest::new(
+        (
             "train",
             ViewSpec::Orbit {
                 angle: 2.1,
                 radius_scale: 1.3,
                 height_offset: 0.4,
             },
-        )
-        .with_options(RenderOptions::default().with_schedule(Schedule::GccHardware)),
+            RenderOptions::default().with_schedule(Schedule::GccHardware),
+        ),
         // ROI at native resolution, Gaussian-wise.
-        RenderRequest::trajectory("lego", 0.6).with_options(
+        (
+            "lego",
+            ViewSpec::trajectory(0.6),
             RenderOptions::default()
                 .with_schedule(Schedule::GaussianWise)
                 .with_roi(Roi::new(30, 20, 70, 50)),
         ),
         // ROI at an overridden resolution, standard.
-        RenderRequest::trajectory("palace", 0.8).with_options(
+        (
+            "palace",
+            ViewSpec::trajectory(0.8),
             RenderOptions::default()
                 .at_resolution(160, 120)
                 .with_roi(Roi::new(40, 24, 64, 48)),
         ),
         // Background override + quality knobs.
-        RenderRequest::trajectory("train", 0.1).with_options(
+        (
+            "train",
+            ViewSpec::trajectory(0.1),
             RenderOptions::default()
                 .on_background(Vec3::new(0.1, 0.2, 0.3))
                 .with_alpha_min(0.02)
                 .with_sh_degree(1),
         ),
     ];
-    let handles: Vec<_> = reqs
-        .iter()
-        .map(|r| service.submit(r.clone()).unwrap())
-        .collect();
-    for (req, handle) in reqs.iter().zip(handles) {
+    let handles: Vec<_> = reqs.iter().map(|r| submit(&service, r)).collect();
+    for ((id, view, options), handle) in reqs.iter().zip(handles) {
         let frame = handle.wait().unwrap();
-        let scene = &direct.iter().find(|(id, _)| *id == req.scene).unwrap().1;
-        let want = direct_render(scene, req);
+        let scene = &direct.iter().find(|(s, _)| s == id).unwrap().1;
+        let want = direct_render(scene, view, options);
         assert_eq!(
             frame.image, want.image,
-            "served {:?} on {} diverged from the direct render",
-            req.options, req.scene
+            "served {options:?} on {id} diverged from the direct render"
         );
         assert_eq!(frame.stats, want.stats);
         // Output shaping actually happened.
-        if let Some(roi) = &req.options.roi {
+        if let Some(roi) = &options.roi {
             assert_eq!(frame.image.width(), roi.width);
             assert_eq!(frame.image.height(), roi.height);
-        } else if let Some((w, h)) = req.options.resolution {
+        } else if let Some((w, h)) = options.resolution {
             assert_eq!((frame.image.width(), frame.image.height()), (w, h));
         }
     }
@@ -257,14 +268,11 @@ fn streamed_frames_are_bit_identical_to_single_frame_submits() {
                     },
                     registry.clone(),
                 );
+                let session = service.session("lego", options.clone()).unwrap();
                 let handles: Vec<_> = spec
                     .views()
                     .into_iter()
-                    .map(|view| {
-                        service
-                            .submit(RenderRequest::new("lego", view).with_options(options.clone()))
-                            .unwrap()
-                    })
+                    .map(|view| session.submit(view).unwrap())
                     .collect();
                 handles
                     .into_iter()
@@ -314,8 +322,7 @@ fn deadline_streams_on_lent_cores_are_bit_identical_to_sequential_renders() {
             .unwrap();
         for (i, (frame, view)) in stream.zip(spec.views()).enumerate() {
             let frame = frame.expect("stream frame");
-            let req = RenderRequest::new("lego", view).with_options(options.clone());
-            let want = direct_render(scene, &req);
+            let want = direct_render(scene, &view, &options);
             assert_eq!(frame.image, want.image, "{schedule} frame {i} diverged");
             assert_eq!(frame.stats, want.stats, "{schedule} frame {i} stats");
         }
@@ -358,8 +365,7 @@ fn every_lent_frame_is_bit_identical_to_a_sequential_render() {
                     let stream = session.stream_with(spec.clone(), config).unwrap();
                     for (i, (frame, view)) in stream.zip(spec.views()).enumerate() {
                         let frame = frame.expect("stream frame");
-                        let req = RenderRequest::new(id, view).with_options(options.clone());
-                        let want = direct_render(scene, &req);
+                        let want = direct_render(scene, &view, &options);
                         let what = format!("{id} {schedule} roi {roi:?} {:?}", config.priority);
                         assert_eq!(frame.image, want.image, "{what} frame {i} diverged");
                         assert_eq!(frame.stats, want.stats, "{what} frame {i} stats");
@@ -396,9 +402,12 @@ fn eviction_churn_preserves_determinism() {
     for i in 0..8 {
         let id = ["lego", "palace", "train"][i % 3];
         let t = i as f32 / 8.0;
-        let frame = service
-            .render_blocking(RenderRequest::trajectory(id, t))
-            .unwrap();
+        let frame = submit(
+            &service,
+            &(id, ViewSpec::trajectory(t), RenderOptions::default()),
+        )
+        .wait()
+        .unwrap();
         let scene = &direct.iter().find(|(s, _)| s == id).unwrap().1;
         let want = reference.render_frame(&scene.gaussians, &scene.camera(t));
         assert_eq!(frame.image, want.image, "churn diverged on {id} t {t}");
@@ -428,7 +437,8 @@ fn umbrella_crate_reexports_the_serving_layer() {
         )],
     );
     let frame = service
-        .render_blocking(gcc_repro::serve::RenderRequest::trajectory("lego", 0.5))
+        .session("lego", gcc_repro::render::RenderOptions::default())
+        .and_then(|session| session.render_blocking(gcc_repro::scene::ViewSpec::trajectory(0.5)))
         .unwrap();
     let want = StandardRenderer::reference().render_frame(&scene.gaussians, &scene.camera(0.5));
     assert_eq!(frame.image, want.image);

@@ -9,13 +9,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use gcc_core::{Camera, Gaussian3D};
-use gcc_render::pipeline::Frame;
+use gcc_render::pipeline::{Frame, FrameScratch, RenderJob};
 use gcc_render::{RenderOptions, Renderer, Schedule, StandardRenderer};
 use gcc_scene::{Scene, SceneConfig, ScenePreset, ViewSpec};
 use gcc_serve::{
-    Priority, RenderRequest, RenderService, SceneSource, ServeConfig, ServeError, StreamConfig,
-    StreamPoll, StreamSpec,
+    Priority, RenderService, SceneSource, ServeConfig, ServeError, StreamConfig, StreamPoll,
+    StreamSpec,
 };
 
 mod ledger;
@@ -52,9 +51,9 @@ impl Renderer for SlowRenderer {
     fn name(&self) -> &str {
         "slow-reference"
     }
-    fn render_frame(&self, gaussians: &[Gaussian3D], camera: &Camera) -> Frame {
+    fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
         std::thread::sleep(self.delay);
-        self.inner.render_frame(gaussians, camera)
+        self.inner.render_job(job, scratch)
     }
 }
 
@@ -143,7 +142,9 @@ fn cancellation_releases_queued_work() {
     assert!(matches!(stream.try_next(), StreamPoll::Done));
     // The service is still healthy: later requests are served.
     service
-        .render_blocking(RenderRequest::trajectory("palace", 0.5))
+        .session("palace", RenderOptions::default())
+        .unwrap()
+        .render_blocking(ViewSpec::trajectory(0.5))
         .unwrap();
     let stats = service.shutdown();
     assert_ledger(&stats);
@@ -230,7 +231,9 @@ fn wait_timeout_polls_without_losing_the_frame() {
     let (_, reg) = registry(0.02);
     let service = slow_service(reg, 1, 60);
     let mut handle = service
-        .submit(RenderRequest::trajectory("lego", 0.3))
+        .session("lego", RenderOptions::default())
+        .unwrap()
+        .submit(ViewSpec::trajectory(0.3))
         .unwrap();
     assert!(!handle.is_ready(), "frame cannot be done instantly");
     // Poll with a timeout far below the render time: the handle comes
