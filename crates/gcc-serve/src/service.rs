@@ -644,15 +644,13 @@ fn best_key(st: &State, admit: impl Fn(&BatchKey) -> bool) -> Option<BatchKey> {
         .map(|(_, key)| key.clone())
 }
 
-/// Takes up to `max` frames of `key` for a worker to render, counting the
-/// batch under the lock it is taken with.
+/// Takes up to `max` frames of `key` (a key of `order`, so never none)
+/// for a worker to render, counting the batch under the lock it is taken
+/// with.
 fn drain_batch(st: &mut State, key: &BatchKey, max: usize) -> Vec<Pending> {
-    let batch = take_batch(st, key, max);
-    if !batch.is_empty() {
-        st.stats.scene(&key.scene).batches += 1;
-        st.stats.schedule(key.schedule).batches += 1;
-    }
-    batch
+    st.stats.scene(&key.scene).batches += 1;
+    st.stats.schedule(key.schedule).batches += 1;
+    take_batch(st, key, max)
 }
 
 /// Picks the next job: the best *actionable* key ([`best_key`]) — scene
@@ -687,8 +685,8 @@ pub(crate) struct Shared {
     /// Workers inside [`Shared::load_scene`] or [`Shared::render_batch`]
     /// right now — what the lending rule ([`Shared::lent_threads`])
     /// subtracts from [`Self::host_threads`]. An atomic beside the state
-    /// mutex so a panicking load or batch always gives its core back (the
-    /// panic path may not be able to take the lock).
+    /// mutex, counted by a drop guard ([`Busy`]), so a panicking load or
+    /// batch always gives its core back.
     busy: AtomicUsize,
     state: Mutex<State>,
     work: Condvar,
