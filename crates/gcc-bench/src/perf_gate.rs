@@ -1724,4 +1724,597 @@ mod tests {
         let longer = record.replace("\"total_frames\": 138", "\"total_frames\": 276");
         assert!(check_serve_record(&record, Some(&longer), 0.25).is_err());
     }
+
+    /// What the gate says of one fixture: it passes, it fails and prints
+    /// the marker word of each rule that failed, or it is a parse error.
+    #[derive(Debug)]
+    enum Said {
+        Pass,
+        Fail(&'static [&'static str]),
+        ParseError,
+    }
+
+    /// Every marker word a failed rule prints; a passing report prints
+    /// none of them.
+    const MARKERS: [&str; 12] = [
+        "REGRESSION",
+        "MISSING",
+        "SLOWER on a borrowed core",
+        "COLLAPSED",
+        "SLOWER",
+        "FAILED",
+        "REQUESTS STRANDED",
+        "NOT RECOVERED",
+        "DIVERGED",
+        "STUCK ON THE FLOOR",
+        "FRAMES LOST",
+        "BELOW FLOOR",
+    ];
+
+    /// A gate call reduced to `(passed, rendered)`; `None` for a parse
+    /// error.
+    macro_rules! said {
+        ($call:expr) => {
+            $call.map(|report| (report.passed(), report.render())).ok()
+        };
+    }
+
+    /// One fixture: its name, what the gate said of it, and what it must
+    /// say.
+    type Row = (&'static str, Option<(bool, String)>, Said);
+
+    /// Every record fixture of the gate's unit tests through `compare`,
+    /// `check_serve_record` and `replace_serve_record`, with the verdict
+    /// the gate gives it: what a rebuild of the gate must leave as it is.
+    #[test]
+    fn every_fixture_keeps_its_verdict_and_marker_words() {
+        use Said::{Fail, ParseError, Pass};
+        let frame = |baseline: &str, current: &str, tolerance: f64| {
+            said!(compare(baseline, current, tolerance))
+        };
+        let serve = |record: &str, reference: Option<&str>, tolerance: f64| {
+            said!(check_serve_record(record, reference, tolerance))
+        };
+        let alone = |record: &str| serve(record, None, SERVE_TOLERANCE);
+        let path = std::env::temp_dir().join(format!(
+            "gcc_perf_gate_table_{}_BENCH_serve.json",
+            std::process::id()
+        ));
+        let replace = |on_disk: Option<&str>, fresh: &str| {
+            match on_disk {
+                Some(text) => std::fs::write(&path, text).unwrap(),
+                None => {
+                    let _ = std::fs::remove_file(&path);
+                }
+            }
+            said!(replace_serve_record(&path, fresh, SERVE_TOLERANCE))
+        };
+
+        // The frame gate's fixtures.
+        let lego_train = |lego_seq: f64, lego_auto: f64, train: f64| {
+            record(&[
+                (
+                    "Lego",
+                    0.05,
+                    "standard_frame_engine",
+                    "sequential",
+                    lego_seq,
+                ),
+                ("Lego", 0.05, "standard_frame_engine", "auto", lego_auto),
+                (
+                    "Train",
+                    0.02,
+                    "gaussian_wise_frame_engine",
+                    "sequential",
+                    train,
+                ),
+            ])
+        };
+        let schedules = |gaussian_wise_ms| {
+            record(&[
+                ("Lego", 0.05, "standard_frame_engine", "sequential", 3.0),
+                ("Lego", 0.05, "standard_frame_engine", "fixed2", 2.0),
+                (
+                    "Lego",
+                    0.05,
+                    "gaussian_wise_frame_engine",
+                    "sequential",
+                    gaussian_wise_ms,
+                ),
+                ("Lego", 0.05, "gaussian_wise_frame_engine", "fixed2", 2.6),
+                ("Train", 0.02, "standard_frame_engine", "sequential", 4.0),
+            ])
+        };
+        let hierarchy = |fixed2_ms| {
+            record(&[
+                ("Lego", 0.5, "standard_frame_engine", "sequential", 26.0),
+                ("Lego", 0.5, "standard_frame_engine", "fixed2", 15.0),
+                (
+                    "Lego",
+                    0.5,
+                    "gaussian_wise_frame_engine",
+                    "sequential",
+                    18.0,
+                ),
+                ("Lego", 0.5, "gaussian_wise_frame_engine", "fixed2", 18.2),
+                ("Lego", 0.5, "load_json", "sequential", 44.0),
+                ("Lego", 0.5, "build_hierarchy", "sequential", 6.1),
+                ("Lego", 0.5, "build_hierarchy", "fixed2", fixed2_ms),
+                ("Train", 0.2, "build_hierarchy", "fixed2", 9.0),
+            ])
+        };
+        let loads = |build2_ms, json2_ms| {
+            record(&[
+                ("Lego", 0.5, "build_preset", "sequential", 14.4),
+                ("Lego", 0.5, "build_preset", "fixed2", build2_ms),
+                ("Lego", 0.5, "load_json", "sequential", 19.0),
+                ("Lego", 0.5, "load_json", "fixed2", json2_ms),
+                ("Lego", 0.5, "load_binary", "sequential", 0.7),
+            ])
+        };
+        let newer = |cells: &[(&str, &str, f64)]| {
+            let rows: Vec<String> = cells
+                .iter()
+                .map(|(scene, par, ms)| {
+                    format!(
+                        "{{\"scene\": \"{scene}\", \"scale\": 0.05, \"engine\": \
+                         \"standard_frame_engine\", \"parallelism\": \"{par}\", \
+                         \"ms_per_frame\": {ms}, \"tile_ms\": [1, 2], \"note\": null}}"
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"schema\": \"bench_frame/v1\", \"backend\": \"avx2\", \
+                 \"host_threads\": 2, \"results\": [{}]}}",
+                rows.join(",")
+            )
+        };
+        let lego_only = record(&[
+            ("Lego", 0.05, "standard_frame_engine", "sequential", 10.0),
+            ("Lego", 0.05, "standard_frame_engine", "auto", 4.0),
+        ]);
+        let with_truck = record(&[
+            ("Lego", 0.05, "standard_frame_engine", "sequential", 10.0),
+            ("Lego", 0.05, "standard_frame_engine", "auto", 4.0),
+            (
+                "Train",
+                0.02,
+                "gaussian_wise_frame_engine",
+                "sequential",
+                20.0,
+            ),
+            ("Truck", 0.02, "standard_frame_engine", "sequential", 9.0),
+        ]);
+        let empty = record(&[]).replace("[\n]", "[]");
+        let zero = record(&[("Lego", 0.05, "standard_frame_engine", "sequential", 0.0)]);
+        let within = lego_train(12.4, 4.9, 24.9);
+        let b = baseline();
+
+        // The serve gate's fixtures.
+        let committed = serve_record(1.49, true);
+        let at = |rps: f64, p95: f64| serve_record_at(rps, p95, 1.49, true);
+        let with_rows = serve_record(1.7, true).replacen(
+            "\"configs\"",
+            "\"scenes\": [{\"id\": \"train\", \"gaussians\": 11000, \"bytes\": 2596141, \
+             \"format\": \"json\", \"load_ms\": 35.567}], \"configs\"",
+            1,
+        );
+        let classless = committed.replace("\"interactive\"", "\"background\"");
+        let smoke = committed.replace("\"smoke\": false", "\"smoke\": true");
+        let longer = committed.replace("\"total_frames\": 138", "\"total_frames\": 276");
+        let lod_good = lod_record(0, 12, true, true);
+        let floor = |frames_by_rung, cost_ms| {
+            alone(&lod_record_with(
+                (0, 40),
+                true,
+                true,
+                frames_by_rung,
+                cost_ms,
+            ))
+        };
+
+        let table: Vec<Row> = vec![
+            ("identical records", frame(&b, &b, 0.25), Pass),
+            (
+                "one inflated cell",
+                frame(&b, &lego_train(10.0, 4.0, 31.0), 0.25),
+                Fail(&["REGRESSION"]),
+            ),
+            (
+                "two inflated cells",
+                frame(&b, &lego_train(26.0, 4.0, 31.0), 0.25),
+                Fail(&["REGRESSION"]),
+            ),
+            (
+                "gaussian-wise a bit slower",
+                frame(&schedules(2.7), &schedules(2.9), 0.25),
+                Pass,
+            ),
+            (
+                "gaussian-wise slower than standard",
+                frame(&schedules(2.7), &schedules(3.3), 0.25),
+                Pass,
+            ),
+            (
+                "gaussian-wise slower than its record",
+                frame(&schedules(2.0), &schedules(2.6), 0.25),
+                Fail(&["REGRESSION"]),
+            ),
+            (
+                "hierarchy build on two threads",
+                frame(&hierarchy(6.4), &hierarchy(6.6), 0.25),
+                Pass,
+            ),
+            (
+                "hierarchy build slower on two threads",
+                frame(&hierarchy(6.6), &hierarchy(8.0), 0.25),
+                Fail(&["SLOWER on a borrowed core"]),
+            ),
+            (
+                "cold loads on two threads",
+                frame(&loads(8.8, 12.4), &loads(8.8, 12.4), 0.25),
+                Pass,
+            ),
+            (
+                "preset build slower on two threads",
+                frame(&loads(16.2, 12.4), &loads(16.2, 12.4), 0.25),
+                Fail(&["SLOWER on a borrowed core"]),
+            ),
+            (
+                "json load slower on two threads",
+                frame(&loads(8.8, 21.5), &loads(8.8, 21.5), 0.25),
+                Fail(&["SLOWER on a borrowed core"]),
+            ),
+            (
+                "lent cores at the tolerance",
+                frame(&loads(15.8, 20.9), &loads(15.8, 20.9), 0.25),
+                Pass,
+            ),
+            ("slowdown within 25 %", frame(&b, &within, 0.25), Pass),
+            (
+                "slowdown beyond 10 %",
+                frame(&b, &within, 0.10),
+                Fail(&["REGRESSION"]),
+            ),
+            (
+                "speedups at zero tolerance",
+                frame(&b, &lego_train(1.0, 0.4, 2.0), 0.0),
+                Pass,
+            ),
+            (
+                "a baseline cell missing",
+                frame(&b, &lego_only, 0.25),
+                Fail(&["MISSING"]),
+            ),
+            ("a new cell", frame(&b, &with_truck, 0.25), Pass),
+            (
+                "newer keys and cells",
+                frame(
+                    &lego_only,
+                    &newer(&[
+                        ("Lego", "sequential", 9.0),
+                        ("Lego", "fixed2", 5.0),
+                        ("Lego", "auto", 4.5),
+                    ]),
+                    0.25,
+                ),
+                Pass,
+            ),
+            (
+                "newer keys, shrunk coverage",
+                frame(
+                    &lego_only,
+                    &newer(&[("Lego", "sequential", 9.0), ("Lego", "fixed2", 5.0)]),
+                    0.25,
+                ),
+                Fail(&["MISSING"]),
+            ),
+            ("baseline not json", frame("not json", &b, 0.25), ParseError),
+            (
+                "current without results",
+                frame(&b, "{\"schema\": \"bench_frame/v1\"}", 0.25),
+                ParseError,
+            ),
+            (
+                "baseline of another schema",
+                frame(&b.replace("bench_frame/v1", "bench_frame/v9"), &b, 0.25),
+                ParseError,
+            ),
+            ("empty results", frame(&b, &empty, 0.25), ParseError),
+            ("NaN tolerance", frame(&b, &b, f64::NAN), ParseError),
+            ("negative tolerance", frame(&b, &b, -0.1), ParseError),
+            ("a zero-ms cell", frame(&b, &zero, 0.25), ParseError),
+            ("serve record alone", alone(&serve_record(3.2, true)), Pass),
+            ("cheap loads alone", alone(&serve_record(1.1, true)), Pass),
+            (
+                "cheap loads against a reference",
+                serve(&serve_record(1.1, true), Some(&committed), 0.25),
+                Pass,
+            ),
+            (
+                "throughput collapsed",
+                serve(&at(50.0, 62.5), Some(&committed), SERVE_TOLERANCE),
+                Fail(&["COLLAPSED"]),
+            ),
+            (
+                "throughput within 25 %",
+                serve(&at(70.0, 62.5), Some(&committed), SERVE_TOLERANCE),
+                Pass,
+            ),
+            (
+                "throughput at the tolerance",
+                serve(&at(76.5 * 0.75, 62.5), Some(&committed), SERVE_TOLERANCE),
+                Pass,
+            ),
+            (
+                "throughput unchanged",
+                serve(&at(76.5, 62.5), Some(&committed), SERVE_TOLERANCE),
+                Pass,
+            ),
+            (
+                "throughput up",
+                serve(&at(120.0, 62.5), Some(&committed), SERVE_TOLERANCE),
+                Pass,
+            ),
+            (
+                "throughput past the tolerance",
+                serve(&at(76.5 * 0.749, 62.5), Some(&committed), SERVE_TOLERANCE),
+                Fail(&["COLLAPSED"]),
+            ),
+            (
+                "interactive p95 blown up",
+                serve(&at(76.5, 95.0), Some(&committed), SERVE_TOLERANCE),
+                Fail(&["SLOWER"]),
+            ),
+            (
+                "interactive p95 down",
+                serve(&at(76.5, 40.0), Some(&committed), SERVE_TOLERANCE),
+                Pass,
+            ),
+            (
+                "interactive p95 at the tolerance",
+                serve(&at(76.5, 62.5 * 1.25), Some(&committed), SERVE_TOLERANCE),
+                Pass,
+            ),
+            (
+                "interactive p95 past the tolerance",
+                serve(&at(76.5, 62.5 * 1.26), Some(&committed), SERVE_TOLERANCE),
+                Fail(&["SLOWER"]),
+            ),
+            (
+                "interactive class lost",
+                serve(&classless, Some(&committed), SERVE_TOLERANCE),
+                Fail(&[]),
+            ),
+            ("first record", replace(None, &committed), Pass),
+            (
+                "replacing with a collapse",
+                replace(Some(&committed), &at(50.0, 62.5)),
+                Fail(&["COLLAPSED"]),
+            ),
+            (
+                "replacing with a p95 blow-up",
+                replace(Some(&committed), &at(76.5, 95.0)),
+                Fail(&["SLOWER"]),
+            ),
+            (
+                "replacing a smoke record",
+                replace(Some(&smoke), &committed),
+                ParseError,
+            ),
+            (
+                "replacing a broken record",
+                replace(Some("{"), &committed),
+                ParseError,
+            ),
+            (
+                "replacing with a held run",
+                replace(Some(&committed), &serve_record_at(70.0, 70.0, 1.2, true)),
+                Pass,
+            ),
+            (
+                "replacing the held run",
+                replace(
+                    Some(&serve_record_at(70.0, 70.0, 1.2, true)),
+                    &serve_record_at(55.0, 70.0, 1.2, true),
+                ),
+                Pass,
+            ),
+            ("scene rows", alone(&with_rows), Pass),
+            (
+                "broken parity",
+                alone(&serve_record(9.0, false)),
+                Fail(&["FAILED"]),
+            ),
+            ("clean chaos", alone(&chaos_record(3.0, true, 0)), Pass),
+            (
+                "stranded chaos",
+                alone(&chaos_record(9.0, false, 0)),
+                Fail(&["REQUESTS STRANDED"]),
+            ),
+            (
+                "chaos lost a worker",
+                alone(&chaos_record(9.0, true, 1)),
+                Fail(&["NOT RECOVERED"]),
+            ),
+            (
+                "chaos all_resolved not a bool",
+                alone(
+                    &chaos_record(3.0, true, 0)
+                        .replace("\"all_resolved\": true", "\"all_resolved\": 1"),
+                ),
+                ParseError,
+            ),
+            (
+                "chaos without lost_workers",
+                alone(&chaos_record(3.0, true, 0).replace("\"lost_workers\": 0, ", "")),
+                ParseError,
+            ),
+            ("clean wire", alone(&wire_record(3.0, 2, true, true)), Pass),
+            (
+                "stranded wire",
+                alone(&wire_record(9.0, 2, false, true)),
+                Fail(&["REQUESTS STRANDED"]),
+            ),
+            (
+                "diverged wire",
+                alone(&wire_record(9.0, 2, true, false)),
+                Fail(&["DIVERGED"]),
+            ),
+            (
+                "one-shard wire",
+                alone(&wire_record(9.0, 1, true, true)),
+                Fail(&["FAILED"]),
+            ),
+            (
+                "wire parity_ok not a bool",
+                alone(
+                    &wire_record(3.0, 2, true, true)
+                        .replace("\"parity_ok\": true", "\"parity_ok\": 1"),
+                ),
+                ParseError,
+            ),
+            (
+                "wire without shards",
+                alone(&wire_record(3.0, 2, true, true).replace("\"shards\": 2, ", "")),
+                ParseError,
+            ),
+            ("clean lod", alone(&lod_good), Pass),
+            (
+                "lod ladder missed",
+                alone(&lod_record(1, 12, true, true)),
+                Fail(&["FAILED"]),
+            ),
+            (
+                "lod exact run met the deadline",
+                alone(&lod_record(0, 0, true, true)),
+                Fail(&["FAILED"]),
+            ),
+            (
+                "lod frames lost",
+                alone(&lod_record(0, 12, false, true)),
+                Fail(&["FRAMES LOST"]),
+            ),
+            (
+                "lod below a quality floor",
+                alone(&lod_record(0, 12, true, false)),
+                Fail(&["BELOW FLOOR"]),
+            ),
+            (
+                "lod on the floor while half_res fits",
+                floor([0, 0, 1, 39], LEGO_COST_MS),
+                Fail(&["STUCK ON THE FLOOR"]),
+            ),
+            (
+                "lod on the floor, nothing better fits",
+                floor([0, 0, 1, 39], [45.3, 24.0, 26.0, 7.8]),
+                Pass,
+            ),
+            (
+                "lod half on the floor",
+                floor([0, 20, 0, 20], LEGO_COST_MS),
+                Pass,
+            ),
+            (
+                "lod most on the floor",
+                floor([0, 19, 0, 21], LEGO_COST_MS),
+                Fail(&["STUCK ON THE FLOOR"]),
+            ),
+            (
+                "lod quality_ok not a bool",
+                alone(&lod_good.replace("\"quality_ok\": true", "\"quality_ok\": 1")),
+                ParseError,
+            ),
+            (
+                "lod without misses_ladder_on",
+                alone(&lod_good.replace("\"misses_ladder_on\": 0, ", "")),
+                ParseError,
+            ),
+            (
+                "lod without margin",
+                alone(&lod_good.replace("\"margin\": 1.3, ", "")),
+                ParseError,
+            ),
+            (
+                "lod rung without cost",
+                alone(&lod_good.replace("\"cost_ms\": 18, ", "")),
+                ParseError,
+            ),
+            (
+                "lod rungs priced and dispatched differ",
+                alone(&lod_good.replace("[0, 38, 1, 1]", "[0, 38, 2]")),
+                ParseError,
+            ),
+            (
+                "lod frames_by_rung not an array",
+                alone(&lod_good.replace("[0, 38, 1, 1]", "7")),
+                ParseError,
+            ),
+            ("serve record not json", alone("not json"), ParseError),
+            (
+                "serve record of another schema",
+                alone("{\"schema\": \"bench_serve/v2\"}"),
+                ParseError,
+            ),
+            (
+                "serve record without speedup",
+                alone("{\"schema\": \"bench_serve/v3\", \"parity_ok\": true}"),
+                ParseError,
+            ),
+            (
+                "serve record without throughput",
+                alone(&committed.replace("\"throughput_rps\": 76.5, ", "")),
+                ParseError,
+            ),
+            (
+                "serve NaN tolerance",
+                serve(&committed, None, f64::NAN),
+                ParseError,
+            ),
+            (
+                "serve negative tolerance",
+                serve(&committed, None, -1.0),
+                ParseError,
+            ),
+            (
+                "reference not json",
+                serve(&committed, Some("not json"), 0.25),
+                ParseError,
+            ),
+            (
+                "smoke reference",
+                serve(&committed, Some(&smoke), 0.25),
+                ParseError,
+            ),
+            (
+                "reference of another length",
+                serve(&committed, Some(&longer), 0.25),
+                ParseError,
+            ),
+        ];
+        let _ = std::fs::remove_file(&path);
+
+        for (fixture, observed, expected) in table {
+            match (&expected, &observed) {
+                (ParseError, None) => {}
+                (Pass, Some((true, rendered))) => {
+                    for marker in MARKERS {
+                        assert!(
+                            !rendered.contains(marker),
+                            "{fixture}: passes but prints {marker}:\n{rendered}"
+                        );
+                    }
+                }
+                (Fail(markers), Some((false, rendered))) => {
+                    for marker in *markers {
+                        assert!(
+                            rendered.contains(marker),
+                            "{fixture}: fails without {marker}:\n{rendered}"
+                        );
+                    }
+                }
+                _ => panic!("{fixture}: expected {expected:?}, the gate said {observed:?}"),
+            }
+        }
+    }
 }
