@@ -34,17 +34,15 @@
 //! [`gcc_bench::default_artifact_path`] so a run from any subdirectory
 //! doesn't scatter artifacts). The binary re-parses the JSON it wrote and
 //! exits non-zero if the file is invalid, so CI can treat a zero exit as
-//! "valid perf record produced"; it also prints the two ratios
-//! `perf_gate` takes within one record: per scene, sequential
-//! `gaussian_wise ÷ standard` (reported only), and per scene and engine,
-//! `fixed2 ÷ sequential` (gated: a borrowed core may not cost). CI
-//! compares the record against `ci/bench_baseline.json` with the
-//! `perf_gate` binary.
+//! "valid perf record produced"; it also prints the lines of the checks
+//! the gate makes of one record by itself
+//! ([`gcc_bench::perf_gate::within_record`]). CI compares the record
+//! against `ci/bench_baseline.json` with the `perf_gate` binary.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use gcc_bench::perf_gate::{borrowed_cores, parse_bench_cells, schedule_orderings};
+use gcc_bench::perf_gate::{parse_bench_cells, within_record};
 use gcc_bench::TablePrinter;
 use gcc_core::Gaussian3D;
 use gcc_lod::{build_hierarchy, HierarchyConfig};
@@ -341,16 +339,8 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // The two within-record ratios `perf_gate` prints; it gates the second.
-    for o in schedule_orderings(&cells) {
-        println!(
-            "{} gaussian_wise / standard (sequential): {:.2}",
-            o.scene,
-            o.ratio()
-        );
-    }
-    for b in borrowed_cores(&cells) {
-        println!("{} fixed2 / sequential: {:.2}", b.cell, b.ratio());
+    for check in within_record(&cells) {
+        println!("{}", check.line);
     }
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("bench_frame could not write {}: {e}", out_path.display());

@@ -28,17 +28,15 @@
 //! The record includes throughput, per-priority p50/p95 latency and
 //! deadline-miss counts, stream lifecycle counters, cache hit rate, the
 //! per-schedule breakdown, each scene file's cold `load_ms` and the
-//! batched/naive speedup. In full (non-smoke) mode the binary *enforces*
-//! the serve gate against the committed record — `batched_lru`
-//! throughput and Interactive p95 within [`SERVE_TOLERANCE`] of the
-//! `BENCH_serve.json` it is about to replace, which a failing run leaves
-//! in place; `speedup_vs_naive` printed and not gated — **and**
-//! the latency-class contract (batched Interactive p95 ≤ Bulk p95 under
-//! the mixed load), and in every mode it checks a sample of served
+//! batched/naive speedup. Every run first checks a sample of served
 //! frames — streamed and submitted, including posed, ROI'd and
 //! resolution-overridden ones — bit-identical against direct
-//! `Renderer::render_job` output and re-parses the JSON it wrote — exit
-//! 0 means "valid record, parity held".
+//! `Renderer::render_job` output, and ends in the gate
+//! (`gcc_bench::perf_gate`, rules in `ci/README.md`) on the record it
+//! produced: a smoke record is written and checked alone; a full record
+//! is checked against the record at `--out` — the committed one it means
+//! to replace — and written only if it passes. It prints the gate's
+//! report and exits non-zero exactly when the report fails.
 //!
 //! With `--chaos` the harness first replays the workload through a
 //! *fault-injected* copy of the service — a seeded
@@ -48,20 +46,19 @@
 //! then disarms the plan and replays the workload strictly on the same
 //! service to measure **recovery throughput**. The record gains a
 //! `"chaos"` object (injected fault counts, respawns, lost workers,
-//! quarantines, recovery throughput, `all_resolved`) that `perf_gate`
-//! refuses unless every request resolved and the pool recovered to full
-//! width. The measured fault-free configurations run on separate clean
-//! services, so the committed speedup floor is unaffected.
+//! quarantines, recovery throughput, `all_resolved`). The measured
+//! fault-free configurations run on separate clean services, so the
+//! storm does not touch their numbers.
 //!
 //! With `--wire` the harness additionally exercises the TCP deployment
 //! shape from `gcc-wire`: it spawns two real `gcc-served` backend
 //! *processes* plus a `gcc-shard` consistent-hash proxy over loopback
 //! (binaries located next to the bench executable), drives seeded
-//! clients through the proxy, checks every delivered frame bit-identical
-//! against direct in-process renders, requires every client request to
-//! resolve (typed rejections count), then drains the fleet via the wire
+//! clients through the proxy, compares every delivered frame with a
+//! direct in-process render, counts the client requests that resolve
+//! (typed rejections count), then drains the fleet via the wire
 //! `Shutdown` request and checks the child exit codes. The record gains
-//! a `"wire"` object that `perf_gate` refuses unless both held.
+//! a `"wire"` object.
 //!
 //! With `--lod` the harness exercises the deadline-aware quality ladder
 //! (`gcc-lod` + `ServeConfig::lod`): it prices every rung *through the
@@ -71,10 +68,7 @@
 //! deadline-carrying orbit with the ladder on (expecting **zero**
 //! misses) and off (expecting misses), and measures every rung's
 //! PSNR/SSIM against full renders of the same views. The record gains a
-//! `"lod"` object that `perf_gate` refuses unless the miss contract
-//! held, every frame resolved, every rung met its documented quality
-//! floor, and the ladder did not sit on its floor rung while a better
-//! rung's recorded cost fit the deadline.
+//! `"lod"` object.
 //!
 //! ```text
 //! cargo run --release -p gcc-bench --bin bench_serve            # full
@@ -89,11 +83,8 @@
 //! `--wire` (multi-process shard deployment over loopback, recorded
 //! under `"wire"`; needs the `gcc-served`/`gcc-shard` binaries built),
 //! `--lod` (deadline-aware quality ladder on/off replay + per-rung
-//! quality, recorded under `"lod"`), `--clients N` (bulk stream clients;
-//! `max(1, N/2)` interactive clients ride along), `--requests N`
-//! (streams per bulk client; interactive clients submit `3·N` frames
-//! each), `--out PATH` (default `BENCH_serve.json` at the repository
-//! root).
+//! quality, recorded under `"lod"`), `--out PATH` (default
+//! `BENCH_serve.json` at the repository root).
 
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -102,7 +93,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gcc_bench::perf_gate::{replace_serve_record, SERVE_TOLERANCE};
+use gcc_bench::perf_gate::{check_serve_record, replace_serve_record, SERVE_TOLERANCE};
 use gcc_bench::TablePrinter;
 use gcc_lod::cost::NEAR_RETRY_INTERVAL;
 use gcc_lod::{attach_hierarchy, QualityLadder, QualityRung};
@@ -427,6 +418,49 @@ struct ConfigRow {
     stats: ServeStats,
 }
 
+/// Replays every client script on `service`, one thread per client,
+/// strictly: every stream admits and every frame arrives. Interactive
+/// frames carry `deadline`.
+fn replay(service: &RenderService, scripts: &[ClientScript], deadline: Option<Duration>) {
+    std::thread::scope(|scope| {
+        for script in scripts {
+            scope.spawn(move || match script {
+                ClientScript::Bulk(streams) => {
+                    for b in streams {
+                        let session = service
+                            .session(b.scene.clone(), b.options.clone())
+                            .expect("replay session");
+                        let stream = session
+                            .stream_with(b.spec.clone(), StreamConfig::bulk().with_window(4))
+                            .expect("replay stream admits");
+                        for item in stream {
+                            item.expect("bulk stream frame failed");
+                        }
+                    }
+                }
+                ClientScript::Interactive(reqs) => {
+                    for r in reqs {
+                        let session = service
+                            .session(r.scene.clone(), r.options.clone())
+                            .expect("replay session");
+                        let config = StreamConfig {
+                            deadline,
+                            ..StreamConfig::default().with_window(1)
+                        };
+                        let mut stream = session
+                            .stream_with(StreamSpec::ViewList(vec![r.view.clone()]), config)
+                            .expect("replay submit admits");
+                        stream
+                            .next_frame()
+                            .expect("interactive frame present")
+                            .expect("interactive frame failed");
+                    }
+                }
+            });
+        }
+    });
+}
+
 /// Replays the workload through a fresh service with `cfg`.
 fn run_config(
     name: &'static str,
@@ -437,45 +471,7 @@ fn run_config(
     let service = RenderService::new(cfg.clone(), registry.to_vec());
     let workers = service.workers();
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for script in scripts {
-            let service = &service;
-            scope.spawn(move || match script {
-                ClientScript::Bulk(streams) => {
-                    for b in streams {
-                        let session = service
-                            .session(b.scene.clone(), b.options.clone())
-                            .expect("bench session");
-                        let stream = session
-                            .stream_with(b.spec.clone(), StreamConfig::bulk().with_window(4))
-                            .expect("bench stream");
-                        for item in stream {
-                            item.expect("bulk stream frame failed");
-                        }
-                    }
-                }
-                ClientScript::Interactive(reqs) => {
-                    for r in reqs {
-                        let session = service
-                            .session(r.scene.clone(), r.options.clone())
-                            .expect("bench session");
-                        let mut stream = session
-                            .stream_with(
-                                StreamSpec::ViewList(vec![r.view.clone()]),
-                                StreamConfig::default()
-                                    .with_window(1)
-                                    .with_deadline(INTERACTIVE_DEADLINE),
-                            )
-                            .expect("bench submit");
-                        stream
-                            .next_frame()
-                            .expect("interactive frame present")
-                            .expect("interactive frame failed");
-                    }
-                }
-            });
-        }
-    });
+    replay(&service, scripts, Some(INTERACTIVE_DEADLINE));
     let wall = start.elapsed().as_secs_f64();
     let total = total_frames(scripts);
     let stats = service.shutdown();
@@ -668,43 +664,7 @@ fn run_chaos(
     plan.disarm();
     std::thread::sleep(quarantine * 3);
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for script in scripts {
-            let service = &service;
-            scope.spawn(move || match script {
-                ClientScript::Bulk(streams) => {
-                    for b in streams {
-                        let session = service
-                            .session(b.scene.clone(), b.options.clone())
-                            .expect("recovery session");
-                        let stream = session
-                            .stream_with(b.spec.clone(), StreamConfig::bulk().with_window(4))
-                            .expect("recovery stream admits");
-                        for item in stream {
-                            item.expect("recovery frame failed after disarm");
-                        }
-                    }
-                }
-                ClientScript::Interactive(reqs) => {
-                    for r in reqs {
-                        let session = service
-                            .session(r.scene.clone(), r.options.clone())
-                            .expect("recovery session");
-                        let mut stream = session
-                            .stream_with(
-                                StreamSpec::ViewList(vec![r.view.clone()]),
-                                StreamConfig::default().with_window(1),
-                            )
-                            .expect("recovery submit admits");
-                        stream
-                            .next_frame()
-                            .expect("recovery frame present")
-                            .expect("recovery frame failed after disarm");
-                    }
-                }
-            });
-        }
-    });
+    replay(&service, scripts, None);
     let recovery_wall = start.elapsed().as_secs_f64();
     let recovery_frames = total_frames(scripts) as u64;
     let stats = service.shutdown();
@@ -1197,11 +1157,7 @@ fn lod_stream(service: &RenderService, id: &str, frames: usize, deadline: Durati
 /// a deadline that full-quality rendering cannot meet but the better
 /// degraded rungs can, replays the same deadline-carrying orbit
 /// ladder-on and ladder-off, and measures each rung's PSNR/SSIM against
-/// full renders of the same views. The gate (`perf_gate`) refuses the
-/// record unless the ladder run missed zero deadlines, the exact run
-/// missed at least one, every frame resolved, every rung met its
-/// documented quality floor, and the ladder run did not spend most of
-/// its frames on the floor rung while a better rung fit the deadline.
+/// full renders of the same views.
 fn run_lod(dir: &Path, smoke: bool) -> LodOutcome {
     // The shared bench scenes are deliberately small (the cache-pressure
     // workloads want many cheap scenes), which leaves the rungs
@@ -1352,35 +1308,22 @@ fn main() {
     let chaos = args.iter().any(|a| a == "--chaos");
     let wire = args.iter().any(|a| a == "--wire");
     let lod = args.iter().any(|a| a == "--lod");
-    let mut clients = if smoke { 2 } else { 5 };
-    let mut per_client = if smoke { 2 } else { 4 };
     let mut out_path = gcc_bench::default_artifact_path("BENCH_serve.json");
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--clients" => {
-                clients = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--clients needs a positive integer");
-            }
-            "--requests" => {
-                per_client = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests needs a positive integer");
-            }
             "--out" => {
                 out_path = it.next().expect("--out needs a path").into();
             }
             "--smoke" | "--chaos" | "--wire" | "--lod" => {}
             other => panic!(
-                "unknown flag {other} (expected --smoke, --chaos, --wire, --lod, --clients N, \
-                 --requests N, --out PATH)"
+                "unknown flag {other} (expected --smoke, --chaos, --wire, --lod, --out PATH)"
             ),
         }
     }
-    assert!(clients > 0 && per_client > 0, "workload must be non-empty");
+    // Bulk stream clients and streams per client; interactive clients
+    // ride along and submit three frames per bulk stream.
+    let (clients, per_client) = if smoke { (2, 2) } else { (5, 4) };
     let interactive_clients = (clients / 2).max(1);
     let frames_per_interactive = per_client * 3;
 
@@ -1409,7 +1352,7 @@ fn main() {
     // reading the same on-disk scene files, so it must run before the
     // scene directory is removed. It does not touch the in-process
     // services the measured configurations use.
-    let wire_outcome = wire.then(|| run_wire(&scenes, &dir, &loaded, clients.max(2)));
+    let wire_outcome = wire.then(|| run_wire(&scenes, &dir, &loaded, clients));
 
     // The LOD phase replays one deadline-carrying orbit with and without
     // the quality ladder on fresh services over its own heavier scene
@@ -1485,7 +1428,7 @@ fn main() {
             "chaos: {}/{} storm requests resolved ({} turned away), {} frames delivered, \
              {} faulted streams; injected {} load faults + {} render panics; \
              {} respawns, {} lost workers, {} quarantines; \
-             recovery {:.1} req/s over {} frames — {}",
+             recovery {:.1} req/s over {} frames",
             c.resolved,
             c.storm_requests,
             c.turned_away,
@@ -1498,18 +1441,13 @@ fn main() {
             c.quarantines,
             c.recovery_throughput_rps,
             c.recovery_frames,
-            if c.all_resolved {
-                "all resolved"
-            } else {
-                "REQUESTS STRANDED"
-            },
         );
     }
     if let Some(l) = &lod_outcome {
         println!(
             "lod: {} frames of {} under a {:.2} ms deadline (served on {} host threads: full \
              {:.2} ms, floor {:.2} ms): ladder-on missed {}, ladder-off missed {}; {} degraded \
-             frames, rungs {:?} — {}",
+             frames, rungs {:?}",
             l.frames,
             l.scene,
             l.deadline_ms,
@@ -1520,16 +1458,6 @@ fn main() {
             l.misses_ladder_off,
             l.degraded_frames,
             l.frames_by_rung,
-            match (
-                l.misses_ladder_on == 0 && l.misses_ladder_off > 0,
-                l.all_resolved,
-                l.quality_ok
-            ) {
-                (true, true, true) => "ok",
-                (false, _, _) => "DEADLINE CONTRACT FAILED",
-                (_, false, _) => "FRAMES LOST",
-                (_, _, false) => "QUALITY FLOOR VIOLATED",
-            },
         );
         for r in &l.rungs {
             println!(
@@ -1542,7 +1470,7 @@ fn main() {
         println!(
             "wire: {} shards behind one proxy, {} clients, {}/{} requests resolved \
              ({} typed rejections), {} frames delivered at {:.1} fps, \
-             {} bit-identical to direct renders — {}",
+             {} compared with direct renders",
             w.shards,
             w.clients,
             w.resolved,
@@ -1551,11 +1479,6 @@ fn main() {
             w.delivered_frames,
             w.throughput_fps,
             w.parity_frames,
-            match (w.all_resolved, w.parity_ok) {
-                (true, true) => "ok",
-                (false, _) => "REQUESTS STRANDED",
-                (_, false) => "PARITY DIVERGED",
-            },
         );
     }
 
@@ -1748,98 +1671,36 @@ fn main() {
         eprintln!("bench_serve produced invalid JSON: {e}");
         std::process::exit(1);
     }
-    // Full mode is the acceptance run: throughput and Interactive p95 on
-    // the mixed streaming workload must hold against the record this run
-    // replaces, and a run that does not hold leaves that record as it was
-    // — the next run is compared with the same reference. A smoke record
-    // has no reference and is written as it is.
-    let written = if smoke {
-        std::fs::write(&out_path, &json).map_err(|e| format!("{}: {e}", out_path.display()))
+    // A smoke record has no reference and is written as it is; a full
+    // record is held to the one at `out_path` first, and a run that fails
+    // leaves that record as it was, so the next run is compared with the
+    // same numbers.
+    let checked = if smoke {
+        std::fs::write(&out_path, &json)
+            .map_err(|e| format!("{}: {e}", out_path.display()))
+            .and_then(|()| check_serve_record(&json, None, SERVE_TOLERANCE))
     } else {
-        replace_serve_record(&out_path, &json, SERVE_TOLERANCE).and_then(|report| {
-            print!("{}", report.render());
-            if report.holds_reference() {
-                Ok(())
-            } else {
-                Err(format!(
-                    "the run does not hold the numbers of {}, which is left as it was",
-                    out_path.display()
-                ))
-            }
-        })
+        replace_serve_record(&out_path, &json, SERVE_TOLERANCE)
     };
-    if let Err(e) = written {
-        eprintln!("bench_serve: record not written: {e}");
+    let passed = match checked {
+        Ok(report) => {
+            print!("{}", report.render());
+            report.passed()
+        }
+        Err(e) => {
+            eprintln!("bench_serve: {e}");
+            false
+        }
+    };
+    if !passed {
         if !smoke {
             eprintln!(
-                "bench_serve: to move the reference on purpose, delete {} and rerun",
+                "bench_serve: {} left as it was — to move the reference on purpose, delete it \
+                 and rerun",
                 out_path.display()
             );
         }
         std::process::exit(1);
     }
     println!("wrote {}", out_path.display());
-
-    // A chaos run's acceptance is resilience: every storm request
-    // resolved or was turned away with a typed error, and the pool
-    // recovered to full width. The recovery replay's strict expectations
-    // already aborted the process if any post-disarm frame failed.
-    if let Some(c) = &chaos_outcome {
-        if !c.all_resolved {
-            eprintln!(
-                "bench_serve: chaos storm stranded requests ({} resolved + {} turned away \
-                 of {}, {} lost workers)",
-                c.resolved, c.turned_away, c.storm_requests, c.lost_workers
-            );
-            std::process::exit(1);
-        }
-    }
-
-    // A lod run's acceptance is the degradation contract: under a
-    // deadline full quality cannot meet, the ladder run missed nothing
-    // while the exact run missed at least once, every frame of both runs
-    // was delivered, and every rung met its documented quality floor.
-    if let Some(l) = &lod_outcome {
-        if l.misses_ladder_on != 0 || l.misses_ladder_off == 0 || !l.all_resolved || !l.quality_ok {
-            eprintln!(
-                "bench_serve: lod contract failed (ladder-on misses {}, ladder-off misses {}, \
-                 all_resolved {}, quality_ok {})",
-                l.misses_ladder_on, l.misses_ladder_off, l.all_resolved, l.quality_ok
-            );
-            std::process::exit(1);
-        }
-    }
-
-    // A wire run's acceptance is the deployment contract: every client
-    // request through the shard proxy resolved (typed rejections count),
-    // every delivered frame was bit-identical to a direct render, and
-    // the fleet drained to clean exits on the wire Shutdown request.
-    if let Some(w) = &wire_outcome {
-        if !w.all_resolved || !w.parity_ok {
-            eprintln!(
-                "bench_serve: wire deployment failed ({}/{} requests resolved, parity {} over \
-                 {} frames, clean exit: {})",
-                w.resolved,
-                w.requests,
-                if w.parity_ok { "held" } else { "DIVERGED" },
-                w.parity_frames,
-                w.clean_exit,
-            );
-            std::process::exit(1);
-        }
-    }
-
-    // And in full mode the latency classes must separate: Interactive
-    // p95 at or below Bulk p95 under contention.
-    if !smoke {
-        let int_p95 = batched.stats.priority(Priority::Interactive).latency_p95_ms;
-        let bulk_p95 = batched.stats.priority(Priority::Bulk).latency_p95_ms;
-        if int_p95 > bulk_p95 {
-            eprintln!(
-                "bench_serve: interactive p95 {int_p95:.2} ms above bulk p95 {bulk_p95:.2} ms \
-                 — priority scheduling is not separating the latency classes"
-            );
-            std::process::exit(1);
-        }
-    }
 }
