@@ -638,10 +638,11 @@ mod tests {
 
     #[test]
     fn a_cloud_above_the_work_floor_builds_the_same_on_every_thread_count() {
-        // Enough members that the chunked passes really are shared out
-        // (the preset clouds above all run inline, under the floor): a
-        // seeded lattice with repeated points, so cells hold several
-        // members and equal means test the ascending-index tie order.
+        // Enough members that both chunked passes are shared out on every
+        // thread count below (the preset clouds above are too small for
+        // that): a seeded lattice with repeated points, so cells hold
+        // several members and equal means test the ascending-index tie
+        // order.
         let n = 8 * gcc_parallel::MIN_NS_PER_THREAD as usize / MEMBER_PREP_NS as usize;
         let mut state = 0x5eed_u64;
         let cloud: Vec<Gaussian3D> = (0..n)

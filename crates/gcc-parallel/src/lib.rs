@@ -1,9 +1,10 @@
 //! Deterministic data-parallel primitives for the frame engine.
 //!
 //! This crate is the workspace's rayon seam: the build environment has no
-//! crates.io access, so instead of `rayon` the engine runs on a minimal
-//! work-stealing map built from `std::thread::scope`. The API is shaped so
-//! that swapping in rayon later is a local change inside this crate.
+//! crates.io access, so instead of `rayon` the engine runs on minimal
+//! work-sharing maps whose helpers are process-wide parked threads, woken
+//! per map and never spawned per map ([`run`]). The API is shaped so that
+//! swapping in rayon later is a local change inside this crate.
 //!
 //! Two invariants matter to callers and are guaranteed here:
 //!
@@ -18,16 +19,23 @@
 //! Scheduling (which worker runs which item) is *not* deterministic — only
 //! the results are.
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: [`helpers`] holds the one sanctioned
+// `unsafe` block (a lifetime erasure behind a join-before-return latch),
+// opted in with a module-level `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[allow(unsafe_code)]
+mod helpers;
 mod pool;
 
+pub use helpers::run;
 pub use pool::{PoolHealth, RestartPolicy, WorkerPool, WorkerStep};
 
+use helpers::lock;
 use std::num::NonZeroUsize;
-use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// How many worker threads a parallel stage should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,20 +77,25 @@ pub fn available_threads() -> usize {
 
 /// Least estimated work, in nanoseconds, a thread must receive before a
 /// chunked map hands it a share. Below it the map runs on fewer threads,
-/// down to inline on the caller: a helper costs a spawn, a cold start on
-/// another core and a join, which the benchmark's 2-thread radix sort
-/// (0.3 ms of histogram work split in two, `radix_speedup_t2` 0.94) shows
-/// is more than a few hundred microseconds of shared work buys back. The
-/// per-item costs callers quote come from the same trace
-/// (`gcc-render.*_ms` over the survivors of a frame).
-pub const MIN_NS_PER_THREAD: u64 = 400_000;
+/// down to inline on the caller: a helper costs a wake of a parked thread
+/// (≈ 2 µs round trip, [`run`]) and a start on another core's cold cache.
+/// Split two ways on two AVX2 vCPUs, every pre-stage of a frame beat
+/// inline from a share of ≈ 12.5 µs of quoted work up (projection,
+/// batched SH, footprints, radix histograms; EXPERIMENTS.md "Parked
+/// helpers"); 50 µs keeps a 4× margin for the host's slow mode, where the
+/// two vCPUs share a core and projection split at this floor (1 500
+/// Gaussians) still read 1.2× inline. Under per-map spawning the floor
+/// was 0.4 ms. The per-item
+/// costs callers quote come from the benchmark's trace (`gcc-render.*_ms`
+/// over the survivors of a frame).
+pub const MIN_NS_PER_THREAD: u64 = 50_000;
 
 /// How many of `threads` a map over `items` items of roughly `item_ns`
 /// nanoseconds each keeps busy for at least [`MIN_NS_PER_THREAD`] (at
 /// least 1: the caller). The chunked maps apply it themselves; a driver
 /// that hands out coarse units through [`par_map_indexed_with`] (the
 /// renderers' tile and window loop) calls it with what it knows of its
-/// work, so a thread count lent from outside never spawns a helper the
+/// work, so a thread count lent from outside never wakes a helper the
 /// work does not pay for.
 pub fn worthwhile_threads(threads: usize, items: usize, item_ns: u32) -> usize {
     let affordable = (items as u64).saturating_mul(u64::from(item_ns)) / MIN_NS_PER_THREAD;
@@ -105,7 +118,8 @@ pub fn worthwhile_threads(threads: usize, items: usize, item_ns: u32) -> usize {
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` (the scope joins all workers first).
+/// Propagates the first panic from `f`, once every worker that started
+/// has finished ([`run`]).
 pub fn par_map_indexed<R, F>(count: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -130,10 +144,11 @@ where
 /// reallocating per item.
 ///
 /// With `threads <= 1` (or fewer than two items) a single state is built
-/// and the map runs inline — the sequential reference schedule. Results
-/// must not depend on the state's carried-over contents (states are
-/// caller-defined scratch, not accumulators): item-to-worker assignment is
-/// nondeterministic.
+/// and the map runs inline — the sequential reference schedule. Otherwise
+/// a worker builds its state when it claims its first item, so a helper
+/// that finds the items gone builds none. Results must not depend on the
+/// state's carried-over contents (states are caller-defined scratch, not
+/// accumulators): item-to-worker assignment is nondeterministic.
 pub fn par_map_indexed_with<S, R, G, F>(count: usize, threads: usize, init: G, f: F) -> Vec<R>
 where
     R: Send,
@@ -146,27 +161,25 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let drain = || {
-        let mut state = init();
+        let mut state = None;
         let mut local: Vec<(usize, R)> = Vec::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= count {
                 break local;
             }
-            local.push((i, f(&mut state, i)));
+            local.push((i, f(state.get_or_insert_with(&init), i)));
         }
+    };
+    let helped = Mutex::new(Vec::new());
+    let help = || {
+        let mut local = drain();
+        lock(&helped).append(&mut local);
     };
     // The caller is worker 0: it drains the cursor beside `workers - 1`
     // helpers instead of sleeping on their join.
-    let helpers = threads.min(count) - 1;
-    let mut pairs = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(drain)).collect();
-        let mut pairs = drain();
-        for handle in handles {
-            pairs.append(&mut handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
-        }
-        pairs
-    });
+    let mut pairs = run(threads.min(count) - 1, &help, drain);
+    pairs.append(&mut helped.into_inner().unwrap_or_else(PoisonError::into_inner));
     pairs.sort_unstable_by_key(|(i, _)| *i);
     debug_assert_eq!(pairs.len(), count);
     pairs.into_iter().map(|(_, r)| r).collect()
@@ -261,37 +274,18 @@ where
         f(0, items);
         return;
     }
-    // Several chunks per worker so a slow chunk cannot straggle the map.
+    // Several chunks per worker, each pulled by whichever worker is free
+    // next, so a slow chunk cannot straggle the map.
     let chunk = n.div_ceil(threads * 4).max(1);
-    let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(n.div_ceil(chunk));
-    let mut rest = items;
-    let mut offset = 0;
-    while !rest.is_empty() {
-        let take = chunk.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        parts.push((offset, head));
-        offset += take;
-        rest = tail;
-    }
-    let workers = threads.min(parts.len());
-    let mut per_worker: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
-    for (k, part) in parts.into_iter().enumerate() {
-        per_worker[k % workers].push(part);
-    }
-    let run = |worker_parts: Vec<(usize, &mut [T])>| {
-        for (off, part) in worker_parts {
-            f(off, part);
-        }
+    let parts = Mutex::new(items.chunks_mut(chunk).enumerate());
+    let drain = || loop {
+        let Some((k, part)) = lock(&parts).next() else {
+            break;
+        };
+        f(k * chunk, part);
     };
-    // The caller is the last worker: it runs its share beside the helpers
-    // (the scope joins them and propagates their panics).
-    let mine = per_worker.pop().expect("at least two workers");
-    std::thread::scope(|scope| {
-        for worker_parts in per_worker {
-            scope.spawn(move || run(worker_parts));
-        }
-        run(mine);
-    });
+    // The caller is a worker too: it pulls chunks beside the helpers.
+    run(threads.min(n.div_ceil(chunk)) - 1, &drain, drain);
 }
 
 /// Radix base of the LSD sort: one byte per pass, four passes per `u32`.
@@ -411,6 +405,7 @@ pub fn radix_sort_indices(keys: &[u32], threads: usize) -> Vec<u32> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::{Barrier, Mutex};
     use std::thread::ThreadId;
 
@@ -422,18 +417,39 @@ mod tests {
         seen.lock().unwrap().insert(std::thread::current().id());
     }
 
+    /// Makes the first two calls that [`Self::meet`] wait for each other,
+    /// so a two-worker map finishes only if both workers take part — which
+    /// retraction alone does not promise, a helper may find nothing left.
+    struct Rendezvous {
+        calls: AtomicUsize,
+        barrier: Barrier,
+    }
+
+    impl Rendezvous {
+        fn new() -> Self {
+            Self {
+                calls: AtomicUsize::new(0),
+                barrier: Barrier::new(2),
+            }
+        }
+
+        fn meet(&self) {
+            if self.calls.fetch_add(1, Ordering::Relaxed) < 2 {
+                self.barrier.wait();
+            }
+        }
+    }
+
     #[test]
     fn the_caller_is_one_of_the_workers() {
         let me = std::thread::current().id();
-        // Two workers, and the first two items meet at a barrier: both
-        // workers take part, and one of them must be the caller.
+        // Two workers, and the first two items meet: both workers take
+        // part, and one of them must be the caller.
         let seen = Mutex::new(HashSet::new());
-        let barrier = Barrier::new(2);
+        let both = Rendezvous::new();
         let out = par_map_indexed(64, 2, |i| {
             note_thread(&seen);
-            if i < 2 {
-                barrier.wait();
-            }
+            both.meet();
             i
         });
         assert_eq!(out, (0..64).collect::<Vec<_>>());
@@ -442,11 +458,144 @@ mod tests {
         assert!(seen.contains(&me), "the caller ran no item");
 
         let seen = Mutex::new(HashSet::new());
+        let both = Rendezvous::new();
         let mut buf = vec![0u8; 64];
-        par_chunks_mut(&mut buf, 2, HEAVY_NS, |_, _| note_thread(&seen));
+        par_chunks_mut(&mut buf, 2, HEAVY_NS, |_, _| {
+            note_thread(&seen);
+            both.meet();
+        });
         let seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), 2, "one helper beside the caller");
         assert!(seen.contains(&me), "the caller ran no chunk");
+    }
+
+    /// Which worker of a two-worker map a test panics on.
+    #[derive(Debug, Clone, Copy)]
+    enum Position {
+        Caller,
+        Helper,
+        /// Both: one payload is re-raised, the other dropped.
+        Both,
+    }
+
+    impl Position {
+        /// Panics with `"boom"` when the current thread is this position
+        /// of a map called from `caller`.
+        fn boom(self, caller: ThreadId) {
+            let on_caller = std::thread::current().id() == caller;
+            match self {
+                Self::Caller if !on_caller => {}
+                Self::Helper if on_caller => {}
+                _ => panic!("boom"),
+            }
+        }
+    }
+
+    /// `map` must raise `"boom"` on the caller; afterwards the next map
+    /// still gets its helper.
+    fn assert_booms(what: &str, map: impl FnOnce()) {
+        let payload = catch_unwind(AssertUnwindSafe(map)).expect_err(what);
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"), "{what}");
+        let both = Rendezvous::new();
+        let out = par_map_indexed(8, 2, |i| {
+            both.meet();
+            i
+        });
+        assert_eq!(out, (0..8).collect::<Vec<_>>(), "after {what}");
+    }
+
+    #[test]
+    fn a_panic_in_any_position_reaches_the_caller_and_spares_the_helpers() {
+        let me = std::thread::current().id();
+        let items: Vec<u32> = (0..64).collect();
+        for at in [Position::Caller, Position::Helper, Position::Both] {
+            assert_booms(&format!("par_map_indexed_with f on {at:?}"), || {
+                let both = Rendezvous::new();
+                par_map_indexed_with(
+                    8,
+                    2,
+                    || (),
+                    |(), _| {
+                        both.meet();
+                        at.boom(me);
+                    },
+                );
+            });
+            assert_booms(&format!("par_map_indexed_with init on {at:?}"), || {
+                // Each worker builds its state on its first item, so
+                // both workers get here.
+                let both = Rendezvous::new();
+                let init = || {
+                    both.meet();
+                    at.boom(me);
+                };
+                par_map_indexed_with(8, 2, init, |(), i| i);
+            });
+            assert_booms(&format!("par_chunks_mut on {at:?}"), || {
+                let both = Rendezvous::new();
+                par_chunks_mut(&mut items.clone(), 2, HEAVY_NS, |_, _| {
+                    both.meet();
+                    at.boom(me);
+                });
+            });
+            assert_booms(&format!("par_filter_map_chunked on {at:?}"), || {
+                let both = Rendezvous::new();
+                par_filter_map_chunked(&items, 2, HEAVY_NS, |_, &x| {
+                    both.meet();
+                    at.boom(me);
+                    Some(x)
+                });
+            });
+        }
+    }
+
+    #[test]
+    fn nested_maps_finish_and_match_the_sequential_result() {
+        // Every outer item runs inner maps on the same helpers: a chunked
+        // map and a chunk-mutating one.
+        let inner: Vec<u64> = (0..200).collect();
+        let item = |i: usize, threads: usize| {
+            let mut squares = par_map_chunked(&inner, threads, HEAVY_NS, |_, &x| x * x);
+            par_chunks_mut(&mut squares, threads, HEAVY_NS, |_, chunk| {
+                for s in chunk {
+                    *s += i as u64;
+                }
+            });
+            squares.iter().sum::<u64>()
+        };
+        let want: Vec<u64> = (0..24).map(|i| item(i, 1)).collect();
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                par_map_indexed(24, threads, |i| item(i, threads)),
+                want,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn eight_threads_map_concurrently_on_the_shared_helpers() {
+        let items: Vec<u64> = (0..1000).collect();
+        let want: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (items, want) = (&items, &want);
+                scope.spawn(move || {
+                    for round in 0..40 {
+                        let threads = 2 + (t + round) % 3;
+                        let got = par_map_chunked(items, threads, HEAVY_NS, |_, x| x * 3 + 1);
+                        assert_eq!(&got, want, "thread {t} round {round}");
+                        let mut buf = vec![0u64; items.len()];
+                        par_chunks_mut(&mut buf, threads, HEAVY_NS, |off, chunk| {
+                            for (j, slot) in chunk.iter_mut().enumerate() {
+                                *slot = (off + j) as u64 * 3 + 1;
+                            }
+                        });
+                        assert_eq!(&buf, want, "thread {t} round {round}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -464,9 +613,14 @@ mod tests {
         let seen = Mutex::new(HashSet::new());
         par_chunks_mut(&mut items.clone(), 8, 1, |_, _| note_thread(&seen));
         assert_eq!(seen.into_inner().unwrap(), me);
-        // ...and the same items quoted as heavy are shared out.
+        // ...and the same items quoted as heavy are shared out (the first
+        // two chunks meet, so the helper cannot miss them all).
         let seen = Mutex::new(HashSet::new());
-        par_chunks_mut(&mut items.clone(), 2, HEAVY_NS, |_, _| note_thread(&seen));
+        let both = Rendezvous::new();
+        par_chunks_mut(&mut items.clone(), 2, HEAVY_NS, |_, _| {
+            note_thread(&seen);
+            both.meet();
+        });
         assert_eq!(seen.into_inner().unwrap().len(), 2);
         // The floor scales the thread count, it is not all-or-nothing.
         assert_eq!(worthwhile_threads(8, 3, HEAVY_NS), 3);

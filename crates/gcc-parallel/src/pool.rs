@@ -1,14 +1,15 @@
 //! Long-lived worker pools — the seam that generalizes this crate beyond
-//! scoped one-shot maps.
+//! one-shot maps.
 //!
-//! [`par_map_indexed_with`](crate::par_map_indexed_with) spawns workers
-//! for one map and joins them before returning; a serving layer instead
-//! needs workers that outlive any single batch, keep their per-worker
-//! state (e.g. a render scratch) across *requests*, and block on a shared
-//! queue between them. [`WorkerPool`] is that primitive: `threads`
-//! detached-from-scope (but joined-on-drop) workers, each owning one
-//! state value built by `init`, each repeatedly calling `step(worker_id,
-//! &mut state)` until `step` returns [`WorkerStep::Stop`].
+//! The maps borrow the process's parked helpers for one call
+//! ([`run`](crate::run)): a helper holds no state of its own, serves any
+//! map, and is back in the shared set when the map returns. A serving
+//! layer instead needs workers that belong to it, keep their per-worker
+//! state (e.g. a render scratch) across *requests*, block on its queue
+//! between them, and stop when it says so. [`WorkerPool`] is that
+//! primitive: `threads` dedicated (joined-on-drop) workers, each owning
+//! one state value built by `init`, each repeatedly calling
+//! `step(worker_id, &mut state)` until `step` returns [`WorkerStep::Stop`].
 //!
 //! The pool itself has no queue — `step` closes over whatever shared
 //! structure (mutex + condvar, channel, …) the caller schedules with, and
@@ -16,7 +17,7 @@
 //! policy-free: batching, fairness and shutdown signalling live with the
 //! caller, the pool only owns thread lifetime and per-worker state.
 //!
-//! Determinism note: like the scoped maps, which worker runs which piece
+//! Determinism note: like the maps, which worker runs which piece
 //! of work is scheduling-dependent; callers that need reproducible
 //! *results* must make `step`'s output independent of the worker id and
 //! of the state's carried-over contents (states are reusable scratch,

@@ -50,9 +50,11 @@ use crate::Image;
 // quote to `gcc-parallel`'s work floor — from the benchmark's traced Lego
 // frame (`gcc-render.project_ms` 0.64, `shade_ms` 0.12, `footprint_ms`
 // 0.13 over 8.5 k survivors; `gcc-core.depth_keys_ns_per_elem` 0.12). A
-// stage whose share per thread is too small to pay for a helper thread
-// runs inline, so only projection is ever shared out, and only from
-// about 11 k Gaussians up.
+// stage whose share per thread is too small to pay for waking a helper
+// runs inline: two threads take projection from ≈ 1.3 k Gaussians up
+// (every served scene), SH and footprints from ≈ 6.7 k survivors, view
+// depths from 33 k Gaussians and depth keys from 10⁵ survivors, so at a
+// frame's sizes the last two never leave the calling thread.
 const PROJECT_NS: u32 = 75;
 const SHADE_NS: u32 = 15;
 /// One footprint: an AABB from a circle, or an OBB from a covariance.
@@ -748,7 +750,7 @@ pub(crate) struct UnitsOutcome {
 /// busy. `(items, item_ns)` is the caller's estimate of that work, quoted
 /// like a chunked map's — a count it already holds and one item's rough
 /// cost — and [`worthwhile_threads`] turns it into the worker count, so
-/// no helper is spawned for less than a `MIN_NS_PER_THREAD` share.
+/// no helper is woken for less than a `MIN_NS_PER_THREAD` share.
 ///
 /// Each worker leases one of the pooled `workers` scratches for all its
 /// units; a finished unit is resolved into the output image (the `roi`

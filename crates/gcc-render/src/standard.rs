@@ -57,9 +57,11 @@ use crate::Image;
 /// 4.4 ms, Lego@0.15 28.1 k in 5.4 ms), and the tile stage is all of
 /// that but the 0.9 ms (8.5 k Gaussians) to 3 ms (17 k) of preprocessing:
 /// 150–165 ns a pair. At this quote a frame is offered a second thread
-/// from 5 000 pairs up; the smallest frames measured on two threads —
-/// `bench_frame`'s smoke scenes (8.4 k and 9.3 k pairs) and the `floor`
-/// rung — take 0.80, 0.80 and 0.63 of their one-thread time there.
+/// from 625 pairs up. Frames that small, rendered back to back on two
+/// vCPUs with a core each, took 0.79 (895 pairs, 0.15 ms) and 0.71
+/// (1 760 pairs) of their one-thread time; in the host's slow mode, where
+/// the two vCPUs share a core, every two-thread frame under ≈ 5 600 pairs
+/// read 1.1–1.8× — per-map spawning read the same there.
 const KV_PAIR_NS: u32 = 160;
 
 /// Which footprint limits per-pixel alpha evaluation inside a tile.

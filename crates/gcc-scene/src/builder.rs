@@ -76,7 +76,13 @@ pub fn build_scene(params: &PresetParams, config: &SceneConfig, threads: usize) 
         out
     } else {
         let mut out = vec![Gaussian3D::default(); count];
-        scout_and_fill(params, &clusters, rng, &mut out, threads);
+        scout_and_fill(
+            &mut out,
+            threads,
+            rng,
+            |rng| sample_head(params, &clusters, rng),
+            |head, rng| sample_tail(params, head, rng),
+        );
         out
     };
 
@@ -91,18 +97,19 @@ pub fn build_scene(params: &PresetParams, config: &SceneConfig, threads: usize) 
 }
 
 /// The pipelined build of [`build_scene`]: the caller scouts `rng`'s
-/// stream for `out.len()` Gaussians, `threads - 1` helpers fill them in.
+/// stream for `out.len()` Gaussians with `head`, up to `threads - 1`
+/// parked helpers fill them in with `tail` ([`gcc_parallel::run`]).
 fn scout_and_fill(
-    params: &PresetParams,
-    clusters: &[Cluster],
-    mut rng: StdRng,
     out: &mut [Gaussian3D],
     threads: usize,
+    mut rng: StdRng,
+    mut head: impl FnMut(&mut StdRng) -> Head,
+    tail: impl Fn(&Head, &mut StdRng) -> Gaussian3D + Sync,
 ) {
     type Job<'a> = (&'a mut [Gaussian3D], Vec<(Head, StdRng)>);
     let fill = |(block, heads): Job<'_>| {
         for (slot, (head, mut rng)) in block.iter_mut().zip(heads) {
-            *slot = sample_tail(params, &head, &mut rng);
+            *slot = tail(&head, &mut rng);
         }
     };
     let (publish, published) = sync_channel::<Job<'_>>(BLOCKS_AHEAD);
@@ -115,19 +122,19 @@ fn scout_and_fill(
             .expect("nothing panics with the queue in hand");
         queue.recv().ok()
     };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(|| {
-                while let Some(job) = next() {
-                    fill(job);
-                }
-            });
+    let drain = || {
+        while let Some(job) = next() {
+            fill(job);
         }
+    };
+    // The scout owns `publish`: however its share ends, a return or a
+    // panic, the hang-up releases every filler waiting in `next`.
+    gcc_parallel::run(threads - 1, &drain, || {
         for block in out.chunks_mut(BLOCK) {
             let heads = block
                 .iter()
                 .map(|_| {
-                    let head = sample_head(params, clusters, &mut rng);
+                    let head = head(&mut rng);
                     let tail = rng.clone();
                     rng.advance(TAIL_DRAWS);
                     (head, tail)
@@ -139,9 +146,7 @@ fn scout_and_fill(
             }
         }
         drop(publish);
-        while let Some(job) = next() {
-            fill(job);
-        }
+        drain();
     });
 }
 
@@ -499,12 +504,97 @@ mod tests {
                     .map(|_| sample_gaussian(&params, &clusters, &mut fused_rng))
                     .collect();
                 for threads in [2, 3, 8] {
-                    let mut out = vec![Gaussian3D::default(); count];
-                    scout_and_fill(&params, &clusters, rng.clone(), &mut out, threads);
+                    let out = pipelined(&params, &clusters, rng.clone(), count, threads);
                     assert!(out == fused, "{preset} count {count} threads {threads}");
                 }
             }
         }
+    }
+
+    fn pipelined(
+        params: &PresetParams,
+        clusters: &[Cluster],
+        rng: StdRng,
+        count: usize,
+        threads: usize,
+    ) -> Vec<Gaussian3D> {
+        let mut out = vec![Gaussian3D::default(); count];
+        scout_and_fill(
+            &mut out,
+            threads,
+            rng,
+            |rng| sample_head(params, clusters, rng),
+            |head, rng| sample_tail(params, head, rng),
+        );
+        out
+    }
+
+    #[test]
+    fn a_panic_in_the_scout_or_a_filler_reaches_the_caller_and_the_next_build_fills() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let params = ScenePreset::Truck.params();
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let clusters = sample_cluster_centers(&params, &mut rng);
+        let count = 6 * BLOCK;
+        let me = std::thread::current().id();
+        let boom = |what: &str, build: &dyn Fn()| {
+            let payload = catch_unwind(AssertUnwindSafe(build)).expect_err(what);
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"), "{what}");
+            let mut fused_rng = rng.clone();
+            let fused: Vec<Gaussian3D> = (0..count)
+                .map(|_| sample_gaussian(&params, &clusters, &mut fused_rng))
+                .collect();
+            let out = pipelined(&params, &clusters, rng.clone(), count, 2);
+            assert!(out == fused, "the build after {what}");
+        };
+        // The scout dies with blocks published and fillers waiting for
+        // more: its hang-up still releases them.
+        boom("the scout", &|| {
+            let mut heads = 0;
+            let mut out = vec![Gaussian3D::default(); count];
+            scout_and_fill(
+                &mut out,
+                2,
+                rng.clone(),
+                |rng| {
+                    heads += 1;
+                    if heads == 3 * BLOCK {
+                        panic!("boom");
+                    }
+                    sample_head(&params, &clusters, rng)
+                },
+                |head, rng| sample_tail(&params, head, rng),
+            );
+        });
+        // A filler dies on its first block; the scout waits for that
+        // before scouting past the second, so a helper did take one.
+        boom("a filler", &|| {
+            let filler_ran = AtomicBool::new(false);
+            let mut heads = 0;
+            let mut out = vec![Gaussian3D::default(); count];
+            scout_and_fill(
+                &mut out,
+                2,
+                rng.clone(),
+                |rng| {
+                    heads += 1;
+                    if heads == 2 * BLOCK {
+                        while !filler_ran.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    sample_head(&params, &clusters, rng)
+                },
+                |head, rng| {
+                    if std::thread::current().id() != me {
+                        filler_ran.store(true, Ordering::Release);
+                        panic!("boom");
+                    }
+                    sample_tail(&params, head, rng)
+                },
+            );
+        });
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 const MIN_RECORD_BYTES: usize = 2 * PARAM_FLOATS + 1;
 
 /// Rough cost of decoding one record on one thread, for the chunked maps'
-/// work floor (5 040 records in 5.2 ms): an array of fewer than 800 is
+/// work floor (5 040 records in 5.2 ms): an array of fewer than 100 is
 /// decoded by the thread that walked it.
 const RECORD_NS: u32 = 1_000;
 
@@ -70,8 +70,8 @@ pub(crate) fn read_json_records(
 
 /// The array `r` has just entered, decoded span by span on as many of
 /// `threads` threads as its records keep busy ([`RECORD_NS`] each: every
-/// array of a document is weighed on its own, so a hierarchy's short
-/// levels spawn nothing), with `r` left behind it — or `None`, and `r`
+/// array of a document is weighed on its own, so a hierarchy's shortest
+/// levels wake no helper), with `r` left behind it — or `None`, and `r`
 /// where it was.
 ///
 /// [`Reader::flat_arrays`] finds where each record starts and how many
@@ -447,8 +447,12 @@ mod tests {
         assert_eq!(one.len(), 3000);
         assert!(more.iter().all(|read| *read == one));
         // A hierarchy's short levels are not: each array is weighed alone.
-        assert_eq!(gcc_parallel::worthwhile_threads(8, 799, RECORD_NS), 1);
-        assert_eq!(gcc_parallel::worthwhile_threads(8, 1600, RECORD_NS), 4);
+        let floor = (gcc_parallel::MIN_NS_PER_THREAD / u64::from(RECORD_NS)) as usize;
+        assert_eq!(
+            gcc_parallel::worthwhile_threads(8, 2 * floor - 1, RECORD_NS),
+            1
+        );
+        assert_eq!(gcc_parallel::worthwhile_threads(8, 4 * floor, RECORD_NS), 4);
         // One span that is no record: nothing of the chunked decode
         // stands, the reader has not moved, and the error is the
         // sequential loop's.

@@ -243,6 +243,30 @@ mod tests {
     }
 
     #[test]
+    fn nested_maps_over_a_threaded_renderer_match_the_sequential_batch() {
+        // Frames across the runner's workers, and each frame's own maps on
+        // the same parked helpers inside them.
+        let scene = scene();
+        let seq = TrajectoryRunner::new(6)
+            .with_parallelism(Parallelism::Sequential)
+            .run(&scene, &StandardRenderer::reference());
+        let threaded = StandardRenderer::reference().with_parallelism(Parallelism::fixed(2));
+        for runner in [1, 2, 8]
+            .map(Parallelism::fixed)
+            .into_iter()
+            .chain([Parallelism::Auto])
+        {
+            let par = TrajectoryRunner::new(6)
+                .with_parallelism(runner)
+                .run(&scene, &threaded);
+            for (a, b) in seq.frames.iter().zip(&par.frames) {
+                assert_eq!(a.image, b.image, "{runner:?}");
+                assert_eq!(a.stats, b.stats, "{runner:?}");
+            }
+        }
+    }
+
+    #[test]
     fn aggregate_sums_per_frame_counters() {
         let scene = scene();
         let runner = TrajectoryRunner::new(3).with_parallelism(Parallelism::Sequential);
