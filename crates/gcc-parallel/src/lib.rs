@@ -35,7 +35,7 @@ pub use pool::{PoolHealth, RestartPolicy, WorkerPool, WorkerStep};
 use helpers::lock;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// How many worker threads a parallel stage should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,11 +68,58 @@ impl Parallelism {
     }
 }
 
-/// Hardware threads available to this process (at least 1).
+/// Hardware threads available to this process (at least 1), read once per
+/// process: the query makes syscalls (and on Linux reads cgroup files),
+/// and a [`Loan`] asks on every unit of work.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// Threads of this process inside a live [`Loan`].
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts the calling thread busy until the returned [`Loan`] drops.
+///
+/// This is the process's one lending rule: a thread waiting for work
+/// holds no core, so the cores of idle threads are lent to those with
+/// some. A unit of work (a served frame, a cold scene load) takes a loan
+/// and asks [`Loan::threads`] how many threads it may run on. Every loan
+/// in the process counts, whichever service or pool took it, so two
+/// services in one process never lend the same core twice.
+pub fn lend() -> Loan {
+    // Relaxed: the count publishes no other data, it only sizes a loan.
+    BUSY.fetch_add(1, Ordering::Relaxed);
+    Loan(())
+}
+
+/// One thread counted busy in the process-wide ledger ([`lend`]) for as
+/// long as it lives, a panic's unwind included.
+///
+/// A thread holds at most one loan at a time: a second one would count
+/// its own thread among the others and lend it one core less.
+#[derive(Debug)]
+#[must_use = "a dropped loan no longer counts its thread busy"]
+pub struct Loan(());
+
+impl Loan {
+    /// Threads a unit of work starting now may run on: the holder's core
+    /// plus every core no other loan holds, `max(1, host threads − other
+    /// live loans)`. Read once per unit, when it starts.
+    pub fn threads(&self) -> usize {
+        let others = BUSY.load(Ordering::Relaxed).saturating_sub(1);
+        available_threads().saturating_sub(others).max(1)
+    }
+}
+
+impl Drop for Loan {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// Least estimated work, in nanoseconds, a thread must receive before a
@@ -801,5 +848,51 @@ mod tests {
         assert_eq!(out.len(), 257);
         assert_eq!(out[1], 1);
         assert_eq!(out[256], (0..50_000).fold(256u64, |a, b| a.wrapping_add(b)));
+    }
+
+    /// Serializes the tests that read the process-wide ledger, so one
+    /// test's loans never show up in another's counts.
+    fn ledger() -> std::sync::MutexGuard<'static, ()> {
+        static LEDGER: Mutex<()> = Mutex::new(());
+        LEDGER.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    #[test]
+    fn a_live_loan_counts_and_a_dropped_one_does_not() {
+        let _ledger = ledger();
+        let host = available_threads();
+        let held = lend();
+        assert_eq!(BUSY.load(Ordering::Relaxed), 1);
+        assert_eq!(held.threads(), host, "the holder itself is not an other");
+        let other = lend();
+        assert_eq!(BUSY.load(Ordering::Relaxed), 2);
+        assert_eq!(held.threads(), host.saturating_sub(1).max(1));
+        drop(other);
+        assert_eq!(held.threads(), host);
+        drop(held);
+        assert_eq!(BUSY.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_loan_held_through_a_panic_gives_its_core_back() {
+        let _ledger = ledger();
+        let unwound = catch_unwind(|| {
+            let _loan = lend();
+            panic!("a unit of work dies mid-loan");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(BUSY.load(Ordering::Relaxed), 0);
+        assert_eq!(lend().threads(), available_threads());
+    }
+
+    #[test]
+    fn a_loan_is_never_lent_fewer_than_one_thread() {
+        let _ledger = ledger();
+        let loans: Vec<Loan> = (0..available_threads() + 2).map(|_| lend()).collect();
+        for loan in &loans {
+            assert_eq!(loan.threads(), 1);
+        }
+        drop(loans);
+        assert_eq!(BUSY.load(Ordering::Relaxed), 0);
     }
 }

@@ -7,9 +7,12 @@
 //! layer instead needs workers that belong to it, keep their per-worker
 //! state (e.g. a render scratch) across *requests*, block on its queue
 //! between them, and stop when it says so. [`WorkerPool`] is that
-//! primitive: `threads` dedicated (joined-on-drop) workers, each owning
-//! one state value built by `init`, each repeatedly calling
-//! `step(worker_id, &mut state)` until `step` returns [`WorkerStep::Stop`].
+//! primitive, built by its one constructor
+//! [`WorkerPool::spawn_supervised`]: `threads` dedicated (joined-on-drop)
+//! workers, each owning one state value built by `init`, each repeatedly
+//! calling `step(worker_id, &mut state)` until `step` returns
+//! [`WorkerStep::Stop`], and each respawned after a panic as its
+//! [`RestartPolicy`] allows.
 //!
 //! The pool itself has no queue — `step` closes over whatever shared
 //! structure (mutex + condvar, channel, …) the caller schedules with, and
@@ -42,8 +45,8 @@ pub enum WorkerStep {
 /// a panicking worker is caught and respawned with fresh state, but only
 /// `max_restarts` times per rolling `window` across the whole pool — one
 /// panic past the budget *fails fast* (the worker dies and the panic
-/// resurfaces at join, exactly the unsupervised behavior), so a
-/// permanently broken step cannot spin the pool in a respawn loop.
+/// resurfaces at join), so a permanently broken step cannot spin the pool
+/// in a respawn loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartPolicy {
     /// Respawns allowed inside any rolling [`Self::window`] (pool-wide).
@@ -64,8 +67,8 @@ impl Default for RestartPolicy {
 }
 
 impl RestartPolicy {
-    /// A policy that never respawns — every panic fails fast, matching
-    /// unsupervised [`WorkerPool::spawn`] semantics.
+    /// A policy that never respawns — every panic kills its worker and
+    /// resurfaces at [`WorkerPool::join`].
     pub fn fail_fast() -> Self {
         Self {
             max_restarts: 0,
@@ -74,9 +77,8 @@ impl RestartPolicy {
     }
 }
 
-/// Shared health counters of a pool, observable while it runs. Plain
-/// [`WorkerPool::spawn`] pools keep these at zero; supervised pools
-/// count every caught panic and every worker that exhausted the budget.
+/// Shared health counters of a pool, observable while it runs: every
+/// caught panic and every worker that exhausted the restart budget.
 #[derive(Debug, Default)]
 pub struct PoolHealth {
     restarts: AtomicU64,
@@ -117,7 +119,8 @@ impl PoolHealth {
     }
 }
 
-/// A pool of long-lived worker threads with per-worker state.
+/// A pool of long-lived worker threads with per-worker state, built by
+/// [`WorkerPool::spawn_supervised`].
 ///
 /// Dropping the pool joins every worker, so the caller **must** arrange
 /// for `step` to observe a stop condition (and any blocked workers to be
@@ -133,40 +136,17 @@ impl WorkerPool {
     /// Spawns `threads` workers (at least one). Worker `i ∈ 0..threads`
     /// builds its own state once with `init`, then loops `step(i, &mut
     /// state)` until it returns [`WorkerStep::Stop`].
-    pub fn spawn<S, I, F>(threads: usize, init: I, step: F) -> Self
-    where
-        S: 'static,
-        I: Fn() -> S + Send + Sync + 'static,
-        F: Fn(usize, &mut S) -> WorkerStep + Send + Sync + 'static,
-    {
-        let shared = Arc::new((init, step));
-        let health = Arc::new(PoolHealth::default());
-        let handles = (0..threads.max(1))
-            .map(|worker| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("gcc-pool-{worker}"))
-                    .spawn(move || {
-                        let (init, step) = &*shared;
-                        let mut state = init();
-                        while step(worker, &mut state) == WorkerStep::Continue {}
-                    })
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-        Self { handles, health }
-    }
-
-    /// [`Self::spawn`] with worker supervision: a panic escaping `step`
-    /// is caught, reported on stderr, counted in [`PoolHealth`], and
-    /// answered by rebuilding the worker's state with `init` — the
-    /// worker keeps running at full pool width with fresh (scratch)
-    /// state, and the panicked step's side effects are bounded by
-    /// whatever cleanup guards the caller's `step` installs. The
-    /// `policy` bounds respawns: one panic past `max_restarts` in a
-    /// rolling `window` fails fast — the worker dies re-raising the
-    /// panic, which then surfaces at [`Self::join`] like an
-    /// unsupervised panic would.
+    ///
+    /// Workers are supervised: a panic escaping `step` is caught,
+    /// reported on stderr, counted in [`PoolHealth`], and answered by
+    /// rebuilding the worker's state with `init` — the worker keeps
+    /// running at full pool width with fresh (scratch) state, and the
+    /// panicked step's side effects are bounded by whatever cleanup
+    /// guards the caller's `step` installs. The `policy` bounds respawns:
+    /// one panic past `max_restarts` in a rolling `window` fails fast —
+    /// the worker dies re-raising the panic, which then surfaces at
+    /// [`Self::join`]; [`RestartPolicy::fail_fast`] fails on the first
+    /// panic.
     ///
     /// A panic escaping `init` itself is never caught (a pool that
     /// cannot build worker state is misconfigured, not unlucky).
@@ -305,7 +285,7 @@ mod tests {
         // all steps is observed through a shared counter.
         let total = Arc::new(AtomicUsize::new(0));
         let t = Arc::clone(&total);
-        let pool = WorkerPool::spawn(
+        let pool = WorkerPool::spawn_supervised(
             4,
             || 0usize,
             move |_, local| {
@@ -317,6 +297,7 @@ mod tests {
                     WorkerStep::Stop
                 }
             },
+            RestartPolicy::fail_fast(),
         );
         assert_eq!(pool.len(), 4);
         assert!(!pool.is_empty());
@@ -341,7 +322,7 @@ mod tests {
         ));
         let sum = Arc::new(AtomicUsize::new(0));
         let (s, m) = (Arc::clone(&shared), Arc::clone(&sum));
-        let pool = WorkerPool::spawn(
+        let pool = WorkerPool::spawn_supervised(
             3,
             || (),
             move |_, ()| {
@@ -359,6 +340,7 @@ mod tests {
                     q = cv.wait(q).unwrap();
                 }
             },
+            RestartPolicy::fail_fast(),
         );
         // Let the queue drain, then signal stop.
         loop {
@@ -383,13 +365,14 @@ mod tests {
     fn zero_thread_request_still_gets_one_worker() {
         let ran = Arc::new(AtomicUsize::new(0));
         let r = Arc::clone(&ran);
-        let pool = WorkerPool::spawn(
+        let pool = WorkerPool::spawn_supervised(
             0,
             || (),
             move |_, ()| {
                 r.fetch_add(1, Ordering::Relaxed);
                 WorkerStep::Stop
             },
+            RestartPolicy::fail_fast(),
         );
         assert_eq!(pool.len(), 1);
         pool.join();
@@ -540,8 +523,13 @@ mod tests {
     }
 
     #[test]
-    fn unsupervised_pool_health_stays_zero() {
-        let pool = WorkerPool::spawn(2, || (), |_, ()| WorkerStep::Stop);
+    fn a_pool_that_never_panics_keeps_zero_health() {
+        let pool = WorkerPool::spawn_supervised(
+            2,
+            || (),
+            |_, ()| WorkerStep::Stop,
+            RestartPolicy::fail_fast(),
+        );
         let health = pool.health();
         pool.join();
         assert_eq!(health.restarts(), 0);
@@ -551,7 +539,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker-pool thread panicked")]
     fn worker_panics_surface_on_join() {
-        let pool = WorkerPool::spawn(
+        let pool = WorkerPool::spawn_supervised(
             2,
             || (),
             |w, ()| {
@@ -560,6 +548,7 @@ mod tests {
                 }
                 WorkerStep::Stop
             },
+            RestartPolicy::fail_fast(),
         );
         pool.join();
     }

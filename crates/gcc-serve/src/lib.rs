@@ -45,10 +45,10 @@
 //!   Rung 0 is exact, so ladder-on serving stays bit-identical
 //!   whenever the deadline affords it; scene hierarchies build at load
 //!   time and are charged to the cache budget.
-//! * **Lending** — every frame, and the hierarchy build of a cold load,
-//!   runs on its worker's core plus the cores no other worker is busy
-//!   (loading or rendering) on: one rule, one counter, no knob
-//!   (DESIGN.md §14 "Lending").
+//! * **Lending** — every frame, and the load and hierarchy build of a
+//!   cold scene, runs on its worker's core plus the cores no other thread
+//!   of the process is busy on: `gcc_parallel`'s process-wide ledger
+//!   ([`gcc_parallel::lend`], DESIGN.md §5), no knob.
 //! * [`ServeStats`] — the introspection surface: per-scene hit / miss /
 //!   eviction / batch counters, per-schedule and per-priority
 //!   request/frame breakdowns (separate Interactive vs Bulk latency

@@ -56,16 +56,15 @@
 //!
 //! # Lending
 //!
-//! A worker that is waiting for work holds no core, so the cores of
-//! waiting workers are lent to the ones that have some: every unit of
-//! work a worker starts — a frame of any priority, with or without a
-//! deadline, and the hierarchy build of a cold load — runs on `max(1,
-//! host threads − other busy workers)` threads, read once when the unit
-//! starts. *Busy* is one atomic counter ([`Shared::busy`]) a worker is
-//! counted into while it loads a scene or renders a batch, and at no
-//! other time (not while it waits on the condvar, not while it sleeps
-//! out a retry back-off). On a loaded service every worker is busy and
-//! each frame renders on its worker's one core, the one-frame-per-worker
+//! Thread counts come from the process-wide lending ledger
+//! ([`gcc_parallel::lend`], DESIGN.md §5): a worker holds a loan while it
+//! loads a scene or renders a batch, and at no other time (not while it
+//! waits on the condvar, not while it sleeps out a retry back-off). Every
+//! unit of work it starts — a frame of any priority, with or without a
+//! deadline, and the load and hierarchy build of a cold scene — runs on
+//! the loan's [`threads`](gcc_parallel::Loan::threads), read once when
+//! the unit starts. On a loaded process every worker is busy and each
+//! frame renders on its worker's one core, the one-frame-per-worker
 //! schedule batch throughput wants; on an idle one the first frame a
 //! client asks for gets the host. A frame takes only the threads its
 //! work pays for (`gcc_render::pipeline::stages::render_units`' work
@@ -82,13 +81,12 @@
 //! scratch-reuse contract of [`Renderer::render_job`]).
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gcc_lod::{attach_hierarchy, CostModel, HierarchyConfig, QualityLadder};
 use gcc_parallel::{
-    available_threads, Parallelism, PoolHealth, RestartPolicy, WorkerPool, WorkerStep,
+    available_threads, lend, Parallelism, PoolHealth, RestartPolicy, WorkerPool, WorkerStep,
 };
 use gcc_render::pipeline::{
     Frame, FrameScratch, FrameStats, RenderJob, RenderOptions, Renderer, Schedule,
@@ -680,33 +678,8 @@ pub(crate) struct Shared {
     quarantine_for: Duration,
     shed: ShedPolicy,
     lod: Option<LodPolicy>,
-    /// Hardware threads of the host, read once at construction.
-    host_threads: usize,
-    /// Workers inside [`Shared::load_scene`] or [`Shared::render_batch`]
-    /// right now — what the lending rule ([`Shared::lent_threads`])
-    /// subtracts from [`Self::host_threads`]. An atomic beside the state
-    /// mutex, counted by a drop guard ([`Busy`]), so a panicking load or
-    /// batch always gives its core back.
-    busy: AtomicUsize,
     state: Mutex<State>,
     work: Condvar,
-}
-
-/// Counts its worker into [`Shared::busy`] for as long as it lives.
-struct Busy<'a>(&'a AtomicUsize);
-
-impl<'a> Busy<'a> {
-    fn enter(count: &'a AtomicUsize) -> Self {
-        // Relaxed: the count publishes no other data, it only sizes a loan.
-        count.fetch_add(1, Ordering::Relaxed);
-        Self(count)
-    }
-}
-
-impl Drop for Busy<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 impl Shared {
@@ -923,7 +896,7 @@ impl Shared {
         }
 
         let renderer = self.renderers.get(key.schedule);
-        let _busy = Busy::enter(&self.busy);
+        let loan = lend();
         let mut guard = PanicGuard {
             shared: self,
             batch: batch.into(),
@@ -937,7 +910,7 @@ impl Shared {
         while let Some(p) = guard.batch.front() {
             // Read once per frame: the count the frame renders on is the
             // count the ladder prices it at and files its cost under.
-            let threads = self.lent_threads();
+            let threads = loan.threads();
             // Adaptive quality: a deadline-carrying frame under a
             // configured ladder asks the cost model of its thread count
             // for the best rung whose measured cost (with the policy
@@ -1066,29 +1039,20 @@ impl Shared {
         }
     }
 
-    /// The lending rule, in the one place a thread count comes from: what
-    /// a unit of work starting now may run on — the calling worker's core
-    /// plus every core no other worker is busy on. The caller is one of
-    /// the busy (it holds a [`Busy`]).
-    fn lent_threads(&self) -> usize {
-        let others = self.busy.load(Ordering::Relaxed).saturating_sub(1);
-        self.host_threads.saturating_sub(others).max(1)
-    }
-
-    /// One attempt at a cold scene, start to finish and counted busy
-    /// throughout: the source's load, then — for a scene that ships
-    /// without a hierarchy, under a ladder — the hierarchy build, each on
-    /// the threads lent at the moment it starts. Lock-free CPU and I/O
+    /// One attempt at a cold scene, start to finish and under one loan:
+    /// the source's load, then — for a scene that ships without a
+    /// hierarchy, under a ladder — the hierarchy build, each on the
+    /// threads lent at the moment it starts. Lock-free CPU and I/O
     /// work on a scene no consumer shares yet; the hierarchy's bytes are
     /// charged to the cache budget on insert.
     fn load_scene(&self, source: &SceneSource) -> Result<Arc<Scene>, LoadError> {
-        let _busy = Busy::enter(&self.busy);
-        let mut scene = source.load_classified_on(self.lent_threads())?;
+        let loan = lend();
+        let mut scene = source.load_classified_on(loan.threads())?;
         if let (Some(policy), None) = (&self.lod, &scene.lod) {
             // Any thread count builds the same hierarchy, so the policy's
             // own count gives way to what is idle right now.
             let cfg = HierarchyConfig {
-                threads: self.lent_threads(),
+                threads: loan.threads(),
                 ..policy.hierarchy
             };
             attach_hierarchy(Arc::make_mut(&mut scene), &cfg);
@@ -1292,8 +1256,6 @@ impl RenderService {
             quarantine_for: cfg.quarantine_for,
             shed: cfg.shed,
             lod: cfg.lod,
-            host_threads: available_threads(),
-            busy: AtomicUsize::new(0),
             state: Mutex::new(State {
                 cache: LruSceneCache::new(cfg.cache_budget_bytes),
                 queues: HashMap::new(),
@@ -1492,6 +1454,7 @@ mod tests {
     use super::*;
     use gcc_render::pipeline::{Roi, StandardRenderer};
     use gcc_scene::{SceneConfig, ScenePreset};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     mod ledger {
         use crate as gcc_serve;

@@ -4,14 +4,20 @@
 //! deadline-free frames bypass the ladder entirely (and stay
 //! bit-identical to ladder-off serving), load-time hierarchy builds are
 //! charged to the cache budget, and every frame is lent the cores no
-//! other worker is busy — rendering or loading — on.
+//! other worker — of its own service or another in the process, rendering
+//! or loading — is busy on.
+//!
+//! The lending ledger is process-wide, so a service running in one test
+//! would change the counts another test asserts (a lent thread count, or
+//! a ladder decision priced at one). Every test here runs a service, and
+//! every one holds [`lending`] while it does.
 //!
 //! The end-to-end miss-avoidance demonstration (ladder-on zero misses vs
 //! ladder-off misses under the same deadline) lives in
 //! `bench_serve --lod`, whose committed record `perf_gate` enforces.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use gcc_parallel::available_threads;
@@ -22,6 +28,13 @@ use gcc_serve::{
     FaultPlan, LoadFault, LodPolicy, RenderHandle, RenderService, SceneSource, ScheduleRenderers,
     ServeConfig, ServeError, StreamConfig, StreamSpec,
 };
+
+/// Serializes the tests of this file: none of them takes a loan while
+/// another counts them. A failed test poisons nothing the next one needs.
+fn lending() -> MutexGuard<'static, ()> {
+    static LENDING: Mutex<()> = Mutex::new(());
+    LENDING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One frame of `scene` at trajectory `t`, default options.
 fn submit(svc: &RenderService, scene: &str, t: f32) -> Result<RenderHandle, ServeError> {
@@ -74,6 +87,7 @@ fn run_deadline_sweep(svc: &RenderService, scene: &Scene, frames: usize, deadlin
 
 #[test]
 fn ladder_off_is_the_default_and_reports_disabled() {
+    let _lending = lending();
     let scene = lego(0.02);
     let svc = service(&scene, None);
     run_deadline_sweep(&svc, &scene, 3, Duration::from_secs(60));
@@ -86,6 +100,7 @@ fn ladder_off_is_the_default_and_reports_disabled() {
 
 #[test]
 fn cold_scenes_floor_then_climb_back_under_generous_deadlines() {
+    let _lending = lending();
     let scene = lego(0.02);
     let svc = service(&scene, Some(LodPolicy::default()));
     let floor = LodPolicy::default().ladder.floor();
@@ -113,6 +128,7 @@ fn cold_scenes_floor_then_climb_back_under_generous_deadlines() {
 
 #[test]
 fn hopeless_deadlines_pin_the_floor_rung() {
+    let _lending = lending();
     let scene = lego(0.02);
     let svc = service(&scene, Some(LodPolicy::default()));
     let floor = LodPolicy::default().ladder.floor();
@@ -131,6 +147,7 @@ fn hopeless_deadlines_pin_the_floor_rung() {
 
 #[test]
 fn deadline_free_frames_bypass_the_ladder_and_stay_bit_identical() {
+    let _lending = lending();
     let scene = lego(0.02);
     let ladder_on = service(&scene, Some(LodPolicy::default()));
     let ladder_off = service(&scene, None);
@@ -153,6 +170,7 @@ fn deadline_free_frames_bypass_the_ladder_and_stay_bit_identical() {
 
 #[test]
 fn hierarchies_are_built_on_load_and_charged_to_the_cache() {
+    let _lending = lending();
     let scene = lego(0.03);
     assert!(scene.lod.is_none());
     let plain_bytes = scene.approx_bytes();
@@ -237,6 +255,7 @@ fn host_less(others: usize) -> usize {
 
 #[test]
 fn every_frame_borrows_the_idle_cores() {
+    let _lending = lending();
     let scene = lego(0.02);
     let seen = Arc::new(Mutex::new(Vec::new()));
     let svc = RenderService::with_renderers(
@@ -269,6 +288,7 @@ fn every_frame_borrows_the_idle_cores() {
 
 #[test]
 fn a_core_another_worker_is_rendering_on_is_not_lent() {
+    let _lending = lending();
     let scene = lego(0.02);
     let (seen, blocked) = (
         Arc::new(Mutex::new(Vec::new())),
@@ -349,6 +369,7 @@ impl Drop for GatedSceneFile {
 #[cfg(unix)]
 #[test]
 fn a_core_another_worker_is_loading_on_is_not_lent() {
+    let _lending = lending();
     let scene = lego(0.02);
     let seen = Arc::new(Mutex::new(Vec::new()));
     let gated = GatedSceneFile::create("serve_lod_gated");
@@ -386,31 +407,29 @@ fn a_core_another_worker_is_loading_on_is_not_lent() {
 
 #[test]
 fn a_loader_that_fails_or_panics_gives_its_core_back() {
+    let _lending = lending();
     let scene = lego(0.02);
     let seen = Arc::new(Mutex::new(Vec::new()));
-    let plan = Arc::new(
-        FaultPlan::new(1)
-            .script_loads("fails", [Some(LoadFault::FailFatal)])
-            .script_loads("panics", [Some(LoadFault::Panic)]),
-    );
-    let faulty = |id: &str| {
+    for (id, fault) in [
+        ("fails", LoadFault::FailFatal),
+        ("panics", LoadFault::Panic),
+    ] {
+        // A fresh service per fault, so no frame rendered before the
+        // fault is still holding its loan: a worker delivers its last
+        // frame a moment before it stops counting as busy.
+        let plan = Arc::new(FaultPlan::new(1).script_loads(id, [Some(fault)]));
         let inner = SceneSource::Memory(Arc::clone(&scene));
-        let source = SceneSource::faulty(id, inner, Arc::clone(&plan));
-        (id.to_string(), source)
-    };
-    let svc = RenderService::with_renderers(
-        ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        },
-        [
-            ("lego".to_string(), SceneSource::Memory(Arc::clone(&scene))),
-            faulty("fails"),
-            faulty("panics"),
-        ],
-        ScheduleRenderers::default().with(Schedule::Reference, Recording::boxed(&seen, None)),
-    );
-    for id in ["fails", "panics"] {
+        let svc = RenderService::with_renderers(
+            ServeConfig {
+                workers: 2,
+                ..ServeConfig::default()
+            },
+            [
+                ("lego".to_string(), SceneSource::Memory(Arc::clone(&scene))),
+                (id.to_string(), SceneSource::faulty(id, inner, plan)),
+            ],
+            ScheduleRenderers::default().with(Schedule::Reference, Recording::boxed(&seen, None)),
+        );
         // The load's outcome reaches the client only after the loader
         // stopped counting as busy, so the next frames see the whole host.
         submit(&svc, id, 0.1)
@@ -419,6 +438,52 @@ fn a_loader_that_fails_or_panics_gives_its_core_back() {
         seen.lock().unwrap().clear();
         stream_frames(&svc, RenderOptions::default(), StreamConfig::default());
         assert_eq!(*seen.lock().unwrap(), [host_less(0); 3], "after '{id}'");
+        svc.shutdown();
     }
-    svc.shutdown();
+}
+
+#[test]
+fn a_core_another_service_is_rendering_on_is_not_lent() {
+    let _lending = lending();
+    let scene = lego(0.02);
+    let (entered_tx, entered) = channel();
+    let (mut seen, mut releases, mut services) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..2 {
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let (release, release_rx) = channel();
+        let gated = Recording::boxed(&threads, Some((entered_tx.clone(), release_rx)));
+        services.push(RenderService::with_renderers(
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            [("lego".to_string(), SceneSource::Memory(Arc::clone(&scene)))],
+            ScheduleRenderers::default().with(Schedule::Reference, gated),
+        ));
+        seen.push(threads);
+        releases.push(release);
+    }
+    // Park the first service's worker inside a render, then the
+    // second's: two services, one process, one set of cores.
+    let parked: Vec<RenderHandle> = services
+        .iter()
+        .map(|svc| {
+            let frame = submit(svc, "lego", 0.1).unwrap();
+            entered.recv().unwrap();
+            frame
+        })
+        .collect();
+    // Let both go before asserting anything, so a failed assertion does
+    // not leave a worker parked under its service's drop.
+    for release in &releases {
+        release.send(()).unwrap();
+    }
+    for frame in parked {
+        frame.wait().unwrap();
+    }
+    assert_eq!(*seen[0].lock().unwrap(), [host_less(0)]);
+    assert_eq!(*seen[1].lock().unwrap(), [host_less(1)]);
+    for svc in services {
+        svc.shutdown();
+    }
 }
