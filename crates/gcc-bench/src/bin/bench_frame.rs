@@ -83,7 +83,7 @@ const GSCORE_ENGINE: &str = "gscore_frame_engine";
 fn build_engine(engine: &str, parallelism: Parallelism) -> Box<dyn Renderer> {
     match engine {
         "standard_frame_engine" => {
-            Box::new(StandardRenderer::reference().with_parallelism(parallelism))
+            Box::new(StandardRenderer::default().with_parallelism(parallelism))
         }
         "gaussian_wise_frame_engine" => {
             Box::new(GaussianWiseRenderer::default().with_parallelism(parallelism))

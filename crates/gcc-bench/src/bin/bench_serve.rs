@@ -234,7 +234,7 @@ fn build_registry(scenes: &[BenchScene], dir: &PathBuf) -> RegistryAndScenes {
 /// Schedule mix of the heterogeneous workload, skewed toward the cheap
 /// standard-family schedules so the acceptance speedup stays load-bound.
 const SCHEDULE_MIX: [(Schedule, f32); 4] = [
-    (Schedule::Reference, 0.45),
+    (Schedule::Standard, 0.45),
     (Schedule::Gscore, 0.20),
     (Schedule::GccHardware, 0.20),
     (Schedule::GaussianWise, 0.15),
@@ -1114,7 +1114,7 @@ fn render_rung(
     let gaussians = scene.lod.as_ref().map_or(&scene.gaussians[..], |l| {
         l.level_gaussians(&scene.gaussians, rung.lod_level)
     });
-    let mut frame = Schedule::Reference
+    let mut frame = Schedule::Standard
         .renderer()
         .render_job(&RenderJob::with_options(gaussians, &cam, options), scratch);
     if (frame.image.width(), frame.image.height()) != target {

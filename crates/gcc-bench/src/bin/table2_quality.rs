@@ -13,7 +13,7 @@
 use gcc_bench::{bench_scene, TablePrinter};
 use gcc_render::gaussian_wise::{render_gaussian_wise, GaussianWiseConfig};
 use gcc_render::quality::{perceptual_distance, pseudo_ground_truth, psnr, ssim};
-use gcc_render::standard::{render_reference, render_standard, StandardConfig};
+use gcc_render::standard::{render_standard, StandardConfig};
 use gcc_scene::ALL_PRESETS;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         let scene = bench_scene(*preset);
         let cam = scene.default_camera();
 
-        let gpu = render_reference(&scene.gaussians, &cam);
+        let gpu = render_standard(&scene.gaussians, &cam, &StandardConfig::default());
         let gscore = render_standard(&scene.gaussians, &cam, &StandardConfig::gscore());
         let gcc_cfg = GaussianWiseConfig {
             subview: Some(64),

@@ -10,9 +10,8 @@
 //! the tail both share, the exponential/clamp of alpha evaluation and the
 //! masked front-to-back blend of those alphas into the pixel planes. This
 //! module provides explicitly vectorized `core::arch` implementations of
-//! those loops (SSE2/AVX2 on x86-64, NEON on aarch64) behind a one-time
-//! runtime dispatch table, with the scalar path kept as the bit-exactness
-//! reference.
+//! those loops (SSE2/AVX2 on x86-64) behind a one-time runtime dispatch
+//! table, with the scalar path kept as the bit-exactness reference.
 //!
 //! # Bit-exactness contract
 //!
@@ -52,16 +51,15 @@
 //! # Selection
 //!
 //! [`active`] resolves the best supported backend once (cached): AVX2 if
-//! the CPU reports it, else SSE2 on x86-64, NEON on aarch64, scalar
-//! elsewhere. Not every table has a vector body for every kernel — the
+//! the CPU reports it, else SSE2 on x86-64, scalar elsewhere (aarch64
+//! included). Not every table has a vector body for every kernel — the
 //! documented fallback of [`KernelSet`] is the scalar twin, bit-identical
 //! either way: SSE2 routes `sh_colors` (no gathers), `row_spans` (no
-//! `roundpd`) and `span_powers` there, and NEON those three and the two
-//! block kernels, until someone can build and test intrinsics for them on
-//! an aarch64 host. Setting the environment variable `GCC_FORCE_SCALAR` to
-//! anything but `0`/empty forces the scalar reference. Renderer configs can
-//! also pin a backend per call (`StandardConfig::backend`), which is what
-//! the in-process parity tests use — no global state involved.
+//! `roundpd`) and `span_powers` there. Setting the environment variable
+//! `GCC_FORCE_SCALAR` to anything but `0`/empty forces the scalar
+//! reference. Renderer configs can also pin a backend per call
+//! (`StandardConfig::backend`), which is what the in-process parity tests
+//! use — no global state involved.
 
 mod scalar;
 
@@ -70,10 +68,6 @@ mod scalar;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86;
-
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
-mod neon;
 
 use crate::alpha::EffectiveSpanWalker;
 use crate::bounds::EffectiveTest;
@@ -95,8 +89,6 @@ pub enum Backend {
     /// x86-64 AVX2 (+ POPCNT): 8-lane f32 with gathers (requires CPU
     /// support).
     Avx2,
-    /// aarch64 NEON (baseline on every aarch64 CPU): 4-lane f32.
-    Neon,
 }
 
 impl Backend {
@@ -106,7 +98,6 @@ impl Backend {
             Self::Scalar => "scalar",
             Self::Sse2 => "sse2",
             Self::Avx2 => "avx2",
-            Self::Neon => "neon",
         }
     }
 }
@@ -134,7 +125,7 @@ pub type DepthKeysFn = fn(depths: &[f32], keys: &mut [u32]);
 pub type AlphaPowersFn = fn(powers: &mut [f32]);
 
 /// Lane-group width of [`BlendSpanFn`]: every slice it takes is a whole
-/// number of 8-lane groups (one AVX2 vector, two SSE2/NEON vectors).
+/// number of 8-lane groups (one AVX2 vector, two SSE2 vectors).
 pub const BLEND_LANES: usize = 8;
 
 /// A run of pixels in struct-of-arrays form: accumulated color planes and
@@ -409,11 +400,7 @@ pub fn detected() -> Backend {
             Backend::Sse2
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        Backend::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         Backend::Scalar
     }
@@ -426,7 +413,7 @@ pub fn supported(b: Backend) -> bool {
 
 /// All backends the current process can execute, scalar first.
 pub fn available() -> Vec<Backend> {
-    [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon]
+    [Backend::Scalar, Backend::Sse2, Backend::Avx2]
         .into_iter()
         .filter(|&b| supported(b))
         .collect()
@@ -464,8 +451,6 @@ pub fn kernel_set(b: Backend) -> Option<&'static KernelSet> {
                 None
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => Some(&neon::NEON),
         #[allow(unreachable_patterns)]
         _ => None,
     }
@@ -515,7 +500,7 @@ mod tests {
 
     #[test]
     fn select_is_pure_and_total() {
-        for b in [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon] {
+        for b in [Backend::Scalar, Backend::Sse2, Backend::Avx2] {
             assert_eq!(select(true, b), Backend::Scalar);
             assert_eq!(select(false, b), b);
         }

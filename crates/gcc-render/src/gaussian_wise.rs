@@ -375,29 +375,18 @@ pub fn render_gaussian_wise_with(
     cfg: &GaussianWiseConfig,
     parallelism: Parallelism,
 ) -> GaussianWiseOutput {
-    render_gaussian_wise_scratch(gaussians, cam, cfg, parallelism, &mut FrameScratch::new())
+    let mut scratch = FrameScratch::new();
+    render_gaussian_wise_job(gaussians, cam, cfg, None, parallelism, &mut scratch)
 }
 
-/// [`render_gaussian_wise_with`] reusing caller-owned scratch (the Stage I
-/// depth and screen-bound buffers, the window workers' patches, tracers
-/// and lists) — the batch-render entry point. Output is bit-identical
-/// whatever the scratch previously held.
-pub fn render_gaussian_wise_scratch(
-    gaussians: &[Gaussian3D],
-    cam: &Camera,
-    cfg: &GaussianWiseConfig,
-    parallelism: Parallelism,
-    scratch: &mut FrameScratch,
-) -> GaussianWiseOutput {
-    render_gaussian_wise_job(gaussians, cam, cfg, None, parallelism, scratch)
-}
-
-/// The request-model entry point: [`render_gaussian_wise_scratch`] with an
-/// optional region of interest, bit-identical to cropping the full-frame
-/// render. Under [`MaskMode::Traverse`] (the default) the restriction is
-/// real work reduction: only the Cmode windows and 8×8 blocks intersecting
-/// the ROI are blended, and the cross-stage termination condition counts
-/// only ROI blocks. Under [`MaskMode::SkipAndBlock`] the T-mask gates
+/// The request-model entry point: [`render_gaussian_wise_with`] on
+/// caller-owned scratch (the Stage I depth and screen-bound buffers, the
+/// window workers' patches, tracers and lists; output is bit-identical
+/// whatever they held) with an optional region of interest, bit-identical
+/// to cropping the full-frame render. Under [`MaskMode::Traverse`] (the
+/// default) the restriction is real work reduction: only the Cmode
+/// windows and 8×8 blocks intersecting the ROI are blended, and the
+/// cross-stage termination condition counts only ROI blocks. Under [`MaskMode::SkipAndBlock`] the T-mask gates
 /// traversal *reachability*, so a pre-masked ROI would change which blocks
 /// a Gaussian reaches — the render falls back to the full frame plus a
 /// crop to preserve the bit-identity contract.
@@ -529,7 +518,7 @@ pub fn render_gaussian_wise_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::standard::render_reference;
+    use crate::standard::{render_standard, StandardConfig};
 
     fn test_cam() -> Camera {
         Camera::look_at(
@@ -566,7 +555,7 @@ mod tests {
             Vec3::new(0.9, 0.1, 0.2),
         )];
         let gw = render_gaussian_wise(&g, &cam, &GaussianWiseConfig::default());
-        let std_out = render_reference(&g, &cam);
+        let std_out = render_standard(&g, &cam, &StandardConfig::default());
         let diff = gw.image.max_abs_diff(&std_out.image);
         assert!(diff < 1e-4, "max diff {diff}");
     }
@@ -578,7 +567,7 @@ mod tests {
         let cam = test_cam();
         let cloud = colored_cloud(120);
         let gw = render_gaussian_wise(&cloud, &cam, &GaussianWiseConfig::default());
-        let std_out = render_reference(&cloud, &cam);
+        let std_out = render_standard(&cloud, &cam, &StandardConfig::default());
         let mse = gw.image.mse(&std_out.image);
         assert!(mse < 1e-5, "MSE {mse}");
     }

@@ -42,11 +42,9 @@ use crate::Image;
 /// by `(scene, schedule, resolution)` and keeps one renderer per variant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Schedule {
-    /// The GPU reference: standard two-stage pipeline, exact arithmetic,
-    /// AABB footprint (the Table 2 quality anchor).
+    /// The standard tile-wise pipeline in its default configuration:
+    /// exact arithmetic, AABB footprint — the GPU reference of Table 2.
     #[default]
-    Reference,
-    /// The standard tile-wise pipeline in its default configuration.
     Standard,
     /// GSCore: the standard pipeline with the tightened OBB footprint.
     Gscore,
@@ -60,8 +58,7 @@ pub enum Schedule {
 
 impl Schedule {
     /// Every schedule, in display order.
-    pub const ALL: [Schedule; 5] = [
-        Schedule::Reference,
+    pub const ALL: [Schedule; 4] = [
         Schedule::Standard,
         Schedule::Gscore,
         Schedule::GaussianWise,
@@ -71,17 +68,11 @@ impl Schedule {
     /// Stable identifier (stats keys, bench labels, JSON records).
     pub fn name(self) -> &'static str {
         match self {
-            Self::Reference => "reference",
             Self::Standard => "standard",
             Self::Gscore => "gscore",
             Self::GaussianWise => "gaussian_wise",
             Self::GccHardware => "gcc_hardware",
         }
-    }
-
-    /// Parses [`Self::name`] back into a schedule.
-    pub fn parse(s: &str) -> Option<Schedule> {
-        Schedule::ALL.into_iter().find(|v| v.name() == s)
     }
 
     /// Builds the sequential renderer for this schedule — the serving
@@ -96,9 +87,6 @@ impl Schedule {
     /// parallelism policy.
     pub fn renderer_with(self, parallelism: Parallelism) -> Box<dyn Renderer + Send + Sync> {
         match self {
-            Self::Reference => {
-                Box::new(StandardRenderer::reference().with_parallelism(parallelism))
-            }
             Self::Standard => Box::new(StandardRenderer::default().with_parallelism(parallelism)),
             Self::Gscore => Box::new(StandardRenderer::gscore().with_parallelism(parallelism)),
             Self::GaussianWise => {
@@ -109,6 +97,15 @@ impl Schedule {
             }
         }
     }
+}
+
+// A bridge, not a schedule: the `benchmark` package still names
+// `Schedule::Reference` (`benchmark/src/layers.rs`), and it is edited
+// only on its own. Delete this once that line says `Standard`.
+impl Schedule {
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Reference: Schedule = Schedule::Standard;
 }
 
 impl std::fmt::Display for Schedule {
@@ -176,7 +173,7 @@ impl Roi {
 
 /// Per-request rendering options: schedule selection, output shaping and
 /// quality knobs. `RenderOptions::default()` reproduces a plain
-/// `render_frame` call through the [`Schedule::Reference`] schedule.
+/// `render_frame` call through the [`Schedule::Standard`] schedule.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RenderOptions {
     /// Which schedule renders the request (dispatch-level: concrete
@@ -462,13 +459,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedule_names_round_trip() {
-        for s in Schedule::ALL {
-            assert_eq!(Schedule::parse(s.name()), Some(s));
+    fn schedule_names_display_and_default() {
+        for (i, s) in Schedule::ALL.into_iter().enumerate() {
             assert_eq!(format!("{s}"), s.name());
+            assert!(Schedule::ALL[..i].iter().all(|t| t.name() != s.name()));
         }
-        assert_eq!(Schedule::parse("nope"), None);
-        assert_eq!(Schedule::default(), Schedule::Reference);
+        assert_eq!(Schedule::default(), Schedule::Standard);
     }
 
     #[test]

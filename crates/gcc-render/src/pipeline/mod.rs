@@ -114,11 +114,6 @@ impl StandardRenderer {
         }
     }
 
-    /// The GPU-reference configuration (exact arithmetic, AABB footprint).
-    pub fn reference() -> Self {
-        Self::new(StandardConfig::default())
-    }
-
     /// GSCore's configuration (OBB footprint).
     pub fn gscore() -> Self {
         Self::new(StandardConfig::gscore())
@@ -258,7 +253,7 @@ mod tests {
         let cam = cam();
         let cloud = cloud(80);
         let renderers: Vec<Box<dyn Renderer>> = vec![
-            Box::new(StandardRenderer::reference()),
+            Box::new(StandardRenderer::default()),
             Box::new(GaussianWiseRenderer::default()),
         ];
         let frames: Vec<Frame> = renderers

@@ -300,23 +300,13 @@ pub fn render_standard_with(
     cfg: &StandardConfig,
     parallelism: Parallelism,
 ) -> StandardOutput {
-    render_standard_scratch(gaussians, cam, cfg, parallelism, &mut FrameScratch::new())
+    let mut scratch = FrameScratch::new();
+    render_standard_job(gaussians, cam, cfg, None, parallelism, &mut scratch)
 }
 
-/// [`render_standard_with`] reusing caller-owned scratch buffers (depth
-/// keys, radix ping-pong, footprints, CSR bins) — the batch-render entry
-/// point. Output is bit-identical whatever the scratch previously held.
-pub fn render_standard_scratch(
-    gaussians: &[Gaussian3D],
-    cam: &Camera,
-    cfg: &StandardConfig,
-    parallelism: Parallelism,
-    scratch: &mut FrameScratch,
-) -> StandardOutput {
-    render_standard_job(gaussians, cam, cfg, None, parallelism, scratch)
-}
-
-/// The request-model entry point: [`render_standard_scratch`] with an
+/// The request-model entry point: [`render_standard_with`] on
+/// caller-owned scratch buffers (depth keys, radix ping-pong, footprints,
+/// CSR bins; output is bit-identical whatever they held) with an
 /// optional region of interest. An ROI render keeps full-frame arithmetic
 /// (projection, global ordering, binning are unchanged) and renders only
 /// the tiles intersecting the ROI — every tile is a pure function of the
@@ -473,12 +463,6 @@ pub fn render_standard_job(
     }
 }
 
-/// The "GPU" reference render of Table 2: exact arithmetic, AABB footprint,
-/// 3σ law, black background.
-pub fn render_reference(gaussians: &[Gaussian3D], cam: &Camera) -> StandardOutput {
-    render_standard(gaussians, cam, &StandardConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,7 +491,7 @@ mod tests {
     #[test]
     fn single_gaussian_renders_red_center() {
         let cam = test_cam();
-        let out = render_reference(&one_gaussian(), &cam);
+        let out = render_standard(&one_gaussian(), &cam, &StandardConfig::default());
         let center = out.image.get(64, 48);
         assert!(center.x > 0.8, "center {center:?}");
         assert!(center.y < 0.05);
@@ -530,7 +514,7 @@ mod tests {
         );
         // Blend enough copies of the front to guarantee termination.
         let gaussians = vec![front.clone(), front.clone(), front.clone(), front, back];
-        let out = render_reference(&gaussians, &cam);
+        let out = render_standard(&gaussians, &cam, &StandardConfig::default());
         assert_eq!(out.stats.projected, 5);
         assert!(
             out.stats.rendered < 5,
@@ -544,7 +528,7 @@ mod tests {
     #[test]
     fn kv_pairs_count_tile_overlap() {
         let cam = test_cam();
-        let out = render_reference(&one_gaussian(), &cam);
+        let out = render_standard(&one_gaussian(), &cam, &StandardConfig::default());
         // A 0.15-radius Gaussian at 4m with f≈83px: radius ≈ 3σ·0.15·83/4
         // ≈ 9px ⇒ ≥ 2×2 tiles once straddling a boundary; at least 1.
         assert!(out.stats.kv_pairs >= 1);
@@ -566,7 +550,7 @@ mod tests {
             0.5,
             Vec3::new(0.2, 0.2, 0.9),
         )];
-        let out = render_reference(&g, &cam);
+        let out = render_standard(&g, &cam, &StandardConfig::default());
         assert!(out.stats.kv_pairs > 4, "kv {}", out.stats.kv_pairs);
         assert_eq!(out.stats.tile_loads, out.stats.kv_pairs);
         assert_eq!(out.stats.unique_loaded, 1);
@@ -623,7 +607,7 @@ mod tests {
         assert!(out.stats.pixels_tested_aabb >= out.stats.pixels_tested_obb);
         assert_eq!(out.stats.pixels_tested_obb, out.stats.pixels_tested);
         assert!(out.stats.pixels_tested_obb >= out.stats.pixels_blended);
-        let aabb = render_reference(&gaussians, &cam);
+        let aabb = render_standard(&gaussians, &cam, &StandardConfig::default());
         assert_eq!(aabb.stats.pixels_tested_aabb, out.stats.pixels_tested_aabb);
         assert_eq!(aabb.stats.pixels_tested_obb, 0);
     }

@@ -327,8 +327,11 @@ fn sample_opacity(params: &PresetParams, rng: &mut StdRng) -> f32 {
     } else if u < params.opacity_low_frac + params.opacity_mid_frac {
         rng.gen_range(0.08..0.6f32)
     } else {
-        // Opaque mode, skewed toward 1.
-        let t: f32 = rng.gen::<f32>().powf(0.5);
+        // Opaque mode, skewed toward 1. The exponent is hidden from the
+        // optimizer: under the release profile LLVM rewrites `powf(x, 0.5)`
+        // to `sqrt`, which differs from glibc `powf` by an ulp on some
+        // draws, and the scene would then depend on the build profile.
+        let t: f32 = rng.gen::<f32>().powf(std::hint::black_box(0.5));
         0.6 + 0.4 * t
     }
 }

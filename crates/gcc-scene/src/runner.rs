@@ -215,7 +215,7 @@ mod tests {
         let runner = TrajectoryRunner::new(5).with_parallelism(Parallelism::Sequential);
         let cams = runner.cameras(&scene);
         assert_eq!(cams.len(), 5);
-        let result = runner.run(&scene, &StandardRenderer::reference());
+        let result = runner.run(&scene, &StandardRenderer::default());
         assert_eq!(result.len(), 5);
         assert!(!result.is_empty());
         for f in &result.frames {
@@ -249,8 +249,8 @@ mod tests {
         let scene = scene();
         let seq = TrajectoryRunner::new(6)
             .with_parallelism(Parallelism::Sequential)
-            .run(&scene, &StandardRenderer::reference());
-        let threaded = StandardRenderer::reference().with_parallelism(Parallelism::fixed(2));
+            .run(&scene, &StandardRenderer::default());
+        let threaded = StandardRenderer::default().with_parallelism(Parallelism::fixed(2));
         for runner in [1, 2, 8]
             .map(Parallelism::fixed)
             .into_iter()

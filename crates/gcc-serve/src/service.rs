@@ -1500,7 +1500,7 @@ mod tests {
             .iter()
             .map(|&(s, t)| submit(&service, ["lego", "palace"][s], t).unwrap())
             .collect();
-        let direct = StandardRenderer::reference();
+        let direct = StandardRenderer::default();
         for (&(s, t), handle) in reqs.iter().zip(handles) {
             let frame = handle.wait().unwrap();
             let cam = scenes[s]
@@ -1522,8 +1522,8 @@ mod tests {
         );
         // Everything ran through the default schedule at interactive
         // priority, as one-frame streams.
-        assert_eq!(stats.per_schedule[&Schedule::Reference].frames, 6);
-        assert_eq!(stats.per_schedule[&Schedule::Reference].requests, 6);
+        assert_eq!(stats.per_schedule[&Schedule::Standard].frames, 6);
+        assert_eq!(stats.per_schedule[&Schedule::Standard].requests, 6);
         assert_eq!(stats.priority(Priority::Interactive).frames, 6);
         assert!(!stats.per_priority.contains_key(&Priority::Bulk));
         assert_eq!(stats.streams.opened, 6);
@@ -1772,7 +1772,7 @@ mod tests {
         assert_eq!(stats.per_schedule[&Schedule::GccHardware].frames, 4);
         assert_eq!(stats.per_schedule[&Schedule::Gscore].requests, 4);
         assert!(stats.per_schedule[&Schedule::Gscore].batches >= 1);
-        assert!(!stats.per_schedule.contains_key(&Schedule::Reference));
+        assert!(!stats.per_schedule.contains_key(&Schedule::Standard));
     }
 
     #[test]
@@ -1870,7 +1870,7 @@ mod tests {
             )],
         );
         let handles: Vec<RenderHandle> =
-            [Schedule::Reference, Schedule::Gscore, Schedule::GccHardware]
+            [Schedule::Standard, Schedule::Gscore, Schedule::GccHardware]
                 .into_iter()
                 .map(|s| {
                     let options = RenderOptions::default().with_schedule(s);
@@ -1970,7 +1970,7 @@ mod tests {
                 ..ServeConfig::default()
             },
             reg,
-            ScheduleRenderers::default().with(Schedule::Reference, Box::new(AlwaysPanics)),
+            ScheduleRenderers::default().with(Schedule::Standard, Box::new(AlwaysPanics)),
         );
         let handle = submit(&service, "lego", 0.0).unwrap();
         // The waiter must be released with an error, not hang.
@@ -2009,7 +2009,7 @@ mod tests {
                 ..ServeConfig::default()
             },
             reg,
-            ScheduleRenderers::default().with(Schedule::Reference, Box::new(gated)),
+            ScheduleRenderers::default().with(Schedule::Standard, Box::new(gated)),
         );
         let session = service.session("lego", RenderOptions::default()).unwrap();
         let mut stream = session
@@ -2052,7 +2052,7 @@ mod tests {
         assert_eq!(stats.frames, 1, "nothing renders after the terminal");
     }
 
-    /// Renders like the reference schedule, except that its second call
+    /// Renders like the standard schedule, except that its second call
     /// reports in on the gate's sender, waits for a go on its receiver and
     /// panics.
     struct PanicsOnSecondFrame {
@@ -2071,7 +2071,7 @@ mod tests {
                 release.recv().unwrap();
                 panic!("render blew up while the state lock was held");
             }
-            StandardRenderer::reference().render_job(job, scratch)
+            StandardRenderer::default().render_job(job, scratch)
         }
     }
 

@@ -36,8 +36,9 @@ use crate::proto::WireRejection;
 /// The wire protocol version this build speaks.
 ///
 /// History: v1 was the original protocol; v2 extended the `Stats`
-/// response payload with the adaptive-quality (LOD) counter section.
-pub const WIRE_VERSION: u8 = 2;
+/// response payload with the adaptive-quality (LOD) counter section; v3
+/// retired schedule tag 0 (`reference`, a second name for `standard`).
+pub const WIRE_VERSION: u8 = 3;
 
 /// Hard ceiling on a frame's declared length (version + kind + payload).
 /// Generous enough for a 4K float frame, small enough that a hostile

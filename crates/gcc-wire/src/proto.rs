@@ -606,8 +606,8 @@ impl Wire for Image {
 // The messages and what they are made of
 // ---------------------------------------------------------------------------
 
+// Tag 0 was `reference`, retired in v3 with the variant: never reuse it.
 wire_enum! { Schedule, "schedule tag", {
-    0 => Reference,
     1 => Standard,
     2 => Gscore,
     3 => GaussianWise,
@@ -1113,7 +1113,7 @@ mod tests {
             frames: k + 1,
             batches: k + 2,
         };
-        stats.per_schedule.insert(Schedule::Reference, schedule(30));
+        stats.per_schedule.insert(Schedule::Standard, schedule(30));
         stats.per_schedule.insert(Schedule::Gscore, schedule(40));
         let priority = |k: u64| PriorityCounters {
             requests: k,
@@ -1420,7 +1420,7 @@ mod tests {
         ("frame_error", 0x83, 47, 0x797a5fd33912de4a),
         ("stream_end", 0x84, 8, 0xc7c2bf3b330983e6),
         ("cancelled", 0x85, 8, 0x2cdcdc0dfc5d1141),
-        ("stats_snapshot", 0x87, 837, 0x1d099c548f35f87f),
+        ("stats_snapshot", 0x87, 837, 0x3c03d321276f1494),
         ("pong", 0x88, 0, 0xcbf29ce484222325),
         ("shutdown_ack", 0x89, 0, 0xcbf29ce484222325),
         ("error", 0x8a, 29, 0x9a83903db15b65e4),
@@ -1548,6 +1548,37 @@ mod tests {
             Request::decode(kind::OPEN, &payload),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn retired_schedule_tag_zero_is_malformed_and_live_tags_round_trip() {
+        // An otherwise valid `Open` whose schedule byte is `tag`: the
+        // schedule is the first byte after the scene name.
+        let open_with_tag = |tag: u8| {
+            let (kind, mut payload) = Request::Open {
+                scene: "palace".into(),
+                defaults: RenderOptions::default(),
+                spec: StreamSpec::OrbitLoop {
+                    frames: 4,
+                    radius_scale: 1.0,
+                    height_offset: 0.0,
+                },
+                config: StreamConfig::default(),
+            }
+            .encode();
+            let at = 4 + "palace".len();
+            assert_eq!(payload[at], Schedule::Standard.tag());
+            payload[at] = tag;
+            Request::decode(kind, &payload)
+        };
+        assert!(matches!(open_with_tag(0), Err(WireError::Malformed(_))));
+        for (tag, schedule) in (1..=4).zip(Schedule::ALL) {
+            assert_eq!(schedule.tag(), tag);
+            match open_with_tag(tag) {
+                Ok(Request::Open { defaults, .. }) => assert_eq!(defaults.schedule, schedule),
+                other => panic!("tag {tag}: {other:?}"),
+            }
+        }
     }
 
     #[test]

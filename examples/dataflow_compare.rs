@@ -15,7 +15,7 @@ fn main() {
     println!("scene '{}': {} Gaussians\n", scene.name, scene.len());
 
     // All three dataflows behind the same `Renderer` interface.
-    let gpu = StandardRenderer::reference().render_frame(&scene.gaussians, &cam);
+    let gpu = StandardRenderer::default().render_frame(&scene.gaussians, &cam);
     let gscore = StandardRenderer::gscore().render_frame(&scene.gaussians, &cam);
     let gcc = GaussianWiseRenderer::gcc_hardware().render_frame(&scene.gaussians, &cam);
 

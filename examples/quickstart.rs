@@ -28,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cam = scene.resolve_view(&view, &options)?;
 
     // Every schedule consumes the same `RenderJob`; `Schedule` names the
-    // five stock configurations of the two dataflows.
-    let reference = Schedule::Reference.renderer().render_job(
+    // four stock configurations of the two dataflows.
+    let reference = Schedule::Standard.renderer().render_job(
         &RenderJob::with_options(&scene.gaussians, &cam, options.clone()),
         &mut FrameScratch::new(),
     );
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (w, h) = scene.resolution;
     let roi_opts = RenderOptions::default().with_roi(Roi::new(w / 4, h / 4, w / 2, h / 2));
     let roi_cam = scene.resolve_view(&view, &roi_opts)?;
-    let roi = Schedule::Reference.renderer().render_job(
+    let roi = Schedule::Standard.renderer().render_job(
         &RenderJob::with_options(&scene.gaussians, &roi_cam, roi_opts),
         &mut FrameScratch::new(),
     );

@@ -12,7 +12,7 @@
 //! let scene = ScenePreset::Lego.build(&SceneConfig::with_scale(0.02));
 //! assert!(!scene.is_empty());
 //! let cam = scene.default_camera();
-//! let frame = StandardRenderer::reference().render_frame(&scene.gaussians, &cam);
+//! let frame = StandardRenderer::default().render_frame(&scene.gaussians, &cam);
 //! assert_eq!(frame.stats.total_gaussians, scene.len() as u64);
 //! ```
 

@@ -91,7 +91,7 @@ fn csr_bins_equal_nested_vec_bins_on_preset_scene() {
 fn scratch_reuse_is_bit_identical_to_fresh_scratch() {
     let scene = scene(ScenePreset::Lego, 0.05);
     let renderers: Vec<Box<dyn Renderer>> = vec![
-        Box::new(StandardRenderer::reference()),
+        Box::new(StandardRenderer::default()),
         Box::new(StandardRenderer::gscore()),
         Box::new(GaussianWiseRenderer::default()),
     ];
@@ -127,7 +127,7 @@ fn one_scratch_serves_every_schedule_and_scene() {
         }))
     };
     let renderers: Vec<Box<dyn Renderer>> = vec![
-        Box::new(StandardRenderer::reference()),
+        Box::new(StandardRenderer::default()),
         Box::new(GaussianWiseRenderer::default()),
         Box::new(StandardRenderer::gscore().with_parallelism(Parallelism::fixed(2))),
         Box::new(GaussianWiseRenderer::gcc_hardware()),
@@ -157,7 +157,7 @@ fn one_scratch_serves_every_schedule_and_scene() {
 #[test]
 fn trajectory_runner_scratch_threading_stays_deterministic() {
     let scene = scene(ScenePreset::Train, 0.04);
-    let renderer = StandardRenderer::reference();
+    let renderer = StandardRenderer::default();
     let seq = TrajectoryRunner::new(6)
         .with_parallelism(Parallelism::Sequential)
         .run(&scene, &renderer);

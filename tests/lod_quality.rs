@@ -28,7 +28,7 @@ fn render_rung(
     let gaussians = scene.lod.as_ref().map_or(&scene.gaussians[..], |l| {
         l.level_gaussians(&scene.gaussians, rung.lod_level)
     });
-    let mut image = Schedule::Reference
+    let mut image = Schedule::Standard
         .renderer()
         .render_job(&RenderJob::with_options(gaussians, &cam, options), scratch)
         .image;
@@ -75,7 +75,7 @@ fn the_exact_rung_is_bit_identical_to_a_plain_render() {
     let cam = scene
         .resolve_view(&view, &RenderOptions::default())
         .unwrap();
-    let plain = Schedule::Reference
+    let plain = Schedule::Standard
         .renderer()
         .render_job(
             &RenderJob::with_options(&scene.gaussians, &cam, RenderOptions::default()),

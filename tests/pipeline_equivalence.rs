@@ -4,7 +4,7 @@
 
 use gcc_render::gaussian_wise::{render_gaussian_wise, GaussianWiseConfig};
 use gcc_render::quality::psnr;
-use gcc_render::standard::{render_reference, render_standard, StandardConfig};
+use gcc_render::standard::{render_standard, StandardConfig};
 use gcc_scene::{SceneConfig, ScenePreset, ALL_PRESETS};
 
 fn small(preset: ScenePreset) -> gcc_scene::Scene {
@@ -16,7 +16,7 @@ fn gaussian_wise_matches_reference_on_all_presets() {
     for preset in ALL_PRESETS {
         let scene = small(preset);
         let cam = scene.default_camera();
-        let gpu = render_reference(&scene.gaussians, &cam);
+        let gpu = render_standard(&scene.gaussians, &cam, &StandardConfig::default());
         let gcc = render_gaussian_wise(&scene.gaussians, &cam, &GaussianWiseConfig::default());
         let p = psnr(&gcc.image, &gpu.image);
         assert!(
@@ -31,7 +31,7 @@ fn gscore_tile_pipeline_matches_reference_on_all_presets() {
     for preset in ALL_PRESETS {
         let scene = small(preset);
         let cam = scene.default_camera();
-        let gpu = render_reference(&scene.gaussians, &cam);
+        let gpu = render_standard(&scene.gaussians, &cam, &StandardConfig::default());
         let gs = render_standard(&scene.gaussians, &cam, &StandardConfig::gscore());
         let p = psnr(&gs.image, &gpu.image);
         assert!(p > 45.0, "{preset}: OBB pipeline diverges ({p:.1} dB)");

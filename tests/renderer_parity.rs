@@ -22,7 +22,7 @@ fn small(preset: ScenePreset) -> gcc_scene::Scene {
 fn schedules_are_visually_equivalent_through_the_trait() {
     let scene = small(ScenePreset::Lego);
     let cam = scene.default_camera();
-    let reference = StandardRenderer::reference().render_frame(&scene.gaussians, &cam);
+    let reference = StandardRenderer::default().render_frame(&scene.gaussians, &cam);
     let renderers: Vec<Box<dyn Renderer>> = vec![
         Box::new(StandardRenderer::gscore()),
         Box::new(GaussianWiseRenderer::default()),
@@ -102,7 +102,7 @@ fn gaussian_wise_engine_is_deterministic_across_thread_counts() {
 fn trajectory_batches_are_deterministic_and_schedule_agnostic() {
     let scene = small(ScenePreset::Playroom);
     let renderers: Vec<Box<dyn Renderer>> = vec![
-        Box::new(StandardRenderer::reference()),
+        Box::new(StandardRenderer::default()),
         Box::new(GaussianWiseRenderer::default()),
     ];
     for r in &renderers {

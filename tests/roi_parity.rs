@@ -101,7 +101,7 @@ fn single_pixel_and_full_frame_rois_are_valid() {
     let scene = ScenePreset::Train.build(&SceneConfig::with_scale(0.01));
     let cam = scene.camera(0.1);
     let (w, h) = scene.resolution;
-    for schedule in [Schedule::Reference, Schedule::GaussianWise] {
+    for schedule in [Schedule::Standard, Schedule::GaussianWise] {
         let renderer = schedule.renderer();
         assert_roi_is_crop(
             renderer.as_ref(),

@@ -185,7 +185,7 @@ fn fault_storm_resolves_every_stream_and_recovers_the_pool() {
     // residue in cache, scratch or scheduling state.
     plan.disarm();
     std::thread::sleep(Duration::from_millis(30));
-    let direct = StandardRenderer::reference();
+    let direct = StandardRenderer::default();
     let options = RenderOptions::default();
     for (id, scene) in &scenes {
         for t in [0.0f32, 0.4, 0.8] {

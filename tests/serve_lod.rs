@@ -198,7 +198,7 @@ fn hierarchies_are_built_on_load_and_charged_to_the_cache() {
     assert!(scene.lod.is_none());
 }
 
-/// Renders through the reference schedule after noting how many threads
+/// Renders through the standard schedule after noting how many threads
 /// the job was handed (1 when the job names none) and, when set up to,
 /// after reporting in on `entered` and waiting for a go on `release`.
 struct Recording {
@@ -213,7 +213,7 @@ impl Recording {
         gate: Option<(Sender<()>, Receiver<()>)>,
     ) -> Box<Self> {
         Box::new(Self {
-            inner: Schedule::Reference.renderer(),
+            inner: Schedule::Standard.renderer(),
             threads: Arc::clone(threads),
             gate: gate.map(Mutex::new),
         })
@@ -264,7 +264,7 @@ fn every_frame_borrows_the_idle_cores() {
             ..ServeConfig::default()
         },
         [("lego".to_string(), SceneSource::Memory(Arc::clone(&scene)))],
-        ScheduleRenderers::default().with(Schedule::Reference, Recording::boxed(&seen, None)),
+        ScheduleRenderers::default().with(Schedule::Standard, Recording::boxed(&seen, None)),
     );
     // One worker: nobody else is busy, so whatever the frame carries —
     // a deadline or none, either priority — it is offered the host. That
@@ -304,15 +304,15 @@ fn a_core_another_worker_is_rendering_on_is_not_lent() {
         },
         [("lego".to_string(), SceneSource::Memory(Arc::clone(&scene)))],
         ScheduleRenderers::default()
-            .with(Schedule::Reference, Recording::boxed(&seen, None))
-            .with(Schedule::Standard, blocking),
+            .with(Schedule::Standard, Recording::boxed(&seen, None))
+            .with(Schedule::Gscore, blocking),
     );
     // Park one worker inside a render (it started alone, on the whole
     // host)...
     let parked = svc
         .session(
             "lego",
-            RenderOptions::default().with_schedule(Schedule::Standard),
+            RenderOptions::default().with_schedule(Schedule::Gscore),
         )
         .and_then(|session| session.submit(ViewSpec::trajectory(0.1)))
         .unwrap();
@@ -382,7 +382,7 @@ fn a_core_another_worker_is_loading_on_is_not_lent() {
             ("lego".to_string(), SceneSource::Memory(Arc::clone(&scene))),
             ("cold".to_string(), SceneSource::File(gated.path.clone())),
         ],
-        ScheduleRenderers::default().with(Schedule::Reference, Recording::boxed(&seen, None)),
+        ScheduleRenderers::default().with(Schedule::Standard, Recording::boxed(&seen, None)),
     );
     // Alone on the service: the host.
     stream_frames(&svc, RenderOptions::default(), StreamConfig::default());
@@ -428,7 +428,7 @@ fn a_loader_that_fails_or_panics_gives_its_core_back() {
                 ("lego".to_string(), SceneSource::Memory(Arc::clone(&scene))),
                 (id.to_string(), SceneSource::faulty(id, inner, plan)),
             ],
-            ScheduleRenderers::default().with(Schedule::Reference, Recording::boxed(&seen, None)),
+            ScheduleRenderers::default().with(Schedule::Standard, Recording::boxed(&seen, None)),
         );
         // The load's outcome reaches the client only after the loader
         // stopped counting as busy, so the next frames see the whole host.
@@ -458,7 +458,7 @@ fn a_core_another_service_is_rendering_on_is_not_lent() {
                 ..ServeConfig::default()
             },
             [("lego".to_string(), SceneSource::Memory(Arc::clone(&scene)))],
-            ScheduleRenderers::default().with(Schedule::Reference, gated),
+            ScheduleRenderers::default().with(Schedule::Standard, gated),
         ));
         seen.push(threads);
         releases.push(release);

@@ -80,7 +80,7 @@ fn served_frames_are_bit_identical_to_direct_renders_for_both_schedules() {
     let dir = std::env::temp_dir().join(format!("gcc_serve_parity_{}", std::process::id()));
     let (registry, direct) = file_registry(&dir);
 
-    for schedule in [Schedule::Reference, Schedule::GaussianWise] {
+    for schedule in [Schedule::Standard, Schedule::GaussianWise] {
         let service = RenderService::new(
             ServeConfig {
                 workers: 3,
@@ -328,7 +328,7 @@ fn deadline_streams_on_lent_cores_are_bit_identical_to_sequential_renders() {
         }
     }
     let stats = service.shutdown();
-    assert_eq!(stats.frames, 20);
+    assert_eq!(stats.frames, 16);
     assert_eq!(stats.deadline_misses(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -377,7 +377,7 @@ fn every_lent_frame_is_bit_identical_to_a_sequential_render() {
     }
     let stats = service.shutdown();
     assert_eq!(stats.frames, frames);
-    assert_eq!(frames, 2 * 5 * 2 * 2 * 2);
+    assert_eq!(frames, 2 * 4 * 2 * 2 * 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -398,7 +398,7 @@ fn eviction_churn_preserves_determinism() {
         },
         registry,
     );
-    let reference = StandardRenderer::reference();
+    let reference = StandardRenderer::default();
     for i in 0..8 {
         let id = ["lego", "palace", "train"][i % 3];
         let t = i as f32 / 8.0;
@@ -440,7 +440,7 @@ fn umbrella_crate_reexports_the_serving_layer() {
         .session("lego", gcc_repro::render::RenderOptions::default())
         .and_then(|session| session.render_blocking(gcc_repro::scene::ViewSpec::trajectory(0.5)))
         .unwrap();
-    let want = StandardRenderer::reference().render_frame(&scene.gaussians, &scene.camera(0.5));
+    let want = StandardRenderer::default().render_frame(&scene.gaussians, &scene.camera(0.5));
     assert_eq!(frame.image, want.image);
     assert!(service.shutdown().hit_rate() < 1.0);
 }

@@ -41,7 +41,7 @@ struct SlowRenderer {
 impl SlowRenderer {
     fn boxed(delay_ms: u64) -> Box<dyn Renderer + Send + Sync> {
         Box::new(Self {
-            inner: StandardRenderer::reference(),
+            inner: StandardRenderer::default(),
             delay: Duration::from_millis(delay_ms),
         })
     }
@@ -49,7 +49,7 @@ impl SlowRenderer {
 
 impl Renderer for SlowRenderer {
     fn name(&self) -> &str {
-        "slow-reference"
+        "slow-standard"
     }
     fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
         std::thread::sleep(self.delay);
@@ -65,7 +65,7 @@ fn slow_service(reg: Vec<(String, SceneSource)>, workers: usize, delay_ms: u64) 
         },
         reg,
         gcc_serve::ScheduleRenderers::default()
-            .with(Schedule::Reference, SlowRenderer::boxed(delay_ms)),
+            .with(Schedule::Standard, SlowRenderer::boxed(delay_ms)),
     )
 }
 
@@ -91,7 +91,7 @@ fn streams_deliver_in_order_under_the_backpressure_window() {
         .stream_with(spec, StreamConfig::bulk().with_window(window))
         .unwrap();
     assert_eq!(stream.len(), 8);
-    let direct = StandardRenderer::reference();
+    let direct = StandardRenderer::default();
     let mut delivered = 0;
     for (frame, view) in stream.zip(&views) {
         let frame = frame.expect("stream frame");
