@@ -12,7 +12,11 @@
 //! * the Alpha Unit's fixed-point piecewise-linear exponential
 //!   ([`PwlExp`], paper §4.4: a 16-segment LUT over `[-5.54, 0)` with <1%
 //!   error),
-//! * Q-format fixed-point helpers ([`fixed`]) backing the LUT unit.
+//! * Q-format fixed-point helpers ([`fixed`]) backing the LUT unit,
+//! * deterministic transcendentals ([`det_exp`], [`det_ln`],
+//!   [`det_sin_cos`]): fixed sequences of IEEE-754 basic operations, no
+//!   FMA and no libm, so every value from a scene's seed to a pixel is the
+//!   same bits on every target.
 //!
 //! # Example
 //!
@@ -30,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod det;
 pub mod exp;
 pub mod fixed;
 mod mat;
@@ -37,7 +42,8 @@ mod quat;
 mod sym;
 mod vec;
 
-pub use exp::PwlExp;
+pub use det::{det_ln, det_sin_cos};
+pub use exp::{det_exp, PwlExp};
 pub use mat::{Mat2, Mat3, Mat4};
 pub use quat::Quat;
 pub use sym::SymMat2;
