@@ -25,10 +25,12 @@ fn main() {
     let mut t = TablePrinter::new();
     t.row(["Opacity", "AABB(px)", "OBB(px)", "Effective(px)", "OBB/Eff"]);
     for &opacity in &[1.0f32, 0.01] {
-        let r = bounding_radius(BoundingLaw::ThreeSigma, l1, opacity);
+        let ln_opacity = gcc_math::det_ln(opacity);
+        let r = bounding_radius(BoundingLaw::ThreeSigma, l1, ln_opacity);
         let aabb = PixelRect::from_circle(center, r, W, H);
-        let obb = Obb::from_cov(center, cov, BoundingLaw::ThreeSigma, opacity).expect("valid obb");
-        let eff = EffectiveTest::new(center, conic, opacity);
+        let obb =
+            Obb::from_cov(center, cov, BoundingLaw::ThreeSigma, ln_opacity).expect("valid obb");
+        let eff = EffectiveTest::new(center, conic, ln_opacity);
         let full = PixelRect {
             x0: 0,
             y0: 0,

@@ -804,7 +804,7 @@ mod tests {
 
     fn make_test(mean: Vec2, a: f32, b: f32, c: f32, opacity: f32) -> EffectiveTest {
         let cov = SymMat2::new(a, b, c);
-        EffectiveTest::new(mean, cov.inverse().unwrap(), opacity)
+        EffectiveTest::new(mean, cov.inverse().unwrap(), gcc_math::det_ln(opacity))
     }
 
     fn exhaustive(test: &EffectiveTest, w: i32, h: i32) -> Vec<(i32, i32)> {

@@ -19,20 +19,25 @@ pub enum BoundingLaw {
 /// Squared Mahalanobis extent of the `3σ` envelope (Eq. 5's right side).
 pub const THREE_SIGMA_SQ: f32 = 9.0;
 
-/// Squared Mahalanobis extent of the ω-σ envelope for opacity `ω`
-/// (Eq. 7's right side): `2·ln(255·ω)`. Non-positive when `ω ≤ 1/255`,
-/// meaning the Gaussian can never contribute a visible alpha.
-pub fn omega_sigma_extent_sq(opacity: f32) -> f32 {
-    2.0 * (255.0 * opacity).ln()
+/// `ln 255`: the ω-σ envelope's opacity offset.
+pub const LN_255: f32 = 5.541_263_5;
+
+/// Squared Mahalanobis extent of the ω-σ envelope for log-opacity
+/// `ln ω` (Eq. 7's right side): `2·ln(255·ω) = 2·(ln 255 + ln ω)`, taken
+/// in log space so no logarithm runs per Gaussian. Non-positive when
+/// `ω ≤ 1/255`, meaning the Gaussian can never contribute a visible alpha.
+pub fn omega_sigma_extent_sq(ln_opacity: f32) -> f32 {
+    2.0 * (LN_255 + ln_opacity)
 }
 
 /// Bounding radius in pixels for a projected covariance with maximum
-/// eigenvalue `lambda_max`, under the chosen law. Returns `0.0` when the
-/// envelope is empty (ω-σ with `ω ≤ 1/255`).
-pub fn bounding_radius(law: BoundingLaw, lambda_max: f32, opacity: f32) -> f32 {
+/// eigenvalue `lambda_max`, under the chosen law, for log-opacity
+/// `ln_opacity`. Returns `0.0` when the envelope is empty (ω-σ with
+/// `ω ≤ 1/255`).
+pub fn bounding_radius(law: BoundingLaw, lambda_max: f32, ln_opacity: f32) -> f32 {
     let extent_sq = match law {
         BoundingLaw::ThreeSigma => THREE_SIGMA_SQ,
-        BoundingLaw::OmegaSigma => omega_sigma_extent_sq(opacity),
+        BoundingLaw::OmegaSigma => omega_sigma_extent_sq(ln_opacity),
     };
     if extent_sq <= 0.0 || lambda_max <= 0.0 {
         return 0.0;
@@ -132,13 +137,13 @@ pub struct Obb {
 
 impl Obb {
     /// Builds the OBB of the ellipse defined by covariance `cov` (screen
-    /// space) at `center`, under `law` with opacity `opacity`.
+    /// space) at `center`, under `law` with log-opacity `ln_opacity`.
     /// Returns `None` when the envelope is empty.
-    pub fn from_cov(center: Vec2, cov: SymMat2, law: BoundingLaw, opacity: f32) -> Option<Self> {
+    pub fn from_cov(center: Vec2, cov: SymMat2, law: BoundingLaw, ln_opacity: f32) -> Option<Self> {
         let (l1, l2) = cov.eigenvalues();
         let extent_sq = match law {
             BoundingLaw::ThreeSigma => THREE_SIGMA_SQ,
-            BoundingLaw::OmegaSigma => omega_sigma_extent_sq(opacity),
+            BoundingLaw::OmegaSigma => omega_sigma_extent_sq(ln_opacity),
         };
         if extent_sq <= 0.0 || l1 <= 0.0 {
             return None;
@@ -345,12 +350,13 @@ pub struct EffectiveTest {
 }
 
 impl EffectiveTest {
-    /// Builds the test for a projected Gaussian.
-    pub fn new(mean: Vec2, conic: SymMat2, opacity: f32) -> Self {
+    /// Builds the test for a projected Gaussian of log-opacity
+    /// `ln_opacity`.
+    pub fn new(mean: Vec2, conic: SymMat2, ln_opacity: f32) -> Self {
         Self {
             mean,
             conic,
-            extent_sq: omega_sigma_extent_sq(opacity),
+            extent_sq: omega_sigma_extent_sq(ln_opacity),
         }
     }
 
@@ -397,7 +403,7 @@ pub fn alpha_at(mean: Vec2, conic: SymMat2, ln_opacity: f32, x: i32, y: i32) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcc_math::approx_eq;
+    use gcc_math::{approx_eq, det_ln};
 
     #[test]
     fn omega_sigma_crossover_at_omega_0_35() {
@@ -405,15 +411,15 @@ mod tests {
         // envelope is tighter than 3σ (Fig. 4(b)); at ω = 1 it is slightly
         // larger (√(2·ln255) ≈ 3.33σ, Fig. 4(a)).
         for op in [0.3, 0.1, 0.01, 0.005] {
-            let r_fixed = bounding_radius(BoundingLaw::ThreeSigma, 4.0, op);
-            let r_dyn = bounding_radius(BoundingLaw::OmegaSigma, 4.0, op);
+            let r_fixed = bounding_radius(BoundingLaw::ThreeSigma, 4.0, det_ln(op));
+            let r_dyn = bounding_radius(BoundingLaw::OmegaSigma, 4.0, det_ln(op));
             assert!(
                 r_dyn <= r_fixed,
                 "ω-σ radius {r_dyn} > 3σ radius {r_fixed} at ω = {op}"
             );
         }
-        let r_full = bounding_radius(BoundingLaw::OmegaSigma, 4.0, 1.0);
-        let r_3s = bounding_radius(BoundingLaw::ThreeSigma, 4.0, 1.0);
+        let r_full = bounding_radius(BoundingLaw::OmegaSigma, 4.0, 0.0);
+        let r_3s = bounding_radius(BoundingLaw::ThreeSigma, 4.0, 0.0);
         assert!(r_full >= r_3s, "ω = 1 envelope should reach ≥ 3σ");
     }
 
@@ -421,24 +427,24 @@ mod tests {
     fn omega_sigma_at_full_opacity_is_about_3_3_sigma() {
         // 2·ln(255) ≈ 11.08, √11.08 ≈ 3.33σ — slightly larger than 3σ,
         // exactly as Fig. 4(a) shows for ω = 1.
-        let e = omega_sigma_extent_sq(1.0);
+        let e = omega_sigma_extent_sq(0.0);
         assert!(approx_eq(e.sqrt(), 3.33, 0.01));
     }
 
     #[test]
     fn invisible_opacity_gives_empty_envelope() {
+        assert_eq!(bounding_radius(BoundingLaw::OmegaSigma, 10.0, -LN_255), 0.0);
         assert_eq!(
-            bounding_radius(BoundingLaw::OmegaSigma, 10.0, 1.0 / 255.0),
+            bounding_radius(BoundingLaw::OmegaSigma, 10.0, det_ln(0.001)),
             0.0
         );
-        assert_eq!(bounding_radius(BoundingLaw::OmegaSigma, 10.0, 0.001), 0.0);
     }
 
     #[test]
     fn radius_is_ceiled() {
-        let r = bounding_radius(BoundingLaw::ThreeSigma, 1.0, 1.0);
+        let r = bounding_radius(BoundingLaw::ThreeSigma, 1.0, 0.0);
         assert_eq!(r, 3.0);
-        let r2 = bounding_radius(BoundingLaw::ThreeSigma, 1.1, 1.0);
+        let r2 = bounding_radius(BoundingLaw::ThreeSigma, 1.1, 0.0);
         assert_eq!(r2, (3.0f32 * 1.1f32.sqrt()).ceil());
     }
 
@@ -485,8 +491,8 @@ mod tests {
         // Long thin ellipse at 45°: the AABB wastes most of its area.
         let cov = SymMat2::new(50.0, 45.0, 50.0); // eigen ~95, ~5
         let center = Vec2::new(100.0, 100.0);
-        let obb = Obb::from_cov(center, cov, BoundingLaw::ThreeSigma, 1.0).unwrap();
-        let aabb_r = bounding_radius(BoundingLaw::ThreeSigma, 95.0, 1.0);
+        let obb = Obb::from_cov(center, cov, BoundingLaw::ThreeSigma, 0.0).unwrap();
+        let aabb_r = bounding_radius(BoundingLaw::ThreeSigma, 95.0, 0.0);
         let aabb = PixelRect::from_circle(center, aabb_r, 256, 256);
         let obb_pixels = obb.pixel_count(256, 256);
         assert!(
@@ -502,7 +508,7 @@ mod tests {
             Vec2::new(50.0, 50.0),
             SymMat2::new(9.0, 0.0, 4.0),
             BoundingLaw::ThreeSigma,
-            1.0,
+            0.0,
         )
         .unwrap();
         assert!(obb.contains(50, 50));
@@ -520,7 +526,7 @@ mod tests {
                 Vec2::new(40.3, 37.8),
                 SymMat2::new(ca, cb, cc),
                 BoundingLaw::ThreeSigma,
-                0.8,
+                det_ln(0.8),
             )
             .unwrap();
             for y in 0..80 {
@@ -555,7 +561,7 @@ mod tests {
             Vec2::new(8.0, 50.0),
             SymMat2::new(16.0, 0.0, 100.0),
             BoundingLaw::ThreeSigma,
-            0.8,
+            det_ln(0.8),
         )
         .unwrap();
         assert!((0..16).all(|x| !obb.contains(x, 0)));
@@ -582,7 +588,7 @@ mod tests {
                 Vec2::new(40.3, 37.8),
                 SymMat2::new(ca, cb, cc),
                 BoundingLaw::ThreeSigma,
-                0.8,
+                det_ln(0.8),
             )
             .unwrap();
             let mut walker = obb.span_walker(0, 80, 0);
@@ -600,7 +606,7 @@ mod tests {
             Vec2::ZERO,
             SymMat2::IDENTITY,
             BoundingLaw::OmegaSigma,
-            0.003
+            det_ln(0.003)
         )
         .is_none());
     }
@@ -612,7 +618,7 @@ mod tests {
         let cov = SymMat2::new(6.0, 1.5, 3.0);
         let conic = cov.inverse().unwrap();
         let opacity = 0.42f32;
-        let test = EffectiveTest::new(mean, conic, opacity);
+        let test = EffectiveTest::new(mean, conic, det_ln(opacity));
         let rect = PixelRect {
             x0: 0,
             y0: 0,
@@ -631,7 +637,7 @@ mod tests {
             if (q - test.extent_sq).abs() < 5e-3 {
                 continue;
             }
-            let a = alpha_at(mean, conic, opacity.ln(), x, y);
+            let a = alpha_at(mean, conic, det_ln(opacity), x, y);
             assert_eq!(
                 test.passes(x, y),
                 a > 0.0,
@@ -663,8 +669,8 @@ mod tests {
             x1: 256,
             y1: 256,
         };
-        let high = EffectiveTest::new(mean, conic, 1.0).count_in_rect(rect);
-        let low = EffectiveTest::new(mean, conic, 0.01).count_in_rect(rect);
+        let high = EffectiveTest::new(mean, conic, 0.0).count_in_rect(rect);
+        let low = EffectiveTest::new(mean, conic, det_ln(0.01)).count_in_rect(rect);
         assert!(
             low * 5 < high,
             "low-opacity region {low} should be ≪ high-opacity {high}"

@@ -54,7 +54,8 @@ impl Camera {
         );
         let view = Mat4::look_at(eye, target, up);
         let fov_y = fov_y_deg.to_radians();
-        let fy = height as f32 / (2.0 * (fov_y * 0.5).tan());
+        let (sin, cos) = gcc_math::det_sin_cos(fov_y * 0.5);
+        let fy = height as f32 / (2.0 * (sin / cos));
         let fx = fy; // square pixels
         Self {
             view,

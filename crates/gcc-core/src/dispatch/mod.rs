@@ -925,7 +925,7 @@ mod tests {
     fn block_pass_kernels_match_effective_test_lane_by_lane() {
         let mut passing = 0usize;
         for p in block_cases() {
-            let test = EffectiveTest::new(p.mean2d, p.conic, p.opacity);
+            let test = EffectiveTest::new(p.mean2d, p.conic, p.ln_opacity);
             for origin in BLOCK_ORIGINS {
                 for cols in BLOCK_COLS {
                     let groups = cols.div_ceil(BLEND_LANES);
@@ -1002,7 +1002,7 @@ mod tests {
     #[test]
     fn block_kernels_reject_ragged_shapes() {
         let p = proj(Vec2::new(4.0, 4.0), SymMat2::new(6.0, 1.0, 5.0), 0.8);
-        let test = EffectiveTest::new(p.mean2d, p.conic, p.opacity);
+        let test = EffectiveTest::new(p.mean2d, p.conic, p.ln_opacity);
         for b in available() {
             let ks = kernel_set(b).unwrap();
             // (cols, mask bytes): no lanes; a 12-lane row is two bytes.

@@ -65,7 +65,7 @@ impl Gaussian3D {
             mean,
             scale,
             rot,
-            ln_opacity: opacity.ln(),
+            ln_opacity: gcc_math::det_ln(opacity),
             sh,
         }
     }
@@ -86,9 +86,11 @@ impl Gaussian3D {
         Self::new(mean, Vec3::splat(radius), Quat::IDENTITY, opacity, sh)
     }
 
-    /// Linear opacity ω.
+    /// Linear opacity ω, through [`gcc_math::det_exp`]. `ln ω` is first
+    /// clamped to `±88`, the range that exponential's exponent scale
+    /// takes: ω flushes to `0` below the normal `f32` range.
     pub fn opacity(&self) -> f32 {
-        self.ln_opacity.exp()
+        gcc_math::det_exp(self.ln_opacity.clamp(-88.0, 88.0))
     }
 
     /// SH coefficients of one color channel.

@@ -96,9 +96,8 @@ pub fn project_gaussian(
         return None;
     }
     let conic = cov2d.inverse()?;
-    let opacity = g.opacity();
     let (l1, _) = cov2d.eigenvalues();
-    let radius = bounding_radius(law, l1, opacity);
+    let radius = bounding_radius(law, l1, g.ln_opacity);
     if radius <= 0.0 {
         return None;
     }
@@ -116,7 +115,7 @@ pub fn project_gaussian(
         cov2d,
         conic,
         depth: pc.z,
-        opacity,
+        opacity: g.opacity(),
         ln_opacity: g.ln_opacity,
         radius,
         color: Vec3::ZERO,

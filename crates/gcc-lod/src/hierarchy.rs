@@ -325,7 +325,7 @@ fn merge_cluster(src: &[Gaussian3D], members: &[Member], idxs: &[u32]) -> Gaussi
         mean,
         scale: Vec3::splat(radius),
         rot: Quat::IDENTITY,
-        ln_opacity: opacity.ln(),
+        ln_opacity: gcc_math::det_ln(opacity),
         sh,
     }
 }
@@ -444,7 +444,7 @@ mod tests {
             mean,
             scale: Vec3::splat(radius),
             rot: Quat::IDENTITY,
-            ln_opacity: opacity.ln(),
+            ln_opacity: gcc_math::det_ln(opacity),
             sh,
         }
     }

@@ -47,7 +47,7 @@ impl Quat {
     /// Panics in debug builds if `axis` is near zero.
     pub fn from_axis_angle(axis: Vec3, angle: f32) -> Self {
         let axis = axis.normalized();
-        let (s, c) = (angle * 0.5).sin_cos();
+        let (s, c) = crate::det_sin_cos(angle * 0.5);
         Self::new(c, axis.x * s, axis.y * s, axis.z * s)
     }
 

@@ -172,7 +172,7 @@ impl Vec2 {
 
     /// Rotates the vector counter-clockwise by `angle` radians.
     pub fn rotated(self, angle: f32) -> Self {
-        let (s, c) = angle.sin_cos();
+        let (s, c) = crate::det_sin_cos(angle);
         Self::new(c * self.x - s * self.y, s * self.x + c * self.y)
     }
 }

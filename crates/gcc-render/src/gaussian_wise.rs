@@ -307,7 +307,7 @@ fn render_window(
             // Gaussians that contribute to the final RGB values" are
             // fully preprocessed (paper §1, Fig. 1 "Conditional
             // Loading").
-            let test = EffectiveTest::new(p.mean2d, p.conic, p.opacity);
+            let test = EffectiveTest::new(p.mean2d, p.conic, p.ln_opacity);
             let tr = tracer.trace(&test, Some(tmask), cfg.mask_mode, ctx.kernels, blocks_buf);
             stats.blocks_dispatched += tr.blocks_dispatched;
             stats.blocks_masked_skips += tr.blocks_masked;

@@ -160,7 +160,8 @@ pub fn pseudo_ground_truth(reference: &Image, target_psnr_db: f64, seed: u64) ->
         target_psnr_db.is_finite() && target_psnr_db > 0.0,
         "bad PSNR target {target_psnr_db}"
     );
-    let sigma = (10.0f64.powf(-target_psnr_db / 20.0)) as f32;
+    // σ = 10^(−PSNR/20) = e^(−PSNR·ln 10 / 20).
+    let sigma = gcc_math::det_exp(-(target_psnr_db as f32) * std::f32::consts::LN_10 / 20.0);
     let mut img = reference.clone();
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
     let mut next = move || {

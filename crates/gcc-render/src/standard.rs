@@ -370,7 +370,7 @@ pub fn render_standard_job(
     let obbs: Vec<Option<Obb>> = match cfg.footprint {
         Footprint::Aabb => Vec::new(),
         Footprint::Obb => par_map_chunked(&projected, threads, stages::FOOTPRINT_NS, |_, p| {
-            Obb::from_cov(p.mean2d, p.cov2d, cfg.law, p.opacity)
+            Obb::from_cov(p.mean2d, p.cov2d, cfg.law, p.ln_opacity)
         }),
     };
 

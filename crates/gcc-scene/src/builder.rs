@@ -20,7 +20,7 @@ use crate::rng::StdRng;
 use crate::scene::{Scene, SceneConfig};
 use crate::trajectory::OrbitRig;
 use gcc_core::{Gaussian3D, SH_COEFFS_PER_CHANNEL, SH_FLOATS};
-use gcc_math::{Quat, Vec3};
+use gcc_math::{det_exp, det_ln, det_sin_cos, Quat, Vec3};
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Mutex;
 
@@ -168,7 +168,13 @@ fn sample_azimuth(params: &PresetParams, rng: &mut StdRng) -> f32 {
 fn normal(rng: &mut StdRng) -> f32 {
     let u1: f32 = rng.gen_range(1e-7..1.0f32);
     let u2: f32 = rng.gen_range(0.0..1.0f32);
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+    (-2.0 * det_ln(u1)).sqrt() * det_sin_cos(std::f32::consts::TAU * u2).1
+}
+
+/// `(dist·cos θ, y, dist·sin θ)`: a point at azimuth `theta`.
+fn at_azimuth(dist: f32, y: f32, theta: f32) -> Vec3 {
+    let (sin, cos) = det_sin_cos(theta);
+    Vec3::new(dist * cos, y, dist * sin)
 }
 
 /// A cluster is a surface patch: a center plus a normal along which the
@@ -220,20 +226,12 @@ fn sample_cluster_positions(params: &PresetParams, rng: &mut StdRng) -> Vec<Vec3
             SceneKind::Outdoor => {
                 let theta = sample_azimuth(params, rng);
                 let dist = r * rng.gen_range(0.15f32..1.0).sqrt();
-                Vec3::new(
-                    dist * theta.cos(),
-                    rng.gen_range(0.0..0.30f32) * r,
-                    dist * theta.sin(),
-                )
+                at_azimuth(dist, rng.gen_range(0.0..0.30f32) * r, theta)
             }
             SceneKind::Indoor => {
                 let theta = sample_azimuth(params, rng);
                 let dist = r * rng.gen_range(0.25f32..0.9);
-                Vec3::new(
-                    dist * theta.cos(),
-                    rng.gen_range(0.0..0.40f32) * r,
-                    dist * theta.sin(),
-                )
+                at_azimuth(dist, rng.gen_range(0.0..0.40f32) * r, theta)
             }
         })
         .collect()
@@ -275,11 +273,7 @@ fn sample_position(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng
                 let theta = sample_azimuth(params, rng);
                 let dist = r * rng.gen_range(0.1f32..1.0);
                 (
-                    Vec3::new(
-                        dist * theta.cos(),
-                        normal(rng) * 0.015 * r,
-                        dist * theta.sin(),
-                    ),
+                    at_azimuth(dist, normal(rng) * 0.015 * r, theta),
                     Role::Ground,
                 )
             } else if u < 0.80 {
@@ -289,11 +283,7 @@ fn sample_position(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng
                 let theta = sample_azimuth(params, rng) * 1.4;
                 let dist = r * rng.gen_range(0.9f32..1.3);
                 (
-                    Vec3::new(
-                        dist * theta.cos(),
-                        rng.gen_range(0.0..0.75f32) * r,
-                        dist * theta.sin(),
-                    ),
+                    at_azimuth(dist, rng.gen_range(0.0..0.75f32) * r, theta),
                     Role::Backdrop,
                 )
             }
@@ -304,11 +294,7 @@ fn sample_position(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng
                 // Wall shell: fixed radius, any height of the room.
                 let theta = sample_azimuth(params, rng) * 1.2;
                 (
-                    Vec3::new(
-                        r * theta.cos(),
-                        rng.gen_range(0.0..0.6f32) * r,
-                        r * theta.sin(),
-                    ),
+                    at_azimuth(r, rng.gen_range(0.0..0.6f32) * r, theta),
                     Role::Backdrop,
                 )
             } else {
@@ -321,33 +307,35 @@ fn sample_position(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng
 fn sample_opacity(params: &PresetParams, rng: &mut StdRng) -> f32 {
     let u: f32 = rng.gen();
     if u < params.opacity_low_frac {
-        // Near-transparent tail, skewed low.
-        let t: f32 = rng.gen::<f32>().powf(1.8);
+        // Near-transparent tail, skewed low: t = u^1.8.
+        let u: f32 = rng.gen();
+        let t = if u == 0.0 {
+            0.0
+        } else {
+            det_exp(1.8 * det_ln(u))
+        };
         0.004 + t * (0.045 - 0.004)
     } else if u < params.opacity_low_frac + params.opacity_mid_frac {
         rng.gen_range(0.08..0.6f32)
     } else {
-        // Opaque mode, skewed toward 1. The exponent is hidden from the
-        // optimizer: under the release profile LLVM rewrites `powf(x, 0.5)`
-        // to `sqrt`, which differs from glibc `powf` by an ulp on some
-        // draws, and the scene would then depend on the build profile.
-        let t: f32 = rng.gen::<f32>().powf(std::hint::black_box(0.5));
+        // Opaque mode, skewed toward 1.
+        let t: f32 = rng.gen::<f32>().sqrt();
         0.6 + 0.4 * t
     }
 }
 
 #[inline(always)]
 fn sample_scale(params: &PresetParams, size_mul: f32, rng: &mut StdRng) -> Vec3 {
-    let base = size_mul * (params.log_scale_mean + params.log_scale_sigma * normal(rng)).exp();
+    let base = size_mul * det_exp(params.log_scale_mean + params.log_scale_sigma * normal(rng));
     // Trained 3DGS splats are strongly surfel-like: two comparable in-plane
     // axes and one much thinner normal axis (ratio ~5-6× on average). The
     // thin axis makes the projected ellipses elongated, which is what makes
     // OBBs ~3× tighter than AABBs (paper Table 1).
-    let in_plane = |rng: &mut StdRng| (0.35 * normal(rng)).exp();
+    let in_plane = |rng: &mut StdRng| det_exp(0.35 * normal(rng));
     Vec3::new(
         base * in_plane(rng),
         base * in_plane(rng),
-        base * (-1.7 + 0.5 * normal(rng)).exp(),
+        base * det_exp(-1.7 + 0.5 * normal(rng)),
     )
 }
 
@@ -359,7 +347,9 @@ fn sample_rotation(rng: &mut StdRng) -> Quat {
     let u3: f32 = rng.gen::<f32>() * std::f32::consts::TAU;
     let a = (1.0 - u1).sqrt();
     let b = u1.sqrt();
-    Quat::new(a * u2.sin(), a * u2.cos(), b * u3.sin(), b * u3.cos())
+    let (sin2, cos2) = det_sin_cos(u2);
+    let (sin3, cos3) = det_sin_cos(u3);
+    Quat::new(a * sin2, a * cos2, b * sin3, b * cos3)
 }
 
 #[inline(always)]

@@ -50,12 +50,12 @@ impl OrbitRig {
         width: u32,
         height: u32,
     ) -> Camera {
-        let a = self.phase + angle;
+        let (sin, cos) = gcc_math::det_sin_cos(self.phase + angle);
         let eye = self.center
             + Vec3::new(
-                self.radius * radius_scale * a.cos(),
+                self.radius * radius_scale * cos,
                 self.height + height_offset,
-                self.radius * radius_scale * a.sin(),
+                self.radius * radius_scale * sin,
             );
         Camera::look_at(
             eye,

@@ -14,7 +14,7 @@ use gcc_core::dispatch;
 use gcc_core::grouping::{group_by_depth, GroupingConfig};
 use gcc_core::projection::{covariance3d, project_gaussian};
 use gcc_core::{Camera, Gaussian3D};
-use gcc_math::{Quat, SymMat2, Vec2, Vec3};
+use gcc_math::{det_exp, det_ln, Quat, SymMat2, Vec2, Vec3};
 use gcc_scene::rng::StdRng;
 
 const CASES: usize = 64;
@@ -122,9 +122,9 @@ fn projected_covariance_is_positive_definite() {
 fn omega_sigma_is_tighter_below_crossover() {
     check("omega_sigma_is_tighter_below_crossover", |rng| {
         let lambda = rng.gen_range(0.1f32..100.0);
-        let op = rng.gen_range(0.005f32..0.35);
-        let dynamic = bounding_radius(BoundingLaw::OmegaSigma, lambda, op);
-        let fixed = bounding_radius(BoundingLaw::ThreeSigma, lambda, op);
+        let ln_op = det_ln(rng.gen_range(0.005f32..0.35));
+        let dynamic = bounding_radius(BoundingLaw::OmegaSigma, lambda, ln_op);
+        let fixed = bounding_radius(BoundingLaw::ThreeSigma, lambda, ln_op);
         assert!(dynamic <= fixed, "ω-σ {dynamic} > 3σ {fixed}");
     });
 }
@@ -135,12 +135,12 @@ fn alpha_at_omega_sigma_boundary_is_at_most_threshold() {
         "alpha_at_omega_sigma_boundary_is_at_most_threshold",
         |rng| {
             // Eq. 7/8: on the ω-σ boundary, α = 1/255 exactly (up to rounding).
-            let op = rng.gen_range(0.005f32..1.0);
-            let extent = omega_sigma_extent_sq(op);
+            let ln_op = det_ln(rng.gen_range(0.005f32..1.0));
+            let extent = omega_sigma_extent_sq(ln_op);
             if extent <= 0.0 {
                 return;
             }
-            let alpha = (op.ln() - 0.5 * extent).exp();
+            let alpha = det_exp(ln_op - 0.5 * extent);
             assert!((alpha - 1.0 / 255.0).abs() < 1e-5);
         },
     );
@@ -154,13 +154,13 @@ fn algorithm1_matches_exhaustive_scan() {
         let a = rng.gen_range(2.0f32..40.0);
         let b = rng.gen_range(-8.0f32..8.0);
         let c = rng.gen_range(2.0f32..40.0);
-        let op = rng.gen_range(0.01f32..1.0);
+        let ln_op = det_ln(rng.gen_range(0.01f32..1.0));
         let cov = SymMat2::new(a, b, c);
         if !cov.is_positive_definite() {
             return;
         }
         let conic = cov.inverse().unwrap();
-        let test = EffectiveTest::new(Vec2::new(cx, cy), conic, op);
+        let test = EffectiveTest::new(Vec2::new(cx, cy), conic, ln_op);
         let mut tracer = PixelTracer::new(64, 64);
         let mut out = Vec::new();
         tracer.trace(&test, &mut out);
@@ -185,13 +185,13 @@ fn block_trace_covers_every_effective_pixel() {
         let cy = rng.gen_range(4.0f32..60.0);
         let a = rng.gen_range(2.0f32..60.0);
         let c = rng.gen_range(2.0f32..60.0);
-        let op = rng.gen_range(0.02f32..1.0);
+        let ln_op = det_ln(rng.gen_range(0.02f32..1.0));
         let cov = SymMat2::new(a, a.min(c) * 0.3, c);
         if !cov.is_positive_definite() {
             return;
         }
         let conic = cov.inverse().unwrap();
-        let test = EffectiveTest::new(Vec2::new(cx, cy), conic, op);
+        let test = EffectiveTest::new(Vec2::new(cx, cy), conic, ln_op);
         // Every block edge the design-space sweep uses, on every kernel
         // table the host can run.
         for block in [4, 8, 12, 16] {

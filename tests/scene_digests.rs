@@ -53,23 +53,23 @@ fn pinned_scenes() -> Vec<(ScenePreset, f32)> {
 
 /// `[default seed, OTHER_SEED]` digests, in [`pinned_scenes`] order.
 const PINS: [[u64; 2]; 17] = [
-    [0xb297f03e1ed66bf8, 0xb815e7a611d971b8], // Palace@0.02
-    [0xfb7ee275016931eb, 0xd7be9d7d938c7c17], // Palace@0.1
-    [0x83ace3b4f2c7fe38, 0xf063d08559a085f3], // Lego@0.02
-    [0xc31abb65030b9c58, 0xd95c988860d4673a], // Lego@0.1
-    [0x74a36118109808c9, 0x1373657aa67b5f48], // Train@0.02
-    [0xde19b69cd000ab18, 0x227a6177fe8c136f], // Train@0.1
-    [0xd04291371ed5dd16, 0xe1ace1ace5da16b1], // Truck@0.02
-    [0x665b4ca90b00cb9b, 0x370cdee45535d3b1], // Truck@0.1
-    [0xdbf922cf2a9f5d4b, 0x63655362fffc30b0], // Playroom@0.02
-    [0xcd025036bfcd6b24, 0x5d2187862657936b], // Playroom@0.1
-    [0xc169060648841d50, 0x61996f5318b3d2ab], // Drjohnson@0.02
-    [0x3794a46a6a70deab, 0x71c1f95d48bab8c7], // Drjohnson@0.1
-    [0x958c39a692d26730, 0xf05d21eb98f7dedb], // Lego@0.5
-    [0xd0d44c93893c2b7a, 0x6a0fed25aa6f68f3], // Lego@0.25
-    [0x36dd44bf236fadc3, 0x50538c75dc25e93c], // Lego@0.15
-    [0x827bfceb86221425, 0xe56cd617b4a70ca5], // Train@0.05
-    [0xcc6d7be6436af6d2, 0xf136d34d7fc33861], // Palace@0.18
+    [0xa209ea326e1e75f1, 0x51228ddd112bc7da], // Palace@0.02
+    [0xf26c47e876cc6060, 0xd5faf7e5f171ad27], // Palace@0.1
+    [0x640ce31c27667b23, 0x00b7bd5b28199a94], // Lego@0.02
+    [0x87d1d3a96178f502, 0x560d04fc1c6067e3], // Lego@0.1
+    [0x2211b49c63834631, 0x0bfb1c98cabccb7d], // Train@0.02
+    [0xc2fe344c71292f4c, 0x93ae7460658148c0], // Train@0.1
+    [0x085d09914bc4b787, 0xddfc9897ed071207], // Truck@0.02
+    [0x5c32b748bd0c35f3, 0x2ed432ee28d2bd62], // Truck@0.1
+    [0x04836c4bb0770f8a, 0x354a34cbd1d2b8b7], // Playroom@0.02
+    [0x158a7a7c84fce7e1, 0x2f5bb63a7576436d], // Playroom@0.1
+    [0xbe4cfc47395ecb46, 0x81562a2b9ea6c0b5], // Drjohnson@0.02
+    [0x73ebe2672bf689b5, 0xaaa49fcb02e884ca], // Drjohnson@0.1
+    [0x2605dc5a44fbffc4, 0x690660d79f904ba6], // Lego@0.5
+    [0xaa2064abcbd33bb5, 0xde6055ad385e0f0c], // Lego@0.25
+    [0xd0b2c4c0d948eccf, 0xf3e634cece53a52a], // Lego@0.15
+    [0xa28b6a240963e17f, 0x5f4ad5d616482b95], // Train@0.05
+    [0x0f1322b7d3397f44, 0x0cdf36e9a2764522], // Palace@0.18
 ];
 
 fn config(scale: f32, seed: Option<u64>) -> SceneConfig {
