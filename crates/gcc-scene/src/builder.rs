@@ -38,11 +38,13 @@ const BLOCK: usize = 128;
 /// (≈ 56 bytes each) stay in cache.
 const BLOCKS_AHEAD: usize = 16;
 
-/// Draws the tail of a Gaussian consumes, whatever the [`SceneKind`]:
-/// four normals of [`sample_scale`], three uniforms of [`sample_rotation`]
-/// and one normal per coefficient of [`sample_sh`], a normal being two
-/// draws.
-const TAIL_DRAWS: usize = 2 * 4 + 3 + 2 * SH_FLOATS;
+/// Normals of a Gaussian's tail: four of [`sample_scale`], then one per
+/// coefficient of [`sample_sh`].
+const TAIL_NORMALS: usize = 4 + SH_FLOATS;
+
+/// Draws the tail of a Gaussian consumes, whatever the [`SceneKind`]: two
+/// per normal and the three uniforms of [`sample_rotation`].
+const TAIL_DRAWS: usize = 2 * TAIL_NORMALS + 3;
 
 /// Builds a scene from preset parameters and a config, on up to `threads`
 /// threads. Any thread count builds the same scene, bit for bit.
@@ -164,11 +166,23 @@ fn sample_azimuth(params: &PresetParams, rng: &mut StdRng) -> f32 {
     rng.gen_range(-half..half)
 }
 
+/// The Box–Muller pair of one normal, `u1` on `[1e-7, 1)`, `u2` on
+/// `[0, 1)`.
+#[inline(always)]
+fn normal_draws(rng: &mut StdRng) -> (f32, f32) {
+    (rng.gen_range(1e-7..1.0f32), rng.gen_range(0.0..1.0f32))
+}
+
+/// Box–Muller: the standard normal of one pair of [`normal_draws`].
+#[inline(always)]
+fn box_muller(u1: f32, u2: f32) -> f32 {
+    (-2.0 * det_ln(u1)).sqrt() * det_sin_cos(std::f32::consts::TAU * u2).1
+}
+
 /// Standard normal via Box–Muller.
 fn normal(rng: &mut StdRng) -> f32 {
-    let u1: f32 = rng.gen_range(1e-7..1.0f32);
-    let u2: f32 = rng.gen_range(0.0..1.0f32);
-    (-2.0 * det_ln(u1)).sqrt() * det_sin_cos(std::f32::consts::TAU * u2).1
+    let (u1, u2) = normal_draws(rng);
+    box_muller(u1, u2)
 }
 
 /// `(dist·cos θ, y, dist·sin θ)`: a point at azimuth `theta`.
@@ -324,27 +338,59 @@ fn sample_opacity(params: &PresetParams, rng: &mut StdRng) -> f32 {
     }
 }
 
+/// The uniforms of a Gaussian's tail, each mapped as it is drawn: the
+/// Box–Muller pairs of its normals and the three of its rotation.
+struct TailDraws {
+    u1: [f32; TAIL_NORMALS],
+    u2: [f32; TAIL_NORMALS],
+    rotation: [f32; 3],
+}
+
+/// Draws a Gaussian's tail: exactly [`TAIL_DRAWS`] draws of `rng`, in
+/// the order the tail consumes them — the four scale pairs, the
+/// rotation, then the SH pairs.
 #[inline(always)]
-fn sample_scale(params: &PresetParams, size_mul: f32, rng: &mut StdRng) -> Vec3 {
-    let base = size_mul * det_exp(params.log_scale_mean + params.log_scale_sigma * normal(rng));
+fn draw_tail(rng: &mut StdRng) -> TailDraws {
+    let mut draws = TailDraws {
+        u1: [0.0; TAIL_NORMALS],
+        u2: [0.0; TAIL_NORMALS],
+        rotation: [0.0; 3],
+    };
+    let mut pair = |i: usize, rng: &mut StdRng| {
+        (draws.u1[i], draws.u2[i]) = normal_draws(rng);
+    };
+    for i in 0..4 {
+        pair(i, rng);
+    }
+    let rotation = [
+        rng.gen::<f32>(),
+        rng.gen::<f32>() * std::f32::consts::TAU,
+        rng.gen::<f32>() * std::f32::consts::TAU,
+    ];
+    for i in 4..TAIL_NORMALS {
+        pair(i, rng);
+    }
+    draws.rotation = rotation;
+    draws
+}
+
+#[inline(always)]
+fn sample_scale(params: &PresetParams, size_mul: f32, normals: &[f32; 4]) -> Vec3 {
+    let base = size_mul * det_exp(params.log_scale_mean + params.log_scale_sigma * normals[0]);
     // Trained 3DGS splats are strongly surfel-like: two comparable in-plane
     // axes and one much thinner normal axis (ratio ~5-6× on average). The
     // thin axis makes the projected ellipses elongated, which is what makes
     // OBBs ~3× tighter than AABBs (paper Table 1).
-    let in_plane = |rng: &mut StdRng| det_exp(0.35 * normal(rng));
     Vec3::new(
-        base * in_plane(rng),
-        base * in_plane(rng),
-        base * det_exp(-1.7 + 0.5 * normal(rng)),
+        base * det_exp(0.35 * normals[1]),
+        base * det_exp(0.35 * normals[2]),
+        base * det_exp(-1.7 + 0.5 * normals[3]),
     )
 }
 
 #[inline(always)]
-fn sample_rotation(rng: &mut StdRng) -> Quat {
-    // Uniform random rotation (Shoemake).
-    let u1: f32 = rng.gen();
-    let u2: f32 = rng.gen::<f32>() * std::f32::consts::TAU;
-    let u3: f32 = rng.gen::<f32>() * std::f32::consts::TAU;
+fn sample_rotation([u1, u2, u3]: [f32; 3]) -> Quat {
+    // Uniform random rotation (Shoemake): u1 on [0, 1), u2 and u3 angles.
     let a = (1.0 - u1).sqrt();
     let b = u1.sqrt();
     let (sin2, cos2) = det_sin_cos(u2);
@@ -353,19 +399,19 @@ fn sample_rotation(rng: &mut StdRng) -> Quat {
 }
 
 #[inline(always)]
-fn sample_sh(rng: &mut StdRng) -> [f32; SH_FLOATS] {
+fn sample_sh(normals: &[f32; SH_FLOATS]) -> [f32; SH_FLOATS] {
     let mut sh = [0.0f32; SH_FLOATS];
     for c in 0..3 {
         let base = c * SH_COEFFS_PER_CHANNEL;
         // DC: colors spread around 0.5 after the +0.5 offset of Eq. 2.
-        sh[base] = normal(rng) * 0.55;
+        sh[base] = normals[base] * 0.55;
         // Degree 1–3: decaying view-dependent detail.
         for l in 1..=3usize {
             let sigma = 0.15 / (l * l) as f32;
             let start = l * l;
             let end = (l + 1) * (l + 1);
             for k in start..end {
-                sh[base + k] = normal(rng) * sigma;
+                sh[base + k] = normals[base + k] * sigma;
             }
         }
     }
@@ -413,19 +459,27 @@ fn sample_gaussian(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng
 }
 
 /// The rest of the Gaussian `head` starts: exactly [`TAIL_DRAWS`] draws
-/// of `rng`, in this order.
+/// of `rng`. They are all drawn first ([`draw_tail`]), then the normals
+/// are evaluated as one batch: no draw waits on an evaluation, and no
+/// evaluation on the serial generator.
 ///
 /// The samplers on this path are `inline(always)`: with two callers (the
 /// fused loop, the fillers) the compiler otherwise stops inlining what it
 /// inlined for one, and the one-thread build gets 3–4 % slower.
 #[inline(always)]
 fn sample_tail(params: &PresetParams, head: &Head, rng: &mut StdRng) -> Gaussian3D {
+    let draws = draw_tail(rng);
+    let mut normals = [0.0f32; TAIL_NORMALS];
+    for ((n, &u1), &u2) in normals.iter_mut().zip(&draws.u1).zip(&draws.u2) {
+        *n = box_muller(u1, u2);
+    }
+    let (scale, sh) = normals.split_at(4);
     Gaussian3D::new(
         head.position,
-        sample_scale(params, head.size_mul, rng),
-        sample_rotation(rng),
+        sample_scale(params, head.size_mul, scale.try_into().expect("four")),
+        sample_rotation(draws.rotation),
         head.opacity,
-        sample_sh(rng),
+        sample_sh(sh.try_into().expect("one per coefficient")),
     )
 }
 
@@ -475,6 +529,34 @@ mod tests {
                 sample_tail(&params, &head, &mut rng);
                 assert_eq!(rng.gen::<u64>(), stepped.gen::<u64>(), "{preset}");
             }
+        }
+    }
+
+    #[test]
+    fn the_batched_tail_draws_exactly_tail_draws_in_consumption_order() {
+        // The tail is drawn whole before any of it is evaluated: the draw
+        // step alone leaves the generator where stepping over
+        // `TAIL_DRAWS` does, and holds the draws in the order the
+        // samplers consume them — four normals, the rotation, 48 normals.
+        assert_eq!(TAIL_DRAWS, 107);
+        let mut rng = StdRng::seed_from_u64(0x7A11);
+        for _ in 0..100 {
+            let mut stepped = rng.clone();
+            stepped.advance(TAIL_DRAWS);
+            let mut one_by_one = rng.clone();
+            let draws = draw_tail(&mut rng);
+            assert_eq!(rng.gen::<u64>(), stepped.gen::<u64>());
+            let mut pairs = (0..4)
+                .map(|_| normal_draws(&mut one_by_one))
+                .collect::<Vec<_>>();
+            let u1 = one_by_one.gen::<f32>();
+            let u2 = one_by_one.gen::<f32>() * std::f32::consts::TAU;
+            let u3 = one_by_one.gen::<f32>() * std::f32::consts::TAU;
+            pairs.extend((0..SH_FLOATS).map(|_| normal_draws(&mut one_by_one)));
+            let (want_u1, want_u2): (Vec<f32>, Vec<f32>) = pairs.into_iter().unzip();
+            assert_eq!(draws.u1.as_slice(), want_u1);
+            assert_eq!(draws.u2.as_slice(), want_u2);
+            assert_eq!(draws.rotation, [u1, u2, u3]);
         }
     }
 
