@@ -8,10 +8,12 @@
 //! Gaussian-wise schedule; the effective row spans of a (Gaussian, tile)
 //! pair and the power chains over those spans for the tile-wise one; and
 //! the tail both share, the exponential/clamp of alpha evaluation and the
-//! masked front-to-back blend of those alphas into the pixel planes. This
-//! module provides explicitly vectorized `core::arch` implementations of
-//! those loops (SSE2/AVX2 on x86-64) behind a one-time runtime dispatch
-//! table, with the scalar path kept as the bit-exactness reference.
+//! masked front-to-back blend of those alphas into the pixel planes. A
+//! ninth kernel runs before any frame: the Box–Muller transform that turns
+//! a synthetic scene's uniform draws into its normals. This module
+//! provides explicitly vectorized `core::arch` implementations of those
+//! loops (SSE2/AVX2 on x86-64) behind a one-time runtime dispatch table,
+//! with the scalar path kept as the bit-exactness reference.
 //!
 //! # Bit-exactness contract
 //!
@@ -22,6 +24,9 @@
 //! * the exponential is [`gcc_math::exp::det_exp`] — a fixed sequence of
 //!   IEEE-754 single-precision operations with no FMA and no libm call —
 //!   and the SIMD kernels perform the same per-lane operation sequence;
+//!   so are the logarithm and cosine of [`BoxMullerFn`]
+//!   ([`gcc_math::det_ln`], [`gcc_math::det_sin_cos`]), whose every
+//!   data-dependent choice is a bit-mask select a lane can make;
 //! * sequentially-dependent arithmetic (the
 //!   [`RowAlpha`](crate::alpha::RowAlpha) forward-difference chain) is
 //!   never re-associated: [`BlockPowersFn`] and [`SpanPowersFn`] run the
@@ -55,7 +60,7 @@
 //! included). Not every table has a vector body for every kernel — the
 //! documented fallback of [`KernelSet`] is the scalar twin, bit-identical
 //! either way: SSE2 routes `sh_colors` (no gathers), `row_spans` (no
-//! `roundpd`) and `span_powers` there. Setting the environment variable
+//! `roundpd`), `span_powers` and `box_muller` there. Setting the environment variable
 //! `GCC_FORCE_SCALAR` to anything but `0`/empty forces the scalar
 //! reference. Renderer configs can also pin a backend per call
 //! (`StandardConfig::backend`), which is what the in-process parity tests
@@ -350,6 +355,38 @@ pub type ShColorsFn = fn(
     out: &mut [ProjectedGaussian],
 );
 
+/// Box–Muller transform of a batch of uniform pairs: `out[i]` is
+/// [`box_muller_one`]`(u1[i], u2[i])`, the standard normal
+/// `√(−2·ln u1) · cos(2π·u2)` through [`gcc_math::det_ln`] and
+/// [`gcc_math::det_sin_cos`]. The scene builder evaluates a Gaussian's
+/// 52 tail normals in one call. The SIMD twins run `det_ln`'s and
+/// `det_sin_cos`'s operation sequences per lane, selects included, so
+/// they are bit-identical for every `u1` — not only the builder's
+/// `[1e-7, 1)` — and every `u2` whose angle `2π·u2` is within
+/// [`gcc_math::det::DET_SIN_COS_MAX`], the range the cosine is specified
+/// on.
+///
+/// # Panics
+///
+/// Panics when the three slices differ in length.
+pub type BoxMullerFn = fn(u1: &[f32], u2: &[f32], out: &mut [f32]);
+
+/// The length check every [`BoxMullerFn`] twin runs first.
+fn box_muller_len(u1: &[f32], u2: &[f32], out: &[f32]) {
+    assert!(
+        u1.len() == out.len() && u2.len() == out.len(),
+        "box_muller takes equal-length slices"
+    );
+}
+
+/// One Box–Muller normal, the element [`BoxMullerFn`] is defined by:
+/// `√(−2·ln u1) · cos(2π·u2)` with [`gcc_math::det_ln`] and
+/// [`gcc_math::det_sin_cos`].
+#[inline(always)]
+pub fn box_muller_one(u1: f32, u2: f32) -> f32 {
+    (-2.0 * gcc_math::det_ln(u1)).sqrt() * gcc_math::det_sin_cos(std::f32::consts::TAU * u2).1
+}
+
 /// The dispatch table: one function pointer per vectorized hot loop, all
 /// from the same backend (except where a backend has no profitable
 /// implementation of a kernel, in which case the scalar twin is wired in —
@@ -375,6 +412,8 @@ pub struct KernelSet {
     pub blend_span: BlendSpanFn,
     /// SH color evaluation kernel.
     pub sh_colors: ShColorsFn,
+    /// Box–Muller normals from uniform pairs (scene synthesis).
+    pub box_muller: BoxMullerFn,
 }
 
 /// The scalar reference table.
@@ -388,6 +427,7 @@ static SCALAR: KernelSet = KernelSet {
     alpha_powers: scalar::alpha_powers,
     blend_span: scalar::blend_span,
     sh_colors: scalar::sh_colors,
+    box_muller: scalar::box_muller,
 };
 
 /// Best backend the current CPU supports, ignoring any override.
@@ -1434,7 +1474,7 @@ mod tests {
     }
 
     #[test]
-    fn the_scalar_table_holds_the_eight_scalar_twins() {
+    fn the_scalar_table_holds_the_nine_scalar_twins() {
         // What a `Backend::Scalar`-pinned render runs: no entry of the
         // reference table may route to an intrinsic kernel.
         let ks = kernel_set(Backend::Scalar).unwrap();
@@ -1471,6 +1511,108 @@ mod tests {
             ks.sh_colors,
             scalar::sh_colors as ShColorsFn
         ));
+        assert!(std::ptr::fn_addr_eq(
+            ks.box_muller,
+            scalar::box_muller as BoxMullerFn
+        ));
+    }
+
+    /// The scene builder's uniform lattice point `k · 2⁻²⁴`.
+    fn lattice(k: u32) -> f32 {
+        (k & 0x00ff_ffff) as f32 * (1.0 / (1u32 << 24) as f32)
+    }
+
+    /// Every backend's `box_muller` against the scalar twin, bit for bit.
+    fn assert_box_muller(u1: &[f32], u2: &[f32]) {
+        let mut want = vec![0.0f32; u1.len()];
+        (SCALAR.box_muller)(u1, u2, &mut want);
+        for b in available() {
+            let mut got = vec![f32::NAN; u1.len()];
+            (kernel_set(b).unwrap().box_muller)(u1, u2, &mut got);
+            for i in 0..u1.len() {
+                assert_eq!(
+                    got[i].to_bits(),
+                    want[i].to_bits(),
+                    "box_muller {b}: ({}, {}) at {i} of {}",
+                    u1[i],
+                    u2[i],
+                    u1.len()
+                );
+            }
+        }
+    }
+
+    /// The pairs the builder draws for lattice points `ks`: `u1` mapped
+    /// onto `[1e-7, 1)`, `u2` the lattice point of an odd multiple of `k`
+    /// so the two sweep independently.
+    fn builder_pairs(ks: impl Iterator<Item = u32>) -> (Vec<f32>, Vec<f32>) {
+        ks.map(|k| {
+            let u1 = (1e-7 + lattice(k) * (1.0 - 1e-7)).min(1.0f32.next_down());
+            (u1, lattice(k.wrapping_mul(0x9E37_79B1)))
+        })
+        .unzip()
+    }
+
+    #[test]
+    fn box_muller_kernels_match_the_scalar_twin_at_every_length() {
+        // Whole vectors, a ragged tail on either side of one, the SH
+        // batch and the whole tail the builder evaluates.
+        for len in [0usize, 1, 7, 8, 9, 48, 52] {
+            for start in [0u32, 1, 4096, 0x00ff_fff0] {
+                let (u1, u2) = builder_pairs((start..).take(len));
+                assert_box_muller(&u1, &u2);
+            }
+        }
+        // Off the builder's domain: zero, one, subnormals, the √½ split,
+        // negative and non-finite inputs, in every lane position.
+        let odd = [
+            0.0,
+            -0.0,
+            1.0,
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            std::f32::consts::FRAC_1_SQRT_2,
+            -0.5,
+            f32::INFINITY,
+            f32::NAN,
+            3.5,
+        ];
+        let (base1, base2) = builder_pairs(0..13);
+        for &v in &odd {
+            for at in 0..base1.len() {
+                let mut u1 = base1.clone();
+                u1[at] = v;
+                assert_box_muller(&u1, &base2);
+                let mut u2 = base2.clone();
+                u2[at] = if v.is_finite() { v * 100.0 } else { 0.25 };
+                assert_box_muller(&base1, &u2);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "every lattice point: run in release"]
+    fn box_muller_kernels_match_the_scalar_twin_on_the_whole_lattice() {
+        const CHUNK: u32 = 1 << 16;
+        for start in (0..1u32 << 24).step_by(CHUNK as usize) {
+            let (u1, u2) = builder_pairs(start..start + CHUNK);
+            assert_box_muller(&u1, &u2);
+            // The raw lattice as u1, zero included.
+            let raw: Vec<f32> = (start..start + CHUNK).map(lattice).collect();
+            assert_box_muller(&raw, &u2);
+        }
+    }
+
+    #[test]
+    fn box_muller_kernels_reject_ragged_slices() {
+        for b in available() {
+            let ks = kernel_set(b).unwrap();
+            let ragged = std::panic::catch_unwind(|| {
+                (ks.box_muller)(&[0.5; 8], &[0.5; 9], &mut [0.0; 8]);
+            });
+            assert!(ragged.is_err(), "{b} box_muller took 8, 9 and 8");
+        }
     }
 
     #[test]

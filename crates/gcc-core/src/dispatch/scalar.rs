@@ -10,8 +10,8 @@ use crate::{Gaussian3D, ProjectedGaussian, TRANSMITTANCE_EPS};
 use gcc_math::Vec3;
 
 use super::{
-    blend_lanes_len, block_pass_groups, block_powers_rows, span_powers_shape, BlendCounts,
-    PixelLanes, BLEND_LANES,
+    blend_lanes_len, block_pass_groups, block_powers_rows, box_muller_len, box_muller_one,
+    span_powers_shape, BlendCounts, PixelLanes, BLEND_LANES,
 };
 
 /// Scalar [`crate::dispatch::DepthKeysFn`].
@@ -153,5 +153,13 @@ pub fn sh_colors(
         let coeffs = &gaussians[p.id as usize].sh;
         let dir = Vec3::new(dir_x[i], dir_y[i], dir_z[i]);
         p.color = crate::sh::eval_color_deg(coeffs, dir, degree);
+    }
+}
+
+/// Scalar [`crate::dispatch::BoxMullerFn`]: [`box_muller_one`] per pair.
+pub fn box_muller(u1: &[f32], u2: &[f32], out: &mut [f32]) {
+    box_muller_len(u1, u2, out);
+    for ((n, &a), &b) in out.iter_mut().zip(u1).zip(u2) {
+        *n = box_muller_one(a, b);
     }
 }

@@ -13,13 +13,16 @@ use core::arch::x86_64::*;
 use crate::alpha::{EffectiveSpanWalker, PAD_POWER};
 use crate::bounds::EffectiveTest;
 use crate::{Gaussian3D, ProjectedGaussian, ALPHA_MAX, ALPHA_MIN, TRANSMITTANCE_EPS};
+use gcc_math::det::{
+    DET_COS_POLY, DET_FOUR_OVER_PI, DET_LN_POLY, DET_LN_SQRT_HALF, DET_PI_4_SPLIT, DET_SIN_POLY,
+};
 use gcc_math::exp::{DET_EXP_LN2_HI, DET_EXP_LN2_LO, DET_EXP_LOG2E, DET_EXP_POLY, EXP_INPUT_MIN};
 use gcc_math::Vec3;
 
 use super::scalar;
 use super::{
-    blend_lanes_len, block_pass_groups, block_powers_rows, span_powers_shape, BlendCounts,
-    KernelSet, PixelLanes, BLEND_LANES,
+    blend_lanes_len, block_pass_groups, block_powers_rows, box_muller_len, span_powers_shape,
+    BlendCounts, KernelSet, PixelLanes, BLEND_LANES,
 };
 
 /// Whether this CPU runs the AVX2 table: AVX2 for the vector bodies and
@@ -33,7 +36,8 @@ pub(super) fn avx2_available() -> bool {
 /// has no profitable SSE2 form (no gathers) and the span solve none at all
 /// (no packed `floor` / `ceil` before SSE4.1), so they route to the scalar
 /// twins, and so does the span fill, whose write-out leans on AVX2's
-/// variable blends and lane permutes — bit-identical either way.
+/// variable blends and lane permutes, and the Box–Muller transform, whose
+/// selects lean on them too — bit-identical either way.
 pub(super) static SSE2: KernelSet = KernelSet {
     backend: super::Backend::Sse2,
     depth_keys: depth_keys_sse2,
@@ -44,6 +48,7 @@ pub(super) static SSE2: KernelSet = KernelSet {
     alpha_powers: alpha_powers_sse2,
     blend_span: blend_span_sse2,
     sh_colors: scalar::sh_colors,
+    box_muller: scalar::box_muller,
 };
 
 /// The AVX2 dispatch table. Only reachable through
@@ -58,6 +63,7 @@ pub(super) static AVX2: KernelSet = KernelSet {
     alpha_powers: alpha_powers_avx2,
     blend_span: blend_span_avx2,
     sh_colors: sh_colors_avx2,
+    box_muller: box_muller_avx2,
 };
 
 fn depth_keys_sse2(depths: &[f32], keys: &mut [u32]) {
@@ -1198,4 +1204,141 @@ unsafe fn sh_colors8_avx2(
     for (l, p) in out.iter_mut().enumerate() {
         p.color = Vec3::new(rgb[0][l], rgb[1][l], rgb[2][l]);
     }
+}
+
+fn box_muller_avx2(u1: &[f32], u2: &[f32], out: &mut [f32]) {
+    box_muller_len(u1, u2, out);
+    debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+    // SAFETY: the AVX2 table is only handed out after feature detection,
+    // and the lengths are checked.
+    unsafe { box_muller_avx2_impl(u1, u2, out) }
+}
+
+/// 8-lane [`scalar::box_muller`]: per lane the operation sequence of
+/// `gcc_math::det_ln` and of `gcc_math::det_sin_cos`'s cosine, their
+/// bit-mask selects as blends, then `sqrt` and one multiply. The caller
+/// has checked that the slices share one length.
+#[target_feature(enable = "avx2")]
+unsafe fn box_muller_avx2_impl(u1: &[f32], u2: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let mut i = 0;
+    unsafe {
+        while i + 8 <= n {
+            let a = _mm256_loadu_ps(u1.as_ptr().add(i));
+            let b = _mm256_loadu_ps(u2.as_ptr().add(i));
+            _mm256_storeu_ps(out.as_mut_ptr().add(i), box_muller8_avx2(a, b));
+            i += 8;
+        }
+        if i < n {
+            // Padded tail: the same 8-lane body on a stack copy padded
+            // with (1, 0), whose lanes are discarded.
+            let (mut a, mut b) = ([1.0f32; 8], [0.0f32; 8]);
+            a[..n - i].copy_from_slice(&u1[i..]);
+            b[..n - i].copy_from_slice(&u2[i..]);
+            let mut normals = [0.0f32; 8];
+            let v = box_muller8_avx2(_mm256_loadu_ps(a.as_ptr()), _mm256_loadu_ps(b.as_ptr()));
+            _mm256_storeu_ps(normals.as_mut_ptr(), v);
+            out[i..].copy_from_slice(&normals[..n - i]);
+        }
+    }
+}
+
+/// `√(−2·ln u1) · cos(2π·u2)` on eight lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn box_muller8_avx2(u1: __m256, u2: __m256) -> __m256 {
+    let radius = _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), ln8_avx2(u1)));
+    let angle = _mm256_mul_ps(_mm256_set1_ps(std::f32::consts::TAU), u2);
+    _mm256_mul_ps(radius, cos8_avx2(angle))
+}
+
+/// `gcc_math::det_ln` on eight lanes, operation for operation.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn ln8_avx2(x: __m256) -> __m256 {
+    let one = _mm256_set1_ps(1.0);
+    let sub = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(f32::MIN_POSITIVE));
+    let xs = _mm256_mul_ps(x, _mm256_blendv_ps(one, _mm256_set1_ps(33_554_432.0), sub));
+    let bits = _mm256_castps_si256(xs);
+    let e = _mm256_sub_epi32(
+        _mm256_sub_epi32(_mm256_srli_epi32::<23>(bits), _mm256_set1_epi32(126)),
+        _mm256_and_si256(_mm256_castps_si256(sub), _mm256_set1_epi32(25)),
+    );
+    let m = _mm256_castsi256_ps(_mm256_or_si256(
+        _mm256_and_si256(bits, _mm256_set1_epi32(0x007f_ffff)),
+        _mm256_set1_epi32(0x3f00_0000),
+    ));
+    let low = _mm256_cmp_ps::<_CMP_LT_OQ>(m, _mm256_set1_ps(DET_LN_SQRT_HALF));
+    let e = _mm256_sub_epi32(
+        e,
+        _mm256_and_si256(_mm256_castps_si256(low), _mm256_set1_epi32(1)),
+    );
+    let f = _mm256_add_ps(_mm256_sub_ps(m, one), _mm256_and_ps(m, low));
+    let z = _mm256_mul_ps(f, f);
+    let mut p = _mm256_set1_ps(DET_LN_POLY[0]);
+    for &c in &DET_LN_POLY[1..] {
+        p = _mm256_add_ps(_mm256_mul_ps(p, f), _mm256_set1_ps(c));
+    }
+    let fe = _mm256_cvtepi32_ps(e);
+    let mut y = _mm256_mul_ps(_mm256_mul_ps(p, f), z);
+    y = _mm256_add_ps(y, _mm256_mul_ps(fe, _mm256_set1_ps(DET_EXP_LN2_LO)));
+    y = _mm256_add_ps(y, _mm256_mul_ps(_mm256_set1_ps(-0.5), z));
+    let r = _mm256_add_ps(
+        _mm256_add_ps(f, y),
+        _mm256_mul_ps(fe, _mm256_set1_ps(DET_EXP_LN2_HI)),
+    );
+    let inf = _mm256_set1_ps(f32::INFINITY);
+    let zero = _mm256_setzero_ps();
+    let r = _mm256_blendv_ps(r, inf, _mm256_cmp_ps::<_CMP_EQ_OQ>(x, inf));
+    let r = _mm256_blendv_ps(
+        r,
+        _mm256_set1_ps(f32::NEG_INFINITY),
+        _mm256_cmp_ps::<_CMP_EQ_OQ>(x, zero),
+    );
+    let nan = _mm256_or_ps(
+        _mm256_cmp_ps::<_CMP_LT_OQ>(x, zero),
+        _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x),
+    );
+    _mm256_blendv_ps(r, _mm256_set1_ps(f32::NAN), nan)
+}
+
+/// The cosine of `gcc_math::det_sin_cos` on eight lanes, operation for
+/// operation (the sine's polynomial too: odd quadrants take it).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn cos8_avx2(x: __m256) -> __m256 {
+    let ax = _mm256_and_ps(x, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff)));
+    let j = _mm256_cvttps_epi32(_mm256_mul_ps(ax, _mm256_set1_ps(DET_FOUR_OVER_PI)));
+    let j = _mm256_and_si256(
+        _mm256_add_epi32(j, _mm256_set1_epi32(1)),
+        _mm256_set1_epi32(!1),
+    );
+    let y = _mm256_cvtepi32_ps(j);
+    let [dp1, dp2, dp3] = DET_PI_4_SPLIT;
+    let r = _mm256_sub_ps(ax, _mm256_mul_ps(y, _mm256_set1_ps(dp1)));
+    let r = _mm256_sub_ps(r, _mm256_mul_ps(y, _mm256_set1_ps(dp2)));
+    let r = _mm256_sub_ps(r, _mm256_mul_ps(y, _mm256_set1_ps(dp3)));
+    let z = _mm256_mul_ps(r, r);
+    let mut c = _mm256_set1_ps(DET_COS_POLY[0]);
+    c = _mm256_add_ps(_mm256_mul_ps(c, z), _mm256_set1_ps(DET_COS_POLY[1]));
+    c = _mm256_add_ps(_mm256_mul_ps(c, z), _mm256_set1_ps(DET_COS_POLY[2]));
+    let c = _mm256_add_ps(
+        _mm256_sub_ps(
+            _mm256_mul_ps(_mm256_mul_ps(c, z), z),
+            _mm256_mul_ps(_mm256_set1_ps(0.5), z),
+        ),
+        _mm256_set1_ps(1.0),
+    );
+    let mut s = _mm256_set1_ps(DET_SIN_POLY[0]);
+    s = _mm256_add_ps(_mm256_mul_ps(s, z), _mm256_set1_ps(DET_SIN_POLY[1]));
+    s = _mm256_add_ps(_mm256_mul_ps(s, z), _mm256_set1_ps(DET_SIN_POLY[2]));
+    let s = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(s, z), r), r);
+    let two = _mm256_set1_epi32(2);
+    let swap = _mm256_castsi256_ps(_mm256_cmpeq_epi32(_mm256_and_si256(j, two), two));
+    let cos = _mm256_blendv_ps(c, s, swap);
+    let sign = _mm256_slli_epi32::<29>(_mm256_andnot_si256(
+        _mm256_sub_epi32(j, two),
+        _mm256_set1_epi32(4),
+    ));
+    _mm256_xor_ps(cos, _mm256_castsi256_ps(sign))
 }

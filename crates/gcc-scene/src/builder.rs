@@ -173,16 +173,11 @@ fn normal_draws(rng: &mut StdRng) -> (f32, f32) {
     (rng.gen_range(1e-7..1.0f32), rng.gen_range(0.0..1.0f32))
 }
 
-/// Box–Muller: the standard normal of one pair of [`normal_draws`].
-#[inline(always)]
-fn box_muller(u1: f32, u2: f32) -> f32 {
-    (-2.0 * det_ln(u1)).sqrt() * det_sin_cos(std::f32::consts::TAU * u2).1
-}
-
-/// Standard normal via Box–Muller.
+/// Standard normal via Box–Muller: the element the tail's batched
+/// [`KernelSet::box_muller`](gcc_core::dispatch::KernelSet) evaluates.
 fn normal(rng: &mut StdRng) -> f32 {
     let (u1, u2) = normal_draws(rng);
-    box_muller(u1, u2)
+    gcc_core::dispatch::box_muller_one(u1, u2)
 }
 
 /// `(dist·cos θ, y, dist·sin θ)`: a point at azimuth `theta`.
@@ -470,9 +465,7 @@ fn sample_gaussian(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng
 fn sample_tail(params: &PresetParams, head: &Head, rng: &mut StdRng) -> Gaussian3D {
     let draws = draw_tail(rng);
     let mut normals = [0.0f32; TAIL_NORMALS];
-    for ((n, &u1), &u2) in normals.iter_mut().zip(&draws.u1).zip(&draws.u2) {
-        *n = box_muller(u1, u2);
-    }
+    (gcc_core::dispatch::active().box_muller)(&draws.u1, &draws.u2, &mut normals);
     let (scale, sh) = normals.split_at(4);
     Gaussian3D::new(
         head.position,
