@@ -110,6 +110,8 @@ pub fn fmt_count(n: u64) -> String {
 /// # Panics
 ///
 /// Panics if any value is non-positive.
+// A summary statistic of measured results, on no render path.
+#[allow(clippy::disallowed_methods)]
 pub fn geomean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "geomean of empty slice");
     let log_sum: f64 = values

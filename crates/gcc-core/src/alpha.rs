@@ -322,6 +322,8 @@ where
 }
 
 #[cfg(test)]
+// Test data and reference values use libm, not the render path.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use gcc_math::{approx_eq, SymMat2};

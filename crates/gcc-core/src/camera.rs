@@ -155,6 +155,8 @@ impl Camera {
 }
 
 #[cfg(test)]
+// Reference value: libm `tan`.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use gcc_math::approx_eq;

@@ -514,6 +514,8 @@ pub fn active_backend() -> Backend {
 }
 
 #[cfg(test)]
+// Test data: libm fills the kernels' inputs; the kernels run none.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::alpha::{ExpMode, PixelState, RowAlpha, PAD_POWER};

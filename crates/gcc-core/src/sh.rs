@@ -115,6 +115,8 @@ pub fn eval_color_dc(sh: &[f32; SH_FLOATS], _dir: Vec3) -> Vec3 {
 pub const FMA_PER_EVAL: u64 = 16 * 3 + 24;
 
 #[cfg(test)]
+// Test data and the quadrature reference use libm, not the render path.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use gcc_math::approx_eq;

@@ -193,6 +193,8 @@ pub fn sort_by_depth(pairs: &[(f32, u32)]) -> (Vec<u32>, SortStats) {
 }
 
 #[cfg(test)]
+// Test data: libm `sin` jitters a depth sweep.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

@@ -203,6 +203,8 @@ impl PwlExp {
 }
 
 #[cfg(test)]
+// Reference values: libm `exp`.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

@@ -516,6 +516,8 @@ pub fn render_gaussian_wise_job(
 }
 
 #[cfg(test)]
+// Test data: libm `sin` / `cos` place synthetic Gaussians.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::standard::{render_standard, StandardConfig};

@@ -219,6 +219,8 @@ impl Renderer for GaussianWiseRenderer {
 }
 
 #[cfg(test)]
+// Test data: libm `sin` / `cos` place synthetic Gaussians.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use gcc_math::Vec3;

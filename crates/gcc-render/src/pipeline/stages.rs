@@ -835,6 +835,8 @@ where
 }
 
 #[cfg(test)]
+// Test data: libm `sin` / `cos` / `ln` build synthetic Gaussians.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use gcc_core::alpha::RowAlpha;

@@ -189,6 +189,8 @@ pub fn pseudo_ground_truth(reference: &Image, target_psnr_db: f64, seed: u64) ->
 }
 
 #[cfg(test)]
+// Test data: libm `sin` paints synthetic images.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

@@ -464,6 +464,8 @@ pub fn render_standard_job(
 }
 
 #[cfg(test)]
+// Test data: libm `sin` / `cos` place synthetic Gaussians.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use gcc_math::Vec3;

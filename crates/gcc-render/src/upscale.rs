@@ -51,6 +51,8 @@ fn lerp(a: Vec3, b: Vec3, t: f32) -> Vec3 {
 }
 
 #[cfg(test)]
+// Test data: libm `sin` / `cos` paint synthetic images.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

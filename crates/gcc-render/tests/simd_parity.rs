@@ -38,6 +38,8 @@ fn test_cam() -> Camera {
 /// A cloud with full SH bands, mixed opacities (including some beyond the
 /// saturation threshold) and depth ties — every clamp branch and the sort
 /// stability both get exercised.
+// Test data: libm `sin` / `cos` place the cloud.
+#[allow(clippy::disallowed_methods)]
 fn cloud(n: usize) -> Vec<Gaussian3D> {
     let mut out: Vec<Gaussian3D> = (0..n)
         .map(|i| {

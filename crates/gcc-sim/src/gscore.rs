@@ -190,6 +190,8 @@ pub fn report_from_stats(s: &FrameStats, cfg: &GscoreConfig, scene_name: &str) -
 }
 
 #[cfg(test)]
+// Test data: libm `sin` / `cos` place synthetic Gaussians.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use gcc_math::Vec3;

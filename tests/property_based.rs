@@ -270,6 +270,8 @@ fn grouping_partitions_and_orders() {
 }
 
 #[test]
+// Reference value: libm `exp`.
+#[allow(clippy::disallowed_methods)]
 fn lut_exp_stays_within_one_percent() {
     check("lut_exp_stays_within_one_percent", |rng| {
         let x = rng.gen_range(-5.54f32..-0.001);
