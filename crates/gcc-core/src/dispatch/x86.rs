@@ -36,8 +36,8 @@ pub(super) fn avx2_available() -> bool {
 /// has no profitable SSE2 form (no gathers) and the span solve none at all
 /// (no packed `floor` / `ceil` before SSE4.1), so they route to the scalar
 /// twins, and so does the span fill, whose write-out leans on AVX2's
-/// variable blends and lane permutes, and the Box–Muller transform, whose
-/// selects lean on them too — bit-identical either way.
+/// variable blends and lane permutes, and the Box–Muller transform, which
+/// runs only in scene builds — bit-identical either way.
 pub(super) static SSE2: KernelSet = KernelSet {
     backend: super::Backend::Sse2,
     depth_keys: depth_keys_sse2,
@@ -1230,15 +1230,14 @@ unsafe fn box_muller_avx2_impl(u1: &[f32], u2: &[f32], out: &mut [f32]) {
             i += 8;
         }
         if i < n {
-            // Padded tail: the same 8-lane body on a stack copy padded
-            // with (1, 0), whose lanes are discarded.
-            let (mut a, mut b) = ([1.0f32; 8], [0.0f32; 8]);
-            a[..n - i].copy_from_slice(&u1[i..]);
-            b[..n - i].copy_from_slice(&u2[i..]);
-            let mut normals = [0.0f32; 8];
-            let v = box_muller8_avx2(_mm256_loadu_ps(a.as_ptr()), _mm256_loadu_ps(b.as_ptr()));
-            _mm256_storeu_ps(normals.as_mut_ptr(), v);
-            out[i..].copy_from_slice(&normals[..n - i]);
+            // Ragged tail: the same 8-lane body on masked loads (the lanes
+            // past the end read `0.0`) and a masked store that writes only
+            // the lanes in range — no copy of run-time length.
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let live = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - i) as i32), lanes);
+            let a = _mm256_maskload_ps(u1.as_ptr().add(i), live);
+            let b = _mm256_maskload_ps(u2.as_ptr().add(i), live);
+            _mm256_maskstore_ps(out.as_mut_ptr().add(i), live, box_muller8_avx2(a, b));
         }
     }
 }
