@@ -25,9 +25,12 @@ use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Mutex;
 
 /// Rough cost of synthesizing one Gaussian on one thread, for
-/// [`gcc_parallel::worthwhile_threads`]' floor (Lego@0.5: 17 000 in
-/// 14.4 ms).
-const GAUSSIAN_NS: u32 = 800;
+/// [`gcc_parallel::worthwhile_threads`]' floor. Priced on the host the
+/// other floors were (Lego@0.5, 17 000 Gaussians, took 14.4 ms at
+/// 800 ns while every normal called libm); the fused build with the
+/// batched tail takes 0.42–0.63× the time of that one on one host in the
+/// same hour.
+const GAUSSIAN_NS: u32 = 400;
 
 /// Gaussians per block the scout hands the fillers.
 const BLOCK: usize = 128;
@@ -50,8 +53,10 @@ const TAIL_DRAWS: usize = 2 * TAIL_NORMALS + 3;
 /// threads. Any thread count builds the same scene, bit for bit.
 ///
 /// The scene is a function of one PRNG stream, and the stream is
-/// sequential — but a draw costs ≈ 1 ns and what is computed *from* the
-/// draws (`ln`, `cos`, `sqrt`, `exp`) ≈ 50 times that. So with more than
+/// sequential — but stepping over a draw costs ≈ 1 ns, and drawing it,
+/// mapping it and evaluating what is computed from it (the tail's 52
+/// Box–Muller normals, one batch per Gaussian: [`sample_tail`]) several
+/// times that. So with more than
 /// one thread the calling thread becomes a *scout*: it walks the stream
 /// through the draws whose count depends on their values (the head of a
 /// Gaussian: position, opacity, the backdrop draw), keeps a copy of the
