@@ -321,12 +321,12 @@ fn sample_position(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng
 fn sample_opacity(params: &PresetParams, rng: &mut StdRng) -> f32 {
     let u: f32 = rng.gen();
     if u < params.opacity_low_frac {
-        // Near-transparent tail, skewed low: t = u^1.8.
-        let u: f32 = rng.gen();
-        let t = if u == 0.0 {
+        // Near-transparent tail, skewed low: t = x^1.8.
+        let x: f32 = rng.gen();
+        let t = if x == 0.0 {
             0.0
         } else {
-            det_exp(1.8 * det_ln(u))
+            det_exp(1.8 * det_ln(x))
         };
         0.004 + t * (0.045 - 0.004)
     } else if u < params.opacity_low_frac + params.opacity_mid_frac {
