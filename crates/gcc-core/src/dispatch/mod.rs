@@ -1558,8 +1558,9 @@ mod tests {
     #[test]
     fn box_muller_kernels_match_the_scalar_twin_at_every_length() {
         // Whole vectors, a ragged tail on either side of one, the SH
-        // batch and the whole tail the builder evaluates.
-        for len in [0usize, 1, 7, 8, 9, 48, 52] {
+        // batch, the whole tail the builder evaluates, and the tail with
+        // a ground point's height (53) or a cluster offset (55) after it.
+        for len in [0usize, 1, 7, 8, 9, 48, 52, 53, 55] {
             for start in [0u32, 1, 4096, 0x00ff_fff0] {
                 let (u1, u2) = builder_pairs((start..).take(len));
                 assert_box_muller(&u1, &u2);

@@ -32,7 +32,7 @@
 
 use gcc_core::{Gaussian3D, SH_FLOATS};
 use gcc_math::{Quat, Vec3};
-use gcc_parallel::{par_map_chunked, radix_sort_indices_into};
+use gcc_parallel::{par_chunks_mut, par_map_chunked, radix_sort_indices_into};
 use gcc_scene::{LodLevel, Scene, SceneLod};
 
 // Rough per-Gaussian costs, in nanoseconds, quoted to `gcc-parallel`'s
@@ -205,13 +205,18 @@ pub fn build_hierarchy(gaussians: &[Gaussian3D], cfg: &HierarchyConfig) -> Scene
         starts.push(order.len() as u32);
         // Quoted per cell: the mean cell's members at a member's cost.
         let cell_ns = u64::from(MEMBER_MERGE_NS) * src.len() as u64 / cells as u64;
-        let merged = par_map_chunked(
-            &starts[..cells],
+        // Each chunk merges its cells straight into their slots: no
+        // per-chunk vectors to append.
+        let mut merged = vec![Gaussian3D::default(); cells];
+        par_chunks_mut(
+            &mut merged,
             threads,
             u32::try_from(cell_ns).unwrap_or(u32::MAX),
-            |c, &start| {
-                let run = &order[start as usize..starts[c + 1] as usize];
-                merge_cluster(src, &members, run)
+            |first, chunk| {
+                for (c, slot) in (first..).zip(chunk) {
+                    let run = &order[starts[c] as usize..starts[c + 1] as usize];
+                    *slot = merge_cluster(src, &members, run);
+                }
             },
         );
         lod.levels.push(LodLevel {

@@ -27,10 +27,12 @@ use std::sync::Mutex;
 /// Rough cost of synthesizing one Gaussian on one thread, for
 /// [`gcc_parallel::worthwhile_threads`]' floor. Priced on the host the
 /// other floors were (Lego@0.5, 17 000 Gaussians, took 14.4 ms at
-/// 800 ns while every normal called libm); the fused build with the
-/// batched tail takes 0.42–0.63× the time of that one on one host in the
-/// same hour.
-const GAUSSIAN_NS: u32 = 400;
+/// 800 ns while every normal called libm); the batched tail took that
+/// to 400 ns, and batching the position's normals with it takes a
+/// one-thread build to about 0.8× of that one (the median ratio over the
+/// six presets at scale 0.5 and four interleaved rounds on one 2-vCPU
+/// AVX2 host; single rounds read 0.56–1.00).
+const GAUSSIAN_NS: u32 = 320;
 
 /// Gaussians per block the scout hands the fillers.
 const BLOCK: usize = 128;
@@ -38,7 +40,8 @@ const BLOCK: usize = 128;
 /// Blocks the scout may run ahead of the fillers before it fills the block
 /// in its hands itself: enough that a filler never finds the queue empty
 /// while the scout is busy filling, few enough that the heads in flight
-/// (≈ 56 bytes each) stay in cache.
+/// (72 bytes each with their generator copies: 16 × 128 of them are
+/// 144 KiB) stay in cache.
 const BLOCKS_AHEAD: usize = 16;
 
 /// Normals of a Gaussian's tail: four of [`sample_scale`], then one per
@@ -54,20 +57,20 @@ const TAIL_DRAWS: usize = 2 * TAIL_NORMALS + 3;
 ///
 /// The scene is a function of one PRNG stream, and the stream is
 /// sequential — but stepping over a draw costs ≈ 1 ns, and drawing it,
-/// mapping it and evaluating what is computed from it (the tail's 52
-/// Box–Muller normals, one batch per Gaussian: [`sample_tail`]) several
-/// times that. So with more than
-/// one thread the calling thread becomes a *scout*: it walks the stream
-/// through the draws whose count depends on their values (the head of a
-/// Gaussian: position, opacity, the backdrop draw), keeps a copy of the
-/// generator where the tail starts, and steps over the tail's
-/// [`TAIL_DRAWS`] draws without evaluating them. *Fillers* take blocks of
-/// heads as the scout publishes them and run the tail (scale, rotation,
-/// SH — 107 of a Gaussian's ≈ 117 draws) from each copy into their block
-/// of the output; the scout fills a block itself whenever it is
-/// [`BLOCKS_AHEAD`], and joins the fillers when the stream ends. One
-/// thread, or a scene too small to be worth a second, runs head and tail
-/// fused on the one generator: no copy, no stepping over.
+/// mapping it and evaluating what is computed from it several times that.
+/// So with more than one thread the calling thread becomes a *scout*: it
+/// draws each Gaussian's head ([`draw_head`]: position and opacity, the
+/// draws whose count depends on their values among them), evaluates only
+/// what decides which draws come next (the role draw, the azimuth loops),
+/// keeps a copy of the generator where the tail starts, and steps over the
+/// tail's [`TAIL_DRAWS`] draws. *Fillers* take blocks of heads as the
+/// scout publishes them, draw each tail from its copy and evaluate the
+/// whole Gaussian into their block of the output — the position's normals
+/// in the same Box–Muller batch as the tail's ([`sample_tail`]); the scout
+/// fills a block itself whenever it is [`BLOCKS_AHEAD`], and joins the
+/// fillers when the stream ends. One thread, or a scene too small to be
+/// worth a second, runs the same head draw, tail draw and batch on the one
+/// generator: no copy, no stepping over.
 pub fn build_scene(params: &PresetParams, config: &SceneConfig, threads: usize) -> Scene {
     let seed = config.seed.unwrap_or(params.seed);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -87,8 +90,8 @@ pub fn build_scene(params: &PresetParams, config: &SceneConfig, threads: usize) 
             &mut out,
             threads,
             rng,
-            |rng| sample_head(params, &clusters, rng),
-            |head, rng| sample_tail(params, head, rng),
+            |rng| draw_head(params, clusters.len(), rng),
+            |head, rng| sample_tail(params, &clusters, head, rng),
         );
         out
     };
@@ -251,55 +254,86 @@ fn sample_cluster_positions(params: &PresetParams, rng: &mut StdRng) -> Vec<Vec3
         .collect()
 }
 
-/// What a Gaussian stands for in the scene layout; backdrops (sky shells,
+/// Where a Gaussian sits, as the scout reads it off the stream: the mapped
+/// draws of its position, evaluated by the filler. Backdrops (sky shells,
 /// room walls) are forced reasonably opaque so every view ray eventually
 /// terminates, as in fully reconstructed captures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    /// Part of a surface cluster.
-    Surface,
-    /// Ground-plane point (outdoor).
-    Ground,
-    /// Distant shell / wall point closing off the view.
-    Backdrop,
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// Part of the surface patch of `clusters[cluster]`: the Box–Muller
+    /// pairs of the in-patch offset's three normals.
+    Surface {
+        cluster: u32,
+        u1: [f32; 3],
+        u2: [f32; 3],
+    },
+    /// Ground-plane point (outdoor) at azimuth `theta` and distance
+    /// `dist`: the Box–Muller pair of its height's normal.
+    Ground {
+        theta: f32,
+        dist: f32,
+        u1: f32,
+        u2: f32,
+    },
+    /// Distant shell / wall point closing off the view, at `(dist, y)` and
+    /// azimuth `theta`, at least `floor` opaque (drawn after the opacity,
+    /// by [`draw_head`]).
+    Backdrop {
+        theta: f32,
+        dist: f32,
+        y: f32,
+        floor: f32,
+    },
 }
 
-fn sample_position(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng) -> (Vec3, Role) {
+/// Normals a position adds to its Gaussian's batch, at most: a
+/// [`Place::Surface`] offset's.
+const PLACE_NORMALS: usize = 3;
+
+/// Normals one Gaussian evaluates in one [`KernelSet::box_muller`] call:
+/// the tail's, then the position's.
+///
+/// [`KernelSet::box_muller`]: gcc_core::dispatch::KernelSet
+const BATCH: usize = TAIL_NORMALS + PLACE_NORMALS;
+
+fn draw_place(params: &PresetParams, clusters: usize, rng: &mut StdRng) -> Place {
     let r = params.world_radius;
-    let cluster_spread = params.cluster_sigma * r;
-    let from_cluster = |rng: &mut StdRng| {
-        let c = clusters[rng.gen_range(0..clusters.len())];
-        // In-patch offset, squashed to 15% along the surface normal.
-        let off = Vec3::new(
-            normal(rng) * cluster_spread,
-            normal(rng) * cluster_spread,
-            normal(rng) * cluster_spread,
-        );
-        let along = c.normal * off.dot(c.normal);
-        c.center + (off - along) + along * 0.15
+    let surface = |rng: &mut StdRng| {
+        let cluster = rng.gen_range(0..clusters) as u32;
+        let (mut u1, mut u2) = ([0.0; 3], [0.0; 3]);
+        for i in 0..3 {
+            (u1[i], u2[i]) = normal_draws(rng);
+        }
+        Place::Surface { cluster, u1, u2 }
     };
     match params.kind {
-        SceneKind::Object => (from_cluster(rng), Role::Surface),
+        SceneKind::Object => surface(rng),
         SceneKind::Outdoor => {
             let u: f32 = rng.gen();
             if u < 0.22 {
                 // Ground-plane sector.
                 let theta = sample_azimuth(params, rng);
                 let dist = r * rng.gen_range(0.1f32..1.0);
-                (
-                    at_azimuth(dist, normal(rng) * 0.015 * r, theta),
-                    Role::Ground,
-                )
+                let (u1, u2) = normal_draws(rng);
+                Place::Ground {
+                    theta,
+                    dist,
+                    u1,
+                    u2,
+                }
             } else if u < 0.80 {
-                (from_cluster(rng), Role::Surface)
+                surface(rng)
             } else {
                 // Distant backdrop shell (buildings / tree line / sky).
                 let theta = sample_azimuth(params, rng) * 1.4;
                 let dist = r * rng.gen_range(0.9f32..1.3);
-                (
-                    at_azimuth(dist, rng.gen_range(0.0..0.75f32) * r, theta),
-                    Role::Backdrop,
-                )
+                let y = rng.gen_range(0.0..0.75f32) * r;
+                Place::Backdrop {
+                    theta,
+                    dist,
+                    y,
+                    floor: 0.0,
+                }
             }
         }
         SceneKind::Indoor => {
@@ -307,42 +341,112 @@ fn sample_position(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng
             if u < 0.30 {
                 // Wall shell: fixed radius, any height of the room.
                 let theta = sample_azimuth(params, rng) * 1.2;
-                (
-                    at_azimuth(r, rng.gen_range(0.0..0.6f32) * r, theta),
-                    Role::Backdrop,
-                )
+                let y = rng.gen_range(0.0..0.6f32) * r;
+                Place::Backdrop {
+                    theta,
+                    dist: r,
+                    y,
+                    floor: 0.0,
+                }
             } else {
-                (from_cluster(rng), Role::Surface)
+                surface(rng)
             }
         }
     }
 }
 
-fn sample_opacity(params: &PresetParams, rng: &mut StdRng) -> f32 {
+impl Place {
+    /// Writes the Box–Muller pairs of the position's normals to the front
+    /// of `u1` and `u2`; returns how many.
+    #[inline(always)]
+    fn pairs(&self, u1: &mut [f32], u2: &mut [f32]) -> usize {
+        match *self {
+            Place::Surface { u1: a, u2: b, .. } => {
+                u1[..3].copy_from_slice(&a);
+                u2[..3].copy_from_slice(&b);
+                3
+            }
+            Place::Ground { u1: a, u2: b, .. } => {
+                (u1[0], u2[0]) = (a, b);
+                1
+            }
+            Place::Backdrop { .. } => 0,
+        }
+    }
+
+    /// The position, from the normals of [`Place::pairs`].
+    #[inline(always)]
+    fn position(&self, params: &PresetParams, clusters: &[Cluster], normals: &[f32]) -> Vec3 {
+        let r = params.world_radius;
+        match *self {
+            Place::Surface { cluster, .. } => {
+                let c = clusters[cluster as usize];
+                let spread = params.cluster_sigma * r;
+                // In-patch offset, squashed to 15% along the surface normal.
+                let off = Vec3::new(
+                    normals[0] * spread,
+                    normals[1] * spread,
+                    normals[2] * spread,
+                );
+                let along = c.normal * off.dot(c.normal);
+                c.center + (off - along) + along * 0.15
+            }
+            Place::Ground { theta, dist, .. } => at_azimuth(dist, normals[0] * 0.015 * r, theta),
+            Place::Backdrop { theta, dist, y, .. } => at_azimuth(dist, y, theta),
+        }
+    }
+}
+
+/// The opacity mixture's draws: the branch, and the one draw of the
+/// branch it picked.
+#[derive(Debug, Clone, Copy)]
+enum Opacity {
+    /// Near-transparent tail: `x` on `[0, 1)`.
+    Low(f32),
+    /// Mid band: the opacity itself.
+    Mid(f32),
+    /// Opaque mode: `t` on `[0, 1)`.
+    Opaque(f32),
+}
+
+fn draw_opacity(params: &PresetParams, rng: &mut StdRng) -> Opacity {
     let u: f32 = rng.gen();
     if u < params.opacity_low_frac {
-        // Near-transparent tail, skewed low: t = x^1.8.
-        let x: f32 = rng.gen();
-        let t = if x == 0.0 {
-            0.0
-        } else {
-            det_exp(1.8 * det_ln(x))
-        };
-        0.004 + t * (0.045 - 0.004)
+        Opacity::Low(rng.gen())
     } else if u < params.opacity_low_frac + params.opacity_mid_frac {
-        rng.gen_range(0.08..0.6f32)
+        Opacity::Mid(rng.gen_range(0.08..0.6f32))
     } else {
-        // Opaque mode, skewed toward 1.
-        let t: f32 = rng.gen::<f32>().sqrt();
-        0.6 + 0.4 * t
+        Opacity::Opaque(rng.gen())
+    }
+}
+
+impl Opacity {
+    #[inline(always)]
+    fn value(self) -> f32 {
+        match self {
+            Opacity::Low(x) => {
+                // Skewed low: t = x^1.8.
+                let t = if x == 0.0 {
+                    0.0
+                } else {
+                    det_exp(1.8 * det_ln(x))
+                };
+                0.004 + t * (0.045 - 0.004)
+            }
+            Opacity::Mid(w) => w,
+            // Skewed toward 1.
+            Opacity::Opaque(t) => 0.6 + 0.4 * t.sqrt(),
+        }
     }
 }
 
 /// The uniforms of a Gaussian's tail, each mapped as it is drawn: the
-/// Box–Muller pairs of its normals and the three of its rotation.
+/// Box–Muller pairs of its normals — the first [`TAIL_NORMALS`] of `u1`
+/// and `u2`, the rest left for the position's — and the three of its
+/// rotation.
 struct TailDraws {
-    u1: [f32; TAIL_NORMALS],
-    u2: [f32; TAIL_NORMALS],
+    u1: [f32; BATCH],
+    u2: [f32; BATCH],
     rotation: [f32; 3],
 }
 
@@ -352,8 +456,8 @@ struct TailDraws {
 #[inline(always)]
 fn draw_tail(rng: &mut StdRng) -> TailDraws {
     let mut draws = TailDraws {
-        u1: [0.0; TAIL_NORMALS],
-        u2: [0.0; TAIL_NORMALS],
+        u1: [0.0; BATCH],
+        u2: [0.0; BATCH],
         rotation: [0.0; 3],
     };
     let mut pair = |i: usize, rng: &mut StdRng| {
@@ -418,65 +522,99 @@ fn sample_sh(normals: &[f32; SH_FLOATS]) -> [f32; SH_FLOATS] {
     sh
 }
 
-/// What the scout reads off the stream for one Gaussian: everything whose
-/// draw count depends on the values drawn.
+/// What the scout reads off the stream for one Gaussian: its head's draws,
+/// mapped, for the filler to evaluate ([`Head::evaluate`]).
 #[derive(Debug, Clone, Copy)]
 struct Head {
-    position: Vec3,
-    opacity: f32,
-    size_mul: f32,
+    place: Place,
+    opacity: Opacity,
 }
 
+/// Draws a Gaussian's head — its position, its opacity and a backdrop's
+/// opacity floor. Of what is computed from these draws it evaluates only
+/// what decides the draws that follow: the role draw and the azimuth
+/// loops (an Object scene's head has neither).
 #[inline(always)]
-fn sample_head(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng) -> Head {
-    let (position, role) = sample_position(params, clusters, rng);
-    let mut opacity = sample_opacity(params, rng);
-    if role == Role::Backdrop {
+fn draw_head(params: &PresetParams, clusters: usize, rng: &mut StdRng) -> Head {
+    let mut place = draw_place(params, clusters, rng);
+    let opacity = draw_opacity(params, rng);
+    if let Place::Backdrop { floor, .. } = &mut place {
         // Backdrops close off every view ray: force them reasonably opaque
         // (a fully trained capture has no see-through sky or walls).
-        opacity = opacity.max(rng.gen_range(0.6..1.0f32));
+        *floor = rng.gen_range(0.6..1.0f32);
     }
-    // Trained models pair near-transparent splats with large spatial
-    // support (fog/fill Gaussians): their 3σ bounding boxes are huge while
-    // their α ≥ 1/255 region is tiny — the Table 1 / Fig. 4 gap.
-    let size_mul = match role {
-        _ if opacity < 0.045 => 1.75,
-        Role::Backdrop => 1.2,
-        _ => 0.8,
-    };
-    Head {
-        position,
-        opacity,
-        size_mul,
+    Head { place, opacity }
+}
+
+impl Head {
+    /// Position, opacity and size multiplier, from the normals of
+    /// [`Place::pairs`].
+    #[inline(always)]
+    fn evaluate(
+        &self,
+        params: &PresetParams,
+        clusters: &[Cluster],
+        normals: &[f32],
+    ) -> (Vec3, f32, f32) {
+        let mut opacity = self.opacity.value();
+        if let Place::Backdrop { floor, .. } = self.place {
+            opacity = opacity.max(floor);
+        }
+        // Trained models pair near-transparent splats with large spatial
+        // support (fog/fill Gaussians): their 3σ bounding boxes are huge
+        // while their α ≥ 1/255 region is tiny — the Table 1 / Fig. 4 gap.
+        let size_mul = match self.place {
+            _ if opacity < 0.045 => 1.75,
+            Place::Backdrop { .. } => 1.2,
+            _ => 0.8,
+        };
+        (
+            self.place.position(params, clusters, normals),
+            opacity,
+            size_mul,
+        )
     }
 }
 
-/// Head and tail fused on one generator: the whole Gaussian.
+/// Head and tail on one generator: the whole Gaussian.
 #[inline(always)]
 fn sample_gaussian(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng) -> Gaussian3D {
-    let head = sample_head(params, clusters, rng);
-    sample_tail(params, &head, rng)
+    let head = draw_head(params, clusters.len(), rng);
+    sample_tail(params, clusters, &head, rng)
 }
 
 /// The rest of the Gaussian `head` starts: exactly [`TAIL_DRAWS`] draws
-/// of `rng`. They are all drawn first ([`draw_tail`]), then the normals
-/// are evaluated as one batch: no draw waits on an evaluation, and no
-/// evaluation on the serial generator.
+/// of `rng`. They are all drawn first ([`draw_tail`]), then the tail's
+/// and the position's normals are evaluated as one batch, then the
+/// Gaussian from them: no draw waits on an evaluation, and no evaluation
+/// on the serial generator.
 ///
 /// The samplers on this path are `inline(always)`: with two callers (the
 /// fused loop, the fillers) the compiler otherwise stops inlining what it
 /// inlined for one, and the one-thread build gets 3–4 % slower.
 #[inline(always)]
-fn sample_tail(params: &PresetParams, head: &Head, rng: &mut StdRng) -> Gaussian3D {
-    let draws = draw_tail(rng);
-    let mut normals = [0.0f32; TAIL_NORMALS];
-    (gcc_core::dispatch::active().box_muller)(&draws.u1, &draws.u2, &mut normals);
-    let (scale, sh) = normals.split_at(4);
+fn sample_tail(
+    params: &PresetParams,
+    clusters: &[Cluster],
+    head: &Head,
+    rng: &mut StdRng,
+) -> Gaussian3D {
+    let mut draws = draw_tail(rng);
+    let (u1, u2) = (&mut draws.u1, &mut draws.u2);
+    let len = TAIL_NORMALS
+        + head
+            .place
+            .pairs(&mut u1[TAIL_NORMALS..], &mut u2[TAIL_NORMALS..]);
+    let mut normals = [0.0f32; BATCH];
+    (gcc_core::dispatch::active().box_muller)(&u1[..len], &u2[..len], &mut normals[..len]);
+    let (scale, rest) = normals.split_at(4);
+    let (sh, place) = rest.split_at(SH_FLOATS);
+    let (position, opacity, size_mul) = head.evaluate(params, clusters, place);
     Gaussian3D::new(
-        head.position,
-        sample_scale(params, head.size_mul, scale.try_into().expect("four")),
+        position,
+        sample_scale(params, size_mul, scale.try_into().expect("four")),
         sample_rotation(draws.rotation),
-        head.opacity,
+        opacity,
         sample_sh(sh.try_into().expect("one per coefficient")),
     )
 }
@@ -515,19 +653,127 @@ mod tests {
         // What lets the scout step over a tail it does not evaluate. An
         // edit to a tail sampler that changes its draw count fails here.
         // Six presets, all three kinds; 200 Gaussians take every branch
-        // of `sample_position` and `sample_opacity`.
+        // of `draw_place` and `draw_opacity`.
         for preset in ALL_PRESETS {
             let params = preset.params();
             let mut rng = StdRng::seed_from_u64(params.seed);
             let clusters = sample_cluster_centers(&params, &mut rng);
             for _ in 0..200 {
-                let head = sample_head(&params, &clusters, &mut rng);
+                let head = draw_head(&params, clusters.len(), &mut rng);
                 let mut stepped = rng.clone();
                 stepped.advance(TAIL_DRAWS);
-                sample_tail(&params, &head, &mut rng);
+                sample_tail(&params, &clusters, &head, &mut rng);
                 assert_eq!(rng.gen::<u64>(), stepped.gen::<u64>(), "{preset}");
             }
         }
+    }
+
+    #[test]
+    fn the_scouted_head_draws_what_the_evaluating_head_draws_and_evaluates_to_it() {
+        // The scout's head defers every evaluation that decides no draw
+        // count. It must still consume exactly the draws the evaluating
+        // head (`reference_head`, the samplers as they were before the
+        // deferral) consumes, and the filler's evaluation of it must give
+        // the same position, opacity and size, bit for bit. Six presets,
+        // all three kinds, every position form.
+        for preset in ALL_PRESETS {
+            let params = preset.params();
+            let mut rng = StdRng::seed_from_u64(params.seed);
+            let clusters = sample_cluster_centers(&params, &mut rng);
+            for _ in 0..200 {
+                let mut reference = rng.clone();
+                let (position, opacity, size_mul) =
+                    reference_head(&params, &clusters, &mut reference);
+                let head = draw_head(&params, clusters.len(), &mut rng);
+                assert_eq!(rng.clone().gen::<u64>(), reference.gen::<u64>(), "{preset}");
+                let (mut u1, mut u2) = ([0.0; PLACE_NORMALS], [0.0; PLACE_NORMALS]);
+                let len = head.place.pairs(&mut u1, &mut u2);
+                let normals = u1[..len]
+                    .iter()
+                    .zip(&u2)
+                    .map(|(&a, &b)| gcc_core::dispatch::box_muller_one(a, b))
+                    .collect::<Vec<_>>();
+                let bits = |(p, o, s): (Vec3, f32, f32)| [p.x, p.y, p.z, o, s].map(f32::to_bits);
+                let want = (position, opacity, size_mul);
+                let got = head.evaluate(&params, &clusters, &normals);
+                assert_eq!(bits(got), bits(want), "{preset}");
+            }
+        }
+    }
+
+    /// The head samplers as they were before the scout deferred their
+    /// evaluations: each normal, azimuth and opacity evaluated as it is
+    /// drawn. Returns the position, the opacity and the size multiplier.
+    fn reference_head(
+        params: &PresetParams,
+        clusters: &[Cluster],
+        rng: &mut StdRng,
+    ) -> (Vec3, f32, f32) {
+        let r = params.world_radius;
+        let cluster_spread = params.cluster_sigma * r;
+        let from_cluster = |rng: &mut StdRng| {
+            let c = clusters[rng.gen_range(0..clusters.len())];
+            let off = Vec3::new(
+                normal(rng) * cluster_spread,
+                normal(rng) * cluster_spread,
+                normal(rng) * cluster_spread,
+            );
+            let along = c.normal * off.dot(c.normal);
+            c.center + (off - along) + along * 0.15
+        };
+        let (position, backdrop) = match params.kind {
+            SceneKind::Object => (from_cluster(rng), false),
+            SceneKind::Outdoor => {
+                let u: f32 = rng.gen();
+                if u < 0.22 {
+                    let theta = sample_azimuth(params, rng);
+                    let dist = r * rng.gen_range(0.1f32..1.0);
+                    (at_azimuth(dist, normal(rng) * 0.015 * r, theta), false)
+                } else if u < 0.80 {
+                    (from_cluster(rng), false)
+                } else {
+                    let theta = sample_azimuth(params, rng) * 1.4;
+                    let dist = r * rng.gen_range(0.9f32..1.3);
+                    (
+                        at_azimuth(dist, rng.gen_range(0.0..0.75f32) * r, theta),
+                        true,
+                    )
+                }
+            }
+            SceneKind::Indoor => {
+                let u: f32 = rng.gen();
+                if u < 0.30 {
+                    let theta = sample_azimuth(params, rng) * 1.2;
+                    (at_azimuth(r, rng.gen_range(0.0..0.6f32) * r, theta), true)
+                } else {
+                    (from_cluster(rng), false)
+                }
+            }
+        };
+        let u: f32 = rng.gen();
+        let mut opacity = if u < params.opacity_low_frac {
+            let x: f32 = rng.gen();
+            let t = if x == 0.0 {
+                0.0
+            } else {
+                det_exp(1.8 * det_ln(x))
+            };
+            0.004 + t * (0.045 - 0.004)
+        } else if u < params.opacity_low_frac + params.opacity_mid_frac {
+            rng.gen_range(0.08..0.6f32)
+        } else {
+            let t: f32 = rng.gen::<f32>().sqrt();
+            0.6 + 0.4 * t
+        };
+        if backdrop {
+            opacity = opacity.max(rng.gen_range(0.6..1.0f32));
+        }
+        let size_mul = match backdrop {
+            _ if opacity < 0.045 => 1.75,
+            true => 1.2,
+            false => 0.8,
+        };
+        (position, opacity, size_mul)
     }
 
     #[test]
@@ -552,8 +798,8 @@ mod tests {
             let u3 = one_by_one.gen::<f32>() * std::f32::consts::TAU;
             pairs.extend((0..SH_FLOATS).map(|_| normal_draws(&mut one_by_one)));
             let (want_u1, want_u2): (Vec<f32>, Vec<f32>) = pairs.into_iter().unzip();
-            assert_eq!(draws.u1.as_slice(), want_u1);
-            assert_eq!(draws.u2.as_slice(), want_u2);
+            assert_eq!(draws.u1[..TAIL_NORMALS], want_u1);
+            assert_eq!(draws.u2[..TAIL_NORMALS], want_u2);
             assert_eq!(draws.rotation, [u1, u2, u3]);
         }
     }
@@ -562,12 +808,9 @@ mod tests {
     fn the_pipeline_fills_what_the_fused_loop_builds_whatever_the_block_split() {
         // Counts under the work floor never reach the pipeline through
         // `build_scene`; it is driven directly, over a partial block, one
-        // block, a ragged last block and more threads than blocks.
-        for preset in [
-            ScenePreset::Palace,
-            ScenePreset::Truck,
-            ScenePreset::Drjohnson,
-        ] {
+        // block, a ragged last block and more threads than blocks. Six
+        // presets: every scene kind and every position form.
+        for preset in ALL_PRESETS {
             let params = preset.params();
             for count in [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17] {
                 let mut rng = StdRng::seed_from_u64(params.seed);
@@ -596,8 +839,8 @@ mod tests {
             &mut out,
             threads,
             rng,
-            |rng| sample_head(params, clusters, rng),
-            |head, rng| sample_tail(params, head, rng),
+            |rng| draw_head(params, clusters.len(), rng),
+            |head, rng| sample_tail(params, clusters, head, rng),
         );
         out
     }
@@ -635,9 +878,9 @@ mod tests {
                     if heads == 3 * BLOCK {
                         panic!("boom");
                     }
-                    sample_head(&params, &clusters, rng)
+                    draw_head(&params, clusters.len(), rng)
                 },
-                |head, rng| sample_tail(&params, head, rng),
+                |head, rng| sample_tail(&params, &clusters, head, rng),
             );
         });
         // A filler dies on its first block; the scout waits for that
@@ -657,14 +900,14 @@ mod tests {
                             std::thread::yield_now();
                         }
                     }
-                    sample_head(&params, &clusters, rng)
+                    draw_head(&params, clusters.len(), rng)
                 },
                 |head, rng| {
                     if std::thread::current().id() != me {
                         filler_ran.store(true, Ordering::Release);
                         panic!("boom");
                     }
-                    sample_tail(&params, head, rng)
+                    sample_tail(&params, &clusters, head, rng)
                 },
             );
         });
