@@ -12,7 +12,7 @@
 //! ninth kernel runs before any frame: the Box–Muller transform that turns
 //! a synthetic scene's uniform draws into its normals. This module
 //! provides explicitly vectorized `core::arch` implementations of those
-//! loops (SSE2/AVX2 on x86-64) behind a one-time runtime dispatch table,
+//! loops (AVX2 on x86-64) behind a one-time runtime dispatch table,
 //! with the scalar path kept as the bit-exactness reference.
 //!
 //! # Bit-exactness contract
@@ -56,15 +56,11 @@
 //! # Selection
 //!
 //! [`active`] resolves the best supported backend once (cached): AVX2 if
-//! the CPU reports it, else SSE2 on x86-64, scalar elsewhere (aarch64
-//! included). Not every table has a vector body for every kernel — the
-//! documented fallback of [`KernelSet`] is the scalar twin, bit-identical
-//! either way: SSE2 routes `sh_colors` (no gathers), `row_spans` (no
-//! `roundpd`), `span_powers` and `box_muller` there. Setting the environment variable
-//! `GCC_FORCE_SCALAR` to anything but `0`/empty forces the scalar
-//! reference. Renderer configs can also pin a backend per call
-//! (`StandardConfig::backend`), which is what the in-process parity tests
-//! use — no global state involved.
+//! the CPU reports it, scalar otherwise (x86-64 without AVX2 and aarch64
+//! included). Setting the environment variable `GCC_FORCE_SCALAR` to
+//! anything but `0`/empty forces the scalar reference. Renderer configs
+//! can also pin a backend per call (`StandardConfig::backend`), which is
+//! what the in-process parity tests use — no global state involved.
 
 mod scalar;
 
@@ -89,8 +85,6 @@ pub const FORCE_SCALAR_ENV: &str = "GCC_FORCE_SCALAR";
 pub enum Backend {
     /// Portable scalar Rust — the bit-exactness reference.
     Scalar,
-    /// x86-64 SSE2 (baseline on every x86-64 CPU): 4-lane f32.
-    Sse2,
     /// x86-64 AVX2 (+ POPCNT): 8-lane f32 with gathers (requires CPU
     /// support).
     Avx2,
@@ -101,7 +95,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
-            Self::Sse2 => "sse2",
             Self::Avx2 => "avx2",
         }
     }
@@ -130,7 +123,7 @@ pub type DepthKeysFn = fn(depths: &[f32], keys: &mut [u32]);
 pub type AlphaPowersFn = fn(powers: &mut [f32]);
 
 /// Lane-group width of [`BlendSpanFn`]: every slice it takes is a whole
-/// number of 8-lane groups (one AVX2 vector, two SSE2 vectors).
+/// number of 8-lane groups (one AVX2 vector).
 pub const BLEND_LANES: usize = 8;
 
 /// A run of pixels in struct-of-arrays form: accumulated color planes and
@@ -388,9 +381,7 @@ pub fn box_muller_one(u1: f32, u2: f32) -> f32 {
 }
 
 /// The dispatch table: one function pointer per vectorized hot loop, all
-/// from the same backend (except where a backend has no profitable
-/// implementation of a kernel, in which case the scalar twin is wired in —
-/// bit-identical either way).
+/// from the same backend.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelSet {
     /// Which backend this table routes to.
@@ -432,16 +423,9 @@ static SCALAR: KernelSet = KernelSet {
 
 /// Best backend the current CPU supports, ignoring any override.
 pub fn detected() -> Backend {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::avx2_available() {
-            Backend::Avx2
-        } else {
-            Backend::Sse2
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
+    if supported(Backend::Avx2) {
+        Backend::Avx2
+    } else {
         Backend::Scalar
     }
 }
@@ -453,7 +437,7 @@ pub fn supported(b: Backend) -> bool {
 
 /// All backends the current process can execute, scalar first.
 pub fn available() -> Vec<Backend> {
-    [Backend::Scalar, Backend::Sse2, Backend::Avx2]
+    [Backend::Scalar, Backend::Avx2]
         .into_iter()
         .filter(|&b| supported(b))
         .collect()
@@ -482,16 +466,7 @@ pub fn kernel_set(b: Backend) -> Option<&'static KernelSet> {
     match b {
         Backend::Scalar => Some(&SCALAR),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => Some(&x86::SSE2),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            if x86::avx2_available() {
-                Some(&x86::AVX2)
-            } else {
-                None
-            }
-        }
-        #[allow(unreachable_patterns)]
+        Backend::Avx2 if x86::avx2_available() => Some(&x86::AVX2),
         _ => None,
     }
 }
@@ -542,9 +517,56 @@ mod tests {
 
     #[test]
     fn select_is_pure_and_total() {
-        for b in [Backend::Scalar, Backend::Sse2, Backend::Avx2] {
+        for b in [Backend::Scalar, Backend::Avx2] {
             assert_eq!(select(true, b), Backend::Scalar);
             assert_eq!(select(false, b), b);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn x86_64_has_one_vector_table_and_it_replaces_every_scalar_twin() {
+        let mut want = vec![Backend::Scalar];
+        if x86::avx2_available() {
+            want.push(Backend::Avx2);
+        }
+        assert_eq!(available(), want);
+        let KernelSet {
+            backend,
+            depth_keys,
+            block_pass,
+            block_powers,
+            row_spans,
+            span_powers,
+            alpha_powers,
+            blend_span,
+            sh_colors,
+            box_muller,
+        } = x86::AVX2;
+        assert_eq!(backend, Backend::Avx2);
+        use std::ptr::fn_addr_eq;
+        let twins = [
+            ("depth_keys", fn_addr_eq(depth_keys, SCALAR.depth_keys)),
+            ("block_pass", fn_addr_eq(block_pass, SCALAR.block_pass)),
+            (
+                "block_powers",
+                fn_addr_eq(block_powers, SCALAR.block_powers),
+            ),
+            ("row_spans", fn_addr_eq(row_spans, SCALAR.row_spans)),
+            ("span_powers", fn_addr_eq(span_powers, SCALAR.span_powers)),
+            (
+                "alpha_powers",
+                fn_addr_eq(alpha_powers, SCALAR.alpha_powers),
+            ),
+            ("blend_span", fn_addr_eq(blend_span, SCALAR.blend_span)),
+            ("sh_colors", fn_addr_eq(sh_colors, SCALAR.sh_colors)),
+            ("box_muller", fn_addr_eq(box_muller, SCALAR.box_muller)),
+        ];
+        for (kernel, is_scalar) in twins {
+            assert!(
+                !is_scalar,
+                "the AVX2 table routes {kernel} to its scalar twin"
+            );
         }
     }
 

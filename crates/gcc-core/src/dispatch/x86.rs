@@ -1,12 +1,12 @@
-//! x86-64 SSE2 and AVX2 kernels.
+//! x86-64 AVX2 kernels.
 //!
 //! Every kernel mirrors its scalar twin's IEEE-754 operation sequence per
 //! lane — same multiplies, same adds, same comparison-select clamps, no
 //! FMA, no re-association — so results are bit-identical to the scalar
 //! reference (see the module docs of [`crate::dispatch`] for the
-//! contract). SSE2 is unconditionally available on x86-64; the AVX2 table
-//! must only be handed out after [`avx2_available`], which
-//! [`crate::dispatch::kernel_set`] enforces.
+//! contract). The table must only be handed out after
+//! [`avx2_available`], which [`crate::dispatch::kernel_set`] enforces; an
+//! x86-64 CPU without AVX2 runs the scalar twins.
 
 use core::arch::x86_64::*;
 
@@ -32,25 +32,6 @@ pub(super) fn avx2_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
 }
 
-/// The SSE2 dispatch table (baseline on every x86-64 CPU). SH evaluation
-/// has no profitable SSE2 form (no gathers) and the span solve none at all
-/// (no packed `floor` / `ceil` before SSE4.1), so they route to the scalar
-/// twins, and so does the span fill, whose write-out leans on AVX2's
-/// variable blends and lane permutes, and the Box–Muller transform, which
-/// runs only in scene builds — bit-identical either way.
-pub(super) static SSE2: KernelSet = KernelSet {
-    backend: super::Backend::Sse2,
-    depth_keys: depth_keys_sse2,
-    block_pass: block_pass_sse2,
-    block_powers: block_powers_sse2,
-    row_spans: scalar::row_spans,
-    span_powers: scalar::span_powers,
-    alpha_powers: alpha_powers_sse2,
-    blend_span: blend_span_sse2,
-    sh_colors: scalar::sh_colors,
-    box_muller: scalar::box_muller,
-};
-
 /// The AVX2 dispatch table. Only reachable through
 /// [`crate::dispatch::kernel_set`]'s feature check.
 pub(super) static AVX2: KernelSet = KernelSet {
@@ -65,32 +46,6 @@ pub(super) static AVX2: KernelSet = KernelSet {
     sh_colors: sh_colors_avx2,
     box_muller: box_muller_avx2,
 };
-
-fn depth_keys_sse2(depths: &[f32], keys: &mut [u32]) {
-    assert_eq!(depths.len(), keys.len());
-    // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { depth_keys_sse2_impl(depths, keys) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn depth_keys_sse2_impl(depths: &[f32], keys: &mut [u32]) {
-    let n = depths.len();
-    let mut i = 0;
-    unsafe {
-        let top = _mm_set1_epi32(0x8000_0000u32 as i32);
-        while i + 4 <= n {
-            let v = _mm_loadu_si128(depths.as_ptr().add(i).cast());
-            let sign = _mm_srai_epi32(v, 31); // all-ones where negative
-            let flip = _mm_or_si128(sign, top); // !bits ⟷ bits | top
-            let k = _mm_xor_si128(v, flip);
-            _mm_storeu_si128(keys.as_mut_ptr().add(i).cast(), k);
-            i += 4;
-        }
-    }
-    for j in i..n {
-        keys[j] = crate::sort::depth_key(depths[j]);
-    }
-}
 
 fn depth_keys_avx2(depths: &[f32], keys: &mut [u32]) {
     assert_eq!(depths.len(), keys.len());
@@ -107,8 +62,8 @@ unsafe fn depth_keys_avx2_impl(depths: &[f32], keys: &mut [u32]) {
         let top = _mm256_set1_epi32(0x8000_0000u32 as i32);
         while i + 8 <= n {
             let v = _mm256_loadu_si256(depths.as_ptr().add(i).cast());
-            let sign = _mm256_srai_epi32(v, 31);
-            let flip = _mm256_or_si256(sign, top);
+            let sign = _mm256_srai_epi32(v, 31); // all-ones where negative
+            let flip = _mm256_or_si256(sign, top); // !bits ⟷ bits | top
             let k = _mm256_xor_si256(v, flip);
             _mm256_storeu_si256(keys.as_mut_ptr().add(i).cast(), k);
             i += 8;
@@ -126,59 +81,6 @@ fn group_tail(cols: usize, g: usize) -> u8 {
     (0xffu16 >> (BLEND_LANES - live)) as u8
 }
 
-fn block_pass_sse2(test: &EffectiveTest, origin: (i32, i32), cols: usize, masks: &mut [u8]) {
-    let groups = block_pass_groups(cols, masks);
-    // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { block_pass_sse2_impl(test, origin, cols, groups, masks) }
-}
-
-/// Columns as lanes, two 4-lane halves per mask byte: the terms of
-/// `EffectiveTest::passes` that depend only on the column (`a·dx·dx`,
-/// `2·b·dx`) are built once per lane group and reused down the block's
-/// rows; the per-row terms are the scalar twin's scalars, broadcast.
-#[target_feature(enable = "sse2")]
-fn block_pass_sse2_impl(
-    test: &EffectiveTest,
-    (x0, y0): (i32, i32),
-    cols: usize,
-    groups: usize,
-    masks: &mut [u8],
-) {
-    if test.extent_sq <= 0.0 {
-        masks.fill(0);
-        return;
-    }
-    let (a, two_b, c) = (test.conic.a, 2.0 * test.conic.b, test.conic.c);
-    let half = _mm_set1_ps(0.5);
-    let mx = _mm_set1_ps(test.mean.x);
-    let extent = _mm_set1_ps(test.extent_sq);
-    for g in 0..groups {
-        let first = x0 + (g * BLEND_LANES) as i32;
-        let column_terms = |xi: __m128i| {
-            let dx = _mm_sub_ps(_mm_add_ps(_mm_cvtepi32_ps(xi), half), mx);
-            (
-                _mm_mul_ps(_mm_mul_ps(_mm_set1_ps(a), dx), dx),
-                _mm_mul_ps(_mm_set1_ps(two_b), dx),
-            )
-        };
-        let (adxdx_lo, bdx_lo) =
-            column_terms(_mm_setr_epi32(first, first + 1, first + 2, first + 3));
-        let (adxdx_hi, bdx_hi) =
-            column_terms(_mm_setr_epi32(first + 4, first + 5, first + 6, first + 7));
-        let tail = group_tail(cols, g);
-        for (y, row) in (y0..).zip(masks.chunks_exact_mut(groups)) {
-            let dy = y as f32 + 0.5 - test.mean.y;
-            let (dy_v, cdydy) = (_mm_set1_ps(dy), _mm_set1_ps(c * dy * dy));
-            let pass = |adxdx, bdx| {
-                let q = _mm_add_ps(_mm_add_ps(adxdx, _mm_mul_ps(bdx, dy_v)), cdydy);
-                _mm_movemask_ps(_mm_cmple_ps(q, extent))
-            };
-            let bits = pass(adxdx_lo, bdx_lo) | pass(adxdx_hi, bdx_hi) << 4;
-            row[g] = bits as u8 & tail;
-        }
-    }
-}
-
 fn block_pass_avx2(test: &EffectiveTest, origin: (i32, i32), cols: usize, masks: &mut [u8]) {
     let groups = block_pass_groups(cols, masks);
     debug_assert!(avx2_available());
@@ -186,8 +88,11 @@ fn block_pass_avx2(test: &EffectiveTest, origin: (i32, i32), cols: usize, masks:
     unsafe { block_pass_avx2_impl(test, origin, cols, groups, masks) }
 }
 
-/// 8-lane twin of [`block_pass_sse2_impl`] (identical per-lane sequence):
-/// one vector and one `movemask` per mask byte.
+/// Columns as lanes, one vector and one `movemask` per mask byte: the
+/// terms of `EffectiveTest::passes` that depend only on the column
+/// (`a·dx·dx`, `2·b·dx`) are built once per lane group and reused down the
+/// block's rows; the per-row terms are the scalar twin's scalars,
+/// broadcast.
 #[target_feature(enable = "avx2")]
 fn block_pass_avx2_impl(
     test: &EffectiveTest,
@@ -223,88 +128,6 @@ fn block_pass_avx2_impl(
     }
 }
 
-fn block_powers_sse2(
-    p: &ProjectedGaussian,
-    origin: (i32, i32),
-    cols: usize,
-    row_lanes: usize,
-    tile: &mut [f32],
-) {
-    block_powers_rows(cols, row_lanes, tile);
-    // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { block_powers_sse2_impl(p, origin, cols, row_lanes, tile) }
-}
-
-/// Rows as lanes, four at a time: `RowAlpha::new` for four rows in one
-/// vector (the column-only factors are the scalar twin's scalars,
-/// broadcast), then four chain steps give four column vectors, which a
-/// 4×4 transpose turns into four row-major runs of the tile. Lanes past
-/// `cols` are overwritten with the pad power; rows past the tile are not
-/// stored.
-#[target_feature(enable = "sse2")]
-fn block_powers_sse2_impl(
-    p: &ProjectedGaussian,
-    (x0, y0): (i32, i32),
-    cols: usize,
-    row_lanes: usize,
-    tile: &mut [f32],
-) {
-    const ROWS: usize = 4;
-    let conic = p.conic;
-    let dx = x0 as f32 + 0.5 - p.mean2d.x;
-    let two_b = 2.0 * conic.b;
-    let half = _mm_set1_ps(0.5);
-    let pad = _mm_set1_ps(PAD_POWER);
-    let iota = _mm_setr_epi32(0, 1, 2, 3);
-    let curve = _mm_set1_ps(-conic.a);
-    for (group, rows) in tile.chunks_mut(ROWS * row_lanes).enumerate() {
-        let yi = _mm_add_epi32(_mm_set1_epi32(y0 + (group * ROWS) as i32), iota);
-        let dy = _mm_sub_ps(
-            _mm_add_ps(_mm_cvtepi32_ps(yi), half),
-            _mm_set1_ps(p.mean2d.y),
-        );
-        let q = _mm_add_ps(
-            _mm_add_ps(
-                _mm_set1_ps(conic.a * dx * dx),
-                _mm_mul_ps(_mm_set1_ps(two_b * dx), dy),
-            ),
-            _mm_mul_ps(_mm_mul_ps(_mm_set1_ps(conic.c), dy), dy),
-        );
-        let mut power = _mm_sub_ps(_mm_set1_ps(p.ln_opacity), _mm_mul_ps(half, q));
-        let mut step = _mm_mul_ps(
-            _mm_set1_ps(-0.5),
-            _mm_add_ps(
-                _mm_set1_ps(conic.a * (2.0 * dx + 1.0)),
-                _mm_mul_ps(_mm_set1_ps(two_b), dy),
-            ),
-        );
-        for col0 in (0..row_lanes).step_by(ROWS) {
-            let live = cols.saturating_sub(col0).min(ROWS);
-            let mut v = [pad; ROWS];
-            if live > 0 {
-                for column in &mut v {
-                    *column = power;
-                    power = _mm_add_ps(power, step);
-                    step = _mm_add_ps(step, curve);
-                }
-                let [r0, r1, r2, r3] = &mut v;
-                _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-                if live < ROWS {
-                    let keep = _mm_castsi128_ps(_mm_cmpgt_epi32(_mm_set1_epi32(live as i32), iota));
-                    for row in &mut v {
-                        *row = _mm_or_ps(_mm_and_ps(keep, *row), _mm_andnot_ps(keep, pad));
-                    }
-                }
-            }
-            for (row, lanes) in v.iter().zip(rows.chunks_exact_mut(row_lanes)) {
-                let run = &mut lanes[col0..col0 + ROWS];
-                // SAFETY: `run` is exactly the four floats the store writes.
-                unsafe { _mm_storeu_ps(run.as_mut_ptr(), *row) };
-            }
-        }
-    }
-}
-
 fn block_powers_avx2(
     p: &ProjectedGaussian,
     origin: (i32, i32),
@@ -318,9 +141,12 @@ fn block_powers_avx2(
     unsafe { block_powers_avx2_impl(p, origin, cols, row_lanes, tile) }
 }
 
-/// 8-row twin of [`block_powers_sse2_impl`] (identical per-lane sequence):
-/// eight chains advance together and one 8×8 transpose per lane group
-/// writes eight rows of the tile.
+/// Rows as lanes, eight at a time: `RowAlpha::new` for eight rows in one
+/// vector (the column-only factors are the scalar twin's scalars,
+/// broadcast), then eight chain steps give eight column vectors, which
+/// one 8×8 transpose turns into eight row-major runs of the tile. Lanes
+/// past `cols` are overwritten with the pad power; rows past the tile are
+/// not stored.
 #[target_feature(enable = "avx2")]
 fn block_powers_avx2_impl(
     p: &ProjectedGaussian,
@@ -748,103 +574,18 @@ fn span_chains_avx2<const BLOCKS: usize>(chains: SpanChains, at: &[i32; 8], tile
     }
 }
 
-fn alpha_powers_sse2(buf: &mut [f32]) {
-    // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { alpha_from_powers_sse2(buf) }
-}
-
-/// In-place power → clamped-alpha over a buffer, 4 lanes at a time. Per
-/// lane this is exactly `ExpMode::Exact.alpha(power)`: the `det_exp` operation
-/// sequence plus the `[−5.54, 0)` input clamps and the
-/// `min(ALPHA_MAX)` / `< ALPHA_MIN → 0` output clamps, evaluated
-/// branchlessly (clamped lanes compute a discarded `det_exp`, which is
-/// wasted work but cannot change selected results).
-#[target_feature(enable = "sse2")]
-unsafe fn alpha_from_powers_sse2(buf: &mut [f32]) {
-    let n = buf.len();
-    let mut i = 0;
-    unsafe {
-        let exp_min = _mm_set1_ps(EXP_INPUT_MIN);
-        while i + 4 <= n {
-            let x = _mm_loadu_ps(buf.as_ptr().add(i));
-            // Every lane below the input floor (padding, mostly): the
-            // clamps would make each `+0.0`, so skip the evaluation. A
-            // NaN compares false and takes the full path.
-            let a = if _mm_movemask_ps(_mm_cmplt_ps(x, exp_min)) == 0xF {
-                _mm_setzero_ps()
-            } else {
-                alpha4_sse2(x)
-            };
-            _mm_storeu_ps(buf.as_mut_ptr().add(i), a);
-            i += 4;
-        }
-        if i < n {
-            // Padded tail: the same 4-lane body on a zero-padded stack
-            // copy (zeros are benign `det_exp` inputs; pad lanes are
-            // discarded). Per lane this is the identical operation
-            // sequence, so the tail stays bit-exact — and the hot path
-            // never calls the scalar exponential at all.
-            let mut pad = [0.0f32; 4];
-            pad[..n - i].copy_from_slice(&buf[i..]);
-            _mm_storeu_ps(pad.as_mut_ptr(), alpha4_sse2(_mm_loadu_ps(pad.as_ptr())));
-            buf[i..].copy_from_slice(&pad[..n - i]);
-        }
-    }
-}
-
-/// One 4-lane power → alpha step of [`alpha_from_powers_sse2`].
-#[inline]
-#[target_feature(enable = "sse2")]
-unsafe fn alpha4_sse2(x: __m128) -> __m128 {
-    {
-        let log2e = _mm_set1_ps(DET_EXP_LOG2E);
-        let half = _mm_set1_ps(0.5);
-        let one = _mm_set1_ps(1.0);
-        let ln2_hi = _mm_set1_ps(DET_EXP_LN2_HI);
-        let ln2_lo = _mm_set1_ps(DET_EXP_LN2_LO);
-        let bias = _mm_set1_epi32(127);
-        let exp_min = _mm_set1_ps(EXP_INPUT_MIN);
-        let zero = _mm_setzero_ps();
-        let alpha_max = _mm_set1_ps(ALPHA_MAX);
-        let alpha_min = _mm_set1_ps(ALPHA_MIN);
-        // k = floor(x·log2e + ½); SSE2 has no floor, so truncate and
-        // step down where truncation rounded up (negative inputs).
-        let t = _mm_add_ps(_mm_mul_ps(x, log2e), half);
-        let tf = _mm_cvtepi32_ps(_mm_cvttps_epi32(t));
-        let k = _mm_sub_ps(tf, _mm_and_ps(_mm_cmplt_ps(t, tf), one));
-        // r = x − k·ln2_hi − k·ln2_lo, two separate mul+sub (no FMA).
-        let r = _mm_sub_ps(_mm_sub_ps(x, _mm_mul_ps(k, ln2_hi)), _mm_mul_ps(k, ln2_lo));
-        // Horner, same order as det_exp.
-        let mut p = _mm_set1_ps(DET_EXP_POLY[0]);
-        p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(DET_EXP_POLY[1]));
-        p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(DET_EXP_POLY[2]));
-        p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(DET_EXP_POLY[3]));
-        p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(DET_EXP_POLY[4]));
-        p = _mm_add_ps(_mm_mul_ps(p, r), _mm_set1_ps(DET_EXP_POLY[5]));
-        let y = _mm_add_ps(_mm_add_ps(_mm_mul_ps(p, _mm_mul_ps(r, r)), r), one);
-        // 2^k through the exponent bits (k is integer-valued here).
-        let ki = _mm_cvttps_epi32(k);
-        let scale = _mm_castsi128_ps(_mm_slli_epi32(_mm_add_epi32(ki, bias), 23));
-        let e = _mm_mul_ps(y, scale);
-        // Input clamps: x < −5.54 → 0, x ≥ 0 → 1 (mutually exclusive).
-        let lo = _mm_cmplt_ps(x, exp_min);
-        let hi = _mm_cmpge_ps(x, zero);
-        let mut a = _mm_andnot_ps(lo, e);
-        a = _mm_or_ps(_mm_and_ps(hi, one), _mm_andnot_ps(hi, a));
-        // Output clamps, matching scalar `min` NaN/order semantics.
-        a = _mm_min_ps(a, alpha_max);
-        _mm_andnot_ps(_mm_cmplt_ps(a, alpha_min), a)
-    }
-}
-
 fn alpha_powers_avx2(buf: &mut [f32]) {
     debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
     // SAFETY: the AVX2 table is only handed out after feature detection.
     unsafe { alpha_from_powers_avx2(buf) }
 }
 
-/// 8-lane twin of [`alpha_from_powers_sse2`] (identical per-lane sequence;
-/// AVX has a real floor).
+/// In-place power → clamped-alpha over a buffer, 8 lanes at a time. Per
+/// lane this is exactly `ExpMode::Exact.alpha(power)`: the `det_exp`
+/// operation sequence plus the `[−5.54, 0)` input clamps and the
+/// `min(ALPHA_MAX)` / `< ALPHA_MIN → 0` output clamps, evaluated
+/// branchlessly (clamped lanes compute a discarded `det_exp`, which is
+/// wasted work but cannot change selected results).
 #[target_feature(enable = "avx2")]
 unsafe fn alpha_from_powers_avx2(buf: &mut [f32]) {
     let n = buf.len();
@@ -894,11 +635,14 @@ unsafe fn alpha8_avx2(x: __m256) -> __m256 {
         let zero = _mm256_setzero_ps();
         let alpha_max = _mm256_set1_ps(ALPHA_MAX);
         let alpha_min = _mm256_set1_ps(ALPHA_MIN);
+        // k = floor(x·log2e + ½).
         let k = _mm256_round_ps::<FLOOR>(_mm256_add_ps(_mm256_mul_ps(x, log2e), half));
+        // r = x − k·ln2_hi − k·ln2_lo, two separate mul+sub (no FMA).
         let r = _mm256_sub_ps(
             _mm256_sub_ps(x, _mm256_mul_ps(k, ln2_hi)),
             _mm256_mul_ps(k, ln2_lo),
         );
+        // Horner, same order as det_exp.
         let mut p = _mm256_set1_ps(DET_EXP_POLY[0]);
         p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(DET_EXP_POLY[1]));
         p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(DET_EXP_POLY[2]));
@@ -906,79 +650,19 @@ unsafe fn alpha8_avx2(x: __m256) -> __m256 {
         p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(DET_EXP_POLY[4]));
         p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(DET_EXP_POLY[5]));
         let y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r), one);
+        // 2^k through the exponent bits (k is integer-valued here).
         let ki = _mm256_cvttps_epi32(k);
         let scale = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(ki, bias), 23));
         let e = _mm256_mul_ps(y, scale);
+        // Input clamps: x < −5.54 → 0, x ≥ 0 → 1 (mutually exclusive).
         let lo = _mm256_cmp_ps::<_CMP_LT_OQ>(x, exp_min);
         let hi = _mm256_cmp_ps::<_CMP_GE_OQ>(x, zero);
         let mut a = _mm256_andnot_ps(lo, e);
         a = _mm256_or_ps(_mm256_and_ps(hi, one), _mm256_andnot_ps(hi, a));
+        // Output clamps, matching scalar `min` NaN/order semantics.
         a = _mm256_min_ps(a, alpha_max);
         _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(a, alpha_min), a)
     }
-}
-
-fn blend_span_sse2(
-    alphas: &[f32],
-    color: [f32; 3],
-    alpha_min: f32,
-    px: PixelLanes<'_>,
-) -> BlendCounts {
-    let n = blend_lanes_len(alphas, &px);
-    // SAFETY: SSE2 is part of the x86-64 baseline; all five slices hold
-    // `n` lanes (checked above).
-    unsafe { blend_span_sse2_impl(n, alphas, color, alpha_min, px) }
-}
-
-/// 4 lanes at a time, the scalar twin's operation sequence per lane: the
-/// blend condition becomes a lane mask, masked-off lanes blend `α = 0`
-/// (adds `+0.0`, multiplies by `1.0`), a group with no lane on is left
-/// untouched. The caller guarantees `n` lanes in every slice.
-#[target_feature(enable = "sse2")]
-unsafe fn blend_span_sse2_impl(
-    n: usize,
-    alphas: &[f32],
-    color: [f32; 3],
-    alpha_min: f32,
-    px: PixelLanes<'_>,
-) -> BlendCounts {
-    let PixelLanes { r, g, b, t } = px;
-    let mut counts = BlendCounts::default();
-    unsafe {
-        let eps = _mm_set1_ps(TRANSMITTANCE_EPS);
-        let a_min = _mm_set1_ps(alpha_min);
-        let one = _mm_set1_ps(1.0);
-        let (cr, cg, cb) = (
-            _mm_set1_ps(color[0]),
-            _mm_set1_ps(color[1]),
-            _mm_set1_ps(color[2]),
-        );
-        let mut i = 0;
-        while i < n {
-            let a = _mm_loadu_ps(alphas.as_ptr().add(i));
-            let t0 = _mm_loadu_ps(t.as_ptr().add(i));
-            // !(T < ε) ∧ α > alpha_min, as in the scalar twin.
-            let on = _mm_and_ps(_mm_cmpnlt_ps(t0, eps), _mm_cmpgt_ps(a, a_min));
-            let on_bits = _mm_movemask_ps(on);
-            if on_bits != 0 {
-                let a = _mm_and_ps(a, on);
-                let w = _mm_mul_ps(a, t0);
-                let rp = r.as_mut_ptr().add(i);
-                let gp = g.as_mut_ptr().add(i);
-                let bp = b.as_mut_ptr().add(i);
-                _mm_storeu_ps(rp, _mm_add_ps(_mm_loadu_ps(rp), _mm_mul_ps(cr, w)));
-                _mm_storeu_ps(gp, _mm_add_ps(_mm_loadu_ps(gp), _mm_mul_ps(cg, w)));
-                _mm_storeu_ps(bp, _mm_add_ps(_mm_loadu_ps(bp), _mm_mul_ps(cb, w)));
-                let t1 = _mm_mul_ps(t0, _mm_sub_ps(one, a));
-                _mm_storeu_ps(t.as_mut_ptr().add(i), t1);
-                let done = _mm_and_ps(on, _mm_cmplt_ps(t1, eps));
-                counts.blended += on_bits.count_ones();
-                counts.terminated += _mm_movemask_ps(done).count_ones();
-            }
-            i += 4;
-        }
-    }
-    counts
 }
 
 fn blend_span_avx2(
@@ -994,8 +678,11 @@ fn blend_span_avx2(
     unsafe { blend_span_avx2_impl(n, alphas, color, alpha_min, px) }
 }
 
-/// 8-lane twin of [`blend_span_sse2_impl`] (identical per-lane sequence),
-/// one [`super::BLEND_LANES`] group per iteration.
+/// One [`super::BLEND_LANES`] group per iteration, the scalar twin's
+/// operation sequence per lane: the blend condition becomes a lane mask,
+/// masked-off lanes blend `α = 0` (adds `+0.0`, multiplies by `1.0`), a
+/// group with no lane on is left untouched. The caller guarantees `n`
+/// lanes in every slice.
 #[target_feature(enable = "avx2,popcnt")]
 unsafe fn blend_span_avx2_impl(
     n: usize,
@@ -1019,6 +706,7 @@ unsafe fn blend_span_avx2_impl(
         while i < n {
             let a = _mm256_loadu_ps(alphas.as_ptr().add(i));
             let t0 = _mm256_loadu_ps(t.as_ptr().add(i));
+            // !(T < ε) ∧ α > alpha_min, as in the scalar twin.
             let on = _mm256_and_ps(
                 _mm256_cmp_ps::<_CMP_NLT_UQ>(t0, eps),
                 _mm256_cmp_ps::<_CMP_GT_OQ>(a, a_min),

@@ -5,7 +5,7 @@
 //! Per frame:
 //!
 //! * **Stage I** — view depths for all Gaussians
-//!   ([`stages::view_depths`]), near-plane cull at 0.2, depth grouping
+//!   ([`stages::view_depths_into`]), near-plane cull at 0.2, depth grouping
 //!   (near → far, ≤ 256 per group).
 //! * **Per group, interleaved**: once the frame (or Cmode sub-view) is
 //!   fully terminated, *all remaining groups are skipped* — no geometry
@@ -14,7 +14,7 @@
 //!   law ([`stages::project_one`]); the SCU culls off-screen and
 //!   never-visible Gaussians.
 //! * **Stage III** — SH color for surviving Gaussians only (conditional SH
-//!   loading, [`stages::shade_one`]) and intra-group depth sort
+//!   loading, [`stages::shade_one_deg`]) and intra-group depth sort
 //!   ([`stages::sort_by_depth`]).
 //! * **Stage IV** — Algorithm 1 block traversal (8×8 PE array granularity)
 //!   restricted by the transmittance mask, alpha evaluation (optionally

@@ -116,8 +116,8 @@ impl std::fmt::Display for Schedule {
 
 /// A region of interest: a non-empty pixel rectangle of the full frame.
 /// The rendered output image has exactly this size, and is bit-identical
-/// to the same rectangle of the full-frame render (see the
-/// [module docs](self)).
+/// to the same rectangle of the full-frame render: the schedules keep
+/// full-frame arithmetic and run only the work units that touch it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Roi {
     /// Left edge in full-frame pixels.

@@ -9,12 +9,18 @@
 //! * [`project_one`] — frustum/near cull + EWA projection of one Gaussian
 //!   (Stage II in GCC's numbering; "preprocess" step 1 in the standard
 //!   pipeline),
-//! * [`shade_one`] — SH color evaluation (Stage III / preprocess step 2),
-//! * [`project_and_shade_all`] — the standard schedule's eager Stage 1:
-//!   every Gaussian through both, order-preserving and parallelizable,
-//! * [`view_depths`] — Stage I depth computation for grouping,
-//! * [`sort_by_depth`] / [`sort_indices_by_depth`] — the depth-sort stage
-//!   over survivors or over per-tile index lists,
+//! * [`shade_one_deg`] — SH color evaluation of one survivor (Stage III),
+//! * [`project_all`] → [`shade_all_soa`] — the standard schedule's eager
+//!   Stage 1: every Gaussian culled and projected, then every survivor
+//!   shaded in one batched kernel pass over its packed SoA fields,
+//!   order-preserving and parallelizable,
+//! * [`footprint_rects_soa_into`] and [`global_depth_order_soa`] — the
+//!   standard schedule's footprints and one global depth order over those
+//!   SoA fields, which [`TileBins`] bins born sorted,
+//! * [`view_depths_into`] — Stage I depth computation for grouping,
+//! * [`sort_by_depth`] — the Gaussian-wise schedule's intra-group depth
+//!   sort over survivors; [`sort_indices_by_depth`], the historical
+//!   per-tile sort, is the reference the global order is pinned against,
 //! * [`partition_windows`] — Compatibility-Mode sub-view partitioning,
 //! * [`PixelPatch`] — a rectangular tile/window of blending state that a
 //!   worker owns exclusively, and the one blend loop: a schedule fills a
@@ -34,8 +40,7 @@ use std::sync::Mutex;
 use gcc_core::alpha::{ExpMode, PixelState, PAD_POWER};
 use gcc_core::bounds::{BoundingLaw, PixelRect};
 use gcc_core::dispatch::{BlendCounts, KernelSet, PixelLanes, BLEND_LANES};
-use gcc_core::projection::{map_color, map_color_deg, project_gaussian};
-use gcc_core::sort::depth_key;
+use gcc_core::projection::{map_color_deg, project_gaussian};
 use gcc_core::{Camera, Gaussian3D, ProjectedGaussian};
 use gcc_math::Vec3;
 use gcc_parallel::{
@@ -73,46 +78,12 @@ pub fn project_one(
     project_gaussian(g, id, cam, law)
 }
 
-/// SH color stage: evaluates the view-dependent color of `g` into `p`.
-pub fn shade_one(p: &mut ProjectedGaussian, g: &Gaussian3D, cam: &Camera) {
-    map_color(p, g, cam);
-}
-
-/// [`shade_one`] with the SH evaluation clamped to bands `l ≤ degree` —
-/// the per-request SH degree quality knob. `degree = 3` is bit-identical
-/// to [`shade_one`].
+/// SH color stage: evaluates the view-dependent color of `g` into `p`,
+/// clamped to bands `l ≤ degree` — the per-request SH degree quality
+/// knob. `degree = 3` is bit-identical to the unclamped
+/// [`map_color`](gcc_core::projection::map_color).
 pub fn shade_one_deg(p: &mut ProjectedGaussian, g: &Gaussian3D, cam: &Camera, degree: u8) {
     map_color_deg(p, g, cam, degree);
-}
-
-/// The standard schedule's eager preprocessing: every Gaussian through
-/// cull + project + SH. Survivors come back in scene order regardless of
-/// `threads`, so downstream binning and sorting see the exact sequential
-/// stream.
-pub fn project_and_shade_all(
-    gaussians: &[Gaussian3D],
-    cam: &Camera,
-    law: BoundingLaw,
-    threads: usize,
-) -> Vec<ProjectedGaussian> {
-    project_and_shade_all_deg(gaussians, cam, law, 3, threads)
-}
-
-/// [`project_and_shade_all`] with the SH degree clamp of
-/// [`shade_one_deg`]; `degree = 3` is bit-identical.
-pub fn project_and_shade_all_deg(
-    gaussians: &[Gaussian3D],
-    cam: &Camera,
-    law: BoundingLaw,
-    degree: u8,
-    threads: usize,
-) -> Vec<ProjectedGaussian> {
-    par_filter_map_chunked(gaussians, threads, PROJECT_NS + SHADE_NS, |i, g| {
-        project_one(g, i as u32, cam, law).map(|mut p| {
-            shade_one_deg(&mut p, g, cam, degree);
-            p
-        })
-    })
 }
 
 /// Cull + project only — the SoA schedule's Stage II, leaving SH to the
@@ -169,14 +140,8 @@ pub fn shade_all_soa(
 }
 
 /// Stage I of the Gaussian-wise schedule: view-space depths for all
-/// Gaussians, in scene order (parallelized over chunks).
-pub fn view_depths(gaussians: &[Gaussian3D], cam: &Camera, threads: usize) -> Vec<f32> {
-    let mut out = Vec::new();
-    view_depths_into(gaussians, cam, threads, &mut out);
-    out
-}
-
-/// [`view_depths`] into a reusable buffer (no allocation once warm).
+/// Gaussians, in scene order (parallelized over chunks), into a reusable
+/// buffer (no allocation once warm).
 pub fn view_depths_into(
     gaussians: &[Gaussian3D],
     cam: &Camera,
@@ -199,7 +164,7 @@ pub fn sort_by_depth(survivors: &mut [ProjectedGaussian]) {
 
 /// Depth-sort stage over an index list into a projected array — the
 /// standard schedule's *historical* per-tile sort, kept as the reference
-/// ordering that [`global_depth_order_into`] + [`TileBins`] are pinned
+/// ordering that [`global_depth_order_soa`] + [`TileBins`] are pinned
 /// against (equal depths keep scene order in both formulations).
 pub fn sort_indices_by_depth(indices: &mut [u32], projected: &[ProjectedGaussian]) {
     indices.sort_by(|&a, &b| {
@@ -209,34 +174,14 @@ pub fn sort_indices_by_depth(indices: &mut [u32], projected: &[ProjectedGaussian
     });
 }
 
-/// The global depth-ordering stage: one monotone `u32` key per projected
-/// survivor ([`depth_key`], chunk-parallel) and one stable LSD radix sort
-/// over all of them. `order` receives the survivor indices front to back;
-/// equal depths keep scene order, so any subsequence of `order` (e.g. a
-/// tile bin filled in this order) is exactly what a stable per-tile
-/// `total_cmp` sort would have produced. `keys` and `radix` are reusable
-/// scratch.
-pub fn global_depth_order_into(
-    projected: &[ProjectedGaussian],
-    threads: usize,
-    keys: &mut Vec<u32>,
-    order: &mut Vec<u32>,
-    radix: &mut Vec<u32>,
-) {
-    keys.clear();
-    keys.resize(projected.len(), 0);
-    par_chunks_mut(keys, threads, DEPTH_KEY_NS, |off, chunk| {
-        for (key, p) in chunk.iter_mut().zip(&projected[off..]) {
-            *key = depth_key(p.depth);
-        }
-    });
-    radix_sort_indices_into(keys, threads, order, radix);
-}
-
-/// [`global_depth_order_into`] over a flat SoA depth array, with key
-/// generation routed through `kernels.depth_keys` (scalar or SIMD — the
-/// monotone sign-flip mapping is bit-identical in every backend, so the
-/// resulting order is too). Chunk-parallel over the key buffer.
+/// The global depth-ordering stage: one monotone `u32` key per survivor
+/// depth ([`gcc_core::sort::depth_key`], generated by `kernels.depth_keys`
+/// — scalar or SIMD, bit-identical in every backend — chunk-parallel over
+/// the key buffer) and one stable LSD radix sort over all of them. `order`
+/// receives the survivor indices front to back; equal depths keep scene
+/// order, so any subsequence of `order` (e.g. a tile bin filled in this
+/// order) is exactly what a stable per-tile `total_cmp` sort would have
+/// produced. `keys` and `radix` are reusable scratch.
 pub fn global_depth_order_soa(
     depths: &[f32],
     threads: usize,
@@ -253,28 +198,10 @@ pub fn global_depth_order_soa(
     radix_sort_indices_into(keys, threads, order, radix);
 }
 
-/// Screen-clipped AABB footprints of all projected survivors, in scene
-/// order, into a reusable buffer — computed once per frame and shared by
-/// binning and tile rendering.
-pub fn footprint_rects_into(
-    projected: &[ProjectedGaussian],
-    width: u32,
-    height: u32,
-    threads: usize,
-    rects: &mut Vec<PixelRect>,
-) {
-    rects.clear();
-    rects.resize(projected.len(), PixelRect::EMPTY);
-    par_chunks_mut(rects, threads, FOOTPRINT_NS, |off, chunk| {
-        for (rect, p) in chunk.iter_mut().zip(&projected[off..]) {
-            *rect = PixelRect::from_circle(p.mean2d, p.radius, width, height);
-        }
-    });
-}
-
-/// [`footprint_rects_into`] over flat SoA center/radius arrays — the same
-/// `PixelRect::from_circle` per survivor, streaming three contiguous `f32`
-/// arrays instead of strided projection records.
+/// Screen-clipped AABB footprints of all survivors, in scene order, into
+/// a reusable buffer — computed once per frame and shared by binning and
+/// tile rendering. `PixelRect::from_circle` per survivor, streaming the
+/// flat SoA center/radius arrays instead of strided projection records.
 pub fn footprint_rects_soa_into(
     mean_x: &[f32],
     mean_y: &[f32],
@@ -527,11 +454,11 @@ impl PixelPatch {
     /// per row the forward-difference chain
     /// ([`RowAlpha`](gcc_core::alpha::RowAlpha)) started at the
     /// span's first pixel, [`PAD_POWER`] in the other lanes — and the rows
-    /// from the first to the last non-empty one then go through
-    /// [`Self::blend_powers`]. All rows of a Gaussian go through each
-    /// kernel in one call, so their span solves and chains share vector
-    /// lanes and the tail sees a run of whole rows instead of a handful of
-    /// lanes.
+    /// from the first to the last non-empty one then go through the
+    /// shared blend tail (`blend_powers`). All rows of a Gaussian go
+    /// through each kernel in one call, so their span solves and chains
+    /// share vector lanes and the tail sees a run of whole rows instead of
+    /// a handful of lanes.
     ///
     /// # Panics
     ///
@@ -577,8 +504,8 @@ impl PixelPatch {
     /// the Gaussian-wise schedule feeds the blend loop: a dispatched block
     /// is evaluated whole, so `kernels.block_powers` fills the power tile
     /// with the block's rows in the vector lanes (the same chain per row
-    /// as [`Self::blend_rows`] runs, bit for bit) before
-    /// [`Self::blend_powers`].
+    /// as [`Self::blend_rows`] runs, bit for bit) before the shared blend
+    /// tail (`blend_powers`).
     #[inline]
     pub fn blend_block(
         &mut self,
@@ -839,6 +766,7 @@ where
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use crate::pipeline::scratch::SurvivorSoa;
     use gcc_core::alpha::RowAlpha;
     use gcc_math::Vec3;
 
@@ -867,13 +795,30 @@ mod tests {
             .collect()
     }
 
+    /// The standard schedule's Stage 1 as it renders a frame: cull +
+    /// project, pack the survivors' SoA fields, batched SH at `degree`.
+    fn preprocess(
+        g: &[Gaussian3D],
+        cam: &Camera,
+        degree: u8,
+        threads: usize,
+    ) -> (Vec<ProjectedGaussian>, SurvivorSoa) {
+        let mut projected = project_all(g, cam, BoundingLaw::ThreeSigma, threads);
+        let mut soa = SurvivorSoa::default();
+        soa.pack(&projected, g, cam);
+        let kernels = gcc_core::dispatch::active();
+        let (dx, dy, dz) = (&soa.dir_x, &soa.dir_y, &soa.dir_z);
+        shade_all_soa(&mut projected, g, dx, dy, dz, degree, threads, kernels);
+        (projected, soa)
+    }
+
     #[test]
     fn parallel_preprocess_matches_sequential() {
         let cam = cam();
         let g = cloud(300);
-        let seq = project_and_shade_all(&g, &cam, BoundingLaw::ThreeSigma, 1);
+        let (seq, _) = preprocess(&g, &cam, 3, 1);
         for threads in [2, 5] {
-            let par = project_and_shade_all(&g, &cam, BoundingLaw::ThreeSigma, threads);
+            let (par, _) = preprocess(&g, &cam, 3, threads);
             assert_eq!(seq.len(), par.len());
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.id, b.id);
@@ -887,8 +832,9 @@ mod tests {
     fn view_depths_preserve_order() {
         let cam = cam();
         let g = cloud(101);
-        let seq = view_depths(&g, &cam, 1);
-        let par = view_depths(&g, &cam, 4);
+        let (mut seq, mut par) = (Vec::new(), Vec::new());
+        view_depths_into(&g, &cam, 1, &mut seq);
+        view_depths_into(&g, &cam, 4, &mut par);
         assert_eq!(seq, par);
     }
 
@@ -964,14 +910,18 @@ mod tests {
         for (i, gauss) in g.iter_mut().enumerate() {
             gauss.sh[2] = 0.3 + (i as f32) * 0.001;
         }
-        let full = project_and_shade_all(&g, &cam, BoundingLaw::ThreeSigma, 1);
-        let deg3 = project_and_shade_all_deg(&g, &cam, BoundingLaw::ThreeSigma, 3, 1);
+        // Full: every band, one survivor at a time.
+        let mut full = project_all(&g, &cam, BoundingLaw::ThreeSigma, 1);
+        for p in &mut full {
+            gcc_core::projection::map_color(p, &g[p.id as usize], &cam);
+        }
+        let (deg3, _) = preprocess(&g, &cam, 3, 1);
         assert_eq!(full.len(), deg3.len());
         for (a, b) in full.iter().zip(&deg3) {
             assert_eq!(a.color, b.color);
         }
         // Degree 0 drops view dependence: colors differ somewhere.
-        let deg0 = project_and_shade_all_deg(&g, &cam, BoundingLaw::ThreeSigma, 0, 1);
+        let (deg0, _) = preprocess(&g, &cam, 0, 1);
         assert!(full.iter().zip(&deg0).any(|(a, b)| a.color != b.color));
     }
 
@@ -979,7 +929,7 @@ mod tests {
     fn index_sort_orders_front_to_back() {
         let cam = cam();
         let g = cloud(50);
-        let projected = project_and_shade_all(&g, &cam, BoundingLaw::ThreeSigma, 1);
+        let (projected, _) = preprocess(&g, &cam, 3, 1);
         let mut idx: Vec<u32> = (0..projected.len() as u32).collect();
         sort_indices_by_depth(&mut idx, &projected);
         for pair in idx.windows(2) {
@@ -995,12 +945,14 @@ mod tests {
         // stability requirement.
         let dup: Vec<Gaussian3D> = g.iter().take(40).cloned().collect();
         g.extend(dup);
-        let projected = project_and_shade_all(&g, &cam, BoundingLaw::ThreeSigma, 1);
+        let (projected, soa) = preprocess(&g, &cam, 3, 1);
         let mut expect: Vec<u32> = (0..projected.len() as u32).collect();
         sort_indices_by_depth(&mut expect, &projected); // stable total_cmp sort
         let (mut keys, mut order, mut radix) = (Vec::new(), Vec::new(), Vec::new());
+        let kernels = gcc_core::dispatch::active();
         for threads in [1, 4] {
-            global_depth_order_into(&projected, threads, &mut keys, &mut order, &mut radix);
+            let (k, o, r) = (&mut keys, &mut order, &mut radix);
+            global_depth_order_soa(&soa.depth, threads, k, o, r, kernels);
             assert_eq!(order, expect, "threads={threads}");
         }
     }
@@ -1009,7 +961,7 @@ mod tests {
     fn csr_bins_match_nested_vec_binning() {
         let cam = cam();
         let g = cloud(300);
-        let projected = project_and_shade_all(&g, &cam, BoundingLaw::ThreeSigma, 1);
+        let (projected, soa) = preprocess(&g, &cam, 3, 1);
         let (w, h, ts) = (64u32, 48u32, 16u32);
         let tiles_x = w.div_ceil(ts);
         let n_tiles = (tiles_x * h.div_ceil(ts)) as usize;
@@ -1033,9 +985,10 @@ mod tests {
         }
 
         let mut rects = Vec::new();
-        footprint_rects_into(&projected, w, h, 1, &mut rects);
+        footprint_rects_soa_into(&soa.mean_x, &soa.mean_y, &soa.radius, w, h, 1, &mut rects);
         let (mut keys, mut order, mut radix) = (Vec::new(), Vec::new(), Vec::new());
-        global_depth_order_into(&projected, 1, &mut keys, &mut order, &mut radix);
+        let kernels = gcc_core::dispatch::active();
+        global_depth_order_soa(&soa.depth, 1, &mut keys, &mut order, &mut radix, kernels);
         let mut bins = TileBins::new();
         let kv = bins.build(&rects, &order, ts, tiles_x, n_tiles);
 

@@ -5,15 +5,18 @@
 //! Two sequential stages, both expressed over the shared
 //! [`crate::pipeline::stages`] primitives:
 //!
-//! 1. **Preprocess**: every Gaussian is frustum-culled, projected (Eq. 1)
-//!    and SH-colored (Eq. 2) — regardless of whether rendering will use it
-//!    ([`stages::project_and_shade_all`]).
-//! 2. **Render**: survivors are ordered front-to-back **once globally**
-//!    ([`stages::global_depth_order_into`]: monotone depth keys + one
-//!    stable LSD radix sort) and binned to 16×16 tiles in that order into
-//!    a flat CSR layout ([`stages::TileBins`]), so every tile bin is born
-//!    depth-sorted — the GSCore-shaped "ordering is one global key sort"
-//!    formulation, replacing the historical per-tile comparison sorts.
+//! 1. **Preprocess**: every Gaussian is frustum-culled and projected
+//!    (Eq. 1, [`stages::project_all`]) and every survivor SH-colored
+//!    (Eq. 2) in one batched pass over its packed SoA fields
+//!    ([`stages::shade_all_soa`]) — whether or not rendering uses it.
+//! 2. **Render**: survivors get footprints
+//!    ([`stages::footprint_rects_soa_into`]) and are ordered front-to-back
+//!    **once globally** ([`stages::global_depth_order_soa`]: monotone
+//!    depth keys + one stable LSD radix sort), then binned to 16×16 tiles
+//!    in that order into a flat CSR layout ([`stages::TileBins`]), so
+//!    every tile bin is born depth-sorted — the GSCore-shaped "ordering is
+//!    one global key sort" formulation, replacing the historical per-tile
+//!    comparison sorts.
 //!    Pixels are blended front-to-back with early termination: per
 //!    (Gaussian, tile) the row spans that can contribute are solved
 //!    analytically, all rows in one `KernelSet::row_spans` call

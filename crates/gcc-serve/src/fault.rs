@@ -12,8 +12,9 @@
 //!
 //! Injection points:
 //!
-//! * **Loads** — wrap a registry entry with [`SceneSource::faulty`]; each
-//!   load attempt consults [`FaultPlan::next_load_fault`] (scripted
+//! * **Loads** — wrap a registry entry with
+//!   [`SceneSource::faulty`](crate::SceneSource::faulty); each load
+//!   attempt consults [`FaultPlan::next_load_fault`] (scripted
 //!   prefix first, then the seeded schedule).
 //! * **Renders** — wrap a schedule's renderer with [`ChaosRenderer`];
 //!   each render call consults [`FaultPlan::next_render_fault`].

@@ -9,8 +9,9 @@
 //! when is conditioned on scene residency, priority class and deadlines:
 //!
 //! * [`Session`] / [`FrameStream`] (the [`session`] module) — a client
-//!   opens a session per scene (with shared [`RenderOptions`] defaults)
-//!   and streams view sequences through it: trajectory sweeps, orbit
+//!   opens a session per scene (with shared
+//!   [`RenderOptions`](gcc_render::RenderOptions) defaults) and streams
+//!   view sequences through it: trajectory sweeps, orbit
 //!   loops, or explicit view lists ([`StreamSpec`]). Streams deliver
 //!   in order, materialize at most [`StreamConfig::window`] undelivered
 //!   frames at a time (backpressure), can be cancelled mid-flight

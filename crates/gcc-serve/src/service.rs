@@ -1187,9 +1187,9 @@ impl Shared {
     }
 }
 
-/// The multi-scene render service. See the [crate docs](crate) and the
-/// [module docs](self) for the request model and the scheduling model;
-/// [`crate::session`] documents the stream API.
+/// The multi-scene render service. See the [crate docs](crate) for the
+/// request model and the scheduling model; [`crate::session`] documents
+/// the stream API.
 pub struct RenderService {
     shared: Arc<Shared>,
     workers: usize,

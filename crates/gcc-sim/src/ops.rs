@@ -1,7 +1,7 @@
 //! Arithmetic operation counters and 28 nm-class per-op energy constants.
 //!
 //! Both accelerators build their datapaths from floating-point FMAs
-//! (paper §4.1, citing FPnew [25]); GCC's EXP unit is a fixed-point
+//! (paper §4.1, citing FPnew \[25\]); GCC's EXP unit is a fixed-point
 //! 16-segment LUT (§4.4), GSCore's an FP16 unit.
 
 use std::ops::{Add, AddAssign};

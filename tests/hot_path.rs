@@ -8,7 +8,9 @@
 use gcc_core::sort::depth_key;
 use gcc_parallel::{radix_sort_indices, Parallelism};
 use gcc_render::gaussian_wise::GaussianWiseConfig;
-use gcc_render::pipeline::stages::{self, footprint_rects_into, global_depth_order_into, TileBins};
+use gcc_render::pipeline::stages::{
+    self, footprint_rects_soa_into, global_depth_order_soa, TileBins,
+};
 use gcc_render::pipeline::{
     FrameScratch, GaussianWiseRenderer, RenderJob, RenderOptions, Renderer, StandardRenderer,
 };
@@ -45,7 +47,7 @@ fn radix_depth_order_equals_total_cmp_order_on_preset_scenes() {
 fn csr_bins_equal_nested_vec_bins_on_preset_scene() {
     let scene = scene(ScenePreset::Truck, 0.04);
     let cam = scene.default_camera();
-    let projected = stages::project_and_shade_all(
+    let projected = stages::project_all(
         &scene.gaussians,
         &cam,
         gcc_core::bounds::BoundingLaw::ThreeSigma,
@@ -74,10 +76,17 @@ fn csr_bins_equal_nested_vec_bins_on_preset_scene() {
         stages::sort_indices_by_depth(bin, &projected);
     }
 
+    // The survivor fields the standard schedule packs for these stages.
+    let field = |f: fn(&gcc_core::ProjectedGaussian) -> f32| -> Vec<f32> {
+        projected.iter().map(f).collect()
+    };
+    let (mean_x, mean_y) = (field(|p| p.mean2d.x), field(|p| p.mean2d.y));
+    let (radius, depth) = (field(|p| p.radius), field(|p| p.depth));
     let mut rects = Vec::new();
-    footprint_rects_into(&projected, w, h, 1, &mut rects);
+    footprint_rects_soa_into(&mean_x, &mean_y, &radius, w, h, 1, &mut rects);
     let (mut keys, mut order, mut radix) = (Vec::new(), Vec::new(), Vec::new());
-    global_depth_order_into(&projected, 1, &mut keys, &mut order, &mut radix);
+    let kernels = gcc_core::dispatch::active();
+    global_depth_order_soa(&depth, 1, &mut keys, &mut order, &mut radix, kernels);
     let mut bins = TileBins::new();
     let kv = bins.build(&rects, &order, ts, tiles_x, n_tiles);
 
