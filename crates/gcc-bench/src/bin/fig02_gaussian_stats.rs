@@ -7,7 +7,7 @@
 //! (`GCC_SCENE_SCALE` overrides the scene scale).
 
 use gcc_bench::{bench_scene, fmt_count, TablePrinter};
-use gcc_render::standard::{render_standard, StandardConfig};
+use gcc_render::{Renderer, StandardRenderer};
 use gcc_scene::ScenePreset;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     for (i, preset) in scenes.iter().enumerate() {
         let scene = bench_scene(*preset);
         let cam = scene.default_camera();
-        let out = render_standard(&scene.gaussians, &cam, &StandardConfig::gscore());
+        let out = StandardRenderer::gscore().render_frame(&scene.gaussians, &cam);
         let s = &out.stats;
         ta.row([
             scene.name.clone(),

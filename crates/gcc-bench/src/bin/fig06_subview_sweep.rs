@@ -9,7 +9,8 @@
 //! Usage: `cargo run --release -p gcc-bench --bin fig06_subview_sweep`
 
 use gcc_bench::{bench_scene, fmt_count, TablePrinter};
-use gcc_render::gaussian_wise::{render_gaussian_wise, GaussianWiseConfig};
+use gcc_render::gaussian_wise::GaussianWiseConfig;
+use gcc_render::{GaussianWiseRenderer, Renderer};
 use gcc_scene::ScenePreset;
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
                 subview: (sub < cam.width.max(cam.height)).then_some(sub),
                 ..GaussianWiseConfig::default()
             };
-            let out = render_gaussian_wise(&scene.gaussians, &cam, &cfg);
+            let out = GaussianWiseRenderer::new(cfg).render_frame(&scene.gaussians, &cam);
             let s = &out.stats;
             t.row([
                 format!("{sub}"),

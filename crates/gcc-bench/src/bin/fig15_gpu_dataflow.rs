@@ -13,8 +13,8 @@
 //! Usage: `cargo run --release -p gcc-bench --bin fig15_gpu_dataflow`
 
 use gcc_bench::{bench_scene, TablePrinter};
-use gcc_render::gaussian_wise::{render_gaussian_wise, GaussianWiseConfig};
-use gcc_render::standard::{render_standard, StandardConfig};
+use gcc_render::gaussian_wise::GaussianWiseConfig;
+use gcc_render::{GaussianWiseRenderer, Renderer, StandardRenderer};
 use gcc_scene::ScenePreset;
 use gcc_sim::gcc::{simulate_gcc, GccSimConfig};
 use gcc_sim::gpu::{gcc_dataflow_cost, standard_dataflow_cost, GpuPlatform};
@@ -37,12 +37,12 @@ fn main() {
     for preset in scenes {
         let scene = bench_scene(preset);
         let cam = scene.default_camera();
-        let std_out = render_standard(&scene.gaussians, &cam, &StandardConfig::gscore());
+        let std_out = StandardRenderer::gscore().render_frame(&scene.gaussians, &cam);
         let gw_cfg = GaussianWiseConfig {
             subview: Some(64),
             ..GaussianWiseConfig::default()
         };
-        let gw_out = render_gaussian_wise(&scene.gaussians, &cam, &gw_cfg);
+        let gw_out = GaussianWiseRenderer::new(gw_cfg).render_frame(&scene.gaussians, &cam);
 
         for gpu in &gpus {
             let std_b = standard_dataflow_cost(&std_out.stats, gpu);

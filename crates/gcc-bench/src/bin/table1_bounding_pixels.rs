@@ -8,7 +8,7 @@
 //! Usage: `cargo run --release -p gcc-bench --bin table1_bounding_pixels`
 
 use gcc_bench::{bench_scene, fmt_count, TablePrinter};
-use gcc_render::standard::{render_standard, StandardConfig};
+use gcc_render::{Renderer, StandardRenderer};
 use gcc_scene::ScenePreset;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
         // The OBB column needs a render that walks OBBs: only the GSCore
         // footprint fills `pixels_tested_obb` (the AABB column is the
         // clipped-rectangle area under either footprint).
-        let out = render_standard(&scene.gaussians, &cam, &StandardConfig::gscore());
+        let out = StandardRenderer::gscore().render_frame(&scene.gaussians, &cam);
         let s = &out.stats;
         t.row([
             scene.name.clone(),

@@ -11,9 +11,9 @@
 //! Usage: `cargo run --release -p gcc-bench --bin table2_quality`
 
 use gcc_bench::{bench_scene, TablePrinter};
-use gcc_render::gaussian_wise::{render_gaussian_wise, GaussianWiseConfig};
+use gcc_render::gaussian_wise::GaussianWiseConfig;
 use gcc_render::quality::{perceptual_distance, pseudo_ground_truth, psnr, ssim};
-use gcc_render::standard::{render_standard, StandardConfig};
+use gcc_render::{GaussianWiseRenderer, Renderer, StandardRenderer};
 use gcc_scene::ALL_PRESETS;
 
 fn main() {
@@ -27,13 +27,13 @@ fn main() {
         let scene = bench_scene(*preset);
         let cam = scene.default_camera();
 
-        let gpu = render_standard(&scene.gaussians, &cam, &StandardConfig::default());
-        let gscore = render_standard(&scene.gaussians, &cam, &StandardConfig::gscore());
+        let gpu = StandardRenderer::default().render_frame(&scene.gaussians, &cam);
+        let gscore = StandardRenderer::gscore().render_frame(&scene.gaussians, &cam);
         let gcc_cfg = GaussianWiseConfig {
             subview: Some(64),
             ..GaussianWiseConfig::gcc_hardware()
         };
-        let gcc = render_gaussian_wise(&scene.gaussians, &cam, &gcc_cfg);
+        let gcc = GaussianWiseRenderer::new(gcc_cfg).render_frame(&scene.gaussians, &cam);
 
         let gt = pseudo_ground_truth(&gpu.image, anchors[i], 0x6CC + i as u64);
         let p_gpu = psnr(&gpu.image, &gt);

@@ -186,9 +186,9 @@ where
 }
 
 /// Like [`par_map_indexed`], but hands every worker its own reusable state
-/// built by `init` — the seam that lets batch drivers (e.g. the trajectory
-/// runner) thread a scratch allocation through a parallel map instead of
-/// reallocating per item.
+/// built by `init` — the seam that lets batch drivers (e.g. a batch of
+/// frames, one render scratch per worker) thread a scratch allocation
+/// through a parallel map instead of reallocating per item.
 ///
 /// With `threads <= 1` (or fewer than two items) a single state is built
 /// and the map runs inline — the sequential reference schedule. Otherwise

@@ -30,9 +30,10 @@
 //! sub-views ([`stages::partition_windows`]) rendered independently, with
 //! conservative screen-space binning of Gaussians to sub-views; the
 //! duplicated processing it introduces is what Fig. 6 sweeps. Sub-views
-//! own disjoint pixels, so the frame engine renders them in parallel
-//! ([`render_gaussian_wise_with`]) with per-window [`FrameStats`] partials
-//! merged in window order — bit-identical to the sequential schedule.
+//! own disjoint pixels, so the frame engine renders them in parallel (a
+//! [`crate::GaussianWiseRenderer`]'s or a job's [`Parallelism`]) with
+//! per-window [`FrameStats`] partials merged in window order —
+//! bit-identical to the sequential schedule.
 
 use gcc_core::alpha::ExpMode;
 use gcc_core::boundary::{BlockGrid, BlockTracer, MaskMode, TMask};
@@ -44,8 +45,7 @@ use gcc_math::{Vec2, Vec3};
 use gcc_parallel::{par_chunks_mut, Parallelism};
 
 use crate::pipeline::stages::{self, BlendScratch};
-use crate::pipeline::{FrameScratch, FrameStats};
-use crate::Image;
+use crate::pipeline::{Frame, FrameScratch, FrameStats};
 
 /// Configuration of the Gaussian-wise renderer.
 #[derive(Debug, Clone)]
@@ -64,8 +64,6 @@ pub struct GaussianWiseConfig {
     /// Compatibility-Mode sub-view edge (e.g. 128); `None` renders the
     /// full frame as one view.
     pub subview: Option<u32>,
-    /// Depth-grouping parameters; `None` scales bins to the scene size.
-    pub grouping: Option<GroupingConfig>,
     /// Background color.
     pub background: Vec3,
     /// Minimum alpha a contribution needs to be blended. `0.0` keeps the
@@ -91,7 +89,6 @@ impl Default for GaussianWiseConfig {
             mask_mode: MaskMode::Traverse,
             cross_stage: true,
             subview: None,
-            grouping: None,
             background: Vec3::ZERO,
             alpha_min: 0.0,
             sh_degree: 3,
@@ -135,17 +132,6 @@ impl GaussianWiseConfig {
         }
         cfg
     }
-}
-
-/// Output of a Gaussian-wise render.
-#[derive(Debug, Clone)]
-pub struct GaussianWiseOutput {
-    /// The rendered frame.
-    pub image: Image,
-    /// Unified workload statistics.
-    pub stats: FrameStats,
-    /// Sizes of the depth groups (diagnostics / sim input).
-    pub group_sizes: Vec<u32>,
 }
 
 /// Cheap Stage-I screen information used for Cmode window binning: center
@@ -353,57 +339,34 @@ fn render_window(
     stats
 }
 
-/// Renders a frame with the GCC Gaussian-wise dataflow, sequentially (the
-/// reference schedule).
-pub fn render_gaussian_wise(
-    gaussians: &[Gaussian3D],
-    cam: &Camera,
-    cfg: &GaussianWiseConfig,
-) -> GaussianWiseOutput {
-    render_gaussian_wise_with(gaussians, cam, cfg, Parallelism::Sequential)
-}
-
-/// Renders a frame with the Gaussian-wise dataflow on the parallel frame
-/// engine: Stage I is chunk-parallel over Gaussians and Stages II–IV are
-/// parallel over Compatibility-Mode sub-views (a full-frame render has a
-/// single window and stays on one worker). Image and statistics are
-/// bit-identical to [`render_gaussian_wise`] for every `parallelism`
-/// policy.
-pub fn render_gaussian_wise_with(
-    gaussians: &[Gaussian3D],
-    cam: &Camera,
-    cfg: &GaussianWiseConfig,
-    parallelism: Parallelism,
-) -> GaussianWiseOutput {
-    let mut scratch = FrameScratch::new();
-    render_gaussian_wise_job(gaussians, cam, cfg, None, parallelism, &mut scratch)
-}
-
-/// The request-model entry point: [`render_gaussian_wise_with`] on
-/// caller-owned scratch (the Stage I depth and screen-bound buffers, the
-/// window workers' patches, tracers and lists; output is bit-identical
-/// whatever they held) with an optional region of interest, bit-identical
-/// to cropping the full-frame render. Under [`MaskMode::Traverse`] (the
-/// default) the restriction is real work reduction: only the Cmode
-/// windows and 8×8 blocks intersecting the ROI are blended, and the
-/// cross-stage termination condition counts only ROI blocks. Under [`MaskMode::SkipAndBlock`] the T-mask gates
-/// traversal *reachability*, so a pre-masked ROI would change which blocks
-/// a Gaussian reaches — the render falls back to the full frame plus a
-/// crop to preserve the bit-identity contract.
-pub fn render_gaussian_wise_job(
+/// Renders a frame with the Gaussian-wise dataflow: the body of
+/// [`crate::GaussianWiseRenderer`]'s `render_job`. Stage I is
+/// chunk-parallel over Gaussians and Stages II–IV parallel over
+/// Compatibility-Mode sub-views (a full-frame render has a single window
+/// and stays on one worker); image and statistics are bit-identical for
+/// every `parallelism` policy and whatever `scratch` held (the Stage I
+/// depth and screen-bound buffers, the window workers' patches, tracers
+/// and lists). An ROI render is bit-identical to cropping the full-frame
+/// render. Under [`MaskMode::Traverse`] (the default) the restriction is
+/// real work reduction: only the Cmode windows and 8×8 blocks
+/// intersecting the ROI are blended, and the cross-stage termination
+/// condition counts only ROI blocks. Under [`MaskMode::SkipAndBlock`] the
+/// T-mask gates traversal *reachability*, so a pre-masked ROI would change
+/// which blocks a Gaussian reaches — the render falls back to the full
+/// frame plus a crop to preserve the bit-identity contract.
+pub(crate) fn render_gaussian_wise_job(
     gaussians: &[Gaussian3D],
     cam: &Camera,
     cfg: &GaussianWiseConfig,
     roi: Option<crate::pipeline::Roi>,
     parallelism: Parallelism,
     scratch: &mut FrameScratch,
-) -> GaussianWiseOutput {
+) -> Frame {
     if let (Some(r), MaskMode::SkipAndBlock) = (&roi, cfg.mask_mode) {
         let full = render_gaussian_wise_job(gaussians, cam, cfg, None, parallelism, scratch);
-        return GaussianWiseOutput {
+        return Frame {
             image: crate::pipeline::crop_image(&full.image, r),
             stats: full.stats,
-            group_sizes: full.group_sizes,
         };
     }
     let threads = parallelism.threads();
@@ -419,15 +382,7 @@ pub fn render_gaussian_wise_job(
     // ---- Stage I: depths + grouping (global, once per frame). ----
     stages::view_depths_into(gaussians, cam, threads, depths);
     let depths = &*depths;
-    let grouping = cfg
-        .grouping
-        .unwrap_or_else(|| GroupingConfig::for_count(gaussians.len()));
-    let groups: DepthGroups = group_by_depth(depths, &grouping);
-    let group_sizes: Vec<u32> = groups
-        .groups
-        .iter()
-        .map(|g| g.members.len() as u32)
-        .collect();
+    let groups: DepthGroups = group_by_depth(depths, &GroupingConfig::for_count(gaussians.len()));
 
     // ---- Cmode window partition + conservative screen bounds. ----
     // ROI restriction at window granularity: windows are independent, so
@@ -508,10 +463,9 @@ pub fn render_gaussian_wise_job(
     stats.merge_add(&rendered.stats);
     stats.rendered = rendered.rendered;
 
-    GaussianWiseOutput {
+    Frame {
         image: rendered.image,
         stats,
-        group_sizes,
     }
 }
 
@@ -520,7 +474,7 @@ pub fn render_gaussian_wise_job(
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use crate::standard::{render_standard, StandardConfig};
+    use crate::{GaussianWiseRenderer, Renderer, StandardRenderer};
 
     fn test_cam() -> Camera {
         Camera::look_at(
@@ -556,8 +510,8 @@ mod tests {
             0.95,
             Vec3::new(0.9, 0.1, 0.2),
         )];
-        let gw = render_gaussian_wise(&g, &cam, &GaussianWiseConfig::default());
-        let std_out = render_standard(&g, &cam, &StandardConfig::default());
+        let gw = GaussianWiseRenderer::default().render_frame(&g, &cam);
+        let std_out = StandardRenderer::default().render_frame(&g, &cam);
         let diff = gw.image.max_abs_diff(&std_out.image);
         assert!(diff < 1e-4, "max diff {diff}");
     }
@@ -568,8 +522,8 @@ mod tests {
         // agree except for boundary-law differences below the 1/255 cutoff.
         let cam = test_cam();
         let cloud = colored_cloud(120);
-        let gw = render_gaussian_wise(&cloud, &cam, &GaussianWiseConfig::default());
-        let std_out = render_standard(&cloud, &cam, &StandardConfig::default());
+        let gw = GaussianWiseRenderer::default().render_frame(&cloud, &cam);
+        let std_out = StandardRenderer::default().render_frame(&cloud, &cam);
         let mse = gw.image.mse(&std_out.image);
         assert!(mse < 1e-5, "MSE {mse}");
     }
@@ -578,12 +532,12 @@ mod tests {
     fn cmode_render_is_equivalent_to_full_frame() {
         let cam = test_cam();
         let cloud = colored_cloud(100);
-        let full = render_gaussian_wise(&cloud, &cam, &GaussianWiseConfig::default());
+        let full = GaussianWiseRenderer::default().render_frame(&cloud, &cam);
         let cfg = GaussianWiseConfig {
             subview: Some(32),
             ..GaussianWiseConfig::default()
         };
-        let tiled = render_gaussian_wise(&cloud, &cam, &cfg);
+        let tiled = GaussianWiseRenderer::new(cfg).render_frame(&cloud, &cam);
         let diff = tiled.image.max_abs_diff(&full.image);
         assert!(diff < 1e-4, "Cmode changed the image by {diff}");
         assert!(tiled.stats.windows > 1);
@@ -609,12 +563,13 @@ mod tests {
             subview: Some(32),
             ..GaussianWiseConfig::default()
         };
-        let seq = render_gaussian_wise(&cloud, &cam, &cfg);
+        let seq = GaussianWiseRenderer::new(cfg.clone()).render_frame(&cloud, &cam);
         for threads in [2, 4, 7] {
-            let par = render_gaussian_wise_with(&cloud, &cam, &cfg, Parallelism::fixed(threads));
+            let par = GaussianWiseRenderer::new(cfg.clone())
+                .with_parallelism(Parallelism::fixed(threads))
+                .render_frame(&cloud, &cam);
             assert_eq!(seq.image, par.image, "threads={threads}");
             assert_eq!(seq.stats, par.stats, "threads={threads}");
-            assert_eq!(seq.group_sizes, par.group_sizes, "threads={threads}");
         }
     }
 
@@ -655,8 +610,9 @@ mod tests {
                 Vec3::new(0.1, 0.8, 0.3),
             ));
         }
-        let cc = render_gaussian_wise(&cloud, &cam, &GaussianWiseConfig::default());
-        let gw = render_gaussian_wise(&cloud, &cam, &GaussianWiseConfig::gw_only());
+        let cc = GaussianWiseRenderer::default().render_frame(&cloud, &cam);
+        let gw =
+            GaussianWiseRenderer::new(GaussianWiseConfig::gw_only()).render_frame(&cloud, &cam);
         assert!(
             cc.stats.groups_skipped > 0,
             "expected group skipping on a fully occluded frame"
@@ -677,8 +633,8 @@ mod tests {
     fn lut_exp_image_is_close_to_exact() {
         let cam = test_cam();
         let cloud = colored_cloud(80);
-        let exact = render_gaussian_wise(&cloud, &cam, &GaussianWiseConfig::default());
-        let lut = render_gaussian_wise(&cloud, &cam, &GaussianWiseConfig::gcc_hardware());
+        let exact = GaussianWiseRenderer::default().render_frame(&cloud, &cam);
+        let lut = GaussianWiseRenderer::gcc_hardware().render_frame(&cloud, &cam);
         let mse = exact.image.mse(&lut.image);
         // <1% LUT error keeps images visually identical (Table 2).
         assert!(mse < 1e-4, "LUT MSE {mse}");
@@ -688,7 +644,7 @@ mod tests {
     fn stats_are_internally_consistent() {
         let cam = test_cam();
         let cloud = colored_cloud(150);
-        let out = render_gaussian_wise(&cloud, &cam, &GaussianWiseConfig::default());
+        let out = GaussianWiseRenderer::default().render_frame(&cloud, &cam);
         let s = &out.stats;
         assert_eq!(s.total_gaussians, 150);
         assert!(s.projected <= s.geometry_loads);
@@ -707,7 +663,7 @@ mod tests {
             background: Vec3::new(0.1, 0.2, 0.3),
             ..GaussianWiseConfig::default()
         };
-        let out = render_gaussian_wise(&[], &cam, &cfg);
+        let out = GaussianWiseRenderer::new(cfg).render_frame(&[], &cam);
         assert_eq!(out.image.get(5, 5), Vec3::new(0.1, 0.2, 0.3));
         assert_eq!(out.stats.rendered, 0);
     }

@@ -19,9 +19,8 @@
 //!   interleaved (cross-stage conditional) preprocessing and rendering,
 //!   ω-σ culling, per-group sorting, Algorithm 1 block traversal with
 //!   T-mask, and Compatibility-Mode sub-view partitioning (Fig. 6).
-//! * the "GPU reference" — [`standard::render_standard`] with
-//!   `StandardConfig::default()`, the exact arithmetic configuration used
-//!   as the quality anchor of Table 2.
+//! * the "GPU reference" — [`StandardRenderer::default`], the exact
+//!   arithmetic configuration used as the quality anchor of Table 2.
 //!
 //! [`quality`] provides PSNR / SSIM, the perceptual-distance proxy standing
 //! in for LPIPS, and the pseudo-ground-truth anchoring described in

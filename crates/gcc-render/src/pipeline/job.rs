@@ -1,6 +1,6 @@
 //! The frame-request vocabulary: [`Schedule`], [`RenderOptions`], [`Roi`]
 //! and [`RenderJob`] — one description of "render this view, like so"
-//! shared by direct callers, the trajectory runner and the serving layer.
+//! shared by direct callers and the serving layer.
 //!
 //! A [`RenderJob`] bundles what every schedule consumes: the Gaussian
 //! cloud, a fully resolved [`Camera`] (already at the requested output
@@ -80,21 +80,11 @@ impl Schedule {
     /// own parallelism ([`RenderJob::parallelism`], which the service sets
     /// on every frame it can lend an idle core to).
     pub fn renderer(self) -> Box<dyn Renderer + Send + Sync> {
-        self.renderer_with(Parallelism::Sequential)
-    }
-
-    /// Builds this schedule's renderer with an explicit intra-frame
-    /// parallelism policy.
-    pub fn renderer_with(self, parallelism: Parallelism) -> Box<dyn Renderer + Send + Sync> {
         match self {
-            Self::Standard => Box::new(StandardRenderer::default().with_parallelism(parallelism)),
-            Self::Gscore => Box::new(StandardRenderer::gscore().with_parallelism(parallelism)),
-            Self::GaussianWise => {
-                Box::new(GaussianWiseRenderer::default().with_parallelism(parallelism))
-            }
-            Self::GccHardware => {
-                Box::new(GaussianWiseRenderer::gcc_hardware().with_parallelism(parallelism))
-            }
+            Self::Standard => Box::new(StandardRenderer::default()),
+            Self::Gscore => Box::new(StandardRenderer::gscore()),
+            Self::GaussianWise => Box::new(GaussianWiseRenderer::default()),
+            Self::GccHardware => Box::new(GaussianWiseRenderer::gcc_hardware()),
         }
     }
 }
@@ -428,8 +418,8 @@ impl<'a> RenderJob<'a> {
     }
 }
 
-/// Crops `image` to `roi` (used by the default [`Renderer::render_job`]
-/// full-render-then-crop path and the `SkipAndBlock` fallback).
+/// Crops `image` to `roi`: the Gaussian-wise schedule's full-render-then-
+/// crop fallback under `MaskMode::SkipAndBlock`.
 ///
 /// # Panics
 ///
@@ -465,16 +455,6 @@ mod tests {
             assert!(Schedule::ALL[..i].iter().all(|t| t.name() != s.name()));
         }
         assert_eq!(Schedule::default(), Schedule::Standard);
-    }
-
-    #[test]
-    fn every_schedule_builds_a_renderer() {
-        for s in Schedule::ALL {
-            let r = s.renderer();
-            // Standard-family schedules report "standard", Gaussian-wise
-            // ones "gaussian-wise"; the Schedule name is the stable key.
-            assert!(!r.name().is_empty());
-        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`FrameStats`] is the unified workload-statistics view every
 //!   schedule reports and `gcc-sim` consumes,
 //! * [`Renderer`] is the one-frame interface (`Gaussians + Camera →`
-//!   [`Frame`]) the simulators, the trajectory runner and the benches
-//!   drive,
+//!   [`Frame`]) the simulators, the serving layer and the benches drive —
+//!   the only way to render a frame,
 //! * [`StandardRenderer`] and [`GaussianWiseRenderer`] wrap the two
 //!   schedules with a [`Parallelism`] knob: the engine parallelizes
 //!   *inside* a frame (tiles for the standard path, Cmode sub-views for
@@ -19,9 +19,9 @@
 //!   so multi-threaded renders reproduce single-threaded images and
 //!   counters bit-for-bit.
 //!
-//! A third schedule (e.g. GSCore's hierarchical tile sorting) becomes a
-//! new `Renderer` implementation over the same stages — no new stats
-//! plumbing, no simulator changes.
+//! GSCore is not a third schedule but a configuration of the tile-wise
+//! one ([`StandardConfig::gscore`]: the OBB footprint); [`Schedule`] names
+//! every configuration a request can select.
 //!
 //! The one entry point is [`Renderer::render_job`]: a [`RenderJob`]
 //! carries the cloud, a resolved [`Camera`], and per-request
@@ -59,12 +59,10 @@ pub struct Frame {
 /// A frame renderer: any schedule of the per-Gaussian stages that turns a
 /// Gaussian cloud and a camera into an image plus [`FrameStats`].
 ///
-/// Implementations must be `Sync`: the trajectory runner renders frame
-/// batches across threads through a shared renderer reference.
+/// Implementations must be `Sync`: the serving layer's workers render
+/// through one shared renderer per schedule, and batch drivers map views
+/// across threads through a shared reference.
 pub trait Renderer: Sync {
-    /// Human-readable schedule name (report rows, bench labels).
-    fn name(&self) -> &str;
-
     /// Renders one fully specified request, reusing `scratch` for the
     /// hot-path buffers. The output is bit-identical whatever earlier
     /// frames left in the scratch; batch drivers keep one scratch per
@@ -127,27 +125,19 @@ impl StandardRenderer {
 }
 
 impl Renderer for StandardRenderer {
-    fn name(&self) -> &str {
-        "standard"
-    }
-
     fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
         if let Err(e) = job.validate() {
             panic!("invalid render job: {e}");
         }
         let cfg = self.cfg.with_options(&job.options);
-        let out = render_standard_job(
+        render_standard_job(
             job.gaussians,
             job.camera,
             &cfg,
             job.options.roi,
             job.parallelism.unwrap_or(self.parallelism),
             scratch,
-        );
-        Frame {
-            image: out.image,
-            stats: out.stats,
-        }
+        )
     }
 }
 
@@ -194,27 +184,19 @@ impl GaussianWiseRenderer {
 }
 
 impl Renderer for GaussianWiseRenderer {
-    fn name(&self) -> &str {
-        "gaussian-wise"
-    }
-
     fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
         if let Err(e) = job.validate() {
             panic!("invalid render job: {e}");
         }
         let cfg = self.cfg.with_options(&job.options);
-        let out = render_gaussian_wise_job(
+        render_gaussian_wise_job(
             job.gaussians,
             job.camera,
             &cfg,
             job.options.roi,
             job.parallelism.unwrap_or(self.parallelism),
             scratch,
-        );
-        Frame {
-            image: out.image,
-            stats: out.stats,
-        }
+        )
     }
 }
 
@@ -269,13 +251,5 @@ mod tests {
         // And draw the same picture.
         let mse = frames[0].image.mse(&frames[1].image);
         assert!(mse < 1e-5, "schedules diverge: MSE {mse}");
-    }
-
-    #[test]
-    fn renderer_names_differ() {
-        assert_ne!(
-            StandardRenderer::gscore().name(),
-            GaussianWiseRenderer::gcc_hardware().name()
-        );
     }
 }

@@ -6,8 +6,8 @@
 //! Allocating them per frame is pure overhead in batch workloads (a
 //! trajectory render re-creates them hundreds of times), so they live in
 //! one [`FrameScratch`] that callers thread through
-//! [`crate::pipeline::Renderer::render_job`]. The trajectory
-//! runner keeps one scratch per worker thread.
+//! [`crate::pipeline::Renderer::render_job`]. Each serving worker keeps
+//! one scratch, and a batch map keeps one per thread.
 //!
 //! A scratch is *pure capacity*: every buffer is rebuilt from scratch each
 //! frame, so render output never depends on what a previous frame left

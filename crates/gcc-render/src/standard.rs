@@ -26,7 +26,8 @@
 //!    tiles is loaded `k` times (the Fig. 2(b) redundancy).
 //!
 //! Tiles own disjoint pixel rectangles, so the frame engine renders them
-//! in parallel ([`render_standard_with`]): each worker blends into its own
+//! in parallel (a [`crate::StandardRenderer`]'s or a job's
+//! [`Parallelism`]): each worker blends into its own
 //! pooled [`stages::PixelPatch`], resolves it into the frame as the tile
 //! finishes and reports an additive [`FrameStats`] partial — disjoint
 //! pixels and additive counters make the parallel render bit-identical to
@@ -48,8 +49,7 @@ use gcc_math::Vec3;
 use gcc_parallel::{par_map_chunked, Parallelism};
 
 use crate::pipeline::stages::{self, BlendScratch};
-use crate::pipeline::{FrameScratch, FrameStats};
-use crate::Image;
+use crate::pipeline::{Frame, FrameScratch, FrameStats};
 
 /// Rough cost of one (Gaussian, tile) pair in the tile stage — span
 /// solve, power chain, exponentials, blend — quoted to
@@ -144,20 +144,6 @@ impl StandardConfig {
         }
         cfg
     }
-}
-
-/// Output of a standard-dataflow render.
-#[derive(Debug, Clone)]
-pub struct StandardOutput {
-    /// The rendered frame.
-    pub image: Image,
-    /// Unified workload statistics.
-    pub stats: FrameStats,
-    /// Projected Gaussians in scene order (preprocessing output, useful
-    /// for downstream analysis).
-    pub projected: Vec<ProjectedGaussian>,
-    /// Gaussians per tile (row-major tile grid), for sort-cost models.
-    pub tile_gaussian_counts: Vec<u32>,
 }
 
 /// Everything a tile worker needs, shared read-only across workers.
@@ -283,48 +269,26 @@ fn render_tile(
     stats
 }
 
-/// Renders a frame with the standard two-stage tile-wise dataflow,
-/// sequentially (the reference schedule).
-pub fn render_standard(
-    gaussians: &[Gaussian3D],
-    cam: &Camera,
-    cfg: &StandardConfig,
-) -> StandardOutput {
-    render_standard_with(gaussians, cam, cfg, Parallelism::Sequential)
-}
-
-/// Renders a frame with the standard dataflow on the parallel frame
-/// engine: preprocessing is chunk-parallel over Gaussians and rendering is
-/// parallel over tiles. Image and statistics are bit-identical to
-/// [`render_standard`] for every `parallelism` policy.
-pub fn render_standard_with(
-    gaussians: &[Gaussian3D],
-    cam: &Camera,
-    cfg: &StandardConfig,
-    parallelism: Parallelism,
-) -> StandardOutput {
-    let mut scratch = FrameScratch::new();
-    render_standard_job(gaussians, cam, cfg, None, parallelism, &mut scratch)
-}
-
-/// The request-model entry point: [`render_standard_with`] on
-/// caller-owned scratch buffers (depth keys, radix ping-pong, footprints,
-/// CSR bins; output is bit-identical whatever they held) with an
-/// optional region of interest. An ROI render keeps full-frame arithmetic
-/// (projection, global ordering, binning are unchanged) and renders only
-/// the tiles intersecting the ROI — every tile is a pure function of the
-/// global depth order, so the output is bit-identical to cropping the
-/// full-frame render. Work counters cover only the processed tiles;
-/// grid-level fields (`tiles`, `kv_pairs`, the per-tile counts) keep their
+/// Renders a frame with the standard dataflow: the body of
+/// [`crate::StandardRenderer`]'s `render_job`. Preprocessing is
+/// chunk-parallel over Gaussians and rendering parallel over tiles; image
+/// and statistics are bit-identical for every `parallelism` policy and
+/// whatever `scratch` held (depth keys, radix ping-pong, footprints, CSR
+/// bins). An ROI render keeps full-frame arithmetic (projection, global
+/// ordering, binning are unchanged) and renders only the tiles
+/// intersecting the ROI — every tile is a pure function of the global
+/// depth order, so the output is bit-identical to cropping the full-frame
+/// render. Work counters cover only the processed tiles; grid-level fields
+/// (`tiles`, `kv_pairs`) and the CSR bins left in `scratch` keep their
 /// full-frame definitions.
-pub fn render_standard_job(
+pub(crate) fn render_standard_job(
     gaussians: &[Gaussian3D],
     cam: &Camera,
     cfg: &StandardConfig,
     roi: Option<crate::pipeline::Roi>,
     parallelism: Parallelism,
     scratch: &mut FrameScratch,
-) -> StandardOutput {
+) -> Frame {
     let threads = parallelism.threads();
     let (w, h) = (cam.width, cam.height);
     let ts = cfg.tile_size;
@@ -401,7 +365,6 @@ pub fn render_standard_job(
     stats.kv_pairs = scratch
         .bins
         .build(&scratch.rects, &scratch.order, ts, tiles_x, n_tiles);
-    let tile_gaussian_counts: Vec<u32> = (0..n_tiles).map(|t| scratch.bins.count(t)).collect();
 
     // ---- Stage 2: tile-wise rendering, parallel over tiles. ----
     let ctx = TileContext {
@@ -458,11 +421,9 @@ pub fn render_standard_job(
     // Single window: every contributor is invoked exactly once.
     stats.render_invocations = stats.rendered;
 
-    StandardOutput {
+    Frame {
         image: tiles.image,
         stats,
-        projected,
-        tile_gaussian_counts,
     }
 }
 
@@ -471,6 +432,8 @@ pub fn render_standard_job(
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use crate::pipeline::RenderJob;
+    use crate::{Renderer, StandardRenderer};
     use gcc_math::Vec3;
 
     fn test_cam() -> Camera {
@@ -496,7 +459,7 @@ mod tests {
     #[test]
     fn single_gaussian_renders_red_center() {
         let cam = test_cam();
-        let out = render_standard(&one_gaussian(), &cam, &StandardConfig::default());
+        let out = StandardRenderer::default().render_frame(&one_gaussian(), &cam);
         let center = out.image.get(64, 48);
         assert!(center.x > 0.8, "center {center:?}");
         assert!(center.y < 0.05);
@@ -519,7 +482,7 @@ mod tests {
         );
         // Blend enough copies of the front to guarantee termination.
         let gaussians = vec![front.clone(), front.clone(), front.clone(), front, back];
-        let out = render_standard(&gaussians, &cam, &StandardConfig::default());
+        let out = StandardRenderer::default().render_frame(&gaussians, &cam);
         assert_eq!(out.stats.projected, 5);
         assert!(
             out.stats.rendered < 5,
@@ -533,15 +496,19 @@ mod tests {
     #[test]
     fn kv_pairs_count_tile_overlap() {
         let cam = test_cam();
-        let out = render_standard(&one_gaussian(), &cam, &StandardConfig::default());
+        let gaussians = one_gaussian();
+        let mut scratch = FrameScratch::new();
+        let out =
+            StandardRenderer::default().render_job(&RenderJob::new(&gaussians, &cam), &mut scratch);
         // A 0.15-radius Gaussian at 4m with f≈83px: radius ≈ 3σ·0.15·83/4
         // ≈ 9px ⇒ ≥ 2×2 tiles once straddling a boundary; at least 1.
         assert!(out.stats.kv_pairs >= 1);
+        // The CSR bins the frame left in its scratch hold every pair.
+        let bins = &scratch.bins;
         assert_eq!(
             out.stats.kv_pairs,
-            out.tile_gaussian_counts
-                .iter()
-                .map(|&c| u64::from(c))
+            (0..bins.tiles())
+                .map(|t| u64::from(bins.count(t)))
                 .sum::<u64>()
         );
     }
@@ -555,7 +522,7 @@ mod tests {
             0.5,
             Vec3::new(0.2, 0.2, 0.9),
         )];
-        let out = render_standard(&g, &cam, &StandardConfig::default());
+        let out = StandardRenderer::default().render_frame(&g, &cam);
         assert!(out.stats.kv_pairs > 4, "kv {}", out.stats.kv_pairs);
         assert_eq!(out.stats.tile_loads, out.stats.kv_pairs);
         assert_eq!(out.stats.unique_loaded, 1);
@@ -577,8 +544,8 @@ mod tests {
                 sh
             },
         )];
-        let aabb_out = render_standard(&g, &cam, &StandardConfig::default());
-        let obb_out = render_standard(&g, &cam, &StandardConfig::gscore());
+        let aabb_out = StandardRenderer::default().render_frame(&g, &cam);
+        let obb_out = StandardRenderer::gscore().render_frame(&g, &cam);
         assert!(
             obb_out.stats.pixels_tested < aabb_out.stats.pixels_tested,
             "OBB {} vs AABB {}",
@@ -608,11 +575,11 @@ mod tests {
         }
         // The OBB column comes from a render that tests OBBs; an AABB
         // render leaves it empty.
-        let out = render_standard(&gaussians, &cam, &StandardConfig::gscore());
+        let out = StandardRenderer::gscore().render_frame(&gaussians, &cam);
         assert!(out.stats.pixels_tested_aabb >= out.stats.pixels_tested_obb);
         assert_eq!(out.stats.pixels_tested_obb, out.stats.pixels_tested);
         assert!(out.stats.pixels_tested_obb >= out.stats.pixels_blended);
-        let aabb = render_standard(&gaussians, &cam, &StandardConfig::default());
+        let aabb = StandardRenderer::default().render_frame(&gaussians, &cam);
         assert_eq!(aabb.stats.pixels_tested_aabb, out.stats.pixels_tested_aabb);
         assert_eq!(aabb.stats.pixels_tested_obb, 0);
     }
@@ -624,7 +591,7 @@ mod tests {
             background: Vec3::new(0.2, 0.3, 0.4),
             ..StandardConfig::default()
         };
-        let out = render_standard(&[], &cam, &cfg);
+        let out = StandardRenderer::new(cfg).render_frame(&[], &cam);
         assert_eq!(out.image.get(10, 10), Vec3::new(0.2, 0.3, 0.4));
         assert_eq!(out.stats.projected, 0);
     }
@@ -652,7 +619,7 @@ mod tests {
                 Vec3::new(t, 1.0 - t, 0.4),
             ));
         }
-        let seq = render_standard(&gaussians, &cam, &StandardConfig::default());
+        let seq = StandardRenderer::default().render_frame(&gaussians, &cam);
         // Enough pairs that the tile stage's work floor grants every
         // thread count below: the frames really are rendered in parallel.
         assert_eq!(
@@ -662,12 +629,9 @@ mod tests {
             seq.stats.kv_pairs
         );
         for threads in [2, 4, 7] {
-            let par = render_standard_with(
-                &gaussians,
-                &cam,
-                &StandardConfig::default(),
-                Parallelism::fixed(threads),
-            );
+            let par = StandardRenderer::default()
+                .with_parallelism(Parallelism::fixed(threads))
+                .render_frame(&gaussians, &cam);
             assert_eq!(seq.image, par.image, "threads={threads}");
             assert_eq!(seq.stats, par.stats, "threads={threads}");
         }

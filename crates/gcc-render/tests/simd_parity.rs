@@ -20,9 +20,9 @@ use gcc_core::dispatch::{self, Backend};
 use gcc_core::{Camera, Gaussian3D};
 use gcc_math::Vec3;
 use gcc_parallel::Parallelism;
-use gcc_render::gaussian_wise::{render_gaussian_wise_with, GaussianWiseConfig};
-use gcc_render::standard::{render_standard_with, Footprint, StandardConfig};
-use gcc_render::Image;
+use gcc_render::gaussian_wise::GaussianWiseConfig;
+use gcc_render::standard::{Footprint, StandardConfig};
+use gcc_render::{GaussianWiseRenderer, Image, Renderer, StandardRenderer};
 
 fn test_cam() -> Camera {
     Camera::look_at(
@@ -92,12 +92,14 @@ fn standard_render_is_bit_identical_across_backends_and_threads() {
             ..StandardConfig::default()
         };
         let scalar_cfg = with_backend(Backend::Scalar);
-        let reference = render_standard_with(&g, &cam, &scalar_cfg, Parallelism::Sequential);
+        let reference = StandardRenderer::new(scalar_cfg).render_frame(&g, &cam);
         assert!(reference.stats.rendered > 0, "scene must be non-trivial");
         for backend in dispatch::available() {
             for threads in [1usize, 2, 4] {
                 let cfg = with_backend(backend);
-                let out = render_standard_with(&g, &cam, &cfg, Parallelism::fixed(threads));
+                let out = StandardRenderer::new(cfg)
+                    .with_parallelism(Parallelism::fixed(threads))
+                    .render_frame(&g, &cam);
                 let what = format!("standard {exp:?} {backend} threads={threads}");
                 assert_images_bitwise_equal(&reference.image, &out.image, &what);
                 assert_eq!(reference.stats, out.stats, "{what}: stats");
@@ -123,17 +125,15 @@ fn standard_tile_edges_are_bit_identical_across_backends_and_threads() {
                 footprint,
                 ..StandardConfig::default()
             };
-            let reference = render_standard_with(
-                &g,
-                &cam,
-                &with_backend(Backend::Scalar),
-                Parallelism::Sequential,
-            );
+            let reference =
+                StandardRenderer::new(with_backend(Backend::Scalar)).render_frame(&g, &cam);
             assert!(reference.stats.rendered > 0, "scene must be non-trivial");
             for backend in dispatch::available() {
                 for threads in [1usize, 2] {
                     let cfg = with_backend(backend);
-                    let out = render_standard_with(&g, &cam, &cfg, Parallelism::fixed(threads));
+                    let out = StandardRenderer::new(cfg)
+                        .with_parallelism(Parallelism::fixed(threads))
+                        .render_frame(&g, &cam);
                     let what = format!(
                         "standard {footprint:?} tile={tile_size} {backend} threads={threads}"
                     );
@@ -158,14 +158,14 @@ fn gaussian_wise_render_is_bit_identical_across_backends_and_threads() {
                 ..GaussianWiseConfig::default()
             };
             let scalar_cfg = with_backend(Backend::Scalar);
-            let reference =
-                render_gaussian_wise_with(&g, &cam, &scalar_cfg, Parallelism::Sequential);
+            let reference = GaussianWiseRenderer::new(scalar_cfg).render_frame(&g, &cam);
             assert!(reference.stats.rendered > 0, "scene must be non-trivial");
             for backend in dispatch::available() {
                 for threads in [1usize, 2, 4] {
                     let cfg = with_backend(backend);
-                    let out =
-                        render_gaussian_wise_with(&g, &cam, &cfg, Parallelism::fixed(threads));
+                    let out = GaussianWiseRenderer::new(cfg)
+                        .with_parallelism(Parallelism::fixed(threads))
+                        .render_frame(&g, &cam);
                     let what = format!(
                         "gaussian-wise {exp:?} {backend} subview={subview:?} threads={threads}"
                     );
@@ -184,40 +184,22 @@ fn dispatched_default_matches_pinned_scalar() {
     // the production path. It must land bit-exactly on the scalar pin.
     let cam = test_cam();
     let g = cloud(250);
-    let dispatched = render_standard_with(
-        &g,
-        &cam,
-        &StandardConfig::default(),
-        Parallelism::Sequential,
-    );
-    let scalar = render_standard_with(
-        &g,
-        &cam,
-        &StandardConfig {
-            backend: Some(Backend::Scalar),
-            ..StandardConfig::default()
-        },
-        Parallelism::Sequential,
-    );
+    let dispatched = StandardRenderer::default().render_frame(&g, &cam);
+    let scalar = StandardRenderer::new(StandardConfig {
+        backend: Some(Backend::Scalar),
+        ..StandardConfig::default()
+    })
+    .render_frame(&g, &cam);
     let what = format!("dispatched ({})", dispatch::active_backend());
     assert_images_bitwise_equal(&scalar.image, &dispatched.image, &what);
     assert_eq!(scalar.stats, dispatched.stats, "{what}: stats");
 
-    let gw_dispatched = render_gaussian_wise_with(
-        &g,
-        &cam,
-        &GaussianWiseConfig::default(),
-        Parallelism::Sequential,
-    );
-    let gw_scalar = render_gaussian_wise_with(
-        &g,
-        &cam,
-        &GaussianWiseConfig {
-            backend: Some(Backend::Scalar),
-            ..GaussianWiseConfig::default()
-        },
-        Parallelism::Sequential,
-    );
+    let gw_dispatched = GaussianWiseRenderer::default().render_frame(&g, &cam);
+    let gw_scalar = GaussianWiseRenderer::new(GaussianWiseConfig {
+        backend: Some(Backend::Scalar),
+        ..GaussianWiseConfig::default()
+    })
+    .render_frame(&g, &cam);
     assert_images_bitwise_equal(&gw_scalar.image, &gw_dispatched.image, &what);
     assert_eq!(gw_scalar.stats, gw_dispatched.stats, "{what}: gw stats");
 }
@@ -237,17 +219,15 @@ fn gaussian_wise_block_edges_and_cmode_are_bit_identical_across_backends_and_thr
             subview,
             ..GaussianWiseConfig::default()
         };
-        let reference = render_gaussian_wise_with(
-            &g,
-            &cam,
-            &with_backend(Backend::Scalar),
-            Parallelism::Sequential,
-        );
+        let reference =
+            GaussianWiseRenderer::new(with_backend(Backend::Scalar)).render_frame(&g, &cam);
         assert!(reference.stats.rendered > 0, "scene must be non-trivial");
         for backend in dispatch::available() {
             for threads in [1usize, 2, 4] {
                 let cfg = with_backend(backend);
-                let out = render_gaussian_wise_with(&g, &cam, &cfg, Parallelism::fixed(threads));
+                let out = GaussianWiseRenderer::new(cfg)
+                    .with_parallelism(Parallelism::fixed(threads))
+                    .render_frame(&g, &cam);
                 let what = format!(
                     "gaussian-wise {backend} block={block} subview={subview:?} threads={threads}"
                 );

@@ -39,7 +39,6 @@ pub mod json;
 pub mod lod;
 mod preset;
 pub mod rng;
-mod runner;
 mod scene;
 #[cfg(test)]
 mod scene_file_tests;
@@ -48,7 +47,6 @@ mod view;
 
 pub use lod::{LodLevel, SceneLod};
 pub use preset::{PresetParams, SceneKind, ScenePreset, ALL_PRESETS};
-pub use runner::{TrajectoryResult, TrajectoryRunner};
 pub use scene::{Scene, SceneConfig, SceneStats};
 pub use trajectory::OrbitRig;
 pub use view::{ViewError, ViewSpec};

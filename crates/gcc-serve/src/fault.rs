@@ -276,16 +276,12 @@ impl ChaosRenderer {
 impl std::fmt::Debug for ChaosRenderer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChaosRenderer")
-            .field("inner", &self.inner.name())
+            .field("plan", &self.plan)
             .finish_non_exhaustive()
     }
 }
 
 impl Renderer for ChaosRenderer {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
         if self.plan.next_render_fault() {
             panic!("injected render fault");

@@ -1953,9 +1953,6 @@ mod tests {
 
     struct AlwaysPanics;
     impl Renderer for AlwaysPanics {
-        fn name(&self) -> &str {
-            "always-panics"
-        }
         fn render_job(&self, _: &RenderJob<'_>, _: &mut FrameScratch) -> Frame {
             panic!("render blew up");
         }
@@ -2061,9 +2058,6 @@ mod tests {
     }
 
     impl Renderer for PanicsOnSecondFrame {
-        fn name(&self) -> &str {
-            "panics-on-second-frame"
-        }
         fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
             if self.calls.fetch_add(1, Ordering::Relaxed) == 1 {
                 let (entered, release) = &*self.gate.lock().unwrap();

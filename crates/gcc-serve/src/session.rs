@@ -39,7 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use gcc_render::pipeline::{Frame, RenderOptions};
-use gcc_scene::{TrajectoryRunner, ViewSpec};
+use gcc_scene::ViewSpec;
 
 use crate::service::Shared;
 use crate::ServeError;
@@ -84,13 +84,16 @@ impl std::fmt::Display for Priority {
     }
 }
 
-/// A view sequence a session can stream: the serving-level counterpart
-/// of `gcc_scene::TrajectoryRunner` view lists.
+/// A view sequence a session can stream, materialized by
+/// [`StreamSpec::views`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamSpec {
     /// `frames` views evenly sweeping the scene trajectory from `t0` to
-    /// `t1`, both endpoints included
-    /// ([`TrajectoryRunner::sweep_views`]).
+    /// `t1`, both endpoints included: a single frame sits at `t0`, the
+    /// last frame is exactly `t1`, and intermediate samples are clamped
+    /// into `[min(t0,t1), max(t0,t1)]` so valid endpoints can never round
+    /// a sample out of range. Hitting both endpoints is what a playback
+    /// client scrubbing a sub-range wants.
     TrajectorySweep {
         /// Sweep start parameter (must be in `[0, 1]`).
         t0: f32,
@@ -99,9 +102,10 @@ pub enum StreamSpec {
         /// Number of frames (zero streams are rejected at open).
         frames: usize,
     },
-    /// One full orbit loop: `frames` evenly spaced angles over `[0, 2π)`
-    /// at a common radius scale and height offset
-    /// ([`TrajectoryRunner::orbit_views`]).
+    /// One full orbit loop as absolute-angle [`ViewSpec::Orbit`] views:
+    /// `frames` evenly spaced angles over `[0, 2π)` (endpoint-exclusive,
+    /// so consecutive loops tile seamlessly) at a common radius scale and
+    /// height offset.
     OrbitLoop {
         /// Number of frames per loop.
         frames: usize,
@@ -149,16 +153,34 @@ impl StreamSpec {
     /// Materializes the spec into its view list, in stream order. Streaming
     /// a spec is defined as submitting exactly these views one by one.
     pub fn views(&self) -> Vec<ViewSpec> {
-        match self {
+        match *self {
             Self::TrajectorySweep { t0, t1, frames } => {
-                TrajectoryRunner::sweep_views(*t0, *t1, *frames)
+                let (lo, hi) = (t0.min(t1), t0.max(t1));
+                (0..frames)
+                    .map(|i| {
+                        let t = if i == 0 {
+                            t0
+                        } else if i + 1 == frames {
+                            t1
+                        } else {
+                            (t0 + (t1 - t0) * (i as f32 / (frames - 1) as f32)).clamp(lo, hi)
+                        };
+                        ViewSpec::trajectory(t)
+                    })
+                    .collect()
             }
             Self::OrbitLoop {
                 frames,
                 radius_scale,
                 height_offset,
-            } => TrajectoryRunner::orbit_views(*frames, *radius_scale, *height_offset),
-            Self::ViewList(views) => views.clone(),
+            } => (0..frames)
+                .map(|i| ViewSpec::Orbit {
+                    angle: std::f32::consts::TAU * i as f32 / frames as f32,
+                    radius_scale,
+                    height_offset,
+                })
+                .collect(),
+            Self::ViewList(ref views) => views.clone(),
         }
     }
 }
@@ -663,6 +685,51 @@ mod tests {
         let list = StreamSpec::ViewList(vec![ViewSpec::trajectory(0.25)]);
         assert_eq!(list.views(), vec![ViewSpec::trajectory(0.25)]);
         assert!(StreamSpec::ViewList(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn sweep_views_hit_both_endpoints_and_stay_in_range() {
+        let sweep = |t0, t1, frames| StreamSpec::TrajectorySweep { t0, t1, frames }.views();
+        let views = sweep(0.2, 1.0, 5);
+        assert_eq!(views.len(), 5);
+        assert_eq!(views[0], ViewSpec::trajectory(0.2));
+        assert_eq!(views[4], ViewSpec::trajectory(1.0));
+        for v in &views {
+            assert!(v.validate().is_ok(), "{v:?}");
+        }
+        // Backwards sweep and the single-frame degenerate case.
+        let back = sweep(0.9, 0.1, 3);
+        assert_eq!(back[0], ViewSpec::trajectory(0.9));
+        assert_eq!(back[2], ViewSpec::trajectory(0.1));
+        assert_eq!(sweep(0.4, 0.8, 1), vec![ViewSpec::trajectory(0.4)]);
+        assert!(sweep(0.0, 1.0, 0).is_empty());
+    }
+
+    #[test]
+    fn orbit_views_tile_the_circle_endpoint_exclusive() {
+        let views = StreamSpec::OrbitLoop {
+            frames: 4,
+            radius_scale: 1.5,
+            height_offset: -0.2,
+        }
+        .views();
+        assert_eq!(views.len(), 4);
+        for (i, v) in views.iter().enumerate() {
+            match v {
+                ViewSpec::Orbit {
+                    angle,
+                    radius_scale,
+                    height_offset,
+                } => {
+                    let want = std::f32::consts::TAU * i as f32 / 4.0;
+                    assert!((angle - want).abs() < 1e-6);
+                    assert_eq!(*radius_scale, 1.5);
+                    assert_eq!(*height_offset, -0.2);
+                }
+                other => panic!("expected orbit view, got {other:?}"),
+            }
+            assert!(v.validate().is_ok());
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@ use crate::ops::{
 use crate::report::{EnergyBreakdown, PhaseTiming, SimReport, TrafficBreakdown};
 use crate::sram::sram_energy_pj;
 use gcc_core::{Camera, Gaussian3D};
-use gcc_render::gaussian_wise::{render_gaussian_wise, GaussianWiseConfig, GaussianWiseOutput};
+use gcc_render::gaussian_wise::GaussianWiseConfig;
 use gcc_render::pipeline::FrameStats;
+use gcc_render::{Frame, GaussianWiseRenderer, Renderer};
 
 /// GCC simulator configuration (hardware parameters + ablation toggles).
 #[derive(Debug, Clone)]
@@ -129,18 +130,19 @@ pub mod records {
     pub const PIXEL_OUT: f64 = 3.0;
 }
 
-/// Simulates one frame on the GCC model. Returns the report and the
-/// renderer output it was derived from.
+/// Simulates one frame on the GCC model. Returns the report plus the
+/// [`Frame`] it was derived from (the Gaussian-wise render of
+/// [`GccSimConfig::renderer_config`]: image + stats).
 pub fn simulate_gcc(
     gaussians: &[Gaussian3D],
     cam: &Camera,
     cfg: &GccSimConfig,
     scene_name: &str,
-) -> (SimReport, GaussianWiseOutput) {
-    let out = render_gaussian_wise(gaussians, cam, &cfg.renderer_config(cam));
+) -> (SimReport, Frame) {
+    let frame = GaussianWiseRenderer::new(cfg.renderer_config(cam)).render_frame(gaussians, cam);
     let pixels = f64::from(cam.width) * f64::from(cam.height);
-    let report = report_from_stats(&out.stats, pixels, cfg, scene_name);
-    (report, out)
+    let report = report_from_stats(&frame.stats, pixels, cfg, scene_name);
+    (report, frame)
 }
 
 /// Builds the timing/energy report from unified workload statistics.

@@ -17,7 +17,7 @@ use crate::report::{EnergyBreakdown, PhaseTiming, SimReport, TrafficBreakdown};
 use crate::sram::sram_energy_pj;
 use gcc_core::{Camera, Gaussian3D};
 use gcc_render::pipeline::FrameStats;
-use gcc_render::standard::{render_standard, StandardConfig, StandardOutput};
+use gcc_render::{Frame, Renderer, StandardRenderer};
 
 /// GSCore configuration.
 #[derive(Debug, Clone)]
@@ -74,17 +74,17 @@ pub mod records {
 }
 
 /// Simulates one frame on the GSCore model. Returns the report plus the
-/// renderer output it was derived from (image + stats), so callers can
-/// reuse both.
+/// [`Frame`] it was derived from (GSCore's tile-wise render: image +
+/// stats), so callers can reuse both.
 pub fn simulate_gscore(
     gaussians: &[Gaussian3D],
     cam: &Camera,
     cfg: &GscoreConfig,
     scene_name: &str,
-) -> (SimReport, StandardOutput) {
-    let out = render_standard(gaussians, cam, &StandardConfig::gscore());
-    let report = report_from_stats(&out.stats, cfg, scene_name);
-    (report, out)
+) -> (SimReport, Frame) {
+    let frame = StandardRenderer::gscore().render_frame(gaussians, cam);
+    let report = report_from_stats(&frame.stats, cfg, scene_name);
+    (report, frame)
 }
 
 /// Builds the timing/energy report from unified workload statistics

@@ -143,13 +143,14 @@ fn render_matrix(parallelism: Parallelism) -> Vec<(String, u64, u64)> {
         let cam = scene.default_camera();
         let centre = Roi::new(cam.width / 4, cam.height / 4, cam.width / 2, cam.height / 2);
         for schedule in Schedule::ALL {
-            let renderer = schedule.renderer_with(parallelism);
+            let renderer = schedule.renderer();
             for roi in [None, Some(centre)] {
                 let options = match roi {
                     Some(r) => RenderOptions::default().with_roi(r),
                     None => RenderOptions::default(),
                 };
-                let job = RenderJob::with_options(&scene.gaussians, &cam, options);
+                let job = RenderJob::with_options(&scene.gaussians, &cam, options)
+                    .with_parallelism(parallelism);
                 let frame = renderer.render_job(&job, &mut scratch);
                 let region = if roi.is_some() { "roi" } else { "full" };
                 out.push((

@@ -12,9 +12,10 @@ use gcc_render::pipeline::stages::{
     self, footprint_rects_soa_into, global_depth_order_soa, TileBins,
 };
 use gcc_render::pipeline::{
-    FrameScratch, GaussianWiseRenderer, RenderJob, RenderOptions, Renderer, StandardRenderer,
+    FrameScratch, GaussianWiseRenderer, RenderJob, RenderOptions, Renderer, Schedule,
+    StandardRenderer,
 };
-use gcc_scene::{SceneConfig, ScenePreset, TrajectoryRunner, ViewSpec};
+use gcc_scene::{SceneConfig, ScenePreset, ViewSpec};
 
 fn scene(preset: ScenePreset, scale: f32) -> gcc_scene::Scene {
     preset.build(&SceneConfig::with_scale(scale))
@@ -99,12 +100,8 @@ fn csr_bins_equal_nested_vec_bins_on_preset_scene() {
 #[test]
 fn scratch_reuse_is_bit_identical_to_fresh_scratch() {
     let scene = scene(ScenePreset::Lego, 0.05);
-    let renderers: Vec<Box<dyn Renderer>> = vec![
-        Box::new(StandardRenderer::default()),
-        Box::new(StandardRenderer::gscore()),
-        Box::new(GaussianWiseRenderer::default()),
-    ];
-    for r in &renderers {
+    for schedule in [Schedule::Standard, Schedule::Gscore, Schedule::GaussianWise] {
+        let r = schedule.renderer();
         // Warm one scratch across several different cameras, comparing
         // each frame against a fresh-scratch render.
         let mut warm = FrameScratch::new();
@@ -112,8 +109,8 @@ fn scratch_reuse_is_bit_identical_to_fresh_scratch() {
             let cam = scene.camera(i as f32 / 4.0);
             let reused = r.render_job(&RenderJob::new(&scene.gaussians, &cam), &mut warm);
             let fresh = r.render_frame(&scene.gaussians, &cam);
-            assert_eq!(reused.image, fresh.image, "{} frame {i}", r.name());
-            assert_eq!(reused.stats, fresh.stats, "{} frame {i}", r.name());
+            assert_eq!(reused.image, fresh.image, "{schedule} frame {i}");
+            assert_eq!(reused.stats, fresh.stats, "{schedule} frame {i}");
         }
     }
 }
@@ -156,27 +153,9 @@ fn one_scratch_serves_every_schedule_and_scene() {
                 .expect("a valid view");
             let reused = r.render_job(&RenderJob::new(&scene.gaussians, &cam), &mut shared);
             let fresh = r.render_frame(&scene.gaussians, &cam);
-            let what = format!("{} #{i} round {round} at {w}x{h}", r.name());
+            let what = format!("renderer #{i} round {round} at {w}x{h}");
             assert_eq!(reused.image, fresh.image, "{what}");
             assert_eq!(reused.stats, fresh.stats, "{what}");
-        }
-    }
-}
-
-#[test]
-fn trajectory_runner_scratch_threading_stays_deterministic() {
-    let scene = scene(ScenePreset::Train, 0.04);
-    let renderer = StandardRenderer::default();
-    let seq = TrajectoryRunner::new(6)
-        .with_parallelism(Parallelism::Sequential)
-        .run(&scene, &renderer);
-    for threads in [2, 5] {
-        let par = TrajectoryRunner::new(6)
-            .with_parallelism(Parallelism::fixed(threads))
-            .run(&scene, &renderer);
-        for (a, b) in seq.frames.iter().zip(&par.frames) {
-            assert_eq!(a.image, b.image, "threads={threads}");
-            assert_eq!(a.stats, b.stats, "threads={threads}");
         }
     }
 }

@@ -13,17 +13,23 @@ use gcc_repro::render::{GaussianWiseRenderer, RenderJob, RenderOptions, Renderer
 use gcc_scene::rng::StdRng;
 use gcc_scene::{SceneConfig, ScenePreset};
 
-/// Compares an ROI render to the crop of the full-frame render, bitwise.
+/// Compares an ROI render to the crop of the full-frame render, bitwise,
+/// both rendered under `parallelism`.
 fn assert_roi_is_crop(
     renderer: &dyn Renderer,
+    parallelism: Parallelism,
     label: &str,
     gaussians: &[gcc_core::Gaussian3D],
     cam: &gcc_core::Camera,
     roi: Roi,
 ) {
-    let full = renderer.render_job(&RenderJob::new(gaussians, cam), &mut FrameScratch::new());
+    let full = renderer.render_job(
+        &RenderJob::new(gaussians, cam).with_parallelism(parallelism),
+        &mut FrameScratch::new(),
+    );
     let sub = renderer.render_job(
-        &RenderJob::with_options(gaussians, cam, RenderOptions::default().with_roi(roi)),
+        &RenderJob::with_options(gaussians, cam, RenderOptions::default().with_roi(roi))
+            .with_parallelism(parallelism),
         &mut FrameScratch::new(),
     );
     assert_eq!(sub.image.width(), roi.width, "{label}");
@@ -60,9 +66,9 @@ fn roi_renders_are_bit_identical_to_crops_for_every_schedule() {
         let roi = Roi::new(rx, ry, rw, rh);
         for schedule in Schedule::ALL {
             for threads in [1usize, 4] {
-                let renderer = schedule.renderer_with(Parallelism::fixed(threads));
                 assert_roi_is_crop(
-                    renderer.as_ref(),
+                    schedule.renderer().as_ref(),
+                    Parallelism::fixed(threads),
                     &format!("{schedule} t={threads} case={case}"),
                     &scene.gaussians,
                     &cam,
@@ -86,14 +92,28 @@ fn roi_is_crop_under_cmode_subviews_and_skip_and_block() {
         subview: Some(64),
         ..GaussianWiseConfig::default()
     });
-    assert_roi_is_crop(&cmode, "cmode-64", &scene.gaussians, &cam, roi);
+    assert_roi_is_crop(
+        &cmode,
+        Parallelism::Sequential,
+        "cmode-64",
+        &scene.gaussians,
+        &cam,
+        roi,
+    );
     // SkipAndBlock gates traversal reachability through the T-mask, so the
     // ROI path falls back to full render + crop — still exactly a crop.
     let sab = GaussianWiseRenderer::new(GaussianWiseConfig {
         mask_mode: MaskMode::SkipAndBlock,
         ..GaussianWiseConfig::default()
     });
-    assert_roi_is_crop(&sab, "skip-and-block", &scene.gaussians, &cam, roi);
+    assert_roi_is_crop(
+        &sab,
+        Parallelism::Sequential,
+        "skip-and-block",
+        &scene.gaussians,
+        &cam,
+        roi,
+    );
 }
 
 #[test]
@@ -105,6 +125,7 @@ fn single_pixel_and_full_frame_rois_are_valid() {
         let renderer = schedule.renderer();
         assert_roi_is_crop(
             renderer.as_ref(),
+            Parallelism::Sequential,
             &format!("{schedule} 1px"),
             &scene.gaussians,
             &cam,
@@ -112,6 +133,7 @@ fn single_pixel_and_full_frame_rois_are_valid() {
         );
         assert_roi_is_crop(
             renderer.as_ref(),
+            Parallelism::Sequential,
             &format!("{schedule} full"),
             &scene.gaussians,
             &cam,

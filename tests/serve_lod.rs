@@ -221,10 +221,6 @@ impl Recording {
 }
 
 impl Renderer for Recording {
-    fn name(&self) -> &str {
-        "recording"
-    }
-
     fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
         let threads = job.parallelism.map_or(1, |p| p.threads());
         self.threads.lock().unwrap().push(threads);

@@ -48,9 +48,6 @@ impl SlowRenderer {
 }
 
 impl Renderer for SlowRenderer {
-    fn name(&self) -> &str {
-        "slow-standard"
-    }
     fn render_job(&self, job: &RenderJob<'_>, scratch: &mut FrameScratch) -> Frame {
         std::thread::sleep(self.delay);
         self.inner.render_job(job, scratch)
