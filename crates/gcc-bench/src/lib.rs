@@ -21,15 +21,10 @@ pub fn bench_scene(preset: ScenePreset) -> Scene {
     preset.build(&SceneConfig::from_env(DEFAULT_BENCH_SCALE))
 }
 
-/// Builds a preset scene at an explicit default scale (env still wins).
-pub fn bench_scene_scaled(preset: ScenePreset, default_scale: f32) -> Scene {
-    preset.build(&SceneConfig::from_env(default_scale))
-}
-
-/// Default output path for a bench artifact (`BENCH_frame.json`,
-/// `BENCH_serve.json`, …): the repository root, resolved from this
-/// crate's compile-time manifest directory, so the harnesses write the
-/// same file no matter which subdirectory they are launched from. Falls
+/// Default output path for a bench artifact (`BENCH_frame.json`): the
+/// repository root, resolved from this crate's compile-time manifest
+/// directory, so the harness writes the same file no matter which
+/// subdirectory it is launched from. Falls
 /// back to the working directory when the build tree no longer exists
 /// (e.g. a binary copied to another machine) — CI and scripts that need
 /// full control pass `--out` instead.

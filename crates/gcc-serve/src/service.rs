@@ -46,8 +46,8 @@
 //! *load-then-drain* — while the insert makes the scene resident for
 //! every other worker to batch from in parallel. With a zero cache budget
 //! the insert evicts immediately and every request degenerates to
-//! load-render-evict: the naive configuration `bench_serve` compares
-//! against.
+//! load-render-evict: every frame pays its scene's cold load, the naive
+//! serving model.
 //!
 //! Frames that can no longer be rendered — a load that failed or
 //! panicked, a renderer panic, shutdown — fail through one function

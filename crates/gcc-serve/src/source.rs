@@ -67,8 +67,8 @@ pub enum SceneSource {
 }
 
 impl SceneSource {
-    /// Wraps `inner` with fault injection under `plan` (chaos tests,
-    /// `bench_serve --chaos`). The `label` keys the plan's per-scene
+    /// Wraps `inner` with fault injection under `plan` (the chaos tests,
+    /// `tests/serve_chaos.rs`). The `label` keys the plan's per-scene
     /// attempt counter — pass the id the source is registered under.
     pub fn faulty(label: impl Into<String>, inner: SceneSource, plan: Arc<FaultPlan>) -> Self {
         Self::Faulty {

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Prints exactly one line `gcc-served listening on <addr>` once ready
-//! (parent processes — the bench harness, scripts — parse it to learn an
+//! (parent processes — the fleet test, scripts — parse it to learn an
 //! ephemeral port), serves until some client sends the wire `Shutdown`
 //! request, then drains and prints a short stats summary.
 
@@ -47,8 +47,8 @@ fn parse_scene(arg: &str) -> (String, SceneSource) {
         else {
             usage(&format!("unknown preset {name:?}"));
         };
-        let Ok(scale) = scale.parse::<f32>() else {
-            usage(&format!("bad preset scale {scale:?}"));
+        let Some(scale) = scale.parse().ok().filter(|s| *s > 0.0 && *s <= 100.0) else {
+            usage(&format!("bad preset scale {scale:?} (0 < scale <= 100)"));
         };
         (id.to_string(), SceneSource::Preset { preset, scale })
     } else {
@@ -91,11 +91,14 @@ fn main() {
     if registry.is_empty() {
         usage("at least one --scene is required");
     }
+    let Some(cache_budget_bytes) = cache_mb.checked_mul(1 << 20) else {
+        usage(&format!("--cache-mb {cache_mb} is too large"));
+    };
 
     let service = RenderService::new(
         ServeConfig {
             workers,
-            cache_budget_bytes: cache_mb << 20,
+            cache_budget_bytes,
             ..ServeConfig::default()
         },
         registry,

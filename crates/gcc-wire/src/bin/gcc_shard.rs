@@ -48,7 +48,11 @@ fn main() {
             "--backend" => backends.push(parse_flag("--backend", args.next())),
             "--handlers" => cfg.handlers = parse_flag("--handlers", args.next()),
             "--probe-ms" => {
-                cfg.probe_interval = Duration::from_millis(parse_flag("--probe-ms", args.next()))
+                let ms = parse_flag("--probe-ms", args.next());
+                if ms == 0 {
+                    usage("--probe-ms must be at least 1");
+                }
+                cfg.probe_interval = Duration::from_millis(ms)
             }
             other => usage(&format!("unknown flag {other:?}")),
         }

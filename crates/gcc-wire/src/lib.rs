@@ -26,8 +26,8 @@
 //!   forwarded verbatim.
 //!
 //! Two binaries ship with the crate: `gcc-served` (a standalone server)
-//! and `gcc-shard` (the proxy). `gcc-bench`'s `bench_serve --wire` drives
-//! both as real processes over loopback and gates bit-identical frames.
+//! and `gcc-shard` (the proxy). The crate's `tests/fleet.rs` runs both as
+//! real processes over loopback and checks bit-identical frames.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

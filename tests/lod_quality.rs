@@ -3,8 +3,8 @@
 //! documents (`QualityRung::{min_psnr_db, min_ssim}`) versus the
 //! full-quality render of the same view. EXPERIMENTS.md ("Quality
 //! ladder") records the measured deltas these floors were set from;
-//! `bench_serve --lod` re-measures them on its own scene and `perf_gate`
-//! refuses a record whose `quality_ok` flag fails.
+//! the repo benchmark's `deadline_lod` workload reports each rung's SSIM
+//! on its own scene (`gcc-lod.rung1_ssim` … `rung3_ssim`, `--trace 1`).
 
 use gcc_repro::lod::{attach_hierarchy, HierarchyConfig, QualityLadder, QualityRung};
 use gcc_repro::render::pipeline::FrameScratch;

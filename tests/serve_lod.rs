@@ -12,9 +12,9 @@
 //! a ladder decision priced at one). Every test here runs a service, and
 //! every one holds [`lending`] while it does.
 //!
-//! The end-to-end miss-avoidance demonstration (ladder-on zero misses vs
-//! ladder-off misses under the same deadline) lives in
-//! `bench_serve --lod`, whose committed record `perf_gate` enforces.
+//! The ladder over a whole paced stream is the repo benchmark's
+//! `deadline_lod` workload, whose bounded `delivered_ssim_mean` falls
+//! when the ladder sits on the floor rung.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
