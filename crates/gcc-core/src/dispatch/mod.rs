@@ -8,9 +8,10 @@
 //! Gaussian-wise schedule; the effective row spans of a (Gaussian, tile)
 //! pair and the power chains over those spans for the tile-wise one; and
 //! the tail both share, the exponential/clamp of alpha evaluation and the
-//! masked front-to-back blend of those alphas into the pixel planes. A
-//! ninth kernel runs before any frame: the Box–Muller transform that turns
-//! a synthetic scene's uniform draws into its normals. This module
+//! masked front-to-back blend of those alphas into the pixel planes. Two
+//! more run before any frame: the draws of a synthetic scene's generators,
+//! and the Box–Muller transform that turns those uniforms into its
+//! normals. This module
 //! provides explicitly vectorized `core::arch` implementations of those
 //! loops (AVX2 on x86-64) behind a one-time runtime dispatch table,
 //! with the scalar path kept as the bit-exactness reference.
@@ -380,6 +381,95 @@ pub fn box_muller_one(u1: f32, u2: f32) -> f32 {
     (-2.0 * gcc_math::det_ln(u1)).sqrt() * gcc_math::det_sin_cos(std::f32::consts::TAU * u2).1
 }
 
+/// `xs[i] ← `[`gcc_math::det_exp`]`(xs[i])` over a batch: the scene
+/// builder's scale exponentials, four a Gaussian, a row of them at a
+/// time. The SIMD twins run `det_exp`'s operation sequence per lane, its
+/// floor as a rounding instead of a truncation and step, so they are
+/// bit-identical wherever that floor is — every `|x| <`
+/// [`EXP_BATCH_MAX`] — and `NaN` maps to `NaN`.
+pub type ExpFn = fn(xs: &mut [f32]);
+
+/// The magnitude below which every [`ExpFn`] twin is bit-identical:
+/// `x · log₂e` stays inside `i32`, where `det_exp`'s truncating floor is
+/// exact.
+pub const EXP_BATCH_MAX: f32 = 1.0e9;
+
+/// `(sin[i], cos[i]) = `[`gcc_math::det_sin_cos`]`(angles[i])` over a
+/// batch: the scene builder's rotation angles, two a Gaussian. The SIMD
+/// twins run `det_sin_cos`'s operation sequence per lane, selects and
+/// sign flips as bit operations, so they are bit-identical for every
+/// angle within [`gcc_math::det::DET_SIN_COS_MAX`], the range it is
+/// specified on.
+///
+/// # Panics
+///
+/// Panics when the three slices differ in length.
+pub type SinCosFn = fn(angles: &[f32], sin: &mut [f32], cos: &mut [f32]);
+
+/// The length check every [`SinCosFn`] twin runs first.
+fn sin_cos_len(angles: &[f32], sin: &[f32], cos: &[f32]) {
+    assert!(
+        sin.len() == angles.len() && cos.len() == angles.len(),
+        "sin_cos takes equal-length slices"
+    );
+}
+
+/// Uniforms of a batch of generators: with `n = states.len()`,
+/// `out[k·n + g]` is [`lattice_f32`] of generator `g`'s `k`-th draw
+/// ([`xoshiro_next`]) for every `k < out.len() / n`, and each state is
+/// left that many steps on. Draw-major, so one draw of every generator
+/// is one row: the scene builder draws a block's tails in one call and
+/// runs each stage after it over rows. The SIMD twins advance four states
+/// a vector with the same shifts, adds, XORs and rotations, and the
+/// lattice mapping is exact, so they are bit-identical on every state.
+///
+/// # Panics
+///
+/// Panics unless `out.len()` is a multiple of `states.len()` (no states
+/// take an empty `out`).
+pub type DrawUniformsFn = fn(states: &mut [[u64; 4]], out: &mut [f32]);
+
+/// The shape check every [`DrawUniformsFn`] twin runs first: the draws
+/// per state.
+fn draw_uniforms_len(states: &[[u64; 4]], out: &[f32]) -> usize {
+    match out.len().checked_rem(states.len()) {
+        Some(0) => out.len() / states.len(),
+        None if out.is_empty() => 0,
+        _ => panic!("draw_uniforms takes a whole number of draws per state"),
+    }
+}
+
+/// xoshiro256's state transition. It is linear over GF(2) — shifts,
+/// XORs, a rotation — which is what lets the scene builder jump over a
+/// fixed number of steps with one table (`gcc_scene::rng::Jump`).
+#[inline(always)]
+pub const fn xoshiro_step(s: &mut [u64; 4]) {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+}
+
+/// One draw of the scene builder's generator: xoshiro256**'s output of
+/// `s`, then one [`xoshiro_step`].
+#[inline(always)]
+pub fn xoshiro_next(s: &mut [u64; 4]) -> u64 {
+    let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+    xoshiro_step(s);
+    result
+}
+
+/// The top 24 bits of a draw as the lattice point `k · 2⁻²⁴` on `[0, 1)`.
+/// Both steps are exact: `k < 2²⁴` converts without rounding and the
+/// scale is a power of two.
+#[inline(always)]
+pub fn lattice_f32(draw: u64) -> f32 {
+    (draw >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
+}
+
 /// The dispatch table: one function pointer per vectorized hot loop, all
 /// from the same backend.
 #[derive(Debug, Clone, Copy)]
@@ -405,6 +495,12 @@ pub struct KernelSet {
     pub sh_colors: ShColorsFn,
     /// Box–Muller normals from uniform pairs (scene synthesis).
     pub box_muller: BoxMullerFn,
+    /// Lattice uniforms of a batch of generators (scene synthesis).
+    pub draw_uniforms: DrawUniformsFn,
+    /// `det_exp` over a batch (scene synthesis).
+    pub exp: ExpFn,
+    /// `det_sin_cos` over a batch (scene synthesis).
+    pub sin_cos: SinCosFn,
 }
 
 /// The scalar reference table.
@@ -419,6 +515,9 @@ static SCALAR: KernelSet = KernelSet {
     blend_span: scalar::blend_span,
     sh_colors: scalar::sh_colors,
     box_muller: scalar::box_muller,
+    draw_uniforms: scalar::draw_uniforms,
+    exp: scalar::exp,
+    sin_cos: scalar::sin_cos,
 };
 
 /// Best backend the current CPU supports, ignoring any override.
@@ -542,6 +641,9 @@ mod tests {
             blend_span,
             sh_colors,
             box_muller,
+            draw_uniforms,
+            exp,
+            sin_cos,
         } = x86::AVX2;
         assert_eq!(backend, Backend::Avx2);
         use std::ptr::fn_addr_eq;
@@ -561,6 +663,12 @@ mod tests {
             ("blend_span", fn_addr_eq(blend_span, SCALAR.blend_span)),
             ("sh_colors", fn_addr_eq(sh_colors, SCALAR.sh_colors)),
             ("box_muller", fn_addr_eq(box_muller, SCALAR.box_muller)),
+            (
+                "draw_uniforms",
+                fn_addr_eq(draw_uniforms, SCALAR.draw_uniforms),
+            ),
+            ("exp", fn_addr_eq(exp, SCALAR.exp)),
+            ("sin_cos", fn_addr_eq(sin_cos, SCALAR.sin_cos)),
         ];
         for (kernel, is_scalar) in twins {
             assert!(
@@ -1498,7 +1606,7 @@ mod tests {
     }
 
     #[test]
-    fn the_scalar_table_holds_the_nine_scalar_twins() {
+    fn the_scalar_table_holds_only_scalar_twins() {
         // What a `Backend::Scalar`-pinned render runs: no entry of the
         // reference table may route to an intrinsic kernel.
         let ks = kernel_set(Backend::Scalar).unwrap();
@@ -1539,6 +1647,182 @@ mod tests {
             ks.box_muller,
             scalar::box_muller as BoxMullerFn
         ));
+        assert!(std::ptr::fn_addr_eq(
+            ks.draw_uniforms,
+            scalar::draw_uniforms as DrawUniformsFn
+        ));
+        assert!(std::ptr::fn_addr_eq(ks.exp, scalar::exp as ExpFn));
+        assert!(std::ptr::fn_addr_eq(
+            ks.sin_cos,
+            scalar::sin_cos as SinCosFn
+        ));
+    }
+
+    /// Every backend's `exp` against the scalar twin, bit for bit (`NaN`
+    /// for `NaN`).
+    fn assert_exp(xs: &[f32]) {
+        let mut want = xs.to_vec();
+        (SCALAR.exp)(&mut want);
+        for b in available() {
+            let mut got = xs.to_vec();
+            (kernel_set(b).unwrap().exp)(&mut got);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let same = g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan();
+                assert!(
+                    same,
+                    "exp {b}: {} at {i} of {}: {g} vs {w}",
+                    xs[i],
+                    xs.len()
+                );
+            }
+        }
+    }
+
+    /// Every backend's `sin_cos` against the scalar twin, bit for bit.
+    fn assert_sin_cos(angles: &[f32]) {
+        let n = angles.len();
+        let (mut want_sin, mut want_cos) = (vec![0.0f32; n], vec![0.0f32; n]);
+        (SCALAR.sin_cos)(angles, &mut want_sin, &mut want_cos);
+        for b in available() {
+            let (mut sin, mut cos) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+            (kernel_set(b).unwrap().sin_cos)(angles, &mut sin, &mut cos);
+            for i in 0..n {
+                let got = (sin[i].to_bits(), cos[i].to_bits());
+                let want = (want_sin[i].to_bits(), want_cos[i].to_bits());
+                assert_eq!(got, want, "sin_cos {b}: {} at {i} of {n}", angles[i]);
+            }
+        }
+    }
+
+    #[test]
+    fn exp_kernels_match_the_scalar_twin_at_every_length_and_across_the_range() {
+        // Ragged tails on either side of a vector, then a dense sweep
+        // through the builder's exponents (|x| < 20) and out to the
+        // batch bound, both signs, and the odd inputs in every lane.
+        for len in 0..=17 {
+            let xs: Vec<f32> = (0..len).map(|i| -3.0 + 0.37 * i as f32).collect();
+            assert_exp(&xs);
+        }
+        let dense: Vec<f32> = (-200_000..200_000).map(|i| i as f32 * 1e-4).collect();
+        assert_exp(&dense);
+        let wide: Vec<f32> = (0..4000)
+            .flat_map(|i| {
+                let x = 1.0032f32.powi(i) * 1e-3;
+                [x, -x]
+            })
+            .filter(|x| x.abs() < EXP_BATCH_MAX)
+            .collect();
+        assert_exp(&wide);
+        let odd = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            EXP_INPUT_FLOOR_EDGE,
+            88.7,
+            -103.9,
+            -EXP_BATCH_MAX.next_down(),
+            f32::NAN,
+        ];
+        for &v in &odd {
+            for at in 0..11 {
+                let mut xs = vec![0.5f32; 11];
+                xs[at] = v;
+                assert_exp(&xs);
+            }
+        }
+    }
+
+    /// A `det_exp` input just inside the alpha datapath's floor.
+    const EXP_INPUT_FLOOR_EDGE: f32 = gcc_math::exp::EXP_INPUT_MIN;
+
+    #[test]
+    fn sin_cos_kernels_match_the_scalar_twin_at_every_length_and_octant() {
+        for len in 0..=17 {
+            let angles: Vec<f32> = (0..len).map(|i| -2.0 + 0.61 * i as f32).collect();
+            assert_sin_cos(&angles);
+        }
+        // Every octant boundary of a few turns either way, a step below
+        // and above it, and a sweep to the specified bound.
+        let quarter = std::f32::consts::FRAC_PI_4;
+        let edges: Vec<f32> = (-40..=40)
+            .flat_map(|k| {
+                let x = k as f32 * quarter;
+                [x.next_down(), x, x.next_up()]
+            })
+            .collect();
+        assert_sin_cos(&edges);
+        let max = gcc_math::det::DET_SIN_COS_MAX;
+        let sweep: Vec<f32> = (-100_000..=100_000)
+            .map(|i| i as f32 * (max / 100_000.0))
+            .collect();
+        assert_sin_cos(&sweep);
+        let odd = [0.0, -0.0, f32::from_bits(1), -f32::MIN_POSITIVE, max, -max];
+        for &v in &odd {
+            for at in 0..11 {
+                let mut angles = vec![1.25f32; 11];
+                angles[at] = v;
+                assert_sin_cos(&angles);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "every lattice point: run in release"]
+    fn sin_cos_kernels_match_the_scalar_twin_on_the_whole_lattice() {
+        // The builder's rotation angles: every lattice point, times 2π.
+        const CHUNK: u32 = 1 << 16;
+        for start in (0..1u32 << 24).step_by(CHUNK as usize) {
+            let angles: Vec<f32> = (start..start + CHUNK)
+                .map(|k| lattice(k) * std::f32::consts::TAU)
+                .collect();
+            assert_sin_cos(&angles);
+        }
+    }
+
+    #[test]
+    fn sin_cos_kernels_reject_ragged_slices() {
+        for b in available() {
+            let ks = kernel_set(b).unwrap();
+            let ragged = std::panic::catch_unwind(|| {
+                (ks.sin_cos)(&[0.5; 8], &mut [0.0; 8], &mut [0.0; 9]);
+            });
+            assert!(ragged.is_err(), "{b} sin_cos took 8, 8 and 9");
+        }
+    }
+
+    #[test]
+    fn draw_kernels_match_the_scalar_twin_over_every_group_shape() {
+        // Groups of eight, every remainder after them, none at all; the
+        // states from the workspace hash, so every word is busy.
+        for n in [0usize, 1, 3, 4, 7, 8, 9, 15, 16, 24, 131] {
+            for draws in [0usize, 1, 5, 107] {
+                let mut seed = (draws << 20 | n) as u64;
+                let states: Vec<[u64; 4]> = (0..n)
+                    .map(|_| [(); 4].map(|()| splitmix(&mut seed)))
+                    .collect();
+                let mut want_states = states.clone();
+                let mut want = vec![0.0f32; n * draws];
+                (SCALAR.draw_uniforms)(&mut want_states, &mut want);
+                // The scalar twin is the one-state draw, column by column.
+                for (g, state) in states.iter().enumerate() {
+                    let mut s = *state;
+                    for k in 0..draws {
+                        let u = lattice_f32(xoshiro_next(&mut s));
+                        assert_eq!(u.to_bits(), want[k * n + g].to_bits());
+                    }
+                    assert_eq!(s, want_states[g]);
+                }
+                for b in available() {
+                    let mut got_states = states.clone();
+                    let mut got = vec![f32::NAN; n * draws];
+                    (kernel_set(b).unwrap().draw_uniforms)(&mut got_states, &mut got);
+                    let bits = |v: &[f32]| v.iter().map(|u| u.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{b}: {n} states, {draws} draws");
+                    assert_eq!(got_states, want_states, "{b}: {n} states, {draws} draws");
+                }
+            }
+        }
     }
 
     /// The scene builder's uniform lattice point `k · 2⁻²⁴`.

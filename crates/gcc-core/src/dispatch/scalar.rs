@@ -11,7 +11,8 @@ use gcc_math::Vec3;
 
 use super::{
     blend_lanes_len, block_pass_groups, block_powers_rows, box_muller_len, box_muller_one,
-    span_powers_shape, BlendCounts, PixelLanes, BLEND_LANES,
+    draw_uniforms_len, lattice_f32, sin_cos_len, span_powers_shape, xoshiro_next, BlendCounts,
+    PixelLanes, BLEND_LANES,
 };
 
 /// Scalar [`crate::dispatch::DepthKeysFn`].
@@ -161,5 +162,43 @@ pub fn box_muller(u1: &[f32], u2: &[f32], out: &mut [f32]) {
     box_muller_len(u1, u2, out);
     for ((n, &a), &b) in out.iter_mut().zip(u1).zip(u2) {
         *n = box_muller_one(a, b);
+    }
+}
+
+/// Scalar [`crate::dispatch::ExpFn`]: [`gcc_math::det_exp`] per element.
+pub fn exp(xs: &mut [f32]) {
+    for x in xs {
+        *x = gcc_math::det_exp(*x);
+    }
+}
+
+/// Scalar [`crate::dispatch::SinCosFn`]: [`gcc_math::det_sin_cos`] per
+/// angle.
+pub fn sin_cos(angles: &[f32], sin: &mut [f32], cos: &mut [f32]) {
+    sin_cos_len(angles, sin, cos);
+    for ((&x, s), c) in angles.iter().zip(sin).zip(cos) {
+        (*s, *c) = gcc_math::det_sin_cos(x);
+    }
+}
+
+/// Scalar [`crate::dispatch::DrawUniformsFn`]: [`lattice_f32`] of
+/// [`xoshiro_next`] per draw, generator by generator.
+pub fn draw_uniforms(states: &mut [[u64; 4]], out: &mut [f32]) {
+    draw_uniforms_len(states, out);
+    draw_uniforms_from(states, out, 0);
+}
+
+/// The generators `first..` of [`draw_uniforms`], into their columns of
+/// the draw-major `out`: the SIMD twins' remainder. Row by row, so the
+/// generators' steps are independent chains side by side.
+pub(super) fn draw_uniforms_from(states: &mut [[u64; 4]], out: &mut [f32], first: usize) {
+    let n = states.len();
+    if first == n {
+        return;
+    }
+    for row in out.chunks_exact_mut(n) {
+        for (u, s) in row[first..].iter_mut().zip(&mut states[first..]) {
+            *u = lattice_f32(xoshiro_next(s));
+        }
     }
 }

@@ -21,8 +21,8 @@ use gcc_math::Vec3;
 
 use super::scalar;
 use super::{
-    blend_lanes_len, block_pass_groups, block_powers_rows, box_muller_len, span_powers_shape,
-    BlendCounts, KernelSet, PixelLanes, BLEND_LANES,
+    blend_lanes_len, block_pass_groups, block_powers_rows, box_muller_len, draw_uniforms_len,
+    sin_cos_len, span_powers_shape, BlendCounts, KernelSet, PixelLanes, BLEND_LANES,
 };
 
 /// Whether this CPU runs the AVX2 table: AVX2 for the vector bodies and
@@ -45,6 +45,9 @@ pub(super) static AVX2: KernelSet = KernelSet {
     blend_span: blend_span_avx2,
     sh_colors: sh_colors_avx2,
     box_muller: box_muller_avx2,
+    draw_uniforms: draw_uniforms_avx2,
+    exp: exp_avx2,
+    sin_cos: sin_cos_avx2,
 };
 
 fn depth_keys_avx2(depths: &[f32], keys: &mut [u32]) {
@@ -623,46 +626,47 @@ unsafe fn alpha_from_powers_avx2(buf: &mut [f32]) {
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn alpha8_avx2(x: __m256) -> __m256 {
+    let one = _mm256_set1_ps(1.0);
+    let e = exp8_avx2(x);
+    // Input clamps: x < −5.54 → 0, x ≥ 0 → 1 (mutually exclusive).
+    let lo = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(EXP_INPUT_MIN));
+    let hi = _mm256_cmp_ps::<_CMP_GE_OQ>(x, _mm256_setzero_ps());
+    let mut a = _mm256_andnot_ps(lo, e);
+    a = _mm256_or_ps(_mm256_and_ps(hi, one), _mm256_andnot_ps(hi, a));
+    // Output clamps, matching scalar `min` NaN/order semantics.
+    a = _mm256_min_ps(a, _mm256_set1_ps(ALPHA_MAX));
+    _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(a, _mm256_set1_ps(ALPHA_MIN)), a)
+}
+
+/// `gcc_math::det_exp` on eight lanes, operation for operation; the floor
+/// of `x·log2e + ½` is one rounding, equal to the scalar truncate-and-step
+/// wherever that fits an `i32`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn exp8_avx2(x: __m256) -> __m256 {
     const FLOOR: i32 = _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC;
-    {
-        let log2e = _mm256_set1_ps(DET_EXP_LOG2E);
-        let half = _mm256_set1_ps(0.5);
-        let one = _mm256_set1_ps(1.0);
-        let ln2_hi = _mm256_set1_ps(DET_EXP_LN2_HI);
-        let ln2_lo = _mm256_set1_ps(DET_EXP_LN2_LO);
-        let bias = _mm256_set1_epi32(127);
-        let exp_min = _mm256_set1_ps(EXP_INPUT_MIN);
-        let zero = _mm256_setzero_ps();
-        let alpha_max = _mm256_set1_ps(ALPHA_MAX);
-        let alpha_min = _mm256_set1_ps(ALPHA_MIN);
-        // k = floor(x·log2e + ½).
-        let k = _mm256_round_ps::<FLOOR>(_mm256_add_ps(_mm256_mul_ps(x, log2e), half));
-        // r = x − k·ln2_hi − k·ln2_lo, two separate mul+sub (no FMA).
-        let r = _mm256_sub_ps(
-            _mm256_sub_ps(x, _mm256_mul_ps(k, ln2_hi)),
-            _mm256_mul_ps(k, ln2_lo),
-        );
-        // Horner, same order as det_exp.
-        let mut p = _mm256_set1_ps(DET_EXP_POLY[0]);
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(DET_EXP_POLY[1]));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(DET_EXP_POLY[2]));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(DET_EXP_POLY[3]));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(DET_EXP_POLY[4]));
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(DET_EXP_POLY[5]));
-        let y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r), one);
-        // 2^k through the exponent bits (k is integer-valued here).
-        let ki = _mm256_cvttps_epi32(k);
-        let scale = _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_add_epi32(ki, bias), 23));
-        let e = _mm256_mul_ps(y, scale);
-        // Input clamps: x < −5.54 → 0, x ≥ 0 → 1 (mutually exclusive).
-        let lo = _mm256_cmp_ps::<_CMP_LT_OQ>(x, exp_min);
-        let hi = _mm256_cmp_ps::<_CMP_GE_OQ>(x, zero);
-        let mut a = _mm256_andnot_ps(lo, e);
-        a = _mm256_or_ps(_mm256_and_ps(hi, one), _mm256_andnot_ps(hi, a));
-        // Output clamps, matching scalar `min` NaN/order semantics.
-        a = _mm256_min_ps(a, alpha_max);
-        _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(a, alpha_min), a)
+    let log2e = _mm256_set1_ps(DET_EXP_LOG2E);
+    // k = floor(x·log2e + ½).
+    let k = _mm256_round_ps::<FLOOR>(_mm256_add_ps(_mm256_mul_ps(x, log2e), _mm256_set1_ps(0.5)));
+    // r = x − k·ln2_hi − k·ln2_lo, two separate mul+sub (no FMA).
+    let r = _mm256_sub_ps(
+        _mm256_sub_ps(x, _mm256_mul_ps(k, _mm256_set1_ps(DET_EXP_LN2_HI))),
+        _mm256_mul_ps(k, _mm256_set1_ps(DET_EXP_LN2_LO)),
+    );
+    // Horner, same order as det_exp.
+    let mut p = _mm256_set1_ps(DET_EXP_POLY[0]);
+    for &c in &DET_EXP_POLY[1..] {
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
     }
+    let y = _mm256_add_ps(
+        _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+        _mm256_set1_ps(1.0),
+    );
+    // 2^k through the exponent bits (k is integer-valued here).
+    let ki = _mm256_cvttps_epi32(k);
+    let bias = _mm256_set1_epi32(127);
+    let scale = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(ki, bias)));
+    _mm256_mul_ps(y, scale)
 }
 
 fn blend_span_avx2(
@@ -921,13 +925,76 @@ unsafe fn box_muller_avx2_impl(u1: &[f32], u2: &[f32], out: &mut [f32]) {
             // Ragged tail: the same 8-lane body on masked loads (the lanes
             // past the end read `0.0`) and a masked store that writes only
             // the lanes in range — no copy of run-time length.
-            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-            let live = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - i) as i32), lanes);
+            let live = live_lanes(n - i);
             let a = _mm256_maskload_ps(u1.as_ptr().add(i), live);
             let b = _mm256_maskload_ps(u2.as_ptr().add(i), live);
             _mm256_maskstore_ps(out.as_mut_ptr().add(i), live, box_muller8_avx2(a, b));
         }
     }
+}
+
+fn exp_avx2(xs: &mut [f32]) {
+    debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+    // SAFETY: the AVX2 table is only handed out after feature detection.
+    unsafe { exp_avx2_impl(xs) }
+}
+
+/// 8-lane [`scalar::exp`]; a ragged tail on masked loads (the lanes past
+/// the end read `0.0`) and a masked store, as [`box_muller_avx2_impl`].
+#[target_feature(enable = "avx2")]
+unsafe fn exp_avx2_impl(xs: &mut [f32]) {
+    let n = xs.len();
+    let mut i = 0;
+    unsafe {
+        while i + 8 <= n {
+            let x = _mm256_loadu_ps(xs.as_ptr().add(i));
+            _mm256_storeu_ps(xs.as_mut_ptr().add(i), exp8_avx2(x));
+            i += 8;
+        }
+        if i < n {
+            let live = live_lanes(n - i);
+            let x = _mm256_maskload_ps(xs.as_ptr().add(i), live);
+            _mm256_maskstore_ps(xs.as_mut_ptr().add(i), live, exp8_avx2(x));
+        }
+    }
+}
+
+fn sin_cos_avx2(angles: &[f32], sin: &mut [f32], cos: &mut [f32]) {
+    sin_cos_len(angles, sin, cos);
+    debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+    // SAFETY: the AVX2 table is only handed out after feature detection,
+    // and the lengths are checked.
+    unsafe { sin_cos_avx2_impl(angles, sin, cos) }
+}
+
+/// 8-lane [`scalar::sin_cos`], its ragged tail as [`exp_avx2_impl`]'s.
+/// The caller has checked that the slices share one length.
+#[target_feature(enable = "avx2")]
+unsafe fn sin_cos_avx2_impl(angles: &[f32], sin: &mut [f32], cos: &mut [f32]) {
+    let n = angles.len();
+    let mut i = 0;
+    unsafe {
+        while i + 8 <= n {
+            let (s, c) = sin_cos8_avx2(_mm256_loadu_ps(angles.as_ptr().add(i)));
+            _mm256_storeu_ps(sin.as_mut_ptr().add(i), s);
+            _mm256_storeu_ps(cos.as_mut_ptr().add(i), c);
+            i += 8;
+        }
+        if i < n {
+            let live = live_lanes(n - i);
+            let (s, c) = sin_cos8_avx2(_mm256_maskload_ps(angles.as_ptr().add(i), live));
+            _mm256_maskstore_ps(sin.as_mut_ptr().add(i), live, s);
+            _mm256_maskstore_ps(cos.as_mut_ptr().add(i), live, c);
+        }
+    }
+}
+
+/// The mask of the first `live` of eight lanes (`live < 8`).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn live_lanes(live: usize) -> __m256i {
+    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    _mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lanes)
 }
 
 /// `√(−2·ln u1) · cos(2π·u2)` on eight lanes.
@@ -936,7 +1003,7 @@ unsafe fn box_muller_avx2_impl(u1: &[f32], u2: &[f32], out: &mut [f32]) {
 unsafe fn box_muller8_avx2(u1: __m256, u2: __m256) -> __m256 {
     let radius = _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), ln8_avx2(u1)));
     let angle = _mm256_mul_ps(_mm256_set1_ps(std::f32::consts::TAU), u2);
-    _mm256_mul_ps(radius, cos8_avx2(angle))
+    _mm256_mul_ps(radius, sin_cos8_avx2(angle).1)
 }
 
 /// `gcc_math::det_ln` on eight lanes, operation for operation.
@@ -989,12 +1056,13 @@ unsafe fn ln8_avx2(x: __m256) -> __m256 {
     _mm256_blendv_ps(r, _mm256_set1_ps(f32::NAN), nan)
 }
 
-/// The cosine of `gcc_math::det_sin_cos` on eight lanes, operation for
-/// operation (the sine's polynomial too: odd quadrants take it).
+/// `gcc_math::det_sin_cos` on eight lanes, operation for operation: the
+/// octant swap a blend, the signs XORed into the bits.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn cos8_avx2(x: __m256) -> __m256 {
-    let ax = _mm256_and_ps(x, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff)));
+fn sin_cos8_avx2(x: __m256) -> (__m256, __m256) {
+    let sign_bit = _mm256_set1_epi32(i32::MIN);
+    let ax = _mm256_andnot_ps(_mm256_castsi256_ps(sign_bit), x);
     let j = _mm256_cvttps_epi32(_mm256_mul_ps(ax, _mm256_set1_ps(DET_FOUR_OVER_PI)));
     let j = _mm256_and_si256(
         _mm256_add_epi32(j, _mm256_set1_epi32(1)),
@@ -1021,11 +1089,117 @@ unsafe fn cos8_avx2(x: __m256) -> __m256 {
     s = _mm256_add_ps(_mm256_mul_ps(s, z), _mm256_set1_ps(DET_SIN_POLY[2]));
     let s = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(s, z), r), r);
     let two = _mm256_set1_epi32(2);
+    let four = _mm256_set1_epi32(4);
     let swap = _mm256_castsi256_ps(_mm256_cmpeq_epi32(_mm256_and_si256(j, two), two));
-    let cos = _mm256_blendv_ps(c, s, swap);
-    let sign = _mm256_slli_epi32::<29>(_mm256_andnot_si256(
-        _mm256_sub_epi32(j, two),
-        _mm256_set1_epi32(4),
-    ));
-    _mm256_xor_ps(cos, _mm256_castsi256_ps(sign))
+    let sin_sign = _mm256_xor_si256(
+        _mm256_and_si256(_mm256_castps_si256(x), sign_bit),
+        _mm256_slli_epi32::<29>(_mm256_and_si256(j, four)),
+    );
+    let cos_sign = _mm256_slli_epi32::<29>(_mm256_andnot_si256(_mm256_sub_epi32(j, two), four));
+    (
+        _mm256_xor_ps(_mm256_blendv_ps(s, c, swap), _mm256_castsi256_ps(sin_sign)),
+        _mm256_xor_ps(_mm256_blendv_ps(c, s, swap), _mm256_castsi256_ps(cos_sign)),
+    )
+}
+
+fn draw_uniforms_avx2(states: &mut [[u64; 4]], out: &mut [f32]) {
+    let draws = draw_uniforms_len(states, out);
+    debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+    // SAFETY: the AVX2 table is only handed out after feature detection,
+    // and the shape is checked.
+    unsafe { draw_uniforms_avx2_impl(states, out, draws) }
+}
+
+/// 8-generator [`scalar::draw_uniforms`]: two vectors of four states,
+/// words as vectors and generators as lanes, step in lockstep; each draw
+/// packs their eight 24-bit tops into one vector of `i32`s, converts and
+/// scales it, and stores one row segment. Generators past the last eight
+/// run the scalar twin.
+#[target_feature(enable = "avx2")]
+unsafe fn draw_uniforms_avx2_impl(states: &mut [[u64; 4]], out: &mut [f32], draws: usize) {
+    let n = states.len();
+    let whole = n - n % 8;
+    unsafe {
+        let scale = _mm256_set1_ps(1.0 / (1u64 << 24) as f32);
+        // Dword order of `lo | hi << 32` that puts the four low lanes'
+        // tops first, then the four high lanes'.
+        let unzip = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+        for g in (0..whole).step_by(8) {
+            let mut lo = load_states4(&states[g..g + 4]);
+            let mut hi = load_states4(&states[g + 4..g + 8]);
+            for row in out.chunks_exact_mut(n).take(draws) {
+                let a = _mm256_srli_epi64::<40>(xoshiro_next4(&mut lo));
+                let b = _mm256_slli_epi64::<32>(_mm256_srli_epi64::<40>(xoshiro_next4(&mut hi)));
+                let tops = _mm256_permutevar8x32_epi32(_mm256_or_si256(a, b), unzip);
+                let u = _mm256_mul_ps(_mm256_cvtepi32_ps(tops), scale);
+                _mm256_storeu_ps(row[g..g + 8].as_mut_ptr(), u);
+            }
+            store_states4(lo, &mut states[g..g + 4]);
+            store_states4(hi, &mut states[g + 4..g + 8]);
+        }
+    }
+    scalar::draw_uniforms_from(states, out, whole);
+}
+
+/// Four xoshiro256 states, transposed: vector `w` holds word `w` of each.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load_states4(states: &[[u64; 4]]) -> [__m256i; 4] {
+    unsafe {
+        let rows = [0, 1, 2, 3].map(|i| _mm256_loadu_si256(states[i].as_ptr().cast()));
+        transpose4x64(rows)
+    }
+}
+
+/// The inverse of [`load_states4`].
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store_states4(words: [__m256i; 4], states: &mut [[u64; 4]]) {
+    unsafe {
+        for (state, row) in states.iter_mut().zip(transpose4x64(words)) {
+            _mm256_storeu_si256(state.as_mut_ptr().cast(), row);
+        }
+    }
+}
+
+/// A 4 × 4 transpose of 64-bit lanes (its own inverse).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn transpose4x64([r0, r1, r2, r3]: [__m256i; 4]) -> [__m256i; 4] {
+    let t0 = _mm256_unpacklo_epi64(r0, r1);
+    let t1 = _mm256_unpackhi_epi64(r0, r1);
+    let t2 = _mm256_unpacklo_epi64(r2, r3);
+    let t3 = _mm256_unpackhi_epi64(r2, r3);
+    [
+        _mm256_permute2x128_si256::<0x20>(t0, t2),
+        _mm256_permute2x128_si256::<0x20>(t1, t3),
+        _mm256_permute2x128_si256::<0x31>(t0, t2),
+        _mm256_permute2x128_si256::<0x31>(t1, t3),
+    ]
+}
+
+/// `x << L | x >> R` per 64-bit lane, `L + R = 64`: a left rotation.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn rotl64<const L: i32, const R: i32>(x: __m256i) -> __m256i {
+    _mm256_or_si256(_mm256_slli_epi64::<L>(x), _mm256_srli_epi64::<R>(x))
+}
+
+/// [`crate::dispatch::xoshiro_next`] on four transposed states: the
+/// multiplies by 5 and 9 as a shift and an add (AVX2 has no 64-bit
+/// multiply), the same wrapping product.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn xoshiro_next4(s: &mut [__m256i; 4]) -> __m256i {
+    let times5 = _mm256_add_epi64(_mm256_slli_epi64::<2>(s[1]), s[1]);
+    let r = rotl64::<7, 57>(times5);
+    let result = _mm256_add_epi64(_mm256_slli_epi64::<3>(r), r);
+    let t = _mm256_slli_epi64::<17>(s[1]);
+    s[2] = _mm256_xor_si256(s[2], s[0]);
+    s[3] = _mm256_xor_si256(s[3], s[1]);
+    s[1] = _mm256_xor_si256(s[1], s[2]);
+    s[0] = _mm256_xor_si256(s[0], s[3]);
+    s[2] = _mm256_xor_si256(s[2], t);
+    s[3] = rotl64::<45, 19>(s[3]);
+    result
 }

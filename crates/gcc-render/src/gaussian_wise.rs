@@ -98,8 +98,10 @@ impl Default for GaussianWiseConfig {
 }
 
 impl GaussianWiseConfig {
-    /// The GCC hardware configuration: LUT-EXP datapath, everything else
-    /// as per the paper.
+    /// The GCC hardware configuration: the LUT-EXP datapath, everything
+    /// else the default — which traverses T-masked blocks
+    /// ([`MaskMode::Traverse`]) where the paper's §4.5 skips and blocks
+    /// them ([`MaskMode::SkipAndBlock`], which loses reachability).
     pub fn gcc_hardware() -> Self {
         Self {
             exp: ExpMode::lut(),

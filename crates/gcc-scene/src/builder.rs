@@ -16,7 +16,7 @@
 //! effective-vs-bounding-box footprint gap of Fig. 4 / Table 1.
 
 use crate::preset::{PresetParams, SceneKind};
-use crate::rng::StdRng;
+use crate::rng::{in_range, Jump, StdRng};
 use crate::scene::{Scene, SceneConfig};
 use crate::trajectory::OrbitRig;
 use gcc_core::{Gaussian3D, SH_COEFFS_PER_CHANNEL, SH_FLOATS};
@@ -28,11 +28,12 @@ use std::sync::Mutex;
 /// [`gcc_parallel::worthwhile_threads`]' floor. Priced on the host the
 /// other floors were (Lego@0.5, 17 000 Gaussians, took 14.4 ms at
 /// 800 ns while every normal called libm); the batched tail took that
-/// to 400 ns, and batching the position's normals with it takes a
-/// one-thread build to about 0.8× of that one (the median ratio over the
-/// six presets at scale 0.5 and four interleaved rounds on one 2-vCPU
-/// AVX2 host; single rounds read 0.56–1.00).
-const GAUSSIAN_NS: u32 = 320;
+/// to 400 ns, and batching the position's normals with it to 320 ns.
+/// Filling a block stage by stage behind a scout that jumps the tails
+/// takes a one-thread build to about 0.82× of that one (the median ratio
+/// over the six presets at scale 0.5 and four interleaved rounds on one
+/// 2-vCPU AVX2 host; single rounds read 0.62–1.30).
+const GAUSSIAN_NS: u32 = 260;
 
 /// Gaussians per block the scout hands the fillers.
 const BLOCK: usize = 128;
@@ -40,37 +41,53 @@ const BLOCK: usize = 128;
 /// Blocks the scout may run ahead of the fillers before it fills the block
 /// in its hands itself: enough that a filler never finds the queue empty
 /// while the scout is busy filling, few enough that the heads in flight
-/// (72 bytes each with their generator copies: 16 × 128 of them are
+/// (72 bytes each with their generator states: 16 × 128 of them are
 /// 144 KiB) stay in cache.
 const BLOCKS_AHEAD: usize = 16;
 
-/// Normals of a Gaussian's tail: four of [`sample_scale`], then one per
-/// coefficient of [`sample_sh`].
+/// Normals of a Gaussian's tail: four of its scale
+/// ([`scale_exponents`]), then one per SH coefficient ([`SH_SIGMA`]).
 const TAIL_NORMALS: usize = 4 + SH_FLOATS;
 
 /// Draws the tail of a Gaussian consumes, whatever the [`SceneKind`]: two
-/// per normal and the three uniforms of [`sample_rotation`].
-const TAIL_DRAWS: usize = 2 * TAIL_NORMALS + 3;
+/// per normal and the three uniforms of its [`rotation`].
+pub(crate) const TAIL_DRAWS: usize = 2 * TAIL_NORMALS + 3;
+
+/// The scout's step over a tail it does not draw.
+pub(crate) static TAIL_JUMP: Jump = Jump::over(TAIL_DRAWS);
+
+/// The first of the rotation's three draws in a tail: after the four
+/// scale pairs.
+const ROTATION_DRAW: usize = 8;
+
+/// Where tail normal `j`'s Box–Muller pair sits among the tail's draws:
+/// `u1` at this index, `u2` after it — the four scale pairs, the
+/// rotation's three draws, then the SH pairs.
+const fn pair_draw(j: usize) -> usize {
+    if j < 4 {
+        2 * j
+    } else {
+        2 * j + 3
+    }
+}
 
 /// Builds a scene from preset parameters and a config, on up to `threads`
 /// threads. Any thread count builds the same scene, bit for bit.
 ///
 /// The scene is a function of one PRNG stream, and the stream is
-/// sequential — but stepping over a draw costs ≈ 1 ns, and drawing it,
-/// mapping it and evaluating what is computed from it several times that.
-/// So with more than one thread the calling thread becomes a *scout*: it
-/// draws each Gaussian's head ([`draw_head`]: position and opacity, the
-/// draws whose count depends on their values among them), evaluates only
-/// what decides which draws come next (the role draw, the azimuth loops),
-/// keeps a copy of the generator where the tail starts, and steps over the
-/// tail's [`TAIL_DRAWS`] draws. *Fillers* take blocks of heads as the
-/// scout publishes them, draw each tail from its copy and evaluate the
-/// whole Gaussian into their block of the output — the position's normals
-/// in the same Box–Muller batch as the tail's ([`sample_tail`]); the scout
-/// fills a block itself whenever it is [`BLOCKS_AHEAD`], and joins the
-/// fillers when the stream ends. One thread, or a scene too small to be
-/// worth a second, runs the same head draw, tail draw and batch on the one
-/// generator: no copy, no stepping over.
+/// sequential. But a Gaussian's tail — [`TAIL_DRAWS`] draws whatever the
+/// scene — decides no draw count, and the state after it is a linear map
+/// of the state before it. So the calling thread is a *scout*: it draws
+/// each Gaussian's head ([`draw_head`]: position and opacity, the draws
+/// whose count depends on their values among them), evaluates only what
+/// decides which draws come next (the role draw, the azimuth loops), keeps
+/// the generator's state where the tail starts, and jumps over the tail
+/// ([`TAIL_JUMP`]: 64 table lookups, not 107 steps). *Fillers* take blocks
+/// of heads as the scout publishes them and fill each block stage by stage
+/// ([`fill_block`]); the scout fills a block itself whenever it is
+/// [`BLOCKS_AHEAD`], and joins the fillers when the stream ends. One
+/// thread, or a scene too small to be worth a second, runs the same
+/// pipeline with no filler: the scout fills each block as it scouts it.
 pub fn build_scene(params: &PresetParams, config: &SceneConfig, threads: usize) -> Scene {
     let seed = config.seed.unwrap_or(params.seed);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -78,23 +95,14 @@ pub fn build_scene(params: &PresetParams, config: &SceneConfig, threads: usize) 
 
     let clusters = sample_cluster_centers(params, &mut rng);
     let threads = gcc_parallel::worthwhile_threads(threads, count, GAUSSIAN_NS);
-    let gaussians = if threads <= 1 {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(sample_gaussian(params, &clusters, &mut rng));
-        }
-        out
-    } else {
-        let mut out = vec![Gaussian3D::default(); count];
-        scout_and_fill(
-            &mut out,
-            threads,
-            rng,
-            |rng| draw_head(params, clusters.len(), rng),
-            |head, rng| sample_tail(params, &clusters, head, rng),
-        );
-        out
-    };
+    let mut gaussians = vec![Gaussian3D::default(); count];
+    scout_and_fill(
+        &mut gaussians,
+        threads,
+        rng,
+        |rng| draw_head(params, clusters.len(), rng),
+        |block, heads, tails| fill_block(params, &clusters, block, heads, tails),
+    );
 
     Scene {
         name: params.name.to_string(),
@@ -106,23 +114,24 @@ pub fn build_scene(params: &PresetParams, config: &SceneConfig, threads: usize) 
     }
 }
 
-/// The pipelined build of [`build_scene`]: the caller scouts `rng`'s
-/// stream for `out.len()` Gaussians with `head`, up to `threads - 1`
-/// parked helpers fill them in with `tail` ([`gcc_parallel::run`]).
+/// The pipeline of [`build_scene`]: the caller scouts `rng`'s stream for
+/// `out.len()` Gaussians with `head`, and it and up to `threads - 1`
+/// parked helpers ([`gcc_parallel::run`]) `fill` them in, a block at a
+/// time, from the block's heads and the generator states its tails start
+/// from.
 fn scout_and_fill(
     out: &mut [Gaussian3D],
     threads: usize,
     mut rng: StdRng,
     mut head: impl FnMut(&mut StdRng) -> Head,
-    tail: impl Fn(&Head, &mut StdRng) -> Gaussian3D + Sync,
+    fill: impl Fn(&mut [Gaussian3D], &[Head], &mut [[u64; 4]]) + Sync,
 ) {
-    type Job<'a> = (&'a mut [Gaussian3D], Vec<(Head, StdRng)>);
-    let fill = |(block, heads): Job<'_>| {
-        for (slot, (head, mut rng)) in block.iter_mut().zip(heads) {
-            *slot = tail(&head, &mut rng);
-        }
-    };
-    let (publish, published) = sync_channel::<Job<'_>>(BLOCKS_AHEAD);
+    type Job<'a> = (&'a mut [Gaussian3D], Vec<Head>, Vec<[u64; 4]>);
+    let fill = |(block, heads, mut tails): Job<'_>| fill(block, &heads, &mut tails);
+    // With no filler to hand a block to, a queue of none: every block is
+    // filled while its heads are still in cache.
+    let ahead = if threads > 1 { BLOCKS_AHEAD } else { 0 };
+    let (publish, published) = sync_channel::<Job<'_>>(ahead);
     let published = Mutex::new(published);
     // `None` once the scout has hung up and the queue is drained. Only a
     // thread with nothing else to do waits here, lock in hand.
@@ -141,16 +150,14 @@ fn scout_and_fill(
     // panic, the hang-up releases every filler waiting in `next`.
     gcc_parallel::run(threads - 1, &drain, || {
         for block in out.chunks_mut(BLOCK) {
-            let heads = block
-                .iter()
-                .map(|_| {
-                    let head = head(&mut rng);
-                    let tail = rng.clone();
-                    rng.advance(TAIL_DRAWS);
-                    (head, tail)
-                })
-                .collect();
-            match publish.try_send((block, heads)) {
+            let mut heads = Vec::with_capacity(block.len());
+            let mut tails = Vec::with_capacity(block.len());
+            for _ in 0..block.len() {
+                heads.push(head(&mut rng));
+                tails.push(rng.state());
+                rng.jump(&TAIL_JUMP);
+            }
+            match publish.try_send((block, heads, tails)) {
                 Ok(()) => {}
                 Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => fill(job),
             }
@@ -158,6 +165,108 @@ fn scout_and_fill(
         drop(publish);
         drain();
     });
+}
+
+/// Gaussians [`fill_block`] runs each stage over at once: a multiple of
+/// the eight generators the AVX2 draw kernel steps together, and few
+/// enough that one draw or one normal of all of them is one cache line
+/// (16 floats), so a Gaussian's 52 normals sit in 52 lines of distinct L1
+/// sets when it is evaluated.
+const STAGE: usize = 16;
+
+/// Normals [`fill_block`] evaluates per Gaussian in one
+/// [`KernelSet::box_muller`] call: the tail's, then the position's.
+///
+/// [`KernelSet::box_muller`]: gcc_core::dispatch::KernelSet
+const BATCH: usize = TAIL_NORMALS + PLACE_NORMALS;
+
+/// Fills `block` from its scouted `heads` and the generator states
+/// `tails` their tails start from, [`STAGE`] Gaussians at a time, one
+/// stage over all of them after another: every tail's [`TAIL_DRAWS`]
+/// draws ([`KernelSet::draw_uniforms`]), their mapping onto Box–Muller
+/// pairs, the tails' and the positions' normals in one
+/// [`KernelSet::box_muller`] call, then each Gaussian from its column of
+/// what those stages left.
+///
+/// [`KernelSet::draw_uniforms`]: gcc_core::dispatch::KernelSet
+/// [`KernelSet::box_muller`]: gcc_core::dispatch::KernelSet
+fn fill_block(
+    params: &PresetParams,
+    clusters: &[Cluster],
+    block: &mut [Gaussian3D],
+    heads: &[Head],
+    tails: &mut [[u64; 4]],
+) {
+    let kernels = gcc_core::dispatch::active();
+    // Row-major, a row per draw or normal and a column per Gaussian: the
+    // tail's normals first, then the positions' at three per Gaussian.
+    let mut draws = [0.0f32; TAIL_DRAWS * STAGE];
+    let (mut u1, mut u2) = ([0.0f32; BATCH * STAGE], [0.0f32; BATCH * STAGE]);
+    let mut normals = [0.0f32; BATCH * STAGE];
+    let mut exps = [0.0f32; 4 * STAGE];
+    let (mut angles, mut sin, mut cos) = ([0.0f32; 2 * STAGE], [0.0; 2 * STAGE], [0.0; 2 * STAGE]);
+    let stages = block.chunks_mut(STAGE).zip(heads.chunks(STAGE));
+    for ((block, heads), tails) in stages.zip(tails.chunks_mut(STAGE)) {
+        let n = block.len();
+        let draws = &mut draws[..TAIL_DRAWS * n];
+        (kernels.draw_uniforms)(tails, draws);
+        let (u1, u2) = (&mut u1[..BATCH * n], &mut u2[..BATCH * n]);
+        let pairs = u1.chunks_exact_mut(n).zip(u2.chunks_exact_mut(n));
+        for (j, (u1, u2)) in pairs.take(TAIL_NORMALS).enumerate() {
+            let (a, b) = draws[pair_draw(j) * n..][..2 * n].split_at(n);
+            for (((u1, u2), &a), &b) in u1.iter_mut().zip(u2.iter_mut()).zip(a).zip(b) {
+                (*u1, *u2) = normal_pair(a, b);
+            }
+        }
+        // A slot a position leaves is `(1, 0)`: a normal of 0 nothing
+        // reads.
+        let place1 = u1[TAIL_NORMALS * n..].chunks_exact_mut(PLACE_NORMALS);
+        let place2 = u2[TAIL_NORMALS * n..].chunks_exact_mut(PLACE_NORMALS);
+        for ((head, u1), u2) in heads.iter().zip(place1).zip(place2) {
+            u1.fill(1.0);
+            u2.fill(0.0);
+            head.place.pairs(u1, u2);
+        }
+        let normals = &mut normals[..BATCH * n];
+        (kernels.box_muller)(u1, u2, normals);
+        let (tail, place) = normals.split_at(TAIL_NORMALS * n);
+        // The SH coefficients straight into their slots, one coefficient
+        // of every Gaussian at a time.
+        let sh = tail[4 * n..].chunks_exact(n).zip(SH_SIGMA);
+        for (k, (row, sigma)) in sh.enumerate() {
+            for (slot, &normal) in block.iter_mut().zip(row) {
+                slot.sh[k] = normal * sigma;
+            }
+        }
+        // The scale's four exponentials, a row each.
+        let exps = &mut exps[..4 * n];
+        for g in 0..n {
+            let normals = std::array::from_fn(|j| tail[j * n + g]);
+            for (j, e) in scale_exponents(params, normals).into_iter().enumerate() {
+                exps[j * n + g] = e;
+            }
+        }
+        (kernels.exp)(exps);
+        // The rotation's two angles, a row each.
+        let (angles, sin, cos) = (&mut angles[..2 * n], &mut sin[..2 * n], &mut cos[..2 * n]);
+        let turns = &draws[(ROTATION_DRAW + 1) * n..][..2 * n];
+        for (angle, &turn) in angles.iter_mut().zip(turns) {
+            *angle = turn * std::f32::consts::TAU;
+        }
+        (kernels.sin_cos)(angles, sin, cos);
+        let places = place.chunks_exact(PLACE_NORMALS);
+        for (g, ((slot, head), place)) in block.iter_mut().zip(heads).zip(places).enumerate() {
+            let (position, opacity, size_mul) = head.evaluate(params, clusters, place);
+            let angle = |a: usize| (sin[a * n + g], cos[a * n + g]);
+            *slot = Gaussian3D::new(
+                position,
+                scale(size_mul, std::array::from_fn(|j| exps[j * n + g])),
+                rotation(draws[ROTATION_DRAW * n + g], angle(0), angle(1)),
+                opacity,
+                slot.sh,
+            );
+        }
+    }
 }
 
 /// Azimuth (radians) from a truncated normal with σ = half-angle/2,
@@ -178,7 +287,15 @@ fn sample_azimuth(params: &PresetParams, rng: &mut StdRng) -> f32 {
 /// `[0, 1)`.
 #[inline(always)]
 fn normal_draws(rng: &mut StdRng) -> (f32, f32) {
-    (rng.gen_range(1e-7..1.0f32), rng.gen_range(0.0..1.0f32))
+    let u1 = rng.gen();
+    normal_pair(u1, rng.gen())
+}
+
+/// [`normal_draws`]' pair from its two uniforms ([`StdRng::gen`]'s):
+/// each mapped onto its range as [`StdRng::gen_range`] maps it.
+#[inline(always)]
+fn normal_pair(u1: f32, u2: f32) -> (f32, f32) {
+    (in_range(1e-7..1.0, u1), in_range(0.0..1.0, u2))
 }
 
 /// Standard normal via Box–Muller: the element the tail's batched
@@ -289,12 +406,6 @@ enum Place {
 /// Normals a position adds to its Gaussian's batch, at most: a
 /// [`Place::Surface`] offset's.
 const PLACE_NORMALS: usize = 3;
-
-/// Normals one Gaussian evaluates in one [`KernelSet::box_muller`] call:
-/// the tail's, then the position's.
-///
-/// [`KernelSet::box_muller`]: gcc_core::dispatch::KernelSet
-const BATCH: usize = TAIL_NORMALS + PLACE_NORMALS;
 
 fn draw_place(params: &PresetParams, clusters: usize, rng: &mut StdRng) -> Place {
     let r = params.world_radius;
@@ -440,87 +551,57 @@ impl Opacity {
     }
 }
 
-/// The uniforms of a Gaussian's tail, each mapped as it is drawn: the
-/// Box–Muller pairs of its normals — the first [`TAIL_NORMALS`] of `u1`
-/// and `u2`, the rest left for the position's — and the three of its
-/// rotation.
-struct TailDraws {
-    u1: [f32; BATCH],
-    u2: [f32; BATCH],
-    rotation: [f32; 3],
+/// The exponents of a Gaussian's scale, from its four scale normals: its
+/// base size's, then its three axes' factors.
+#[inline(always)]
+fn scale_exponents(params: &PresetParams, normals: [f32; 4]) -> [f32; 4] {
+    [
+        params.log_scale_mean + params.log_scale_sigma * normals[0],
+        0.35 * normals[1],
+        0.35 * normals[2],
+        -1.7 + 0.5 * normals[3],
+    ]
 }
 
-/// Draws a Gaussian's tail: exactly [`TAIL_DRAWS`] draws of `rng`, in
-/// the order the tail consumes them — the four scale pairs, the
-/// rotation, then the SH pairs.
+/// The scale from the exponentials of [`scale_exponents`].
 #[inline(always)]
-fn draw_tail(rng: &mut StdRng) -> TailDraws {
-    let mut draws = TailDraws {
-        u1: [0.0; BATCH],
-        u2: [0.0; BATCH],
-        rotation: [0.0; 3],
-    };
-    let mut pair = |i: usize, rng: &mut StdRng| {
-        (draws.u1[i], draws.u2[i]) = normal_draws(rng);
-    };
-    for i in 0..4 {
-        pair(i, rng);
-    }
-    let rotation = [
-        rng.gen::<f32>(),
-        rng.gen::<f32>() * std::f32::consts::TAU,
-        rng.gen::<f32>() * std::f32::consts::TAU,
-    ];
-    for i in 4..TAIL_NORMALS {
-        pair(i, rng);
-    }
-    draws.rotation = rotation;
-    draws
-}
-
-#[inline(always)]
-fn sample_scale(params: &PresetParams, size_mul: f32, normals: &[f32; 4]) -> Vec3 {
-    let base = size_mul * det_exp(params.log_scale_mean + params.log_scale_sigma * normals[0]);
+fn scale(size_mul: f32, [base, x, y, z]: [f32; 4]) -> Vec3 {
+    let base = size_mul * base;
     // Trained 3DGS splats are strongly surfel-like: two comparable in-plane
     // axes and one much thinner normal axis (ratio ~5-6× on average). The
     // thin axis makes the projected ellipses elongated, which is what makes
     // OBBs ~3× tighter than AABBs (paper Table 1).
-    Vec3::new(
-        base * det_exp(0.35 * normals[1]),
-        base * det_exp(0.35 * normals[2]),
-        base * det_exp(-1.7 + 0.5 * normals[3]),
-    )
+    Vec3::new(base * x, base * y, base * z)
 }
 
+/// A uniform random rotation (Shoemake) from `u` on `[0, 1)` and the sine
+/// and cosine of two uniform angles.
 #[inline(always)]
-fn sample_rotation([u1, u2, u3]: [f32; 3]) -> Quat {
-    // Uniform random rotation (Shoemake): u1 on [0, 1), u2 and u3 angles.
-    let a = (1.0 - u1).sqrt();
-    let b = u1.sqrt();
-    let (sin2, cos2) = det_sin_cos(u2);
-    let (sin3, cos3) = det_sin_cos(u3);
+fn rotation(u: f32, (sin2, cos2): (f32, f32), (sin3, cos3): (f32, f32)) -> Quat {
+    let a = (1.0 - u).sqrt();
+    let b = u.sqrt();
     Quat::new(a * sin2, a * cos2, b * sin3, b * cos3)
 }
 
-#[inline(always)]
-fn sample_sh(normals: &[f32; SH_FLOATS]) -> [f32; SH_FLOATS] {
-    let mut sh = [0.0f32; SH_FLOATS];
-    for c in 0..3 {
-        let base = c * SH_COEFFS_PER_CHANNEL;
-        // DC: colors spread around 0.5 after the +0.5 offset of Eq. 2.
-        sh[base] = normals[base] * 0.55;
-        // Degree 1–3: decaying view-dependent detail.
-        for l in 1..=3usize {
-            let sigma = 0.15 / (l * l) as f32;
-            let start = l * l;
-            let end = (l + 1) * (l + 1);
-            for k in start..end {
-                sh[base + k] = normals[base + k] * sigma;
-            }
-        }
+/// The spread of each SH coefficient's normal, channel-major: the DC
+/// term's, then decaying view-dependent detail per degree.
+const SH_SIGMA: [f32; SH_FLOATS] = {
+    let mut sigma = [0.0f32; SH_FLOATS];
+    let mut k = 0;
+    while k < SH_FLOATS {
+        let coeff = k % SH_COEFFS_PER_CHANNEL;
+        sigma[k] = match coeff {
+            // DC: colors spread around 0.5 after the +0.5 offset of Eq. 2.
+            0 => 0.55,
+            // Degree l of 1–3 holds coefficients l²..(l + 1)².
+            1..4 => 0.15,
+            4..9 => 0.15 / 4.0,
+            _ => 0.15 / 9.0,
+        };
+        k += 1;
     }
-    sh
-}
+    sigma
+};
 
 /// What the scout reads off the stream for one Gaussian: its head's draws,
 /// mapped, for the filler to evaluate ([`Head::evaluate`]).
@@ -576,49 +657,6 @@ impl Head {
     }
 }
 
-/// Head and tail on one generator: the whole Gaussian.
-#[inline(always)]
-fn sample_gaussian(params: &PresetParams, clusters: &[Cluster], rng: &mut StdRng) -> Gaussian3D {
-    let head = draw_head(params, clusters.len(), rng);
-    sample_tail(params, clusters, &head, rng)
-}
-
-/// The rest of the Gaussian `head` starts: exactly [`TAIL_DRAWS`] draws
-/// of `rng`. They are all drawn first ([`draw_tail`]), then the tail's
-/// and the position's normals are evaluated as one batch, then the
-/// Gaussian from them: no draw waits on an evaluation, and no evaluation
-/// on the serial generator.
-///
-/// The samplers on this path are `inline(always)`: with two callers (the
-/// fused loop, the fillers) the compiler otherwise stops inlining what it
-/// inlined for one, and the one-thread build gets 3–4 % slower.
-#[inline(always)]
-fn sample_tail(
-    params: &PresetParams,
-    clusters: &[Cluster],
-    head: &Head,
-    rng: &mut StdRng,
-) -> Gaussian3D {
-    let mut draws = draw_tail(rng);
-    let (u1, u2) = (&mut draws.u1, &mut draws.u2);
-    let len = TAIL_NORMALS
-        + head
-            .place
-            .pairs(&mut u1[TAIL_NORMALS..], &mut u2[TAIL_NORMALS..]);
-    let mut normals = [0.0f32; BATCH];
-    (gcc_core::dispatch::active().box_muller)(&u1[..len], &u2[..len], &mut normals[..len]);
-    let (scale, rest) = normals.split_at(4);
-    let (sh, place) = rest.split_at(SH_FLOATS);
-    let (position, opacity, size_mul) = head.evaluate(params, clusters, place);
-    Gaussian3D::new(
-        position,
-        sample_scale(params, size_mul, scale.try_into().expect("four")),
-        sample_rotation(draws.rotation),
-        opacity,
-        sample_sh(sh.try_into().expect("one per coefficient")),
-    )
-}
-
 fn camera_rig(params: &PresetParams) -> OrbitRig {
     let r = params.world_radius;
     match params.kind {
@@ -647,6 +685,130 @@ fn camera_rig(params: &PresetParams) -> OrbitRig {
 mod tests {
     use super::*;
     use crate::{ScenePreset, ALL_PRESETS};
+
+    // The fused loop the library ran before the block fill: each Gaussian
+    // drawn and evaluated whole on the one generator, its normals in one
+    // Box–Muller call of their own. The reference every build is pinned
+    // against.
+
+    /// The uniforms of a Gaussian's tail, each mapped as it is drawn: the
+    /// Box–Muller pairs of its normals — the first [`TAIL_NORMALS`] of `u1`
+    /// and `u2`, the rest left for the position's — and the three of its
+    /// rotation.
+    struct TailDraws {
+        u1: [f32; BATCH],
+        u2: [f32; BATCH],
+        rotation: [f32; 3],
+    }
+
+    /// Draws a Gaussian's tail: exactly [`TAIL_DRAWS`] draws of `rng`, in
+    /// the order the tail consumes them — the four scale pairs, the
+    /// rotation, then the SH pairs.
+    fn draw_tail(rng: &mut StdRng) -> TailDraws {
+        let mut draws = TailDraws {
+            u1: [0.0; BATCH],
+            u2: [0.0; BATCH],
+            rotation: [0.0; 3],
+        };
+        let mut pair = |i: usize, rng: &mut StdRng| {
+            (draws.u1[i], draws.u2[i]) = normal_draws(rng);
+        };
+        for i in 0..4 {
+            pair(i, rng);
+        }
+        let rotation = [
+            rng.gen::<f32>(),
+            rng.gen::<f32>() * std::f32::consts::TAU,
+            rng.gen::<f32>() * std::f32::consts::TAU,
+        ];
+        for i in 4..TAIL_NORMALS {
+            pair(i, rng);
+        }
+        draws.rotation = rotation;
+        draws
+    }
+
+    fn sample_scale(params: &PresetParams, size_mul: f32, normals: &[f32; 4]) -> Vec3 {
+        let base = size_mul * det_exp(params.log_scale_mean + params.log_scale_sigma * normals[0]);
+        // Trained 3DGS splats are strongly surfel-like: two comparable in-plane
+        // axes and one much thinner normal axis (ratio ~5-6× on average). The
+        // thin axis makes the projected ellipses elongated, which is what makes
+        // OBBs ~3× tighter than AABBs (paper Table 1).
+        Vec3::new(
+            base * det_exp(0.35 * normals[1]),
+            base * det_exp(0.35 * normals[2]),
+            base * det_exp(-1.7 + 0.5 * normals[3]),
+        )
+    }
+
+    fn sample_rotation([u1, u2, u3]: [f32; 3]) -> Quat {
+        // Uniform random rotation (Shoemake): u1 on [0, 1), u2 and u3 angles.
+        let a = (1.0 - u1).sqrt();
+        let b = u1.sqrt();
+        let (sin2, cos2) = det_sin_cos(u2);
+        let (sin3, cos3) = det_sin_cos(u3);
+        Quat::new(a * sin2, a * cos2, b * sin3, b * cos3)
+    }
+
+    /// Head and tail on one generator: the whole Gaussian.
+    fn sample_gaussian(
+        params: &PresetParams,
+        clusters: &[Cluster],
+        rng: &mut StdRng,
+    ) -> Gaussian3D {
+        let head = draw_head(params, clusters.len(), rng);
+        sample_tail(params, clusters, &head, rng)
+    }
+
+    /// The rest of the Gaussian `head` starts: exactly [`TAIL_DRAWS`] draws
+    /// of `rng`. They are all drawn first ([`draw_tail`]), then the tail's
+    /// and the position's normals are evaluated as one batch, then the
+    /// Gaussian from them: no draw waits on an evaluation, and no evaluation
+    /// on the serial generator.
+    fn sample_tail(
+        params: &PresetParams,
+        clusters: &[Cluster],
+        head: &Head,
+        rng: &mut StdRng,
+    ) -> Gaussian3D {
+        let mut draws = draw_tail(rng);
+        let (u1, u2) = (&mut draws.u1, &mut draws.u2);
+        let len = TAIL_NORMALS
+            + head
+                .place
+                .pairs(&mut u1[TAIL_NORMALS..], &mut u2[TAIL_NORMALS..]);
+        let mut normals = [0.0f32; BATCH];
+        (gcc_core::dispatch::active().box_muller)(&u1[..len], &u2[..len], &mut normals[..len]);
+        let (scale, rest) = normals.split_at(4);
+        let (sh, place) = rest.split_at(SH_FLOATS);
+        let (position, opacity, size_mul) = head.evaluate(params, clusters, place);
+        Gaussian3D::new(
+            position,
+            sample_scale(params, size_mul, scale.try_into().expect("four")),
+            sample_rotation(draws.rotation),
+            opacity,
+            sample_sh(sh.try_into().expect("one per coefficient")),
+        )
+    }
+
+    fn sample_sh(normals: &[f32; SH_FLOATS]) -> [f32; SH_FLOATS] {
+        let mut sh = [0.0f32; SH_FLOATS];
+        for c in 0..3 {
+            let base = c * SH_COEFFS_PER_CHANNEL;
+            // DC: colors spread around 0.5 after the +0.5 offset of Eq. 2.
+            sh[base] = normals[base] * 0.55;
+            // Degree 1–3: decaying view-dependent detail.
+            for l in 1..=3usize {
+                let sigma = 0.15 / (l * l) as f32;
+                let start = l * l;
+                let end = (l + 1) * (l + 1);
+                for k in start..end {
+                    sh[base + k] = normals[base + k] * sigma;
+                }
+            }
+        }
+        sh
+    }
 
     #[test]
     fn the_tail_of_a_gaussian_is_exactly_tail_draws_for_every_scene_kind() {
@@ -806,10 +968,11 @@ mod tests {
 
     #[test]
     fn the_pipeline_fills_what_the_fused_loop_builds_whatever_the_block_split() {
-        // Counts under the work floor never reach the pipeline through
-        // `build_scene`; it is driven directly, over a partial block, one
-        // block, a ragged last block and more threads than blocks. Six
-        // presets: every scene kind and every position form.
+        // Counts under the work floor reach the pipeline through
+        // `build_scene` on one thread only; it is driven directly, over a
+        // partial block, one block, a ragged last block and more threads
+        // than blocks. Six presets: every scene kind and every position
+        // form.
         for preset in ALL_PRESETS {
             let params = preset.params();
             for count in [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17] {
@@ -819,7 +982,7 @@ mod tests {
                 let fused: Vec<Gaussian3D> = (0..count)
                     .map(|_| sample_gaussian(&params, &clusters, &mut fused_rng))
                     .collect();
-                for threads in [2, 3, 8] {
+                for threads in [1, 2, 3, 8] {
                     let out = pipelined(&params, &clusters, rng.clone(), count, threads);
                     assert!(out == fused, "{preset} count {count} threads {threads}");
                 }
@@ -840,7 +1003,7 @@ mod tests {
             threads,
             rng,
             |rng| draw_head(params, clusters.len(), rng),
-            |head, rng| sample_tail(params, clusters, head, rng),
+            |block, heads, tails| fill_block(params, clusters, block, heads, tails),
         );
         out
     }
@@ -880,7 +1043,7 @@ mod tests {
                     }
                     draw_head(&params, clusters.len(), rng)
                 },
-                |head, rng| sample_tail(&params, &clusters, head, rng),
+                |block, heads, tails| fill_block(&params, &clusters, block, heads, tails),
             );
         });
         // A filler dies on its first block; the scout waits for that
@@ -902,12 +1065,12 @@ mod tests {
                     }
                     draw_head(&params, clusters.len(), rng)
                 },
-                |head, rng| {
+                |block, heads, tails| {
                     if std::thread::current().id() != me {
                         filler_ran.store(true, Ordering::Release);
                         panic!("boom");
                     }
-                    sample_tail(&params, &clusters, head, rng)
+                    fill_block(&params, &clusters, block, heads, tails)
                 },
             );
         });
