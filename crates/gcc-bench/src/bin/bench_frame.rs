@@ -1,5 +1,4 @@
-//! `bench_frame` — the machine-readable frame-time harness behind
-//! `BENCH_frame.json`.
+//! `bench_frame` — the frame-time harness and the CI perf gate.
 //!
 //! Renders preset scenes at several scales through both dataflows
 //! (standard tile-wise and GCC Gaussian-wise), each under sequential,
@@ -18,31 +17,28 @@
 //! `gcc_lod::build_hierarchy` of the cloud on one thread and on two, so
 //! the frame gate's missing-cell, slower-than-tolerance and
 //! slower-on-two-threads rules watch scene loads with no gate code of
-//! their own. The output is the
-//! start of the repository's perf trajectory:
-//! every PR that touches the hot path regenerates the file and compares
-//! against the previous run.
+//! their own.
 //!
 //! ```text
-//! cargo run --release -p gcc-bench --bin bench_frame            # full sweep
-//! cargo run --release -p gcc-bench --bin bench_frame -- --smoke # CI smoke
+//! cargo run --release -p gcc-bench --bin bench_frame            # full sweep, table only
+//! cargo run --release -p gcc-bench --bin bench_frame -- --smoke --reps 5 \
+//!     --baseline ci/bench_baseline.json --out BENCH_gate.json  # the CI gate
 //! ```
 //!
-//! Flags: `--smoke` (tiny scene set, 1 rep — CI), `--reps N` (timed
-//! repetitions per case, best-of; default 3), `--out PATH` (default
-//! `BENCH_frame.json` at the repository root, resolved via
-//! [`gcc_bench::default_artifact_path`] so a run from any subdirectory
-//! doesn't scatter artifacts). The binary re-parses the JSON it wrote and
-//! exits non-zero if the file is invalid, so CI can treat a zero exit as
-//! "valid perf record produced"; it also prints the lines of the checks
-//! the gate makes of one record by itself
-//! ([`gcc_bench::perf_gate::within_record`]). CI compares the record
-//! against `ci/bench_baseline.json` with the `perf_gate` binary.
+//! Flags: `--smoke` (tiny scene set, 1 rep by default), `--reps N` (timed
+//! repetitions per case, best-of; default 3), `--out PATH` (write the
+//! `bench_frame/v1` record there; nothing is written without it) and
+//! `--baseline PATH` (check the record against that one with
+//! [`gcc_bench::perf_gate::compare`] and print the report). Exit code 0:
+//! every rule held (or no baseline was given); 1: a rule failed; 2: the
+//! baseline could not be read or checked, the record could not be
+//! written, or the command line is wrong.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process::exit;
 use std::time::{Duration, Instant};
 
-use gcc_bench::perf_gate::{parse_bench_cells, within_record};
+use gcc_bench::perf_gate::{compare, write_record, BenchCell, BenchRow, FRAME_TOLERANCE};
 use gcc_bench::TablePrinter;
 use gcc_core::Gaussian3D;
 use gcc_lod::{build_hierarchy, HierarchyConfig};
@@ -52,26 +48,24 @@ use gcc_render::pipeline::{
 };
 use gcc_scene::{io, Scene, SceneConfig, ScenePreset};
 
-/// One (scene, scale) point of the sweep.
-struct Case {
-    preset: ScenePreset,
-    scale: f32,
-    /// Whether the point carries `build_hierarchy` cells.
-    hierarchy: bool,
-}
+/// One (scene, scale) point of the sweep, and whether it carries
+/// `build_hierarchy` cells.
+type Case = (ScenePreset, f32, bool);
 
-/// One measured row of the output.
-struct Row {
-    scene: &'static str,
-    scale: f32,
-    gaussians: usize,
-    width: u32,
-    height: u32,
-    engine: &'static str,
-    parallelism: &'static str,
-    threads: usize,
-    ms_per_frame: f64,
-}
+/// The CI gate's sweep (`--smoke`): the cells of `ci/bench_baseline.json`.
+const SMOKE: [Case; 2] = [
+    (ScenePreset::Lego, 0.05, true),
+    (ScenePreset::Train, 0.02, true),
+];
+/// The full sweep.
+const FULL: [Case; 5] = [
+    (ScenePreset::Lego, 0.25, false),
+    // The repo benchmark's `deadline_lod` scene.
+    (ScenePreset::Lego, 0.5, true),
+    (ScenePreset::Lego, 1.0, true),
+    (ScenePreset::Train, 0.05, false),
+    (ScenePreset::Train, 0.2, true),
+];
 
 /// The engines swept over every parallelism; [`build_engine`] is the
 /// single constructor.
@@ -154,117 +148,88 @@ fn build_levels(cloud: &[Gaussian3D], threads: usize) {
     assert!(build_hierarchy(cloud, &cfg).depth() > 0);
 }
 
-fn push_json_row(out: &mut String, row: &Row, last: bool) {
-    out.push_str(&format!(
-        "    {{\"scene\": \"{}\", \"scale\": {}, \"gaussians\": {}, \"width\": {}, \"height\": {}, \"engine\": \"{}\", \"parallelism\": \"{}\", \"threads\": {}, \"ms_per_frame\": {:.4}}}{}\n",
-        row.scene,
-        row.scale,
-        row.gaussians,
-        row.width,
-        row.height,
-        row.engine,
-        row.parallelism,
-        row.threads,
-        row.ms_per_frame,
-        if last { "" } else { "," },
-    ));
+/// The directory a run's scene files live in, removed when the run
+/// ends — by a panicking cell too.
+struct SceneDir(PathBuf);
+
+impl Drop for SceneDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A wrong command line: exit 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("bench_frame: {problem} (flags: --smoke, --reps N, --out PATH, --baseline PATH)");
+    exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let mut reps = if smoke { 1 } else { 3 };
-    let mut out_path = gcc_bench::default_artifact_path("BENCH_frame.json");
+    let mut out_path = None;
+    let mut baseline = None;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--reps" => {
-                reps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--reps needs a positive integer");
-            }
-            "--out" => {
-                out_path = it.next().expect("--out needs a path").into();
-            }
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
             "--smoke" => {}
-            other => panic!("unknown flag {other} (expected --smoke, --reps N, --out PATH)"),
+            "--reps" => {
+                reps = value()
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage("--reps needs a positive integer"));
+            }
+            "--out" => out_path = Some(PathBuf::from(value())),
+            "--baseline" => {
+                let path = value();
+                let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+                    eprintln!("bench_frame: cannot read {path}: {e}");
+                    exit(2);
+                });
+                baseline = Some(text);
+            }
+            other => usage(&format!("unknown flag {other}")),
         }
     }
-    assert!(reps > 0, "--reps must be positive");
-
-    let cases: Vec<Case> = if smoke {
-        vec![
-            Case {
-                preset: ScenePreset::Lego,
-                scale: 0.05,
-                hierarchy: true,
-            },
-            Case {
-                preset: ScenePreset::Train,
-                scale: 0.02,
-                hierarchy: true,
-            },
-        ]
-    } else {
-        vec![
-            Case {
-                preset: ScenePreset::Lego,
-                scale: 0.25,
-                hierarchy: false,
-            },
-            // The repo benchmark's `deadline_lod` scene.
-            Case {
-                preset: ScenePreset::Lego,
-                scale: 0.5,
-                hierarchy: true,
-            },
-            Case {
-                preset: ScenePreset::Lego,
-                scale: 1.0,
-                hierarchy: true,
-            },
-            Case {
-                preset: ScenePreset::Train,
-                scale: 0.05,
-                hierarchy: false,
-            },
-            Case {
-                preset: ScenePreset::Train,
-                scale: 0.2,
-                hierarchy: true,
-            },
-        ]
-    };
 
     let auto_threads = available_threads();
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<BenchRow> = Vec::new();
     let mut table = TablePrinter::new();
     table.row(["scene", "scale", "gaussians", "engine", "par", "ms/frame"]);
 
-    let dir = std::env::temp_dir().join(format!("gcc_bench_frame_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scene dir");
-    for case in &cases {
-        let scene = case.preset.build(&SceneConfig::with_scale(case.scale));
+    let dir =
+        SceneDir(std::env::temp_dir().join(format!("gcc_bench_frame_{}", std::process::id())));
+    std::fs::create_dir_all(&dir.0).expect("create scene dir");
+    for &(preset, scale, hierarchy) in if smoke { &SMOKE[..] } else { &FULL } {
+        let config = SceneConfig::with_scale(scale);
+        let scene = preset.build(&config);
         let mut push = |engine: &'static str, par_name: &'static str, threads, ms: f64| {
             table.row([
                 scene.name.clone(),
-                format!("{}", case.scale),
+                format!("{scale}"),
                 format!("{}", scene.len()),
                 engine.to_string(),
                 par_name.to_string(),
                 format!("{ms:.3}"),
             ]);
-            rows.push(Row {
-                scene: case.preset.params().name,
-                scale: case.scale,
+            rows.push(BenchRow {
+                cell: BenchCell {
+                    scene: preset.params().name.into(),
+                    scale,
+                    engine: engine.into(),
+                    parallelism: par_name.into(),
+                    ms_per_frame: ms,
+                },
                 gaussians: scene.len(),
                 width: scene.resolution.0,
                 height: scene.resolution.1,
-                engine,
-                parallelism: par_name,
                 threads,
-                ms_per_frame: ms,
             });
         };
         for engine in ENGINES {
@@ -285,14 +250,13 @@ fn main() {
         // What a cold load is lent on an idle 2-core host, beside what it
         // costs alone.
         const LENT: [(&str, usize); 2] = [("sequential", 1), ("fixed2", 2)];
-        let config = SceneConfig::with_scale(case.scale);
         for (par_name, threads) in LENT {
             let ms = time_loads(reps, || {
-                assert_eq!(case.preset.build_on(&config, threads).len(), scene.len());
+                assert_eq!(preset.build_on(&config, threads).len(), scene.len());
             });
             push("build_preset", par_name, threads, ms);
         }
-        let path = dir.join("scene");
+        let path = dir.0.join("scene");
         // A binary file's decode is a copy: one thread is all it uses.
         let formats: [(&'static str, WriteSceneFile, usize); 2] = [
             ("load_json", io::write_json_file, 2),
@@ -305,46 +269,36 @@ fn main() {
                 push(engine, par_name, threads, ms);
             }
         }
-        if case.hierarchy {
+        if hierarchy {
             for (par_name, threads) in LENT {
                 let ms = time_loads(reps, || build_levels(&scene.gaussians, threads));
                 push("build_hierarchy", par_name, threads, ms);
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(dir);
     table.print();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"bench_frame/v1\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str(&format!("  \"host_threads\": {auto_threads},\n"));
-    json.push_str(&format!(
-        "  \"backend\": \"{}\",\n",
-        gcc_core::dispatch::active_backend()
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        push_json_row(&mut json, row, i + 1 == rows.len());
-    }
-    json.push_str("  ]\n}\n");
-
-    // Self-validate before declaring success: CI keys off the exit code.
-    let cells = match parse_bench_cells(&json) {
-        Ok(cells) => cells,
-        Err(e) => {
-            eprintln!("bench_frame produced an invalid record: {e}");
-            std::process::exit(1);
+    let backend = gcc_core::dispatch::active_backend().name();
+    let record = write_record(smoke, reps, auto_threads, backend, &rows);
+    if let Some(path) = &out_path {
+        if let Err(e) = std::fs::write(path, &record) {
+            eprintln!("bench_frame: cannot write {}: {e}", path.display());
+            exit(2);
         }
-    };
-    for check in within_record(&cells) {
-        println!("{}", check.line);
+        println!("wrote {} ({} results)", path.display(), rows.len());
     }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench_frame could not write {}: {e}", out_path.display());
-        std::process::exit(1);
+    let Some(baseline) = baseline else { return };
+    let report = compare(&baseline, &record, FRAME_TOLERANCE).unwrap_or_else(|e| {
+        eprintln!("bench_frame: frame records: {e}");
+        exit(2);
+    });
+    print!("{}", report.render());
+    if !report.passed() {
+        eprintln!(
+            "bench_frame: a rule failed — the rules, and how to refresh the baseline on \
+             purpose, are in ci/README.md"
+        );
+        exit(1);
     }
-    println!("wrote {} ({} results)", out_path.display(), rows.len());
 }

@@ -21,22 +21,6 @@ pub fn bench_scene(preset: ScenePreset) -> Scene {
     preset.build(&SceneConfig::from_env(DEFAULT_BENCH_SCALE))
 }
 
-/// Default output path for a bench artifact (`BENCH_frame.json`): the
-/// repository root, resolved from this crate's compile-time manifest
-/// directory, so the harness writes the same file no matter which
-/// subdirectory it is launched from. Falls
-/// back to the working directory when the build tree no longer exists
-/// (e.g. a binary copied to another machine) — CI and scripts that need
-/// full control pass `--out` instead.
-pub fn default_artifact_path(file_name: &str) -> std::path::PathBuf {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    if root.join("Cargo.toml").is_file() {
-        root.canonicalize().unwrap_or(root).join(file_name)
-    } else {
-        std::path::PathBuf::from(file_name)
-    }
-}
-
 /// Simple fixed-width table printer for bench output.
 #[derive(Debug, Default)]
 pub struct TablePrinter {
@@ -141,16 +125,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geomean_rejects_zero() {
         let _ = geomean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn artifact_path_is_anchored_at_the_workspace_root() {
-        // In the build tree the path must resolve to the workspace root
-        // (where ROADMAP.md lives), independent of the working directory.
-        let p = default_artifact_path("BENCH_test.json");
-        assert!(p.is_absolute(), "{p:?} not anchored");
-        assert!(p.parent().unwrap().join("ROADMAP.md").is_file());
-        assert_eq!(p.file_name().unwrap(), "BENCH_test.json");
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! The CI perf gate as one list of checks. A `bench_frame/v1` record is
-//! checked against the committed baseline and against itself. Every rule
-//! reads the record and returns one [`Check`]; a gate's [`Report`] is the
-//! list of them. The rules, one line each with its reason, are in
-//! `ci/README.md`.
+//! The `bench_frame/v1` record and the CI perf gate over it. This module
+//! owns the schema: [`write_record`] writes it and [`parse_bench_cells`]
+//! reads it. The gate is one list of checks: a record is checked against
+//! the committed baseline and against itself. Every rule reads the record
+//! and returns one [`Check`]; a gate's [`Report`] is the list of them.
+//! The rules, one line each with its reason, are in `ci/README.md`.
 //!
-//! The logic lives in the library (not the `perf_gate` binary) so the
-//! gate's verdicts are pinned by unit tests: CI and `bench_frame` run
-//! the same code the tests cover.
+//! `bench_frame --baseline` runs [`compare`] on the record it has just
+//! written, so the code CI runs is the code the unit tests pin.
 
 use gcc_scene::json::{self, Value};
 
@@ -100,33 +100,6 @@ impl Report {
     }
 }
 
-/// `now`, where lower is better, may exceed the reference's `then` by at
-/// most `tolerance` (0.25 = 25 %).
-fn max_regress(
-    what: impl Into<String>,
-    now: f64,
-    then: f64,
-    tolerance: f64,
-    marker: &str,
-) -> Check {
-    let ratio = now / then;
-    let held = ratio <= 1.0 + tolerance;
-    let detail = format!(
-        "{now:.4} vs reference {then:.4} ({:+.1}%, {:.0}% tolerated)",
-        (ratio - 1.0) * 100.0,
-        tolerance * 100.0
-    );
-    Check::new(what, held, detail, marker)
-}
-
-fn valid_tolerance(tolerance: f64) -> Result<(), String> {
-    if tolerance.is_finite() && tolerance >= 0.0 {
-        Ok(())
-    } else {
-        Err(format!("invalid tolerance {tolerance}"))
-    }
-}
-
 /// One measured cell of a `bench_frame` record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchCell {
@@ -150,6 +123,56 @@ impl BenchCell {
             self.scene, self.scale, self.engine, self.parallelism
         )
     }
+}
+
+/// One measured row of a `bench_frame/v1` record: the cell it times, the
+/// size of its scene's frame and cloud, and the threads that ran it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchRow {
+    /// What was measured, and how long it took.
+    pub cell: BenchCell,
+    /// Gaussians in the scene.
+    pub gaussians: usize,
+    /// Frame width in pixels.
+    pub width: u32,
+    /// Frame height in pixels.
+    pub height: u32,
+    /// Threads the cell ran on.
+    pub threads: usize,
+}
+
+/// Writes a `bench_frame/v1` record: whether it is a smoke run, the timed
+/// repetitions per cell, the host's thread count and the SIMD backend
+/// that ran, then one line per row with `ms_per_frame` to 4 decimals.
+pub fn write_record(
+    smoke: bool,
+    reps: usize,
+    host_threads: usize,
+    backend: &str,
+    rows: &[BenchRow],
+) -> String {
+    let mut out = format!(
+        "{{\n  \"schema\": \"bench_frame/v1\",\n  \"smoke\": {smoke},\n  \"reps\": {reps},\n  \
+         \"host_threads\": {host_threads},\n  \"backend\": \"{backend}\",\n  \"results\": [\n"
+    );
+    for (i, row) in rows.iter().enumerate() {
+        let c = &row.cell;
+        out.push_str(&format!(
+            "    {{\"scene\": \"{}\", \"scale\": {}, \"gaussians\": {}, \"width\": {}, \"height\": {}, \"engine\": \"{}\", \"parallelism\": \"{}\", \"threads\": {}, \"ms_per_frame\": {:.4}}}{}\n",
+            c.scene,
+            c.scale,
+            row.gaussians,
+            row.width,
+            row.height,
+            c.engine,
+            c.parallelism,
+            row.threads,
+            c.ms_per_frame,
+            if i + 1 == rows.len() { "" } else { "," },
+        ));
+    }
+    out.push_str("  ]\n}\n");
+    out
 }
 
 /// Parses the `bench_frame/v1` schema into its cells.
@@ -206,24 +229,25 @@ pub fn parse_bench_cells(text: &str) -> Result<Vec<BenchCell>, String> {
 }
 
 /// The per-cell frame comparison: the current run's cell of `baseline`'s
-/// key must exist and may be at most `tolerance` slower.
+/// key must exist and may be at most `tolerance` (0.25 = 25 %) slower.
 fn cell_check(baseline: &BenchCell, current: &[BenchCell], tolerance: f64) -> Check {
     let key = baseline.key();
-    match current.iter().find(|c| c.key() == key) {
-        Some(c) => max_regress(
-            key,
-            c.ms_per_frame,
-            baseline.ms_per_frame,
-            tolerance,
-            "REGRESSION",
-        ),
-        None => Check::new(
+    let Some(cell) = current.iter().find(|c| c.key() == key) else {
+        return Check::new(
             key,
             false,
             "not measured".into(),
             "MISSING from current run",
-        ),
-    }
+        );
+    };
+    let (now, then) = (cell.ms_per_frame, baseline.ms_per_frame);
+    let ratio = now / then;
+    let detail = format!(
+        "{now:.4} vs reference {then:.4} ({:+.1}%, {:.0}% tolerated)",
+        (ratio - 1.0) * 100.0,
+        tolerance * 100.0
+    );
+    Check::new(key, ratio <= 1.0 + tolerance, detail, "REGRESSION")
 }
 
 /// The `fixed2 ÷ sequential` pair of one scene and engine: a second
@@ -293,7 +317,9 @@ pub fn within_record(cells: &[BenchCell]) -> Vec<Check> {
 /// Propagates parse errors from either record and rejects a non-finite
 /// or negative tolerance.
 pub fn compare(baseline_text: &str, current_text: &str, tolerance: f64) -> Result<Report, String> {
-    valid_tolerance(tolerance)?;
+    if !(tolerance.is_finite() && tolerance >= 0.0) {
+        return Err(format!("invalid tolerance {tolerance}"));
+    }
     let baseline = parse_bench_cells(baseline_text).map_err(|e| format!("baseline: {e}"))?;
     let current = parse_bench_cells(current_text).map_err(|e| format!("current: {e}"))?;
     let mut checks: Vec<Check> = baseline
@@ -712,6 +738,67 @@ mod tests {
     }
 
     #[test]
+    fn the_committed_baseline_parses_and_holds_its_own_rules() {
+        let cells = parse_bench_cells(include_str!("../../../ci/bench_baseline.json"))
+            .expect("ci/bench_baseline.json is a bench_frame/v1 record");
+        let checks = within_record(&cells);
+        assert!(!checks.is_empty());
+        let failed: Vec<&str> = checks
+            .iter()
+            .filter(|c| c.status == Status::Failed)
+            .map(|c| c.line.as_str())
+            .collect();
+        assert!(
+            failed.is_empty(),
+            "the baseline fails its own rules: {failed:#?}"
+        );
+    }
+
+    #[test]
+    fn a_written_record_parses_back_to_its_cells() {
+        let row = |scene: &str, scale, engine: &str, parallelism: &str, ms_per_frame| BenchRow {
+            cell: BenchCell {
+                scene: scene.into(),
+                scale,
+                engine: engine.into(),
+                parallelism: parallelism.into(),
+                ms_per_frame,
+            },
+            gaussians: 1700,
+            width: 256,
+            height: 256,
+            threads: if parallelism == "sequential" { 1 } else { 2 },
+        };
+        let rows = [
+            row(
+                "Lego",
+                0.05,
+                "standard_frame_engine",
+                "sequential",
+                1.884_849,
+            ),
+            row("Lego", 0.05, "standard_frame_engine", "fixed2", 1.537_05),
+            row("Lego", 0.5, "gscore_frame_engine", "sequential", 28.123_456),
+            row("Train", 0.02, "load_binary", "sequential", 0.033_149_9),
+            row("Train", 0.2, "build_hierarchy", "fixed2", 91.000_04),
+        ];
+        for smoke in [true, false] {
+            let cells = parse_bench_cells(&write_record(smoke, 5, 2, "avx2", &rows)).unwrap();
+            assert_eq!(cells.len(), rows.len());
+            for (cell, row) in cells.iter().zip(&rows) {
+                assert_eq!(cell.key(), row.cell.key());
+                // Rounded to 4 decimals, read back through an `f32`.
+                let (read, measured) = (cell.ms_per_frame, row.cell.ms_per_frame);
+                assert!(
+                    (read - measured).abs() <= 0.5e-4 + measured * f64::from(f32::EPSILON),
+                    "{}: {measured} read back as {read}",
+                    cell.key()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn zero_ms_cells_are_rejected_at_parse() {
         let zero = record(&[("Lego", 0.05, "standard_frame_engine", "sequential", 0.0)]);
         assert!(parse_bench_cells(&zero).is_err());
@@ -730,14 +817,6 @@ mod tests {
     /// none of them.
     const MARKERS: [&str; 3] = ["REGRESSION", "MISSING", "SLOWER on a borrowed core"];
 
-    /// A gate call reduced to `(passed, rendered)`; `None` for a parse
-    /// error.
-    macro_rules! said {
-        ($call:expr) => {
-            $call.map(|report| (report.passed(), report.render())).ok()
-        };
-    }
-
     /// One fixture: its name, what the gate said of it, and what it must
     /// say.
     type Row = (&'static str, Option<(bool, String)>, Said);
@@ -748,10 +827,13 @@ mod tests {
     #[test]
     fn every_fixture_keeps_its_verdict_and_marker_words() {
         use Said::{Fail, ParseError, Pass};
+        // A gate call reduced to `(passed, rendered)`; `None` for a parse
+        // error.
         let frame = |baseline: &str, current: &str, tolerance: f64| {
-            said!(compare(baseline, current, tolerance))
+            compare(baseline, current, tolerance)
+                .map(|report| (report.passed(), report.render()))
+                .ok()
         };
-        // The frame gate's fixtures.
         let lego_train = |lego_seq: f64, lego_auto: f64, train: f64| {
             record(&[
                 (
