@@ -1,179 +1,36 @@
 //! Algorithm 1 — runtime Alpha-based Gaussian Boundary Identification
-//! (paper §3 "Alpha-based Gaussian Boundary Identification" and §4.4).
+//! (paper §3 "Alpha-based Gaussian Boundary Identification" and §4.4), at
+//! the granularity the Alpha Unit runs it.
 //!
-//! Two granularities are provided:
-//!
-//! * [`PixelTracer`] — the textbook Algorithm 1: a breadth-first pixel
-//!   traversal from the projected center that expands only through pixels
-//!   passing the elliptical alpha condition `E(p)`. Convexity of the
-//!   Gaussian footprint guarantees the BFS recovers *exactly* the pixels
-//!   with `α ≥ 1/255` (tested against an exhaustive scan).
-//! * [`BlockTracer`] — the hardware variant: the screen is divided into
-//!   `n × n` pixel blocks (n = 8 in GCC), an `n × n` PE array evaluates a
-//!   whole block per dispatch, and traversal expands block-wise. The
-//!   software PE array is one [`KernelSet::block_pass`] call: it returns
-//!   the block's pass pattern as row masks, and everything the traversal
-//!   needs is read from those bits — whether the block is effective, which
-//!   of its four boundary lanes and four corner lanes passed (the
-//!   octant-direction pruning), and, for a masked block in
-//!   [`MaskMode::Traverse`], whether the footprint reaches it at all. A
-//!   block is evaluated at most once per trace; the probe that finds the
-//!   seed block leaves its masks behind for the dispatch that follows.
-//!   The transmittance mask ([`TMask`]) from the Blending Unit pre-marks
-//!   fully-terminated blocks in the status map `S` so they are never
-//!   dispatched again (paper §4.5).
+//! [`BlockTracer`] divides the screen into `n × n` pixel blocks (n = 8 in
+//! GCC); an `n × n` PE array evaluates the elliptical alpha condition
+//! `E(p)` for a whole block per dispatch, and the traversal expands block
+//! by block from the projected center. The software PE array is one
+//! [`KernelSet::block_pass`] call: it returns the block's pass pattern as
+//! row masks, and everything the traversal needs is read from those bits —
+//! whether the block is effective, which of its four boundary lanes and
+//! four corner lanes passed (the octant-direction pruning), and, for a
+//! masked block in [`MaskMode::Traverse`], whether the footprint reaches it
+//! at all. A block is evaluated at most once per trace; the probe that
+//! finds the seed block leaves its masks behind for the dispatch that
+//! follows. Convexity of the Gaussian footprint makes the traversal exact:
+//! with an all-clear mask the blocks it returns are exactly the blocks
+//! holding a pixel with `α ≥ 1/255` (tested against an exhaustive scan).
+//! The transmittance mask ([`TMask`]) from the Blending Unit pre-marks
+//! fully-terminated blocks in the status map `S` so they are never
+//! dispatched again (paper §4.5).
 //!
 //! When the projected center falls outside the image, traversal starts
-//! from the nearest in-bounds pixel; if that seed fails `E` the tracer
-//! scans the image border for an entry point (by convexity, a footprint
-//! whose center is off-screen can only reach the interior through the
-//! border).
+//! from the block of the nearest in-bounds pixel; if that block fails `E`
+//! the tracer probes the image's border blocks for an entry point (by
+//! convexity, a footprint whose center is off-screen can only reach the
+//! interior through the border).
 
 use crate::bounds::EffectiveTest;
 use crate::dispatch::{KernelSet, BLEND_LANES};
-use std::collections::VecDeque;
 
-/// Statistics from one pixel-level trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PixelTraceStats {
-    /// Pixels found inside the influence region.
-    pub pixels_in_region: u64,
-    /// `E(p)` evaluations performed (region + boundary shell + seed scan).
-    pub pixels_tested: u64,
-}
-
-/// Reusable pixel-level Algorithm 1 tracer.
-///
-/// Holds a stamped visited map so repeated traces cost O(region), not
-/// O(image).
-#[derive(Debug, Clone)]
-pub struct PixelTracer {
-    width: i32,
-    height: i32,
-    visited: Vec<u32>,
-    stamp: u32,
-    queue: VecDeque<(i32, i32)>,
-}
-
-impl PixelTracer {
-    /// Creates a tracer for a `width × height` image.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero-sized image.
-    pub fn new(width: u32, height: u32) -> Self {
-        assert!(width > 0 && height > 0, "degenerate image");
-        Self {
-            width: width as i32,
-            height: height as i32,
-            visited: vec![0; (width * height) as usize],
-            stamp: 0,
-            queue: VecDeque::new(),
-        }
-    }
-
-    fn idx(&self, x: i32, y: i32) -> usize {
-        (y * self.width + x) as usize
-    }
-
-    fn in_bounds(&self, x: i32, y: i32) -> bool {
-        x >= 0 && y >= 0 && x < self.width && y < self.height
-    }
-
-    /// Runs Algorithm 1 for one projected Gaussian, appending the influence
-    /// pixels to `out` (cleared first) and returning trace statistics.
-    pub fn trace(&mut self, test: &EffectiveTest, out: &mut Vec<(i32, i32)>) -> PixelTraceStats {
-        out.clear();
-        let mut stats = PixelTraceStats::default();
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.visited.fill(0);
-            self.stamp = 1;
-        }
-
-        let seed = match self.find_seed(test, &mut stats) {
-            Some(s) => s,
-            None => return stats,
-        };
-
-        self.queue.clear();
-        self.queue.push_back(seed);
-        let seed_idx = self.idx(seed.0, seed.1);
-        self.visited[seed_idx] = self.stamp;
-        out.push(seed);
-        stats.pixels_in_region += 1;
-
-        while let Some((x, y)) = self.queue.pop_front() {
-            for (dx, dy) in NEIGHBORS8 {
-                let (nx, ny) = (x + dx, y + dy);
-                if !self.in_bounds(nx, ny) {
-                    continue;
-                }
-                let i = self.idx(nx, ny);
-                if self.visited[i] == self.stamp {
-                    continue;
-                }
-                self.visited[i] = self.stamp;
-                stats.pixels_tested += 1;
-                if test.passes(nx, ny) {
-                    out.push((nx, ny));
-                    stats.pixels_in_region += 1;
-                    self.queue.push_back((nx, ny));
-                }
-            }
-        }
-        stats
-    }
-
-    /// Seed selection: clamped center first, then a border scan.
-    fn find_seed(&self, test: &EffectiveTest, stats: &mut PixelTraceStats) -> Option<(i32, i32)> {
-        let cx = (test.mean.x.floor() as i32).clamp(0, self.width - 1);
-        let cy = (test.mean.y.floor() as i32).clamp(0, self.height - 1);
-        stats.pixels_tested += 1;
-        if test.passes(cx, cy) {
-            return Some((cx, cy));
-        }
-        // Center in bounds and failing ⇒ no pixel can pass (alpha peaks at
-        // the center, modulo sub-pixel quantization handled by also probing
-        // the 3×3 neighborhood).
-        let center_in_bounds = test.mean.x >= 0.0
-            && test.mean.y >= 0.0
-            && test.mean.x < self.width as f32
-            && test.mean.y < self.height as f32;
-        if center_in_bounds {
-            for (dx, dy) in NEIGHBORS8 {
-                let (nx, ny) = (cx + dx, cy + dy);
-                if self.in_bounds(nx, ny) {
-                    stats.pixels_tested += 1;
-                    if test.passes(nx, ny) {
-                        return Some((nx, ny));
-                    }
-                }
-            }
-            return None;
-        }
-        // Off-screen center: the footprint can only enter through the
-        // border; scan it.
-        for x in 0..self.width {
-            for y in [0, self.height - 1] {
-                stats.pixels_tested += 1;
-                if test.passes(x, y) {
-                    return Some((x, y));
-                }
-            }
-        }
-        for y in 0..self.height {
-            for x in [0, self.width - 1] {
-                stats.pixels_tested += 1;
-                if test.passes(x, y) {
-                    return Some((x, y));
-                }
-            }
-        }
-        None
-    }
-}
-
+/// Block offsets of all eight neighbors, the order a masked block is
+/// expanded through in [`MaskMode::Traverse`].
 const NEIGHBORS8: [(i32, i32); 8] = [
     (-1, -1),
     (0, -1),
@@ -421,14 +278,14 @@ impl BlockTracer {
     /// Identifies the blocks a Gaussian influences, appending block indices
     /// of *effective* blocks (≥ 1 passing pixel, not masked) to `out`.
     ///
-    /// `mask` and `mode` model the T-mask interaction; pass `None` to trace
-    /// without termination masking. `kernels` is the table whose
+    /// `mask` and `mode` model the T-mask interaction; an all-clear mask
+    /// traces without termination masking. `kernels` is the table whose
     /// `block_pass` stands in for the PE array — the caller's, so a render
     /// pinned to one backend traces with that backend.
     pub fn trace(
         &mut self,
         test: &EffectiveTest,
-        mask: Option<&TMask>,
+        mask: &TMask,
         mode: MaskMode,
         kernels: &KernelSet,
         out: &mut Vec<usize>,
@@ -452,7 +309,7 @@ impl BlockTracer {
         let mut head = 0;
         while let Some(&b) = self.queue.get(head) {
             head += 1;
-            if mask.is_some_and(|m| m.is_set(b)) {
+            if mask.is_set(b) {
                 stats.blocks_masked += 1;
                 // Paper behaviour: neither dispatched nor expanded
                 // through. Ablation: expand through without dispatching,
@@ -571,8 +428,9 @@ impl BlockTracer {
 mod tests {
     use super::*;
     use crate::dispatch::{self, Backend};
-    use crate::splitmix;
+    use crate::test_rng::splitmix;
     use gcc_math::{SymMat2, Vec2};
+    use std::collections::VecDeque;
 
     /// The per-pixel block tracer this module carried before the PE array
     /// became a kernel: 64 scalar `E(p)` calls per dispatched block, the
@@ -596,7 +454,7 @@ mod tests {
         fn trace(
             &mut self,
             test: &EffectiveTest,
-            mask: Option<&TMask>,
+            mask: &TMask,
             mode: MaskMode,
             out: &mut Vec<usize>,
         ) -> BlockTraceStats {
@@ -609,7 +467,7 @@ mod tests {
             };
             self.push_block(seed);
             while let Some(b) = self.queue.pop_front() {
-                if mask.is_some_and(|m| m.is_set(b)) {
+                if mask.is_set(b) {
                     stats.blocks_masked += 1;
                     if mode == MaskMode::Traverse && self.block_passes_geometry(test, b) {
                         self.push_offsets(b, NEIGHBORS8);
@@ -755,7 +613,8 @@ mod tests {
                     }
                     let center_outside =
                         mean.x < 0.0 || mean.y < 0.0 || mean.x >= w as f32 || mean.y >= h as f32;
-                    for mask in [None, Some(&tmask)] {
+                    let clear = TMask::new(&grid);
+                    for mask in [&clear, &tmask] {
                         for mode in [MaskMode::SkipAndBlock, MaskMode::Traverse] {
                             let mut want = Vec::new();
                             let want_stats = reference.trace(&test, mask, mode, &mut want);
@@ -768,7 +627,7 @@ mod tests {
                                 let what = format!(
                                     "{backend} edge {block} {w}x{h} case {case} \
                                      masked {} {mode:?}",
-                                    mask.is_some()
+                                    mask.count()
                                 );
                                 assert_eq!(got, want, "{what}");
                                 assert_eq!(stats, want_stats, "{what}");
@@ -800,8 +659,9 @@ mod tests {
         let grid = BlockGrid::new(8, 64, 64);
         let test = make_test(Vec2::new(30.0, 30.0), 30.0, 10.0, 20.0, 0.7);
         let mut blocks = Vec::new();
+        let clear = TMask::new(&grid);
         let stats =
-            BlockTracer::new(grid).trace(&test, None, MaskMode::Traverse, &table, &mut blocks);
+            BlockTracer::new(grid).trace(&test, &clear, MaskMode::Traverse, &table, &mut blocks);
         // One evaluation per dispatched block: the seed probe is reused.
         assert!(stats.blocks_dispatched > 1);
         assert_eq!(u64::from(CALLS.get()), stats.blocks_dispatched);
@@ -825,82 +685,45 @@ mod tests {
     }
 
     #[test]
-    fn bfs_matches_exhaustive_scan_centered() {
-        let test = make_test(Vec2::new(32.0, 32.0), 12.0, 3.0, 6.0, 0.8);
-        let mut tracer = PixelTracer::new(64, 64);
-        let mut out = Vec::new();
-        tracer.trace(&test, &mut out);
-        let mut expect = exhaustive(&test, 64, 64);
-        out.sort_unstable();
-        expect.sort_unstable();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn bfs_matches_exhaustive_for_anisotropic_offcenter() {
-        let test = make_test(Vec2::new(5.0, 58.0), 40.0, 20.0, 15.0, 0.5);
-        let mut tracer = PixelTracer::new(64, 64);
-        let mut out = Vec::new();
-        tracer.trace(&test, &mut out);
-        let mut expect = exhaustive(&test, 64, 64);
-        out.sort_unstable();
-        expect.sort_unstable();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
     fn offscreen_center_region_is_found_via_border() {
         // Center left of the image, big footprint reaching in.
+        let grid = BlockGrid::new(8, 64, 64);
         let test = make_test(Vec2::new(-10.0, 32.0), 200.0, 0.0, 50.0, 0.9);
-        let mut tracer = PixelTracer::new(64, 64);
-        let mut out = Vec::new();
-        tracer.trace(&test, &mut out);
-        let expect = exhaustive(&test, 64, 64);
-        assert!(!expect.is_empty(), "test fixture should reach the screen");
-        assert_eq!(out.len(), expect.len());
+        let mut want: Vec<usize> = exhaustive(&test, 64, 64)
+            .into_iter()
+            .map(|(x, y)| grid.block_of(x, y))
+            .collect();
+        want.sort_unstable();
+        want.dedup();
+        assert!(!want.is_empty(), "test fixture should reach the screen");
+        let mut blocks = Vec::new();
+        BlockTracer::new(grid).trace(
+            &test,
+            &TMask::new(&grid),
+            MaskMode::Traverse,
+            dispatch::active(),
+            &mut blocks,
+        );
+        blocks.sort_unstable();
+        assert_eq!(blocks, want);
     }
 
     #[test]
     fn faint_gaussian_yields_empty_region() {
+        let grid = BlockGrid::new(8, 64, 64);
         let test = make_test(Vec2::new(32.0, 32.0), 9.0, 0.0, 9.0, 0.0039);
-        let mut tracer = PixelTracer::new(64, 64);
-        let mut out = Vec::new();
-        let stats = tracer.trace(&test, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(stats.pixels_in_region, 0);
-    }
-
-    #[test]
-    fn tested_pixels_are_region_plus_shell() {
-        // BFS should test roughly region + its one-pixel boundary, far less
-        // than the whole image.
-        let test = make_test(Vec2::new(128.0, 128.0), 16.0, 0.0, 16.0, 1.0);
-        let mut tracer = PixelTracer::new(256, 256);
-        let mut out = Vec::new();
-        let stats = tracer.trace(&test, &mut out);
-        assert!(stats.pixels_in_region > 0);
-        assert!(
-            stats.pixels_tested < 8 * stats.pixels_in_region + 64,
-            "tested {} for region {}",
-            stats.pixels_tested,
-            stats.pixels_in_region
+        let mut blocks = Vec::new();
+        let stats = BlockTracer::new(grid).trace(
+            &test,
+            &TMask::new(&grid),
+            MaskMode::Traverse,
+            dispatch::active(),
+            &mut blocks,
         );
-        assert!(stats.pixels_tested < 256 * 256 / 4);
-    }
-
-    #[test]
-    fn tracer_is_reusable_across_gaussians() {
-        let mut tracer = PixelTracer::new(64, 64);
-        let mut out = Vec::new();
-        let t1 = make_test(Vec2::new(10.0, 10.0), 4.0, 0.0, 4.0, 0.9);
-        let t2 = make_test(Vec2::new(50.0, 50.0), 4.0, 0.0, 4.0, 0.9);
-        tracer.trace(&t1, &mut out);
-        let n1 = out.len();
-        tracer.trace(&t2, &mut out);
-        let n2 = out.len();
-        assert!(n1 > 0 && n2 > 0);
-        // Regions are congruent ellipses → same size.
-        assert_eq!(n1, n2);
+        assert!(blocks.is_empty());
+        assert_eq!(stats.blocks_effective, 0);
+        // Only the seed probe ran, and it is no dispatch.
+        assert_eq!(stats.blocks_dispatched, 0);
     }
 
     #[test]
@@ -923,7 +746,7 @@ mod tests {
         let mut blocks = Vec::new();
         tracer.trace(
             &test,
-            None,
+            &TMask::new(&grid),
             MaskMode::SkipAndBlock,
             dispatch::active(),
             &mut blocks,
@@ -945,7 +768,7 @@ mod tests {
         let mut blocks = Vec::new();
         let stats = tracer.trace(
             &test,
-            None,
+            &TMask::new(&grid),
             MaskMode::SkipAndBlock,
             dispatch::active(),
             &mut blocks,
@@ -965,7 +788,14 @@ mod tests {
         let kernels = dispatch::active();
 
         let mut unmasked = Vec::new();
-        let s0 = tracer.trace(&test, None, MaskMode::SkipAndBlock, kernels, &mut unmasked);
+        let clear = TMask::new(&grid);
+        let s0 = tracer.trace(
+            &test,
+            &clear,
+            MaskMode::SkipAndBlock,
+            kernels,
+            &mut unmasked,
+        );
 
         // Mask the center block: with SkipAndBlock the whole region is cut
         // off at the seed (an extreme, correctness-relevant case).
@@ -975,7 +805,7 @@ mod tests {
         let mut masked_out = Vec::new();
         let s1 = tracer.trace(
             &test,
-            Some(&mask),
+            &mask,
             MaskMode::SkipAndBlock,
             kernels,
             &mut masked_out,
@@ -986,13 +816,7 @@ mod tests {
         // Traverse mode keeps reachability: all unmasked effective blocks
         // are still found.
         let mut traversed = Vec::new();
-        let s2 = tracer.trace(
-            &test,
-            Some(&mask),
-            MaskMode::Traverse,
-            kernels,
-            &mut traversed,
-        );
+        let s2 = tracer.trace(&test, &mask, MaskMode::Traverse, kernels, &mut traversed);
         assert_eq!(s2.blocks_masked, 1);
         assert_eq!(
             traversed.len(),
@@ -1010,7 +834,7 @@ mod tests {
         let mut blocks = Vec::new();
         let stats = tracer.trace(
             &test,
-            None,
+            &TMask::new(&grid),
             MaskMode::SkipAndBlock,
             dispatch::active(),
             &mut blocks,

@@ -596,7 +596,7 @@ mod tests {
 
     /// The largest float below the exponential's input floor.
     const EXP_FLOOR_BELOW: f32 = f32::from_bits(gcc_math::exp::EXP_INPUT_MIN.to_bits() + 1);
-    use crate::splitmix;
+    use crate::test_rng::splitmix;
     use crate::{ALPHA_MIN, TRANSMITTANCE_EPS};
     use gcc_math::{SymMat2, Vec2, Vec3};
 

@@ -22,16 +22,14 @@ pub struct DepthGroup {
     pub depth_max: f32,
 }
 
-/// The output of Stage I: near-to-far depth groups plus culling stats.
+/// The output of Stage I: near-to-far depth groups, each at most
+/// [`MAX_GROUP_SIZE`] Gaussians, plus the near-plane culling count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DepthGroups {
-    /// Groups ordered near → far; member counts never exceed the group
-    /// capacity used at construction.
+    /// Groups ordered near → far.
     pub groups: Vec<DepthGroup>,
     /// Gaussians culled by the near-plane pivot.
     pub near_culled: u32,
-    /// Capacity the grouping honoured.
-    pub capacity: usize,
 }
 
 impl DepthGroups {
@@ -46,59 +44,22 @@ impl DepthGroups {
     }
 }
 
-/// Configuration of the grouping pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupingConfig {
-    /// Near-plane pivot (paper: 0.2).
-    pub near: f32,
-    /// Number of coarse bins the RCA splits the depth range into.
-    /// The paper uses "tens of thousands" at million-Gaussian scale; the
-    /// default here scales with scene size (see [`GroupingConfig::for_count`]).
-    pub coarse_bins: usize,
-    /// Maximum Gaussians per group after recursive subdivision
-    /// (paper: N = 256).
-    pub capacity: usize,
-}
-
-impl Default for GroupingConfig {
-    fn default() -> Self {
-        Self {
-            near: NEAR_DEPTH,
-            coarse_bins: 1024,
-            capacity: MAX_GROUP_SIZE,
-        }
-    }
-}
-
-impl GroupingConfig {
-    /// Picks a coarse-bin count proportional to the scene size, mirroring
-    /// the paper's ratio of ~tens of thousands of bins for millions of
-    /// Gaussians (≈ 1 bin per 64 Gaussians, min 64 bins).
-    pub fn for_count(n: usize) -> Self {
-        Self {
-            coarse_bins: (n / 64).max(64),
-            ..Self::default()
-        }
-    }
-}
-
 /// Groups Gaussians by precomputed view depths.
 ///
 /// `depths[i]` is the view-space depth of Gaussian `i`. Gaussians with
-/// depth `< config.near` (or non-finite depth) are culled and counted.
-///
-/// # Panics
-///
-/// Panics if `config.capacity` is zero or `config.coarse_bins` is zero.
-pub fn group_by_depth(depths: &[f32], config: &GroupingConfig) -> DepthGroups {
-    assert!(config.capacity > 0, "group capacity must be positive");
-    assert!(config.coarse_bins > 0, "need at least one coarse bin");
-
+/// depth `<` [`NEAR_DEPTH`] (or non-finite depth) are culled and counted.
+/// The survivors fall into `max(n / 64, 64)` uniform coarse bins over
+/// `[NEAR_DEPTH, max depth]` for `n = depths.len()` — the paper's ratio of
+/// tens of thousands of bins for millions of Gaussians, about one bin per
+/// 64 — and every bin holding more than [`MAX_GROUP_SIZE`] is bisected
+/// until its groups fit the sort unit.
+pub fn group_by_depth(depths: &[f32]) -> DepthGroups {
+    let coarse_bins = (depths.len() / 64).max(64);
     let mut near_culled = 0u32;
-    let mut max_depth = config.near;
+    let mut max_depth = NEAR_DEPTH;
     let mut survivors: Vec<(u32, f32)> = Vec::with_capacity(depths.len());
     for (i, &d) in depths.iter().enumerate() {
-        if !d.is_finite() || d < config.near {
+        if !d.is_finite() || d < NEAR_DEPTH {
             near_culled += 1;
             continue;
         }
@@ -110,16 +71,15 @@ pub fn group_by_depth(depths: &[f32], config: &GroupingConfig) -> DepthGroups {
         return DepthGroups {
             groups: Vec::new(),
             near_culled,
-            capacity: config.capacity,
         };
     }
 
     // Coarse binning: uniform bins over [near, max_depth].
-    let span = (max_depth - config.near).max(1e-6);
-    let bin_width = span / config.coarse_bins as f32;
-    let mut bins: Vec<Vec<(u32, f32)>> = vec![Vec::new(); config.coarse_bins];
+    let span = (max_depth - NEAR_DEPTH).max(1e-6);
+    let bin_width = span / coarse_bins as f32;
+    let mut bins: Vec<Vec<(u32, f32)>> = vec![Vec::new(); coarse_bins];
     for &(id, d) in &survivors {
-        let idx = (((d - config.near) / bin_width) as usize).min(config.coarse_bins - 1);
+        let idx = (((d - NEAR_DEPTH) / bin_width) as usize).min(coarse_bins - 1);
         bins[idx].push((id, d));
     }
 
@@ -130,30 +90,23 @@ pub fn group_by_depth(depths: &[f32], config: &GroupingConfig) -> DepthGroups {
         if members.is_empty() {
             continue;
         }
-        let lo = config.near + b as f32 * bin_width;
+        let lo = NEAR_DEPTH + b as f32 * bin_width;
         let hi = lo + bin_width;
-        subdivide(members, lo, hi, config.capacity, &mut groups);
+        subdivide(members, lo, hi, &mut groups);
     }
 
     DepthGroups {
         groups,
         near_culled,
-        capacity: config.capacity,
     }
 }
 
 /// Splits `members` (all inside `[lo, hi)`) into groups of at most
-/// `capacity`, bisecting the depth range. When a range stops separating
-/// members (identical depths), falls back to chunking the sorted list so
-/// termination is guaranteed.
-fn subdivide(
-    mut members: Vec<(u32, f32)>,
-    lo: f32,
-    hi: f32,
-    capacity: usize,
-    out: &mut Vec<DepthGroup>,
-) {
-    if members.len() <= capacity {
+/// [`MAX_GROUP_SIZE`], bisecting the depth range. When a range stops
+/// separating members (identical depths), falls back to chunking the sorted
+/// list so termination is guaranteed.
+fn subdivide(mut members: Vec<(u32, f32)>, lo: f32, hi: f32, out: &mut Vec<DepthGroup>) {
+    if members.len() <= MAX_GROUP_SIZE {
         out.push(DepthGroup {
             members: members.into_iter().map(|(id, _)| id).collect(),
             depth_min: lo,
@@ -168,7 +121,7 @@ fn subdivide(
         // order, which preserves global ordering because all members share
         // (nearly) one depth.
         members.sort_by(|a, b| a.1.total_cmp(&b.1));
-        for chunk in members.chunks(capacity) {
+        for chunk in members.chunks(MAX_GROUP_SIZE) {
             out.push(DepthGroup {
                 members: chunk.iter().map(|&(id, _)| id).collect(),
                 depth_min: lo,
@@ -177,8 +130,8 @@ fn subdivide(
         }
         return;
     }
-    subdivide(near_half, lo, mid, capacity, out);
-    subdivide(far_half, mid, hi, capacity, out);
+    subdivide(near_half, lo, mid, out);
+    subdivide(far_half, mid, hi, out);
 }
 
 #[cfg(test)]
@@ -194,7 +147,7 @@ mod tests {
     #[test]
     fn near_plane_culling_counts() {
         let depths = vec![0.1, 0.19, 0.2, 0.5, -1.0, f32::NAN, 3.0];
-        let g = group_by_depth(&depths, &GroupingConfig::default());
+        let g = group_by_depth(&depths);
         assert_eq!(g.near_culled, 4);
         assert_eq!(g.total_members(), 3);
     }
@@ -202,7 +155,7 @@ mod tests {
     #[test]
     fn every_survivor_appears_exactly_once() {
         let depths = depths_linear(10_000, 0.3, 50.0);
-        let g = group_by_depth(&depths, &GroupingConfig::default());
+        let g = group_by_depth(&depths);
         let mut seen = vec![false; depths.len()];
         for grp in g.iter() {
             for &id in &grp.members {
@@ -215,20 +168,16 @@ mod tests {
 
     #[test]
     fn groups_respect_capacity() {
-        // Heavily clustered depths force recursive subdivision.
+        // Heavily clustered depths force recursive subdivision down to the
+        // chunking fallback.
         let mut depths = vec![1.0f32; 5_000];
         depths.extend(depths_linear(5_000, 0.3, 100.0));
-        let cfg = GroupingConfig {
-            coarse_bins: 32,
-            ..GroupingConfig::default()
-        };
-        let g = group_by_depth(&depths, &cfg);
+        let g = group_by_depth(&depths);
         for grp in g.iter() {
             assert!(
-                grp.members.len() <= cfg.capacity,
-                "group of {} exceeds capacity {}",
+                grp.members.len() <= MAX_GROUP_SIZE,
+                "group of {} exceeds capacity {MAX_GROUP_SIZE}",
                 grp.members.len(),
-                cfg.capacity
             );
         }
         assert_eq!(g.total_members(), 10_000);
@@ -237,7 +186,7 @@ mod tests {
     #[test]
     fn groups_are_ordered_near_to_far() {
         let depths = depths_linear(20_000, 0.25, 80.0);
-        let g = group_by_depth(&depths, &GroupingConfig::default());
+        let g = group_by_depth(&depths);
         let mut prev_max = f32::NEG_INFINITY;
         for grp in g.iter() {
             assert!(
@@ -253,7 +202,7 @@ mod tests {
     #[test]
     fn members_fall_inside_their_groups_bin() {
         let depths = depths_linear(3_000, 0.5, 10.0);
-        let g = group_by_depth(&depths, &GroupingConfig::default());
+        let g = group_by_depth(&depths);
         for grp in g.iter() {
             for &id in &grp.members {
                 let d = depths[id as usize];
@@ -269,22 +218,19 @@ mod tests {
 
     #[test]
     fn identical_depths_still_terminate_and_chunk() {
-        let depths = vec![2.0f32; 1_000];
-        let cfg = GroupingConfig {
-            coarse_bins: 4,
-            capacity: 256,
-            ..GroupingConfig::default()
-        };
-        let g = group_by_depth(&depths, &cfg);
-        assert_eq!(g.total_members(), 1_000);
-        for grp in g.iter() {
-            assert!(grp.members.len() <= 256);
-        }
+        // One more than a group holds, all at one depth: bisection cannot
+        // separate them, so the bin is chunked in order.
+        let depths = vec![2.0f32; MAX_GROUP_SIZE + 1];
+        let g = group_by_depth(&depths);
+        let sizes: Vec<usize> = g.iter().map(|grp| grp.members.len()).collect();
+        assert_eq!(sizes, [MAX_GROUP_SIZE, 1]);
+        let members: Vec<u32> = g.iter().flat_map(|grp| grp.members.clone()).collect();
+        assert_eq!(members, (0..=MAX_GROUP_SIZE as u32).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_input_gives_empty_groups() {
-        let g = group_by_depth(&[], &GroupingConfig::default());
+        let g = group_by_depth(&[]);
         assert!(g.groups.is_empty());
         assert_eq!(g.near_culled, 0);
     }
@@ -293,7 +239,7 @@ mod tests {
     fn cross_group_ordering_enables_global_sort() {
         // Sorting within each group must yield a globally sorted sequence.
         let depths = depths_linear(5_000, 0.21, 42.0);
-        let g = group_by_depth(&depths, &GroupingConfig::for_count(depths.len()));
+        let g = group_by_depth(&depths);
         let mut prev = f32::NEG_INFINITY;
         for grp in g.iter() {
             let mut ds: Vec<f32> = grp.members.iter().map(|&i| depths[i as usize]).collect();
@@ -306,18 +252,23 @@ mod tests {
     }
 
     #[test]
-    fn for_count_scales_bins() {
-        assert_eq!(GroupingConfig::for_count(64_000).coarse_bins, 1_000);
-        assert_eq!(GroupingConfig::for_count(100).coarse_bins, 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let cfg = GroupingConfig {
-            capacity: 0,
-            ..GroupingConfig::default()
-        };
-        let _ = group_by_depth(&[1.0], &cfg);
+    fn coarse_bins_scale_with_the_cloud() {
+        // Evenly spread depths from the near pivot put at least one
+        // Gaussian in every coarse bin and at most 64-odd in any, so no
+        // bin is subdivided and the group count is the bin count: 64 below
+        // 4 096 Gaussians, one per 64 from there on.
+        for (n, bins) in [
+            (100, 64),
+            (1_000, 64),
+            (4_095, 64),
+            (4_096, 64),
+            (6_400, 100),
+            (64_000, 1_000),
+        ] {
+            let depths = depths_linear(n, NEAR_DEPTH, 30.0);
+            let g = group_by_depth(&depths);
+            assert_eq!(g.groups.len(), bins, "{n} Gaussians");
+            assert_eq!(g.total_members(), n);
+        }
     }
 }

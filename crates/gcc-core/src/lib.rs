@@ -18,7 +18,7 @@
 //! * Stage I depth grouping with near-plane culling and recursive
 //!   subdivision to the hardware group size N = 256 ([`grouping`]),
 //! * Algorithm 1, the runtime Alpha-based Gaussian Boundary Identification,
-//!   at both pixel and 8×8-block granularity with T-mask interaction
+//!   at the Alpha Unit's 8×8-block granularity with T-mask interaction
 //!   ([`boundary`]).
 //!
 //! The crate is pure software: renderers built on it live in `gcc-render`,
@@ -63,17 +63,6 @@ pub mod projection;
 pub mod sh;
 pub mod sort;
 
-/// SplitMix64 — the seeded source of lane patterns and test Gaussians the
-/// kernel and tracer sweeps share.
-#[cfg(test)]
-pub(crate) fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 pub use camera::Camera;
 pub use gaussian::{Gaussian3D, PARAM_FLOATS, SH_COEFFS_PER_CHANNEL, SH_FLOATS};
 pub use projection::ProjectedGaussian;
@@ -99,3 +88,16 @@ pub const NEAR_DEPTH: f32 = 0.2;
 /// Hardware depth-group capacity: coarse bins holding more than `N = 256`
 /// Gaussians are recursively subdivided (paper §4.2).
 pub const MAX_GROUP_SIZE: usize = 256;
+
+#[cfg(test)]
+mod test_rng {
+    /// SplitMix64 — the seeded source of lane patterns and test Gaussians
+    /// the kernel and tracer sweeps share.
+    pub(crate) fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}

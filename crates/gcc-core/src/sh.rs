@@ -98,17 +98,6 @@ pub fn eval_color_deg(sh: &[f32; SH_FLOATS], dir: Vec3, degree: u8) -> Vec3 {
     Vec3::new(rgb[0], rgb[1], rgb[2])
 }
 
-/// Evaluates only the degree-0 (view-independent) color term — what a
-/// pipeline would see if it skipped the 45 higher-order coefficients.
-/// Used by ablation benches to quantify the value of full SH.
-pub fn eval_color_dc(sh: &[f32; SH_FLOATS], _dir: Vec3) -> Vec3 {
-    let mut rgb = [0.0f32; 3];
-    for (c, out) in rgb.iter_mut().enumerate() {
-        *out = (sh[c * SH_COEFFS_PER_CHANNEL] * SH_C0 + 0.5).max(0.0);
-    }
-    Vec3::new(rgb[0], rgb[1], rgb[2])
-}
-
 /// Number of fused multiply-adds one full RGB SH evaluation costs
 /// (16 basis dot 3 channels plus basis construction), used by the cycle
 /// and energy models.
@@ -202,7 +191,7 @@ mod tests {
         sh[32] = -0.1;
         let d = unit(Vec3::new(0.2, -0.5, 0.8));
         let full = eval_color(&sh, d);
-        let dc = eval_color_dc(&sh, d);
+        let dc = eval_color_deg(&sh, d, 0);
         assert!((full - dc).norm() < 1e-6);
     }
 
@@ -229,9 +218,11 @@ mod tests {
             *v = ((i as f32) * 0.61).cos() * 0.3;
         }
         let d = unit(Vec3::new(-0.4, 0.9, 0.1));
-        let dc = eval_color_dc(&sh, d);
+        // Degree 0 is the DC term alone, `SH_C0 · c₀ + 0.5` clamped, to
+        // the bit.
+        let dc = |c: usize| (sh[c * SH_COEFFS_PER_CHANNEL] * SH_C0 + 0.5).max(0.0);
         let deg0 = eval_color_deg(&sh, d, 0);
-        assert!((dc - deg0).norm() < 1e-6);
+        assert_eq!(deg0, Vec3::new(dc(0), dc(1), dc(2)));
         // Lower degrees drop view dependence monotonically: degree 1 uses
         // strictly fewer coefficients than degree 2.
         let d1 = eval_color_deg(&sh, d, 1);

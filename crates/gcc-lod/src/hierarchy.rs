@@ -33,6 +33,7 @@
 use gcc_core::{Gaussian3D, SH_FLOATS};
 use gcc_math::{Quat, Vec3};
 use gcc_parallel::{par_chunks_mut, par_map_chunked, radix_sort_indices_into};
+use gcc_scene::rng::splitmix64;
 use gcc_scene::{LodLevel, Scene, SceneLod};
 
 // Rough per-Gaussian costs, in nanoseconds, quoted to `gcc-parallel`'s
@@ -75,18 +76,11 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// SplitMix64 step — the repo's stock seed-expansion hash.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Unit-interval float from a SplitMix64 draw.
+/// Unit-interval float from a SplitMix64 draw, stepping the stream.
 fn unit_f32(state: &mut u64) -> f32 {
-    (splitmix64(state) >> 40) as f32 / (1u64 << 24) as f32
+    let z = splitmix64(*state);
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    (z >> 40) as f32 / (1u64 << 24) as f32
 }
 
 /// Integer voxel coordinates of a Gaussian's mean on a level's grid.

@@ -245,11 +245,6 @@ impl Mat4 {
         self.mul_vec(p.extend(1.0)).xyz()
     }
 
-    /// Transforms a direction vector (w = 0).
-    pub fn transform_dir(&self, d: Vec3) -> Vec3 {
-        self.mul_vec(d.extend(0.0)).xyz()
-    }
-
     /// Upper-left 3×3 block (the rotation part `W` of a rigid view matrix).
     pub fn upper_left_3x3(&self) -> Mat3 {
         Mat3::from_rows(
@@ -346,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn mat4_point_vs_dir_transform() {
+    fn mat4_transform_point_applies_translation() {
         let t = Mat4::from_rows(
             [1.0, 0.0, 0.0, 10.0],
             [0.0, 1.0, 0.0, -5.0],
@@ -355,8 +350,6 @@ mod tests {
         );
         let p = Vec3::new(1.0, 2.0, 3.0);
         assert_eq!(t.transform_point(p), Vec3::new(11.0, -3.0, 5.0));
-        // Directions ignore translation.
-        assert_eq!(t.transform_dir(p), p);
     }
 
     #[test]

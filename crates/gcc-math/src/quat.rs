@@ -91,16 +91,6 @@ impl Quat {
         )
     }
 
-    /// Hamilton product `self * rhs` (applies `rhs` first).
-    pub fn hamilton(self, rhs: Self) -> Self {
-        Self::new(
-            self.w * rhs.w - self.x * rhs.x - self.y * rhs.y - self.z * rhs.z,
-            self.w * rhs.x + self.x * rhs.w + self.y * rhs.z - self.z * rhs.y,
-            self.w * rhs.y - self.x * rhs.z + self.y * rhs.w + self.z * rhs.x,
-            self.w * rhs.z + self.x * rhs.y - self.y * rhs.x + self.z * rhs.w,
-        )
-    }
-
     /// Rotates a vector by this quaternion.
     pub fn rotate(self, v: Vec3) -> Vec3 {
         self.to_mat3().mul_vec(v)
@@ -159,17 +149,5 @@ mod tests {
     fn degenerate_quaternion_falls_back_to_identity() {
         let q = Quat::new(0.0, 0.0, 0.0, 0.0).normalized();
         assert_eq!(q, Quat::IDENTITY);
-    }
-
-    #[test]
-    fn hamilton_product_composes_rotations() {
-        let a = Quat::from_axis_angle(Vec3::new(0.0, 0.0, 1.0), 0.4);
-        let b = Quat::from_axis_angle(Vec3::new(0.0, 0.0, 1.0), 0.6);
-        let c = a.hamilton(b);
-        let direct = Quat::from_axis_angle(Vec3::new(0.0, 0.0, 1.0), 1.0);
-        let v = Vec3::new(1.0, 2.0, 3.0);
-        let v1 = c.rotate(v);
-        let v2 = direct.rotate(v);
-        assert!((v1 - v2).norm() < 1e-5);
     }
 }

@@ -40,21 +40,6 @@ macro_rules! impl_vec_common {
                 self / n
             }
 
-            /// Component-wise product (Hadamard product).
-            pub fn mul_elem(self, rhs: Self) -> Self {
-                Self { $($f: self.$f * rhs.$f),+ }
-            }
-
-            /// Component-wise minimum.
-            pub fn min_elem(self, rhs: Self) -> Self {
-                Self { $($f: self.$f.min(rhs.$f)),+ }
-            }
-
-            /// Component-wise maximum.
-            pub fn max_elem(self, rhs: Self) -> Self {
-                Self { $($f: self.$f.max(rhs.$f)),+ }
-            }
-
             /// Largest component.
             pub fn max_component(self) -> f32 {
                 let mut m = f32::NEG_INFINITY;
@@ -350,11 +335,8 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_min_max() {
+    fn max_component_is_the_largest() {
         let a = Vec3::new(1.0, 5.0, -2.0);
-        let b = Vec3::new(2.0, 4.0, -3.0);
-        assert_eq!(a.min_elem(b), Vec3::new(1.0, 4.0, -3.0));
-        assert_eq!(a.max_elem(b), Vec3::new(2.0, 5.0, -2.0));
         assert_eq!(a.max_component(), 5.0);
     }
 

@@ -39,7 +39,7 @@ use gcc_core::alpha::ExpMode;
 use gcc_core::boundary::{BlockGrid, BlockTracer, MaskMode, TMask};
 use gcc_core::bounds::{BoundingLaw, EffectiveTest};
 use gcc_core::dispatch::{self, Backend, KernelSet};
-use gcc_core::grouping::{group_by_depth, DepthGroups, GroupingConfig};
+use gcc_core::grouping::{group_by_depth, DepthGroups};
 use gcc_core::{Camera, Gaussian3D, ProjectedGaussian};
 use gcc_math::{Vec2, Vec3};
 use gcc_parallel::{par_chunks_mut, Parallelism};
@@ -296,7 +296,7 @@ fn render_window(
             // fully preprocessed (paper §1, Fig. 1 "Conditional
             // Loading").
             let test = EffectiveTest::new(p.mean2d, p.conic, p.ln_opacity);
-            let tr = tracer.trace(&test, Some(tmask), cfg.mask_mode, ctx.kernels, blocks_buf);
+            let tr = tracer.trace(&test, tmask, cfg.mask_mode, ctx.kernels, blocks_buf);
             stats.blocks_dispatched += tr.blocks_dispatched;
             stats.blocks_masked_skips += tr.blocks_masked;
             stats.pixels_evaluated += tr.pixels_evaluated;
@@ -384,7 +384,7 @@ pub(crate) fn render_gaussian_wise_job(
     // ---- Stage I: depths + grouping (global, once per frame). ----
     stages::view_depths_into(gaussians, cam, threads, depths);
     let depths = &*depths;
-    let groups: DepthGroups = group_by_depth(depths, &GroupingConfig::for_count(gaussians.len()));
+    let groups: DepthGroups = group_by_depth(depths);
 
     // ---- Cmode window partition + conservative screen bounds. ----
     // ROI restriction at window granularity: windows are independent, so

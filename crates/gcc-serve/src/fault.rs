@@ -29,6 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gcc_render::pipeline::{Frame, FrameScratch, RenderJob, Renderer};
+use gcc_scene::rng::splitmix64;
 
 /// One injected load failure mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,14 +239,9 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64-style draw in `0..1000`, a pure function of `(seed, index)`.
+/// SplitMix64 draw in `0..1000`, a pure function of `(seed, index)`.
 fn per_mille_draw(seed: u64, index: u64) -> u32 {
-    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % 1000) as u32
+    (splitmix64(seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % 1000) as u32
 }
 
 /// FNV-1a of a scene id (stable across runs, unlike `DefaultHasher`).

@@ -273,11 +273,6 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// The scene this session renders.
-    pub fn scene_id(&self) -> &str {
-        &self.scene
-    }
-
     /// The options every request of this session carries.
     pub fn defaults(&self) -> &RenderOptions {
         &self.defaults

@@ -117,13 +117,6 @@ impl SimReport {
         self.energy.total_mj()
     }
 
-    /// Area-normalized energy metric (mJ·mm² — lower is better when
-    /// comparing at equal area budget; the paper normalizes efficiency by
-    /// area).
-    pub fn energy_area_product(&self) -> f64 {
-        self.energy_per_frame_mj() * self.area_mm2
-    }
-
     /// Fraction of total cycles spent in the named phase.
     pub fn phase_fraction(&self, name: &str) -> f64 {
         let c: f64 = self
