@@ -147,6 +147,45 @@ fn alpha_at_omega_sigma_boundary_is_at_most_threshold() {
 }
 
 #[test]
+fn algorithm1_matches_exhaustive_scan() {
+    check("algorithm1_matches_exhaustive_scan", |rng| {
+        let cx = rng.gen_range(8.0f32..56.0);
+        let cy = rng.gen_range(8.0f32..56.0);
+        let a = rng.gen_range(2.0f32..40.0);
+        let b = rng.gen_range(-8.0f32..8.0);
+        let c = rng.gen_range(2.0f32..40.0);
+        let ln_op = det_ln(rng.gen_range(0.01f32..1.0));
+        let cov = SymMat2::new(a, b, c);
+        if !cov.is_positive_definite() {
+            return;
+        }
+        let conic = cov.inverse().unwrap();
+        let test = EffectiveTest::new(Vec2::new(cx, cy), conic, ln_op);
+        // One-pixel blocks: the traced blocks are exactly the pixels
+        // that pass, on every kernel table the host can run.
+        let grid = BlockGrid::new(1, 64, 64);
+        let clear = TMask::new(&grid);
+        let mut tracer = BlockTracer::new(grid);
+        let mut expect = Vec::new();
+        for y in 0..64 {
+            for x in 0..64 {
+                if test.passes(x, y) {
+                    expect.push(grid.block_of(x, y));
+                }
+            }
+        }
+        expect.sort_unstable();
+        let mut out = Vec::new();
+        for backend in dispatch::available() {
+            let kernels = dispatch::kernel_set(backend).unwrap();
+            tracer.trace(&test, &clear, MaskMode::Traverse, kernels, &mut out);
+            out.sort_unstable();
+            assert_eq!(out, expect, "{backend}");
+        }
+    });
+}
+
+#[test]
 fn block_trace_covers_every_effective_pixel() {
     check("block_trace_covers_every_effective_pixel", |rng| {
         let cx = rng.gen_range(4.0f32..60.0);
