@@ -10,8 +10,8 @@
 //!   **Gaussian hierarchy builder**: spatial clusters merge into fatter,
 //!   opacity/SH-compensated Gaussians, mip-style, one level per
 //!   doubling of the merge cell. The product is a
-//!   [`gcc_scene::SceneLod`] stored *with* the scene (and charged to
-//!   the serve cache's byte budget via `Scene::approx_bytes`).
+//!   [`gcc_scene::SceneLod`] built after the scene loads (no file stores
+//!   one), charged to the serve cache's budget by `Scene::approx_bytes`.
 //! * [`ladder`] — the **quality ladder**: each [`ladder::QualityRung`]
 //!   combines knobs that already exist in
 //!   [`gcc_render::RenderOptions`] (SH-degree clamp, resolution

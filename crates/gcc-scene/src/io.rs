@@ -3,32 +3,70 @@
 //!
 //! The binary layout is the accelerator's DRAM image: a small header
 //! followed by each Gaussian's 59-float record (see
-//! [`gcc_core::Gaussian3D::to_floats`]), little-endian.
+//! [`gcc_core::Gaussian3D::to_floats`]), little-endian, and nothing after
+//! the last record. A file holds the scene and nothing else: a LOD
+//! hierarchy is built in memory after the scene loads (`gcc-lod`), never
+//! stored with it.
 //!
-//! Both decoders run over the whole file in memory, in one pass, straight
-//! into [`gcc_core::Gaussian3D`] records: the JSON one pulls tokens from a
-//! [`json::Reader`] and parses each number once from its source text (no
-//! document tree is built), the binary one slices records off a byte
-//! slice. Either way every Gaussian array ends with `capacity == len`,
-//! so [`Scene::approx_bytes`] does not depend on the format a scene was
-//! loaded from. A JSON document's record arrays are decoded in chunks on
-//! the threads the caller can spare ([`load_scene_file_on`]), each array
+//! Both formats hold finite floats only, and both writers refuse a scene
+//! that has another (`check_finite`): JSON has no token for NaN or an
+//! infinity, and the binary reader refuses what the JSON one cannot read,
+//! so a scene round-trips through either format or through neither.
+//!
+//! [`decode_scene`] is the one decoder: it runs over the whole file in
+//! memory, in one pass, straight into [`gcc_core::Gaussian3D`] records.
+//! A JSON document is read by pulling tokens from a [`json::Reader`] and
+//! parsing each number once from its source text (no document tree is
+//! built); a binary one by slicing records off a byte slice. Either way
+//! the cloud ends with `capacity == len`, so [`Scene::approx_bytes`] does
+//! not depend on the format a scene was loaded from. A JSON document's
+//! record array is decoded in chunks on the threads the caller can spare,
 //! on as many as its length is worth; the scene decoded does not depend
 //! on how many those are.
 
 use crate::codec;
 use crate::json::{self, Reader};
-use crate::lod::{read_binary_records, read_json_records, SceneLod};
 use crate::{OrbitRig, Scene};
-use gcc_core::PARAM_FLOATS;
+use gcc_core::{Gaussian3D, PARAM_FLOATS};
 use gcc_math::Vec3;
-use gcc_parallel::available_threads;
+use gcc_parallel::{available_threads, par_chunks_mut};
 use std::fmt::Write as _;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Magic bytes of the binary format.
 const MAGIC: &[u8; 8] = b"GCC3DGS\0";
+
+/// The longest name, in bytes, the binary format holds: its reader refuses
+/// a longer one before reserving for it, so its writer refuses one too.
+const MAX_NAME_BYTES: usize = 4096;
+
+/// The header's floats, in the order the binary format stores them.
+const HEADER_FIELDS: [&str; 11] = [
+    "fov_y_deg",
+    "rig.center.x",
+    "rig.center.y",
+    "rig.center.z",
+    "rig.look_at.x",
+    "rig.look_at.y",
+    "rig.look_at.z",
+    "rig.radius",
+    "rig.height",
+    "rig.arc",
+    "rig.phase",
+];
+
+/// The least text a record takes: 59 one-digit numbers, 58 commas and the
+/// two brackets. A shorter element cannot be one, so [`read_json_records`]
+/// never sizes its output from a count the text cannot back with data: at
+/// most 236 resident bytes for every 119 of input.
+const MIN_RECORD_BYTES: usize = 2 * PARAM_FLOATS + 1;
+
+/// Rough cost of decoding one record on one thread, for the chunked maps'
+/// work floor (5 040 records in 5.2 ms): an array of fewer than 100 is
+/// decoded by the thread that walked it.
+const RECORD_NS: u32 = 1_000;
 
 /// Errors from scene I/O.
 #[derive(Debug)]
@@ -140,42 +178,75 @@ impl RetryPolicy {
     }
 }
 
+/// The header's floats in [`HEADER_FIELDS`] order.
+fn header_floats(scene: &Scene) -> [f32; HEADER_FIELDS.len()] {
+    let r = &scene.rig;
+    [
+        scene.fov_y_deg,
+        r.center.x,
+        r.center.y,
+        r.center.z,
+        r.look_at.x,
+        r.look_at.y,
+        r.look_at.z,
+        r.radius,
+        r.height,
+        r.arc,
+        r.phase,
+    ]
+}
+
+fn non_finite(what: std::fmt::Arguments<'_>, v: f32) -> SceneIoError {
+    SceneIoError::Format(format!("non-finite {what}: {v}"))
+}
+
+/// Names the first header float that is not finite.
+fn check_header(floats: &[f32; HEADER_FIELDS.len()]) -> Result<(), SceneIoError> {
+    match floats.iter().position(|v| !v.is_finite()) {
+        Some(j) => Err(non_finite(format_args!("{}", HEADER_FIELDS[j]), floats[j])),
+        None => Ok(()),
+    }
+}
+
+/// Names the first float of record `i` that is not finite.
+fn check_record(i: usize, floats: &[f32; PARAM_FLOATS]) -> Result<(), SceneIoError> {
+    match floats.iter().position(|v| !v.is_finite()) {
+        Some(j) => Err(non_finite(
+            format_args!("float in gaussian {i} (index {j})"),
+            floats[j],
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The rule both formats keep, checked by both writers before they write
+/// a byte: every float of the header and of every record is finite.
+///
+/// # Errors
+///
+/// [`SceneIoError::Format`] naming the first header field, or the first
+/// record and float index, that is NaN or infinite.
+fn check_finite(scene: &Scene) -> Result<(), SceneIoError> {
+    check_header(&header_floats(scene))?;
+    for (i, g) in scene.gaussians.iter().enumerate() {
+        check_record(i, &g.to_floats())?;
+    }
+    Ok(())
+}
+
 /// Serializes a scene as JSON (pretty when `pretty`).
 ///
 /// Floats are written with Rust's shortest round-trip formatting, so
-/// [`from_json`] recovers bit-identical values. Each Gaussian is one
+/// [`decode_scene`] recovers bit-identical values. Each Gaussian is one
 /// 59-float array in [`gcc_core::Gaussian3D::to_floats`] order.
 ///
 /// # Errors
 ///
 /// Returns [`SceneIoError::Format`] if the scene contains a non-finite
-/// float (JSON has no NaN/infinity tokens, and a silent `NaN` would
-/// break the round trip at parse time instead of here).
+/// float (JSON has no token for one, and the binary writer refuses the
+/// same scenes).
 pub fn to_json(scene: &Scene, pretty: bool) -> Result<String, SceneIoError> {
-    let finite = |v: f32, what: &str| {
-        if v.is_finite() {
-            Ok(())
-        } else {
-            Err(SceneIoError::Format(format!("non-finite {what}: {v}")))
-        }
-    };
-    finite(scene.fov_y_deg, "fov_y_deg")?;
-    let r = &scene.rig;
-    for (v, what) in [
-        (r.center.x, "rig.center"),
-        (r.center.y, "rig.center"),
-        (r.center.z, "rig.center"),
-        (r.look_at.x, "rig.look_at"),
-        (r.look_at.y, "rig.look_at"),
-        (r.look_at.z, "rig.look_at"),
-        (r.radius, "rig.radius"),
-        (r.height, "rig.height"),
-        (r.arc, "rig.arc"),
-        (r.phase, "rig.phase"),
-    ] {
-        finite(v, what)?;
-    }
-
+    check_finite(scene)?;
     let (nl, ind, sp) = if pretty {
         ("\n", "  ", " ")
     } else {
@@ -208,11 +279,6 @@ pub fn to_json(scene: &Scene, pretty: bool) -> Result<String, SceneIoError> {
     for (i, g) in scene.gaussians.iter().enumerate() {
         let _ = write!(out, "{ind}{ind}[");
         for (j, v) in g.to_floats().iter().enumerate() {
-            if !v.is_finite() {
-                return Err(SceneIoError::Format(format!(
-                    "non-finite float in gaussian {i} (index {j}): {v}"
-                )));
-            }
             if j > 0 {
                 out.push(',');
             }
@@ -224,12 +290,7 @@ pub fn to_json(scene: &Scene, pretty: bool) -> Result<String, SceneIoError> {
         }
         out.push_str(nl);
     }
-    let _ = write!(out, "{ind}]");
-    if let Some(lod) = &scene.lod {
-        let _ = write!(out, ",{nl}{ind}\"lod\":{sp}");
-        lod.write_json(&mut out).map_err(SceneIoError::Format)?;
-    }
-    let _ = write!(out, "{nl}}}");
+    let _ = write!(out, "{ind}]{nl}}}");
     Ok(out)
 }
 
@@ -293,11 +354,87 @@ fn resolution_from_json(r: &mut Reader<'_>) -> Result<(u32, u32), String> {
     Ok((res[0], res[1]))
 }
 
-/// [`from_json_on`] with the error as the decoder words it.
+/// Decodes a JSON array of 59-number records, each number parsed once
+/// from its source text, on up to `threads` threads. The result ends with
+/// `capacity == len`, which is what `approx_bytes` charges.
+///
+/// One thread reads record after record into a growing `Vec` (sizing it
+/// from a count first was measured and is slower there: EXPERIMENTS.md
+/// "PR 22", "What one thread pays"). More walk the array for its record
+/// spans first ([`read_json_spans`]); whatever that does not make a whole
+/// array of is this loop's to read from the same cursor, so every error
+/// and its offset are produced by the one piece of code that words them.
+///
+/// # Errors
+///
+/// Names the index (and `what` cloud) of the first record that is not
+/// exactly 59 in-range numbers.
+fn read_json_records(
+    r: &mut Reader<'_>,
+    what: &str,
+    threads: usize,
+) -> Result<Vec<Gaussian3D>, String> {
+    r.begin_array()?;
+    if threads > 1 {
+        if let Some(out) = read_json_spans(r, threads) {
+            return Ok(out);
+        }
+    }
+    let mut out = Vec::new();
+    while r.next_element()? {
+        let floats = r
+            .f32_array::<PARAM_FLOATS>()
+            .map_err(|e| format!("{what} {}: {e}", out.len()))?;
+        out.push(Gaussian3D::from_floats(&floats));
+    }
+    out.shrink_to_fit();
+    Ok(out)
+}
+
+/// The array `r` has just entered, decoded span by span on as many of
+/// `threads` threads as its records keep busy ([`RECORD_NS`] each: a
+/// short array wakes no helper), with `r` left behind it — or `None`,
+/// and `r` where it was.
+///
+/// [`Reader::flat_arrays`] finds where each record starts and how many
+/// there are, so the output is allocated once, at its final size, and
+/// every chunk of records is decoded — with the `f32_array::<59>` the
+/// sequential loop runs, from the offsets it would run it at — straight
+/// into its own part of it. That stands only if the walk reached the
+/// array's closer and every span decoded.
+fn read_json_spans(r: &mut Reader<'_>, threads: usize) -> Option<Vec<Gaussian3D>> {
+    let spans = r.flat_arrays(MIN_RECORD_BYTES);
+    let close = spans.close?;
+    let starts = &spans.starts[..];
+    let mut out = vec![Gaussian3D::default(); starts.len()];
+    // Publishes nothing: a failed decode's output is dropped, a whole
+    // one's is read after `par_chunks_mut` has joined its threads.
+    let failed = AtomicBool::new(false);
+    par_chunks_mut(&mut out, threads, RECORD_NS, |offset, chunk| {
+        for (slot, &start) in chunk.iter_mut().zip(&starts[offset..]) {
+            if failed.load(Ordering::Relaxed) {
+                return;
+            }
+            match r.at(start).f32_array::<PARAM_FLOATS>() {
+                Ok(floats) => *slot = Gaussian3D::from_floats(&floats),
+                Err(_) => return failed.store(true, Ordering::Relaxed),
+            }
+        }
+    });
+    if failed.into_inner() {
+        return None;
+    }
+    r.leave_array_at(close);
+    Some(out)
+}
+
+/// Decodes a JSON scene document on up to `threads` threads, with the
+/// error as the decoder words it: one pass over `s`, keys in any order,
+/// unknown keys skipped, the first of a repeated scalar key kept.
 pub(crate) fn scene_from_json(s: &str, threads: usize) -> Result<Scene, String> {
     let mut r = Reader::new(s);
     let (mut name, mut resolution, mut fov_y_deg, mut rig) = (None, None, None, None);
-    let (mut gaussians, mut lod) = (None, None);
+    let mut gaussians = None;
     r.begin_object()?;
     while let Some(key) = r.next_key()? {
         match &*key {
@@ -315,11 +452,10 @@ pub(crate) fn scene_from_json(s: &str, threads: usize) -> Result<Scene, String> 
             "gaussians" if gaussians.is_none() => {
                 gaussians = Some(read_json_records(&mut r, "gaussian", threads)?);
             }
-            "lod" if lod.is_none() => lod = Some(SceneLod::read_json_on(&mut r, threads)?),
-            // The two keys that carry records: decoding a second copy to
-            // throw it away is the cost this decoder exists to avoid.
-            "gaussians" | "lod" => {
-                return Err(format!("repeated '{key}' at byte {}", r.offset()));
+            // Decoding a second copy of the records to throw it away is
+            // the cost this decoder exists to avoid.
+            "gaussians" => {
+                return Err(format!("repeated 'gaussians' at byte {}", r.offset()));
             }
             _ => r.skip_value()?,
         }
@@ -331,57 +467,25 @@ pub(crate) fn scene_from_json(s: &str, threads: usize) -> Result<Scene, String> 
         resolution: resolution.ok_or_else(|| missing("resolution"))?,
         fov_y_deg: fov_y_deg.ok_or_else(|| missing("fov_y_deg"))?,
         rig: rig.ok_or_else(|| missing("rig"))?,
-        lod,
+        lod: None,
     })
-}
-
-/// Parses a scene from the JSON produced by [`to_json`]: one pass over
-/// `s`, keys in any order, unknown keys skipped — on every hardware
-/// thread: [`from_json_on`] for a caller with nothing else running.
-///
-/// # Errors
-///
-/// Returns [`SceneIoError::Format`] for malformed JSON or a wrong schema,
-/// naming the byte offset where the tokenizer knows it.
-pub fn from_json(s: &str) -> Result<Scene, SceneIoError> {
-    from_json_on(s, available_threads())
-}
-
-/// [`from_json`] on up to `threads` threads — as many of them as each
-/// record array keeps busy. The scene decoded, or the error, is the same
-/// at every thread count.
-///
-/// # Errors
-///
-/// As [`from_json`].
-pub fn from_json_on(s: &str, threads: usize) -> Result<Scene, SceneIoError> {
-    scene_from_json(s, threads).map_err(SceneIoError::Format)
 }
 
 /// Writes the binary DRAM-image format.
 ///
 /// # Errors
 ///
-/// Propagates writer failures.
+/// Returns [`SceneIoError::Format`], before writing anything, for a scene
+/// the reader would refuse: a non-finite float (as [`to_json`]) or a name
+/// longer than 4 096 bytes. Propagates writer failures.
 pub fn write_binary<W: Write>(scene: &Scene, mut w: W) -> Result<(), SceneIoError> {
+    check_finite(scene)?;
+    check_name_len(scene.name.len())?;
     w.write_all(MAGIC)?;
     codec::write_str(&mut w, &scene.name)?;
     codec::write_u32(&mut w, scene.resolution.0)?;
     codec::write_u32(&mut w, scene.resolution.1)?;
-    codec::write_f32(&mut w, scene.fov_y_deg)?;
-    let rig = [
-        scene.rig.center.x,
-        scene.rig.center.y,
-        scene.rig.center.z,
-        scene.rig.look_at.x,
-        scene.rig.look_at.y,
-        scene.rig.look_at.z,
-        scene.rig.radius,
-        scene.rig.height,
-        scene.rig.arc,
-        scene.rig.phase,
-    ];
-    for v in rig {
+    for v in header_floats(scene) {
         codec::write_f32(&mut w, v)?;
     }
     codec::write_u64(&mut w, scene.gaussians.len() as u64)?;
@@ -390,90 +494,91 @@ pub fn write_binary<W: Write>(scene: &Scene, mut w: W) -> Result<(), SceneIoErro
             codec::write_f32(&mut w, v)?;
         }
     }
-    // Optional trailing LOD section: a presence flag, then the hierarchy.
-    // Files written before the adaptive-quality subsystem simply end at
-    // the last Gaussian record; the reader treats EOF here as "no lod".
-    match &scene.lod {
-        Some(lod) => {
-            codec::write_u8(&mut w, 1)?;
-            lod.write_binary(&mut w)?;
-        }
-        None => codec::write_u8(&mut w, 0)?,
+    Ok(())
+}
+
+fn check_name_len(len: usize) -> Result<(), SceneIoError> {
+    if len > MAX_NAME_BYTES {
+        return Err(SceneIoError::Format(format!("name length {len}")));
     }
     Ok(())
 }
 
-/// Reads the binary DRAM-image format: `r` is read to its end and the
-/// scene decoded from memory.
+/// Decodes `count` little-endian 59-float records off the front of `r`.
+/// The count is checked against the bytes in hand before anything is
+/// reserved, so a hostile header cannot ask for more than its file holds.
 ///
 /// # Errors
 ///
-/// Returns [`SceneIoError::Format`] for bad magic/truncated payloads and
-/// [`SceneIoError::Io`] for reader failures.
-pub fn read_binary<R: Read>(mut r: R) -> Result<Scene, SceneIoError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    decode_binary(&bytes)
+/// [`SceneIoError::Io`] with `UnexpectedEof` when `r` is shorter than
+/// `count` records; [`SceneIoError::Format`] naming the first float that
+/// is not finite.
+fn read_binary_records(r: &mut &[u8], count: u64) -> Result<Vec<Gaussian3D>, SceneIoError> {
+    const RECORD_BYTES: usize = PARAM_FLOATS * 4;
+    let bytes = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(RECORD_BYTES))
+        .filter(|&b| b <= r.len())
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("{count} records declared, {} bytes left", r.len()),
+            )
+        })?;
+    let (records, rest) = r.split_at(bytes);
+    *r = rest;
+    let mut out = Vec::with_capacity(bytes / RECORD_BYTES);
+    let mut floats = [0.0f32; PARAM_FLOATS];
+    for (i, rec) in records.chunks_exact(RECORD_BYTES).enumerate() {
+        for (slot, b) in floats.iter_mut().zip(rec.chunks_exact(4)) {
+            *slot = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        }
+        check_record(i, &floats)?;
+        out.push(Gaussian3D::from_floats(&floats));
+    }
+    Ok(out)
 }
 
-/// Decodes a whole binary scene file held in memory.
-fn decode_binary(bytes: &[u8]) -> Result<Scene, SceneIoError> {
-    let Some(mut r) = bytes.strip_prefix(MAGIC) else {
-        return Err(if bytes.len() < MAGIC.len() {
-            io::Error::from(io::ErrorKind::UnexpectedEof).into()
-        } else {
-            SceneIoError::Format("bad magic".into())
-        });
-    };
-    let r = &mut r;
+/// Decodes the bytes of a whole binary scene file that follow its magic.
+fn decode_binary(mut image: &[u8]) -> Result<Scene, SceneIoError> {
+    let r = &mut image;
     // `read_str` would fold the cap and UTF-8 checks into one
     // `InvalidData` I/O error; the name is read by hand so both keep
     // surfacing as the historical `Format` errors.
     let name_len = codec::read_u32(r)? as usize;
-    if name_len > 4096 {
-        return Err(SceneIoError::Format(format!("name length {name_len}")));
-    }
+    check_name_len(name_len)?;
     let mut name = vec![0u8; name_len];
     r.read_exact(&mut name)?;
     let name = String::from_utf8(name).map_err(|_| SceneIoError::Format("non-UTF8 name".into()))?;
-    let width = codec::read_u32(r)?;
-    let height = codec::read_u32(r)?;
-    let fov_y_deg = codec::read_f32(r)?;
-    let mut rig = [0.0f32; 10];
-    for v in &mut rig {
+    let resolution = (codec::read_u32(r)?, codec::read_u32(r)?);
+    let mut header = [0.0f32; HEADER_FIELDS.len()];
+    for v in &mut header {
         *v = codec::read_f32(r)?;
     }
+    check_header(&header)?;
     let count = codec::read_u64(r)?;
     let gaussians = read_binary_records(r, count)?;
-    // Optional trailing LOD section. Pre-LOD files end here, so a clean
-    // EOF at the flag byte means "no hierarchy"; any other flag value or
-    // a truncated section is a format error.
-    let lod = match codec::read_u8(r) {
-        Ok(1) => Some(
-            SceneLod::read_binary(r)
-                .map_err(|e| SceneIoError::Format(format!("bad lod section: {e}")))?,
-        ),
-        Ok(0) => None,
-        Ok(flag) => {
-            return Err(SceneIoError::Format(format!("bad lod flag {flag}")));
-        }
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => None,
-        Err(e) => return Err(e.into()),
-    };
+    if !r.is_empty() {
+        return Err(SceneIoError::Format(format!(
+            "{} bytes after the last record",
+            r.len()
+        )));
+    }
+    let [fov_y_deg, cx, cy, cz, lx, ly, lz, radius, height, arc, phase] = header;
     Ok(Scene {
         name,
         gaussians,
-        resolution: (width, height),
+        resolution,
         fov_y_deg,
         rig: OrbitRig {
-            center: gcc_math::Vec3::new(rig[0], rig[1], rig[2]),
-            look_at: gcc_math::Vec3::new(rig[3], rig[4], rig[5]),
-            radius: rig[6],
-            height: rig[7],
-            arc: rig[8],
-            phase: rig[9],
+            center: Vec3::new(cx, cy, cz),
+            look_at: Vec3::new(lx, ly, lz),
+            radius,
+            height,
+            arc,
+            phase,
         },
-        lod,
+        lod: None,
     })
 }
 
@@ -530,31 +635,47 @@ pub fn load_scene_file_on(path: &Path, threads: usize) -> Result<Scene, SceneIoE
 }
 
 /// Decodes a whole scene file held in memory, in the format its first
-/// bytes say it is. UTF-8 is validated over the full contents.
-pub(crate) fn decode_scene(bytes: &[u8], threads: usize) -> Result<Scene, SceneIoError> {
-    if bytes.starts_with(MAGIC) {
-        return decode_binary(bytes);
+/// bytes say it is: the binary DRAM image after its magic, JSON otherwise
+/// (UTF-8 is validated over the full contents). A JSON document's records
+/// are decoded on up to `threads` threads — as many as the array keeps
+/// busy; a binary file's decode is a copy, on the calling thread. The
+/// scene decoded, or the error, is the same at every thread count.
+///
+/// # Errors
+///
+/// Returns [`SceneIoError::Format`] for malformed contents in either
+/// format — a JSON error names the byte offset where the tokenizer knows
+/// it — and [`SceneIoError::Io`] with `UnexpectedEof` for a binary file
+/// that ends early.
+pub fn decode_scene(bytes: &[u8], threads: usize) -> Result<Scene, SceneIoError> {
+    if let Some(image) = bytes.strip_prefix(MAGIC) {
+        return decode_binary(image);
     }
     let text = std::str::from_utf8(bytes)
         .map_err(|_| SceneIoError::Format("neither binary magic nor UTF-8 JSON".into()))?;
-    from_json_on(text, threads)
+    scene_from_json(text, threads).map_err(SceneIoError::Format)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{SceneConfig, ScenePreset};
-    use gcc_core::Gaussian3D;
 
     fn small_scene() -> Scene {
         ScenePreset::Lego.build(&SceneConfig::with_scale(0.02))
+    }
+
+    fn image_of(scene: &Scene) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_binary(scene, &mut buf).unwrap();
+        buf
     }
 
     #[test]
     fn json_round_trip() {
         let scene = small_scene();
         let s = to_json(&scene, false).unwrap();
-        let back = from_json(&s).unwrap();
+        let back = decode_scene(s.as_bytes(), 1).unwrap();
         assert_eq!(scene.name, back.name);
         assert_eq!(scene.gaussians, back.gaussians);
         assert_eq!(scene.resolution, back.resolution);
@@ -571,28 +692,87 @@ mod tests {
                  \"height\":0,\"arc\":1,\"phase\":0}},\"gaussians\":[]}}"
             )
         };
-        assert!(from_json(&doc("47")).is_ok());
-        let err = from_json(&doc("1e39")).unwrap_err();
+        assert!(decode_scene(doc("47").as_bytes(), 1).is_ok());
+        let err = decode_scene(doc("1e39").as_bytes(), 1).unwrap_err();
         assert!(matches!(err, SceneIoError::Format(_)), "{err}");
     }
 
     #[test]
-    fn non_finite_scene_is_rejected_at_write_time() {
+    fn non_finite_scenes_are_refused_by_both_writers_and_the_binary_reader() {
+        let clean = small_scene();
+        let image = image_of(&clean);
+        // Where the header's floats and the first record start: after the
+        // magic, the name's length and bytes, and the resolution.
+        let fov_at = 8 + 4 + clean.name.len() + 8;
+        let records_at = fov_at + 4 * HEADER_FIELDS.len() + 8;
+        // `[μ(3) | s(3) | q(4) | lnω(1) | sh(48)]`.
+        let ln_opacity = 10;
+        // `spoil` makes the scene non-finite; `bad` patched in at `at` does
+        // the same to the file.
+        let refused = |spoil: fn(&mut Scene), at: usize, bad: f32, named: &str| {
+            let mut scene = clean.clone();
+            spoil(&mut scene);
+            let to_text = to_json(&scene, false).unwrap_err().to_string();
+            let mut sink = Vec::new();
+            let to_image = write_binary(&scene, &mut sink).unwrap_err().to_string();
+            assert!(sink.is_empty(), "{named}: the binary writer wrote first");
+            assert!(to_text.contains(named), "{named}: {to_text}");
+            assert_eq!(to_image, to_text, "{named}: both writers word it alike");
+            let mut patched = image.clone();
+            patched[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            match decode_scene(&patched, 1) {
+                Err(SceneIoError::Format(m)) => assert!(m.contains(named), "{named}: {m}"),
+                other => panic!("{named}: the binary reader gave {other:?}"),
+            }
+        };
+        refused(
+            |s| s.gaussians[0].ln_opacity = f32::NAN,
+            records_at + 4 * ln_opacity,
+            f32::NAN,
+            "float in gaussian 0 (index",
+        );
+        refused(
+            |s| s.fov_y_deg = f32::INFINITY,
+            fov_at,
+            f32::INFINITY,
+            "fov_y_deg: inf",
+        );
+        refused(
+            |s| s.rig.radius = f32::NEG_INFINITY,
+            fov_at + 4 * 7,
+            f32::NEG_INFINITY,
+            "rig.radius: -inf",
+        );
+        // The record's own index is named by both writers and the reader.
+        let mut scene = clean.clone();
+        scene.gaussians[3].ln_opacity = f32::NAN;
+        let want = format!("non-finite float in gaussian 3 (index {ln_opacity}): NaN");
+        let err = to_json(&scene, false).unwrap_err().to_string();
+        assert!(err.ends_with(&want), "{err}");
+        let mut patched = image.clone();
+        let at = records_at + 3 * 4 * PARAM_FLOATS + 4 * ln_opacity;
+        patched[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+        let err = decode_scene(&patched, 1).unwrap_err().to_string();
+        assert!(err.ends_with(&want), "{err}");
+    }
+
+    #[test]
+    fn the_binary_name_cap_holds_on_both_sides() {
         let mut scene = small_scene();
-        scene.gaussians[0].ln_opacity = f32::NAN;
-        let err = to_json(&scene, false).unwrap_err();
-        assert!(matches!(err, SceneIoError::Format(_)), "{err}");
-        let mut scene = small_scene();
-        scene.fov_y_deg = f32::INFINITY;
-        assert!(to_json(&scene, false).is_err());
+        scene.name = "n".repeat(MAX_NAME_BYTES);
+        let back = decode_scene(&image_of(&scene), 1).unwrap();
+        assert_eq!(back.name, scene.name);
+        scene.name.push('n');
+        let mut sink = Vec::new();
+        let err = write_binary(&scene, &mut sink).unwrap_err();
+        assert!(sink.is_empty());
+        assert_eq!(err.to_string(), "invalid scene file: name length 4097");
     }
 
     #[test]
     fn binary_round_trip() {
         let scene = small_scene();
-        let mut buf = Vec::new();
-        write_binary(&scene, &mut buf).unwrap();
-        let back = read_binary(buf.as_slice()).unwrap();
+        let back = decode_scene(&image_of(&scene), 1).unwrap();
         assert_eq!(scene.name, back.name);
         assert_eq!(scene.gaussians, back.gaussians);
         assert_eq!(scene.rig, back.rig);
@@ -601,89 +781,92 @@ mod tests {
     #[test]
     fn binary_size_matches_59_float_records() {
         let scene = small_scene();
-        let mut buf = Vec::new();
-        write_binary(&scene, &mut buf).unwrap();
+        let buf = image_of(&scene);
         let payload = scene.gaussians.len() * PARAM_FLOATS * 4;
         // Header: magic 8 + name_len 4 + name + res 8 + fov 4 + rig 40 + count 8.
         let header = 8 + 4 + scene.name.len() + 8 + 4 + 40 + 8;
-        // Trailer: 1 lod-presence flag byte (0 here: no hierarchy).
-        assert_eq!(buf.len(), header + payload + 1);
+        assert_eq!(buf.len(), header + payload);
     }
 
-    fn scene_with_lod() -> Scene {
-        let mut scene = small_scene();
-        let coarse: Vec<Gaussian3D> = scene.gaussians.iter().step_by(3).cloned().collect();
-        let coarser: Vec<Gaussian3D> = scene.gaussians.iter().step_by(9).cloned().collect();
-        scene.lod = Some(crate::lod::SceneLod {
-            levels: vec![
-                crate::lod::LodLevel {
-                    gaussians: coarse,
-                    cell_size: 0.25,
-                },
-                crate::lod::LodLevel {
-                    gaussians: coarser,
-                    cell_size: 0.5,
-                },
-            ],
-            seed: 99,
+    #[test]
+    fn a_byte_after_the_last_record_is_refused() {
+        let image = image_of(&small_scene());
+        // 0 is the "no hierarchy" flag byte earlier writers put there.
+        for extra in [&[0u8][..], &[1], &[7, 7, 7]] {
+            let mut bytes = image.clone();
+            bytes.extend_from_slice(extra);
+            match decode_scene(&bytes, 1).unwrap_err() {
+                SceneIoError::Format(m) => {
+                    assert_eq!(m, format!("{} bytes after the last record", extra.len()))
+                }
+                other => panic!("{extra:?}: {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn records_decode_in_chunks_only_when_every_span_is_a_record() {
+        let g = |x: f32, r: f32| {
+            Gaussian3D::isotropic(Vec3::new(x, 0.0, 0.0), r, 0.8, Vec3::splat(0.5))
+        };
+        let gaussians = vec![g(0.0, 0.1), g(1.0, 0.2), g(2.0, 0.3)];
+        let record = |g: &Gaussian3D| format!("{:?}", g.to_floats()).replace(' ', "");
+        let records: Vec<String> = gaussians.iter().map(record).collect();
+        let doc = format!("[{}] ", records.join(","));
+        let entered = |doc| {
+            let mut r = Reader::new(doc);
+            r.begin_array().unwrap();
+            r
+        };
+        for threads in [2, 3, 8] {
+            let mut r = entered(&doc);
+            let chunked = read_json_spans(&mut r, threads);
+            assert_eq!(chunked.as_ref(), Some(&gaussians), "{threads}");
+            assert_eq!(r.offset(), doc.len() - 1, "left behind the closer");
+            r.finish().unwrap();
+        }
+        // Long enough to clear the work floor, the array is decoded on
+        // helper threads too, into what one thread reads.
+        let long = format!("[{}]", vec![records.join(","); 1000].join(","));
+        let [one, more @ ..] = [1, 2, 3, 8].map(|threads| {
+            let mut r = Reader::new(&long);
+            let read = read_json_records(&mut r, "g", threads).unwrap();
+            r.finish().unwrap();
+            read
         });
-        scene
-    }
-
-    #[test]
-    fn json_round_trip_preserves_lod_hierarchy() {
-        let scene = scene_with_lod();
-        let s = to_json(&scene, true).unwrap();
-        let back = from_json(&s).unwrap();
-        assert_eq!(scene.gaussians, back.gaussians);
-        assert_eq!(scene.lod, back.lod);
-    }
-
-    #[test]
-    fn binary_round_trip_preserves_lod_hierarchy() {
-        let scene = scene_with_lod();
-        let mut buf = Vec::new();
-        write_binary(&scene, &mut buf).unwrap();
-        let back = read_binary(buf.as_slice()).unwrap();
-        assert_eq!(scene.gaussians, back.gaussians);
-        assert_eq!(scene.lod, back.lod);
-    }
-
-    #[test]
-    fn pre_lod_binary_files_still_load() {
-        // Files written before the LOD section simply end after the last
-        // Gaussian record — strip the flag byte to simulate one.
-        let scene = small_scene();
-        let mut buf = Vec::new();
-        write_binary(&scene, &mut buf).unwrap();
-        buf.truncate(buf.len() - 1);
-        let back = read_binary(buf.as_slice()).unwrap();
-        assert_eq!(scene.gaussians, back.gaussians);
-        assert!(back.lod.is_none());
-    }
-
-    #[test]
-    fn corrupt_lod_flag_is_a_format_error() {
-        let scene = small_scene();
-        let mut buf = Vec::new();
-        write_binary(&scene, &mut buf).unwrap();
-        *buf.last_mut().unwrap() = 7;
-        assert!(matches!(
-            read_binary(buf.as_slice()).unwrap_err(),
-            SceneIoError::Format(_)
-        ));
-    }
-
-    #[test]
-    fn truncated_lod_section_is_a_format_error() {
-        let scene = scene_with_lod();
-        let mut buf = Vec::new();
-        write_binary(&scene, &mut buf).unwrap();
-        buf.truncate(buf.len() - 5);
-        assert!(matches!(
-            read_binary(buf.as_slice()).unwrap_err(),
-            SceneIoError::Format(_)
-        ));
+        assert_eq!(one.len(), 3000);
+        assert!(more.iter().all(|read| *read == one));
+        // A short array is not: each array is weighed alone.
+        let floor = (gcc_parallel::MIN_NS_PER_THREAD / u64::from(RECORD_NS)) as usize;
+        assert_eq!(
+            gcc_parallel::worthwhile_threads(8, 2 * floor - 1, RECORD_NS),
+            1
+        );
+        assert_eq!(gcc_parallel::worthwhile_threads(8, 4 * floor, RECORD_NS), 4);
+        // One span that is no record: nothing of the chunked decode
+        // stands, the reader has not moved, and the error is the
+        // sequential loop's.
+        let bad = doc.replacen("],[", "],[true,", 1);
+        let mut r = entered(&bad);
+        assert_eq!(r.flat_arrays(MIN_RECORD_BYTES).starts.len(), 3);
+        assert_eq!(read_json_spans(&mut r, 2), None);
+        assert_eq!(r.offset(), 1);
+        for threads in [1, 2] {
+            let err = read_json_records(&mut Reader::new(&bad), "g", threads).unwrap_err();
+            assert!(err.starts_with("g 1: expected a number at byte"), "{err}");
+        }
+        // A span too short to be a record ends the walk where it stands.
+        let short = format!("[{},[0,1],{}]", records[0], records[1]);
+        let mut r = entered(&short);
+        let spans = r.flat_arrays(MIN_RECORD_BYTES);
+        assert_eq!((spans.starts.len(), spans.close), (1, None));
+        assert_eq!(read_json_spans(&mut r, 2), None);
+        // And an empty array is an empty cloud, chunked or not.
+        for threads in [1, 2] {
+            let mut r = Reader::new(" [ ] ");
+            assert_eq!(read_json_records(&mut r, "g", threads), Ok(Vec::new()));
+            r.finish().unwrap();
+        }
     }
 
     #[test]
@@ -808,17 +991,18 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let err = read_binary(&b"NOTASCENE_______"[..]).unwrap_err();
-        assert!(matches!(err, SceneIoError::Format(_)));
+        // Without the whole magic a file is read as JSON, and refused.
+        for bytes in [&b"NOTASCENE_______"[..], b"GCC3DGS\x01________"] {
+            let err = decode_scene(bytes, 1).unwrap_err();
+            assert!(matches!(err, SceneIoError::Format(_)), "{err}");
+        }
     }
 
     #[test]
     fn truncated_payload_is_io_error() {
-        let scene = small_scene();
-        let mut buf = Vec::new();
-        write_binary(&scene, &mut buf).unwrap();
+        let mut buf = image_of(&small_scene());
         buf.truncate(buf.len() - 13);
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = decode_scene(&buf, 1).unwrap_err();
         assert!(matches!(err, SceneIoError::Io(_)));
     }
 }

@@ -1130,7 +1130,7 @@ mod tests {
     }
 
     /// The same contract one layer up: records of a minimal scene document
-    /// through `io::from_json`.
+    /// through `io::decode_scene`.
     #[test]
     fn scene_records_are_pinned() {
         use crate::io;

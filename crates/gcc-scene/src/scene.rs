@@ -65,8 +65,10 @@ pub struct Scene {
     /// Default camera trajectory.
     pub rig: OrbitRig,
     /// Optional coarse-to-fine Gaussian hierarchy for the adaptive
-    /// quality ladder (built offline by `gcc-lod`, persisted with the
-    /// scene). `None` means only full quality is available.
+    /// quality ladder, built in memory by `gcc-lod` (the serving layer
+    /// builds one when it loads a scene under a ladder). No scene file
+    /// stores it: a loaded scene has `None`, and the writers leave it
+    /// out. `None` means only full quality is available.
     pub lod: Option<SceneLod>,
 }
 

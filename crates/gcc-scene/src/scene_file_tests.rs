@@ -1,14 +1,13 @@
 //! Differential and hostile-input tests of the two scene-file codecs.
 //!
-//! The streaming JSON decoder ([`io::from_json`]) is held against a
-//! reference that decodes the same text through the [`json::Value`] tree
+//! The streaming JSON decoder (the JSON branch of [`io::decode_scene`])
+//! is held against a reference that decodes the same text through the [`json::Value`] tree
 //! — the decoder the crate shipped before the pull tokenizer, kept here
 //! only as the thing to differ from. The two must agree on every
 //! document: an equal [`Scene`], or an error from both.
 
 use crate::io::{self, SceneIoError};
 use crate::json::{self, Value};
-use crate::lod::{LodLevel, SceneLod};
 use crate::rng::StdRng;
 use crate::{OrbitRig, Scene, SceneConfig, ScenePreset, ALL_PRESETS};
 use gcc_core::{Gaussian3D, PARAM_FLOATS};
@@ -82,36 +81,9 @@ fn reject_repeated(v: &Value, keys: &[&str]) -> Result<(), SceneIoError> {
     Ok(())
 }
 
-fn lod_from_dom(v: &Value) -> Result<SceneLod, SceneIoError> {
-    reject_repeated(v, &["levels"])?;
-    let seed = match v.get("seed") {
-        Some(Value::Num(t)) => match t.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => return format_err(format!("lod: bad seed '{t}'")),
-        },
-        _ => return format_err("lod: missing numeric 'seed'"),
-    };
-    let Some(levels_v) = v.get("levels").and_then(Value::as_arr) else {
-        return format_err("lod: missing 'levels' array");
-    };
-    let mut levels = Vec::with_capacity(levels_v.len());
-    for (li, lv) in levels_v.iter().enumerate() {
-        reject_repeated(lv, &["gaussians"])?;
-        let Some(cell_size) = lv.get("cell_size").and_then(Value::as_f32) else {
-            return format_err(format!("lod level {li}: bad 'cell_size'"));
-        };
-        let gaussians = records_from_dom(lv.get("gaussians"), &format!("lod level {li} gaussian"))?;
-        levels.push(LodLevel {
-            gaussians,
-            cell_size,
-        });
-    }
-    Ok(SceneLod { levels, seed })
-}
-
 fn from_json_dom(s: &str) -> Result<Scene, SceneIoError> {
     let doc = json::parse(s).map_err(SceneIoError::Format)?;
-    reject_repeated(&doc, &["gaussians", "lod"])?;
+    reject_repeated(&doc, &["gaussians"])?;
     let Some(name) = field(&doc, "name")?.as_str() else {
         return format_err("'name' is not a string");
     };
@@ -132,14 +104,13 @@ fn from_json_dom(s: &str) -> Result<Scene, SceneIoError> {
         phase: f32_field(rig_v, "phase")?,
     };
     let gaussians = records_from_dom(Some(field(&doc, "gaussians")?), "gaussian")?;
-    let lod = doc.get("lod").map(lod_from_dom).transpose()?;
     Ok(Scene {
         name: name.to_string(),
         gaussians,
         resolution: (width, height),
         fov_y_deg,
         rig,
-        lod,
+        lod: None,
     })
 }
 
@@ -190,23 +161,43 @@ fn agree(doc: &str, why: &str) -> Result<Scene, SceneIoError> {
     streamed
 }
 
-/// A hand-made hierarchy (the real builder lives above this crate).
-fn with_lod(mut scene: Scene) -> Scene {
-    let level = |step: usize, cell_size: f32| LodLevel {
-        gaussians: scene.gaussians.iter().step_by(step).cloned().collect(),
-        cell_size,
+/// `doc` (a compact or pretty `io::to_json` document) with the `"lod"`
+/// member earlier writers put after the records: a two-level hierarchy of
+/// every third and every ninth of `scene`'s Gaussians, in their layout.
+fn with_stored_hierarchy(doc: &str, scene: &Scene, pretty: bool) -> String {
+    let (nl, ind, sp) = if pretty {
+        ("\n", "  ", " ")
+    } else {
+        ("", "", "")
     };
-    scene.lod = Some(SceneLod {
-        levels: vec![level(3, 0.25), level(9, 0.5)],
-        seed: 99,
-    });
-    scene
+    let level = |step: usize, cell_size: f32| {
+        let records: Vec<String> = scene
+            .gaussians
+            .iter()
+            .step_by(step)
+            .map(|g| {
+                let floats: Vec<String> = g.to_floats().iter().map(f32::to_string).collect();
+                format!("[{}]", floats.join(","))
+            })
+            .collect();
+        format!(
+            "{{\"cell_size\":{cell_size},\"gaussians\":[{}]}}",
+            records.join(",")
+        )
+    };
+    let lod = format!(
+        "{{\"seed\":99,\"levels\":[{},{}]}}",
+        level(3, 0.25),
+        level(9, 0.5)
+    );
+    let end = doc.len() - format!("{nl}}}").len();
+    format!("{},{nl}{ind}\"lod\":{sp}{lod}{}", &doc[..end], &doc[end..])
 }
 
 fn tiny_scene() -> Scene {
     let mut scene = ScenePreset::Lego.build(&SceneConfig::with_scale(0.001));
     scene.gaussians.truncate(6);
-    with_lod(scene)
+    scene
 }
 
 /// Writes a tree back as text, compact or generously spaced.
@@ -293,23 +284,21 @@ fn scramble(v: &mut Value, rng: &mut StdRng) {
 fn streaming_decode_matches_the_tree_reference_on_every_preset() {
     let mut rng = StdRng::seed_from_u64(0x5CE7_E001);
     for preset in ALL_PRESETS {
-        let plain = preset.build(&SceneConfig::with_scale(0.001));
-        for scene in [plain.clone(), with_lod(plain)] {
-            for pretty in [false, true] {
-                let doc = io::to_json(&scene, pretty).unwrap();
-                let why = format!("{preset} lod={} pretty={pretty}", scene.lod.is_some());
-                let back = agree(&doc, &why).unwrap();
+        let scene = preset.build(&SceneConfig::with_scale(0.001));
+        for pretty in [false, true] {
+            let doc = io::to_json(&scene, pretty).unwrap();
+            let why = format!("{preset} pretty={pretty}");
+            let back = agree(&doc, &why).unwrap();
+            assert!(same_scene(&back, &scene), "{why}: round trip");
+            let tree = json::parse(&doc).unwrap();
+            for round in 0..3 {
+                let mut shuffled = tree.clone();
+                scramble(&mut shuffled, &mut rng);
+                let mut text = String::new();
+                write_value(&shuffled, round % 2 == 1, &mut text);
+                let why = format!("{why} shuffle {round}");
+                let back = agree(&text, &why).unwrap();
                 assert!(same_scene(&back, &scene), "{why}: round trip");
-                let tree = json::parse(&doc).unwrap();
-                for round in 0..3 {
-                    let mut shuffled = tree.clone();
-                    scramble(&mut shuffled, &mut rng);
-                    let mut text = String::new();
-                    write_value(&shuffled, round % 2 == 1, &mut text);
-                    let why = format!("{why} shuffle {round}");
-                    let back = agree(&text, &why).unwrap();
-                    assert!(same_scene(&back, &scene), "{why}: round trip");
-                }
             }
         }
     }
@@ -324,20 +313,22 @@ fn first_of_a_repeated_scalar_key_wins_but_repeated_record_keys_are_errors() {
     assert_eq!(agree(&dup, "repeated fov").unwrap().fov_y_deg, 12.5);
     let dup = doc.replacen("\"radius\":", "\"radius\":\"x\",\"radius\":", 1);
     assert!(agree(&dup, "repeated radius, first is bad").is_err());
-    // Records: a second copy is refused, at any of the three places.
-    let empty_lod = r#"{"seed":1,"levels":[]}"#;
-    for (key, nth, empty) in [
-        ("gaussians", 0, "[]"),
-        ("gaussians", 1, "[]"),
-        ("lod", 0, empty_lod),
-        ("levels", 0, "[]"),
+    // Records: a second copy is refused, before or after the first.
+    let at = doc.find("\"gaussians\":").unwrap();
+    for dup in [
+        format!("{}\"gaussians\":[],{}", &doc[..at], &doc[at..]),
+        format!("{},\"gaussians\":[]}}", &doc[..doc.len() - 1]),
     ] {
-        let needle = format!("\"{key}\":");
-        let (at, _) = doc.match_indices(&needle).nth(nth).unwrap();
-        let dup = format!("{}{needle}{empty},{}", &doc[..at], &doc[at..]);
-        let err = agree(&dup, key).unwrap_err();
-        assert!(err.to_string().contains("repeated"), "{key}: {err}");
+        let err = agree(&dup, "repeated gaussians").unwrap_err();
+        assert!(err.to_string().contains("repeated"), "{err}");
     }
+    // A stored hierarchy is an unknown key like any other: repeated, it
+    // is skipped twice.
+    let twice = with_stored_hierarchy(&with_stored_hierarchy(&doc, &scene, false), &scene, false);
+    assert!(same_scene(
+        &agree(&twice, "two 'lod' keys").unwrap(),
+        &scene
+    ));
 }
 
 #[test]
@@ -364,9 +355,14 @@ fn scene_errors_name_the_record_and_the_byte_offset() {
     let err = agree(&nameless, "nameless").unwrap_err().to_string();
     assert!(err.contains("missing field 'name'"), "{err}");
     // Saturation to infinity is an error wherever a float is read.
-    let huge = doc.replacen("\"cell_size\":0.25", "\"cell_size\":1e39", 1);
+    let fov = format!("\"fov_y_deg\":{},", scene.fov_y_deg);
+    let huge = doc.replacen(&fov, "\"fov_y_deg\":1e39,", 1);
     assert_ne!(huge, doc);
-    assert!(agree(&huge, "huge cell_size").is_err());
+    assert!(agree(&huge, "huge fov_y_deg").is_err());
+    let radius = format!("\"radius\":{},", scene.rig.radius);
+    let huge = doc.replacen(&radius, "\"radius\":-1e39,", 1);
+    assert_ne!(huge, doc);
+    assert!(agree(&huge, "huge rig radius").is_err());
 }
 
 // ---- documents the span walk could mis-split ----
@@ -454,16 +450,49 @@ fn brackets_where_the_span_walk_does_not_expect_them_change_nothing() {
 }
 
 #[test]
-fn whitespace_between_records_and_a_lod_section_after_them_decode_chunked() {
-    let scene = with_lod({
+fn a_stored_hierarchy_decodes_to_the_scene_without_one() {
+    for preset in ALL_PRESETS {
+        let scene = preset.build(&SceneConfig::with_scale(0.001));
+        for pretty in [false, true] {
+            let doc = with_stored_hierarchy(&io::to_json(&scene, pretty).unwrap(), &scene, pretty);
+            let why = format!("{preset} pretty={pretty}");
+            let back = agree(&doc, &why).unwrap();
+            assert!(back.lod.is_none(), "{why}");
+            assert!(same_scene(&back, &scene), "{why}");
+        }
+    }
+    // A scene that carries a hierarchy in memory is written without it.
+    let mut scene = tiny_scene();
+    scene.lod = Some(crate::SceneLod {
+        levels: vec![crate::LodLevel {
+            gaussians: scene.gaussians[..2].to_vec(),
+            cell_size: 0.25,
+        }],
+        seed: 7,
+    });
+    let doc = io::to_json(&scene, false).unwrap();
+    assert!(!doc.contains("\"lod\""), "{doc}");
+    let mut image = Vec::new();
+    io::write_binary(&scene, &mut image).unwrap();
+    scene.lod = None;
+    assert!(same_scene(
+        &agree(&doc, "written with a hierarchy").unwrap(),
+        &scene
+    ));
+    assert!(same_scene(&io::decode_scene(&image, 1).unwrap(), &scene));
+}
+
+#[test]
+fn whitespace_between_records_and_a_stored_hierarchy_after_them_decode_chunked() {
+    let scene = {
         let mut scene = ScenePreset::Train.build(&SceneConfig::with_scale(0.002));
         scene.gaussians.truncate(40);
         scene
-    });
-    // `to_json` writes `lod` after `gaussians`; the pretty form puts a
+    };
+    // Earlier writers put `lod` after `gaussians`; the pretty form puts a
     // newline and an indent between records.
     for pretty in [false, true] {
-        let doc = io::to_json(&scene, pretty).unwrap();
+        let doc = with_stored_hierarchy(&io::to_json(&scene, pretty).unwrap(), &scene, pretty);
         assert!(doc.find("\"lod\"").unwrap() > doc.find("\"gaussians\"").unwrap());
         let back = agree(&doc, "lod after gaussians").unwrap();
         assert!(same_scene(&back, &scene), "pretty={pretty}");
@@ -483,23 +512,42 @@ fn whitespace_between_records_and_a_lod_section_after_them_decode_chunked() {
     assert!(agree(&exponent, "60 numbers, one an exponent").is_err());
 }
 
+// ---- either writer, either reader ----
+
+#[test]
+fn every_preset_reads_back_from_either_writer_on_one_and_two_threads() {
+    let dir = std::env::temp_dir().join(format!("gcc_scene_files_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (bin, json) = (dir.join("scene.bin"), dir.join("scene.json"));
+    for preset in ALL_PRESETS {
+        let scene = preset.build(&SceneConfig::with_scale(0.002));
+        io::write_binary_file(&scene, &bin).unwrap();
+        io::write_json_file(&scene, &json).unwrap();
+        for (path, threads) in [(&bin, 1), (&bin, 2), (&json, 1), (&json, 2)] {
+            let back = io::load_scene_file_on(path, threads).unwrap();
+            let why = format!("{preset} {} on {threads}", path.display());
+            assert!(same_scene(&back, &scene), "{why}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- resident size does not depend on the format ----
 
 #[test]
 fn loaded_scenes_charge_the_same_bytes_whatever_the_format() {
-    let built = with_lod(ScenePreset::Train.build(&SceneConfig::with_scale(0.01)));
+    let built = ScenePreset::Train.build(&SceneConfig::with_scale(0.01));
     // `clone` is the in-memory scene at its tightest: `capacity == len`.
     let in_memory = built.clone();
-    let from_text = io::from_json(&io::to_json(&built, false).unwrap()).unwrap();
+    let text = io::to_json(&built, false).unwrap();
     let mut image = Vec::new();
     io::write_binary(&built, &mut image).unwrap();
-    let from_image = io::read_binary(image.as_slice()).unwrap();
-    for (scene, how) in [(&from_text, "json"), (&from_image, "binary")] {
-        assert_eq!(scene.gaussians.capacity(), scene.gaussians.len(), "{how}");
-        for level in &scene.lod.as_ref().unwrap().levels {
-            assert_eq!(level.gaussians.capacity(), level.gaussians.len(), "{how}");
+    for (bytes, how) in [(text.as_bytes(), "json"), (&image[..], "binary")] {
+        for threads in [1, 2] {
+            let scene = io::decode_scene(bytes, threads).unwrap();
+            assert_eq!(scene.gaussians.capacity(), scene.gaussians.len(), "{how}");
+            assert_eq!(scene.approx_bytes(), in_memory.approx_bytes(), "{how}");
         }
-        assert_eq!(scene.approx_bytes(), in_memory.approx_bytes(), "{how}");
     }
 }
 
@@ -565,21 +613,15 @@ fn mutated_binary_scenes_never_panic() {
     let mut image = Vec::new();
     io::write_binary(&scene, &mut image).unwrap();
     assert!(same_scene(&io::decode_scene(&image, 1).unwrap(), &scene));
-    // Where the scene's own records end and the LOD flag sits.
-    let mut flagless = scene.clone();
-    flagless.lod = None;
-    let mut head = Vec::new();
-    io::write_binary(&flagless, &mut head).unwrap();
-    let flag_at = head.len() - 1;
+    // Only the whole file is a scene.
     for cut in 0..image.len() {
         match io::decode_scene(&image[..cut], 1) {
-            // A file from before the LOD section ends at the flag byte.
-            Ok(back) => assert!(cut == flag_at && back.lod.is_none(), "cut at {cut}"),
+            Ok(_) => panic!("cut at {cut} decoded"),
             // Shorter than the magic, such a file is read as JSON.
-            Err(SceneIoError::Format(_)) => assert!(cut < 8 || cut > flag_at, "cut at {cut}"),
+            Err(SceneIoError::Format(_)) => assert!(cut < 8, "cut at {cut}"),
             Err(SceneIoError::Io(e)) => {
                 assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
-                assert!((8..flag_at).contains(&cut), "cut at {cut}");
+                assert!(cut >= 8, "cut at {cut}");
             }
         }
     }
@@ -591,7 +633,8 @@ fn mutated_binary_scenes_never_panic() {
         }
     }
     // Most edits land in float payload and decode to a different scene;
-    // the ones in the header, the counts and the flag are refused.
+    // the ones in the header and the count, and the few that make a float
+    // non-finite, are refused.
     assert!(
         decoded > 1000 && refused > 50,
         "{decoded} decoded, {refused} refused"
@@ -600,11 +643,9 @@ fn mutated_binary_scenes_never_panic() {
 
 #[test]
 fn binary_record_counts_are_checked_against_the_bytes_in_hand() {
-    let mut flagless = tiny_scene();
-    flagless.lod = None;
     let mut image = Vec::new();
-    io::write_binary(&flagless, &mut image).unwrap();
-    let count_at = image.len() - 1 - 6 * PARAM_FLOATS * 4 - 8;
+    io::write_binary(&tiny_scene(), &mut image).unwrap();
+    let count_at = image.len() - 6 * PARAM_FLOATS * 4 - 8;
     assert_eq!(image[count_at..count_at + 8], 6u64.to_le_bytes());
     for count in [7u64, 1 << 24, u64::MAX / 236, u64::MAX] {
         image[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());

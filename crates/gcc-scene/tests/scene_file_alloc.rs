@@ -13,7 +13,7 @@
 //! the input's length.
 
 use gcc_scene::rng::StdRng;
-use gcc_scene::{io, LodLevel, Scene, SceneConfig, SceneLod, ScenePreset};
+use gcc_scene::{io, Scene, SceneConfig, ScenePreset};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -68,20 +68,11 @@ fn largest_request(decode: impl FnOnce()) -> usize {
 fn tiny_scene() -> Scene {
     let mut scene = ScenePreset::Lego.build(&SceneConfig::with_scale(0.001));
     scene.gaussians.truncate(6);
-    scene.lod = Some(SceneLod {
-        levels: vec![LodLevel {
-            gaussians: scene.gaussians[..2].to_vec(),
-            cell_size: 0.25,
-        }],
-        seed: 7,
-    });
     scene
 }
 
 fn check_binary(bytes: &[u8], why: &str) {
-    let largest = largest_request(|| drop(io::read_binary(bytes)));
-    // `read_binary` first copies its reader to the end (that `Vec` may
-    // double past the input once), then decodes from the copy.
+    let largest = largest_request(|| drop(io::decode_scene(bytes, 1)));
     assert!(
         largest <= budget(bytes.len()),
         "{why}: a {}-byte binary file made the decoder ask for {largest} bytes",
@@ -89,13 +80,16 @@ fn check_binary(bytes: &[u8], why: &str) {
     );
 }
 
+/// On one thread (the growing `Vec`) and on two (the span walk).
 fn check_json(text: &str, why: &str) {
-    let largest = largest_request(|| drop(io::from_json(text)));
-    assert!(
-        largest <= budget(text.len()),
-        "{why}: a {}-byte JSON file made the decoder ask for {largest} bytes",
-        text.len()
-    );
+    for threads in [1, 2] {
+        let largest = largest_request(|| drop(io::decode_scene(text.as_bytes(), threads)));
+        assert!(
+            largest <= budget(text.len()),
+            "{why}: a {}-byte JSON file made the decoder ask for {largest} bytes on {threads}",
+            text.len()
+        );
+    }
 }
 
 // One test function: the high-water mark is process-wide, so nothing
@@ -115,8 +109,7 @@ fn no_decode_reserves_more_than_its_input_justifies() {
     }
 
     // Every 8-byte window overwritten with counts a forger would try:
-    // this hits the record count, the level count and each level's count
-    // wherever they sit.
+    // this hits the record count wherever it sits.
     for forged in [u64::MAX, u64::MAX / 236, 1 << 32, 1 << 24, 1 << 16] {
         for at in 8..image.len() - 8 {
             let mut bytes = image.clone();
@@ -161,14 +154,14 @@ fn no_decode_reserves_more_than_its_input_justifies() {
     // Cut anywhere, the walk stops short and the growing `Vec`'s budget
     // holds.
     let long = dense(5000);
-    let largest = largest_request(|| drop(io::from_json_on(&long, 2)));
+    let largest = largest_request(|| drop(io::decode_scene(long.as_bytes(), 2)));
     assert!(
         largest <= budget(long.len()) / 2,
         "{} bytes of dense records made the chunked decoder ask for {largest} bytes",
         long.len()
     );
     for cut in [long.len() / 3, long.len() / 2, long.len() - 2] {
-        let largest = largest_request(|| drop(io::from_json_on(&long[..cut], 2)));
+        let largest = largest_request(|| drop(io::decode_scene(&long.as_bytes()[..cut], 2)));
         assert!(largest <= budget(cut), "cut at {cut}: {largest} bytes");
     }
 }

@@ -176,8 +176,9 @@ pub struct LodPolicy {
     /// Safety factor applied to a rung's measured cost before comparing against
     /// the deadline budget (> 1 leaves headroom for scheduling noise).
     pub margin: f64,
-    /// Hierarchy builder configuration: a scene that ships without a
-    /// [`gcc_scene::SceneLod`] gets one built at load time, so the coarse
+    /// Hierarchy builder configuration: a loaded scene without a
+    /// [`gcc_scene::SceneLod`] (no scene file stores one; only a `Memory`
+    /// source can hand one over) gets one built at load time, so the coarse
     /// rungs have levels to render from, and the hierarchy is charged to
     /// the cache byte budget. The service builds on the threads it can
     /// lend when the load happens, whatever `threads` says here — every
@@ -1040,14 +1041,15 @@ impl Shared {
     }
 
     /// One attempt at a cold scene, start to finish and under one loan:
-    /// the source's load, then — for a scene that ships without a
-    /// hierarchy, under a ladder — the hierarchy build, each on the
+    /// the source's load, then — under a ladder, for a scene without a
+    /// hierarchy (only a `Memory` source can hand over one) — the
+    /// hierarchy build, each on the
     /// threads lent at the moment it starts. Lock-free CPU and I/O
     /// work on a scene no consumer shares yet; the hierarchy's bytes are
     /// charged to the cache budget on insert.
     fn load_scene(&self, source: &SceneSource) -> Result<Arc<Scene>, LoadError> {
         let loan = lend();
-        let mut scene = source.load_classified_on(loan.threads())?;
+        let mut scene = source.load_on(loan.threads())?;
         if let (Some(policy), None) = (&self.lod, &scene.lod) {
             // Any thread count builds the same hierarchy, so the policy's
             // own count gives way to what is idle right now.

@@ -79,28 +79,17 @@ impl SceneSource {
     }
 
     /// Loads the scene on every hardware thread: [`Self::load_on`] for a
-    /// caller with nothing else running. Errors are stringified so they
-    /// can fan out to every request waiting on this load.
-    pub fn load(&self) -> Result<Arc<Scene>, String> {
+    /// caller with nothing else running.
+    pub fn load(&self) -> Result<Arc<Scene>, LoadError> {
         self.load_on(available_threads())
-    }
-
-    /// [`Self::load`] with the retryable-vs-fatal classification the
-    /// service's retry loop dispatches on.
-    pub fn load_classified(&self) -> Result<Arc<Scene>, LoadError> {
-        self.load_classified_on(available_threads())
     }
 
     /// Loads the scene on up to `threads` threads — what a preset's
     /// synthesis and a JSON file's decode spread over; the scene loaded
-    /// is the same, bit for bit, at every count.
-    pub fn load_on(&self, threads: usize) -> Result<Arc<Scene>, String> {
-        self.load_classified_on(threads).map_err(|e| e.message)
-    }
-
-    /// [`Self::load_on`] with [`Self::load_classified`]'s classification:
-    /// the form a service worker calls, with the threads it is lent.
-    pub fn load_classified_on(&self, threads: usize) -> Result<Arc<Scene>, LoadError> {
+    /// is the same, bit for bit, at every count. This is the form a
+    /// service worker calls, with the threads it is lent; the error says
+    /// whether its retry loop should try again.
+    pub fn load_on(&self, threads: usize) -> Result<Arc<Scene>, LoadError> {
         match self {
             Self::Preset { preset, scale } => {
                 if !(*scale > 0.0 && *scale <= 100.0) {
@@ -130,9 +119,9 @@ impl SceneSource {
                 Some(LoadFault::Panic) => panic!("injected load panic for '{label}'"),
                 Some(LoadFault::Slow(delay)) => {
                     std::thread::sleep(delay);
-                    inner.load_classified_on(threads)
+                    inner.load_on(threads)
                 }
-                None => inner.load_classified_on(threads),
+                None => inner.load_on(threads),
             },
             #[cfg(test)]
             Self::PanicsOnLoad => panic!("scene load blew up"),
@@ -151,7 +140,7 @@ mod tests {
             scale: 0.02,
         };
         let a = src.load().unwrap();
-        let b = src.load().unwrap();
+        let b = src.load_on(1).unwrap();
         assert_eq!(a.gaussians, b.gaussians);
         assert!(!a.is_empty());
     }
@@ -162,21 +151,14 @@ mod tests {
             preset: ScenePreset::Lego,
             scale: 0.0,
         };
-        assert!(src.load().is_err());
-    }
-
-    #[test]
-    fn missing_file_reports_io_error() {
-        let src = SceneSource::File(PathBuf::from("/nonexistent/scene.bin"));
-        let err = src.load().unwrap_err();
-        assert!(err.contains("i/o error"), "{err}");
+        assert!(src.load_on(2).is_err());
     }
 
     #[test]
     fn memory_source_shares_the_same_scene() {
         let scene = Arc::new(ScenePreset::Palace.build(&SceneConfig::with_scale(0.02)));
         let src = SceneSource::Memory(Arc::clone(&scene));
-        let loaded = src.load().unwrap();
+        let loaded = src.load_on(2).unwrap();
         assert!(Arc::ptr_eq(&scene, &loaded));
     }
 
@@ -184,14 +166,15 @@ mod tests {
     fn classification_matches_the_failure_kind() {
         // Missing file: fatal (the path will be just as absent on retry).
         let src = SceneSource::File(PathBuf::from("/nonexistent/scene.bin"));
-        let err = src.load_classified().unwrap_err();
+        let err = src.load_on(2).unwrap_err();
+        assert!(err.message.contains("i/o error"), "{}", err.message);
         assert!(!err.retryable, "{}", err.message);
         // Bad preset scale: fatal misconfiguration.
         let src = SceneSource::Preset {
             preset: ScenePreset::Lego,
             scale: -1.0,
         };
-        assert!(!src.load_classified().unwrap_err().retryable);
+        assert!(!src.load_on(2).unwrap_err().retryable);
     }
 
     #[test]
@@ -207,11 +190,11 @@ mod tests {
             ],
         ));
         let src = SceneSource::faulty("s", SceneSource::Memory(Arc::clone(&scene)), plan);
-        let e = src.load_classified().unwrap_err();
+        let e = src.load_on(2).unwrap_err();
         assert!(e.retryable);
-        let e = src.load_classified().unwrap_err();
+        let e = src.load_on(2).unwrap_err();
         assert!(!e.retryable);
-        let loaded = src.load_classified().unwrap();
+        let loaded = src.load_on(2).unwrap();
         assert!(Arc::ptr_eq(&scene, &loaded));
     }
 
@@ -221,8 +204,8 @@ mod tests {
         let scene = Arc::new(ScenePreset::Lego.build(&SceneConfig::with_scale(0.02)));
         let plan = Arc::new(FaultPlan::new(2).with_retryable_load_failures(1000));
         let src = SceneSource::faulty("s", SceneSource::Memory(Arc::clone(&scene)), plan.clone());
-        assert!(src.load_classified().is_err());
+        assert!(src.load_on(2).is_err());
         plan.disarm();
-        assert!(src.load_classified().is_ok());
+        assert!(src.load_on(2).is_ok());
     }
 }
